@@ -168,13 +168,6 @@ def converge_compare(matrices, labels=None) -> dict:
     }
 
 
-def _bump_value(t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t)
-    inside = t < 1.0
-    out[inside] = (1.0 - t[inside] ** 2) ** 3
-    return out
-
-
 def weak_star_test(
     m: Manifold, fields, testfns, budget: int = 200_000, seed: int = 0
 ) -> list:
@@ -200,7 +193,7 @@ def weak_star_test(
             elif tf[0] == "bump":
                 x0 = np.asarray(tf[1], dtype=float)
                 r = float(tf[2])
-                vals = _bump_value(d0_many(m, pts, x0) / r)
+                vals = sc.bump(d0_many(m, pts, x0) / r)
                 tlabel = f"bump(r={r:g})"
             else:
                 raise InputError(f"unknown test function {tf!r}")

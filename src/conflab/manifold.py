@@ -125,7 +125,9 @@ class Manifold:
         """Canonical representative: wrap torus coords into [0, period)."""
         x = np.asarray(x, dtype=float)
         if self.kind == "torus":
-            return np.mod(x, self.periods)
+            y = np.mod(x, self.periods)
+            # a tiny negative x rounds up to the period itself
+            return np.where(y < self.periods, y, 0.0)
         if self.kind == "sphere":
             return x / np.linalg.norm(x, axis=-1, keepdims=True)
         return x

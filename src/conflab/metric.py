@@ -219,7 +219,7 @@ def _edges_box_lattice(m, points: PointSet, eps):
 def _edges_kdtree(m, points: PointSet, eps):
     pts = points.points
     if m.kind == "torus":
-        tree = cKDTree(np.mod(pts, m.periods), boxsize=m.periods)
+        tree = cKDTree(m.canonicalize(pts), boxsize=m.periods)
         pairs = tree.query_pairs(r=eps, output_type="ndarray")
     elif m.kind == "box":
         tree = cKDTree(pts)

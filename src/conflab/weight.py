@@ -417,8 +417,34 @@ class Sum(WeightField):
 # ---------------------------------------------------------------------------
 
 
+class NodeGrid:
+    """Node layout of a torus/box grid with ``manifold`` and ``shape`` fields:
+    nodes k*h with h = period/shape on a torus, endpoint-inclusive on a box."""
+
+    @property
+    def axis_spacing(self) -> np.ndarray:
+        m = self.manifold
+        if m.kind == "torus":
+            return m.periods / np.asarray(self.shape)
+        lens = m.extents[:, 1] - m.extents[:, 0]
+        return lens / (np.asarray(self.shape) - 1)
+
+    def node_coordinates(self, axis: int) -> np.ndarray:
+        m = self.manifold
+        if m.kind == "torus":
+            return np.arange(self.shape[axis]) * self.axis_spacing[axis]
+        lo, hi = m.extents[axis]
+        return np.linspace(lo, hi, self.shape[axis])
+
+    def nodes(self) -> np.ndarray:
+        """(N, dim) node coordinates in row-major order."""
+        axes = [self.node_coordinates(a) for a in range(len(self.shape))]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return np.stack([g.ravel() for g in mesh], axis=-1)
+
+
 @dataclass(frozen=True)
-class GridField:
+class GridField(NodeGrid):
     """Sampled log factor on a torus/box node grid (row-major values of f)."""
 
     manifold: Manifold
@@ -432,21 +458,6 @@ class GridField:
             raise InputError("grid values shape does not match declared shape")
         if not np.all(np.isfinite(self.values)):
             raise InputError("grid values must be finite")
-
-    @property
-    def axis_spacing(self) -> np.ndarray:
-        m = self.manifold
-        if m.kind == "torus":
-            return m.periods / np.asarray(self.shape)
-        lens = self.manifold.extents[:, 1] - self.manifold.extents[:, 0]
-        return lens / (np.asarray(self.shape) - 1)
-
-    def node_coordinates(self, axis: int) -> np.ndarray:
-        m = self.manifold
-        if m.kind == "torus":
-            return np.arange(self.shape[axis]) * self.axis_spacing[axis]
-        lo, hi = m.extents[axis]
-        return np.linspace(lo, hi, self.shape[axis])
 
 
 def _cubic_weights(s: np.ndarray) -> np.ndarray:
@@ -529,10 +540,7 @@ def grid_from_field(m: Manifold, field: WeightField, shape) -> GridField:
     """Sample an analytic field onto a node grid (torus/box)."""
     shape = tuple(int(s) for s in shape)
     probe = GridField(manifold=m, shape=shape, values=np.zeros(shape))
-    axes = [probe.node_coordinates(a) for a in range(m.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=-1)
-    vals = eval_f_many(m, field, pts).reshape(shape)
+    vals = eval_f_many(m, field, probe.nodes()).reshape(shape)
     return GridField(manifold=m, shape=shape, values=vals)
 
 
@@ -601,9 +609,7 @@ def read_grid(path) -> GridField:
 
 def write_grid_csv(grid: GridField, path) -> None:
     """Fallback format: one 'x1,...,xn,f' row per node, row-major."""
-    axes = [grid.node_coordinates(a) for a in range(grid.manifold.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    cols = [g.ravel() for g in mesh] + [grid.values.ravel()]
+    cols = [*grid.nodes().T, grid.values.ravel()]
     header = ",".join([f"x{i+1}" for i in range(grid.manifold.dim)] + ["f"])
     np.savetxt(path, np.column_stack(cols), delimiter=",", header=header, comments="")
 

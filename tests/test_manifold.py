@@ -30,6 +30,14 @@ def test_d0_torus_wraparound(torus2):
     assert d0(torus2, (0.1, 0.0), (2 * np.pi - 0.1, 0.0)) == pytest.approx(0.2, abs=1e-12)
 
 
+def test_canonicalize_strictly_below_period(torus2):
+    # np.mod(-1e-17, 2 pi) rounds up to 2 pi itself
+    x = np.array([[-1e-17, 0.5], [-1e-300, 4 * np.pi], [2 * np.pi, -0.0]])
+    y = torus2.canonicalize(x)
+    assert np.all(y >= 0.0) and np.all(y < torus2.periods)
+    assert np.all(d0_many(torus2, x, y) <= 1e-15)
+
+
 def test_d0_sphere_antipodal(sphere2):
     assert d0(sphere2, N_POLE, S_POLE) == pytest.approx(np.pi, abs=1e-14)
 

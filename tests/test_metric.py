@@ -56,6 +56,12 @@ def test_connectivity_precondition(torus2):
     assert "eps >= 3 * spacing" in str(exc.value)
 
 
+def test_graph_on_points_just_below_zero(torus2):
+    pts = PointSet(points=np.array([[-1e-17, 0.0], [0.3, 0.0], [0.6, 0.0]]), spacing=0.3)
+    g = build_graph(torus2, pts, 0.9, Constant(0.0), skip_connectivity_check=True)
+    assert shortest_paths(g, [0]).values[0, 2] == pytest.approx(0.6, abs=1e-12)
+
+
 def test_flat_distance_three_percent(torus2, rng):
     pts = lattice(torus2, 0.1)
     g = build_graph(torus2, pts, 3 * pts.spacing, Constant(0.0))

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from conflab.errors import InputError, NumericError
 from conflab.manifold import Manifold, d0_many
@@ -44,6 +47,24 @@ def test_laplacian_symmetry(geom, rng):
 def test_laplacian_kills_constants(geom):
     n = int(np.prod(geom.shape))
     assert np.abs(geom.lap(np.ones(n))).max() <= 1e-12
+
+
+def test_laplacian_fourier_mode_matches_fft_symbol():
+    # anisotropic grid and periods: ties the Kronecker axis order to the FFT
+    periods = np.array([2.2, 1.7, 3.0])
+    g = GridGeometry(Manifold.torus(3, periods), (12, 8, 10))
+    k = (1, 2, 3)
+    mode = np.cos(2 * np.pi * g.nodes() @ (np.array(k) / periods))
+    assert np.abs(g.lap(mode) - g._fft_symbol()[k] * mode).max() <= 1e-11
+
+
+def test_box_neumann_corner_row(rng):
+    box = Manifold.box([[0.0, 1.0], [0.0, 2.0], [0.0, 1.5]])
+    g = GridGeometry(box, (8, 9, 10))
+    u = rng.standard_normal(g.shape)
+    h = g.axis_spacing
+    corner = sum((u[0, 0, 0] - u[tuple(np.eye(3, dtype=int)[a])]) / h[a] ** 2 for a in range(3))
+    assert g.lap(u)[0] == pytest.approx(corner, rel=1e-14)
 
 
 def test_grid_size_guard():
@@ -91,6 +112,30 @@ def test_dense_oracle_2d_16():
     s = lowest_eigenpair(op)
     dense = np.linalg.eigvalsh(op.as_sparse().toarray())[0]
     assert abs(s.lambda0 - dense) <= 1e-8
+
+
+def test_spike_potential_one_factorization(geom, monkeypatch):
+    import conflab.schrodinger as sc
+
+    calls = []
+    monkeypatch.setattr(sc, "splu", lambda a: calls.append(1) or splu(a))
+    V = np.zeros(int(np.prod(geom.shape)))
+    V[777] = 100.0
+    op = GridOperator(geom, V)
+    s = lowest_eigenpair(op)
+    dense = np.linalg.eigvalsh(op.as_sparse().toarray())[0]
+    assert abs(s.lambda0 - dense) <= 1e-8
+    assert s.phi.min() > 0
+    assert len(calls) == 1
+    assert s.iterations == len(s.history) and s.history[-1] <= 1e-10
+
+
+def test_eigen_tolerance_miss_is_numeric_error(geom, nodes):
+    op = GridOperator(geom, 0.15 * np.cos(2 * np.pi * nodes[:, 0] / L))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError):
+            lowest_eigenpair(op, tol=1e-13, max_iter=1)
 
 
 def test_operator_from_grid_field(geom, nodes):
