@@ -15,12 +15,15 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import ConflabError
+from .errors import ConflabError, InputError
 from .experiments import ExperimentSpec, run
 
 
 def _load_spec(path: str) -> ExperimentSpec:
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read spec file {path}: {exc}") from exc
     if "CONF_LAB_OUT" in os.environ:
         doc["output_dir"] = os.environ["CONF_LAB_OUT"]
     return ExperimentSpec.from_dict(doc)

@@ -258,7 +258,7 @@ def lp_scal_norm(
 
             val = radial_ball_integral(m, integrand, b.center, b.radius, gamma_hint=gamma)
             return val ** (1.0 / p)
-    pts, w = sample_ball(m, b, budget, seed)
+    pts, w, _ = sample_ball(m, b, budget, seed)
     s = _scal_values(m, field, pts, method, h)
     s = np.maximum(s, 0.0) if positive_part else np.abs(s)
     dens = np.exp(n * field.eval_many(m, pts))

@@ -64,7 +64,7 @@ class BallSampler:
 
 
 def _ball_weight_samples(m, field, ball, budget, seed):
-    pts, _ = sample_ball(m, ball, budget, seed)
+    pts, _, _ = sample_ball(m, ball, budget, seed)
     return np.exp(m.dim * field.eval_many(m, pts)), pts
 
 

@@ -23,7 +23,7 @@ from . import metric as mt
 from . import schrodinger as sc
 from . import weight as wt
 from .curvature import alpha_n2, pinching_profile, scalar_curvature_many
-from .errors import InputError
+from .errors import ConflabError, InputError, NumericError, ResourceError
 from .manifold import BallSpec, Manifold, PointSet, lattice, whole_manifold_ball
 from .rng import derive_rng, derive_seed
 
@@ -777,16 +777,19 @@ def run(spec: ExperimentSpec) -> RunReport:
     """Run one experiment spec; write report.json, timings.json and artifacts.
 
     A stage error is recorded in the report (later stages are skipped) and
-    re-raised so the caller sees the categorized exit code.
+    re-raised so the caller sees the categorized exit code (3 for LinAlgError,
+    4 for MemoryError).
     """
-    from .errors import ConflabError
-
     outdir = Path(spec.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
     error = None
     try:
-        report, flags = _RUNNERS[spec.name](spec, outdir)
+        try:
+            report, flags = _RUNNERS[spec.name](spec, outdir)
+        except (np.linalg.LinAlgError, MemoryError) as exc:
+            kind = ResourceError if isinstance(exc, MemoryError) else NumericError
+            raise kind(f"{type(exc).__name__}: {exc}") from exc
     except ConflabError as exc:
         report = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         flags = []

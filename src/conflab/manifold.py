@@ -182,7 +182,9 @@ def torus_delta(m: Manifold, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     The wrap chooses -p/2 on cut-locus ties, which is the lexicographically
     smallest translate; documented for reproducibility.
     """
-    return np.mod(y - x + m.periods / 2.0, m.periods) - m.periods / 2.0
+    d = np.mod(y - x + m.periods / 2.0, m.periods) - m.periods / 2.0
+    # np.mod rounds a tiny negative up to the period itself: p/2 is -p/2
+    return np.subtract(d, m.periods, out=d, where=d >= m.periods / 2.0)
 
 
 def _sphere_angle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -270,25 +272,29 @@ def cap_volume(m: Manifold, r: float) -> float:
     return sphere_volume(n - 1) * m.radius**n * val
 
 
-def mu0_ball_detail(m: Manifold, b: BallSpec, budget: int = 200_000, seed: int = 0):
-    """(volume, standard error) of mu0(B); exact branches report zero error."""
+def _closed_form_volume(m: Manifold, b: BallSpec):
+    """(mu0(B), standard error) where B has a closed-form volume, else None."""
     r = b.radius
     if m.kind == "sphere":
         return cap_volume(m, r), 1e-12 * cap_volume(m, r)
     if m.kind == "torus" and r < m.min_period / 2.0:
         return unit_ball_volume(m.dim) * r**m.dim, 0.0
-    if m.kind == "box":
-        c = np.asarray(b.center, dtype=float)
-        inside = np.all((c - m.extents[:, 0] >= r) & (m.extents[:, 1] - c >= r))
-        if inside:
-            return unit_ball_volume(m.dim) * r**m.dim, 0.0
+    c = np.asarray(b.center, dtype=float)
+    if m.kind == "box" and np.all((c - m.extents[:, 0] >= r) & (m.extents[:, 1] - c >= r)):
+        return unit_ball_volume(m.dim) * r**m.dim, 0.0
     if r >= m.max_distance:
         return m.volume, 0.0
-    pts, _ = sample_manifold(m, budget, seed)
-    frac = float(np.mean(d0_many(m, pts, b.center) <= r))
-    vol = m.volume * frac
-    se = m.volume * np.sqrt(max(frac * (1 - frac), 1e-300) / budget)
-    return vol, se
+    return None
+
+
+def mu0_ball_detail(m: Manifold, b: BallSpec, budget: int = 200_000, seed: int = 0):
+    """(volume, standard error) of mu0(B): closed forms with zero error (caps
+    1e-12 relative), else the acceptance ratio of ``budget`` sample_ball draws."""
+    exact = _closed_form_volume(m, b)
+    if exact is not None:
+        return exact
+    _, w, se = sample_ball(m, b, budget, seed)
+    return float(w.sum()), se
 
 
 def mu0_ball(m: Manifold, b: BallSpec, budget: int = 200_000, seed: int = 0) -> float:
@@ -490,40 +496,38 @@ def _sample_cap(m: Manifold, b: BallSpec, count: int, rng) -> np.ndarray:
 
 
 def sample_ball(m: Manifold, b: BallSpec, count: int, seed: int = 0):
-    """(points, weights): i.i.d. uniform samples of B w.r.t. mu0.
+    """(points, weights, volume_se): i.i.d. uniform samples of B w.r.t. mu0.
 
-    Weights are uniform and sum to mu0_ball(b).  Torus/box use rejection from
-    a chart box, the sphere samples caps directly by colatitude inversion and
-    a rotation; the output is deterministic given the seed.
+    Caps are sampled by colatitude inversion and a rotation.  Flat balls keep
+    the draws c + r U^{1/n} g/|g| (U uniform, g Gaussian) that lie inside the
+    box, or on a torus within half a period of c in every coordinate.
+    Weights are uniform and sum to the exact volume where there is one (see
+    mu0_ball_detail), else to omega r^n a, a the accepted fraction of all
+    draws, with binomial volume_se omega r^n sqrt(a (1 - a) / drawn).
     """
     if count < 1:
         raise InputError("sample count must be >= 1")
     rng = derive_rng(seed, "ball")
-    vol = mu0_ball(m, b, seed=seed)
+    volume = _closed_form_volume(m, b)
     if m.kind == "sphere":
-        pts = _sample_cap(m, b, count, rng)
-        return pts, np.full(count, vol / count)
-    c = np.asarray(b.center, dtype=float)
-    if m.kind == "torus":
-        half = np.minimum(b.radius, m.periods / 2.0)
-        lo, hi = c - half, c + half
-    else:
-        lo = np.maximum(c - b.radius, m.extents[:, 0])
-        hi = np.minimum(c + b.radius, m.extents[:, 1])
-    out = np.empty((count, m.dim))
-    got, drawn = 0, 0
-    while got < count:
-        batch = max(count - got, 1024)
-        cand = lo + rng.random((batch, m.dim)) * (hi - lo)
-        keep = cand[d0_many(m, cand, c) <= b.radius]
-        take = min(count - got, keep.shape[0])
-        out[got : got + take] = keep[:take]
-        got += take
-        drawn += batch
-        if drawn > 4096 and got / drawn < 1e-3:
-            raise ResourceError(
-                f"ball rejection efficiency {got / drawn:.2e} below 1e-3"
-            )
-    if m.kind == "torus":
-        out = m.canonicalize(out)
-    return out, np.full(count, vol / count)
+        return _sample_cap(m, b, count, rng), np.full(count, volume[0] / count), volume[1]
+    n, c = m.dim, np.asarray(b.center, dtype=float)
+    whole = volume is not None and b.radius < m.max_distance  # neither wraps nor meets a face
+    kept, accepted, drawn = [], 0, 0
+    while accepted < count:
+        g = rng.standard_normal((count, n))
+        rad = b.radius * rng.random(count) ** (1.0 / n) / np.sqrt(np.einsum("ij,ij->i", g, g))
+        pts = c + rad[:, None] * g
+        if not whole:
+            lo, hi = (c - m.periods / 2.0, c + m.periods / 2.0) if m.kind == "torus" else m.extents.T
+            pts = pts[np.all((pts >= lo) & (pts < hi), axis=1)]
+        kept.append(pts)
+        accepted += len(pts)
+        drawn += count
+        if drawn > 4096 and accepted / drawn < 1e-3:
+            raise ResourceError(f"ball rejection efficiency {accepted / drawn:.2e} below 1e-3")
+    pts = m.canonicalize(np.concatenate(kept)[:count])
+    if volume is None:
+        a, disc = accepted / drawn, unit_ball_volume(n) * b.radius**n
+        volume = disc * a, disc * float(np.sqrt(a * (1.0 - a) / drawn))
+    return pts, np.full(count, volume[0] / count), volume[1]

@@ -268,25 +268,6 @@ def _chain_weights(m, g: EpsGraph, field: WeightField, budget: int, seed: int) -
     pts = g.points.points
     mids = geodesic_points(m, pts[g.edge_i], pts[g.edge_j], np.array([0.5]))[0]
     radii = g.edge_d0 / 2.0
-    if m.kind in ("torus", "box") and float(radii.max()) < m.min_period / 2.0:
-        # small flat balls: exact mu0 = omega r^n, one counter-based stream
-        # per edge keyed on its endpoints, so weights do not depend on the
-        # rest of the edge set
-        out = np.empty(g.edge_i.size)
-        for e in range(g.edge_i.size):
-            key = (int(g.edge_i[e]) << 21) ^ int(g.edge_j[e]) ^ (seed << 42)
-            rg = np.random.Generator(np.random.Philox(key=key))
-            gauss = rg.standard_normal((budget, n))
-            gauss /= np.linalg.norm(gauss, axis=1, keepdims=True)
-            rad = radii[e] * rg.random(budget) ** (1.0 / n)
-            sample = mids[e] + rad[:, None] * gauss
-            if m.kind == "torus":
-                sample = m.canonicalize(sample)
-            else:
-                sample = np.clip(sample, m.extents[:, 0], m.extents[:, 1])
-            mean_w = float(np.mean(np.exp(n * field.eval_many(m, sample))))
-            out[e] = radii[e] * mean_w ** (1.0 / n)
-        return out
     out = np.empty(g.edge_i.size)
     for e in range(g.edge_i.size):
         ball = BallSpec(center=mids[e], radius=radii[e])

@@ -186,13 +186,16 @@ def lowest_eigenpair(op: GridOperator, tol: float = 1e-10, max_iter: int = 400,
     (below the spectrum since Delta >= 0), and runs scipy's lobpcg on A
     from the positive constant vector (or a warm start) with (A - sigma)^{-1}
     as the preconditioner.  ``history`` holds the eigen residual
-    ||A v - lambda v|| (unit v) per iteration; a final residual above tol,
-    or a ground state that is not positive, raises NumericError.
+    ||A v - lambda v|| (unit v) per iteration; a singular shift, a residual
+    above tol or a ground state that is not positive raises NumericError.
     """
     A = op.as_sparse().tocsc()
     n = A.shape[0]
     sigma = -float(op.V.max()) - 1.0
-    lu = splu((A - sigma * identity(n, format="csc")).tocsc())
+    try:
+        lu = splu((A - sigma * identity(n, format="csc")).tocsc())
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise NumericError(f"shifted operator A - sigma is singular: {exc}") from exc
     v = np.ones(n) if v0 is None else np.asarray(v0, dtype=float).copy()
     with warnings.catch_warnings():
         # a missed tolerance is reported below as a NumericError

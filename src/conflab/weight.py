@@ -116,6 +116,9 @@ class BuragoTorus(WeightField):
             raise InputError("BuragoTorus is only defined on tori")
         if self.ell < 1:
             raise InputError("BuragoTorus frequency ell must be a positive integer")
+        turns = self.ell * float(m.periods[0]) / (2 * pi)  # else f jumps at x1 = P1 ~ 0
+        if abs(turns - round(turns)) > 1e-9 * turns:
+            raise InputError(f"BuragoTorus needs ell * P1 / (2 pi) integer, got {turns:.6g}")
 
     def eval_many(self, m, x):
         return np.log(1.0 - 0.5 * np.cos(self.ell * x[:, 0])) / m.dim
@@ -689,6 +692,7 @@ def mu_f_ball(m: Manifold, field: WeightField, b: BallSpec, budget: int = 20_000
     Monte Carlo over uniform ball samples (deterministic per seed); fields
     that are rotationally symmetric on the sphere instead use the exact
     slice quadrature, which stays accurate under measure concentration.
+    The error adds the volume error of sample_ball to the sample error.
     """
     if budget < 100:
         raise InputError("mu_f_ball budget must be >= 100")
@@ -697,7 +701,7 @@ def mu_f_ball(m: Manifold, field: WeightField, b: BallSpec, budget: int = 20_000
         prof = field.radial_profile(m)
         if prof is not None:
             return _sphere_radial_ball_mass(m, prof, b)
-    pts, w = sample_ball(m, b, budget, seed)
+    pts, w, vol_se = sample_ball(m, b, budget, seed)
     vals = np.exp(m.dim * field.eval_many(m, pts))
     good = np.isfinite(vals)
     bad = budget - int(good.sum())
@@ -707,9 +711,9 @@ def mu_f_ball(m: Manifold, field: WeightField, b: BallSpec, budget: int = 20_000
         )
     vol = float(w.sum())
     vals = vals[good]
-    value = vol * float(vals.mean())
+    mean = float(vals.mean())
     se = vol * float(vals.std(ddof=1)) / np.sqrt(vals.size) if vals.size > 1 else 0.0
-    return value, se
+    return vol * mean, float(np.hypot(mean * vol_se, se))
 
 
 def total_mass(m: Manifold, field: WeightField, budget: int = 100_000, seed: int = 0):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from conflab.cli import main
-from conflab.errors import InputError
+from conflab.errors import InputError, NumericError
 from conflab.experiments import ExperimentSpec, converge_compare, run, weak_star_test
+from conflab.manifold import Manifold
 from conflab.metric import DistanceMatrix
+from conflab.schrodinger import GridGeometry, GridOperator, lowest_eigenpair
 from conflab.weight import BuragoTorus
 
 SMALL_FLAT = {
@@ -150,3 +152,36 @@ def test_weak_star_values(torus2):
     r = by[("ell=2", "cos(1,0)")]
     assert abs(r["value"]) <= 3 * r["stderr"]
     assert by[("ell=1", "bump(r=0.5)")]["value"] > 0
+
+
+def test_missing_or_unreadable_spec_exit_code(tmp_path, capsys):
+    assert main(["run", str(tmp_path / "absent.json")]) == 2
+    assert "cannot read spec file" in capsys.readouterr().err
+    assert main(["run", str(tmp_path)]) == 2  # a directory, not a file
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe\x00")
+    assert main(["run", str(tmp_path / "binary.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "raised, category, code",
+    [(np.linalg.LinAlgError("Singular matrix"), "NumericError", 3), (MemoryError(), "ResourceError", 4)],
+)
+def test_numpy_failures_categorized(tmp_path, monkeypatch, capsys, raised, category, code):
+    import conflab.experiments as ex
+
+    def failing_runner(spec, outdir):
+        raise raised
+
+    monkeypatch.setitem(ex._RUNNERS, "flat-identity", failing_runner)
+    doc = dict(SMALL_FLAT, output_dir=str(tmp_path / "out"))
+    assert main(["run", str(_write_spec(tmp_path, doc))]) == code
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["passed"] is False
+    assert report["stages"]["error"]["type"] == category
+
+
+def test_singular_factorization_is_numeric_error():
+    # V = 1e20 swamps the Laplacian diagonal, so SuperLU meets an exact zero pivot
+    geom = GridGeometry(Manifold.torus(2), (8, 8))
+    with pytest.raises(NumericError, match="singular"):
+        lowest_eigenpair(GridOperator(geom, np.full(64, 1e20)))

@@ -163,15 +163,15 @@ def test_sphere3_lattice_nn(sphere3):
 def test_sample_ball_weights_sum(torus2, sphere2):
     for m, center in ((torus2, np.zeros(2)), (sphere2, N_POLE)):
         b = BallSpec(center, 0.5)
-        pts, w = sample_ball(m, b, 5000, seed=2)
+        pts, w, _ = sample_ball(m, b, 5000, seed=2)
         assert w.sum() == pytest.approx(mu0_ball(m, b), rel=1e-12)
         assert np.all(d0_many(m, pts, center) <= 0.5 + 1e-12)
 
 
 def test_sample_ball_deterministic(torus2):
     b = BallSpec(np.zeros(2), 0.5)
-    p1, w1 = sample_ball(torus2, b, 1000, seed=9)
-    p2, w2 = sample_ball(torus2, b, 1000, seed=9)
+    p1, w1, _ = sample_ball(torus2, b, 1000, seed=9)
+    p2, w2, _ = sample_ball(torus2, b, 1000, seed=9)
     assert np.array_equal(p1, p2)
     assert np.array_equal(w1, w2)
 
@@ -179,7 +179,7 @@ def test_sample_ball_deterministic(torus2):
 def test_sample_ball_symmetric_mean(torus2):
     b = BallSpec(np.zeros(2), 0.5)
     n = 10**5
-    pts, _ = sample_ball(torus2, b, n, seed=12)
+    pts, _, _ = sample_ball(torus2, b, n, seed=12)
     signed = np.mod(pts[:, 0] + np.pi, 2 * np.pi) - np.pi
     # mean of a coordinate over a symmetric disc: 0 within 3 sigma
     assert abs(signed.mean()) <= 3 * b.radius / np.sqrt(n)

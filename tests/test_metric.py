@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from conflab.errors import InputError
-from conflab.manifold import PointSet, d0_many, lattice
+from conflab.manifold import Manifold, PointSet, d0_many, lattice
 from conflab.metric import (
     ChainBall,
     DistanceMatrix,
@@ -262,3 +262,17 @@ def test_logcusp_distance_finite(torus2):
     g = build_graph(torus2, pts, 3 * pts.spacing, LogCusp((np.pi + 0.013, np.pi - 0.029), 0.6))
     dm = shortest_paths(g, [0])
     assert np.all(np.isfinite(dm.values))
+
+
+def test_chain_ball_edge_on_box_face_is_truncated():
+    # the chain ball of an edge along a face is a half disc, so the weight is
+    # (mu0(B)/omega)^{1/2} = r / sqrt(2), not the full-disc r = 0.1
+    box = Manifold.box([[0.0, 1.0], [0.0, 1.0]])
+    pts = PointSet(points=np.array([[0.0, 0.0], [0.2, 0.0]]), spacing=0.1)
+    g = build_graph(box, pts, 0.3, Constant(0.0), ChainBall(), budget=400,
+                    skip_connectivity_check=True)
+    exact = 0.1 / np.sqrt(2)
+    # binomial error of the half-disc acceptance over at least 2 * 400 draws,
+    # halved by the square root
+    se = exact / 2 * np.sqrt(0.5 * 0.5 / 800) / 0.5
+    assert abs(g.edge_w[0] - exact) <= 3 * se

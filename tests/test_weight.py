@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from conflab.errors import FormatError, InputError
-from conflab.manifold import BallSpec, sample_manifold, whole_manifold_ball
+from conflab.manifold import BallSpec, Manifold, sample_ball, sample_manifold, whole_manifold_ball
 from conflab.weight import (
     BuragoTorus,
     Constant,
@@ -268,3 +268,32 @@ def test_mu_f_ball_nonfinite_excess(torus2):
 
     with pytest.raises(IntegrationError):
         mu_f_ball(torus2, _HalfInfinite(), whole_manifold_ball(torus2), budget=2000, seed=1)
+
+
+def test_burago_needs_whole_turns_across_the_seam():
+    m = Manifold.torus(2, [3.0, 3.0])
+    f = BuragoTorus(1)
+    # on this torus the field jumps across the seam x1 = 3 ~ 0
+    seam = f.eval_many(m, np.array([[0.0, 1.0], [np.nextafter(3.0, 0.0), 1.0]]))
+    assert seam[0] == pytest.approx(-0.347, abs=1e-3) and seam[1] == pytest.approx(0.201, abs=1e-3)
+    with pytest.raises(InputError, match="integer"):
+        f.validate(m)
+    BuragoTorus(2).validate(Manifold.torus(2, [np.pi, 3.0]))
+    BuragoTorus(1).validate(Manifold.torus(2, [4 * np.pi, 3.0]))
+
+
+def test_mu_f_ball_cut_ball_error_bar(torus2):
+    box = Manifold.box([[0.0, 1.0], [0.0, 1.0]])
+    v, se = mu_f_ball(box, Constant(0.0), BallSpec(np.array([0.1, 0.0]), 0.1))
+    assert se > 0
+    assert abs(v - np.pi * 0.01 / 2) <= 3 * se
+    # closed-form volumes add no error: the sample error alone, as before
+    for m, f, b in (
+        (box, Constant(0.0), BallSpec(np.array([0.5, 0.5]), 0.1)),
+        (torus2, BuragoTorus(1), BallSpec(np.ones(2), 0.8)),
+    ):
+        _, se = mu_f_ball(m, f, b, budget=2000, seed=4)
+        pts, w, vol_se = sample_ball(m, b, 2000, 4)
+        vals = np.exp(2 * eval_f_many(m, f, pts))
+        assert vol_se == 0.0
+        assert se == float(w.sum()) * float(vals.std(ddof=1)) / np.sqrt(vals.size)
