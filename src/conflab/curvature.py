@@ -21,10 +21,17 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError, NumericError
-from .manifold import BallSpec, Manifold, PointSet, d0_many, sphere_volume
+from .manifold import (
+    BallSpec,
+    Manifold,
+    PointSet,
+    _householder_to,
+    cap_volume,
+    sample_ball,
+    sphere_volume,
+)
 from .rng import derive_seed
 from .weight import RadialProfile, WeightField, radial_ball_integral
-from .manifold import sample_ball
 
 
 def alpha_n2(n: int) -> float:
@@ -40,8 +47,6 @@ def alpha_n2_quadrature(n: int) -> float:
     (int_{S^n} (n(n-1))^{n/2} dmu0)^{2/n} with the sphere volume evaluated by
     the cap-integral backend; consistency guard for the closed form.
     """
-    from .manifold import cap_volume
-
     m = Manifold.sphere(n) if n <= 4 else None
     if m is not None:
         vol = cap_volume(m, pi)
@@ -141,21 +146,13 @@ def _sphere_fd_lap(m: Manifold, func, x: np.ndarray, h: float) -> np.ndarray:
     Christoffel symbols vanish at the base point of normal coordinates, so
     the plain second-difference sum converges at order h^2 on the sphere.
     """
-    from .manifold import _householder_to
-
     npts, amb = x.shape
-    u0 = func(x)
-    lap = np.zeros(npts)
     theta = h / m.radius
-    for i in range(npts):
-        base = x[i]
-        # orthonormal tangent frame: the reflection taking e_last to the
-        # point carries the other basis vectors into the tangent space
-        frame = _householder_to(base)[:, : amb - 1]
-        plus = np.cos(theta) * base[None, :] + np.sin(theta) * frame.T
-        minus = np.cos(theta) * base[None, :] - np.sin(theta) * frame.T
-        lap[i] = np.sum(2.0 * u0[i] - func(plus) - func(minus)) / h**2
-    return lap
+    frames = np.swapaxes(_householder_to(x)[:, :, :-1], 1, 2)  # rows: tangent frame at x
+    base = np.cos(theta) * x[:, None, :]
+    plus = func((base + np.sin(theta) * frames).reshape(-1, amb))
+    minus = func((base - np.sin(theta) * frames).reshape(-1, amb))
+    return (2.0 * (amb - 1) * func(x) - (plus + minus).reshape(npts, -1).sum(axis=1)) / h**2
 
 
 def scal_fd_many(m: Manifold, field: WeightField, x: np.ndarray, h: float) -> np.ndarray:
@@ -249,14 +246,12 @@ def lp_scal_norm(
     if m.kind == "sphere" and method == "exact":
         prof = field.radial_profile(m)
         if prof is not None:
-            gamma = d0_many(m, np.atleast_2d(np.asarray(b.center, float)), prof.axis)[0] / m.radius
-
             def integrand(theta):
                 s = scal_radial(m, prof, theta)
                 s = np.maximum(s, 0.0) if positive_part else np.abs(s)
                 return s**p * np.exp(n * prof.f(theta))
 
-            val = radial_ball_integral(m, integrand, b.center, b.radius, gamma_hint=gamma)
+            val = radial_ball_integral(m, integrand, prof.axis, b)
             return val ** (1.0 / p)
     pts, w, _ = sample_ball(m, b, budget, seed)
     s = _scal_values(m, field, pts, method, h)

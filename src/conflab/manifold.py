@@ -15,7 +15,6 @@ from math import gamma, pi
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import GeometryError, InputError, ResourceError
 from .rng import derive_rng
@@ -239,8 +238,12 @@ def geodesic_points(m: Manifold, x: np.ndarray, y: np.ndarray, ts: np.ndarray) -
     """
     ts = np.asarray(ts, dtype=float)[:, None, None]
     if m.kind == "torus":
-        delta = torus_delta(m, x, y)
-        return np.mod(x[None] + ts * delta[None], m.periods)
+        g = ts * torus_delta(m, x, y)[None]
+        g += x
+        np.mod(g, m.periods, out=g)
+        # np.mod rounds a tiny negative up to the period itself
+        np.copyto(g, 0.0, where=g >= m.periods)
+        return g
     if m.kind == "box":
         return x[None] + ts * (y - x)[None]
     ang = _sphere_angle(x, y)[None, :, None]
@@ -257,19 +260,63 @@ def geodesic_points(m: Manifold, x: np.ndarray, y: np.ndarray, ts: np.ndarray) -
 # ---------------------------------------------------------------------------
 
 
-def cap_volume(m: Manifold, r: float) -> float:
-    """Volume of a geodesic cap of radius r on the round sphere.
+def gauss_rule(K: int):
+    """K-point Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(K)
+    return (x + 1.0) / 2.0, w / 2.0
 
-    vol = vol(S^{n-1}) * R^n * int_0^{r/R} sin(t)^{n-1} dt, by adaptive
-    quadrature (relative tolerance ~1e-12, so A-infinity denominators are
-    noise free).
+
+# panel edges of one piece, as fractions of it: graded by 1/4 toward both ends
+_GRADED = 0.5 * 0.25 ** np.arange(12)
+_PANELS = np.concatenate([[0.0], _GRADED[::-1], 1.0 - _GRADED[1:], [1.0]])
+_NODES, _WEIGHTS = gauss_rule(20)
+
+
+def _slice_measure(n: int, psi: np.ndarray) -> np.ndarray:
+    """Measure of a geodesic cap of angular radius psi on the unit S^{n-1}."""
+    if n == 2:
+        return 2.0 * psi
+    if n == 3:
+        return 2 * pi * (1.0 - np.cos(psi))
+    return 2 * pi * (psi - np.sin(psi) * np.cos(psi))
+
+
+def cap_quadrature(m: Manifold, gamma: float, radius: float):
+    """(theta, weights) with weights @ F(theta) = int_B F(theta(x)) dmu0.
+
+    theta(x) is the angle of x from a symmetry axis; B is the geodesic ball
+    of the given radius whose center lies at angle gamma from the axis.  B
+    meets the colatitude sphere at theta in a cap of angular radius psi, the
+    angle opposite rb = radius/R in the spherical triangle (theta, gamma, rb).
+    psi comes from the half-angle formula, which unlike the cosine rule does
+    not cancel where cos(theta) rounds to 1; clipping gives psi = 0 on empty
+    slices and pi on full ones.  The composite 20-point Gauss-Legendre rule
+    breaks [0, pi] where slices start or stop meeting B and grades each piece
+    by 1/4 toward both ends, which resolves integrands concentrated there.
     """
     n = m.dim
-    theta = min(r / m.radius, pi)
-    if theta <= 0:
-        return 0.0
-    val, _ = quad(lambda t: np.sin(t) ** (n - 1), 0.0, theta, epsabs=0.0, epsrel=1e-12)
-    return sphere_volume(n - 1) * m.radius**n * val
+    rb = float(np.clip(radius / m.radius, 0.0, pi))
+    kinks = [abs(gamma - rb), min(gamma + rb, 2 * pi - gamma - rb)]
+    breaks = np.unique(np.clip([0.0, *kinks, pi], 0.0, pi))
+    edges = breaks[:-1, None] + np.diff(breaks)[:, None] * _PANELS
+    lo, width = edges[:, :-1, None], np.diff(edges, axis=1)[:, :, None]
+    theta = (lo + width * _NODES).ravel()
+    s = (theta + gamma + rb) / 2.0
+    psi = 2.0 * np.arctan2(
+        np.sqrt(np.clip(np.sin(s - theta) * np.sin(s - gamma), 0.0, None)),
+        np.sqrt(np.clip(np.sin(s) * np.sin(s - rb), 0.0, None)),
+    )
+    w = (width * _WEIGHTS).ravel() * m.radius**n
+    w *= np.sin(theta) ** (n - 1) * _slice_measure(n, psi)
+    keep = w > 0.0
+    return theta[keep], w[keep]
+
+
+def cap_volume(m: Manifold, r: float) -> float:
+    """Volume of a geodesic cap of radius r on the round sphere: the weight
+    sum of cap_quadrature about its own center (relative error ~1e-15, so
+    A-infinity denominators are noise free)."""
+    return float(cap_quadrature(m, 0.0, r)[1].sum())
 
 
 def _closed_form_volume(m: Manifold, b: BallSpec):
@@ -468,18 +515,20 @@ def sample_manifold(m: Manifold, count: int, seed: int = 0):
     return pts, w
 
 
-def _householder_to(center: np.ndarray) -> np.ndarray:
-    """Orthogonal map taking the last basis vector to the unit vector center."""
-    d = center.shape[0]
-    e = np.zeros(d)
-    e[-1] = 1.0
-    if np.allclose(center, -e):
-        h = -np.eye(d)
-        h[0, 0] = 1.0  # any rotation with e -> -e will do
-        return h
-    v = e + center
-    v = v / np.linalg.norm(v)
-    return 2.0 * np.outer(v, v) - np.eye(d)
+def _householder_to(x: np.ndarray) -> np.ndarray:
+    """Orthogonal maps (N, d, d) taking the last basis vector e to each unit row of x.
+
+    Each is the reflection taking s e to x, s = +-1 the sign of x's last
+    coordinate (so the two are never near antipodal), with its last column
+    times s; the other columns are an orthonormal tangent frame at x.
+    """
+    s = np.where(x[:, -1] >= 0.0, 1.0, -1.0)
+    v = x.copy()
+    v[:, -1] += s
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    h = 2.0 * v[:, :, None] * v[:, None, :] - np.eye(x.shape[1])
+    h[:, :, -1] *= s[:, None]
+    return h
 
 
 def _sample_cap(m: Manifold, b: BallSpec, count: int, rng) -> np.ndarray:
@@ -491,7 +540,7 @@ def _sample_cap(m: Manifold, b: BallSpec, count: int, rng) -> np.ndarray:
     local = np.concatenate(
         [np.sin(theta)[:, None] * u, np.cos(theta)[:, None]], axis=1
     )
-    hh = _householder_to(np.asarray(b.center, dtype=float))
+    hh = _householder_to(np.asarray(b.center, dtype=float)[None])[0]
     return local @ hh.T
 
 

@@ -35,6 +35,7 @@ from .manifold import (
     Manifold,
     PointSet,
     d0_many,
+    gauss_rule,
     geodesic_points,
     lattice,
     unit_ball_volume,
@@ -241,13 +242,8 @@ def _edges_kdtree(m, points: PointSet, eps):
 # ---------------------------------------------------------------------------
 
 
-def _gauss_rule(K: int):
-    x, w = np.polynomial.legendre.leggauss(K)
-    return (x + 1.0) / 2.0, w / 2.0
-
-
 def _riemann_weights(m, g: EpsGraph, field: WeightField, K: int) -> np.ndarray:
-    ts, ws = _gauss_rule(K)
+    ts, ws = gauss_rule(K)
     pts = g.points.points
     out = np.zeros(g.edge_i.size)
     for lo in range(0, g.edge_i.size, _EDGE_CHUNK):
@@ -537,7 +533,7 @@ def _cover_distance(
     pairs = tree.query_pairs(r=eps, output_type="ndarray")
     i, j = pairs[:, 0], pairs[:, 1]
     d = np.linalg.norm(pts[i] - pts[j], axis=1)
-    ts, ws = _gauss_rule(K)
+    ts, ws = gauss_rule(K)
     acc = np.zeros(i.size)
     for k in range(K):
         gam = pts[i] + ts[k] * (pts[j] - pts[i])

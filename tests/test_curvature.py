@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from conflab.curvature import (
     alpha_n2,
     alpha_n2_quadrature,
     lp_scal_norm,
     pinching_profile,
+    scal_radial,
     scalar_curvature,
     scalar_curvature_many,
 )
 from conflab.errors import InputError
-from conflab.manifold import BallSpec, PointSet, cap_volume, lattice, sample_manifold
+from conflab.manifold import BallSpec, Manifold, PointSet, cap_volume, lattice, sample_manifold
 from conflab.weight import BuragoTorus, Constant, Scaled, SphereBubble
 
 N3 = np.array([0.0, 0.0, 0.0, 1.0])
@@ -64,6 +66,18 @@ def test_fd_order_two(torus2):
     assert min(orders) >= 1.8
 
 
+def test_fd_order_two_on_sphere(sphere3):
+    pts, _ = sample_manifold(sphere3, 6, seed=9)
+    pts = np.vstack([pts, N3, S3])  # both reflections of the tangent frames
+    truth = scalar_curvature_many(sphere3, SphereBubble(10.0), pts)
+    errs = [
+        np.abs(scalar_curvature_many(sphere3, SphereBubble(10.0), pts, method="fd", h=h) - truth)
+        for h in (4e-3, 2e-3, 1e-3)
+    ]
+    orders = [np.log2(errs[k] / errs[k + 1]) for k in range(2)]
+    assert np.min(orders) >= 1.8
+
+
 def test_fd_on_sphere_analytic(sphere3):
     # geodesic normal-coordinate differences; 5e-2 tolerance across dilations
     pts, _ = sample_manifold(sphere3, 25, seed=9)
@@ -80,6 +94,48 @@ def test_lp_norm_flat_zero(torus2):
 def test_lp_norm_hemisphere_value(sphere3):
     got = lp_scal_norm(sphere3, Constant(0.0), BallSpec(N3, np.pi / 2), 1.5)
     assert got == pytest.approx((6**1.5 * np.pi**2) ** (2 / 3), rel=1e-9)
+
+
+def _quad_ball_integral(m, F, gamma, R):
+    """Adaptive reference for int_{B} F(theta) dmu0, B at angle gamma from the axis."""
+    n, rb = m.dim, min(R / m.radius, np.pi)
+    cap = {
+        2: lambda p: 2 * p,
+        3: lambda p: 2 * np.pi * (1 - np.cos(p)),
+        4: lambda p: 2 * np.pi * (p - np.sin(p) * np.cos(p)),
+    }[n]
+
+    def g(t):
+        c = (np.cos(rb) - np.cos(t) * np.cos(gamma)) / (np.sin(t) * np.sin(gamma))
+        return F(np.array([t]))[0] * np.sin(t) ** (n - 1) * cap(np.arccos(np.clip(c, -1, 1)))
+
+    breaks = [abs(gamma - rb), min(gamma + rb, 2 * np.pi - gamma - rb)]
+    val, _ = quad(g, 0.0, np.pi, points=breaks, limit=400, epsabs=0.0, epsrel=1e-12)
+    return m.radius**n * val
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.filterwarnings("ignore:The occurrence of roundoff error")  # the reference's own tails
+def test_pinching_integrals_match_adaptive_quadrature(n):
+    m = Manifold.sphere(n)
+    p = n / 2.0
+    for lam in (1.0, 10.0, 100.0, 1000.0):
+        field = SphereBubble(lam)
+        prof = field.radial_profile(m)
+        for gamma in (0.3, 1.2, 2.5):
+            center = np.zeros(n + 1)
+            center[0], center[-1] = np.sin(gamma), -np.cos(gamma)  # axis is the south pole
+            for R in (0.5, 1.5):
+                for positive in (True, False):
+                    part = (lambda s: np.maximum(s, 0.0)) if positive else np.abs
+
+                    def integrand(t):
+                        return part(scal_radial(m, prof, t)) ** p * np.exp(n * prof.f(t))
+
+                    ref = _quad_ball_integral(m, integrand, gamma, R)
+                    ball = BallSpec(center, R)
+                    got = lp_scal_norm(m, field, ball, p, positive_part=positive) ** p
+                    assert abs(got / ref - 1) <= 1e-9, (lam, gamma, R, positive)
 
 
 def test_lp_norm_total_conformal_invariance(sphere3):

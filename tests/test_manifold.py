@@ -9,6 +9,7 @@ from conflab.manifold import (
     cap_volume,
     d0,
     d0_many,
+    geodesic_points,
     lattice,
     midpoint,
     mu0_ball,
@@ -70,6 +71,28 @@ def test_mu0_ball_exact_power(torus3):
     for r in (0.2, 0.5, 1.0):
         got = mu0_ball(torus3, BallSpec(np.zeros(3), r))
         assert got == pytest.approx(unit_ball_volume(3) * r**3, rel=1e-14)
+
+
+def test_geodesic_points_strictly_below_period(torus2):
+    # the first point of a segment that wraps below zero is -1e-17 * 0.3
+    g = geodesic_points(torus2, np.array([[0.0, 1.0]]), np.array([[2 * np.pi - 0.3, 1.0]]), [1e-17])
+    assert np.all(g >= 0.0) and np.all(g < torus2.periods)
+    assert np.array_equal(g[0], [[0.0, 1.0]])
+
+
+@pytest.mark.parametrize("radius", [1.0, 2.0])
+def test_cap_volume_closed_forms(radius):
+    # written with 1 - cos t = 2 sin^2(t/2), which does not cancel for small t
+    closed = {
+        2: lambda t: 4 * np.pi * np.sin(t / 2) ** 2,
+        3: lambda t: np.pi * (2 * t - np.sin(2 * t)),
+        4: lambda t: 8 * np.pi**2 * np.sin(t / 2) ** 4 * (2 + np.cos(t)) / 3,
+    }
+    for n, vol in closed.items():
+        m = Manifold.sphere(n, radius)
+        for t in (0.1, 0.5, 1.0, np.pi / 2, 2.0, 3.0, np.pi):
+            assert abs(cap_volume(m, t * radius) / (radius**n * vol(t)) - 1) <= 1e-13
+        assert cap_volume(m, 10.0 * radius) == pytest.approx(m.volume, rel=1e-13)
 
 
 def test_mu0_hemisphere_and_full(sphere2):

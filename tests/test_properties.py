@@ -1,22 +1,25 @@
-"""Property tests for the flat-ball sampler and the torus wrap.
+"""Property tests: the flat-ball sampler, the torus wrap, the d0 metric
+axioms and the e^{nc} scaling of sphere ball masses.
 
 Hypothesis runs derandomized, so every run of the suite checks the same
 examples.
 """
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conflab.manifold import (
     BallSpec,
     Manifold,
+    d0,
     d0_many,
     mu0_ball_detail,
     sample_ball,
     torus_delta,
     unit_ball_volume,
 )
+from conflab.weight import Scaled, SphereBubble, mu_f_ball
 
 PROPS = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -24,6 +27,13 @@ TORUS2 = Manifold.torus(2)
 TORUS3 = Manifold.torus(3)
 UNIT_BOX = Manifold.box([[0.0, 1.0], [0.0, 1.0]])
 FLAT = {"torus2": TORUS2, "torus3": TORUS3, "box": UNIT_BOX}
+METRIC = {
+    "torus2": TORUS2,
+    "torus3": TORUS3,
+    "box": Manifold.box([[0.0, 1.0], [-0.5, 2.0], [1.0, 1.5]]),
+    "sphere2": Manifold.sphere(2),
+    "sphere3": Manifold.sphere(3, 0.7),
+}
 
 seeds = st.integers(0, 2**32 - 1)
 unit = st.floats(0.0, 1.0, exclude_max=True)
@@ -126,3 +136,52 @@ def test_torus_delta_in_half_open_period(periods, x, y):
     n = len(periods)
     d = torus_delta(m, np.asarray(x[:n]), np.asarray(y[:n]))
     assert np.all(d >= -m.periods / 2) and np.all(d < m.periods / 2)
+
+
+def _point(m, u):
+    """Point of m from coordinates u in [-1, 1)^5 (None if it degenerates)."""
+    u = np.asarray(u)
+    if m.kind == "sphere":
+        x = u[: m.dim + 1]
+        nrm = np.linalg.norm(x)
+        return x / nrm if nrm > 1e-3 else None
+    t = (u[: m.dim] + 1.0) / 2.0
+    if m.kind == "torus":
+        return t * m.periods
+    return m.extents[:, 0] + t * (m.extents[:, 1] - m.extents[:, 0])
+
+
+coords = st.lists(st.floats(-1.0, 1.0, exclude_max=True), min_size=5, max_size=5)
+
+
+@PROPS
+@given(kind=st.sampled_from(sorted(METRIC)), a=coords, b=coords, c=coords)
+@example(kind="sphere2", a=[0, 0, 1.0, 0, 0], b=[0, 0, -1.0, 0, 0], c=[1.0 - 2**-53, 0, 0, 0, 0])
+@example(kind="torus2", a=[-1.0, -1.0, 0, 0, 0], b=[0, 0, 0, 0, 0], c=[0.5, -0.5, 0, 0, 0])
+def test_d0_is_a_metric(kind, a, b, c):
+    m = METRIC[kind]
+    x, y, z = (_point(m, u) for u in (a, b, c))
+    assume(x is not None and y is not None and z is not None)
+    assert d0(m, x, x) == 0.0
+    dxy, dyx = d0(m, x, y), d0(m, y, x)
+    assert abs(dxy - dyx) <= 1e-12
+    assert d0(m, x, z) <= dxy + d0(m, y, z) + 1e-12
+    assert 0.0 <= dxy <= m.max_distance
+
+
+@PROPS
+@given(
+    n=st.sampled_from([2, 3, 4]),
+    log_lam=st.floats(-2.0, 3.0),
+    shift=st.floats(-3.0, 3.0),
+    u=coords,
+    rel_radius=st.floats(1e-3, 1.1),
+)
+def test_sphere_ball_mass_scales_by_e_to_the_nc(n, log_lam, shift, u, rel_radius):
+    m = Manifold.sphere(n)
+    center = _point(m, u)
+    assume(center is not None)
+    b = BallSpec(center, rel_radius * np.pi)
+    base, _ = mu_f_ball(m, SphereBubble(10.0**log_lam), b)
+    scaled, _ = mu_f_ball(m, Scaled(SphereBubble(10.0**log_lam), shift), b)
+    assert abs(scaled / (np.exp(n * shift) * base) - 1) <= 1e-12

@@ -3,7 +3,14 @@ import pytest
 from scipy.integrate import quad
 
 from conflab.errors import FormatError, InputError
-from conflab.manifold import BallSpec, Manifold, sample_ball, sample_manifold, whole_manifold_ball
+from conflab.manifold import (
+    BallSpec,
+    Manifold,
+    cap_volume,
+    sample_ball,
+    sample_manifold,
+    whole_manifold_ball,
+)
 from conflab.weight import (
     BuragoTorus,
     Constant,
@@ -82,6 +89,45 @@ def test_bubble_mass_conserved(sphere3):
     for lam in (1.0, 2.0, 10.0, 100.0):
         v, _ = total_mass(sphere3, SphereBubble(lam))
         assert v == pytest.approx(2 * np.pi**2, rel=1e-2)
+
+
+def _unit(n, angle):
+    """Point of S^n at the given angle from the south pole, the bubble axis."""
+    x = np.zeros(n + 1)
+    x[0], x[-1] = np.sin(angle), -np.cos(angle)
+    return x
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bubble_total_mass_exact(n):
+    m = Manifold.sphere(n)
+    for lam in (0.01, 1.0, 100.0, 1e4):
+        v, err = total_mass(m, SphereBubble(lam))
+        assert abs(v / m.volume - 1) <= 1e-12
+        assert err == 1e-9 * v
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bubble_axis_ball_is_a_cap(n):
+    # the dilation maps B(-pole, R) onto the cap of radius 2 atan(lam tan(R/2))
+    m = Manifold.sphere(n)
+    for lam in (0.01, 0.5, 10.0, 1000.0):
+        for R in (0.01, 0.5, 2.0, 3.0):
+            v, err = mu_f_ball(m, SphereBubble(lam), BallSpec(_unit(n, 0.0), R))
+            oracle = cap_volume(m, 2.0 * np.arctan(lam * np.tan(R / 2.0)))
+            assert abs(v / oracle - 1) <= 1e-10
+            assert err == 1e-9 * v
+
+
+@pytest.mark.parametrize("m", [Manifold.sphere(2), Manifold.sphere(3, 2.0), Manifold.sphere(4)])
+def test_identity_bubble_ball_masses_are_caps(m):
+    # every center, including balls reaching past the antipode of the axis
+    for rb in (0.05, 1.0, 2.5, 3.1, np.pi):
+        cap = cap_volume(m, rb * m.radius)
+        for gamma in np.linspace(0.0, np.pi, 9):
+            b = BallSpec(_unit(m.dim, gamma), rb * m.radius)
+            v, _ = mu_f_ball(m, SphereBubble(1.0), b)
+            assert abs(v / cap - 1) <= 1e-12, (rb, gamma)
 
 
 def test_bubble_dirac_development(sphere3):
