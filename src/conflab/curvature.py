@@ -1,15 +1,18 @@
 """Scalar curvature of conformally deformed metrics and pinching functionals.
 
-The curvature of g_f = e^{2f} g0 is computed through the conformal factor
-u = e^{(n-2)f/2} and the second-order identity linking scal_{g_f}, u and the
-background Laplacian (nonnegative-spectrum convention):
+Every curvature value comes from one identity for g_f = e^{2f} g0, with the
+geometer's (nonnegative-spectrum) Laplacian:
 
-    scal_{g_f} = e^{-2f} ( scal_{g0} + (4(n-1)/(n-2)) * (Delta u) / u )
+    scal_{g_f} = e^{-2f} ( scal_{g0} + 2(n-1) Delta f - (n-1)(n-2) |df|^2 )
 
-which expands to scal_{g0} + 2(n-1) Delta f - (n-1)(n-2) |df|^2 inside the
-bracket when f has exact derivatives.  n = 2 is supported through the plane
-formula scal = e^{-2f}(scal_{g0} + 2 Delta f) as plumbing for the oscillating
-torus family.
+method="exact" fills the bracket from a field's closed-form derivatives (or,
+for rotationally symmetric sphere fields, from the radial profile) and raises
+InputError for fields without them; the |df|^2 term vanishes at n = 2.
+method="fd" fills it with 2 Delta_h f at n = 2 and with
+(4(n-1)/(n-2)) Delta_h u / u, u = e^{(n-2)f/2}, above, where Delta_h is the
+central second difference along an orthonormal frame at each point: the
+chart axes on tori and boxes, geodesic normal coordinates on the sphere.
+Non-finite curvature raises NumericError.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .manifold import (
     sphere_volume,
 )
 from .rng import derive_seed
-from .weight import RadialProfile, WeightField, radial_ball_integral
+from .weight import RadialProfile, WeightField, _radial_laplacian, radial_ball_integral
 
 
 def alpha_n2(n: int) -> float:
@@ -105,89 +108,61 @@ def _scal0(m: Manifold) -> float:
     return 0.0
 
 
+def _conformal_scal(m: Manifold, f, lap_term, grad_term=0.0) -> np.ndarray:
+    """The one conformal identity: e^{-2f} (scal_{g0} + lap_term - grad_term).
+
+    Finite differences pass their whole bracket as lap_term."""
+    return np.exp(-2.0 * f) * (_scal0(m) + lap_term - grad_term)
+
+
+def _exact_scal(m: Manifold, f, lap, grad_sq) -> np.ndarray:
+    """The identity with bracket 2(n-1) Delta f - (n-1)(n-2) |df|^2."""
+    n = m.dim
+    return _conformal_scal(m, f, 2.0 * (n - 1) * lap, (n - 1) * (n - 2) * grad_sq)
+
+
 def scal_exact_many(m: Manifold, field: WeightField, x: np.ndarray) -> np.ndarray:
     """Vectorized curvature from a field's closed-form derivatives."""
-    n = m.dim
-    f = field.eval_many(m, x)
     grad, lap = field.grad_lap_many(m, x)
-    grad_sq = np.sum(grad * grad, axis=-1)
-    if n == 2:
-        inner = _scal0(m) + 2.0 * lap
-    else:
-        inner = _scal0(m) + 2.0 * (n - 1) * lap - (n - 1) * (n - 2) * grad_sq
-    return np.exp(-2.0 * f) * inner
+    return _exact_scal(m, field.eval_many(m, x), lap, np.sum(grad * grad, axis=-1))
 
 
 def scal_radial(m: Manifold, prof: RadialProfile, theta: np.ndarray) -> np.ndarray:
     """Curvature of a rotationally symmetric sphere field as a function of angle."""
-    n = m.dim
     theta = np.asarray(theta, dtype=float)
-    f = prof.f(theta)
     fp = prof.fp(theta)
-    fpp = prof.fpp(theta)
-    sin = np.sin(theta)
-    safe = np.where(sin > 1e-7, sin, 1.0)
-    lap = np.where(
-        sin > 1e-7,
-        -(fpp + (n - 1) * np.cos(theta) / safe * fp) / m.radius**2,
-        -n * fpp / m.radius**2,
-    )
-    grad_sq = (fp / m.radius) ** 2
-    if n == 2:
-        inner = _scal0(m) + 2.0 * lap
-    else:
-        inner = _scal0(m) + 2.0 * (n - 1) * lap - (n - 1) * (n - 2) * grad_sq
-    return np.exp(-2.0 * f) * inner
+    lap = _radial_laplacian(m, theta, fp, prof.fpp(theta))
+    return _exact_scal(m, prof.f(theta), lap, (fp / m.radius) ** 2)
 
 
-def _sphere_fd_lap(m: Manifold, func, x: np.ndarray, h: float) -> np.ndarray:
-    """Central differences along geodesic normal coordinates.
-
-    Christoffel symbols vanish at the base point of normal coordinates, so
-    the plain second-difference sum converges at order h^2 on the sphere.
-    """
+def _fd_laplacian(m: Manifold, func, x: np.ndarray, h: float) -> np.ndarray:
+    """Geometer's Laplacian of func at each row of x by central second
+    differences along an orthonormal frame: the chart axes on tori and boxes
+    (steps wrapped by canonicalize), geodesic normal coordinates on the
+    sphere, whose Christoffel symbols vanish at the base point, so the plain
+    second-difference sum converges at order h^2 on every geometry."""
     npts, amb = x.shape
-    theta = h / m.radius
-    frames = np.swapaxes(_householder_to(x)[:, :, :-1], 1, 2)  # rows: tangent frame at x
-    base = np.cos(theta) * x[:, None, :]
-    plus = func((base + np.sin(theta) * frames).reshape(-1, amb))
-    minus = func((base - np.sin(theta) * frames).reshape(-1, amb))
-    return (2.0 * (amb - 1) * func(x) - (plus + minus).reshape(npts, -1).sum(axis=1)) / h**2
+    if m.kind == "sphere":
+        frames = np.swapaxes(_householder_to(x)[:, :, :-1], 1, 2)  # rows: tangent frame at x
+        t = h / m.radius
+        step = lambda sign: np.cos(t) * x[:, None, :] + sign * np.sin(t) * frames
+    else:
+        step = lambda sign: m.canonicalize(x[:, None, :] + sign * h * np.eye(amb))
+    plus, minus = (func(step(sign).reshape(-1, amb)).reshape(npts, -1) for sign in (1.0, -1.0))
+    return (2.0 * m.dim * func(x) - (plus + minus).sum(axis=1)) / h**2
 
 
 def scal_fd_many(m: Manifold, field: WeightField, x: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference curvature: flat charts on torus/box, geodesic
-    normal coordinates on the sphere (analytic fields only there; grid
-    fields never live on spheres)."""
+    """Central-difference curvature: the identity with bracket 2 Delta_h f at
+    n = 2, else (4(n-1)/(n-2)) Delta_h u / u with u = e^{(n-2)f/2}."""
     n = m.dim
-    if m.kind == "sphere":
-        f0 = field.eval_many(m, x)
-        if n == 2:
-            lap_f = _sphere_fd_lap(m, lambda p: field.eval_many(m, p), x, h)
-            return np.exp(-2.0 * f0) * (_scal0(m) + 2.0 * lap_f)
-        u_of = lambda p: np.exp((n - 2) * field.eval_many(m, p) / 2.0)
-        lap_u = _sphere_fd_lap(m, u_of, x, h)
-        u0 = np.exp((n - 2) * f0 / 2.0)
-        return np.exp(-2.0 * f0) * (_scal0(m) + (4.0 * (n - 1) / (n - 2)) * lap_u / u0)
-    f0 = field.eval_many(m, x)
+    f_of = lambda p: field.eval_many(m, p)
+    f0 = f_of(x)
     if n == 2:
-        lap_f = np.zeros(x.shape[0])
-        for a in range(n):
-            e = np.zeros(n)
-            e[a] = h
-            fp = field.eval_many(m, m.canonicalize(x + e))
-            fm = field.eval_many(m, m.canonicalize(x - e))
-            lap_f += (2.0 * f0 - fp - fm) / h**2
-        return np.exp(-2.0 * f0) * (_scal0(m) + 2.0 * lap_f)
-    u0 = np.exp((n - 2) * f0 / 2.0)
-    lap_u = np.zeros(x.shape[0])
-    for a in range(n):
-        e = np.zeros(n)
-        e[a] = h
-        up = np.exp((n - 2) * field.eval_many(m, m.canonicalize(x + e)) / 2.0)
-        um = np.exp((n - 2) * field.eval_many(m, m.canonicalize(x - e)) / 2.0)
-        lap_u += (2.0 * u0 - up - um) / h**2
-    return np.exp(-2.0 * f0) * (_scal0(m) + (4.0 * (n - 1) / (n - 2)) * lap_u / u0)
+        return _conformal_scal(m, f0, 2.0 * _fd_laplacian(m, f_of, x, h))
+    u_of = lambda p: np.exp((n - 2) * f_of(p) / 2.0)
+    lap_u = _fd_laplacian(m, u_of, x, h)
+    return _conformal_scal(m, f0, (4.0 * (n - 1) / (n - 2)) * lap_u / np.exp((n - 2) * f0 / 2.0))
 
 
 def scalar_curvature_many(
@@ -217,12 +192,6 @@ def scalar_curvature(
     return CurvatureSample(point=pt, scal=val, method=method, h=h if method == "fd" else None)
 
 
-def _scal_values(m, field, pts, method, h):
-    if method == "exact" and field.exact_derivatives:
-        return scal_exact_many(m, field, pts)
-    return scal_fd_many(m, field, pts, h)
-
-
 def lp_scal_norm(
     m: Manifold,
     field: WeightField,
@@ -237,7 +206,8 @@ def lp_scal_norm(
     """(int_B |scal|^p dmu_f)^{1/p}, optionally with the positive part.
 
     Rotationally symmetric sphere fields integrate exactly over colatitude
-    slices; everything else is Monte Carlo on uniform ball samples.
+    slices; everything else is Monte Carlo on uniform ball samples, with the
+    curvature from scalar_curvature_many(method, h).
     """
     if p < 1:
         raise InputError("lp_scal_norm requires p >= 1")
@@ -254,7 +224,7 @@ def lp_scal_norm(
             val = radial_ball_integral(m, integrand, prof.axis, b)
             return val ** (1.0 / p)
     pts, w, _ = sample_ball(m, b, budget, seed)
-    s = _scal_values(m, field, pts, method, h)
+    s = scalar_curvature_many(m, field, pts, method, h)
     s = np.maximum(s, 0.0) if positive_part else np.abs(s)
     dens = np.exp(n * field.eval_many(m, pts))
     return float(np.sum(w * s**p * dens)) ** (1.0 / p)

@@ -25,6 +25,7 @@ from .manifold import (
     _quasi_uniform_sphere,
     d0_many,
     sample_ball,
+    sample_manifold,
     sphere_volume,
 )
 from .metric import DistanceMatrix
@@ -362,6 +363,11 @@ class BoxDomain:
     lo: tuple
     hi: tuple
 
+    def __post_init__(self):
+        lo, hi = np.asarray(self.lo, dtype=float), np.asarray(self.hi, dtype=float)
+        if lo.ndim != 1 or lo.shape != hi.shape or not np.all(np.isfinite(hi - lo) & (hi > lo)):
+            raise InputError(f"box domain needs finite hi > lo on every axis: {self.lo}, {self.hi}")
+
 
 def _ball_boundary_quadrature(m: Manifold, field: WeightField, ball: BallSpec, nodes: int):
     """int_{boundary} e^{(n-1)f} dA0 for a coordinate ball on a torus/box."""
@@ -407,14 +413,8 @@ def _box_boundary_quadrature(m: Manifold, field: WeightField, dom: BoxDomain, no
 
 
 def _box_mass(m: Manifold, field: WeightField, dom: BoxDomain, budget: int, seed: int):
-    lo = np.asarray(dom.lo, dtype=float)
-    hi = np.asarray(dom.hi, dtype=float)
-    rng = derive_rng(seed, "boxmass")
-    pts = lo + rng.random((budget, m.dim)) * (hi - lo)
-    pts = m.canonicalize(pts) if m.kind == "torus" else pts
-    vals = np.exp(m.dim * field.eval_many(m, pts))
-    vol = float(np.prod(hi - lo))
-    return vol * float(vals.mean())
+    pts, w = sample_manifold(Manifold.box(np.column_stack([dom.lo, dom.hi])), budget, seed)
+    return float(w @ np.exp(m.dim * field.eval_many(m, m.canonicalize(pts))))
 
 
 @dataclass

@@ -322,6 +322,8 @@ def cap_volume(m: Manifold, r: float) -> float:
 def _closed_form_volume(m: Manifold, b: BallSpec):
     """(mu0(B), standard error) where B has a closed-form volume, else None."""
     r = b.radius
+    if r >= m.max_distance:
+        return m.volume, 0.0
     if m.kind == "sphere":
         return cap_volume(m, r), 1e-12 * cap_volume(m, r)
     if m.kind == "torus" and r < m.min_period / 2.0:
@@ -329,8 +331,6 @@ def _closed_form_volume(m: Manifold, b: BallSpec):
     c = np.asarray(b.center, dtype=float)
     if m.kind == "box" and np.all((c - m.extents[:, 0] >= r) & (m.extents[:, 1] - c >= r)):
         return unit_ball_volume(m.dim) * r**m.dim, 0.0
-    if r >= m.max_distance:
-        return m.volume, 0.0
     return None
 
 
@@ -547,6 +547,7 @@ def _sample_cap(m: Manifold, b: BallSpec, count: int, rng) -> np.ndarray:
 def sample_ball(m: Manifold, b: BallSpec, count: int, seed: int = 0):
     """(points, weights, volume_se): i.i.d. uniform samples of B w.r.t. mu0.
 
+    A ball that covers M (r >= max_distance) is sample_manifold's draws.
     Caps are sampled by colatitude inversion and a rotation.  Flat balls keep
     the draws c + r U^{1/n} g/|g| (U uniform, g Gaussian) that lie inside the
     box, or on a torus within half a period of c in every coordinate.
@@ -556,12 +557,15 @@ def sample_ball(m: Manifold, b: BallSpec, count: int, seed: int = 0):
     """
     if count < 1:
         raise InputError("sample count must be >= 1")
+    if b.radius >= m.max_distance:
+        pts, w = sample_manifold(m, count, seed)
+        return pts, w, 0.0
     rng = derive_rng(seed, "ball")
     volume = _closed_form_volume(m, b)
     if m.kind == "sphere":
         return _sample_cap(m, b, count, rng), np.full(count, volume[0] / count), volume[1]
     n, c = m.dim, np.asarray(b.center, dtype=float)
-    whole = volume is not None and b.radius < m.max_distance  # neither wraps nor meets a face
+    whole = volume is not None  # the ball neither wraps nor meets a face
     kept, accepted, drawn = [], 0, 0
     while accepted < count:
         g = rng.standard_normal((count, n))

@@ -150,7 +150,7 @@ def _quintic_decay(s: np.ndarray, h: float, y0: float, d0_: float, dd0: float):
     dv = y0 * dh0 + h * d0_ * dh1 + h * h * dd0 * dh2
     d2h0 = -60 * s + 180 * s2 - 120 * s3
     d2h1 = -36 * s + 96 * s2 - 60 * s3
-    d2h2 = 1 - 9 * s + 18 * s2 - 7.5 * s3
+    d2h2 = 1 - 9 * s + 18 * s2 - 10 * s3
     d2v = y0 * d2h0 + h * d0_ * d2h1 + h * h * dd0 * d2h2
     return v, dv, d2v
 
@@ -334,20 +334,26 @@ class SphereBubble(WeightField):
         return _radial_sphere_grad_lap(m, prof, x)
 
 
+def _radial_laplacian(m: Manifold, theta: np.ndarray, fp: np.ndarray, fpp: np.ndarray):
+    """Geometer's Laplacian of f(theta) on the sphere, theta the angle from an
+    axis: -(f'' + (n-1) cot(theta) f') / R^2, with pole limit -n f'' / R^2."""
+    sin = np.sin(theta)
+    safe = np.where(sin > 1e-7, sin, 1.0)
+    lap = np.where(sin > 1e-7, -(fpp + (m.dim - 1) * np.cos(theta) / safe * fp), -m.dim * fpp)
+    return lap / m.radius**2
+
+
 def _radial_sphere_grad_lap(m: Manifold, prof: RadialProfile, x: np.ndarray):
     """Ambient gradient and Laplacian of a rotationally symmetric sphere field."""
     theta = d0_many(m, x, prof.axis) / m.radius
     fp = prof.fp(theta)
-    fpp = prof.fpp(theta)
     sin = np.sin(theta)
     safe = np.where(sin > 1e-7, sin, 1.0)
     # unit tangent pointing away from the axis
     u = (np.cos(theta)[:, None] * x - prof.axis[None, :]) / safe[:, None]
     grad = (fp / m.radius)[:, None] * u
     grad[sin <= 1e-7] = 0.0
-    lap_reg = -(fpp + (m.dim - 1) * np.cos(theta) / safe * fp) / m.radius**2
-    lap_pole = -m.dim * fpp / m.radius**2
-    return grad, np.where(sin > 1e-7, lap_reg, lap_pole)
+    return grad, _radial_laplacian(m, theta, fp, prof.fpp(theta))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,15 @@ from conflab.curvature import (
 )
 from conflab.errors import InputError
 from conflab.manifold import BallSpec, Manifold, PointSet, cap_volume, lattice, sample_manifold
-from conflab.weight import BuragoTorus, Constant, Scaled, SphereBubble
+from conflab.weight import (
+    BuragoTorus,
+    Constant,
+    GridWeight,
+    LogCusp,
+    Scaled,
+    SphereBubble,
+    grid_from_field,
+)
 
 N3 = np.array([0.0, 0.0, 0.0, 1.0])
 S3 = np.array([0.0, 0.0, 0.0, -1.0])
@@ -56,14 +64,34 @@ def test_bubble_constant_curvature(sphere3):
         assert np.abs(s / 6.0 - 1.0).max() <= 1e-6
 
 
-def test_fd_order_two(torus2):
-    errs = []
-    truth = scalar_curvature(torus2, BuragoTorus(1), (0.7, 0.3)).scal
-    for h in (0.02, 0.01, 0.005):
-        v = scalar_curvature(torus2, BuragoTorus(1), (0.7, 0.3), method="fd", h=h).scal
-        errs.append(abs(v - truth))
+def _cusp_shell(dim, count):
+    """Points 0.3-0.6 from the center of [0, 2]^dim: the LogCusp blend region."""
+    dirs = np.random.default_rng(11).standard_normal((count, dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return 1.0 + np.linspace(0.3, 0.6, count)[:, None] * dirs
+
+
+# one case per branch of the finite differences: flat and round, n = 2 and n > 2
+S2 = Manifold.sphere(2)
+FD_CASES = {
+    "T2": (Manifold.torus(2), BuragoTorus(1), np.array([[0.7, 0.3]])),
+    "T3": (Manifold.torus(3), BuragoTorus(2), np.array([[0.7, 0.3, 5.0], [2.2, 6.0, 1.0]])),
+    "S2": (S2, SphereBubble(3.0), sample_manifold(S2, 6, seed=9)[0]),
+    "box3": (Manifold.box([[0.0, 2.0]] * 3), LogCusp((1.0, 1.0, 1.0), 0.4, 3.0), _cusp_shell(3, 6)),
+    "box2": (Manifold.box([[0.0, 2.0]] * 2), LogCusp((1.0, 1.0), 0.4, 3.0), _cusp_shell(2, 6)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FD_CASES))
+def test_fd_order_two(case):
+    m, field, pts = FD_CASES[case]
+    truth = scalar_curvature_many(m, field, pts)
+    errs = [
+        np.abs(scalar_curvature_many(m, field, pts, method="fd", h=h) - truth)
+        for h in (0.02, 0.01, 0.005)
+    ]
     orders = [np.log2(errs[k] / errs[k + 1]) for k in range(2)]
-    assert min(orders) >= 1.8
+    assert np.min(orders) >= 1.8
 
 
 def test_fd_order_two_on_sphere(sphere3):
@@ -188,6 +216,16 @@ def test_pinching_scale_invariance(torus2, sphere3):
     a = pinching_profile(sphere3, SphereBubble(5.0), 0.5, sc, seed=3)
     b = pinching_profile(sphere3, Scaled(SphereBubble(5.0), -0.4), 0.5, sc, seed=3)
     assert abs(b.sup_pos / a.sup_pos - 1) <= 1e-10
+
+
+def test_pinching_on_grid_field_needs_fd(torus2):
+    field = GridWeight(grid_from_field(torus2, BuragoTorus(1), (32, 32)), 3)
+    cents = lattice(torus2, 2.5)
+    with pytest.raises(InputError):
+        pinching_profile(torus2, field, 0.5, cents, budget=500, seed=1)
+    rep = pinching_profile(torus2, field, 0.5, cents, budget=500, seed=1, method="fd")
+    assert rep.method == "fd"
+    assert np.isfinite(rep.sup_abs) and rep.sup_abs > 0.0
 
 
 def test_pinching_flags(sphere3):

@@ -252,6 +252,21 @@ def test_isoperimetric_box_domain(torus2):
     assert iso.inf_ratio == pytest.approx(expect, rel=0.02)
 
 
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        ((2.0, 2.0), (1.0, 1.0)),
+        ((1.0, 2.0), (2.0, 1.0)),
+        ((1.0, 1.0), (1.0, 2.0)),
+        ((1.0, 1.0), (np.inf, 2.0)),
+    ],
+    ids=["inverted", "crossed", "flat", "infinite"],
+)
+def test_box_domain_needs_hi_above_lo(lo, hi):
+    with pytest.raises(InputError):
+        BoxDomain(lo=lo, hi=hi)
+
+
 def test_isoperimetric_mass_precondition(torus2):
     big = BallSpec(np.array([3.0, 3.0]), 3.0)
     with pytest.raises(InputError):

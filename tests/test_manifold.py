@@ -17,6 +17,7 @@ from conflab.manifold import (
     sample_ball,
     sample_manifold,
     unit_ball_volume,
+    whole_manifold_ball,
 )
 
 N_POLE = np.array([0.0, 0.0, 1.0])
@@ -206,6 +207,20 @@ def test_sample_ball_symmetric_mean(torus2):
     signed = np.mod(pts[:, 0] + np.pi, 2 * np.pi) - np.pi
     # mean of a coordinate over a symmetric disc: 0 within 3 sigma
     assert abs(signed.mean()) <= 3 * b.radius / np.sqrt(n)
+
+
+def test_covering_ball_samples_the_whole_manifold():
+    # the covering ball of an elongated box holds 2.4e-5 of its disc draws
+    box = Manifold.box([[0.0, 100.0], [0.0, 1.0], [0.0, 1.0]])
+    for m in (box, Manifold.torus(3), Manifold.sphere(2)):
+        b = whole_manifold_ball(m)
+        pts, w, se = sample_ball(m, b, 1000, seed=3)
+        assert pts.shape == (1000, m.ambient_dim) and se == 0.0
+        assert w.sum() == pytest.approx(m.volume, rel=1e-12)
+        assert np.all(d0_many(m, pts, b.center) <= b.radius)
+        assert mu0_ball_detail(m, b) == (m.volume, 0.0)
+    pts, _, _ = sample_ball(box, whole_manifold_ball(box), 1000, seed=3)
+    assert np.all((pts >= box.extents[:, 0]) & (pts <= box.extents[:, 1]))
 
 
 def test_sample_manifold_uniform(sphere3):

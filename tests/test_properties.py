@@ -1,5 +1,6 @@
 """Property tests: the flat-ball sampler, the torus wrap, the d0 metric
-axioms and the e^{nc} scaling of sphere ball masses.
+axioms, the e^{nc} scaling of ball masses, and the eps-graph distances
+(metric axioms, e^c scaling, monotonicity in eps).
 
 Hypothesis runs derandomized, so every run of the suite checks the same
 examples.
@@ -14,12 +15,14 @@ from conflab.manifold import (
     Manifold,
     d0,
     d0_many,
+    lattice,
     mu0_ball_detail,
     sample_ball,
     torus_delta,
     unit_ball_volume,
 )
-from conflab.weight import Scaled, SphereBubble, mu_f_ball
+from conflab.metric import ChainBall, RiemannLine, build_graph, shortest_paths
+from conflab.weight import BuragoTorus, LogCusp, Scaled, SphereBubble, mu_f_ball
 
 PROPS = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -185,3 +188,92 @@ def test_sphere_ball_mass_scales_by_e_to_the_nc(n, log_lam, shift, u, rel_radius
     base, _ = mu_f_ball(m, SphereBubble(10.0**log_lam), b)
     scaled, _ = mu_f_ball(m, Scaled(SphereBubble(10.0**log_lam), shift), b)
     assert abs(scaled / (np.exp(n * shift) * base) - 1) <= 1e-12
+
+
+# small point sets for the eps-graph properties: 64, 81 and 59 nodes
+GRAPHS = {
+    kind: (m, lattice(m, spacing))
+    for kind, m, spacing in (
+        ("torus2", TORUS2, 2 * np.pi / 8),
+        ("box", UNIT_BOX, 0.125),
+        ("sphere2", METRIC["sphere2"], 0.5),
+    )
+}
+
+
+def _graph_case(kind, u):
+    """(manifold, points, field) with the field's shape taken from u in [-1, 1)^5."""
+    m, pts = GRAPHS[kind]
+    if m.kind == "torus":
+        field = BuragoTorus(1 + int(u[0] > 0))
+    elif m.kind == "box":
+        field = LogCusp(tuple(_point(m, u)), r0=0.15, cap=2.0)
+    else:
+        field = SphereBubble(10.0 ** u[0], pole=tuple(_point(m, [1.0, *u[1:]])))
+    return m, pts, field
+
+
+def _distances(m, pts, eps_rel, field, estimator=RiemannLine()):
+    g = build_graph(m, pts, eps_rel * pts.spacing, field, estimator, budget=100, seed=5)
+    return shortest_paths(g).values
+
+
+@PROPS
+@given(
+    kind=st.sampled_from(sorted(GRAPHS)),
+    u=coords,
+    eps_rel=st.floats(3.0, 4.5),
+    chain=st.booleans(),
+)
+def test_graph_distance_is_a_metric(kind, u, eps_rel, chain):
+    m, pts, field = _graph_case(kind, u)
+    d = _distances(m, pts, eps_rel, field, ChainBall() if chain else RiemannLine())
+    assert np.all(np.diag(d) == 0.0) and np.all(d[~np.eye(len(pts), dtype=bool)] > 0.0)
+    tol = 1e-12 * d.max()
+    assert np.all(np.abs(d - d.T) <= tol)
+    # d(i, k) <= d(i, j) + d(j, k) for every i, j, k
+    assert np.all(d[:, None, :] <= d[:, :, None] + d[None, :, :] + tol)
+
+
+@PROPS
+@given(
+    kind=st.sampled_from(sorted(GRAPHS)),
+    u=coords,
+    eps_rel=st.floats(3.0, 4.5),
+    c=st.floats(-3.0, 3.0),
+)
+def test_graph_distances_scale_by_e_to_the_c(kind, u, eps_rel, c):
+    m, pts, field = _graph_case(kind, u)
+    base = _distances(m, pts, eps_rel, field)
+    scaled = _distances(m, pts, eps_rel, Scaled(field, c))
+    assert np.all(np.abs(scaled - np.exp(c) * base) <= 1e-12 * np.exp(c) * base)
+
+
+@PROPS
+@given(
+    kind=st.sampled_from(sorted(FLAT)),
+    u=coords,
+    rel_radius=st.floats(1e-3, 1.2),
+    c=st.floats(-3.0, 3.0),
+    seed=seeds,
+)
+def test_flat_ball_mass_scales_by_e_to_the_nc(kind, u, rel_radius, c, seed):
+    m = FLAT[kind]
+    center = _point(m, u)
+    field = BuragoTorus(1) if m.kind == "torus" else LogCusp(tuple(_point(m, u[::-1])), 0.1, 2.0)
+    b = BallSpec(center, rel_radius * m.max_distance)
+    base, _ = mu_f_ball(m, field, b, 500, seed)
+    scaled, _ = mu_f_ball(m, Scaled(field, c), b, 500, seed)
+    assert abs(scaled / (np.exp(m.dim * c) * base) - 1) <= 1e-12
+
+
+@PROPS
+@given(
+    kind=st.sampled_from(sorted(GRAPHS)),
+    u=coords,
+    eps_rel=st.lists(st.floats(3.0, 4.5), min_size=2, max_size=2),
+)
+def test_graph_distances_never_increase_with_eps(kind, u, eps_rel):
+    m, pts, field = _graph_case(kind, u)
+    small, large = (_distances(m, pts, e, field) for e in sorted(eps_rel))
+    assert np.all(large <= small * (1 + 1e-12))
