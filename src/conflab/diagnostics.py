@@ -451,6 +451,12 @@ def isoperimetric_ratio(
             mass, _ = mu_f_ball(m, field, dom, budget, s)
             desc = f"ball(r={dom.radius:g})"
         elif isinstance(dom, BoxDomain):
+            if m.kind == "torus" and np.any(np.subtract(dom.hi, dom.lo) >= m.periods):
+                # a box as wide as a period overlaps itself: faces and mass count twice
+                raise InputError(
+                    f"box domain {dom.lo}..{dom.hi} is not narrower than the torus "
+                    f"period {tuple(m.periods)} on every axis"
+                )
             perim = _box_boundary_quadrature(m, field, dom, boundary_nodes)
             mass = _box_mass(m, field, dom, budget, s)
             desc = "box"

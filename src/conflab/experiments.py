@@ -404,14 +404,13 @@ def run_log_cusp(spec: ExperimentSpec, outdir: Path):
     pts = lattice(m, spacing)
     eps = 3 * pts.spacing
     rng = derive_rng(seed, "cusp-nodes")
-    from .manifold import d0_many
 
     x0a = np.asarray(x0)
     idx = list(rng.choice(len(pts), 10, replace=False))
     for dx in (0.6, 1.0, 1.6):
         for sgn in (-1.0, 1.0):
             p = m.canonicalize(x0a + np.array([sgn * dx, 0.02]))
-            idx.append(int(np.argmin(d0_many(m, pts.points, p))))
+            idx.append(pts.nearest(m, p))
     idx = np.unique(np.asarray(idx))
 
     mats = []
@@ -474,7 +473,6 @@ def run_burago(spec: ExperimentSpec, outdir: Path):
     flags = []
     report = {}
     P = float(m.periods[0])
-    from .manifold import d0_many
 
     # stable norms at ell = 1
     sn_spacing = float(spec.graph.get("stable_spacing", 0.1))
@@ -575,14 +573,14 @@ def run_burago(spec: ExperimentSpec, outdir: Path):
         sg = mt.build_graph(m, spts, 3 * spts.spacing, f, seed=seed)
         src, pairs = [], []
         for a in anchors / ell:
-            i = int(np.argmin(d0_many(m, spts.points, a)))
+            i = spts.nearest(m, a)
             src.append(i)
             for rr in base_dists:
                 for ang in angles:
                     target = m.canonicalize(
                         spts.points[i] + rr / ell * np.array([np.cos(ang), np.sin(ang)])
                     )
-                    pairs.append((i, int(np.argmin(d0_many(m, spts.points, target)))))
+                    pairs.append((i, spts.nearest(m, target)))
         sdm = mt.shortest_paths(sg, np.unique(src))
         sr = dg.strong_ratio(
             m, f, spts, sdm, pairs, eta=1.05 * max(base_dists) / ell,

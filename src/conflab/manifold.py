@@ -145,6 +145,34 @@ class PointSet:
     def __len__(self) -> int:
         return self.points.shape[0]
 
+    def axes(self) -> list:
+        """Per-axis node coordinates of a lattice, whose row-major tensor
+        product is ``points``."""
+        shape = self.lattice_shape
+        return [self.points[:: int(np.prod(shape[a + 1 :]))][:s, a] for a, s in enumerate(shape)]
+
+    def nearest(self, m: "Manifold", x) -> int:
+        """Index of the node nearest to x in d0, the lowest one on ties:
+        np.argmin(d0_many(m, points, x)).
+
+        On a lattice only the nodes of x's cell and one more on each side
+        along every axis (wrapped on a torus, clipped on a box) are compared;
+        every other node is at least a spacing farther, far beyond rounding.
+        """
+        x = np.asarray(x, dtype=float)
+        if self.lattice_shape is None:
+            return int(np.argmin(d0_many(m, self.points, x)))
+        shape = np.asarray(self.lattice_shape)
+        cell = np.floor((m.canonicalize(x) - self.points[0]) / self.axis_spacing)
+        cell = np.clip(cell, -2, shape + 1).astype(np.int64)  # x may lie far off a box
+        near = []
+        for c, s in zip(cell, shape):
+            i = c + np.arange(-1, 3)
+            near.append(np.unique(np.mod(i, s) if m.kind == "torus" else np.clip(i, 0, s - 1)))
+        # ascending, so argmin keeps the lowest index on ties
+        cand = np.ravel_multi_index(np.meshgrid(*near, indexing="ij"), shape).ravel()
+        return int(cand[np.argmin(d0_many(m, self.points[cand], x))])
+
 
 @dataclass(frozen=True)
 class BallSpec:

@@ -19,10 +19,10 @@ strips of the torus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from math import pi
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -64,8 +64,28 @@ class ChainBall:
         return "chain-ball"
 
 
+class LatticeBlock(NamedTuple):
+    """Edges start:stop of a lattice graph: each node of the source sub-box
+    lo <= index < hi, in row-major order, joined to the node ``offset``
+    steps away (wrapped on a torus)."""
+
+    offset: tuple
+    start: int
+    stop: int
+    lo: tuple
+    hi: tuple
+
+
 @dataclass
 class EpsGraph:
+    """Undirected eps-graph: edge arrays, base lengths d0 and weights.
+
+    ``blocks`` lists the offset blocks of a graph built on a torus or box
+    lattice, in edge order; it is None for graphs whose edges come from a
+    kd-tree (sphere layouts, scattered points, lattices smaller than the
+    eps reach), which share no displacement.
+    """
+
     points: PointSet
     eps: float
     estimator: object
@@ -74,6 +94,7 @@ class EpsGraph:
     edge_d0: np.ndarray
     edge_w: np.ndarray
     provenance: dict = dc_field(default_factory=dict)
+    blocks: Optional[list] = None
 
     @property
     def n(self) -> int:
@@ -85,18 +106,10 @@ class EpsGraph:
         )
 
     def reweight(self, m: Manifold, field: WeightField, budget: int, seed: int) -> "EpsGraph":
-        """Same topology, weights recomputed for another field (shared seeds)."""
+        """Same topology and blocks, weights recomputed for another field
+        (shared seeds)."""
         w = _edge_weights(m, self, field, budget, seed)
-        return EpsGraph(
-            points=self.points,
-            eps=self.eps,
-            estimator=self.estimator,
-            edge_i=self.edge_i,
-            edge_j=self.edge_j,
-            edge_d0=self.edge_d0,
-            edge_w=w,
-            provenance=dict(self.provenance, seed=seed),
-        )
+        return replace(self, edge_w=w, provenance=dict(self.provenance, seed=seed))
 
 
 @dataclass
@@ -179,42 +192,31 @@ def _lattice_offsets(shape, axis_spacing, eps):
     return offsets
 
 
-def _edges_torus_lattice(m, points: PointSet, eps):
-    shape = points.lattice_shape
-    hs = points.axis_spacing
-    idx = np.arange(len(points), dtype=np.int64).reshape(shape)
-    eis, ejs, d0s = [], [], []
-    for off, d in _lattice_offsets(shape, hs, eps):
-        j = idx
-        for a, o in enumerate(off):
-            if o:
-                j = np.roll(j, -o, axis=a)
-        eis.append(idx.ravel())
-        ejs.append(j.ravel())
-        d0s.append(np.full(idx.size, d))
-    return np.concatenate(eis), np.concatenate(ejs), np.concatenate(d0s)
+def _edges_lattice(m, points: PointSet, eps):
+    """Lattice edges one offset block at a time, with the block list.
 
-
-def _edges_box_lattice(m, points: PointSet, eps):
+    A block joins every node of a source sub-box to the node one offset
+    away: on a torus the whole lattice, wrapped; on a box the nodes whose
+    translate stays inside.
+    """
     shape = points.lattice_shape
-    hs = points.axis_spacing
     idx = np.arange(len(points), dtype=np.int64).reshape(shape)
-    eis, ejs, d0s = [], [], []
-    for off, d in _lattice_offsets(shape, hs, eps):
-        src = idx
-        for a, o in enumerate(off):
-            sl = [slice(None)] * len(shape)
-            sl[a] = slice(None, shape[a] - o) if o >= 0 else slice(-o, None)
-            src = src[tuple(sl)]
-        dst = idx
-        for a, o in enumerate(off):
-            sl = [slice(None)] * len(shape)
-            sl[a] = slice(o, None) if o >= 0 else slice(None, shape[a] + o)
-            dst = dst[tuple(sl)]
+    eis, ejs, d0s, blocks = [], [], [], []
+    for off, d in _lattice_offsets(shape, points.axis_spacing, eps):
+        if m.kind == "torus":
+            lo, hi = (0,) * len(shape), shape
+            dst = np.roll(idx, [-o for o in off], axis=tuple(range(len(shape))))
+        else:
+            lo = tuple(max(0, -o) for o in off)
+            hi = tuple(s - max(0, o) for s, o in zip(shape, off))
+            dst = idx[tuple(slice(a + o, b + o) for a, b, o in zip(lo, hi, off))]
+        src = idx[tuple(slice(a, b) for a, b in zip(lo, hi))]
+        start = sum(e.size for e in eis)
+        blocks.append(LatticeBlock(off, start, start + src.size, lo, hi))
         eis.append(src.ravel())
         ejs.append(dst.ravel())
         d0s.append(np.full(src.size, d))
-    return np.concatenate(eis), np.concatenate(ejs), np.concatenate(d0s)
+    return np.concatenate(eis), np.concatenate(ejs), np.concatenate(d0s), blocks
 
 
 def _edges_kdtree(m, points: PointSet, eps):
@@ -243,6 +245,8 @@ def _edges_kdtree(m, points: PointSet, eps):
 
 
 def _riemann_weights(m, g: EpsGraph, field: WeightField, K: int) -> np.ndarray:
+    if g.blocks is not None:
+        return _block_riemann_weights(m, g, field, K)
     ts, ws = gauss_rule(K)
     pts = g.points.points
     out = np.zeros(g.edge_i.size)
@@ -255,6 +259,35 @@ def _riemann_weights(m, g: EpsGraph, field: WeightField, K: int) -> np.ndarray:
         for k in range(K):
             acc += ws[k] * np.exp(field.eval_many(m, gam[k]))
         out[sl] = acc * g.edge_d0[sl]
+    return out
+
+
+def _block_riemann_weights(m, g: EpsGraph, field: WeightField, K: int) -> np.ndarray:
+    """_riemann_weights of a lattice graph, one offset block at a time.
+
+    The k-th Gauss points of a block's edges form the tensor-product grid of
+    per-axis coordinate vectors, one entry per source index of the sub-box.
+    geodesic_points works coordinate by coordinate, so running it on the
+    s_a source/target coordinates of axis a alone gives the same bits as on
+    every edge; nothing is gathered or wrapped per edge.
+    """
+    ts, ws = gauss_rule(K)
+    axes, shape, n = g.points.axes(), g.points.lattice_shape, m.dim
+    out = np.empty(g.edge_i.size)
+    for b in g.blocks:
+        cols = []  # (K, s_a) Gauss coordinates along each axis
+        for a, (lo, hi, o) in enumerate(zip(b.lo, b.hi, b.offset)):
+            i = np.arange(lo, hi)
+            x, y = np.zeros((i.size, n)), np.zeros((i.size, n))
+            x[:, a], y[:, a] = axes[a][i], axes[a][(i + o) % shape[a]]
+            cols.append(geodesic_points(m, x, y, ts)[:, :, a])
+        gam = np.empty(tuple(c.shape[1] for c in cols) + (n,))
+        acc = np.zeros(b.stop - b.start)
+        for k in range(K):
+            for a, c in enumerate(cols):
+                gam[..., a] = c[k].reshape([-1 if e == a else 1 for e in range(n)])
+            acc += ws[k] * np.exp(field.eval_many(m, gam.reshape(-1, n)))
+        out[b.start : b.stop] = acc * g.edge_d0[b.start : b.stop]
     return out
 
 
@@ -297,7 +330,14 @@ def build_graph(
     seed: int = 0,
     skip_connectivity_check: bool = False,
 ) -> EpsGraph:
-    """Proximity graph with all d0 <= eps edges, weighted per estimator."""
+    """Proximity graph with all d0 <= eps edges, weighted per estimator.
+
+    On a torus or box lattice whose axes each hold more nodes than the eps
+    reach spans, the edges are enumerated one integer offset at a time and
+    recorded as ``LatticeBlock``s, through which RiemannLine weights its
+    Gauss points axis by axis; other point sets get their edges from a
+    kd-tree and are weighted edge by edge.
+    """
     if eps < 3.0 * points.spacing - 1e-12:
         raise InputError(
             f"eps = {eps} violates the connectivity requirement "
@@ -307,10 +347,9 @@ def build_graph(
         2 * int(np.floor(eps / h)) + 1 > s
         for h, s in zip(points.axis_spacing, points.lattice_shape)
     )
-    if points.lattice_shape is not None and m.kind == "torus" and not small_lattice:
-        ei, ej, ed = _edges_torus_lattice(m, points, eps)
-    elif points.lattice_shape is not None and m.kind == "box" and not small_lattice:
-        ei, ej, ed = _edges_box_lattice(m, points, eps)
+    blocks = None
+    if points.lattice_shape is not None and m.kind in ("torus", "box") and not small_lattice:
+        ei, ej, ed, blocks = _edges_lattice(m, points, eps)
     else:
         # wrap reach would alias the roll-based enumeration on tiny lattices
         ei, ej, ed = _edges_kdtree(m, points, eps)
@@ -323,6 +362,7 @@ def build_graph(
         edge_d0=ed,
         edge_w=np.zeros(ei.size),
         provenance={"eps": eps, "estimator": estimator.tag(), "seed": seed},
+        blocks=blocks,
     )
     g.edge_w = _edge_weights(m, g, field, budget, seed)
     if not skip_connectivity_check:
@@ -419,8 +459,7 @@ def refine_distance(
     pair_arr = [(m.check_points(a)[0], m.check_points(b)[0]) for a, b in pairs]
     nodes = np.empty((len(pair_arr), 2), dtype=int)
     for k, (a, b) in enumerate(pair_arr):
-        nodes[k, 0] = int(np.argmin(d0_many(m, points.points, a)))
-        nodes[k, 1] = int(np.argmin(d0_many(m, points.points, b)))
+        nodes[k] = points.nearest(m, a), points.nearest(m, b)
     pair_d0 = d0_many(m, points.points[nodes[:, 0]], points.points[nodes[:, 1]])
     sources = np.unique(nodes[:, 0])
     table = np.empty((eps_schedule.size, len(pair_arr)))

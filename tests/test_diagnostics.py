@@ -267,6 +267,16 @@ def test_box_domain_needs_hi_above_lo(lo, hi):
         BoxDomain(lo=lo, hi=hi)
 
 
+def test_isoperimetric_box_domain_must_fit_in_a_period(torus2):
+    # [0, 10] x [0, 1] wraps the 2pi axis: it covers a strip of perimeter
+    # 4 pi and area 2 pi, but its faces and draws would count the overlap twice
+    with pytest.raises(InputError, match="period"):
+        isoperimetric_ratio(
+            torus2, Constant(0.0), [BoxDomain((0.0, 0.0), (10.0, 1.0))], seed=1,
+            mass_bound=1e9,
+        )
+
+
 def test_isoperimetric_mass_precondition(torus2):
     big = BallSpec(np.array([3.0, 3.0]), 3.0)
     with pytest.raises(InputError):

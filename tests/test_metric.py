@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -8,6 +10,7 @@ from conflab.metric import (
     ChainBall,
     DistanceMatrix,
     RiemannLine,
+    _lattice_offsets,
     build_graph,
     f_ball,
     fit_rate,
@@ -276,3 +279,52 @@ def test_chain_ball_edge_on_box_face_is_truncated():
     # halved by the square root
     se = exact / 2 * np.sqrt(0.5 * 0.5 / 800) / 0.5
     assert abs(g.edge_w[0] - exact) <= 3 * se
+
+
+# lattices on which every reach from 3 to 5 nodes leaves the offsets unaliased
+LATTICE_GRAPHS = {
+    "T2-unequal": (Manifold.torus(2, [2 * np.pi, 3.0]), 0.25),
+    "T3": (Manifold.torus(3), 2 * np.pi / 12),
+    "B2": (Manifold.box([[0.0, 2.0], [0.0, 1.0]]), 0.1),
+    "B3": (Manifold.box([[0.0, 1.0], [-0.5, 1.0], [0.0, 1.2]]), 0.1),
+}
+
+
+def _lattice_edges_one_by_one(m, pts, eps):
+    """Edges per offset, each source node in row-major order to its translate."""
+    shape = np.asarray(pts.lattice_shape)
+    src = np.indices(shape).reshape(shape.size, -1).T
+    ei, ej, ed = [], [], []
+    for off, d in _lattice_offsets(pts.lattice_shape, pts.axis_spacing, eps):
+        dst = src + off
+        if m.kind == "torus":
+            dst %= shape
+        keep = np.all((dst >= 0) & (dst < shape), axis=1)
+        ei.append(np.ravel_multi_index(src[keep].T, shape))
+        ej.append(np.ravel_multi_index(dst[keep].T, shape))
+        ed.append(np.full(keep.sum(), d))
+    return np.concatenate(ei), np.concatenate(ej), np.concatenate(ed)
+
+
+@pytest.mark.parametrize("reach", [3, 4, 5])
+@pytest.mark.parametrize("case", sorted(LATTICE_GRAPHS))
+def test_block_weights_match_edge_list(case, reach):
+    m, spacing = LATTICE_GRAPHS[case]
+    pts = lattice(m, spacing)
+    eps = (reach + 0.3) * pts.spacing  # reach nodes along the widest-spaced axis
+    center = pts.points[len(pts) // 2] + 0.013
+    fields = [Constant(0.4), LogCusp(tuple(center), 0.3, None), LogCusp(tuple(center), 0.3, 2.0)]
+    if m.kind == "torus":
+        fields.append(BuragoTorus(2))
+    g = build_graph(m, pts, eps, fields[0])
+    assert g.blocks is not None
+    for got, want in zip((g.edge_i, g.edge_j, g.edge_d0), _lattice_edges_one_by_one(m, pts, eps)):
+        assert np.array_equal(got, want)
+    edge_list = replace(g, blocks=None)  # the per-edge geodesic_points path
+    for field in fields:
+        blocked = g.reweight(m, field, 256, 0)
+        assert blocked.blocks is g.blocks
+        want = edge_list.reweight(m, field, 256, 0).edge_w
+        np.testing.assert_allclose(blocked.edge_w, want, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(g.edge_w, edge_list.reweight(m, fields[0], 256, 0).edge_w,
+                               rtol=1e-13, atol=0.0)

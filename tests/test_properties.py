@@ -1,12 +1,14 @@
 """Property tests: the flat-ball sampler, the torus wrap, the d0 metric
-axioms, the e^{nc} scaling of ball masses, and the eps-graph distances
-(metric axioms, e^c scaling, monotonicity in eps).
+axioms, the e^{nc} scaling of ball masses, nearest-node snapping on
+lattices, and the eps-graph distances (metric axioms, e^c scaling,
+monotonicity in eps and in the LogCusp cap).
 
 Hypothesis runs derandomized, so every run of the suite checks the same
 examples.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -277,3 +279,85 @@ def test_graph_distances_never_increase_with_eps(kind, u, eps_rel):
     m, pts, field = _graph_case(kind, u)
     small, large = (_distances(m, pts, e, field) for e in sorted(eps_rel))
     assert np.all(large <= small * (1 + 1e-12))
+
+
+# lattices for the snapping properties: unequal periods, a 3-torus and boxes
+SNAP = {
+    kind: (m, lattice(m, spacing))
+    for kind, m, spacing in (
+        ("torus2", Manifold.torus(2, [2 * np.pi, 3.0]), 0.3),
+        ("torus3", TORUS3, 2 * np.pi / 7),
+        ("box2", Manifold.box([[0.0, 2.0], [-1.0, 0.5]]), 0.1),
+        ("box3", METRIC["box"], 0.1),
+    )
+}
+
+
+def _argmin_node(m, pts, x):
+    return int(np.argmin(d0_many(m, pts.points, x)))
+
+
+@PROPS
+@given(kind=st.sampled_from(sorted(SNAP)), u=coords)
+def test_nearest_node_is_the_argmin(kind, u):
+    m, pts = SNAP[kind]
+    # two spans beyond the chart on both sides: the torus wraps these
+    # coordinates, the box snaps them to its faces
+    if m.kind == "torus":
+        lo, span = 0.0, m.periods
+    else:
+        lo, span = m.extents[:, 0], m.extents[:, 1] - m.extents[:, 0]
+    x = lo + (0.5 + 2.5 * np.asarray(u[: m.dim])) * span
+    assert pts.nearest(m, x) == _argmin_node(m, pts, x)
+
+
+def _tie_points(m, pts):
+    """Cell midpoints; on a torus the seam at p - 1e-17 and -1e-17 and the
+    midpoint between an axis's last node and its first; on a box the
+    corners and the face points between nodes."""
+    axes = pts.axes()
+    mids = [(a[1:] + a[:-1]) / 2 for a in axes]
+    out = [np.array([c[k] for c in mids]) for k in (0, 3, -1)]
+    if m.kind == "torus":
+        seams = [(m.periods[a] - 1e-17, -1e-17, (axes[a][-1] + m.periods[a]) / 2) for a in range(m.dim)]
+    else:
+        lo, hi = m.extents.T
+        out += [np.where(np.asarray(c) == 1, hi, lo) for c in np.ndindex(*(2,) * m.dim)]
+        seams = list(zip(lo, hi))
+    for a, values in enumerate(seams):
+        for v in values:
+            x = out[0].copy()
+            x[a] = v
+            out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(SNAP))
+def test_nearest_node_breaks_ties_like_argmin(kind):
+    m, pts = SNAP[kind]
+    ties = 0
+    for x in _tie_points(m, pts):
+        d = d0_many(m, pts.points, x)
+        ties += int(np.sum(d == d.min()) > 1)
+        assert pts.nearest(m, x) == _argmin_node(m, pts, x), x
+    assert ties >= 3  # the points above do meet exact ties
+
+
+@PROPS
+@given(
+    u=coords,
+    r0=st.floats(0.1, 0.4),
+    cap=st.floats(0.2, 4.0),
+    rise=st.floats(1.0, 4.0),
+)
+def test_logcusp_distances_rise_with_the_cap(u, r0, cap, rise):
+    m, pts = GRAPHS["box"]
+    x0 = tuple(_point(m, u))
+    low, high = LogCusp(x0, r0, cap), LogCusp(x0, r0, cap * rise)
+    probe = np.vstack([pts.points, x0])  # the cusp itself included
+    assert np.all(high.eval_many(m, probe) >= low.eval_many(m, probe))
+    g = build_graph(m, pts, 3 * pts.spacing, low)
+    assert g.blocks is not None
+    d_low = shortest_paths(g).values
+    d_high = shortest_paths(g.reweight(m, high, 100, 5)).values
+    assert np.all(d_high >= d_low * (1 - 1e-12))
