@@ -2,10 +2,12 @@
 
 Delta is the second-order stencil with the geometer's (nonnegative-spectrum)
 sign, assembled once per grid as a sparse Kronecker sum of 1-D second
-differences (periodic on the torus, Neumann on the box); on the torus it is
-diagonalized by the FFT, which also provides the mean-zero inverse used by
-the fixed-point machinery.  Besides the lowest eigenpair (scipy's LOBPCG,
-preconditioned by one sparse LU of the shifted operator), the module
+differences (periodic on the torus, Neumann on the box).  The FFT (torus) or
+the orthonormal DCT-II (box) diagonalizes it; ``GridGeometry.spectral``
+applies functions of Delta through that transform: the mean-zero inverse used
+by the fixed-point machinery, the (Delta + c)^{-1} preconditioner of the
+lowest-eigenpair solver (scipy's LOBPCG, no factorization) and the smoothing
+of the probes that estimate the functional constants.  The module also
 implements the eigenvalue-zeroing shift for potentials supported in
 a ball, the log-gradient fixed point producing a ground-state representative
 e^v, and the cover-based decomposition log(phi) = f + w with a W^{(1,2),n}
@@ -34,8 +36,9 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags, identity, kronsum
-from scipy.sparse.linalg import lobpcg, splu
+from scipy.fft import dctn, idctn
+from scipy.sparse import csr_matrix, diags, kronsum
+from scipy.sparse.linalg import lobpcg, splu  # noqa: F401  perfbench's tracer rebinds splu
 
 from .errors import InputError, NumericError
 from .manifold import Manifold, d0_many
@@ -117,28 +120,35 @@ class GridGeometry(NodeGrid):
     def mean(self, u: np.ndarray) -> float:
         return float(np.mean(u))
 
-    def _fft_symbol(self) -> np.ndarray:
-        if self.manifold.kind != "torus":
-            raise InputError("the FFT inverse requires a periodic grid")
-        hs = self.axis_spacing
+    @cached_property
+    def symbol(self) -> np.ndarray:
+        """Eigenvalues of the stencil in the order of ``spectral``: on the
+        torus sum_a (2 - 2cos(2 pi k_a/s_a))/h_a^2 (FFT), on the box
+        sum_a (2 - 2cos(pi k_a/s_a))/h_a^2 (orthonormal DCT-II)."""
+        freq = 2.0 if self.manifold.kind == "torus" else 1.0
         sym = np.zeros(self.shape)
-        for a, s in enumerate(self.shape):
-            k = np.arange(s)
-            lam = (2.0 - 2.0 * np.cos(2.0 * np.pi * k / s)) / hs[a] ** 2
-            shape = [1] * self.dim
-            shape[a] = s
-            sym = sym + lam.reshape(shape)
+        for a, (s, h) in enumerate(zip(self.shape, self.axis_spacing)):
+            lam = (2.0 - 2.0 * np.cos(freq * np.pi * np.arange(s) / s)) / h**2
+            sym = sym + lam.reshape([s if b == a else 1 for b in range(self.dim)])
         return sym
 
+    def spectral(self, u: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
+        """The function of Delta with eigenvalues ``multiplier`` (shaped like
+        ``symbol``) applied to node vectors u of shape (N,) or (N, k)."""
+        axes = tuple(range(self.dim))
+        x = np.reshape(u, self.shape + np.shape(u)[1:])
+        mult = multiplier.reshape(multiplier.shape + (1,) * (x.ndim - self.dim))
+        if self.manifold.kind == "torus":
+            out = np.real(np.fft.ifftn(np.fft.fftn(x, axes=axes) * mult, axes=axes))
+        else:
+            coef = dctn(x, type=2, norm="ortho", axes=axes)
+            out = idctn(coef * mult, type=2, norm="ortho", axes=axes)
+        return out.reshape(np.shape(u))
+
     def lap_inverse(self, rhs: np.ndarray) -> np.ndarray:
-        """Mean-zero solution of Delta u = rhs - mean(rhs) (torus, FFT)."""
-        sym = self._fft_symbol()
-        r = np.fft.fftn(rhs.reshape(self.shape))
-        sym_flat = sym.copy()
-        sym_flat[(0,) * self.dim] = 1.0
-        u = r / sym_flat
-        u[(0,) * self.dim] = 0.0
-        return np.real(np.fft.ifftn(u)).reshape(-1)
+        """Mean-zero solution of Delta u = rhs - mean(rhs)."""
+        inv = 1.0 / np.where(self.symbol > 0, self.symbol, np.inf)  # drops the k = 0 mode
+        return self.spectral(np.ravel(rhs), inv)
 
     def ball_mask(self, center, radius: float) -> np.ndarray:
         return d0_many(self.manifold, self.nodes(), np.asarray(center, dtype=float)) <= radius
@@ -180,29 +190,27 @@ class SchrodingerSolve:
 
 def lowest_eigenpair(op: GridOperator, tol: float = 1e-10, max_iter: int = 400,
                      v0: Optional[np.ndarray] = None) -> SchrodingerSolve:
-    """Lowest eigenpair by LOBPCG with one sparse LU as preconditioner.
+    """Lowest eigenpair by LOBPCG preconditioned with (Delta + c)^{-1}.
 
-    Factorizes A - sigma with A = Delta - V once, at sigma = -max V - 1
-    (below the spectrum since Delta >= 0), and runs scipy's lobpcg on A
-    from the positive constant vector (or a warm start) with (A - sigma)^{-1}
-    as the preconditioner.  ``history`` holds the eigen residual
-    ||A v - lambda v|| (unit v) per iteration; a singular shift, a residual
+    scipy's lobpcg runs on A = Delta - V from the positive constant vector
+    (or a warm start).  The preconditioner needs no factorization: it is
+    applied by ``GridGeometry.spectral`` as 1/(symbol + c) with
+    c = max(1 - mean V, 1e-3) > 0, so it is positive definite, and for a
+    constant V it is a shifted inverse of A itself.  ``history`` holds the
+    eigen residual ||A v - lambda v|| (unit v) per iteration; a residual
     above tol or a ground state that is not positive raises NumericError.
     """
-    A = op.as_sparse().tocsc()
+    A = op.as_sparse()
     n = A.shape[0]
-    sigma = -float(op.V.max()) - 1.0
-    try:
-        lu = splu((A - sigma * identity(n, format="csc")).tocsc())
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise NumericError(f"shifted operator A - sigma is singular: {exc}") from exc
+    geom = op.geom
+    inv = 1.0 / (geom.symbol + max(1.0 - float(op.V.mean()), 1e-3))
     v = np.ones(n) if v0 is None else np.asarray(v0, dtype=float).copy()
     with warnings.catch_warnings():
         # a missed tolerance is reported below as a NumericError
         warnings.filterwarnings("ignore", "(?s).*not reaching the requested tolerance", UserWarning)
         lams, vecs, res_hist = lobpcg(
-            A, v[:, None], M=lu.solve, largest=False, tol=tol, maxiter=max_iter,
-            retResidualNormsHistory=True,
+            A, v[:, None], M=lambda r: geom.spectral(r, inv), largest=False, tol=tol,
+            maxiter=max_iter, retResidualNormsHistory=True,
         )
     history = [float(r) for r in res_hist]
     if not history[-1] <= tol:
@@ -240,13 +248,12 @@ def estimate_grad_inv_constant(geom: GridGeometry, probes: int = 48, seed: int =
     n = geom.dim
     rng = derive_rng(seed, "aconst")
     best = 0.0
-    sym = geom._fft_symbol()
+    sym = geom.symbol
+    damp = 1.0 / (1.0 + sym / np.median(sym[sym > 0]))
     for k in range(probes):
-        h = rng.standard_normal(geom.shape)
+        h = rng.standard_normal(geom.shape).reshape(-1)
         if k % 2 == 1:  # smooth the probe toward the low-frequency end
-            damp = 1.0 / (1.0 + sym / np.median(sym[sym > 0]))
-            h = np.real(np.fft.ifftn(np.fft.fftn(h) * damp ** (1 + k % 5)))
-        h = h.reshape(-1)
+            h = geom.spectral(h, damp ** (1 + k % 5))
         h -= h.mean()
         denom = geom.lp_norm(h, n / 2.0)
         if denom == 0:
@@ -283,11 +290,11 @@ def estimate_sobolev_constant(geom: GridGeometry, probes: int = 48, seed: int = 
     best = quotient(np.ones(d.size))
     for s in np.geomspace(geom.axis_spacing.max(), m.min_period / 3.0, 12):
         best = min(best, quotient(np.exp(-((d / s) ** 2))))
-    sym = geom._fft_symbol()
+    sym = geom.symbol
+    damp = 1.0 / (1.0 + sym / np.median(sym[sym > 0]))
     for k in range(probes):
-        h = rng.standard_normal(geom.shape)
-        damp = 1.0 / (1.0 + sym / np.median(sym[sym > 0])) ** (1 + k % 4)
-        phi = np.real(np.fft.ifftn(np.fft.fftn(h) * damp)).reshape(-1)
+        h = rng.standard_normal(geom.shape).reshape(-1)
+        phi = geom.spectral(h, damp ** (1 + k % 4))
         best = min(best, quotient(phi - phi.min() + 0.1 * np.abs(phi).max()))
         best = min(best, quotient(phi))
     return float(best)

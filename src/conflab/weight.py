@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from math import pi
 from pathlib import Path
 from typing import Callable, Optional
@@ -482,6 +483,12 @@ def _cubic_weights(s: np.ndarray) -> np.ndarray:
     )
 
 
+def _ghosts(f0, f1, f2):
+    """The quadratic through a face node f0 and the next two inward, f1 and
+    f2, continued one and two nodes beyond the face."""
+    return 3 * f0 - 3 * f1 + f2, 6 * f0 - 8 * f1 + 3 * f2
+
+
 @dataclass(frozen=True)
 class GridWeight(WeightField):
     """Interpolated grid field: order 1 (multilinear) or 3 (cubic)."""
@@ -495,6 +502,20 @@ class GridWeight(WeightField):
             raise InputError("grid manifold does not match evaluation manifold")
         if self.order not in (1, 3):
             raise InputError("grid interpolation order must be 1 or 3")
+        if self.order == 3 and gm.kind == "box" and min(self.grid.shape) < 3:
+            raise InputError("cubic interpolation on a box needs >= 3 nodes per axis")
+
+    @cached_property
+    def _ghosted(self) -> np.ndarray:
+        """Box values with two quadratic ghost layers beyond each face, so the
+        cubic taps that reach past a face keep the interpolant exact for
+        quadratics (clamping them to the face value does not)."""
+        vals = self.grid.values
+        for a in range(vals.ndim):
+            lo1, lo2 = _ghosts(*(np.take(vals, [k], axis=a) for k in (0, 1, 2)))
+            hi1, hi2 = _ghosts(*(np.take(vals, [-1 - k], axis=a) for k in (0, 1, 2)))
+            vals = np.concatenate([lo2, lo1, vals, hi1, hi2], axis=a)
+        return vals
 
     def _local(self, m, x):
         g = self.grid
@@ -508,17 +529,16 @@ class GridWeight(WeightField):
         return i0, frac
 
     def _gather(self, idx_list):
+        """Values at integer node indices: wrapped on a torus; on a box read
+        from the ghosted array for order 3, else clamped to the face."""
         g = self.grid
-        vals = g.values
-        n = len(g.shape)
+        torus = g.manifold.kind == "torus"
+        vals, pad = (self._ghosted, 2) if self.order == 3 and not torus else (g.values, 0)
         flat = np.zeros(idx_list[0].shape, dtype=int)
-        for a in range(n):
-            ia = idx_list[a]
-            if g.manifold.kind == "torus":
-                ia = np.mod(ia, g.shape[a])
-            else:
-                ia = np.clip(ia, 0, g.shape[a] - 1)
-            flat = flat * g.shape[a] + ia
+        for a, size in enumerate(vals.shape):
+            ia = idx_list[a] + pad
+            ia = np.mod(ia, size) if torus else np.clip(ia, 0, size - 1)
+            flat = flat * size + ia
         return vals.ravel()[flat]
 
     def eval_many(self, m, x):

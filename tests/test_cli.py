@@ -180,8 +180,9 @@ def test_numpy_failures_categorized(tmp_path, monkeypatch, capsys, raised, categ
     assert report["stages"]["error"]["type"] == category
 
 
-def test_singular_factorization_is_numeric_error():
-    # V = 1e20 swamps the Laplacian diagonal, so SuperLU meets an exact zero pivot
+def test_huge_constant_potential_has_constant_ground_state():
+    # V = 1e20 swamps the Laplacian; the constant start vector is already exact
     geom = GridGeometry(Manifold.torus(2), (8, 8))
-    with pytest.raises(NumericError, match="singular"):
-        lowest_eigenpair(GridOperator(geom, np.full(64, 1e20)))
+    s = lowest_eigenpair(GridOperator(geom, np.full(64, 1e20)))
+    assert s.lambda0 == pytest.approx(-1e20, rel=1e-12)
+    assert s.phi.min() > 0

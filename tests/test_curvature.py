@@ -228,6 +228,17 @@ def test_pinching_on_grid_field_needs_fd(torus2):
     assert np.isfinite(rep.sup_abs) and rep.sup_abs > 0.0
 
 
+@pytest.mark.parametrize("x", [(0.0, 1.2, 1.0), (0.01, 1.2, 1.0)])
+def test_cubic_grid_fd_curvature_at_a_box_face(x):
+    # the fd stencil at the face reads one step past it, where the cubic taps
+    # need ghost nodes; clamping them to the face value read -214.6 and -79.9
+    box = Manifold.box([[0.0, 2.0]] * 3)
+    cusp = LogCusp((0.3, 1.0, 1.0), 0.4)
+    grid = GridWeight(grid_from_field(box, cusp, (81, 81, 81)), 3)
+    exact = scalar_curvature(box, cusp, x).scal
+    assert scalar_curvature(box, grid, x, method="fd").scal == pytest.approx(exact, rel=0.15)
+
+
 def test_pinching_flags(sphere3):
     cents = _bubble_centers(sphere3)
     rep = pinching_profile(sphere3, SphereBubble(2.0), 0.5, cents, seed=1, lambda0=1e9)

@@ -1,7 +1,8 @@
 """Property tests: the flat-ball sampler, the torus wrap, the d0 metric
 axioms, the e^{nc} scaling of ball masses, nearest-node snapping on
-lattices, and the eps-graph distances (metric axioms, e^c scaling,
-monotonicity in eps and in the LogCusp cap).
+lattices, the eps-graph distances (metric axioms, e^c scaling,
+monotonicity in eps and in the LogCusp cap), and the invariance of the
+Muckenhoupt-type diagnostics under constant shifts of f.
 
 Hypothesis runs derandomized, so every run of the suite checks the same
 examples.
@@ -12,6 +13,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conflab.diagnostics import (
+    BallSampler,
+    ap_product,
+    doubling_constant,
+    reverse_holder,
+    subset_ratio_exponent,
+)
 from conflab.manifold import (
     BallSpec,
     Manifold,
@@ -361,3 +369,29 @@ def test_logcusp_distances_rise_with_the_cap(u, r0, cap, rise):
     d_low = shortest_paths(g).values
     d_high = shortest_paths(g.reweight(m, high, 100, 5)).values
     assert np.all(d_high >= d_low * (1 - 1e-12))
+
+
+SHIFT_BALLS = BallSampler(lattice(TORUS2, 3.0), (0.4, 0.9), seed=3)
+SHIFT_BASE = LogCusp((3.0, 3.0), 1.2, cap=3.0)  # A_2 product 1.26 on these balls
+
+
+def _subset_fit(f):
+    fit = subset_ratio_exponent(TORUS2, f, SHIFT_BALLS, budget=2000)
+    return fit.slope, fit.constant
+
+
+SHIFT_DIAGNOSTICS = {
+    "reverse_holder": lambda f: reverse_holder(TORUS2, f, 2.0, SHIFT_BALLS, 2000),
+    "ap_product": lambda f: ap_product(TORUS2, f, 2.0, SHIFT_BALLS, 2000),
+    "doubling_constant": lambda f: doubling_constant(TORUS2, f, SHIFT_BALLS, 2000),
+    "subset_ratio_exponent": _subset_fit,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIFT_DIAGNOSTICS))
+@PROPS
+@given(c=st.floats(-3.0, 3.0))
+def test_diagnostics_ignore_constant_shifts(name, c):
+    # e^{n(f + c)} = e^{nc} e^{nf}: the factor cancels in every ratio
+    diag = SHIFT_DIAGNOSTICS[name]
+    np.testing.assert_allclose(diag(Scaled(SHIFT_BASE, c)), diag(SHIFT_BASE), rtol=1e-10)

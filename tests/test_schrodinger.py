@@ -2,7 +2,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import splu
 
 from conflab.errors import InputError, NumericError
 from conflab.manifold import Manifold, d0_many
@@ -55,7 +54,41 @@ def test_laplacian_fourier_mode_matches_fft_symbol():
     g = GridGeometry(Manifold.torus(3, periods), (12, 8, 10))
     k = (1, 2, 3)
     mode = np.cos(2 * np.pi * g.nodes() @ (np.array(k) / periods))
-    assert np.abs(g.lap(mode) - g._fft_symbol()[k] * mode).max() <= 1e-11
+    assert np.abs(g.lap(mode) - g.symbol[k] * mode).max() <= 1e-11
+
+
+BOX = Manifold.box([[0.0, 1.0], [0.0, 2.0], [0.0, 1.5]])
+
+
+@pytest.mark.parametrize(
+    "m, shape",
+    [(BOX, (12, 9, 10)), (Manifold.torus(3, [2.2, 1.7, 3.0]), (12, 12, 12))],
+    ids=["box", "torus"],
+)
+def test_spectral_symbol_reproduces_stencil(m, shape, rng):
+    g = GridGeometry(m, shape)
+    u = rng.standard_normal((int(np.prod(shape)), 2))
+    lap = g.laplacian @ u
+    assert np.abs(g.spectral(u, g.symbol) - lap).max() <= 1e-12 * np.abs(lap).max()
+    assert np.abs(g.spectral(u[:, 0], g.symbol) - lap[:, 0]).max() <= 1e-12 * np.abs(lap).max()
+
+
+def test_box_lap_inverse_is_mean_zero_solution(rng):
+    g = GridGeometry(BOX, (12, 9, 10))
+    rhs = rng.standard_normal(int(np.prod(g.shape)))
+    u = g.lap_inverse(rhs)
+    assert abs(u.mean()) <= 1e-10
+    assert np.abs(g.lap(u) - (rhs - rhs.mean())).max() <= 1e-10
+
+
+def test_box_dense_oracle():
+    g = GridGeometry(BOX, (8, 9, 10))
+    x = g.nodes()
+    op = GridOperator(g, 0.4 * np.cos(3.0 * x[:, 0]) + 0.2 * x[:, 1] * x[:, 2])
+    s = lowest_eigenpair(op)
+    dense = np.linalg.eigvalsh(op.as_sparse().toarray())[0]
+    assert abs(s.lambda0 - dense) <= 1e-8
+    assert s.phi.min() > 0
 
 
 def test_box_neumann_corner_row(rng):
@@ -114,11 +147,13 @@ def test_dense_oracle_2d_16():
     assert abs(s.lambda0 - dense) <= 1e-8
 
 
-def test_spike_potential_one_factorization(geom, monkeypatch):
+def test_spike_potential_no_factorization(geom, monkeypatch):
     import conflab.schrodinger as sc
 
-    calls = []
-    monkeypatch.setattr(sc, "splu", lambda a: calls.append(1) or splu(a))
+    def no_lu(a):
+        raise AssertionError("lowest_eigenpair factorized a matrix")
+
+    monkeypatch.setattr(sc, "splu", no_lu)
     V = np.zeros(int(np.prod(geom.shape)))
     V[777] = 100.0
     op = GridOperator(geom, V)
@@ -126,7 +161,6 @@ def test_spike_potential_one_factorization(geom, monkeypatch):
     dense = np.linalg.eigvalsh(op.as_sparse().toarray())[0]
     assert abs(s.lambda0 - dense) <= 1e-8
     assert s.phi.min() > 0
-    assert len(calls) == 1
     assert s.iterations == len(s.history) and s.history[-1] <= 1e-10
 
 

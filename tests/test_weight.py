@@ -281,6 +281,20 @@ def test_grid_interpolation_accuracy(torus2, rng):
     assert np.abs(cub - truth).max() < 1e-5
 
 
+def test_cubic_grid_reproduces_quadratics_up_to_box_faces(rng):
+    box = Manifold.box([[0.0, 1.0], [-1.0, 2.0]])
+    quadratic = lambda p: 1.0 + p[:, 0] - 2.0 * p[:, 1] + 3.0 * p[:, 0] * p[:, 1] - p[:, 1] ** 2
+    shape = (9, 13)
+    nodes = GridField(manifold=box, shape=shape, values=np.zeros(shape)).nodes()
+    g = GridField(manifold=box, shape=shape, values=quadratic(nodes).reshape(shape))
+    near_faces = np.array(
+        [[0.0, 0.0], [0.03, -1.0], [1.0, 1.97], [0.5, 2.0], [-1e-3, 0.4], [1.001, -1.001]]
+    )
+    pts = np.vstack([near_faces, rng.random((50, 2)) * [1.0, 3.0] - [0.0, 1.0]])
+    cub = GridWeight(g, 3).eval_many(box, pts)
+    assert np.abs(cub - quadratic(pts)).max() <= 1e-12
+
+
 def test_grid_on_sphere_rejected(sphere2):
     with pytest.raises(InputError):
         GridField(manifold=sphere2, shape=(8, 8), values=np.zeros((8, 8)))
