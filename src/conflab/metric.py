@@ -13,8 +13,8 @@ over a covering point set, with two edge-weight estimators:
   consistency checks compare 2 * chain against the line estimator.
 
 Also here: scheduled refinement with fitted-rate extrapolation, metric balls
-with their masses, and the stable norm of periodic weights on covering
-strips of the torus.
+with their masses, and the stable norm of periodic weights, whose patches of
+the torus's universal cover are box lattices on the same eps-graph path.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .manifold import (
     BallSpec,
     Manifold,
     PointSet,
+    _grid_axes,
     d0_many,
     gauss_rule,
     geodesic_points,
@@ -126,7 +127,10 @@ class DistanceMatrix:
         return self.values[pos[0]]
 
     def get(self, source_index: int, target_index: int) -> float:
-        return float(self.row(source_index)[np.nonzero(self.targets == target_index)[0][0]])
+        pos = np.nonzero(self.targets == target_index)[0]
+        if pos.size == 0:
+            raise InputError(f"distance matrix has no column for target {target_index}")
+        return float(self.row(source_index)[pos[0]])
 
     def write_csv(self, path) -> None:
         header = ",".join(["source"] + [str(t) for t in self.targets])
@@ -156,10 +160,15 @@ class DistanceMatrix:
         import json
 
         path = Path(path)
-        manifest = json.loads(path.read_text())
+        try:
+            manifest = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"malformed distance manifest: {exc}") from exc
         for key in ("sources", "targets", "payload", "dtype", "order"):
             if key not in manifest:
                 raise FormatError(f"distance manifest missing key {key!r}")
+        if manifest["dtype"] != "f64le" or manifest["order"] != "row-major":
+            raise FormatError("distance payload must be f64le row-major")
         sources = np.asarray(manifest["sources"], dtype=int)
         targets = np.asarray(manifest["targets"], dtype=int)
         raw = (path.parent / manifest["payload"]).read_bytes()
@@ -320,17 +329,8 @@ def _edge_weights(m, g: EpsGraph, field: WeightField, budget: int, seed: int) ->
     return w
 
 
-def build_graph(
-    m: Manifold,
-    points: PointSet,
-    eps: float,
-    field: WeightField,
-    estimator=RiemannLine(),
-    budget: int = 256,
-    seed: int = 0,
-    skip_connectivity_check: bool = False,
-) -> EpsGraph:
-    """Proximity graph with all d0 <= eps edges, weighted per estimator.
+def _eps_graph(m, points: PointSet, eps, field, estimator=RiemannLine(), budget=256, seed=0):
+    """All d0 <= eps edges of ``points``, weighted per estimator.
 
     On a torus or box lattice whose axes each hold more nodes than the eps
     reach spans, the edges are enumerated one integer offset at a time and
@@ -338,11 +338,6 @@ def build_graph(
     Gauss points axis by axis; other point sets get their edges from a
     kd-tree and are weighted edge by edge.
     """
-    if eps < 3.0 * points.spacing - 1e-12:
-        raise InputError(
-            f"eps = {eps} violates the connectivity requirement "
-            f"eps >= 3 * spacing = {3.0 * points.spacing}"
-        )
     small_lattice = points.lattice_shape is not None and any(
         2 * int(np.floor(eps / h)) + 1 > s
         for h, s in zip(points.axis_spacing, points.lattice_shape)
@@ -365,6 +360,27 @@ def build_graph(
         blocks=blocks,
     )
     g.edge_w = _edge_weights(m, g, field, budget, seed)
+    return g
+
+
+def build_graph(
+    m: Manifold,
+    points: PointSet,
+    eps: float,
+    field: WeightField,
+    estimator=RiemannLine(),
+    budget: int = 256,
+    seed: int = 0,
+    skip_connectivity_check: bool = False,
+) -> EpsGraph:
+    """Proximity graph with all d0 <= eps edges, weighted per estimator
+    (see ``_eps_graph``), for eps >= 3 * spacing and checked connected."""
+    if eps < 3.0 * points.spacing - 1e-12:
+        raise InputError(
+            f"eps = {eps} violates the connectivity requirement "
+            f"eps >= 3 * spacing = {3.0 * points.spacing}"
+        )
+    g = _eps_graph(m, points, eps, field, estimator, budget, seed)
     if not skip_connectivity_check:
         ncomp, _ = connected_components(g.to_csgraph(), directed=False)
         if ncomp != 1:
@@ -526,63 +542,53 @@ def f_ball(
 class StableNormResult:
     direction: np.ndarray
     t_values: np.ndarray
-    per_t: np.ndarray  # d(0, t v)/t per t, widest corridor
+    per_t: np.ndarray  # d(0, t v)/|snapped displacement| per t, widest margin
     estimate: float
     corridor_check: Optional[float]  # sup |narrow - wide| over t, if checked
 
 
-def _cover_distance(
-    m: Manifold,
-    field: WeightField,
-    v: np.ndarray,
-    t: float,
-    spacing: float,
-    eps: float,
-    K: int,
-    corridor_halfwidth: float,
-    margin: float,
-    node_budget: int,
-):
-    """Graph distance 0 -> t*v on a corridor patch of the universal cover."""
-    n = m.dim
+@dataclass(frozen=True)
+class _Lifted(WeightField):
+    """A torus field read on a patch of the universal cover."""
+
+    torus: Manifold
+    field: WeightField
+
+    def validate(self, m):
+        self.field.validate(self.torus)
+
+    def eval_many(self, m, x):
+        return self.field.eval_many(self.torus, self.torus.canonicalize(x))
+
+
+def _cover_distance(m, field, v, t, spacing, margin, node_budget) -> float:
+    """Graph distance 0 -> t*v on the universal cover per unit of snapped
+    displacement.
+
+    The patch is the rectangle of torus lattice nodes (spacing h of
+    ``lattice(m, spacing)``) around the segment, grown by ``margin`` on
+    every side, taken as a box lattice and weighted at eps = 3 * spacing
+    with the field read periodically.  A full rectangle at that eps is
+    connected, so no connectivity check runs.
+    """
+    _, h = _grid_axes(m, spacing)
     target = t * v
     lo = np.minimum(0.0, target) - margin
     hi = np.maximum(0.0, target) + margin
-    axes = []
-    for a in range(n):
-        k = max(1, int(round(m.periods[a] / spacing)))
-        h = m.periods[a] / k
-        axes.append(np.arange(np.floor(lo[a] / h), np.ceil(hi[a] / h) + 1) * h)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=-1)
-    vhat = v / np.linalg.norm(v)
-    rel = pts - 0.5 * target
-    perp = rel - np.outer(rel @ vhat, vhat)
-    keep = np.linalg.norm(perp, axis=1) <= corridor_halfwidth
-    along = rel @ vhat
-    keep &= (along >= -0.5 * t * np.linalg.norm(v) - margin) & (
-        along <= 0.5 * t * np.linalg.norm(v) + margin
-    )
-    pts = pts[keep]
-    if pts.shape[0] > node_budget:
-        raise ResourceError(
-            f"cover strip needs {pts.shape[0]} nodes, over the budget {node_budget}"
-        )
-    tree = cKDTree(pts)
-    pairs = tree.query_pairs(r=eps, output_type="ndarray")
-    i, j = pairs[:, 0], pairs[:, 1]
-    d = np.linalg.norm(pts[i] - pts[j], axis=1)
-    ts, ws = gauss_rule(K)
-    acc = np.zeros(i.size)
-    for k in range(K):
-        gam = pts[i] + ts[k] * (pts[j] - pts[i])
-        acc += ws[k] * np.exp(field.eval_many(m, np.mod(gam, m.periods)))
-    w = acc * d
-    src = int(np.argmin(np.linalg.norm(pts, axis=1)))
-    dst = int(np.argmin(np.linalg.norm(pts - target, axis=1)))
-    csgraph = csr_matrix((w, (i, j)), shape=(pts.shape[0], pts.shape[0]))
-    dist = dijkstra(csgraph, directed=False, indices=[src])[0]
-    return float(dist[dst])
+    axes = [np.arange(np.floor(a / s), np.ceil(b / s) + 1) * s for a, b, s in zip(lo, hi, h)]
+    shape = tuple(a.size for a in axes)
+    count = int(np.prod([float(s) for s in shape]))
+    if count > node_budget:
+        raise ResourceError(f"cover patch needs {count} nodes, over the budget {node_budget}")
+    nodes = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    pts = PointSet(nodes, float(np.max(h)), lattice_shape=shape, axis_spacing=h)
+    box = Manifold.box([[a[0], a[-1]] for a in axes])
+    g = _eps_graph(box, pts, 3.0 * spacing, _Lifted(m, field))
+    src, dst = pts.nearest(box, np.zeros(m.dim)), pts.nearest(box, target)
+    if src == dst:
+        raise InputError(f"t = {t} snaps to the origin; t |v| must exceed half a lattice step")
+    dist = shortest_paths(g, [src]).values[0, dst]
+    return float(dist / np.linalg.norm(pts.points[dst] - pts.points[src]))
 
 
 def stable_norm(
@@ -591,19 +597,16 @@ def stable_norm(
     v,
     t_list: Sequence[float],
     spacing: float = 0.1,
-    eps: Optional[float] = None,
-    K: int = 5,
-    corridor_periods: float = 1.0,
-    margin: Optional[float] = None,
     check_corridor: bool = True,
     node_budget: int = 400_000,
 ) -> StableNormResult:
     """Asymptotic length per unit of direction v for a periodic torus weight.
 
-    Shortest paths run on corridor patches of the universal cover around the
-    segment 0 -> t v (weight evaluated periodically); the reported norm is
-    the monotone-corrected a + b/t extrapolation of d(0, tv)/t.  Corridor
-    sufficiency is checked by recomputing at twice the width.
+    Shortest paths at eps = 3 * spacing run on lattice rectangles of the
+    universal cover around the segment 0 -> t v, grown by a margin of
+    2 eps (weight evaluated periodically); the reported norm is the
+    monotone-corrected a + b/t extrapolation of d(0, tv)/t.  Sufficiency
+    of the margin is checked by recomputing with it doubled.
     """
     if m.kind != "torus":
         raise InputError("stable_norm is defined for torus weights")
@@ -611,32 +614,21 @@ def stable_norm(
     v = np.asarray(v, dtype=float)
     if np.allclose(v, 0.0):
         raise InputError("stable norm direction must be nonzero")
+    if not (np.isfinite(spacing) and spacing > 0):
+        raise InputError(f"stable norm spacing must be positive, got {spacing}")
     t_list = np.asarray(sorted(float(t) for t in t_list))
     if np.any(np.diff(t_list) <= 0) or t_list.size < 2:
         raise InputError("t_list must be strictly increasing with >= 2 entries")
-    eps = 3.0 * spacing if eps is None else eps
-    margin = 2.0 * eps if margin is None else margin
-    width = corridor_periods * float(np.max(m.periods)) / 2.0 + margin
-    per_t = np.array(
-        [
-            _cover_distance(m, field, v, t, spacing, eps, K, width, margin, node_budget)
-            / (t * np.linalg.norm(v))
-            for t in t_list
-        ]
-    )
-    check = None
-    if check_corridor:
-        wide = np.array(
-            [
-                _cover_distance(
-                    m, field, v, t, spacing, eps, K, 2 * width, margin, node_budget * 2
-                )
-                / (t * np.linalg.norm(v))
-                for t in t_list
-            ]
-        )
-        check = float(np.max(np.abs(wide - per_t)))
-        per_t = wide
+    if not np.all(np.isfinite(t_list) & (t_list > 0)):
+        raise InputError("t_list entries must be positive and finite")
+    margin = 6.0 * spacing  # 2 eps
+    runs = [
+        np.array([_cover_distance(m, field, v, t, spacing, k * margin, k * node_budget)
+                  for t in t_list])
+        for k in ((1, 2) if check_corridor else (1,))
+    ]
+    per_t = runs[-1]
+    check = float(np.max(np.abs(runs[-1] - runs[0]))) if check_corridor else None
     basis = np.column_stack([np.ones_like(t_list), 1.0 / t_list])
     coef, *_ = np.linalg.lstsq(basis, per_t, rcond=None)
     est = min(float(coef[0]), float(per_t.min()))  # subadditive: inf_t is an upper bound

@@ -668,6 +668,18 @@ def radial_ball_integral(m: Manifold, integrand, axis: np.ndarray, ball: BallSpe
     return float(w @ integrand(theta))
 
 
+def _mc_mean(vals: np.ndarray, volume: float, what: str = "weight samples"):
+    """(mean, volume * standard error of the mean) of the finite ``vals``,
+    of which at most 0.1% may be non-finite."""
+    good = np.isfinite(vals)
+    bad = vals.size - int(good.sum())
+    if bad > 0.001 * vals.size:
+        raise IntegrationError(f"{bad} of {vals.size} {what} non-finite (limit 0.1%)")
+    vals = vals[good]
+    se = volume * float(vals.std(ddof=1)) / np.sqrt(vals.size) if vals.size > 1 else 0.0
+    return float(vals.mean()), se
+
+
 def mu_f_ball(m: Manifold, field: WeightField, b: BallSpec, budget: int = 20_000, seed: int = 0):
     """(mass, standard error) of mu_f(B) = int_B e^{nf} dmu0.
 
@@ -686,17 +698,8 @@ def mu_f_ball(m: Manifold, field: WeightField, b: BallSpec, budget: int = 20_000
             val = radial_ball_integral(m, lambda t: np.exp(m.dim * prof.f(t)), prof.axis, b)
             return val, 1e-9 * abs(val)
     pts, w, vol_se = sample_ball(m, b, budget, seed)
-    vals = np.exp(m.dim * field.eval_many(m, pts))
-    good = np.isfinite(vals)
-    bad = budget - int(good.sum())
-    if bad > 0.001 * budget:
-        raise IntegrationError(
-            f"{bad} of {budget} weight samples non-finite (limit 0.1%)"
-        )
     vol = float(w.sum())
-    vals = vals[good]
-    mean = float(vals.mean())
-    se = vol * float(vals.std(ddof=1)) / np.sqrt(vals.size) if vals.size > 1 else 0.0
+    mean, se = _mc_mean(np.exp(m.dim * field.eval_many(m, pts)), vol)
     return vol * mean, float(np.hypot(mean * vol_se, se))
 
 
@@ -714,16 +717,9 @@ def total_mass(m: Manifold, field: WeightField, budget: int = 100_000, seed: int
             theta, w = cap_quadrature(m, 0.0, pi * m.radius)
             val = float(w @ np.exp(m.dim * prof.f(theta)))
             return val, 1e-9 * abs(val)
-    pts, w = sample_manifold(m, budget, seed)
-    vals = np.exp(m.dim * field.eval_many(m, pts))
-    good = np.isfinite(vals)
-    bad = budget - int(good.sum())
-    if bad > 0.001 * budget:
-        raise IntegrationError(f"{bad} of {budget} weight samples non-finite (limit 0.1%)")
-    vals = vals[good]
-    value = m.volume * float(vals.mean())
-    se = m.volume * float(vals.std(ddof=1)) / np.sqrt(vals.size)
-    return value, se
+    pts, _ = sample_manifold(m, budget, seed)
+    mean, se = _mc_mean(np.exp(m.dim * field.eval_many(m, pts)), m.volume)
+    return m.volume * mean, se
 
 
 def integrability_profile(
@@ -738,10 +734,6 @@ def integrability_profile(
     f = field.eval_many(m, pts)
     out = []
     for p in exponents:
-        vals = np.exp(p * f)
-        good = np.isfinite(vals)
-        if (budget - good.sum()) > 0.001 * budget:
-            raise IntegrationError(f"exponent {p}: too many non-finite samples")
-        v = vals[good]
-        out.append((p, m.volume * float(v.mean()), m.volume * float(v.std(ddof=1)) / np.sqrt(v.size)))
+        mean, se = _mc_mean(np.exp(p * f), m.volume, f"samples of e^({p} f)")
+        out.append((p, m.volume * mean, se))
     return out

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conflab.errors import InputError
+from conflab.errors import FormatError, InputError
 from conflab.manifold import Manifold, PointSet, d0_many, lattice
 from conflab.metric import (
     ChainBall,
@@ -18,7 +18,7 @@ from conflab.metric import (
     shortest_paths,
     stable_norm,
 )
-from conflab.weight import BuragoTorus, Constant, LogCusp, Scaled
+from conflab.weight import BuragoTorus, Constant, GridField, GridWeight, LogCusp, Scaled
 
 TWO_NODES = PointSet(points=np.array([[0.0, 0.0], [1.0, 0.0]]), spacing=0.4)
 
@@ -195,6 +195,66 @@ def test_stable_norm_subadditive(torus2):
     n_e2 = stable_norm(torus2, BuragoTorus(1), [0.0, 1.0], [P, 2 * P], **kw).estimate
     n_diag = stable_norm(torus2, BuragoTorus(1), [1.0, 1.0], [P, 2 * P], **kw).estimate
     assert np.sqrt(2.0) * n_diag <= (n_e1 + n_e2) * 1.02
+
+
+def test_stable_norm_flat_at_a_node_tie(torus2):
+    # t = pi lies half-way between lattice nodes 31 h and 32 h; the cover
+    # distance is divided by the snapped displacement, not by t
+    r = stable_norm(torus2, Constant(0.0), [0.0, 1.0], [np.pi, 2 * np.pi], spacing=0.1)
+    assert r.per_t == pytest.approx([1.0, 1.0], rel=1e-12)
+    assert r.estimate == pytest.approx(1.0, rel=1e-12)
+
+
+def test_stable_norm_margin_check_sees_an_offaxis_valley(torus2):
+    # the cheapest line x1 = 1 lies 1.0 off the segment: outside the margin
+    # 2 eps = 0.6, inside the doubled one
+    P = 2 * np.pi
+    x = np.arange(64) * (P / 64)
+    vals = np.repeat(0.5 * np.log(1 - 0.5 * np.cos(x - 1.0))[:, None], 64, axis=1)
+    f = GridWeight(GridField(manifold=torus2, shape=(64, 64), values=vals), 1)
+    r = stable_norm(torus2, f, [0.0, 1.0], [P, 2 * P], spacing=0.1)
+    assert r.corridor_check > 1e-3
+    assert r.estimate == pytest.approx(2.0**-0.5, rel=0.01)
+
+
+@pytest.mark.parametrize(
+    "t_list, spacing",
+    [
+        ([0.0, 1.0], 0.1),
+        ([-1.0, 1.0], 0.1),
+        ([0.01, 1.0], 0.1),  # under half a lattice step: snaps onto the origin
+        ([1.0, 2.0], 0.0),
+        ([1.0, 2.0], -0.1),
+    ],
+)
+def test_stable_norm_rejects_bad_t_and_spacing(torus2, t_list, spacing):
+    with pytest.raises(InputError):
+        stable_norm(torus2, Constant(0.0), [0.0, 1.0], t_list, spacing=spacing)
+
+
+def test_distance_matrix_get_unknown_target():
+    dm = DistanceMatrix(sources=np.array([0]), targets=np.array([0, 1]), values=np.ones((1, 2)))
+    assert dm.get(0, 1) == 1.0
+    with pytest.raises(InputError):
+        dm.get(0, 2)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda text: text.replace('"f64le"', '"f32be"'),
+        lambda text: text.replace('"row-major"', '"column-major"'),
+        lambda text: text[:-2],
+    ],
+    ids=["f32be", "column-major", "truncated"],
+)
+def test_distance_matrix_read_binary_rejects_other_layouts(tmp_path, edit):
+    path = tmp_path / "dist.json"
+    dm = DistanceMatrix(sources=np.array([0]), targets=np.array([0, 1]), values=np.ones((1, 2)))
+    dm.write_binary(path)
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(FormatError):
+        DistanceMatrix.read_binary(path)
 
 
 def test_distance_matrix_export(tmp_path, torus2):

@@ -323,11 +323,20 @@ class _HalfInfinite(__import__("conflab.weight", fromlist=["WeightField"]).Weigh
         return np.where(x[:, 0] < np.pi, np.inf, 0.0)
 
 
-def test_mu_f_ball_nonfinite_excess(torus2):
+@pytest.mark.parametrize(
+    "mass",
+    [
+        lambda m, f: mu_f_ball(m, f, whole_manifold_ball(m), budget=2000, seed=1),
+        lambda m, f: total_mass(m, f, budget=2000, seed=1),
+        lambda m, f: integrability_profile(m, f, [1.0], budget=2000, seed=1),
+    ],
+    ids=["mu_f_ball", "total_mass", "integrability_profile"],
+)
+def test_mu_f_ball_nonfinite_excess(torus2, mass):
     from conflab.errors import IntegrationError
 
     with pytest.raises(IntegrationError):
-        mu_f_ball(torus2, _HalfInfinite(), whole_manifold_ball(torus2), budget=2000, seed=1)
+        mass(torus2, _HalfInfinite())
 
 
 def test_burago_needs_whole_turns_across_the_seam():
