@@ -581,7 +581,7 @@ def run_burago(spec: ExperimentSpec, outdir: Path):
                         spts.points[i] + rr / ell * np.array([np.cos(ang), np.sin(ang)])
                     )
                     pairs.append((i, spts.nearest(m, target)))
-        sdm = mt.shortest_paths(sg, np.unique(src))
+        sdm = mt.shortest_paths(sg, np.unique(src), np.unique([j for _, j in pairs]))
         sr = dg.strong_ratio(
             m, f, spts, sdm, pairs, eta=1.05 * max(base_dists) / ell,
             budget=int(spec.budgets.get("strong", 20_000)),

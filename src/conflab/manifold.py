@@ -121,12 +121,12 @@ class Manifold:
         return x
 
     def canonicalize(self, x: np.ndarray) -> np.ndarray:
-        """Canonical representative: wrap torus coords into [0, period)."""
-        x = np.asarray(x, dtype=float)
+        """Canonical representative: torus coords wrapped into [0, period)
+        by ``torus_wrap`` on a copy (bit for bit the np.mod wrap), sphere
+        points normalized, box points as given."""
         if self.kind == "torus":
-            y = np.mod(x, self.periods)
-            # a tiny negative x rounds up to the period itself
-            return np.where(y < self.periods, y, 0.0)
+            return torus_wrap(np.array(x, dtype=float), self.periods)
+        x = np.asarray(x, dtype=float)
         if self.kind == "sphere":
             return x / np.linalg.norm(x, axis=-1, keepdims=True)
         return x
@@ -203,6 +203,35 @@ def whole_manifold_ball(m: Manifold) -> BallSpec:
 # ---------------------------------------------------------------------------
 
 
+def torus_wrap(x: np.ndarray, periods: np.ndarray) -> np.ndarray:
+    """Wrap the last axis of the float array x into [0, periods), in place;
+    returns x.
+
+    The result is np.where(np.mod(x, p) < p, np.mod(x, p), 0.0) bit for bit:
+    a tiny negative that np.mod rounds up to p becomes 0, and so does -0.0
+    (np.mod gives +0.0 for every zero remainder).  An axis whose entries lie
+    within [-p, 2p) is shifted by at most one period.  There x - p is exact
+    for x in [p, 2p) (Sterbenz), which is the remainder np.mod computes, and
+    for x in [-p, 0) np.mod's remainder is x + p with the same rounding.
+    Any other axis, non-finite entries included, goes through np.mod.
+    """
+    if x.size == 0:
+        return x
+    for a, p in enumerate(periods):
+        col = x[..., a]
+        lo, hi = col.min(), col.max()
+        if not (lo >= -p and hi < 2.0 * p):
+            np.mod(col, p, out=col)
+            np.copyto(col, 0.0, where=~(col < p))
+            continue
+        if hi >= p:
+            np.subtract(col, p, out=col, where=col >= p)
+        if lo <= 0.0:
+            np.add(col, p, out=col, where=col < 0.0)
+            np.copyto(col, 0.0, where=(col >= p) | (col == 0.0))
+    return x
+
+
 def torus_delta(m: Manifold, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Minimal representative of y - x, entries in [-p/2, p/2).
 
@@ -268,10 +297,7 @@ def geodesic_points(m: Manifold, x: np.ndarray, y: np.ndarray, ts: np.ndarray) -
     if m.kind == "torus":
         g = ts * torus_delta(m, x, y)[None]
         g += x
-        np.mod(g, m.periods, out=g)
-        # np.mod rounds a tiny negative up to the period itself
-        np.copyto(g, 0.0, where=g >= m.periods)
-        return g
+        return torus_wrap(g, m.periods)
     if m.kind == "box":
         return x[None] + ts * (y - x)[None]
     ang = _sphere_angle(x, y)[None, :, None]
@@ -594,20 +620,28 @@ def sample_ball(m: Manifold, b: BallSpec, count: int, seed: int = 0):
         return _sample_cap(m, b, count, rng), np.full(count, volume[0] / count), volume[1]
     n, c = m.dim, np.asarray(b.center, dtype=float)
     whole = volume is not None  # the ball neither wraps nor meets a face
+    lo, hi = (c - m.periods / 2.0, c + m.periods / 2.0) if m.kind == "torus" else m.extents.T
     kept, accepted, drawn = [], 0, 0
     while accepted < count:
-        g = rng.standard_normal((count, n))
-        rad = b.radius * rng.random(count) ** (1.0 / n) / np.sqrt(np.einsum("ij,ij->i", g, g))
-        pts = c + rad[:, None] * g
-        if not whole:
-            lo, hi = (c - m.periods / 2.0, c + m.periods / 2.0) if m.kind == "torus" else m.extents.T
-            pts = pts[np.all((pts >= lo) & (pts < hi), axis=1)]
+        pts = rng.standard_normal((count, n))
+        rad = b.radius * rng.random(count) ** (1.0 / n) / np.sqrt(np.einsum("ij,ij->i", pts, pts))
+        inside = None if whole else np.ones(count, dtype=bool)
+        for a in range(n):  # c + rad * g, rounded as written, in place
+            col = pts[:, a]
+            col *= rad
+            col += c[a]
+            if inside is not None:
+                inside &= (col >= lo[a]) & (col < hi[a])
+        if inside is not None:
+            pts = pts[inside]
         kept.append(pts)
         accepted += len(pts)
         drawn += count
         if drawn > 4096 and accepted / drawn < 1e-3:
             raise ResourceError(f"ball rejection efficiency {accepted / drawn:.2e} below 1e-3")
-    pts = m.canonicalize(np.concatenate(kept)[:count])
+    pts = kept[0][:count] if len(kept) == 1 else np.concatenate(kept)[:count]
+    if m.kind == "torus":
+        pts = torus_wrap(pts, m.periods)
     if volume is None:
         a, disc = accepted / drawn, unit_ball_volume(n) * b.radius**n
         volume = disc * a, disc * float(np.sqrt(a * (1.0 - a) / drawn))

@@ -96,6 +96,7 @@ class EpsGraph:
     edge_w: np.ndarray
     provenance: dict = dc_field(default_factory=dict)
     blocks: Optional[list] = None
+    manifold: Optional[Manifold] = None  # the geometry of d0, for bounded solves
 
     @property
     def n(self) -> int:
@@ -358,6 +359,7 @@ def _eps_graph(m, points: PointSet, eps, field, estimator=RiemannLine(), budget=
         edge_w=np.zeros(ei.size),
         provenance={"eps": eps, "estimator": estimator.tag(), "seed": seed},
         blocks=blocks,
+        manifold=m,
     )
     g.edge_w = _edge_weights(m, g, field, budget, seed)
     return g
@@ -374,32 +376,80 @@ def build_graph(
     skip_connectivity_check: bool = False,
 ) -> EpsGraph:
     """Proximity graph with all d0 <= eps edges, weighted per estimator
-    (see ``_eps_graph``), for eps >= 3 * spacing and checked connected."""
+    (see ``_eps_graph``), for eps >= 3 * spacing and checked connected.
+
+    A lattice graph holding the unit offset of every axis with more than
+    one node is connected by construction, and eps >= 3 * spacing >= h_a
+    puts those blocks in, so lattice graphs are checked by their offsets;
+    kd-tree graphs count their connected components.
+    """
     if eps < 3.0 * points.spacing - 1e-12:
         raise InputError(
             f"eps = {eps} violates the connectivity requirement "
             f"eps >= 3 * spacing = {3.0 * points.spacing}"
         )
     g = _eps_graph(m, points, eps, field, estimator, budget, seed)
-    if not skip_connectivity_check:
-        ncomp, _ = connected_components(g.to_csgraph(), directed=False)
-        if ncomp != 1:
-            raise InputError(f"eps-graph is disconnected ({ncomp} components)")
+    if skip_connectivity_check:
+        return g
+    if g.blocks is not None:
+        shape, offsets = points.lattice_shape, {b.offset for b in g.blocks}
+        for a, s in enumerate(shape):
+            if s > 1 and tuple(int(e == a) for e in range(len(shape))) not in offsets:
+                raise InputError(f"eps-graph lattice has no unit edge along axis {a}")
+        return g
+    ncomp, _ = connected_components(g.to_csgraph(), directed=False)
+    if ncomp != 1:
+        raise InputError(f"eps-graph is disconnected ({ncomp} components)")
     return g
 
 
-def shortest_paths(g: EpsGraph, sources=None) -> DistanceMatrix:
-    """Exact nonnegative-edge shortest paths from each source node."""
+def _node_indices(idx, n: int, what: str) -> np.ndarray:
+    """idx as a 1-D int array of node indices in [0, n), else InputError."""
+    arr = np.atleast_1d(np.asarray(idx))
+    if arr.size == 0:
+        return arr.astype(int)
+    if arr.ndim != 1 or arr.dtype.kind not in "iu":
+        raise InputError(f"{what} must be a 1-D sequence of integer node indices")
+    if arr.min() < 0 or arr.max() >= n:
+        raise InputError(f"{what} must lie in [0, {n}), got {arr.min()}..{arr.max()}")
+    return arr.astype(int)
+
+
+def shortest_paths(g: EpsGraph, sources=None, targets=None) -> DistanceMatrix:
+    """Exact nonnegative-edge shortest paths from each source node (all
+    nodes if None), to every node or only to ``targets``.
+
+    Sources and targets are integer node indices in [0, n); anything else
+    raises InputError.  With targets the matrix holds only those columns,
+    and Dijkstra stops at the limit L = 2 rho (R + eps): rho is the largest
+    edge weight per unit of d0 and R the largest d0 between a source and a
+    target.  Every node within L keeps its optimal predecessor, which is
+    within L too, so a finite entry is the unbounded solve's value bit for
+    bit.  An entry that comes back infinite doubles L and solves again,
+    ending with no limit, so the values are those of the full solve in
+    every case.
+    """
     n = g.n
-    if sources is None:
-        sources = np.arange(n)
-    sources = np.asarray(sources, dtype=int)
-    vals = dijkstra(g.to_csgraph(), directed=False, indices=sources)
+    sources = np.arange(n) if sources is None else _node_indices(sources, n, "sources")
+    limit = np.inf
+    if targets is None:
+        targets, cols = np.arange(n), slice(None)
+    else:
+        targets = cols = _node_indices(targets, n, "targets")
+        pos = g.edge_d0 > 0
+        if g.manifold is not None and np.any(pos) and sources.size and targets.size:
+            pts = g.points.points
+            reach = d0_many(g.manifold, pts[sources][:, None], pts[targets][None]).max()
+            limit = 2.0 * float(np.max(g.edge_w[pos] / g.edge_d0[pos])) * (float(reach) + g.eps)
+    csg = g.to_csgraph()
+    while True:
+        vals = np.atleast_2d(dijkstra(csg, directed=False, indices=sources, limit=limit))[:, cols]
+        if limit == np.inf or np.all(np.isfinite(vals)):
+            break
+        # no finite distance exceeds the total edge weight
+        limit = np.inf if limit >= np.sum(g.edge_w) else 2.0 * limit
     return DistanceMatrix(
-        sources=sources,
-        targets=np.arange(n),
-        values=np.atleast_2d(vals),
-        provenance=dict(g.provenance),
+        sources=sources, targets=targets, values=vals, provenance=dict(g.provenance)
     )
 
 

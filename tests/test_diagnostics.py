@@ -152,6 +152,18 @@ def test_strong_ratio_scale_invariant(flat_graph):
     assert abs(b.theta_strong / a.theta_strong - 1.0) <= 1e-10
 
 
+def test_strong_ratio_on_a_bounded_matrix(flat_graph):
+    t2, pts, g, dm, pairs = flat_graph
+    field = BuragoTorus(2)
+    gb = g.reweight(t2, field, 256, 0)
+    full = shortest_paths(gb, dm.sources)
+    bounded = shortest_paths(gb, dm.sources, sorted({j for _, j in pairs}))
+    assert bounded.values.shape[1] < full.values.shape[1]
+    a = strong_ratio(t2, field, pts, full, pairs, eta=2.0, budget=5_000, seed=4)
+    b = strong_ratio(t2, field, pts, bounded, pairs, eta=2.0, budget=5_000, seed=4)
+    assert a == b
+
+
 def test_strong_ratio_missing_pairs(flat_graph):
     t2, pts, g, dm, pairs = flat_graph
     missing = next(i for i in range(len(pts)) if i not in set(int(s) for s in dm.sources))

@@ -388,3 +388,86 @@ def test_block_weights_match_edge_list(case, reach):
         np.testing.assert_allclose(blocked.edge_w, want, rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(g.edge_w, edge_list.reweight(m, fields[0], 256, 0).edge_w,
                                rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("which", ["sources", "targets"])
+@pytest.mark.parametrize(
+    "bad", [lambda n: [-1], lambda n: [n], lambda n: [1.5], lambda n: [[0, 1]]],
+    ids=["negative", "n", "float", "2-d"],
+)
+def test_shortest_paths_rejects_bad_node_indices(torus2, which, bad):
+    pts = lattice(torus2, 0.5)
+    g = build_graph(torus2, pts, 3 * pts.spacing, Constant(0.0))
+    with pytest.raises(InputError):
+        if which == "sources":
+            shortest_paths(g, bad(g.n))
+        else:
+            shortest_paths(g, [0], bad(g.n))
+
+
+def _u_shaped_points():
+    """Scattered points on the U [0, 3]^2 minus [0.6, 2.4] x [0.6, 3]; the
+    tops of its arms are 2.4 apart in d0 but over 6 apart in the graph."""
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(0.0, 3.0, (6000, 2))
+    pts = pts[(pts[:, 0] < 0.6) | (pts[:, 0] > 2.4) | (pts[:, 1] < 0.6)]
+    return PointSet(points=pts, spacing=0.05)
+
+
+def _bounded_cases():
+    t2, box, s2 = Manifold.torus(2), Manifold.box([[0.0, 2.0], [0.0, 1.0]]), Manifold.sphere(2)
+    torus_pts = lattice(t2, 0.05)
+    box_pts = lattice(box, 0.05)
+    sphere_pts = lattice(s2, 0.12)
+    u_box = Manifold.box([[0.0, 3.0], [0.0, 3.0]])
+    u_pts = _u_shaped_points()
+    return {
+        "torus-burago16": (t2, torus_pts, 3 * torus_pts.spacing, BuragoTorus(16)),
+        "box-capped-logcusp": (box, box_pts, 3 * box_pts.spacing, LogCusp((0.713, 0.471), 0.3, 2.0)),
+        "sphere-kdtree": (s2, sphere_pts, 0.36, Constant(0.2)),
+        "u-shape-kdtree": (u_box, u_pts, 0.15, Constant(0.0)),
+    }
+
+
+@pytest.mark.parametrize("case", ["torus-burago16", "box-capped-logcusp", "sphere-kdtree", "u-shape-kdtree"])
+def test_bounded_solve_is_the_full_solve(case):
+    m, pts, eps, field = _bounded_cases()[case]
+    g = build_graph(m, pts, eps, field)
+    if case == "u-shape-kdtree":
+        src = [pts.nearest(m, [0.3, 2.9])]
+        tgt = [pts.nearest(m, [2.7, 2.9]), pts.nearest(m, [0.4, 2.5]), src[0]]
+    else:
+        src = [pts.nearest(m, pts.points[k]) for k in (0, len(pts) // 3, len(pts) - 1)]
+        tgt = sorted({int(j) for i in src for j in np.argsort(d0_many(m, pts.points, pts.points[i]))[:40:3]})
+        tgt += [len(pts) // 2, 0]  # one far target and a repeated source
+    full = shortest_paths(g, src)
+    bounded = shortest_paths(g, src, tgt)
+    assert np.array_equal(bounded.sources, full.sources)
+    assert np.array_equal(bounded.targets, tgt)
+    assert bounded.values.tobytes() == full.values[:, tgt].tobytes()
+    if case == "u-shape-kdtree":
+        # the first limit 2 rho (R + eps) falls short, so the solve widens
+        rho = np.max(g.edge_w / g.edge_d0)
+        reach = d0_many(m, pts.points[src][:, None], pts.points[tgt][None]).max()
+        assert full.get(src[0], tgt[0]) > 2 * rho * (reach + eps)
+
+
+def test_lattice_graphs_skip_the_component_count(torus2, monkeypatch):
+    import conflab.metric as mt
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a lattice graph is connected by its unit offsets")
+
+    monkeypatch.setattr(mt, "connected_components", refuse)
+    for m in (torus2, Manifold.box([[0.0, 2.0], [0.0, 1.0]])):
+        pts = lattice(m, 0.1)
+        assert build_graph(m, pts, 3 * pts.spacing, Constant(0.0)).blocks is not None
+
+
+def test_lattice_graph_without_a_unit_offset_is_rejected(torus2):
+    # a lattice whose spacing claim hides its coarse first axis: eps reaches
+    # no neighbour along axis 0, so the graph is a stack of separate columns
+    pts = lattice(torus2, 0.5)
+    fake = replace(pts, spacing=0.05, axis_spacing=np.array([1.0, 0.05]))
+    with pytest.raises(InputError, match="axis 0"):
+        build_graph(torus2, fake, 0.15, Constant(0.0))

@@ -1,8 +1,9 @@
-"""Property tests: the flat-ball sampler, the torus wrap, the d0 metric
+"""Property tests: the flat-ball sampler, the torus wraps, the d0 metric
 axioms, the e^{nc} scaling of ball masses, nearest-node snapping on
 lattices, the eps-graph distances (metric axioms, e^c scaling,
-monotonicity in eps and in the LogCusp cap), and the invariance of the
-Muckenhoupt-type diagnostics under constant shifts of f.
+monotonicity in eps and in the LogCusp cap), the connectivity of accepted
+lattice graphs, and the invariance of the Muckenhoupt-type diagnostics
+under constant shifts of f.
 
 Hypothesis runs derandomized, so every run of the suite checks the same
 examples.
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from conflab.diagnostics import (
     BallSampler,
@@ -29,10 +31,11 @@ from conflab.manifold import (
     mu0_ball_detail,
     sample_ball,
     torus_delta,
+    torus_wrap,
     unit_ball_volume,
 )
 from conflab.metric import ChainBall, RiemannLine, build_graph, shortest_paths
-from conflab.weight import BuragoTorus, LogCusp, Scaled, SphereBubble, mu_f_ball
+from conflab.weight import BuragoTorus, Constant, LogCusp, Scaled, SphereBubble, mu_f_ball
 
 PROPS = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -149,6 +152,46 @@ def test_torus_delta_in_half_open_period(periods, x, y):
     n = len(periods)
     d = torus_delta(m, np.asarray(x[:n]), np.asarray(y[:n]))
     assert np.all(d >= -m.periods / 2) and np.all(d < m.periods / 2)
+
+
+# entries a float u stands for u * p * stretch; the names for edge values
+WRAP_SPECIAL = {
+    "-0": lambda p: -0.0,
+    "+1e-17": lambda p: 1e-17,
+    "-1e-17": lambda p: -1e-17,
+    "p": lambda p: p,
+    "-p": lambda p: -p,
+    "2p": lambda p: 2 * p,
+    "-3p": lambda p: -3 * p,
+    "below p": lambda p: np.nextafter(p, 0.0),
+    "below 2p": lambda p: np.nextafter(2 * p, 0.0),
+    "above -p": lambda p: np.nextafter(-p, 0.0),
+}
+
+
+@PROPS
+@given(
+    periods=st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=3),
+    shape=st.sampled_from([(), (5,), (4, 3)]),
+    entries=st.lists(
+        st.one_of(st.floats(-1.0, 2.0, exclude_max=True), st.sampled_from(sorted(WRAP_SPECIAL))),
+        min_size=1, max_size=36,
+    ),
+    stretch=st.sampled_from([1.0, 3.0, 1e4]),
+)
+@example(periods=[2 * np.pi, 3.0], shape=(4, 3), entries=["-1e-17", 0.25, "-0"], stretch=1.0)
+def test_torus_wrap_is_the_np_mod_wrap(periods, shape, entries, stretch):
+    p = np.asarray(periods)
+    size = int(np.prod(shape, dtype=int)) * p.size
+    x = np.empty(size)
+    for k in range(size):
+        e, pa = entries[k % len(entries)], p[k % p.size]
+        x[k] = WRAP_SPECIAL[e](pa) if isinstance(e, str) else e * pa * stretch
+    x = x.reshape(shape + (p.size,))
+    y = np.mod(x, p)
+    want = np.where(y < p, y, 0).tobytes()  # sign of zero included
+    assert torus_wrap(x.copy(), p).tobytes() == want
+    assert Manifold.torus(p.size, p).canonicalize(x).tobytes() == want
 
 
 def _point(m, u):
@@ -287,6 +330,28 @@ def test_graph_distances_never_increase_with_eps(kind, u, eps_rel):
     m, pts, field = _graph_case(kind, u)
     small, large = (_distances(m, pts, e, field) for e in sorted(eps_rel))
     assert np.all(large <= small * (1 + 1e-12))
+
+
+@PROPS
+@given(
+    kind=st.sampled_from(["torus", "box"]),
+    counts=st.lists(st.integers(4, 12), min_size=2, max_size=3),
+    stretch=st.lists(st.floats(0.8, 1.2), min_size=3, max_size=3),
+    eps_rel=st.floats(3.0, 4.5),
+)
+@example(kind="torus", counts=[12, 9], stretch=[1.0, 1.1, 1.0], eps_rel=3.0)
+@example(kind="box", counts=[10, 12, 9], stretch=[1.2, 0.8, 1.0], eps_rel=3.0)
+def test_accepted_lattice_graphs_are_connected(kind, counts, stretch, eps_rel):
+    # lattices of `counts` cells along axes of unequal spacing 0.1 * stretch;
+    # block graphs and, where the eps reach wraps, kd-tree graphs
+    sizes = [0.1 * k * s for k, s in zip(counts, stretch)]
+    if kind == "torus":
+        m = Manifold.torus(len(sizes), sizes)
+    else:
+        m = Manifold.box([[0.0, s] for s in sizes])
+    pts = lattice(m, 0.1)
+    g = build_graph(m, pts, eps_rel * pts.spacing, Constant(0.0))
+    assert connected_components(g.to_csgraph(), directed=False)[0] == 1
 
 
 # lattices for the snapping properties: unequal periods, a 3-torus and boxes
