@@ -11,7 +11,7 @@ reductions independent of evaluation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import pi
 from typing import Optional, Sequence
 
@@ -493,20 +493,7 @@ class AInftyReport:
     seed: int
 
     def to_dict(self):
-        return {
-            "q": self.q,
-            "C_rh": self.C_rh,
-            "p": self.p,
-            "C_ap": self.C_ap,
-            "theta_doubling": self.theta_doubling,
-            "alpha_iv": self.alpha_iv,
-            "eta": self.eta,
-            "theta_strong": self.theta_strong,
-            "theta_strong_mid": self.theta_strong_mid,
-            "n_balls": self.n_balls,
-            "budget": self.budget,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def ainfty_report(

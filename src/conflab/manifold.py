@@ -142,6 +142,21 @@ class PointSet:
     lattice_shape: Optional[tuple] = None
     axis_spacing: Optional[np.ndarray] = None
 
+    @staticmethod
+    def grid(axes, axis_spacing) -> "PointSet":
+        """The lattice whose points are the row-major tensor product of the
+        per-axis node coordinates ``axes``, with node steps ``axis_spacing``."""
+        mesh = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack([g.ravel() for g in mesh], axis=-1)
+        h = np.asarray(axis_spacing)
+        return PointSet(
+            points=pts,
+            spacing=float(np.max(h)),
+            cell_volume=np.full(len(pts), float(np.prod(h))),
+            lattice_shape=tuple(a.size for a in axes),
+            axis_spacing=h,
+        )
+
     def __len__(self) -> int:
         return self.points.shape[0]
 
@@ -160,6 +175,8 @@ class PointSet:
         every other node is at least a spacing farther, far beyond rounding.
         """
         x = np.asarray(x, dtype=float)
+        if not np.all(np.isfinite(x)):
+            raise InputError("nearest needs a point with finite coordinates")
         if self.lattice_shape is None:
             return int(np.argmin(d0_many(m, self.points, x)))
         shape = np.asarray(self.lattice_shape)
@@ -182,8 +199,10 @@ class BallSpec:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise InputError("ball radius must be positive")
+        if not np.all(np.isfinite(self.center)):
+            raise InputError("ball center must have finite coordinates")
+        if not (np.isfinite(self.radius) and self.radius > 0):
+            raise InputError("ball radius must be positive and finite")
 
 
 def whole_manifold_ball(m: Manifold) -> BallSpec:
@@ -238,9 +257,8 @@ def torus_delta(m: Manifold, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     The wrap chooses -p/2 on cut-locus ties, which is the lexicographically
     smallest translate; documented for reproducibility.
     """
-    d = np.mod(y - x + m.periods / 2.0, m.periods) - m.periods / 2.0
-    # np.mod rounds a tiny negative up to the period itself: p/2 is -p/2
-    return np.subtract(d, m.periods, out=d, where=d >= m.periods / 2.0)
+    half = m.periods / 2.0
+    return torus_wrap(y - x + half, m.periods) - half
 
 
 def _sphere_angle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -408,20 +426,31 @@ def mu0_ball(m: Manifold, b: BallSpec, budget: int = 200_000, seed: int = 0) -> 
 # ---------------------------------------------------------------------------
 
 
-def _grid_axes(m: Manifold, spacing: float, cover: bool = False):
-    round_up = (lambda v: int(np.ceil(v - 1e-9))) if cover else (lambda v: int(round(v)))
-    axes, actual = [], []
-    if m.kind == "torus":
-        for p in m.periods:
-            k = max(1, round_up(p / spacing))
-            axes.append(np.arange(k) * (p / k))
-            actual.append(p / k)
+def _lattice_shape(m: Manifold, spacing: float, cover: bool = False) -> tuple:
+    """Node counts of the torus/box lattice at ``spacing``: each period over
+    the spacing, rounded; on a box one more than the whole steps that fit.
+    ``cover`` rounds up, so the realized spacing never exceeds the request."""
+    torus = m.kind == "torus"
+    steps = (m.periods if torus else m.extents[:, 1] - m.extents[:, 0]) / spacing
+    if cover:
+        steps = np.ceil(steps - 1e-9)
     else:
-        for lo, hi in m.extents:
-            k = max(1, round_up((hi - lo) / spacing) if cover else int(np.floor((hi - lo) / spacing + 1e-9)))
-            axes.append(np.linspace(lo, hi, k + 1))
-            actual.append((hi - lo) / k)
-    return axes, np.asarray(actual)
+        steps = np.round(steps) if torus else np.floor(steps + 1e-9)
+    return tuple(int(k) + (not torus) for k in np.maximum(steps, 1))
+
+
+def grid_axes(m: Manifold, shape) -> tuple:
+    """(axes, axis_spacing) of the torus/box node grid with ``shape`` nodes:
+    i * (p/k) on a torus of period p with k nodes along an axis, and
+    linspace(lo, hi, k) on a box."""
+    if m.kind not in ("torus", "box"):
+        raise InputError("node grids live on tori and boxes only")
+    if m.kind == "torus":
+        h = m.periods / np.asarray(shape)
+        return [np.arange(k) * hk for k, hk in zip(shape, h)], h
+    lo, hi = m.extents.T
+    h = (hi - lo) / (np.asarray(shape) - 1)
+    return [np.linspace(a, b, k) for a, b, k in zip(lo, hi, shape)], h
 
 
 def _fibonacci_sphere(count: int) -> np.ndarray:
@@ -518,23 +547,13 @@ def lattice(
     if spacing <= 0:
         raise InputError("lattice spacing must be positive")
     if m.kind in ("torus", "box"):
-        axes, actual = _grid_axes(m, spacing, cover=cover)
-        shape = tuple(len(a) for a in axes)
+        shape = _lattice_shape(m, spacing, cover)
         npts = int(np.prod([float(s) for s in shape]))
         if npts > budget:
             raise ResourceError(
                 f"lattice would need {npts} points, exceeding the budget of {budget}"
             )
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh], axis=-1)
-        cell = float(np.prod(actual))
-        return PointSet(
-            points=pts,
-            spacing=float(np.max(actual)),
-            cell_volume=np.full(npts, cell),
-            lattice_shape=shape,
-            axis_spacing=actual,
-        )
+        return PointSet.grid(*grid_axes(m, shape))
     c = SPHERE_LAYOUT_CONSTANT[m.dim]
     count = max(m.dim + 2, int(round(m.volume / (c * spacing**m.dim))))
     if count > budget:

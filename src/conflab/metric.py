@@ -34,10 +34,11 @@ from .manifold import (
     BallSpec,
     Manifold,
     PointSet,
-    _grid_axes,
+    _lattice_shape,
     d0_many,
     gauss_rule,
     geodesic_points,
+    grid_axes,
     lattice,
     unit_ball_volume,
 )
@@ -373,7 +374,6 @@ def build_graph(
     estimator=RiemannLine(),
     budget: int = 256,
     seed: int = 0,
-    skip_connectivity_check: bool = False,
 ) -> EpsGraph:
     """Proximity graph with all d0 <= eps edges, weighted per estimator
     (see ``_eps_graph``), for eps >= 3 * spacing and checked connected.
@@ -389,8 +389,6 @@ def build_graph(
             f"eps >= 3 * spacing = {3.0 * points.spacing}"
         )
     g = _eps_graph(m, points, eps, field, estimator, budget, seed)
-    if skip_connectivity_check:
-        return g
     if g.blocks is not None:
         shape, offsets = points.lattice_shape, {b.offset for b in g.blocks}
         for a, s in enumerate(shape):
@@ -621,17 +619,15 @@ def _cover_distance(m, field, v, t, spacing, margin, node_budget) -> float:
     with the field read periodically.  A full rectangle at that eps is
     connected, so no connectivity check runs.
     """
-    _, h = _grid_axes(m, spacing)
+    _, h = grid_axes(m, _lattice_shape(m, spacing))
     target = t * v
     lo = np.minimum(0.0, target) - margin
     hi = np.maximum(0.0, target) + margin
     axes = [np.arange(np.floor(a / s), np.ceil(b / s) + 1) * s for a, b, s in zip(lo, hi, h)]
-    shape = tuple(a.size for a in axes)
-    count = int(np.prod([float(s) for s in shape]))
+    count = int(np.prod([float(a.size) for a in axes]))
     if count > node_budget:
         raise ResourceError(f"cover patch needs {count} nodes, over the budget {node_budget}")
-    nodes = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    pts = PointSet(nodes, float(np.max(h)), lattice_shape=shape, axis_spacing=h)
+    pts = PointSet.grid(axes, h)
     box = Manifold.box([[a[0], a[-1]] for a in axes])
     g = _eps_graph(box, pts, 3.0 * spacing, _Lifted(m, field))
     src, dst = pts.nearest(box, np.zeros(m.dim)), pts.nearest(box, target)

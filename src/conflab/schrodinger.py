@@ -41,7 +41,7 @@ from scipy.sparse import csr_matrix, diags, kronsum
 from scipy.sparse.linalg import lobpcg, splu  # noqa: F401  perfbench's tracer rebinds splu
 
 from .errors import InputError, NumericError
-from .manifold import Manifold, d0_many
+from .manifold import Manifold, PointSet, d0_many, grid_axes
 from .rng import derive_rng
 from .weight import GridField, NodeGrid
 
@@ -151,7 +151,7 @@ class GridGeometry(NodeGrid):
         return self.spectral(np.ravel(rhs), inv)
 
     def ball_mask(self, center, radius: float) -> np.ndarray:
-        return d0_many(self.manifold, self.nodes(), np.asarray(center, dtype=float)) <= radius
+        return d0_many(self.manifold, self._grid.points, np.asarray(center, dtype=float)) <= radius
 
 
 @dataclass
@@ -493,19 +493,14 @@ def _cover_centers(geom: GridGeometry, rho: float) -> np.ndarray:
     if m.kind != "torus":
         raise InputError("the ground-state decomposition runs on torus grids")
     n = geom.dim
-    axes = []
-    for a in range(n):
-        L = m.periods[a]
-        k = max(1, int(round(L / (0.52 * rho))))
-        s = L / k
+    shape = tuple(max(1, int(round(L / (0.52 * rho)))) for L in m.periods)
+    for L, s in zip(m.periods, m.periods / np.asarray(shape)):
         if s < rho / 2.0 - 1e-12 or s * np.sqrt(n) / 2.0 > rho / 2.0 + 1e-12:
             raise InputError(
                 f"rho = {rho:g} incompatible with period {L:g}: need a center "
                 f"spacing in [rho/2, rho/sqrt(n)]"
             )
-        axes.append(np.arange(k) * s)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=-1)
+    return PointSet.grid(*grid_axes(m, shape)).points
 
 
 def bump(t: np.ndarray) -> np.ndarray:

@@ -25,11 +25,14 @@ from .errors import FormatError, InputError, IntegrationError
 from .manifold import (
     BallSpec,
     Manifold,
+    PointSet,
     cap_quadrature,
     d0_many,
+    grid_axes,
     sample_ball,
     sample_manifold,
     torus_delta,
+    torus_wrap,
 )
 
 # ---------------------------------------------------------------------------
@@ -428,28 +431,29 @@ class Sum(WeightField):
 
 class NodeGrid:
     """Node layout of a torus/box grid with ``manifold`` and ``shape`` fields:
-    nodes k*h with h = period/shape on a torus, endpoint-inclusive on a box."""
+    the ``grid_axes`` nodes, cached once as a read-only lattice.  The axes
+    are cached apart, so reading the spacing builds no node mesh."""
 
+    @cached_property
+    def _axes(self) -> tuple:
+        axes, h = grid_axes(self.manifold, self.shape)
+        h.flags.writeable = False
+        return axes, h
+
+    @cached_property
+    def _grid(self) -> PointSet:
+        g = PointSet.grid(*self._axes)
+        g.points.flags.writeable = False
+        return g
+
+    # read-only views of the cache, which the holder cannot make writeable
     @property
     def axis_spacing(self) -> np.ndarray:
-        m = self.manifold
-        if m.kind == "torus":
-            return m.periods / np.asarray(self.shape)
-        lens = m.extents[:, 1] - m.extents[:, 0]
-        return lens / (np.asarray(self.shape) - 1)
-
-    def node_coordinates(self, axis: int) -> np.ndarray:
-        m = self.manifold
-        if m.kind == "torus":
-            return np.arange(self.shape[axis]) * self.axis_spacing[axis]
-        lo, hi = m.extents[axis]
-        return np.linspace(lo, hi, self.shape[axis])
+        return self._axes[1].view()
 
     def nodes(self) -> np.ndarray:
         """(N, dim) node coordinates in row-major order."""
-        axes = [self.node_coordinates(a) for a in range(len(self.shape))]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in mesh], axis=-1)
+        return self._grid.points.view()
 
 
 @dataclass(frozen=True)
@@ -521,7 +525,7 @@ class GridWeight(WeightField):
         g = self.grid
         h = g.axis_spacing
         if m.kind == "torus":
-            rel = np.mod(x, m.periods) / h
+            rel = torus_wrap(np.array(x, dtype=float), m.periods) / h
         else:
             rel = (x - m.extents[:, 0]) / h
         i0 = np.floor(rel).astype(int)
@@ -534,11 +538,8 @@ class GridWeight(WeightField):
         g = self.grid
         torus = g.manifold.kind == "torus"
         vals, pad = (self._ghosted, 2) if self.order == 3 and not torus else (g.values, 0)
-        flat = np.zeros(idx_list[0].shape, dtype=int)
-        for a, size in enumerate(vals.shape):
-            ia = idx_list[a] + pad
-            ia = np.mod(ia, size) if torus else np.clip(ia, 0, size - 1)
-            flat = flat * size + ia
+        flat = np.ravel_multi_index([i + pad for i in idx_list], vals.shape,
+                                    mode="wrap" if torus else "clip")
         return vals.ravel()[flat]
 
     def eval_many(self, m, x):
@@ -567,9 +568,8 @@ class GridWeight(WeightField):
 def grid_from_field(m: Manifold, field: WeightField, shape) -> GridField:
     """Sample an analytic field onto a node grid (torus/box)."""
     shape = tuple(int(s) for s in shape)
-    probe = GridField(manifold=m, shape=shape, values=np.zeros(shape))
-    vals = eval_f_many(m, field, probe.nodes()).reshape(shape)
-    return GridField(manifold=m, shape=shape, values=vals)
+    nodes = PointSet.grid(*grid_axes(m, shape)).points
+    return GridField(manifold=m, shape=shape, values=eval_f_many(m, field, nodes).reshape(shape))
 
 
 # ---------------------------------------------------------------------------

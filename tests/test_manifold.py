@@ -6,6 +6,7 @@ from conflab.errors import GeometryError, InputError, ResourceError
 from conflab.manifold import (
     BallSpec,
     Manifold,
+    PointSet,
     cap_volume,
     d0,
     d0_many,
@@ -152,6 +153,25 @@ def test_lattice_counts(torus2):
     assert len(lattice(torus2, np.pi / 2)) == 16
     box = Manifold.box([[0.0, 1.0], [0.0, 1.0]])
     assert len(lattice(box, 0.5)) == 9
+
+
+@pytest.mark.parametrize(
+    "center, radius",
+    [([np.nan, 1.0], 0.5), ([0.0, -np.inf], 0.5), ([0.0, 1.0], np.nan), ([0.0, 1.0], np.inf)],
+)
+def test_ball_spec_rejects_non_finite(center, radius):
+    # nan <= 0 is False, so a nan radius used to pass the positivity check
+    with pytest.raises(InputError):
+        BallSpec(np.asarray(center), radius)
+
+
+@pytest.mark.parametrize("x", [[np.nan, 1.0], [1.0, np.inf]])
+def test_nearest_rejects_non_finite(torus2, x):
+    # the torus wrap sends nan to 0, which used to snap [nan, 1] to node 1
+    grid = lattice(torus2, 0.5)
+    for pts in (grid, PointSet(grid.points, grid.spacing)):
+        with pytest.raises(InputError):
+            pts.nearest(torus2, x)
 
 
 def test_lattice_budget_error(torus2):

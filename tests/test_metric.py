@@ -24,29 +24,24 @@ TWO_NODES = PointSet(points=np.array([[0.0, 0.0], [1.0, 0.0]]), spacing=0.4)
 
 
 def test_edge_weight_closed_forms(torus2):
-    g_r = build_graph(torus2, TWO_NODES, 1.3, Constant(0.0), RiemannLine(5),
-                      skip_connectivity_check=True)
+    g_r = build_graph(torus2, TWO_NODES, 1.3, Constant(0.0), RiemannLine(5))
     assert g_r.edge_w[0] == pytest.approx(1.0, rel=1e-14)
-    g_c = build_graph(torus2, TWO_NODES, 1.3, Constant(0.0), ChainBall(), budget=400,
-                      skip_connectivity_check=True)
+    g_c = build_graph(torus2, TWO_NODES, 1.3, Constant(0.0), ChainBall(), budget=400)
     assert g_c.edge_w[0] == pytest.approx(0.5, rel=1e-14)
 
 
 def test_chain_vs_riemann_two_node_factor(torus2):
     # the chain increment of a single edge is exactly half the line integral
     # for the trivial weight; the factor-2 relation is kept literal
-    g_r = build_graph(torus2, TWO_NODES, 1.3, Constant(0.0), RiemannLine(5),
-                      skip_connectivity_check=True)
-    g_c = build_graph(torus2, TWO_NODES, 1.3, Constant(0.0), ChainBall(), budget=400,
-                      skip_connectivity_check=True)
+    g_r = build_graph(torus2, TWO_NODES, 1.3, Constant(0.0), RiemannLine(5))
+    g_c = build_graph(torus2, TWO_NODES, 1.3, Constant(0.0), ChainBall(), budget=400)
     assert 2 * shortest_paths(g_c, [0]).get(0, 1) == pytest.approx(
         shortest_paths(g_r, [0]).get(0, 1), rel=1e-12
     )
 
 
 def test_weight_scaling_per_edge(torus2):
-    g0 = build_graph(torus2, TWO_NODES, 1.3, Constant(0.0), RiemannLine(5),
-                     skip_connectivity_check=True)
+    g0 = build_graph(torus2, TWO_NODES, 1.3, Constant(0.0), RiemannLine(5))
     for c in (0.5, -1.2):
         gc = g0.reweight(torus2, Constant(c), 256, 0)
         assert gc.edge_w[0] == pytest.approx(np.exp(c) * g0.edge_w[0], rel=1e-12)
@@ -61,7 +56,7 @@ def test_connectivity_precondition(torus2):
 
 def test_graph_on_points_just_below_zero(torus2):
     pts = PointSet(points=np.array([[-1e-17, 0.0], [0.3, 0.0], [0.6, 0.0]]), spacing=0.3)
-    g = build_graph(torus2, pts, 0.9, Constant(0.0), skip_connectivity_check=True)
+    g = build_graph(torus2, pts, 0.9, Constant(0.0))
     assert shortest_paths(g, [0]).values[0, 2] == pytest.approx(0.6, abs=1e-12)
 
 
@@ -332,8 +327,7 @@ def test_chain_ball_edge_on_box_face_is_truncated():
     # (mu0(B)/omega)^{1/2} = r / sqrt(2), not the full-disc r = 0.1
     box = Manifold.box([[0.0, 1.0], [0.0, 1.0]])
     pts = PointSet(points=np.array([[0.0, 0.0], [0.2, 0.0]]), spacing=0.1)
-    g = build_graph(box, pts, 0.3, Constant(0.0), ChainBall(), budget=400,
-                    skip_connectivity_check=True)
+    g = build_graph(box, pts, 0.3, Constant(0.0), ChainBall(), budget=400)
     exact = 0.1 / np.sqrt(2)
     # binomial error of the half-disc acceptance over at least 2 * 400 draws,
     # halved by the square root

@@ -1,6 +1,7 @@
-"""Property tests: the flat-ball sampler, the torus wraps, the d0 metric
-axioms, the e^{nc} scaling of ball masses, nearest-node snapping on
-lattices, the eps-graph distances (metric axioms, e^c scaling,
+"""Property tests: the flat-ball sampler, the torus wraps, the torus/box
+node grid shared by lattices and grid fields, the d0 metric axioms, the
+e^{nc} scaling of ball masses, nearest-node snapping on lattices, the
+eps-graph distances (metric axioms, e^c scaling,
 monotonicity in eps and in the LogCusp cap), the connectivity of accepted
 lattice graphs, and the invariance of the Muckenhoupt-type diagnostics
 under constant shifts of f.
@@ -35,7 +36,16 @@ from conflab.manifold import (
     unit_ball_volume,
 )
 from conflab.metric import ChainBall, RiemannLine, build_graph, shortest_paths
-from conflab.weight import BuragoTorus, Constant, LogCusp, Scaled, SphereBubble, mu_f_ball
+from conflab.schrodinger import GridGeometry
+from conflab.weight import (
+    BuragoTorus,
+    Constant,
+    GridField,
+    LogCusp,
+    Scaled,
+    SphereBubble,
+    mu_f_ball,
+)
 
 PROPS = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -192,6 +202,87 @@ def test_torus_wrap_is_the_np_mod_wrap(periods, shape, entries, stretch):
     want = np.where(y < p, y, 0).tobytes()  # sign of zero included
     assert torus_wrap(x.copy(), p).tobytes() == want
     assert Manifold.torus(p.size, p).canonicalize(x).tobytes() == want
+
+
+def _np_mod_delta(p, x, y):
+    """torus_delta's former np.mod form, the reference for its torus_wrap form."""
+    d = np.mod(y - x + p / 2.0, p) - p / 2.0
+    # np.mod rounds a tiny negative up to the period itself: p/2 is -p/2
+    return np.subtract(d, p, out=d, where=d >= p / 2.0)
+
+
+# entries a float u stands for u * p * stretch; the names for edge values
+DELTA_SPECIAL = {
+    "0": lambda p: 0.0,
+    "-0": lambda p: -0.0,
+    "+1e-17": lambda p: 1e-17,
+    "-1e-17": lambda p: -1e-17,
+    "p/2": lambda p: p / 2,
+    "-p/2": lambda p: -p / 2,
+    "below p/2": lambda p: np.nextafter(p / 2, 0.0),
+    "above -p/2": lambda p: np.nextafter(-p / 2, 0.0),
+    "p": lambda p: p,
+    "-p": lambda p: -p,
+}
+delta_entries = st.lists(
+    st.one_of(st.floats(-1.0, 1.0), st.sampled_from(sorted(DELTA_SPECIAL))),
+    min_size=1, max_size=24,
+)
+
+
+@PROPS
+@given(
+    periods=st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=3),
+    xs=delta_entries,
+    ys=delta_entries,
+    stretch=st.sampled_from([1.0, 3.0, 1e4]),
+)
+@example(periods=[2 * np.pi, 3.0], xs=["0", "-0", "p/2"], ys=["-0", "-p/2", "0"], stretch=1.0)
+@example(periods=[2 * np.pi, 2 * np.pi], xs=["+1e-17", "p"], ys=["-1e-17", "-p"], stretch=1.0)
+def test_torus_delta_is_the_np_mod_delta(periods, xs, ys, stretch):
+    p = np.asarray(periods)
+
+    def coords(entries):
+        k = np.arange(4 * p.size)
+        e = [entries[i % len(entries)] for i in k]
+        pa = p[k % p.size]
+        v = [DELTA_SPECIAL[u](q) if isinstance(u, str) else u * q * stretch for u, q in zip(e, pa)]
+        return np.asarray(v).reshape(4, p.size)
+
+    x, y = coords(xs), coords(ys)
+    want = _np_mod_delta(p, x, y).tobytes()  # sign of zero included
+    assert torus_delta(Manifold.torus(p.size, p), x, y).tobytes() == want
+
+
+@PROPS
+@given(
+    kind=st.sampled_from(["torus", "box"]),
+    lengths=st.lists(st.floats(0.5, 2.0), min_size=2, max_size=3),
+    lo=st.floats(-5.0, 5.0),
+    steps=st.floats(1.0, 14.0),
+    cover=st.booleans(),
+)
+@example(kind="torus", lengths=[2 * np.pi, 2 * np.pi], lo=0.0, steps=9.0, cover=False)
+@example(kind="box", lengths=[1.6, 1.0], lo=-5.0, steps=7.0, cover=False)  # lo + 11 h != hi
+def test_grid_nodes_are_the_lattice_nodes(kind, lengths, lo, steps, cover):
+    lens = np.asarray(lengths)
+    if kind == "torus":
+        m = Manifold.torus(lens.size, lens)
+    else:
+        m = Manifold.box(np.column_stack([np.full(lens.size, lo), lo + lens]))
+    pts = lattice(m, float(lens.min()) / steps, cover=cover)
+    shape = pts.lattice_shape
+    if kind == "torus":  # the node rule of both, written out
+        want = [np.arange(k) * (p / k) for p, k in zip(m.periods, shape)]
+    else:
+        want = [np.linspace(a, b, k) for (a, b), k in zip(m.extents, shape)]
+    assert [a.tobytes() for a in pts.axes()] == [w.tobytes() for w in want]
+    grids = [GridField(m, shape, np.zeros(shape))]
+    if min(shape) >= 8:
+        grids.append(GridGeometry(m, shape))
+    for g in grids:
+        assert g.nodes().tobytes() == pts.points.tobytes()
+        assert g.axis_spacing.tobytes() == pts.axis_spacing.tobytes()
 
 
 def _point(m, u):

@@ -73,6 +73,23 @@ def test_mu_f_ball_constant(torus2):
     assert v2 == pytest.approx(np.exp(2 * c) * v, rel=1e-12)
 
 
+def test_mu_f_ball_rejects_a_non_finite_center(torus2):
+    # the torus wrap sends nan to 0: this ball used to get the mass pi / 4
+    with pytest.raises(InputError):
+        mu_f_ball(torus2, Constant(0.0), BallSpec(np.array([np.nan, 1.0]), 0.5), 2000, 3)
+
+
+def test_grid_nodes_are_read_only(torus2):
+    g = grid_from_field(torus2, BuragoTorus(1), (8, 6))
+    before = g.nodes().copy()
+    for arr in (g.nodes(), g.axis_spacing):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+        with pytest.raises(ValueError):
+            arr.flags.writeable = True
+    assert np.array_equal(g.nodes(), before)
+
+
 def test_mu_f_ball_burago_full_torus(torus2):
     v, se = mu_f_ball(torus2, BuragoTorus(1), whole_manifold_ball(torus2), budget=200_000, seed=5)
     assert abs(v - 4 * np.pi**2) <= 3 * se
@@ -293,6 +310,36 @@ def test_cubic_grid_reproduces_quadratics_up_to_box_faces(rng):
     pts = np.vstack([near_faces, rng.random((50, 2)) * [1.0, 3.0] - [0.0, 1.0]])
     cub = GridWeight(g, 3).eval_many(box, pts)
     assert np.abs(cub - quadratic(pts)).max() <= 1e-12
+
+
+def _row_major_gather(vals, idx_list, torus):
+    """The per-axis index loop GridWeight._gather had before ravel_multi_index."""
+    flat = np.zeros(idx_list[0].shape, dtype=int)
+    for a, size in enumerate(vals.shape):
+        ia = np.mod(idx_list[a], size) if torus else np.clip(idx_list[a], 0, size - 1)
+        flat = flat * size + ia
+    return vals.ravel()[flat]
+
+
+@pytest.mark.parametrize("order", [1, 3])
+@pytest.mark.parametrize("kind", ["torus", "box"])
+def test_gather_is_the_row_major_loop(kind, order, rng):
+    m = Manifold.torus(3, [1.0, 2.0, 3.0]) if kind == "torus" else Manifold.box([[0, 1]] * 3)
+    w = GridWeight(GridField(m, (5, 7, 4), rng.normal(size=(5, 7, 4))), order)
+    idx = list(rng.integers(-30, 30, size=(3, 200)))
+    vals, pad = (w._ghosted, 2) if (kind, order) == ("box", 3) else (w.grid.values, 0)
+    want = _row_major_gather(vals, [i + pad for i in idx], kind == "torus")
+    assert w._gather(idx).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_grid_weight_reads_a_tiny_negative_as_zero(order, rng):
+    # np.mod(-1e-17, 2.2) rounds up to 2.2, which over h = 2.2 / 7 fell just
+    # short of node 7 = node 0 and interpolated from the far side of the cell
+    m = Manifold.torus(2, [2.2, 2.2])
+    w = GridWeight(GridField(m, (7, 7), rng.normal(size=(7, 7))), order)
+    at = w.eval_many(m, np.array([[-1e-17, 0.3], [0.0, 0.3]]))
+    assert at[0].tobytes() == at[1].tobytes()
 
 
 def test_grid_on_sphere_rejected(sphere2):
