@@ -24,7 +24,7 @@ from . import schrodinger as sc
 from . import weight as wt
 from .curvature import alpha_n2, pinching_profile, scalar_curvature_many
 from .errors import ConflabError, InputError, NumericError, ResourceError
-from .manifold import BallSpec, Manifold, PointSet, lattice, whole_manifold_ball
+from .manifold import BallSpec, Manifold, PointSet, lattice, unit_ball_volume, whole_manifold_ball
 from .rng import derive_rng, derive_seed
 
 EXPERIMENT_NAMES = (
@@ -215,6 +215,13 @@ def _flag(flags: list, cid: str, ok: bool, value, threshold: str):
     )
 
 
+def _require_surface(m: Manifold, name: str) -> None:
+    """InputError unless m is 2-dimensional: the experiment's probes (snap
+    offsets, stable-norm directions, oracles) are written for n = 2."""
+    if m.dim != 2:
+        raise InputError(f"the {name} experiment needs a 2-dimensional manifold, got dim = {m.dim}")
+
+
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
@@ -321,8 +328,11 @@ def run_flat_identity(spec: ExperimentSpec, outdir: Path):
     iso_flat = dg.isoperimetric_ratio(
         m, zero, [BallSpec(m.canonicalize(np.full(m.dim, 3.0)), r) for r in (0.3, 0.6, 1.0)], seed=seed
     )
-    iso_dev = abs(iso_flat.inf_ratio / (2 * sqrt(pi)) - 1.0)
-    _flag(flags, "C10-flat-discs", iso_dev <= 0.02, iso_dev, "flat disc ratio = 2 sqrt(pi) +- 2%")
+    # a flat ball's perimeter over volume^{(n-1)/n}: n omega_n^{1/n}, 2 sqrt(pi) at n = 2
+    n = m.dim
+    iso_dev = abs(iso_flat.inf_ratio / (n * unit_ball_volume(n) ** (1 / n)) - 1.0)
+    iso_law = "2 sqrt(pi)" if n == 2 else f"{n} omega_{n}^(1/{n})"
+    _flag(flags, "C10-flat-discs", iso_dev <= 0.02, iso_dev, f"flat disc ratio = {iso_law} +- 2%")
     report["iso_flat"] = iso_flat.table
 
     dmat.write_csv(outdir / "flat_identity_distances.csv")
@@ -392,6 +402,7 @@ def run_log_cusp(spec: ExperimentSpec, outdir: Path):
     """Capped cusp weights against the singular one: distance convergence and
     the uniform bi-Hölder witness (criterion 8)."""
     m = build_manifold(spec.manifold or {"kind": "torus", "dim": 2})
+    _require_surface(m, "log-cusp")
     wdesc = spec.weight
     x0 = tuple(wdesc.get("x0", (pi + 0.037, pi - 0.051)))
     r0 = float(wdesc.get("r0", 0.75))
@@ -469,6 +480,7 @@ def run_burago(spec: ExperimentSpec, outdir: Path):
     """Oscillating torus family: stable norms, distance convergence in the
     frequency, uniform weight constants, isoperimetry (criteria 5, 6, 7, 10, 11)."""
     m = build_manifold(spec.manifold or {"kind": "torus", "dim": 2})
+    _require_surface(m, "burago")
     seed = spec.seed
     flags = []
     report = {}

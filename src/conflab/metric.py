@@ -19,6 +19,7 @@ the torus's universal cover are box lattices on the same eps-graph path.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, field as dc_field, replace
 from math import pi
 from pathlib import Path
@@ -67,52 +68,80 @@ class ChainBall:
 
 
 class LatticeBlock(NamedTuple):
-    """Edges start:stop of a lattice graph: each node of the source sub-box
-    lo <= index < hi, in row-major order, joined to the node ``offset``
-    steps away (wrapped on a torus)."""
+    """Column of a lattice graph's node-major (n, B) edge table: each node of
+    the source sub-box lo <= index < hi joined to the node ``offset`` steps
+    away (wrapped on a torus), at base length d0."""
 
     offset: tuple
-    start: int
-    stop: int
+    d0: float
     lo: tuple
     hi: tuple
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass
 class EpsGraph:
-    """Undirected eps-graph: edge arrays, base lengths d0 and weights.
+    """Undirected eps-graph stored as one CSR adjacency, a single entry
+    (i, j) with the edge weight per undirected edge.
 
-    ``blocks`` lists the offset blocks of a graph built on a torus or box
-    lattice, in edge order; it is None for graphs whose edges come from a
+    A graph built on a torus or box lattice fills its CSR node-major: row i
+    lists the edges from node i, one per offset block in block order, and
+    ``blocks`` holds one ``LatticeBlock`` per column of that (n, B) table,
+    from which the base lengths d0 follow.  Graphs whose edges come from a
     kd-tree (sphere layouts, scattered points, lattices smaller than the
-    eps reach), which share no displacement.
+    eps reach) share no displacement: ``blocks`` is None, the CSR rows are
+    sorted and ``d0`` holds each entry's base length.
     """
 
     points: PointSet
     eps: float
     estimator: object
-    edge_i: np.ndarray  # one row per undirected edge
-    edge_j: np.ndarray
-    edge_d0: np.ndarray
-    edge_w: np.ndarray
+    csgraph: csr_matrix
+    manifold: Manifold  # the geometry of d0
     provenance: dict = dc_field(default_factory=dict)
     blocks: Optional[list] = None
-    manifold: Optional[Manifold] = None  # the geometry of d0, for bounded solves
+    d0: Optional[np.ndarray] = None  # kd-tree graphs: d0 per CSR entry
 
     @property
     def n(self) -> int:
         return len(self.points)
 
     def to_csgraph(self) -> csr_matrix:
-        return csr_matrix(
-            (self.edge_w, (self.edge_i, self.edge_j)), shape=(self.n, self.n)
-        )
+        """The stored CSR itself; its read-only ``indices`` and ``indptr``
+        are shared with every graph reweighted from this one."""
+        return self.csgraph
+
+    # read-only per-edge views, in CSR order
+    @property
+    def edge_i(self) -> np.ndarray:
+        c = self.csgraph
+        return _read_only(np.repeat(np.arange(self.n, dtype=c.indices.dtype), np.diff(c.indptr)))
+
+    @property
+    def edge_j(self) -> np.ndarray:
+        return _read_only(self.csgraph.indices)
+
+    @property
+    def edge_w(self) -> np.ndarray:
+        return _read_only(self.csgraph.data)
+
+    @property
+    def edge_d0(self) -> np.ndarray:
+        if self.blocks is None:
+            return _read_only(self.d0)
+        return _read_only(_lattice_entries(self.manifold, self.points, self.blocks, lambda b: b.d0, float))
 
     def reweight(self, m: Manifold, field: WeightField, budget: int, seed: int) -> "EpsGraph":
-        """Same topology and blocks, weights recomputed for another field
-        (shared seeds)."""
-        w = _edge_weights(m, self, field, budget, seed)
-        return replace(self, edge_w=w, provenance=dict(self.provenance, seed=seed))
+        """Same edges and blocks, weights recomputed for another field
+        (shared seeds); the CSR shares ``indices`` and ``indptr``."""
+        csg = copy(self.csgraph)
+        csg.data = _edge_weights(m, self, field, budget, seed)
+        return replace(self, csgraph=csg, provenance=dict(self.provenance, seed=seed))
 
 
 @dataclass
@@ -203,34 +232,58 @@ def _lattice_offsets(shape, axis_spacing, eps):
     return offsets
 
 
-def _edges_lattice(m, points: PointSet, eps):
-    """Lattice edges one offset block at a time, with the block list.
+def _lattice_table(points: PointSet, blocks, column, dtype) -> np.ndarray:
+    """Node-major (n, B) table whose column b holds column(blocks[b]) on the
+    block's source sub-box (an array shaped like the sub-box, or a scalar)
+    and 0 in the other slots."""
+    table = np.zeros(tuple(points.lattice_shape) + (len(blocks),), dtype)
+    for b, blk in enumerate(blocks):
+        table[tuple(slice(a, z) for a, z in zip(blk.lo, blk.hi)) + (b,)] = column(blk)
+    return table.reshape(len(points), len(blocks))
+
+
+def _filled_slots(points: PointSet, blocks) -> np.ndarray:
+    """Which slots of the node-major table hold an edge."""
+    return _lattice_table(points, blocks, lambda blk: True, bool)
+
+
+def _lattice_entries(m, points: PointSet, blocks, column, dtype) -> np.ndarray:
+    """column's values at a lattice graph's CSR entries, in CSR order: the
+    filled slots of ``_lattice_table``, row by row.  On a torus every slot
+    is filled, so the table itself is the entry array."""
+    table = _lattice_table(points, blocks, column, dtype)
+    return table.ravel() if m.kind == "torus" else table[_filled_slots(points, blocks)]
+
+
+def _lattice_csr(m, points: PointSet, eps):
+    """Blocks, CSR indices (the int32 target node of each entry) and indptr
+    of a lattice graph.
 
     A block joins every node of a source sub-box to the node one offset
     away: on a torus the whole lattice, wrapped; on a box the nodes whose
     translate stays inside.
     """
-    shape = points.lattice_shape
-    idx = np.arange(len(points), dtype=np.int64).reshape(shape)
-    eis, ejs, d0s, blocks = [], [], [], []
+    shape = tuple(points.lattice_shape)
+    blocks = []
     for off, d in _lattice_offsets(shape, points.axis_spacing, eps):
         if m.kind == "torus":
             lo, hi = (0,) * len(shape), shape
-            dst = np.roll(idx, [-o for o in off], axis=tuple(range(len(shape))))
         else:
             lo = tuple(max(0, -o) for o in off)
             hi = tuple(s - max(0, o) for s, o in zip(shape, off))
-            dst = idx[tuple(slice(a + o, b + o) for a, b, o in zip(lo, hi, off))]
-        src = idx[tuple(slice(a, b) for a, b in zip(lo, hi))]
-        start = sum(e.size for e in eis)
-        blocks.append(LatticeBlock(off, start, start + src.size, lo, hi))
-        eis.append(src.ravel())
-        ejs.append(dst.ravel())
-        d0s.append(np.full(src.size, d))
-    return np.concatenate(eis), np.concatenate(ejs), np.concatenate(d0s), blocks
+        blocks.append(LatticeBlock(off, d, lo, hi))
+
+    def targets(blk):
+        ranges = [(np.arange(lo, hi) + o) % s for lo, hi, o, s in zip(blk.lo, blk.hi, blk.offset, shape)]
+        return np.ravel_multi_index(np.ix_(*ranges), shape)
+
+    indices = _lattice_entries(m, points, blocks, targets, np.int32)
+    indptr = np.concatenate(([0], np.cumsum(_filled_slots(points, blocks).sum(axis=1))))
+    return blocks, indices, indptr
 
 
-def _edges_kdtree(m, points: PointSet, eps):
+def _edges_kdtree(m, points: PointSet, eps) -> csr_matrix:
+    """The d0 <= eps pairs i < j, as a CSR matrix of their d0."""
     pts = points.points
     if m.kind == "torus":
         tree = cKDTree(m.canonicalize(pts), boxsize=m.periods)
@@ -247,7 +300,7 @@ def _edges_kdtree(m, points: PointSet, eps):
     i, j = pairs[:, 0], pairs[:, 1]
     d = d0_many(m, pts[i], pts[j])
     keep = d <= eps
-    return i[keep], j[keep], d[keep]
+    return csr_matrix((d[keep], (i[keep], j[keep])), shape=(len(pts), len(pts)))
 
 
 # ---------------------------------------------------------------------------
@@ -256,49 +309,46 @@ def _edges_kdtree(m, points: PointSet, eps):
 
 
 def _riemann_weights(m, g: EpsGraph, field: WeightField, K: int) -> np.ndarray:
-    if g.blocks is not None:
-        return _block_riemann_weights(m, g, field, K)
-    ts, ws = gauss_rule(K)
-    pts = g.points.points
-    out = np.zeros(g.edge_i.size)
-    for lo in range(0, g.edge_i.size, _EDGE_CHUNK):
-        sl = slice(lo, min(lo + _EDGE_CHUNK, g.edge_i.size))
-        x = pts[g.edge_i[sl]]
-        y = pts[g.edge_j[sl]]
-        gam = geodesic_points(m, x, y, ts)  # (K, E, d)
-        acc = np.zeros(x.shape[0])
-        for k in range(K):
-            acc += ws[k] * np.exp(field.eval_many(m, gam[k]))
-        out[sl] = acc * g.edge_d0[sl]
-    return out
+    """Gauss-rule line integrals of e^f, one per CSR entry.
 
-
-def _block_riemann_weights(m, g: EpsGraph, field: WeightField, K: int) -> np.ndarray:
-    """_riemann_weights of a lattice graph, one offset block at a time.
-
-    The k-th Gauss points of a block's edges form the tensor-product grid of
-    per-axis coordinate vectors, one entry per source index of the sub-box.
-    geodesic_points works coordinate by coordinate, so running it on the
-    s_a source/target coordinates of axis a alone gives the same bits as on
-    every edge; nothing is gathered or wrapped per edge.
+    On a lattice graph, the k-th Gauss points of a block's edges form the
+    tensor-product grid of per-axis coordinate vectors, one entry per source
+    index of the sub-box.  geodesic_points works coordinate by coordinate,
+    so running it on the s_a source/target coordinates of axis a alone gives
+    the same bits as on every edge; nothing is gathered or wrapped per edge.
+    Other graphs run it edge by edge.
     """
     ts, ws = gauss_rule(K)
-    axes, shape, n = g.points.axes(), g.points.lattice_shape, m.dim
-    out = np.empty(g.edge_i.size)
-    for b in g.blocks:
-        cols = []  # (K, s_a) Gauss coordinates along each axis
-        for a, (lo, hi, o) in enumerate(zip(b.lo, b.hi, b.offset)):
-            i = np.arange(lo, hi)
-            x, y = np.zeros((i.size, n)), np.zeros((i.size, n))
-            x[:, a], y[:, a] = axes[a][i], axes[a][(i + o) % shape[a]]
-            cols.append(geodesic_points(m, x, y, ts)[:, :, a])
-        gam = np.empty(tuple(c.shape[1] for c in cols) + (n,))
-        acc = np.zeros(b.stop - b.start)
+    n = m.dim
+    if g.blocks is not None:
+        axes, shape = g.points.axes(), g.points.lattice_shape
+
+        def block_weights(blk):
+            cols = []  # (K, s_a) Gauss coordinates along each axis
+            for a, (lo, hi, o) in enumerate(zip(blk.lo, blk.hi, blk.offset)):
+                i = np.arange(lo, hi)
+                x, y = np.zeros((i.size, n)), np.zeros((i.size, n))
+                x[:, a], y[:, a] = axes[a][i], axes[a][(i + o) % shape[a]]
+                cols.append(geodesic_points(m, x, y, ts)[:, :, a])
+            gam = np.empty(tuple(c.shape[1] for c in cols) + (n,))
+            acc = np.zeros(gam.shape[:-1])
+            for k in range(K):
+                for a, c in enumerate(cols):
+                    gam[..., a] = c[k].reshape([-1 if e == a else 1 for e in range(n)])
+                acc += ws[k] * np.exp(field.eval_many(m, gam.reshape(-1, n))).reshape(acc.shape)
+            return acc * blk.d0
+
+        return _lattice_entries(m, g.points, g.blocks, block_weights, float)
+    pts = g.points.points
+    ei, ej, d0 = g.edge_i, g.edge_j, g.edge_d0
+    out = np.zeros(ei.size)
+    for lo in range(0, ei.size, _EDGE_CHUNK):
+        sl = slice(lo, min(lo + _EDGE_CHUNK, ei.size))
+        gam = geodesic_points(m, pts[ei[sl]], pts[ej[sl]], ts)  # (K, E, d)
+        acc = np.zeros(gam.shape[1])
         for k in range(K):
-            for a, c in enumerate(cols):
-                gam[..., a] = c[k].reshape([-1 if e == a else 1 for e in range(n)])
-            acc += ws[k] * np.exp(field.eval_many(m, gam.reshape(-1, n)))
-        out[b.start : b.stop] = acc * g.edge_d0[b.start : b.stop]
+            acc += ws[k] * np.exp(field.eval_many(m, gam[k]))
+        out[sl] = acc * d0[sl]
     return out
 
 
@@ -306,14 +356,13 @@ def _chain_weights(m, g: EpsGraph, field: WeightField, budget: int, seed: int) -
     n = m.dim
     omega = unit_ball_volume(n)
     pts = g.points.points
-    mids = geodesic_points(m, pts[g.edge_i], pts[g.edge_j], np.array([0.5]))[0]
-    radii = g.edge_d0 / 2.0
-    out = np.empty(g.edge_i.size)
-    for e in range(g.edge_i.size):
+    ei, ej, d0 = g.edge_i, g.edge_j, g.edge_d0
+    mids = geodesic_points(m, pts[ei], pts[ej], np.array([0.5]))[0]
+    radii = d0 / 2.0
+    out = np.empty(ei.size)
+    for e in range(ei.size):
         ball = BallSpec(center=mids[e], radius=radii[e])
-        mass, _ = mu_f_ball(
-            m, field, ball, budget, derive_seed(seed, "edge", int(g.edge_i[e]), int(g.edge_j[e]))
-        )
+        mass, _ = mu_f_ball(m, field, ball, budget, derive_seed(seed, "edge", int(ei[e]), int(ej[e])))
         out[e] = (mass / omega) ** (1.0 / n)
     return out
 
@@ -332,37 +381,39 @@ def _edge_weights(m, g: EpsGraph, field: WeightField, budget: int, seed: int) ->
 
 
 def _eps_graph(m, points: PointSet, eps, field, estimator=RiemannLine(), budget=256, seed=0):
-    """All d0 <= eps edges of ``points``, weighted per estimator.
+    """All d0 <= eps edges of ``points`` in one CSR, weighted per estimator.
 
     On a torus or box lattice whose axes each hold more nodes than the eps
-    reach spans, the edges are enumerated one integer offset at a time and
-    recorded as ``LatticeBlock``s, through which RiemannLine weights its
-    Gauss points axis by axis; other point sets get their edges from a
-    kd-tree and are weighted edge by edge.
+    reach spans, the edges are enumerated one integer offset at a time, as
+    the ``LatticeBlock`` columns of a node-major table, through which
+    RiemannLine weights its Gauss points axis by axis; other point sets get
+    their edges from a kd-tree and are weighted edge by edge.
     """
     small_lattice = points.lattice_shape is not None and any(
         2 * int(np.floor(eps / h)) + 1 > s
         for h, s in zip(points.axis_spacing, points.lattice_shape)
     )
-    blocks = None
+    blocks = d0 = None
     if points.lattice_shape is not None and m.kind in ("torus", "box") and not small_lattice:
-        ei, ej, ed, blocks = _edges_lattice(m, points, eps)
+        blocks, indices, indptr = _lattice_csr(m, points, eps)
     else:
-        # wrap reach would alias the roll-based enumeration on tiny lattices
-        ei, ej, ed = _edges_kdtree(m, points, eps)
+        # wrap reach would alias the offset enumeration on tiny lattices
+        kd = _edges_kdtree(m, points, eps)
+        indices, indptr, d0 = kd.indices, kd.indptr, kd.data
+    # every edge reads 0, without storage, until its weight is computed
+    csg = csr_matrix((np.broadcast_to(0.0, indices.shape), indices, indptr), shape=(len(points),) * 2)
+    csg.indices.flags.writeable = csg.indptr.flags.writeable = False  # shared by reweighted graphs
     g = EpsGraph(
         points=points,
         eps=eps,
         estimator=estimator,
-        edge_i=ei,
-        edge_j=ej,
-        edge_d0=ed,
-        edge_w=np.zeros(ei.size),
+        csgraph=csg,
+        manifold=m,
         provenance={"eps": eps, "estimator": estimator.tag(), "seed": seed},
         blocks=blocks,
-        manifold=m,
+        d0=d0,
     )
-    g.edge_w = _edge_weights(m, g, field, budget, seed)
+    csg.data = _edge_weights(m, g, field, budget, seed)
     return g
 
 
@@ -413,9 +464,27 @@ def _node_indices(idx, n: int, what: str) -> np.ndarray:
     return arr.astype(int)
 
 
+def _weight_per_d0(g: EpsGraph) -> float:
+    """rho, the largest edge weight per unit of d0 over the edges with
+    d0 > 0 (0 if there are none).  A lattice graph takes it block by block:
+    the largest weight of each table column over the column's d0."""
+    w = g.csgraph.data
+    if g.blocks is None:
+        pos = g.d0 > 0
+        return float(np.max(w[pos] / g.d0[pos])) if np.any(pos) else 0.0
+    if g.manifold.kind == "torus":
+        table = w.reshape(g.n, len(g.blocks))  # every slot holds an edge
+    else:
+        filled = _filled_slots(g.points, g.blocks)
+        table = np.zeros(filled.shape)
+        table[filled] = w  # weights are nonnegative, so the empty slots change no maximum
+    return float(np.max(table.max(axis=0) / [blk.d0 for blk in g.blocks]))
+
+
 def shortest_paths(g: EpsGraph, sources=None, targets=None) -> DistanceMatrix:
     """Exact nonnegative-edge shortest paths from each source node (all
-    nodes if None), to every node or only to ``targets``.
+    nodes if None), to every node or only to ``targets``, on the graph's
+    CSR.
 
     Sources and targets are integer node indices in [0, n); anything else
     raises InputError.  With targets the matrix holds only those columns,
@@ -434,18 +503,18 @@ def shortest_paths(g: EpsGraph, sources=None, targets=None) -> DistanceMatrix:
         targets, cols = np.arange(n), slice(None)
     else:
         targets = cols = _node_indices(targets, n, "targets")
-        pos = g.edge_d0 > 0
-        if g.manifold is not None and np.any(pos) and sources.size and targets.size:
+        rho = _weight_per_d0(g) if sources.size and targets.size else 0.0
+        if rho > 0:
             pts = g.points.points
             reach = d0_many(g.manifold, pts[sources][:, None], pts[targets][None]).max()
-            limit = 2.0 * float(np.max(g.edge_w[pos] / g.edge_d0[pos])) * (float(reach) + g.eps)
-    csg = g.to_csgraph()
+            limit = 2.0 * rho * (float(reach) + g.eps)
+    csg = g.csgraph
     while True:
         vals = np.atleast_2d(dijkstra(csg, directed=False, indices=sources, limit=limit))[:, cols]
         if limit == np.inf or np.all(np.isfinite(vals)):
             break
         # no finite distance exceeds the total edge weight
-        limit = np.inf if limit >= np.sum(g.edge_w) else 2.0 * limit
+        limit = np.inf if limit >= np.sum(csg.data) else 2.0 * limit
     return DistanceMatrix(
         sources=sources, targets=targets, values=vals, provenance=dict(g.provenance)
     )

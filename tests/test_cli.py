@@ -5,7 +5,13 @@ import pytest
 
 from conflab.cli import main
 from conflab.errors import InputError, NumericError
-from conflab.experiments import ExperimentSpec, converge_compare, run, weak_star_test
+from conflab.experiments import (
+    EXPERIMENT_NAMES,
+    ExperimentSpec,
+    converge_compare,
+    run,
+    weak_star_test,
+)
 from conflab.manifold import Manifold
 from conflab.metric import DistanceMatrix
 from conflab.schrodinger import GridGeometry, GridOperator, lowest_eigenpair
@@ -178,6 +184,37 @@ def test_numpy_failures_categorized(tmp_path, monkeypatch, capsys, raised, categ
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["passed"] is False
     assert report["stages"]["error"]["type"] == category
+
+
+# coarse settings for a run of each experiment on a 3-torus
+TORUS3_SPECS = {
+    "flat-identity": {"graph": {"spacing": 0.5, "eps": 1.5, "eps_schedule": [2.5, 2.0, 1.5],
+                                "pairs": 6, "refine_pairs": 3}},
+    "sphere-bubble": {"budgets": {"curvature_samples": 50}},
+    "log-cusp": {},
+    "burago": {},
+    "schrodinger": {"budgets": {"shape": [8, 8, 8], "decomp_shape": [8, 8, 8]}},
+    "custom": {"weight": {"kind": "constant", "value": 0.1}, "budgets": {"ball": 500, "mass": 1000}},
+}
+
+
+@pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+def test_every_experiment_on_a_3_torus_ends_in_a_categorised_exit(tmp_path, capsys, name):
+    doc = dict(TORUS3_SPECS[name], name=name, seed=3, output_dir=str(tmp_path / "out"),
+               manifold={"kind": "torus", "dim": 3})
+    rc = main(["run", str(_write_spec(tmp_path, doc))])
+    assert rc in (0, 1, 2)
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["passed"] is (rc == 0)
+    if name in ("log-cusp", "burago"):
+        # their probes are written for n = 2: rejected before any work
+        assert rc == 2
+        assert report["stages"]["error"]["type"] == "InputError"
+        assert "2-dimensional" in report["stages"]["error"]["message"]
+    if name == "flat-identity":
+        # judged against the 3-ball constant 3 omega_3^{1/3}, not 2 sqrt(pi)
+        (iso,) = [f for f in report["flags"] if f["criterion"] == "C10-flat-discs"]
+        assert iso["pass"] and iso["value"] <= 1e-12
 
 
 def test_huge_constant_potential_has_constant_ground_state():

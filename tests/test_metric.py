@@ -3,6 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from conflab.errors import FormatError, InputError
 from conflab.manifold import Manifold, PointSet, d0_many, lattice
@@ -339,8 +341,10 @@ def test_chain_ball_edge_on_box_face_is_truncated():
 LATTICE_GRAPHS = {
     "T2-unequal": (Manifold.torus(2, [2 * np.pi, 3.0]), 0.25),
     "T3": (Manifold.torus(3), 2 * np.pi / 12),
+    "T3-unequal": (Manifold.torus(3, [2 * np.pi, 5.5, 6.0]), 0.5),
     "B2": (Manifold.box([[0.0, 2.0], [0.0, 1.0]]), 0.1),
     "B3": (Manifold.box([[0.0, 1.0], [-0.5, 1.0], [0.0, 1.2]]), 0.1),
+    "B3-thin": (Manifold.box([[0.0, 1.0], [0.0, 1.3], [-0.2, 0.9]]), 0.1),
 }
 
 
@@ -372,16 +376,33 @@ def test_block_weights_match_edge_list(case, reach):
         fields.append(BuragoTorus(2))
     g = build_graph(m, pts, eps, fields[0])
     assert g.blocks is not None
-    for got, want in zip((g.edge_i, g.edge_j, g.edge_d0), _lattice_edges_one_by_one(m, pts, eps)):
-        assert np.array_equal(got, want)
-    edge_list = replace(g, blocks=None)  # the per-edge geodesic_points path
+    # the CSR holds exactly the (i, j, d0) triples of the one-by-one edge list
+    csg = g.to_csgraph()
+    assert csg.indices.dtype == np.int32
+    assert not (csg.indices.flags.writeable or csg.indptr.flags.writeable)
+    got = (g.edge_i, g.edge_j, g.edge_d0)
+    want = _lattice_edges_one_by_one(m, pts, eps)
+    assert np.array_equal(got[0], np.repeat(np.arange(g.n), np.diff(csg.indptr)))
+    order_got, order_want = np.lexsort(got[1::-1]), np.lexsort(want[1::-1])
+    for a, b in zip(got, want):
+        assert a[order_got].tobytes() == b[order_want].astype(a.dtype).tobytes()
+    edge_list = replace(g, blocks=None, d0=np.array(g.edge_d0))  # the per-edge geodesic_points path
     for field in fields:
         blocked = g.reweight(m, field, 256, 0)
         assert blocked.blocks is g.blocks
-        want = edge_list.reweight(m, field, 256, 0).edge_w
-        np.testing.assert_allclose(blocked.edge_w, want, rtol=1e-13, atol=0.0)
+        assert blocked.csgraph.indices is csg.indices and blocked.csgraph.indptr is csg.indptr
+        want_w = edge_list.reweight(m, field, 256, 0).edge_w
+        np.testing.assert_allclose(blocked.edge_w, want_w, rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(g.edge_w, edge_list.reweight(m, fields[0], 256, 0).edge_w,
                                rtol=1e-13, atol=0.0)
+    # Dijkstra on the node-major CSR equals it on the sorted COO-built one
+    w = g.reweight(m, fields[1], 256, 0)
+    ref = csr_matrix((np.array(w.edge_w), (g.edge_i, g.edge_j)), shape=(g.n, g.n))
+    src = [0, g.n // 3, g.n - 1]
+    full = dijkstra(ref, directed=False, indices=src)
+    assert shortest_paths(w, src).values.tobytes() == full.tobytes()
+    tgt = sorted({1, g.n // 2, g.n // 3 + 2, g.n - 5})
+    assert shortest_paths(w, src, tgt).values.tobytes() == full[:, tgt].tobytes()
 
 
 @pytest.mark.parametrize("which", ["sources", "targets"])
@@ -465,3 +486,29 @@ def test_lattice_graph_without_a_unit_offset_is_rejected(torus2):
     fake = replace(pts, spacing=0.05, axis_spacing=np.array([1.0, 0.05]))
     with pytest.raises(InputError, match="axis 0"):
         build_graph(torus2, fake, 0.15, Constant(0.0))
+
+
+@pytest.mark.parametrize(
+    "m, spacing, field",
+    [(Manifold.torus(2), 0.05, BuragoTorus(1)),
+     (Manifold.box([[0.0, 3.0], [0.0, 3.0]]), 0.03, Constant(0.0))],
+    ids=["torus", "box"],
+)
+def test_lattice_graph_memory_per_edge(m, spacing, field):
+    # the CSR (an int32 target and a float64 weight per edge) and Dijkstra's
+    # transposed copy of it, with room for the build's node-major tables;
+    # block-major int64 edge arrays plus a CSR rebuilt per solve took 56
+    import tracemalloc
+
+    pts = lattice(m, spacing)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        g = build_graph(m, pts, 0.3, field)
+        shortest_paths(g, [0, 5])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert g.to_csgraph().nnz > 800_000
+    assert peak <= 32 * g.to_csgraph().nnz
