@@ -279,9 +279,10 @@ def run_flat_identity(spec: ExperimentSpec, outdir: Path):
         "max_rel_error": float(rel_ex.max()),
     }
 
-    # scaling exactness on a reduced instance (distances and diagnostics)
+    # scaling exactness on a reduced instance (distances and diagnostics),
+    # never finer than the main lattice
     shift = 0.7
-    small = lattice(m, 0.12)
+    small = lattice(m, max(0.12, spacing))
     g0 = mt.build_graph(m, small, 3 * small.spacing, zero, seed=seed)
     gs = g0.reweight(m, wt.Scaled(zero, shift), 256, seed)
     idx = derive_rng(seed, "scale").choice(len(small), 6, replace=False)
@@ -638,11 +639,22 @@ def run_burago(spec: ExperimentSpec, outdir: Path):
     return report, flags
 
 
+def _cubic_3_torus(desc: dict) -> Manifold:
+    """The grid suite's manifold: the spec's, which must be a 3-torus with
+    equal periods (2.2 where none are given), else InputError; a spec
+    without a manifold gets the 2.2-periodic 3-torus."""
+    desc = desc or {"kind": "torus", "dim": 3}
+    m = build_manifold(dict({"periods": [2.2] * int(desc.get("dim", 2))}, **desc))
+    if m.kind != "torus" or m.dim != 3 or np.any(m.periods != m.periods[0]):
+        raise InputError(f"the schrodinger experiment needs a 3-torus with equal periods, got {desc}")
+    return m
+
+
 def run_schrodinger(spec: ExperimentSpec, outdir: Path):
     """Grid operator suite: eigenvalue laws, dense oracle, shift bracket,
     fixed point, decomposition (criterion 9)."""
-    L = float(spec.manifold.get("periods", [2.2])[0]) if spec.manifold else 2.2
-    m = Manifold.torus(3, [L, L, L])
+    m = _cubic_3_torus(spec.manifold)
+    L = float(m.periods[0])
     shape = tuple(spec.budgets.get("shape", (12, 12, 12)))
     seed = spec.seed
     geom = sc.GridGeometry(m, shape)

@@ -481,6 +481,24 @@ def _weight_per_d0(g: EpsGraph) -> float:
     return float(np.max(table.max(axis=0) / [blk.d0 for blk in g.blocks]))
 
 
+def _invariant_axes(g: EpsGraph) -> list:
+    """The lattice axes along which every translation maps a torus lattice
+    graph onto itself: those along which each column of its node-major
+    weight table is constant, compared with exact ==.  The table is compared
+    one lattice slab at a time (the nodes with one index along the axis, a
+    view), against the first slab, stopping at the first mismatch.  Box
+    lattices and kd-tree graphs have no invariant axis."""
+    if g.blocks is None or g.manifold.kind != "torus":
+        return []
+    table = g.csgraph.data.reshape(tuple(g.points.lattice_shape) + (len(g.blocks),))
+
+    def constant_along(a):
+        slabs = np.moveaxis(table, a, 0)
+        return all(np.array_equal(s, slabs[0]) for s in slabs[1:])
+
+    return [a for a in range(table.ndim - 1) if constant_along(a)]
+
+
 def shortest_paths(g: EpsGraph, sources=None, targets=None) -> DistanceMatrix:
     """Exact nonnegative-edge shortest paths from each source node (all
     nodes if None), to every node or only to ``targets``, on the graph's
@@ -495,22 +513,49 @@ def shortest_paths(g: EpsGraph, sources=None, targets=None) -> DistanceMatrix:
     bit.  An entry that comes back infinite doubles L and solves again,
     ending with no limit, so the values are those of the full solve in
     every case.
+
+    Dijkstra runs once per orbit of the sources under the lattice
+    translations that leave the graph unchanged (``_invariant_axes``).  The
+    orbit's representative is the node with the source's lattice index
+    zeroed on the invariant axes, and a source tau steps from it reads its
+    entry at target t from the representative's row at t - tau (mod the
+    lattice shape).  A translated path adds the same edge weights in the
+    same order, so this is the per-source solve bit for bit.  With no
+    invariant axis (box lattices, kd-tree graphs, fields that vary along
+    every axis) each distinct source is its own representative.
     """
     n = g.n
     sources = np.arange(n) if sources is None else _node_indices(sources, n, "sources")
     limit = np.inf
     if targets is None:
-        targets, cols = np.arange(n), slice(None)
+        targets = np.arange(n)
     else:
-        targets = cols = _node_indices(targets, n, "targets")
+        targets = _node_indices(targets, n, "targets")
         rho = _weight_per_d0(g) if sources.size and targets.size else 0.0
         if rho > 0:
             pts = g.points.points
             reach = d0_many(g.manifold, pts[sources][:, None], pts[targets][None]).max()
             limit = 2.0 * rho * (float(reach) + g.eps)
+    shape = g.points.lattice_shape
+    shifts = []  # (size, stride, tau): source i sits tau[i] steps along the axis from its representative
+    for a in _invariant_axes(g):
+        size, stride = shape[a], int(np.prod(shape[a + 1:]))
+        shifts.append((size, stride, sources // stride % size))
+    rep = sources - sum(stride * tau for _, stride, tau in shifts)
+    reps, orbit = np.unique(rep, return_inverse=True)
+
+    def translated(rows):
+        """Source i's entries: its representative's row at targets - tau[i]
+        (mod the lattice shape), indexed after the solve."""
+        idx = np.broadcast_to(targets, (sources.size, targets.size))
+        for size, stride, tau in shifts:
+            col = targets // stride % size
+            idx = idx + ((col - tau[:, None]) % size - col) * stride
+        return rows[orbit[:, None], idx]
+
     csg = g.csgraph
     while True:
-        vals = np.atleast_2d(dijkstra(csg, directed=False, indices=sources, limit=limit))[:, cols]
+        vals = translated(np.atleast_2d(dijkstra(csg, directed=False, indices=reps, limit=limit)))
         if limit == np.inf or np.all(np.isfinite(vals)):
             break
         # no finite distance exceeds the total edge weight
@@ -531,9 +576,15 @@ def fit_rate(eps_values: np.ndarray, d_values: np.ndarray):
     q is scanned over a grid (both signs: on a fixed point set the distances
     converge as the neighbourhood grows, i.e. as eps^q -> 0 with q < 0); the
     extrapolant a is the fitted asymptote and the observed q is reported.
+
+    d_values is one series (m,), giving floats a, b, q, or one series per
+    column (m, P), giving arrays of P fits: each q solves every column at
+    once as the right-hand sides of one lstsq, and each column keeps its own
+    best q.
     """
     eps_values = np.asarray(eps_values, dtype=float)
     d_values = np.asarray(d_values, dtype=float)
+    d = d_values.reshape(eps_values.size, -1)
     if eps_values.size == 2:
         # the exponent is not identifiable from 2 points; the fixed-point-set
         # distances converge as the neighbourhood grows, i.e. toward eps^-1 -> 0
@@ -541,15 +592,17 @@ def fit_rate(eps_values: np.ndarray, d_values: np.ndarray):
     else:
         qs = np.concatenate([np.linspace(-6, -0.05, 120), np.linspace(0.05, 6, 120)])
         qs = qs[np.argsort(np.abs(qs), kind="stable")]  # ties go to moderate q
-    best = (np.inf, d_values[-1], 0.0, 0.0)
+    best = np.full(d.shape[1], np.inf)
+    a, b, q_best = d[-1].copy(), np.zeros(d.shape[1]), np.zeros(d.shape[1])
     for q in qs:
         basis = np.column_stack([np.ones_like(eps_values), eps_values**q])
-        coef, res, *_ = np.linalg.lstsq(basis, d_values, rcond=None)
-        r = float(res[0]) if res.size else float(np.sum((basis @ coef - d_values) ** 2))
-        if r < best[0] * (1.0 - 1e-9):
-            best = (r, float(coef[0]), float(coef[1]), float(q))
-    _, a, b, q = best
-    return a, b, q
+        coef, res, *_ = np.linalg.lstsq(basis, d, rcond=None)
+        r = res if res.size else np.sum((basis @ coef - d) ** 2, axis=0)
+        better = r < best * (1.0 - 1e-9)
+        best[better], a[better], b[better], q_best[better] = r[better], coef[0, better], coef[1, better], q
+    if d_values.ndim == 1:
+        return float(a[0]), float(b[0]), float(q_best[0])
+    return a, b, q_best
 
 
 @dataclass
@@ -601,16 +654,9 @@ def refine_distance(
         dmat = shortest_paths(g, sources)
         for k in range(len(pair_arr)):
             table[r, k] = dmat.get(nodes[k, 0], nodes[k, 1])
-    extrap = np.empty(len(pair_arr))
-    qs = np.empty(len(pair_arr))
-    warn = np.zeros(len(pair_arr), dtype=bool)
-    for k in range(len(pair_arr)):
-        a, _, q = fit_rate(eps_schedule, table[:, k])
-        extrap[k] = a
-        qs[k] = q
-        diffs = np.diff(table[:, k])  # moving to finer eps: distances grow
-        tol = 1e-12 * max(1.0, abs(table[-1, k]))
-        warn[k] = bool(np.any(diffs < -tol))
+    extrap, _, qs = fit_rate(eps_schedule, table)
+    diffs = np.diff(table, axis=0)  # moving to finer eps: distances grow
+    warn = np.any(diffs < -1e-12 * np.maximum(1.0, np.abs(table[-1])), axis=0)
     return RefineResult(
         eps_schedule=eps_schedule,
         pair_nodes=nodes,

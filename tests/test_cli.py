@@ -217,6 +217,21 @@ def test_every_experiment_on_a_3_torus_ends_in_a_categorised_exit(tmp_path, caps
         assert iso["pass"] and iso["value"] <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "manifold",
+    [{"kind": "sphere", "dim": 2}, {"kind": "torus", "dim": 2}, {"kind": "torus", "dim": 3, "periods": [2.2, 2.2, 3.0]}],
+    ids=["sphere", "2-torus", "unequal-periods"],
+)
+def test_schrodinger_rejects_a_manifold_other_than_a_cubic_3_torus(tmp_path, capsys, manifold):
+    doc = dict(TORUS3_SPECS["schrodinger"], name="schrodinger", seed=1,
+               output_dir=str(tmp_path / "out"), manifold=manifold)
+    assert main(["run", str(_write_spec(tmp_path, doc))]) == 2
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["passed"] is False
+    assert report["stages"]["error"]["type"] == "InputError"
+    assert "3-torus with equal periods" in report["stages"]["error"]["message"]
+
+
 def test_huge_constant_potential_has_constant_ground_state():
     # V = 1e20 swamps the Laplacian; the constant start vector is already exact
     geom = GridGeometry(Manifold.torus(2), (8, 8))

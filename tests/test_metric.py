@@ -148,6 +148,19 @@ def test_fit_rate_exact_model():
     assert q == pytest.approx(1.5, abs=0.05)
 
 
+@pytest.mark.parametrize("eps", [[0.4, 0.2], [0.3, 0.15, 0.075], [0.5, 0.3, 0.2, 0.1]], ids=len)
+def test_fit_rate_of_a_table_is_each_column_fitted_alone(eps):
+    eps = np.array(eps)
+    rng = np.random.default_rng(3)
+    table = 1.0 + 0.3 * eps[:, None] ** rng.uniform(-2.0, 2.0, 30) + 1e-3 * rng.standard_normal((eps.size, 30))
+    table[:, 4] = 2.0  # a constant column: every q fits it exactly
+    a, b, q = fit_rate(eps, table)
+    assert a.shape == b.shape == q.shape == (30,)
+    for k in range(30):
+        one = fit_rate(eps, table[:, k])
+        assert one == (a[k], b[k], q[k]) and isinstance(one[0], float)
+
+
 def test_f_ball_members_and_mass(torus2):
     pts = lattice(torus2, 0.15)
     g = build_graph(torus2, pts, 3 * pts.spacing, Constant(0.0))
@@ -465,6 +478,56 @@ def test_bounded_solve_is_the_full_solve(case):
         rho = np.max(g.edge_w / g.edge_d0)
         reach = d0_many(m, pts.points[src][:, None], pts.points[tgt][None]).max()
         assert full.get(src[0], tgt[0]) > 2 * rho * (reach + eps)
+
+
+def _count_solved_sources(monkeypatch):
+    """The node indices passed to metric.dijkstra, one list per call."""
+    import conflab.metric as mt
+
+    solved, real = [], mt.dijkstra
+
+    def counting(*args, **kwargs):
+        solved.append(np.atleast_1d(kwargs["indices"]).tolist())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mt, "dijkstra", counting)
+    return solved
+
+
+ORBIT_TORUS = Manifold.torus(2, [2 * np.pi, 4.0])
+
+
+@pytest.mark.parametrize(
+    "field, orbits",
+    [
+        (Constant(0.3), lambda src, shape: 1),
+        (Scaled(Constant(0.0), 0.7), lambda src, shape: 1),
+        # e^{nf} depends on x1 alone: one solve per distinct x1 index
+        (BuragoTorus(2), lambda src, shape: np.unique(src // shape[1]).size),
+        (LogCusp((1.3, 1.1), 0.5, None), lambda src, shape: np.unique(src).size),
+    ],
+    ids=["constant", "scaled", "burago", "logcusp"],
+)
+def test_shortest_paths_solves_one_source_per_orbit(monkeypatch, field, orbits):
+    pts = lattice(ORBIT_TORUS, 0.1)
+    g = build_graph(ORBIT_TORUS, pts, 3 * pts.spacing, field)
+    src = np.concatenate([np.arange(0, g.n, 37), [0, 37]])  # strided, with duplicates
+    solved = _count_solved_sources(monkeypatch)
+    got = shortest_paths(g, src).values
+    assert len(solved) == 1 and len(solved[0]) == orbits(src, pts.lattice_shape)
+    assert got.tobytes() == dijkstra(g.to_csgraph(), directed=False, indices=src).tobytes()
+
+
+def test_box_lattice_shares_no_orbit(monkeypatch):
+    # a constant field on a box: the faces break every translation
+    box = Manifold.box([[0.0, 2.0], [0.0, 1.0]])
+    pts = lattice(box, 0.05)
+    g = build_graph(box, pts, 3 * pts.spacing, Constant(0.3))
+    src = [0, 5, g.n // 2, g.n - 1, 5]
+    solved = _count_solved_sources(monkeypatch)
+    got = shortest_paths(g, src).values
+    assert solved == [[0, 5, g.n // 2, g.n - 1]]
+    assert got.tobytes() == dijkstra(g.to_csgraph(), directed=False, indices=src).tobytes()
 
 
 def test_lattice_graphs_skip_the_component_count(torus2, monkeypatch):

@@ -2,7 +2,8 @@
 node grid shared by lattices and grid fields, the d0 metric axioms, the
 e^{nc} scaling of ball masses, nearest-node snapping on lattices, the
 eps-graph distances (metric axioms, e^c scaling,
-monotonicity in eps and in the LogCusp cap), the connectivity of accepted
+monotonicity in eps and in the LogCusp cap, the one-solve-per-orbit shortest
+paths against per-source Dijkstra), the connectivity of accepted
 lattice graphs, and the invariance of the Muckenhoupt-type diagnostics
 under constant shifts of f.
 
@@ -10,11 +11,17 @@ Hypothesis runs derandomized, so every run of the suite checks the same
 examples.
 """
 
+from contextlib import nullcontext
+from functools import cache
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, dijkstra
+
+import conflab.metric as mt
 
 from conflab.diagnostics import (
     BallSampler,
@@ -551,3 +558,53 @@ def test_diagnostics_ignore_constant_shifts(name, c):
     # e^{n(f + c)} = e^{nc} e^{nf}: the factor cancels in every ratio
     diag = SHIFT_DIAGNOSTICS[name]
     np.testing.assert_allclose(diag(Scaled(SHIFT_BASE, c)), diag(SHIFT_BASE), rtol=1e-10)
+
+
+# torus lattices with unequal periods, under fields invariant along every
+# axis, along all but x1, and along none
+ORBIT_TORI = {
+    "torus2": (Manifold.torus(2, [2 * np.pi, 4.0]), 0.3),  # 21 x 13 nodes
+    "torus3": (Manifold.torus(3, [2 * np.pi, 3.2, 3.0]), 0.4),  # 16 x 8 x 8 nodes
+}
+ORBIT_FIELDS = {
+    "constant": Constant(0.3),
+    "scaled": Scaled(Constant(0.0), 0.7),
+    "burago": BuragoTorus(2),
+    "logcusp": LogCusp((1.3, 1.1, 0.9), 0.5, None),
+}
+
+
+@cache
+def _orbit_graph(kind, field):
+    m, spacing = ORBIT_TORI[kind]
+    pts = lattice(m, spacing)
+    f = ORBIT_FIELDS[field]
+    if isinstance(f, LogCusp):
+        f = LogCusp(f.x0[: m.dim], f.r0, f.cap)
+    g = build_graph(m, pts, 3 * pts.spacing, f)
+    assert g.blocks is not None
+    return g
+
+
+@pytest.mark.parametrize("kind", sorted(ORBIT_TORI))
+@pytest.mark.parametrize("field", sorted(ORBIT_FIELDS))
+@PROPS
+@given(
+    src=st.lists(unit, min_size=1, max_size=8),
+    tgt=st.none() | st.lists(unit, min_size=1, max_size=12),
+    widen=st.booleans(),
+)
+def test_orbit_solve_is_the_per_source_dijkstra(kind, field, src, tgt, widen):
+    g = _orbit_graph(kind, field)
+    src = [int(u * g.n) for u in src] + [int(src[0] * g.n)]  # one duplicate source at least
+    tgt = None if tgt is None else [int(u * g.n) for u in tgt]
+    # a first limit far too short makes the bounded solve widen several times
+    real = mt._weight_per_d0
+    shrink = patch.object(mt, "_weight_per_d0", lambda gg: 1e-3 * real(gg)) if widen else nullcontext()
+    with shrink:
+        got = shortest_paths(g, src, tgt).values
+    want = np.vstack([dijkstra(g.to_csgraph(), directed=False, indices=s) for s in src])
+    if tgt is not None:
+        want = want[:, tgt]
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
