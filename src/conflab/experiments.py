@@ -75,6 +75,9 @@ class ExperimentSpec:
         }
         if unknown:
             raise InputError(f"unknown spec fields: {sorted(unknown)}")
+        for key in ("manifold", "weight", "graph", "diagnostics", "budgets"):
+            if not isinstance(doc.get(key, {}), dict):
+                raise InputError(f"spec field {key!r} must be an object")
         spec = ExperimentSpec(
             name=doc["name"],
             seed=int(doc["seed"]),
@@ -106,19 +109,28 @@ class ExperimentSpec:
         }
 
 
+def _required(desc: dict, key: str, what: str):
+    """desc[key], or InputError naming the spec entry and the missing key."""
+    if key not in desc:
+        raise InputError(f"{what} spec needs the key {key!r}")
+    return desc[key]
+
+
 def build_manifold(desc: dict) -> Manifold:
     kind = desc.get("kind", "torus")
     if kind == "torus":
         dim = int(desc.get("dim", 2))
         return Manifold.torus(dim, desc.get("periods"))
     if kind == "box":
-        return Manifold.box(desc["extents"])
+        return Manifold.box(_required(desc, "extents", "box manifold"))
     if kind == "sphere":
         return Manifold.sphere(int(desc.get("dim", 2)), float(desc.get("radius", 1.0)))
     raise InputError(f"unknown manifold kind {kind!r}")
 
 
 def build_weight(desc: dict) -> wt.WeightField:
+    if not isinstance(desc, dict):  # a scaled weight's base
+        raise InputError(f"weight spec must be an object, got {type(desc).__name__}")
     kind = desc.get("kind", "constant")
     if kind == "constant":
         return wt.Constant(float(desc.get("value", 0.0)))
@@ -127,14 +139,19 @@ def build_weight(desc: dict) -> wt.WeightField:
     if kind == "log-cusp":
         cap = desc.get("cap")
         return wt.LogCusp(
-            tuple(desc["x0"]), float(desc.get("r0", 1.0)), None if cap is None else float(cap)
+            tuple(_required(desc, "x0", "log-cusp weight")),
+            float(desc.get("r0", 1.0)),
+            None if cap is None else float(cap),
         )
     if kind == "sphere-bubble":
         return wt.SphereBubble(float(desc.get("lam", 1.0)), desc.get("pole"))
     if kind == "scaled":
-        return wt.Scaled(build_weight(desc["base"]), float(desc["shift"]))
+        return wt.Scaled(
+            build_weight(_required(desc, "base", "scaled weight")),
+            float(_required(desc, "shift", "scaled weight")),
+        )
     if kind == "grid":
-        grid = wt.read_grid(desc["path"])
+        grid = wt.read_grid(_required(desc, "path", "grid weight"))
         return wt.GridWeight(grid, int(desc.get("order", 1)))
     raise InputError(f"unknown weight kind {kind!r}")
 
@@ -174,10 +191,14 @@ def weak_star_test(
     """Table of int phi e^{nf} dmu0 per (field, test function).
 
     Test functions come from the built-in dictionary: "1", ("cos", k-vector),
-    ("bump", x0, r).
+    ("bump", x0, r).  A standard error needs a budget of at least 2 samples.
     """
     from .manifold import sample_manifold, d0_many
 
+    if budget < 2:
+        raise InputError(f"weak_star_test budget must be >= 2, got {budget}")
+    for _, field in fields:
+        field.validate(m)
     pts, w = sample_manifold(m, budget, seed)
     rows = []
     for fi, (flabel, field) in enumerate(fields):
@@ -188,11 +209,17 @@ def weak_star_test(
                 tlabel = "1"
             elif tf[0] == "cos":
                 k = np.asarray(tf[1], dtype=float)
+                if k.shape != (m.ambient_dim,):
+                    raise InputError(
+                        f"cos test function needs a {m.ambient_dim}-vector k, got shape {k.shape}"
+                    )
                 vals = np.cos(pts @ k)
                 tlabel = f"cos({','.join(f'{v:g}' for v in k)})"
             elif tf[0] == "bump":
-                x0 = np.asarray(tf[1], dtype=float)
+                x0 = m.check_points(tf[1])[0]
                 r = float(tf[2])
+                if not (np.isfinite(r) and r > 0):
+                    raise InputError(f"bump test function needs a positive radius, got {r}")
                 vals = sc.bump(d0_many(m, pts, x0) / r)
                 tlabel = f"bump(r={r:g})"
             else:

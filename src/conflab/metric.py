@@ -316,17 +316,21 @@ def _riemann_weights(m, g: EpsGraph, field: WeightField, K: int) -> np.ndarray:
     index of the sub-box.  geodesic_points works coordinate by coordinate,
     so running it on the s_a source/target coordinates of axis a alone gives
     the same bits as on every edge; nothing is gathered or wrapped per edge.
-    Other graphs run it edge by edge.
+    Along the axes of ``field.constant_axes`` the grid keeps only the
+    sub-box's first index: the weights then have extent 1 there, and
+    ``_lattice_table`` broadcasts them over the sub-box, the same floats
+    every edge would get.  Other graphs run it edge by edge.
     """
     ts, ws = gauss_rule(K)
     n = m.dim
     if g.blocks is not None:
         axes, shape = g.points.axes(), g.points.lattice_shape
+        constant = set(field.constant_axes(m))
 
         def block_weights(blk):
             cols = []  # (K, s_a) Gauss coordinates along each axis
             for a, (lo, hi, o) in enumerate(zip(blk.lo, blk.hi, blk.offset)):
-                i = np.arange(lo, hi)
+                i = np.arange(lo, lo + 1 if a in constant else hi)
                 x, y = np.zeros((i.size, n)), np.zeros((i.size, n))
                 x[:, a], y[:, a] = axes[a][i], axes[a][(i + o) % shape[a]]
                 cols.append(geodesic_points(m, x, y, ts)[:, :, a])
@@ -722,6 +726,9 @@ class _Lifted(WeightField):
 
     def eval_many(self, m, x):
         return self.field.eval_many(self.torus, self.torus.canonicalize(x))
+
+    def constant_axes(self, m):
+        return self.field.constant_axes(self.torus)
 
 
 def _cover_distance(m, field, v, t, spacing, margin, node_budget) -> float:

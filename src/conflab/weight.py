@@ -69,6 +69,12 @@ class WeightField:
     def radial_profile(self, m: Manifold) -> Optional[RadialProfile]:
         return None
 
+    def constant_axes(self, m: Manifold) -> tuple:
+        """Coordinate axes along which f is constant on m: changing those
+        coordinates of a point leaves ``eval_many`` bit for bit unchanged.
+        Lattice edge weighting evaluates f only across the other axes."""
+        return ()
+
 
 def eval_f(m: Manifold, field: WeightField, x) -> float:
     """Log conformal factor at one point (+-inf on the declared singular set)."""
@@ -92,6 +98,9 @@ class Constant(WeightField):
     def grad_lap_many(self, m, x):
         npts = x.shape[0]
         return np.zeros((npts, x.shape[1])), np.zeros(npts)
+
+    def constant_axes(self, m):
+        return tuple(range(m.ambient_dim))
 
     def radial_profile(self, m):
         if m.kind != "sphere":
@@ -135,6 +144,9 @@ class BuragoTorus(WeightField):
         grad = np.zeros_like(x)
         grad[:, 0] = fp
         return grad, -fpp
+
+    def constant_axes(self, m):
+        return tuple(range(1, m.dim))
 
 
 def _quintic_decay(s: np.ndarray, h: float, y0: float, d0_: float, dd0: float):
@@ -380,6 +392,9 @@ class Scaled(WeightField):
     def grad_lap_many(self, m, x):
         return self.base.grad_lap_many(m, x)
 
+    def constant_axes(self, m):
+        return self.base.constant_axes(m)
+
     def radial_profile(self, m):
         prof = self.base.radial_profile(m)
         if prof is None:
@@ -399,6 +414,8 @@ class Sum(WeightField):
         return all(f.exact_derivatives for f in self.fields)
 
     def validate(self, m):
+        if not self.fields:
+            raise InputError("Sum needs at least one field")
         for f in self.fields:
             f.validate(m)
 
@@ -408,6 +425,10 @@ class Sum(WeightField):
     def grad_lap_many(self, m, x):
         grads, laps = zip(*(f.grad_lap_many(m, x) for f in self.fields))
         return sum(grads), sum(laps)
+
+    def constant_axes(self, m):
+        declared = [f.constant_axes(m) for f in self.fields]
+        return tuple(a for a in range(m.ambient_dim) if all(a in axes for axes in declared))
 
     def radial_profile(self, m):
         profs = [f.radial_profile(m) for f in self.fields]

@@ -99,6 +99,11 @@ def test_unknown_field_rejected():
         ExperimentSpec.from_dict({"name": "burago", "seed": 0, "extra": 1})
 
 
+def test_spec_field_that_is_not_an_object_rejected():
+    with pytest.raises(InputError, match="'weight'"):
+        ExperimentSpec.from_dict({"name": "custom", "seed": 0, "weight": 3})
+
+
 def test_output_dir_env_override(tmp_path, monkeypatch, capsys):
     target = tmp_path / "env-out"
     monkeypatch.setenv("CONF_LAB_OUT", str(target))
@@ -158,6 +163,44 @@ def test_weak_star_values(torus2):
     r = by[("ell=2", "cos(1,0)")]
     assert abs(r["value"]) <= 3 * r["stderr"]
     assert by[("ell=1", "bump(r=0.5)")]["value"] > 0
+
+
+@pytest.mark.parametrize(
+    "testfn, budget",
+    [
+        ("1", 1),
+        (("cos", [1.0, 0.0, 0.0]), 100),
+        (("bump", [1.0, 2.0, 3.0], 0.5), 100),
+        (("bump", [1.0, 2.0], 0.0), 100),
+    ],
+)
+def test_weak_star_rejects_a_short_budget_or_a_mismatched_test_function(torus2, testfn, budget):
+    with pytest.raises(InputError):
+        weak_star_test(torus2, [("ell=1", BuragoTorus(1))], [testfn], budget, seed=5)
+
+
+def test_weak_star_validates_each_field(sphere2):
+    with pytest.raises(InputError, match="tori"):
+        weak_star_test(sphere2, [("ell=1", BuragoTorus(1))], ["1"], 100, seed=5)
+
+
+@pytest.mark.parametrize(
+    "doc, words",
+    [
+        ({"name": "flat-identity", "manifold": {"kind": "box", "dim": 2}}, "'extents'"),
+        ({"name": "custom", "weight": {"kind": "log-cusp"}}, "'x0'"),
+        ({"name": "custom", "weight": {"kind": "scaled", "shift": 0.5}}, "'base'"),
+        ({"name": "custom", "weight": {"kind": "scaled", "base": {"kind": "burago"}}}, "'shift'"),
+        ({"name": "custom", "weight": {"kind": "grid", "order": 3}}, "'path'"),
+        ({"name": "custom", "weight": {"kind": "scaled", "base": 3, "shift": 0.5}}, "an object"),
+    ],
+)
+def test_missing_spec_key_is_an_input_error(tmp_path, capsys, doc, words):
+    doc = dict(doc, seed=1, output_dir=str(tmp_path / "out"))
+    assert main(["run", str(_write_spec(tmp_path, doc))]) == 2
+    error = json.loads((tmp_path / "out" / "report.json").read_text())["stages"]["error"]
+    assert error["type"] == "InputError"
+    assert words in error["message"]
 
 
 def test_missing_or_unreadable_spec_exit_code(tmp_path, capsys):

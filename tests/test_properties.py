@@ -4,14 +4,16 @@ e^{nc} scaling of ball masses, nearest-node snapping on lattices, the
 eps-graph distances (metric axioms, e^c scaling,
 monotonicity in eps and in the LogCusp cap, the one-solve-per-orbit shortest
 paths against per-source Dijkstra), the connectivity of accepted
-lattice graphs, and the invariance of the Muckenhoupt-type diagnostics
-under constant shifts of f.
+lattice graphs, the invariance of the Muckenhoupt-type diagnostics
+under constant shifts of f, and the axes a field declares it is constant
+along (the field ignores them; lattice weights keep every bit).
 
 Hypothesis runs derandomized, so every run of the suite checks the same
 examples.
 """
 
 from contextlib import nullcontext
+from dataclasses import dataclass
 from functools import cache
 from unittest.mock import patch
 
@@ -51,6 +53,8 @@ from conflab.weight import (
     LogCusp,
     Scaled,
     SphereBubble,
+    Sum,
+    WeightField,
     mu_f_ball,
 )
 
@@ -608,3 +612,106 @@ def test_orbit_solve_is_the_per_source_dijkstra(kind, field, src, tgt, widen):
         want = want[:, tgt]
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+# tori of unequal periods and a box whose axes hold 11, 13 and 8 nodes, with
+# fields declaring constant axes built on one periodic field: BuragoTorus on
+# the tori, read periodically (as on a stable-norm patch) on the box
+DECLARE_LATTICES = {
+    kind: (m, lattice(m, spacing))
+    for kind, (m, spacing) in dict(
+        ORBIT_TORI, box3=(Manifold.box([[0.0, 1.0], [-0.5, 0.7], [1.0, 1.7]]), 0.1)
+    ).items()
+}
+
+
+def _declaring_fields(m):
+    base = BuragoTorus(2)
+    if m.kind == "box":
+        base = mt._Lifted(ORBIT_TORI["torus3"][0], base)
+    return {
+        "constant": Constant(0.3),
+        "periodic": base,
+        "scaled": Scaled(base, -0.4),
+        "sum": Sum((base, Constant(0.5), Scaled(base, 0.1))),
+    }
+
+
+@dataclass(frozen=True)
+class _Undeclared(WeightField):
+    """The same field declaring no constant axis."""
+
+    field: WeightField
+
+    def validate(self, m):
+        self.field.validate(m)
+
+    def eval_many(self, m, x):
+        return self.field.eval_many(m, x)
+
+
+@pytest.mark.parametrize("kind", ["torus2", "torus3"])
+@pytest.mark.parametrize("name", ["constant", "periodic", "scaled", "sum", "lifted"])
+@PROPS
+@given(seed=seeds)
+def test_declared_axes_leave_eval_many_unchanged(kind, name, seed):
+    m = DECLARE_LATTICES[kind][0]
+    fields = _declaring_fields(m)
+    field = mt._Lifted(m, fields["sum"]) if name == "lifted" else fields[name]
+    axes = list(field.constant_axes(m))
+    assert axes and set(axes) <= set(range(m.dim))
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-2.0, 2.0, (64, m.dim)) * m.periods  # cover coordinates, for _Lifted
+    y = x.copy()
+    y[:, axes] = rng.uniform(-2.0, 2.0, (64, len(axes))) * m.periods[axes]
+    assert field.eval_many(m, y).tobytes() == field.eval_many(m, x).tobytes()
+
+
+def test_a_sum_declares_the_axes_all_its_fields_share():
+    m = ORBIT_TORI["torus3"][0]
+    assert Constant(1.0).constant_axes(m) == (0, 1, 2)
+    assert Sum((BuragoTorus(1), Constant(0.5))).constant_axes(m) == (1, 2)
+    assert Sum((BuragoTorus(1), LogCusp((1.0, 1.0, 1.0), 0.5))).constant_axes(m) == ()
+
+
+@pytest.mark.parametrize("kind", sorted(DECLARE_LATTICES))
+@settings(PROPS, max_examples=10)
+@given(
+    name=st.sampled_from(["constant", "periodic", "scaled", "sum"]),
+    other=st.sampled_from(["constant", "periodic", "scaled", "sum"]),
+    eps_rel=st.floats(3.0, 3.7),  # within the reach every axis holds
+)
+def test_declared_axes_keep_lattice_weights_bit_for_bit(kind, name, other, eps_rel):
+    m, pts = DECLARE_LATTICES[kind]
+    fields = _declaring_fields(m)
+    g = build_graph(m, pts, eps_rel * pts.spacing, fields[name])
+    want = build_graph(m, pts, eps_rel * pts.spacing, _Undeclared(fields[name]))
+    assert g.blocks is not None and want.blocks is not None
+    assert g.csgraph.data.tobytes() == want.csgraph.data.tobytes()
+    got = g.reweight(m, fields[other], 0, 0).csgraph.data
+    assert got.tobytes() == want.reweight(m, _Undeclared(fields[other]), 0, 0).csgraph.data.tobytes()
+
+
+def _patch_weights(m, field):
+    """Edge weights of every cover patch stable_norm builds."""
+    seen, real = [], mt._eps_graph
+
+    def spy(*args, **kwargs):
+        g = real(*args, **kwargs)
+        seen.append((g.blocks is not None, g.csgraph.data.tobytes()))
+        return g
+
+    with patch.object(mt, "_eps_graph", spy):
+        mt.stable_norm(m, field, np.linspace(1.0, 0.3, m.dim), [1.5, 3.0], spacing=0.2,
+                       check_corridor=False)
+    return seen
+
+
+@pytest.mark.parametrize("kind", ["torus2", "torus3"])
+@pytest.mark.parametrize("name", ["periodic", "sum"])
+def test_declared_axes_keep_stable_norm_patches_bit_for_bit(kind, name):
+    m = DECLARE_LATTICES[kind][0]
+    field = _declaring_fields(m)[name]
+    got = _patch_weights(m, field)
+    assert len(got) == 2 and all(lattice_graph for lattice_graph, _ in got)
+    assert got == _patch_weights(m, _Undeclared(field))

@@ -247,6 +247,17 @@ def test_sum_field(torus2, rng):
     assert np.allclose(eval_f_many(torus2, s, pts), expect, atol=1e-14)
 
 
+def test_empty_sum_rejected(torus2):
+    from conflab.manifold import lattice
+    from conflab.metric import build_graph
+
+    pts = lattice(torus2, 0.3)
+    with pytest.raises(InputError, match="at least one field"):
+        build_graph(torus2, pts, 3 * pts.spacing, Sum(()))
+    with pytest.raises(InputError, match="at least one field"):
+        total_mass(torus2, Sum(()), 1000)
+
+
 def test_grid_io_roundtrip(tmp_path, torus2):
     g = grid_from_field(torus2, BuragoTorus(1), (16, 24))
     path = tmp_path / "grid.json"
