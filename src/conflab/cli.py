@@ -16,47 +16,59 @@ import sys
 from pathlib import Path
 
 from .errors import ConflabError, InputError
-from .experiments import ExperimentSpec, run
+from .experiments import ExperimentSpec, RunReport, run
 
 
-def _load_spec(path: str) -> ExperimentSpec:
+def _read_spec(path: str):
+    """The JSON document at path, with CONF_LAB_OUT as its output_dir when set."""
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read spec file {path}: {exc}") from exc
-    if "CONF_LAB_OUT" in os.environ:
+    if "CONF_LAB_OUT" in os.environ and isinstance(doc, dict):
         doc["output_dir"] = os.environ["CONF_LAB_OUT"]
-    return ExperimentSpec.from_dict(doc)
+    return doc
 
 
-def _spec_from_flags(name: str, args) -> ExperimentSpec:
+# spec section -> {wrapper flag (argparse dest): key in the section}
+_FLAG_KEYS = {
+    "graph": {"spacing": "spacing", "eps": "eps", "eps_schedule": "eps_schedule"},
+    "diagnostics": {"r0": "R0", "eta": "eta", "q": "q", "p": "p"},
+    "budgets": {"budget": "ball"},
+}
+
+
+def _doc_from_flags(args) -> dict:
     doc = {
-        "name": name,
+        "name": _WRAPPER_EXPERIMENT[args.command],
         "seed": args.seed,
         "output_dir": os.environ.get("CONF_LAB_OUT", args.output_dir),
         "manifold": json.loads(args.manifold) if args.manifold else {},
         "weight": json.loads(args.weight) if args.weight else {},
-        "graph": {},
-        "diagnostics": {},
-        "budgets": {},
     }
-    if getattr(args, "spacing", None) is not None:
-        doc["graph"]["spacing"] = args.spacing
-    if getattr(args, "eps", None) is not None:
-        doc["graph"]["eps"] = args.eps
-    if getattr(args, "eps_schedule", None):
-        doc["graph"]["eps_schedule"] = [float(e) for e in args.eps_schedule.split(",")]
-    if getattr(args, "r0", None) is not None:
-        doc["diagnostics"]["R0"] = args.r0
-    if getattr(args, "eta", None) is not None:
-        doc["diagnostics"]["eta"] = args.eta
-    if getattr(args, "q", None) is not None:
-        doc["diagnostics"]["q"] = args.q
-    if getattr(args, "p", None) is not None:
-        doc["diagnostics"]["p"] = args.p
-    if getattr(args, "budget", None) is not None:
-        doc["budgets"]["ball"] = args.budget
-    return ExperimentSpec.from_dict(doc)
+    if args.command == "ainfty" and not doc["weight"]:
+        doc["weight"] = {"kind": "burago", "ell": 1}
+    for section, keys in _FLAG_KEYS.items():
+        flags = {key: getattr(args, dest, None) for dest, key in keys.items()}
+        doc[section] = {key: value for key, value in flags.items() if value is not None}
+    return doc
+
+
+def _parse(doc) -> ExperimentSpec:
+    """ExperimentSpec.from_dict(doc).  A spec it rejects still gets a
+    report.json naming the error, in CONF_LAB_OUT or else the output_dir the
+    spec names, when either is a string."""
+    try:
+        return ExperimentSpec.from_dict(doc)
+    except InputError as exc:
+        out = os.environ.get("CONF_LAB_OUT", doc.get("output_dir") if isinstance(doc, dict) else None)
+        if isinstance(out, str):
+            RunReport.failed(doc, exc).write(Path(out))
+        raise
+
+
+def _float_list(text: str) -> list:
+    return [float(e) for e in text.split(",")]
 
 
 def _add_common(sp):
@@ -81,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(dist)
     dist.add_argument("--spacing", type=float, default=None)
     dist.add_argument("--eps", type=float, default=None)
-    dist.add_argument("--eps-schedule", default=None)
+    dist.add_argument("--eps-schedule", type=_float_list, default=None)
 
     ain = sub.add_parser("ainfty", help="weight comparability diagnostics")
     _add_common(ain)
@@ -115,13 +127,7 @@ _WRAPPER_EXPERIMENT = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            spec = _load_spec(args.spec)
-        else:
-            name = _WRAPPER_EXPERIMENT[args.command]
-            spec = _spec_from_flags(name, args)
-            if args.command == "ainfty" and not spec.weight:
-                spec.weight = {"kind": "burago", "ell": 1}
+        spec = _parse(_read_spec(args.spec) if args.command == "run" else _doc_from_flags(args))
         report = run(spec)
     except ConflabError as exc:
         print(f"error: {exc}", file=sys.stderr)

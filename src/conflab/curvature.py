@@ -34,7 +34,7 @@ from .manifold import (
     sphere_volume,
 )
 from .rng import derive_seed
-from .weight import RadialProfile, WeightField, _radial_laplacian, radial_ball_integral
+from .weight import RadialProfile, WeightField, _mc_mean, _radial_laplacian, radial_ball_integral
 
 
 def alpha_n2(n: int) -> float:
@@ -226,8 +226,9 @@ def lp_scal_norm(
     pts, w, _ = sample_ball(m, b, budget, seed)
     s = scalar_curvature_many(m, field, pts, method, h)
     s = np.maximum(s, 0.0) if positive_part else np.abs(s)
-    dens = np.exp(n * field.eval_many(m, pts))
-    return float(np.sum(w * s**p * dens)) ** (1.0 / p)
+    vol = float(w.sum())
+    mean, _ = _mc_mean(s**p * np.exp(n * field.eval_many(m, pts)), vol, "samples of |scal|^p e^(nf)")
+    return (vol * mean) ** (1.0 / p)
 
 
 def pinching_profile(

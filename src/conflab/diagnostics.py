@@ -24,13 +24,14 @@ from .manifold import (
     PointSet,
     _quasi_uniform_sphere,
     d0_many,
+    midpoint,
     sample_ball,
     sample_manifold,
     sphere_volume,
 )
 from .metric import DistanceMatrix
 from .rng import derive_rng, derive_seed
-from .weight import WeightField, mu_f_ball, total_mass
+from .weight import WeightField, _mc_mean, mu_f_ball, total_mass
 
 
 def default_eta(m: Manifold) -> float:
@@ -64,9 +65,14 @@ class BallSampler:
         return len(self.centers) * len(self.radii)
 
 
-def _ball_weight_samples(m, field, ball, budget, seed):
-    pts, _, _ = sample_ball(m, ball, budget, seed)
-    return np.exp(m.dim * field.eval_many(m, pts)), pts
+def _ball_pools(m: Manifold, field: WeightField, sampler: BallSampler, budget: int, stream: str):
+    """(k, ball, w, pts) for each sampled ball: pts its uniform sample pool,
+    seeded by derive_seed(sampler.seed, stream, k), and w = e^{nf} on it.
+    The field is validated once, before the first ball."""
+    field.validate(m)
+    for k, ball in sampler.balls():
+        pts, _, _ = sample_ball(m, ball, budget, derive_seed(sampler.seed, stream, k))
+        yield k, ball, np.exp(m.dim * field.eval_many(m, pts)), pts
 
 
 # ---------------------------------------------------------------------------
@@ -80,10 +86,8 @@ def reverse_holder(
     """sup over sampled balls of (avg w^q)^{1/q} / avg w."""
     if q <= 1:
         raise InputError("reverse Hölder exponent q must exceed 1")
-    field.validate(m)
     best = 0.0
-    for k, ball in sampler.balls():
-        w, _ = _ball_weight_samples(m, field, ball, budget, derive_seed(sampler.seed, "rh", k))
+    for _, _, w, _ in _ball_pools(m, field, sampler, budget, "rh"):
         best = max(best, float(np.mean(w**q) ** (1.0 / q) / np.mean(w)))
     return best
 
@@ -94,10 +98,8 @@ def ap_product(
     """sup over sampled balls of (avg w) (avg w^{-1/(p-1)})^{p-1}."""
     if p <= 1:
         raise InputError("A_p exponent p must exceed 1")
-    field.validate(m)
     best = 0.0
-    for k, ball in sampler.balls():
-        w, _ = _ball_weight_samples(m, field, ball, budget, derive_seed(sampler.seed, "ap", k))
+    for _, _, w, _ in _ball_pools(m, field, sampler, budget, "ap"):
         best = max(best, float(np.mean(w) * np.mean(w ** (-1.0 / (p - 1))) ** (p - 1)))
     return best
 
@@ -125,12 +127,9 @@ def subset_ratio_exponent(
     """
     if subdivisions < 8:
         raise InputError("subset_ratio_exponent needs subdivisions >= 8")
-    field.validate(m)
     xs, ys = [], []
     excluded = 0
-    for k, ball in sampler.balls():
-        seed_k = derive_seed(sampler.seed, "iv", k)
-        w, pts = _ball_weight_samples(m, field, ball, budget, seed_k)
+    for k, ball, w, pts in _ball_pools(m, field, sampler, budget, "iv"):
         dists = d0_many(m, pts, ball.center)
         rng = derive_rng(sampler.seed, "ivsub", k)
         subsets = [dists <= tau * ball.radius for tau in (0.25, 0.4, 0.55, 0.7, 0.85)]
@@ -216,8 +215,6 @@ def strong_ratio(
     Both ball conventions are computed: B(x, d0(x,y)) (reported as
     theta_strong) and the midpoint ball B_xy of radius d0(x,y)/2.
     """
-    from .manifold import midpoint as geo_midpoint
-
     field.validate(m)
     n = m.dim
     best_x, best_mid = 0.0, 0.0
@@ -234,7 +231,7 @@ def strong_ratio(
         )
         rho = df / mass_x ** (1.0 / n)
         best_x = max(best_x, rho, 1.0 / rho)
-        mid = geo_midpoint(m, x, y)
+        mid = midpoint(m, x, y)
         mass_m, _ = mu_f_ball(
             m,
             field,
@@ -413,8 +410,12 @@ def _box_boundary_quadrature(m: Manifold, field: WeightField, dom: BoxDomain, no
 
 
 def _box_mass(m: Manifold, field: WeightField, dom: BoxDomain, budget: int, seed: int):
-    pts, w = sample_manifold(Manifold.box(np.column_stack([dom.lo, dom.hi])), budget, seed)
-    return float(w @ np.exp(m.dim * field.eval_many(m, m.canonicalize(pts))))
+    """(mass, standard error) of mu_f over a box domain, Monte Carlo on
+    uniform samples of the box."""
+    box = Manifold.box(np.column_stack([dom.lo, dom.hi]))
+    pts, _ = sample_manifold(box, budget, seed)
+    mean, se = _mc_mean(np.exp(m.dim * field.eval_many(m, m.canonicalize(pts))), box.volume)
+    return box.volume * mean, se
 
 
 @dataclass
@@ -458,7 +459,7 @@ def isoperimetric_ratio(
                     f"period {tuple(m.periods)} on every axis"
                 )
             perim = _box_boundary_quadrature(m, field, dom, boundary_nodes)
-            mass = _box_mass(m, field, dom, budget, s)
+            mass, _ = _box_mass(m, field, dom, budget, s)
             desc = "box"
         else:
             raise InputError(f"unsupported isoperimetric domain {dom!r}")

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field as dc_field
-from math import pi, sqrt
+from dataclasses import asdict, dataclass, field as dc_field, fields as dc_fields
+from math import isfinite, pi, sqrt
 from pathlib import Path
 import numpy as np
 from scipy.integrate import quad
@@ -24,7 +24,16 @@ from . import schrodinger as sc
 from . import weight as wt
 from .curvature import alpha_n2, pinching_profile, scalar_curvature_many
 from .errors import ConflabError, InputError, NumericError, ResourceError
-from .manifold import BallSpec, Manifold, PointSet, lattice, unit_ball_volume, whole_manifold_ball
+from .manifold import (
+    BallSpec,
+    Manifold,
+    PointSet,
+    d0_many,
+    lattice,
+    sample_manifold,
+    unit_ball_volume,
+    whole_manifold_ball,
+)
 from .rng import derive_rng, derive_seed
 
 EXPERIMENT_NAMES = (
@@ -42,11 +51,16 @@ EXPERIMENT_NAMES = (
 # ---------------------------------------------------------------------------
 
 
+def _is_number(v) -> bool:
+    """A finite int or float (not a bool)."""
+    return not isinstance(v, bool) and (isinstance(v, int) or isinstance(v, float) and isfinite(v))
+
+
 @dataclass
 class ExperimentSpec:
     name: str
     seed: int
-    output_dir: str
+    output_dir: str = "conflab-out"
     manifold: dict = dc_field(default_factory=dict)
     weight: dict = dc_field(default_factory=dict)
     graph: dict = dc_field(default_factory=dict)
@@ -55,6 +69,8 @@ class ExperimentSpec:
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentSpec":
+        if not isinstance(doc, dict):
+            raise InputError(f"experiment spec must be a JSON object, got {type(doc).__name__}")
         if "name" not in doc:
             raise InputError("experiment spec needs a 'name'")
         if doc["name"] not in EXPERIMENT_NAMES:
@@ -63,33 +79,29 @@ class ExperimentSpec:
             )
         if "seed" not in doc:
             raise InputError("experiment spec needs an explicit integer 'seed'")
-        unknown = set(doc) - {
-            "name",
-            "seed",
-            "output_dir",
-            "manifold",
-            "weight",
-            "graph",
-            "diagnostics",
-            "budgets",
-        }
+        spec_fields = dc_fields(ExperimentSpec)
+        unknown = set(doc) - {f.name for f in spec_fields}
         if unknown:
             raise InputError(f"unknown spec fields: {sorted(unknown)}")
-        for key in ("manifold", "weight", "graph", "diagnostics", "budgets"):
+        try:
+            seed = int(doc["seed"])
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"spec seed must be an integer, got {doc['seed']!r}") from exc
+        if not isinstance(doc.get("output_dir", ""), str):
+            raise InputError(f"spec output_dir must be a string, got {doc['output_dir']!r}")
+        for key in (f.name for f in spec_fields if f.default_factory is dict):
             if not isinstance(doc.get(key, {}), dict):
                 raise InputError(f"spec field {key!r} must be an object")
-        spec = ExperimentSpec(
-            name=doc["name"],
-            seed=int(doc["seed"]),
-            output_dir=doc.get("output_dir", "conflab-out"),
-            manifold=doc.get("manifold", {}),
-            weight=doc.get("weight", {}),
-            graph=doc.get("graph", {}),
-            diagnostics=doc.get("diagnostics", {}),
-            budgets=doc.get("budgets", {}),
-        )
+        for key in ("graph", "diagnostics", "budgets"):
+            for name, value in doc.get(key, {}).items():
+                if not all(map(_is_number, value if isinstance(value, (list, tuple)) else [value])):
+                    raise InputError(
+                        f"spec {key} entry {name!r} must be a finite number or a list of them, "
+                        f"got {value!r}"
+                    )
+        spec = ExperimentSpec(**dict(doc, seed=seed))
         g = spec.graph
-        if "spacing" in g and "eps" in g and g["eps"] < 3 * g["spacing"] - 1e-12:
+        if _is_number(g.get("spacing")) and _is_number(g.get("eps")) and g["eps"] < 3 * g["spacing"] - 1e-12:
             raise InputError(
                 f"graph eps = {g['eps']} violates the constraint eps >= 3 * spacing "
                 f"= {3 * g['spacing']}"
@@ -97,16 +109,7 @@ class ExperimentSpec:
         return spec
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "manifold": self.manifold,
-            "weight": self.weight,
-            "graph": self.graph,
-            "diagnostics": self.diagnostics,
-            "budgets": self.budgets,
-        }
+        return asdict(self)
 
 
 def _required(desc: dict, key: str, what: str):
@@ -193,15 +196,14 @@ def weak_star_test(
     Test functions come from the built-in dictionary: "1", ("cos", k-vector),
     ("bump", x0, r).  A standard error needs a budget of at least 2 samples.
     """
-    from .manifold import sample_manifold, d0_many
-
     if budget < 2:
         raise InputError(f"weak_star_test budget must be >= 2, got {budget}")
     for _, field in fields:
         field.validate(m)
     pts, w = sample_manifold(m, budget, seed)
+    volume = float(w.sum())
     rows = []
-    for fi, (flabel, field) in enumerate(fields):
+    for flabel, field in fields:
         dens = np.exp(m.dim * field.eval_many(m, pts))
         for tf in testfns:
             if tf == "1" or tf == 1:
@@ -224,11 +226,19 @@ def weak_star_test(
                 tlabel = f"bump(r={r:g})"
             else:
                 raise InputError(f"unknown test function {tf!r}")
-            prod = vals * dens
-            est = float(w.sum() * prod.mean())
-            se = float(w.sum() * prod.std(ddof=1) / np.sqrt(budget))
-            rows.append({"field": flabel, "testfn": tlabel, "value": est, "stderr": se})
+            mean, se = wt._mc_mean(vals * dens, volume, f"samples of {tlabel} e^(nf) for {flabel}")
+            rows.append({"field": flabel, "testfn": tlabel, "value": volume * mean, "stderr": se})
     return rows
+
+
+def _family_distances(m: Manifold, pts: PointSet, eps: float, fields, sources, seed: int) -> list:
+    """shortest_paths from sources under each field of a family, on one
+    eps-graph: built for the first field and reweighted for each other."""
+    graph = mt.build_graph(m, pts, eps, fields[0], seed=seed)
+    mats = [mt.shortest_paths(graph, sources)]
+    for field in fields[1:]:
+        mats.append(mt.shortest_paths(graph.reweight(m, field, 256, seed), sources))
+    return mats
 
 
 def _flag(flags: list, cid: str, ok: bool, value, threshold: str):
@@ -275,8 +285,6 @@ def run_flat_identity(spec: ExperimentSpec, outdir: Path):
     dmat = mt.shortest_paths(graph, src)
     pair_rows = []
     worst = 0.0
-    from .manifold import d0_many
-
     for k in range(n_pairs):
         i = int(src[k % src.size])
         j = int(rng.integers(0, len(pts)))
@@ -378,8 +386,6 @@ def run_sphere_bubble(spec: ExperimentSpec, outdir: Path):
     flags = []
     report = {"lams": lams}
 
-    from .manifold import sample_manifold
-
     pts, _ = sample_manifold(m, n_samples, seed=derive_seed(seed, "scal"))
     worst_scal = 0.0
     mass_dev = 0.0
@@ -452,17 +458,9 @@ def run_log_cusp(spec: ExperimentSpec, outdir: Path):
             idx.append(pts.nearest(m, p))
     idx = np.unique(np.asarray(idx))
 
-    mats = []
     labels = caps + ["inf"]
-    base_graph = None
-    for cap in caps + [None]:
-        f = wt.LogCusp(x0, r0, cap)
-        if base_graph is None:
-            base_graph = mt.build_graph(m, pts, eps, f, seed=seed)
-            gcap = base_graph
-        else:
-            gcap = base_graph.reweight(m, f, 256, seed)
-        mats.append(mt.shortest_paths(gcap, idx))
+    cusps = [wt.LogCusp(x0, r0, cap) for cap in caps + [None]]
+    mats = _family_distances(m, pts, eps, cusps, idx, seed)
     d_inf = mats[-1]
     sup_diff = [float(np.max(np.abs(dm.values - d_inf.values))) for dm in mats[:-1]]
     decreasing = bool(np.all(np.diff(sup_diff) <= 1e-12))
@@ -479,17 +477,15 @@ def run_log_cusp(spec: ExperimentSpec, outdir: Path):
     report["converge"] = converge_compare(mats, labels=[str(l) for l in labels])
 
     d0m = dg.d0_matrix(m, pts, idx)
-    sq = [np.nonzero(idx == s)[0][0] for s in idx]
     alpha_lows = []
-    for dm, cap in zip(mats, labels):
+    for dm, cusp in zip(mats, cusps):
         sub = mt.DistanceMatrix(
             sources=idx, targets=idx, values=dm.values[:, idx], provenance={"dim": m.dim}
         )
         sub0 = mt.DistanceMatrix(
             sources=idx, targets=idx, values=d0m.values[:, idx], provenance={"dim": m.dim}
         )
-        cap_field = wt.LogCusp(x0, r0, None if cap == "inf" else float(cap))
-        mass, _ = wt.total_mass(m, cap_field, seed=derive_seed(seed, "mass"))
+        mass, _ = wt.total_mass(m, cusp, seed=derive_seed(seed, "mass"))
         fit = dg.biholder_fit(sub, sub0, mass)
         alpha_lows.append(fit.alpha_low)
     _flag(
@@ -551,16 +547,7 @@ def run_burago(spec: ExperimentSpec, outdir: Path):
     eps = 3 * pts.spacing
     rng = derive_rng(seed, "bur-nodes")
     idx = np.unique(rng.choice(len(pts), 12, replace=False))
-    mats = []
-    base = None
-    for ell in (2, 4, 8):
-        f = wt.BuragoTorus(ell)
-        if base is None:
-            base = mt.build_graph(m, pts, eps, f, seed=seed)
-            gg = base
-        else:
-            gg = base.reweight(m, f, 256, seed)
-        mats.append(mt.shortest_paths(gg, idx))
+    mats = _family_distances(m, pts, eps, [wt.BuragoTorus(ell) for ell in (2, 4, 8)], idx, seed)
     comp = converge_compare(mats, labels=["2", "4", "8"])
     ratio = comp["ratios"][0] if comp["ratios"] else float("nan")
     _flag(flags, "C6-rate", ratio <= 0.65, ratio, "successive sup-difference ratio <= 0.65")
@@ -707,7 +694,6 @@ def run_schrodinger(spec: ExperimentSpec, outdir: Path):
     a_est = sc.estimate_grad_inv_constant(geom)
     report["beta_est"] = beta
     report["a_est"] = a_est
-    from .manifold import d0_many
 
     c0 = np.asarray([L / 2] * 3)
     r0 = 0.8
@@ -801,6 +787,13 @@ class RunReport:
     passed: bool
     timings: dict = dc_field(default_factory=dict)
 
+    @staticmethod
+    def failed(spec, exc: ConflabError) -> "RunReport":
+        """The report of a run, or of a spec, that exc stopped: the error is
+        its only stage."""
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        return RunReport(spec=spec, stages={"error": error}, flags=[], passed=False)
+
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -813,6 +806,11 @@ class RunReport:
             indent=2,
             default=_json_default,
         )
+
+    def write(self, outdir: Path) -> None:
+        """report.json in outdir, made if missing."""
+        outdir.mkdir(parents=True, exist_ok=True)
+        (outdir / "report.json").write_text(self.to_json())
 
 
 def _json_default(obj):
@@ -838,25 +836,21 @@ def run(spec: ExperimentSpec) -> RunReport:
     error = None
     try:
         try:
-            report, flags = _RUNNERS[spec.name](spec, outdir)
+            stages, flags = _RUNNERS[spec.name](spec, outdir)
         except (np.linalg.LinAlgError, MemoryError) as exc:
             kind = ResourceError if isinstance(exc, MemoryError) else NumericError
             raise kind(f"{type(exc).__name__}: {exc}") from exc
+        rr = RunReport(spec=spec.to_dict(), stages=stages, flags=flags,
+                       passed=all(f["pass"] for f in flags))
     except ConflabError as exc:
-        report = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        flags = []
-        error = exc
-    elapsed = time.time() - t0
+        rr, error = RunReport.failed(spec.to_dict(), exc), exc
     # wall-clock numbers go to a separate file so report.json stays
     # bit-identical across runs of the same spec
-    timings = {"wall_seconds": elapsed}
-    for key in [k for k in report if k.startswith("_timing")]:
-        timings[key.removeprefix("_timing_")] = report.pop(key)
-    passed = error is None and (all(f["pass"] for f in flags) if flags else True)
-    rr = RunReport(spec=spec.to_dict(), stages=report, flags=flags, passed=passed)
-    rr.timings = timings
-    (outdir / "report.json").write_text(rr.to_json())
-    (outdir / "timings.json").write_text(json.dumps(timings))
+    rr.timings = {"wall_seconds": time.time() - t0}
+    for key in [k for k in rr.stages if k.startswith("_timing")]:
+        rr.timings[key.removeprefix("_timing_")] = rr.stages.pop(key)
+    rr.write(outdir)
+    (outdir / "timings.json").write_text(json.dumps(rr.timings))
     if error is not None:
         raise error
     return rr

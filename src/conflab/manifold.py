@@ -296,14 +296,9 @@ def midpoint(m: Manifold, x, y) -> np.ndarray:
     y = m.check_points(y)[0]
     if np.array_equal(x, y):
         raise GeometryError("midpoint requires two distinct points")
-    if m.kind == "torus":
-        return m.canonicalize(x + 0.5 * torus_delta(m, x, y))
-    if m.kind == "box":
-        return 0.5 * (x + y)
-    if d0_many(m, x, y) >= pi * m.radius - 1e-9:
+    if m.kind == "sphere" and d0_many(m, x, y) >= pi * m.radius - 1e-9:
         raise GeometryError("midpoint of (nearly) antipodal sphere points is ambiguous")
-    mid = x + y
-    return mid / np.linalg.norm(mid)
+    return geodesic_points(m, x[None], y[None], [0.5])[0, 0]
 
 
 def geodesic_points(m: Manifold, x: np.ndarray, y: np.ndarray, ts: np.ndarray) -> np.ndarray:

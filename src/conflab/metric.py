@@ -22,7 +22,6 @@ from __future__ import annotations
 from copy import copy
 from dataclasses import dataclass, field as dc_field, replace
 from math import pi
-from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -30,7 +29,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.spatial import cKDTree
 
-from .errors import FormatError, InputError, ResourceError
+from .errors import InputError, ResourceError
 from .manifold import (
     BallSpec,
     Manifold,
@@ -44,7 +43,7 @@ from .manifold import (
     unit_ball_volume,
 )
 from .rng import derive_seed
-from .weight import WeightField, mu_f_ball
+from .weight import WeightField, mu_f_ball, read_payload, write_payload
 
 _EDGE_CHUNK = 2_000_000
 
@@ -169,44 +168,21 @@ class DistanceMatrix:
         np.savetxt(path, rows, delimiter=",", header=header, comments="")
 
     def write_binary(self, path) -> None:
-        import json
-
-        path = Path(path)
-        payload = path.with_suffix(".bin").name
         manifest = {
             "version": 1,
             "sources": [int(s) for s in self.sources],
             "targets": [int(t) for t in self.targets],
-            "payload": payload,
-            "dtype": "f64le",
-            "order": "row-major",
         }
-        path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-        (path.parent / payload).write_bytes(
-            np.ascontiguousarray(self.values, dtype="<f8").tobytes()
-        )
+        write_payload(path, manifest, self.values)
 
     @staticmethod
     def read_binary(path) -> "DistanceMatrix":
-        import json
+        def parse(manifest):
+            sources = np.asarray(manifest["sources"], dtype=int)
+            targets = np.asarray(manifest["targets"], dtype=int)
+            return (sources, targets), (sources.size, targets.size)
 
-        path = Path(path)
-        try:
-            manifest = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"malformed distance manifest: {exc}") from exc
-        for key in ("sources", "targets", "payload", "dtype", "order"):
-            if key not in manifest:
-                raise FormatError(f"distance manifest missing key {key!r}")
-        if manifest["dtype"] != "f64le" or manifest["order"] != "row-major":
-            raise FormatError("distance payload must be f64le row-major")
-        sources = np.asarray(manifest["sources"], dtype=int)
-        targets = np.asarray(manifest["targets"], dtype=int)
-        raw = (path.parent / manifest["payload"]).read_bytes()
-        expect = sources.size * targets.size * 8
-        if len(raw) != expect:
-            raise FormatError(f"payload holds {len(raw)} bytes, expected {expect}")
-        values = np.frombuffer(raw, dtype="<f8").reshape(sources.size, targets.size).copy()
+        (sources, targets), values = read_payload(path, "distance", parse)
         return DistanceMatrix(sources=sources, targets=targets, values=values)
 
 

@@ -172,9 +172,6 @@ class GridOperator:
     def from_grid_field(grid: GridField, V: np.ndarray) -> "GridOperator":
         return GridOperator(GridGeometry(grid.manifold, grid.shape), V)
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        return self.geom.lap(u) - self.V * u
-
     def as_sparse(self) -> csr_matrix:
         return (self.geom.laplacian - diags(self.V)).tocsr()
 
@@ -228,7 +225,7 @@ def lowest_eigenpair(op: GridOperator, tol: float = 1e-10, max_iter: int = 400,
             f"tail {history[-5:]}"
         )
     phi = v / v.max()
-    res_rel = float(np.linalg.norm(op.apply(phi) - lam * phi) / np.linalg.norm(phi))
+    res_rel = float(np.linalg.norm(A @ phi - lam * phi) / np.linalg.norm(phi))
     return SchrodingerSolve(
         lambda0=lam, phi=phi, residual=res_rel, iterations=len(history), history=history
     )
@@ -368,7 +365,11 @@ def gs_shift_c0(
             f"lambda0({c_hi:.4g}) = {lam_hi:.4g}"
         )
     # Illinois false position: bracketed, superlinear on this smooth
-    # monotone eigenvalue curve
+    # monotone eigenvalue curve, and stopped as soon as |lambda0| <= tol.
+    # scipy's bracketing root finders stop on the bracket width instead:
+    # brentq with xtol = tol (as strict, since |d lambda0 / dc| <= 1) took
+    # 888 eigen solves on the schrodinger experiment at seed 2026, this
+    # loop 392, so it stays hand-written.
     lo, hi, f_lo, f_hi = c_lo, c_hi, lam_lo, lam_hi
     c_mid, lam_mid = (lo, f_lo) if abs(f_lo) < abs(f_hi) else (hi, f_hi)
     for _ in range(100):

@@ -494,6 +494,11 @@ class GridField(NodeGrid):
             raise InputError("grid values must be finite")
 
 
+def _linear_weights(s: np.ndarray) -> np.ndarray:
+    """Multilinear kernel weights for taps at offsets 0, 1."""
+    return np.stack([1.0 - s, s], axis=0)
+
+
 def _cubic_weights(s: np.ndarray) -> np.ndarray:
     """Catmull-Rom kernel weights for taps at offsets -1, 0, 1, 2."""
     s2, s3 = s * s, s**3
@@ -506,6 +511,10 @@ def _cubic_weights(s: np.ndarray) -> np.ndarray:
         ],
         axis=0,
     )
+
+
+# interpolation order -> (tap offsets from the node below, kernel weights)
+_TAPS = {1: ((0, 1), _linear_weights), 3: ((-1, 0, 1, 2), _cubic_weights)}
 
 
 def _ghosts(f0, f1, f2):
@@ -567,22 +576,14 @@ class GridWeight(WeightField):
         self.validate(m)
         i0, frac = self._local(m, x)
         n = m.dim
-        if self.order == 1:
-            out = np.zeros(x.shape[0])
-            for corner in range(2**n):
-                bits = [(corner >> a) & 1 for a in range(n)]
-                wgt = np.ones(x.shape[0])
-                for a, b in enumerate(bits):
-                    wgt = wgt * (frac[:, a] if b else 1.0 - frac[:, a])
-                out += wgt * self._gather([i0[:, a] + bits[a] for a in range(n)])
-            return out
-        wts = [_cubic_weights(frac[:, a]) for a in range(n)]
+        offsets, kernel = _TAPS[self.order]
+        wts = [kernel(frac[:, a]) for a in range(n)]
         out = np.zeros(x.shape[0])
-        for corner in np.ndindex(*(4,) * n):
+        for corner in np.ndindex(*(len(offsets),) * n):
             wgt = np.ones(x.shape[0])
             for a, c in enumerate(corner):
                 wgt = wgt * wts[a][c]
-            out += wgt * self._gather([i0[:, a] + corner[a] - 1 for a in range(n)])
+            out += wgt * self._gather([i0[:, a] + offsets[c] for a, c in enumerate(corner)])
         return out
 
 
@@ -600,60 +601,78 @@ def grid_from_field(m: Manifold, field: WeightField, shape) -> GridField:
 _MANIFEST_KEYS = {"version", "manifold", "shape", "field", "payload", "dtype", "order"}
 
 
+def write_payload(path, manifest: dict, values: np.ndarray) -> None:
+    """Write ``manifest`` as JSON at path and ``values`` as its payload: a
+    little-endian float64 row-major file named in the manifest, next to it."""
+    path = Path(path)
+    manifest = dict(manifest, payload=path.with_suffix(".bin").name, dtype="f64le", order="row-major")
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    (path.parent / manifest["payload"]).write_bytes(np.ascontiguousarray(values, dtype="<f8").tobytes())
+
+
+def read_payload(path, what: str, parse):
+    """(header, values) of a manifest written by ``write_payload``:
+    parse(manifest) applies the caller's key rules and returns (header,
+    shape), and values is the payload in that shape.  An unreadable,
+    incomplete or malformed manifest or payload raises FormatError."""
+    path = Path(path)
+    try:
+        manifest = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or JSON
+        raise FormatError(f"cannot read {what} manifest {path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{what} manifest must be a JSON object, got {type(manifest).__name__}")
+    try:
+        header, shape = parse(manifest)
+        raw = (path.parent / manifest["payload"]).read_bytes()
+    except KeyError as exc:
+        raise FormatError(f"{what} manifest missing key {exc}") from exc
+    except (OSError, TypeError, ValueError) as exc:
+        raise FormatError(f"malformed {what} manifest or unreadable payload: {exc}") from exc
+    if manifest.get("dtype") != "f64le" or manifest.get("order") != "row-major":
+        raise FormatError(f"{what} payload must be f64le row-major")
+    expect = int(np.prod(shape)) * 8
+    if len(raw) != expect:
+        raise FormatError(f"payload holds {len(raw)} bytes, expected {expect}")
+    return header, np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+
+
 def write_grid(grid: GridField, path) -> None:
     """Write manifest JSON + little-endian float64 payload next to it."""
-    path = Path(path)
-    payload = path.with_suffix(".bin").name
     m = grid.manifold
     mdesc = {"kind": m.kind, "dim": m.dim}
     if m.kind == "torus":
         mdesc["periods"] = list(map(float, m.periods))
     else:
         mdesc["extents"] = [[float(lo), float(hi)] for lo, hi in m.extents]
-    manifest = {
-        "version": 1,
-        "manifold": mdesc,
-        "shape": list(grid.shape),
-        "field": "logf",
-        "payload": payload,
-        "dtype": "f64le",
-        "order": "row-major",
-    }
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    (path.parent / payload).write_bytes(np.ascontiguousarray(grid.values, dtype="<f8").tobytes())
+    manifest = {"version": 1, "manifold": mdesc, "shape": list(grid.shape), "field": "logf"}
+    write_payload(path, manifest, grid.values)
 
 
-def read_grid(path) -> GridField:
-    path = Path(path)
-    try:
-        manifest = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"malformed grid manifest: {exc}") from exc
+def _grid_header(manifest: dict):
+    """(manifold, shape) of a grid manifest, whose keys must be exactly
+    ``_MANIFEST_KEYS``."""
     keys = set(manifest)
     if keys != _MANIFEST_KEYS:
         raise FormatError(
             f"grid manifest keys {sorted(keys)} do not match expected {sorted(_MANIFEST_KEYS)}"
         )
     if manifest["field"] != "logf":
-        raise FormatError(
-            f"unknown field name {manifest['field']!r}; expected 'logf'"
-        )
-    if manifest["dtype"] != "f64le" or manifest["order"] != "row-major":
-        raise FormatError("grid payload must be f64le row-major")
+        raise FormatError(f"unknown field name {manifest['field']!r}; expected 'logf'")
     mdesc = manifest["manifold"]
-    if mdesc["kind"] == "torus":
-        m = Manifold.torus(int(mdesc["dim"]), mdesc["periods"])
-    elif mdesc["kind"] == "box":
+    kind, dim = mdesc["kind"], int(mdesc["dim"])  # write_grid gives every kind a dim
+    if kind == "torus":
+        m = Manifold.torus(dim, mdesc["periods"])
+    elif kind == "box":
         m = Manifold.box(mdesc["extents"])
     else:
-        raise FormatError(f"grid manifold kind {mdesc['kind']!r} not supported")
-    shape = tuple(int(s) for s in manifest["shape"])
-    raw = (path.parent / manifest["payload"]).read_bytes()
-    expect = int(np.prod(shape)) * 8
-    if len(raw) != expect:
-        raise FormatError(f"payload holds {len(raw)} bytes, expected {expect}")
-    values = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    return GridField(manifold=m, shape=shape, values=values)
+        raise FormatError(f"grid manifold kind {kind!r} not supported")
+    return m, tuple(int(s) for s in manifest["shape"])
+
+
+def read_grid(path) -> GridField:
+    m, values = read_payload(path, "grid", _grid_header)
+    return GridField(manifold=m, shape=values.shape, values=values)
 
 
 def write_grid_csv(grid: GridField, path) -> None:

@@ -193,6 +193,10 @@ def test_weak_star_validates_each_field(sphere2):
         ({"name": "custom", "weight": {"kind": "scaled", "base": {"kind": "burago"}}}, "'shift'"),
         ({"name": "custom", "weight": {"kind": "grid", "order": 3}}, "'path'"),
         ({"name": "custom", "weight": {"kind": "scaled", "base": 3, "shift": 0.5}}, "an object"),
+        ({"name": "custom", "weight": 3}, "'weight'"),
+        ({"name": "flat-identity", "graph": {"spacing": "abc"}}, "graph entry 'spacing'"),
+        ({"name": "custom", "budgets": {"ball": [1.0, None]}}, "budgets entry 'ball'"),
+        ({"name": "custom", "diagnostics": {"eta": float("inf")}}, "diagnostics entry 'eta'"),
     ],
 )
 def test_missing_spec_key_is_an_input_error(tmp_path, capsys, doc, words):
@@ -201,6 +205,50 @@ def test_missing_spec_key_is_an_input_error(tmp_path, capsys, doc, words):
     error = json.loads((tmp_path / "out" / "report.json").read_text())["stages"]["error"]
     assert error["type"] == "InputError"
     assert words in error["message"]
+
+
+@pytest.mark.parametrize("doc", [3, ["name"], {"name": "custom", "seed": "abc"}], ids=["int", "list", "seed"])
+def test_rejected_spec_writes_a_report_into_conf_lab_out(tmp_path, monkeypatch, capsys, doc):
+    monkeypatch.setenv("CONF_LAB_OUT", str(tmp_path / "out"))
+    assert main(["run", str(_write_spec(tmp_path, doc))]) == 2
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["passed"] is False
+    assert report["stages"]["error"]["type"] == "InputError"
+
+
+def _grid_spec(tmp_path, edit_manifest=None, payload=True):
+    """A custom spec reading a grid weight whose manifest goes through
+    edit_manifest (a function of the manifest object) before it is written."""
+    from conflab.weight import Constant, grid_from_field, write_grid
+
+    path = tmp_path / "grid.json"
+    write_grid(grid_from_field(Manifold.torus(2), Constant(0.1), (8, 8)), path)
+    if edit_manifest is not None:
+        path.write_text(json.dumps(edit_manifest(json.loads(path.read_text()))))
+    if not payload:
+        path.with_suffix(".bin").unlink()
+    return {"name": "custom", "seed": 1, "output_dir": str(tmp_path / "out"),
+            "weight": {"kind": "grid", "path": str(path)}}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        lambda tmp: dict(_grid_spec(tmp), weight={"kind": "grid", "path": str(tmp / "nope.json")}),
+        lambda tmp: _grid_spec(tmp, payload=False),
+        lambda tmp: _grid_spec(tmp, lambda doc: [doc]),
+        lambda tmp: _grid_spec(tmp, lambda doc: dict(doc, manifold={})),
+        lambda tmp: _grid_spec(tmp, lambda doc: dict(doc, manifold={"kind": "torus", "dim": 2})),
+        lambda tmp: _grid_spec(tmp, lambda doc: dict(doc, manifold={"kind": "box", "dim": 2})),
+        lambda tmp: _grid_spec(tmp, lambda doc: dict(doc, manifold={"kind": "torus", "periods": [6.0, 6.0]})),
+    ],
+    ids=["no-manifest", "no-payload", "not-an-object", "no-kind", "no-periods", "no-extents", "no-dim"],
+)
+def test_unreadable_grid_payload_is_a_format_error(tmp_path, capsys, spec):
+    doc = spec(tmp_path)
+    assert main(["run", str(_write_spec(tmp_path, doc))]) == 2
+    error = json.loads((tmp_path / "out" / "report.json").read_text())["stages"]["error"]
+    assert error["type"] == "FormatError"
 
 
 def test_missing_or_unreadable_spec_exit_code(tmp_path, capsys):

@@ -255,8 +255,9 @@ def test_distance_matrix_get_unknown_target():
         lambda text: text.replace('"f64le"', '"f32be"'),
         lambda text: text.replace('"row-major"', '"column-major"'),
         lambda text: text[:-2],
+        lambda text: text.replace('"dist.bin"', '"absent.bin"'),
     ],
-    ids=["f32be", "column-major", "truncated"],
+    ids=["f32be", "column-major", "truncated", "missing-payload"],
 )
 def test_distance_matrix_read_binary_rejects_other_layouts(tmp_path, edit):
     path = tmp_path / "dist.json"

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from conflab.curvature import lp_scal_norm
+from conflab.diagnostics import BoxDomain, isoperimetric_ratio
 from conflab.errors import FormatError, InputError
+from conflab.experiments import weak_star_test
 from conflab.manifold import (
     BallSpec,
     Manifold,
@@ -375,10 +378,16 @@ def test_grid_io_unknown_manifest_key(tmp_path, torus2):
 
 
 class _HalfInfinite(__import__("conflab.weight", fromlist=["WeightField"]).WeightField):
-    """Test helper: infinite on half the torus, far beyond the 0.1% allowance."""
+    """Test helper: infinite on half the torus, far beyond the 0.1% allowance.
+    Its derivatives are zero, so its curvature e^{-2f} * 0 is finite."""
+
+    exact_derivatives = True
 
     def eval_many(self, m, x):
         return np.where(x[:, 0] < np.pi, np.inf, 0.0)
+
+    def grad_lap_many(self, m, x):
+        return np.zeros_like(x), np.zeros(x.shape[0])
 
 
 @pytest.mark.parametrize(
@@ -387,8 +396,14 @@ class _HalfInfinite(__import__("conflab.weight", fromlist=["WeightField"]).Weigh
         lambda m, f: mu_f_ball(m, f, whole_manifold_ball(m), budget=2000, seed=1),
         lambda m, f: total_mass(m, f, budget=2000, seed=1),
         lambda m, f: integrability_profile(m, f, [1.0], budget=2000, seed=1),
+        lambda m, f: weak_star_test(m, [("half", f)], ["1"], budget=2000, seed=1),
+        lambda m, f: isoperimetric_ratio(
+            m, f, [BoxDomain((2.5, 1.0), (3.5, 2.0))], budget=2000, seed=1, mass_bound=np.inf
+        ),
+        lambda m, f: lp_scal_norm(m, f, whole_manifold_ball(m), 1.0, budget=2000, seed=1),
     ],
-    ids=["mu_f_ball", "total_mass", "integrability_profile"],
+    ids=["mu_f_ball", "total_mass", "integrability_profile", "weak_star_test",
+         "isoperimetric_box", "lp_scal_norm"],
 )
 def test_mu_f_ball_nonfinite_excess(torus2, mass):
     from conflab.errors import IntegrationError
