@@ -19,12 +19,21 @@ from .errors import ConflabError, InputError
 from .experiments import ExperimentSpec, RunReport, run
 
 
+def _json(text: str, what: str):
+    """The JSON document in text; InputError naming what if it is malformed."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"malformed JSON {what}: {exc}") from exc
+
+
 def _read_spec(path: str):
     """The JSON document at path, with CONF_LAB_OUT as its output_dir when set."""
     try:
-        doc = json.loads(Path(path).read_text())
+        text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read spec file {path}: {exc}") from exc
+    doc = _json(text, f"spec {path}")
     if "CONF_LAB_OUT" in os.environ and isinstance(doc, dict):
         doc["output_dir"] = os.environ["CONF_LAB_OUT"]
     return doc
@@ -43,8 +52,8 @@ def _doc_from_flags(args) -> dict:
         "name": _WRAPPER_EXPERIMENT[args.command],
         "seed": args.seed,
         "output_dir": os.environ.get("CONF_LAB_OUT", args.output_dir),
-        "manifold": json.loads(args.manifold) if args.manifold else {},
-        "weight": json.loads(args.weight) if args.weight else {},
+        "manifold": _json(args.manifold, "--manifold") if args.manifold else {},
+        "weight": _json(args.weight, "--weight") if args.weight else {},
     }
     if args.command == "ainfty" and not doc["weight"]:
         doc["weight"] = {"kind": "burago", "ell": 1}
@@ -54,11 +63,15 @@ def _doc_from_flags(args) -> dict:
     return doc
 
 
-def _parse(doc) -> ExperimentSpec:
-    """ExperimentSpec.from_dict(doc).  A spec it rejects still gets a
-    report.json naming the error, in CONF_LAB_OUT or else the output_dir the
-    spec names, when either is a string."""
+def _parse(args) -> ExperimentSpec:
+    """The spec of the command line: the spec file of ``run``, else the
+    wrapper's flags.  A spec that cannot be read or parsed, or that
+    ExperimentSpec.from_dict rejects, still gets a report.json naming the
+    error, in CONF_LAB_OUT or else the output_dir the spec names, when
+    either is a string."""
+    doc = None
     try:
+        doc = _read_spec(args.spec) if args.command == "run" else _doc_from_flags(args)
         return ExperimentSpec.from_dict(doc)
     except InputError as exc:
         out = os.environ.get("CONF_LAB_OUT", doc.get("output_dir") if isinstance(doc, dict) else None)
@@ -127,14 +140,11 @@ _WRAPPER_EXPERIMENT = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        spec = _parse(_read_spec(args.spec) if args.command == "run" else _doc_from_flags(args))
+        spec = _parse(args)
         report = run(spec)
     except ConflabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON spec: {exc}", file=sys.stderr)
-        return 2
     for flag in report.flags:
         state = "PASS" if flag["pass"] else "FAIL"
         print(f"[{state}] {flag['criterion']}: value={flag['value']} ({flag['threshold']})")

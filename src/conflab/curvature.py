@@ -201,13 +201,12 @@ def lp_scal_norm(
     seed: int = 0,
     positive_part: bool = False,
     method: str = "exact",
-    h: float = 1e-3,
 ) -> float:
     """(int_B |scal|^p dmu_f)^{1/p}, optionally with the positive part.
 
     Rotationally symmetric sphere fields integrate exactly over colatitude
     slices; everything else is Monte Carlo on uniform ball samples, with the
-    curvature from scalar_curvature_many(method, h).
+    curvature from scalar_curvature_many(method) at its default fd step.
     """
     if p < 1:
         raise InputError("lp_scal_norm requires p >= 1")
@@ -224,7 +223,7 @@ def lp_scal_norm(
             val = radial_ball_integral(m, integrand, prof.axis, b)
             return val ** (1.0 / p)
     pts, w, _ = sample_ball(m, b, budget, seed)
-    s = scalar_curvature_many(m, field, pts, method, h)
+    s = scalar_curvature_many(m, field, pts, method)
     s = np.maximum(s, 0.0) if positive_part else np.abs(s)
     vol = float(w.sum())
     mean, _ = _mc_mean(s**p * np.exp(n * field.eval_many(m, pts)), vol, "samples of |scal|^p e^(nf)")
@@ -240,7 +239,6 @@ def pinching_profile(
     seed: int = 0,
     lambda0: Optional[float] = None,
     method: str = "exact",
-    h: float = 1e-3,
 ) -> PinchingReport:
     """Local curvature concentration: sup over centers of the two
     (int_{B(x,R0)} . dmu_f)^{2/n} functionals, with threshold flags."""
@@ -254,10 +252,10 @@ def pinching_profile(
         ball = BallSpec(center=c, radius=R0)
         s = derive_seed(seed, "pinch", i)
         pos_vals[i] = lp_scal_norm(
-            m, field, ball, p, budget, s, positive_part=True, method=method, h=h
+            m, field, ball, p, budget, s, positive_part=True, method=method
         )
         abs_vals[i] = lp_scal_norm(
-            m, field, ball, p, budget, s, positive_part=False, method=method, h=h
+            m, field, ball, p, budget, s, positive_part=False, method=method
         )
     # lp_scal_norm returns ( . )^{1/p} = ( . )^{2/n}, already the pinched form
     sup_pos = float(pos_vals.max())

@@ -254,9 +254,7 @@ def d0_matrix(m: Manifold, points: PointSet, sources=None) -> DistanceMatrix:
     vals = np.stack(
         [d0_many(m, points.points, points.points[s]) for s in sources], axis=0
     )
-    return DistanceMatrix(
-        sources=sources, targets=np.arange(n), values=vals, provenance={"kind": "d0"}
-    )
+    return DistanceMatrix(sources=sources, targets=np.arange(n), values=vals)
 
 
 @dataclass
@@ -269,16 +267,19 @@ class BiHolderFit:
     n_pairs: int
 
 
-def biholder_fit(dmat_f: DistanceMatrix, dmat_0: DistanceMatrix, mass_total: float) -> BiHolderFit:
+def biholder_fit(
+    dmat_f: DistanceMatrix, dmat_0: DistanceMatrix, mass_total: float, dim: int
+) -> BiHolderFit:
     """Least-squares exponent between log d_f (mass-normalized) and log d0.
 
     Returns the fitted slope and the smallest constant C for which
 
         mass^{1/n}/C * d0^{1/alpha} <= d_f <= C mass^{1/n} d0^alpha
 
-    holds over all represented pairs, at alpha = slope clipped into (0,1).
-    The normalization divides d_f by mass_total^{1/n} with n inferred from
-    the caller (the exponent fit itself is normalization-independent).
+    holds over all represented pairs, at alpha = slope clipped into (0,1),
+    with n = dim, the manifold's dimension.  Dividing d_f by mass_total^{1/n}
+    makes C invariant under a constant shift of f (the exponent fit itself
+    is normalization-independent).
     """
     if dmat_f.values.shape != dmat_0.values.shape or not np.array_equal(
         dmat_f.sources, dmat_0.sources
@@ -289,7 +290,7 @@ def biholder_fit(dmat_f: DistanceMatrix, dmat_0: DistanceMatrix, mass_total: flo
     good = (df > 0) & (d0v > 0) & np.isfinite(df) & np.isfinite(d0v)
     if int(good.sum()) < 10:
         raise SamplingError("bi-Hölder fit needs at least 10 positive pairs")
-    scale = mass_total ** (1.0 / dmat_f.provenance.get("dim", dmat_0.provenance.get("dim", 2)))
+    scale = mass_total ** (1.0 / dim)
     y = np.log(df[good] / scale)
     x = np.log(d0v[good])
     slope, intercept = np.polyfit(x, y, 1)
@@ -313,15 +314,14 @@ def holder_seminorm(
     dmat: DistanceMatrix,
     d0mat: DistanceMatrix,
     alpha: float,
-    quadruples: int = 4000,
     seed: int = 0,
 ) -> float:
     """sup over sampled quadruples of
     |d(x,y) - d(x',y')| / (d0(x,x')^alpha + d0(y,y')^alpha).
 
-    Works on square matrices (sources == targets).  Besides uniform random
-    quadruples, structured ones with y' = y and x' ranging over all other
-    points are included, which is where the sup is typically attained.
+    Works on square matrices (sources == targets).  Besides 4000 uniform
+    random quadruples, structured ones with y' = y and x' ranging over all
+    other points are included, which is where the sup is typically attained.
     """
     if dmat.values.shape != d0mat.values.shape or not np.array_equal(
         dmat.sources, d0mat.sources
@@ -339,7 +339,7 @@ def holder_seminorm(
     for y in rng.choice(S, size=min(S, 48), replace=False):
         num = np.abs(d[:, y][:, None] - d[:, y][None, :])
         best = max(best, float(np.max(num / dxx)))
-    a, b, y, yp = rng.integers(0, S, (4, quadruples))
+    a, b, y, yp = rng.integers(0, S, (4, 4000))
     den = d0v[a, b] ** alpha + d0v[y, yp] ** alpha
     num = np.abs(d[a, y] - d[b, yp])
     ok = den > 0
@@ -366,6 +366,15 @@ class BoxDomain:
             raise InputError(f"box domain needs finite hi > lo on every axis: {self.lo}, {self.hi}")
 
 
+def _boundary_mean(m: Manifold, field: WeightField, pts: np.ndarray) -> float:
+    """Mean of e^{(n-1)f} over boundary nodes; IntegrationError if any
+    value is not finite."""
+    vals = np.exp((m.dim - 1) * field.eval_many(m, m.canonicalize(pts)))
+    if not np.all(np.isfinite(vals)):
+        raise IntegrationError("boundary quadrature hit non-finite weight values")
+    return float(vals.mean())
+
+
 def _ball_boundary_quadrature(m: Manifold, field: WeightField, ball: BallSpec, nodes: int):
     """int_{boundary} e^{(n-1)f} dA0 for a coordinate ball on a torus/box."""
     n = m.dim
@@ -379,11 +388,7 @@ def _ball_boundary_quadrature(m: Manifold, field: WeightField, ball: BallSpec, n
         dirs = _quasi_uniform_sphere(n - 1, nodes)
         pts = c + r * dirs
         area = sphere_volume(n - 1) * r ** (n - 1)
-    pts = m.canonicalize(pts) if m.kind == "torus" else pts
-    vals = np.exp((n - 1) * field.eval_many(m, pts))
-    if not np.all(np.isfinite(vals)):
-        raise IntegrationError("boundary quadrature hit non-finite weight values")
-    return area * float(vals.mean())
+    return area * _boundary_mean(m, field, pts)
 
 
 def _box_boundary_quadrature(m: Manifold, field: WeightField, dom: BoxDomain, nodes_per_face: int):
@@ -403,9 +408,7 @@ def _box_boundary_quadrature(m: Manifold, field: WeightField, dom: BoxDomain, no
         for side_val in (lo[a], hi[a]):
             pts = face_pts.copy()
             pts[:, a] = side_val
-            pts = m.canonicalize(pts) if m.kind == "torus" else pts
-            vals = np.exp((n - 1) * field.eval_many(m, pts))
-            total += face_area * float(vals.mean())
+            total += face_area * _boundary_mean(m, field, pts)
     return total
 
 
@@ -430,14 +433,13 @@ def isoperimetric_ratio(
     domains: Sequence,
     budget: int = 40_000,
     seed: int = 0,
-    boundary_nodes: int = 4096,
     mass_bound: Optional[float] = None,
 ) -> IsoperimetricResult:
     """inf over domains of perimeter / mass^{1-1/n} for the deformed metric.
 
-    Perimeter is the boundary quadrature of e^{(n-1)f}; mass is mu_f of the
-    domain.  Domains with more than half the total mass violate the
-    precondition and are rejected.
+    Perimeter is the boundary quadrature of e^{(n-1)f} on 4096 nodes (per
+    face of a box); mass is mu_f of the domain.  Domains with more than
+    half the total mass violate the precondition and are rejected.
     """
     field.validate(m)
     n = m.dim
@@ -448,7 +450,7 @@ def isoperimetric_ratio(
     for k, dom in enumerate(domains):
         s = derive_seed(seed, "iso", k)
         if isinstance(dom, BallSpec):
-            perim = _ball_boundary_quadrature(m, field, dom, boundary_nodes)
+            perim = _ball_boundary_quadrature(m, field, dom, 4096)
             mass, _ = mu_f_ball(m, field, dom, budget, s)
             desc = f"ball(r={dom.radius:g})"
         elif isinstance(dom, BoxDomain):
@@ -458,7 +460,7 @@ def isoperimetric_ratio(
                     f"box domain {dom.lo}..{dom.hi} is not narrower than the torus "
                     f"period {tuple(m.periods)} on every axis"
                 )
-            perim = _box_boundary_quadrature(m, field, dom, boundary_nodes)
+            perim = _box_boundary_quadrature(m, field, dom, 4096)
             mass, _ = _box_mass(m, field, dom, budget, s)
             desc = "box"
         else:
@@ -487,8 +489,6 @@ class AInftyReport:
     theta_doubling: float
     alpha_iv: float
     eta: float
-    theta_strong: Optional[float]
-    theta_strong_mid: Optional[float]
     n_balls: int
     budget: int
     seed: int
@@ -504,14 +504,10 @@ def ainfty_report(
     q: float = 2.0,
     p: float = 2.0,
     budget: int = 20_000,
-    strong: Optional[dict] = None,
-    subdivisions: int = 12,
 ) -> AInftyReport:
-    """One-stop estimation of the comparability constants on one sampler.
-
-    ``strong`` optionally carries dict(points=..., dmat=..., pairs=...,
-    eta=...) to fill the two-sided distance/mass ratios.
-    """
+    """One-stop estimation of the averaged-weight comparability constants
+    on one sampler: reverse Hölder, A_p, doubling (at half the radii) and
+    the subset-ratio exponent."""
     eta = max(sampler.radii)
     c_rh = reverse_holder(m, field, q, sampler, budget)
     c_ap = ap_product(m, field, p, sampler, budget)
@@ -521,20 +517,7 @@ def ainfty_report(
         seed=sampler.seed,
     )
     theta = doubling_constant(m, field, half, budget)
-    ratio = subset_ratio_exponent(m, field, sampler, subdivisions, budget)
-    th_s = th_m = None
-    if strong is not None:
-        sr = strong_ratio(
-            m,
-            field,
-            strong["points"],
-            strong["dmat"],
-            strong["pairs"],
-            strong.get("eta", eta),
-            budget,
-            seed=derive_seed(sampler.seed, "strong"),
-        )
-        th_s, th_m = sr.theta_strong, sr.theta_strong_mid
+    ratio = subset_ratio_exponent(m, field, sampler, budget=budget)
     return AInftyReport(
         q=q,
         C_rh=c_rh,
@@ -543,8 +526,6 @@ def ainfty_report(
         theta_doubling=theta,
         alpha_iv=ratio.alpha_iv,
         eta=eta,
-        theta_strong=th_s,
-        theta_strong_mid=th_m,
         n_balls=sampler.count,
         budget=budget,
         seed=sampler.seed,

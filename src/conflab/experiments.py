@@ -237,7 +237,7 @@ def _family_distances(m: Manifold, pts: PointSet, eps: float, fields, sources, s
     graph = mt.build_graph(m, pts, eps, fields[0], seed=seed)
     mats = [mt.shortest_paths(graph, sources)]
     for field in fields[1:]:
-        mats.append(mt.shortest_paths(graph.reweight(m, field, 256, seed), sources))
+        mats.append(mt.shortest_paths(graph.reweight(field, 256, seed), sources))
     return mats
 
 
@@ -299,7 +299,7 @@ def run_flat_identity(spec: ExperimentSpec, outdir: Path):
     report["pair_table"] = [list(map(float, r)) for r in pair_rows]
 
     ref_pairs = [(pts.points[i], pts.points[j]) for i, j, *_ in pair_rows[: int(g.get("refine_pairs", 50))]]
-    refined = mt.refine_distance(m, zero, ref_pairs, schedule, seed=seed)
+    refined = mt.refine_distance(m, zero, ref_pairs, schedule)
     rel_ex = np.abs(refined.extrapolated - refined.pair_d0) / refined.pair_d0
     _flag(
         flags,
@@ -319,7 +319,7 @@ def run_flat_identity(spec: ExperimentSpec, outdir: Path):
     shift = 0.7
     small = lattice(m, max(0.12, spacing))
     g0 = mt.build_graph(m, small, 3 * small.spacing, zero, seed=seed)
-    gs = g0.reweight(m, wt.Scaled(zero, shift), 256, seed)
+    gs = g0.reweight(wt.Scaled(zero, shift), 256, seed)
     idx = derive_rng(seed, "scale").choice(len(small), 6, replace=False)
     d_a = mt.shortest_paths(g0, idx).values
     d_b = mt.shortest_paths(gs, idx).values
@@ -479,14 +479,10 @@ def run_log_cusp(spec: ExperimentSpec, outdir: Path):
     d0m = dg.d0_matrix(m, pts, idx)
     alpha_lows = []
     for dm, cusp in zip(mats, cusps):
-        sub = mt.DistanceMatrix(
-            sources=idx, targets=idx, values=dm.values[:, idx], provenance={"dim": m.dim}
-        )
-        sub0 = mt.DistanceMatrix(
-            sources=idx, targets=idx, values=d0m.values[:, idx], provenance={"dim": m.dim}
-        )
+        sub = mt.DistanceMatrix(sources=idx, targets=idx, values=dm.values[:, idx])
+        sub0 = mt.DistanceMatrix(sources=idx, targets=idx, values=d0m.values[:, idx])
         mass, _ = wt.total_mass(m, cusp, seed=derive_seed(seed, "mass"))
-        fit = dg.biholder_fit(sub, sub0, mass)
+        fit = dg.biholder_fit(sub, sub0, mass, m.dim)
         alpha_lows.append(fit.alpha_low)
     _flag(
         flags,

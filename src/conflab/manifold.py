@@ -506,12 +506,14 @@ def _quasi_uniform_sphere(n: int, count: int) -> np.ndarray:
     return _repel_sphere_points(x)
 
 
-def _repel_sphere_points(x: np.ndarray, sweeps: int = 60) -> np.ndarray:
+def _repel_sphere_points(x: np.ndarray) -> np.ndarray:
+    """x after at most 60 repulsion sweeps, each pushing apart the points
+    closer than the target spacing along their 4 nearest neighbours."""
     from scipy.spatial import cKDTree
 
     count = x.shape[0]
     target = (sphere_volume(x.shape[1] - 1) / count) ** (1.0 / (x.shape[1] - 1))
-    for sweep in range(sweeps):
+    for sweep in range(60):
         tree = cKDTree(x)
         dist, idx = tree.query(x, k=5)
         step = np.zeros_like(x)
@@ -529,10 +531,9 @@ def _repel_sphere_points(x: np.ndarray, sweeps: int = 60) -> np.ndarray:
     return x
 
 
-def lattice(
-    m: Manifold, spacing: float, budget: int = DEFAULT_LATTICE_BUDGET, cover: bool = False
-) -> PointSet:
-    """Covering point set with the requested spacing.
+def lattice(m: Manifold, spacing: float, cover: bool = False) -> PointSet:
+    """Covering point set with the requested spacing, of at most
+    DEFAULT_LATTICE_BUDGET points (else ResourceError).
 
     Torus/box: axis-aligned grid (torus spacing adjusted to divide each
     period; ``cover=True`` rounds the counts up so the realized spacing never
@@ -544,16 +545,16 @@ def lattice(
     if m.kind in ("torus", "box"):
         shape = _lattice_shape(m, spacing, cover)
         npts = int(np.prod([float(s) for s in shape]))
-        if npts > budget:
+        if npts > DEFAULT_LATTICE_BUDGET:
             raise ResourceError(
-                f"lattice would need {npts} points, exceeding the budget of {budget}"
+                f"lattice would need {npts} points, exceeding the budget of {DEFAULT_LATTICE_BUDGET}"
             )
         return PointSet.grid(*grid_axes(m, shape))
     c = SPHERE_LAYOUT_CONSTANT[m.dim]
     count = max(m.dim + 2, int(round(m.volume / (c * spacing**m.dim))))
-    if count > budget:
+    if count > DEFAULT_LATTICE_BUDGET:
         raise ResourceError(
-            f"lattice would need {count} points, exceeding the budget of {budget}"
+            f"lattice would need {count} points, exceeding the budget of {DEFAULT_LATTICE_BUDGET}"
         )
     pts = _quasi_uniform_sphere(m.dim, count)
     return PointSet(

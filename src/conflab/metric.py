@@ -20,7 +20,7 @@ the torus's universal cover are box lattices on the same eps-graph path.
 from __future__ import annotations
 
 from copy import copy
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from math import pi
 from typing import NamedTuple, Optional, Sequence
 
@@ -54,16 +54,10 @@ class RiemannLine:
 
     K: int = 5
 
-    def tag(self) -> str:
-        return f"riemann-line-{self.K}"
-
 
 @dataclass(frozen=True)
 class ChainBall:
     """Chain-increment estimator; Monte Carlo ball masses per edge."""
-
-    def tag(self) -> str:
-        return "chain-ball"
 
 
 class LatticeBlock(NamedTuple):
@@ -101,8 +95,7 @@ class EpsGraph:
     eps: float
     estimator: object
     csgraph: csr_matrix
-    manifold: Manifold  # the geometry of d0
-    provenance: dict = dc_field(default_factory=dict)
+    manifold: Manifold  # the geometry of d0 and of the edge weights
     blocks: Optional[list] = None
     d0: Optional[np.ndarray] = None  # kd-tree graphs: d0 per CSR entry
 
@@ -135,12 +128,13 @@ class EpsGraph:
             return _read_only(self.d0)
         return _read_only(_lattice_entries(self.manifold, self.points, self.blocks, lambda b: b.d0, float))
 
-    def reweight(self, m: Manifold, field: WeightField, budget: int, seed: int) -> "EpsGraph":
-        """Same edges and blocks, weights recomputed for another field
-        (shared seeds); the CSR shares ``indices`` and ``indptr``."""
+    def reweight(self, field: WeightField, budget: int, seed: int) -> "EpsGraph":
+        """Same edges and blocks, weights recomputed for another field on
+        the graph's manifold (``budget`` and ``seed`` drive ChainBall's
+        Monte Carlo masses); the CSR shares ``indices`` and ``indptr``."""
         csg = copy(self.csgraph)
-        csg.data = _edge_weights(m, self, field, budget, seed)
-        return replace(self, csgraph=csg, provenance=dict(self.provenance, seed=seed))
+        csg.data = _edge_weights(self, field, budget, seed)
+        return replace(self, csgraph=csg)
 
 
 @dataclass
@@ -148,7 +142,6 @@ class DistanceMatrix:
     sources: np.ndarray
     targets: np.ndarray
     values: np.ndarray  # (len(sources), len(targets))
-    provenance: dict = dc_field(default_factory=dict)
 
     def row(self, source_index: int) -> np.ndarray:
         pos = np.nonzero(self.sources == source_index)[0]
@@ -284,7 +277,7 @@ def _edges_kdtree(m, points: PointSet, eps) -> csr_matrix:
 # ---------------------------------------------------------------------------
 
 
-def _riemann_weights(m, g: EpsGraph, field: WeightField, K: int) -> np.ndarray:
+def _riemann_weights(g: EpsGraph, field: WeightField, K: int) -> np.ndarray:
     """Gauss-rule line integrals of e^f, one per CSR entry.
 
     On a lattice graph, the k-th Gauss points of a block's edges form the
@@ -297,6 +290,7 @@ def _riemann_weights(m, g: EpsGraph, field: WeightField, K: int) -> np.ndarray:
     ``_lattice_table`` broadcasts them over the sub-box, the same floats
     every edge would get.  Other graphs run it edge by edge.
     """
+    m = g.manifold
     ts, ws = gauss_rule(K)
     n = m.dim
     if g.blocks is not None:
@@ -332,7 +326,8 @@ def _riemann_weights(m, g: EpsGraph, field: WeightField, K: int) -> np.ndarray:
     return out
 
 
-def _chain_weights(m, g: EpsGraph, field: WeightField, budget: int, seed: int) -> np.ndarray:
+def _chain_weights(g: EpsGraph, field: WeightField, budget: int, seed: int) -> np.ndarray:
+    m = g.manifold
     n = m.dim
     omega = unit_ball_volume(n)
     pts = g.points.points
@@ -347,12 +342,12 @@ def _chain_weights(m, g: EpsGraph, field: WeightField, budget: int, seed: int) -
     return out
 
 
-def _edge_weights(m, g: EpsGraph, field: WeightField, budget: int, seed: int) -> np.ndarray:
-    field.validate(m)
+def _edge_weights(g: EpsGraph, field: WeightField, budget: int, seed: int) -> np.ndarray:
+    field.validate(g.manifold)
     if isinstance(g.estimator, RiemannLine):
-        w = _riemann_weights(m, g, field, g.estimator.K)
+        w = _riemann_weights(g, field, g.estimator.K)
     elif isinstance(g.estimator, ChainBall):
-        w = _chain_weights(m, g, field, budget, seed)
+        w = _chain_weights(g, field, budget, seed)
     else:
         raise InputError(f"unknown estimator {g.estimator!r}")
     if np.any(~np.isfinite(w)) or np.any(w < 0):
@@ -389,11 +384,10 @@ def _eps_graph(m, points: PointSet, eps, field, estimator=RiemannLine(), budget=
         estimator=estimator,
         csgraph=csg,
         manifold=m,
-        provenance={"eps": eps, "estimator": estimator.tag(), "seed": seed},
         blocks=blocks,
         d0=d0,
     )
-    csg.data = _edge_weights(m, g, field, budget, seed)
+    csg.data = _edge_weights(g, field, budget, seed)
     return g
 
 
@@ -540,9 +534,7 @@ def shortest_paths(g: EpsGraph, sources=None, targets=None) -> DistanceMatrix:
             break
         # no finite distance exceeds the total edge weight
         limit = np.inf if limit >= np.sum(csg.data) else 2.0 * limit
-    return DistanceMatrix(
-        sources=sources, targets=targets, values=vals, provenance=dict(g.provenance)
-    )
+    return DistanceMatrix(sources=sources, targets=targets, values=vals)
 
 
 # ---------------------------------------------------------------------------
@@ -601,27 +593,19 @@ def refine_distance(
     field: WeightField,
     pairs: Sequence,
     eps_schedule: Sequence[float],
-    budget: int = 256,
-    seed: int = 0,
-    estimator=RiemannLine(),
-    points: Optional[PointSet] = None,
 ) -> RefineResult:
-    """Distances across an eps schedule on one matched point set, extrapolated.
+    """RiemannLine distances across an eps schedule on one matched point
+    set, extrapolated.
 
-    The point set is matched to the finest schedule entry (spacing =
-    min(eps)/3), so coarser entries see strictly richer chord sets and the
-    per-pair distances decrease monotonically toward the metric.
+    The point set is the covering lattice matched to the finest schedule
+    entry (spacing = min(eps)/3), so coarser entries see strictly richer
+    chord sets and the per-pair distances decrease monotonically toward the
+    metric.
     """
     eps_schedule = np.asarray(sorted(set(float(e) for e in eps_schedule), reverse=True))
     if eps_schedule.size < 2:
         raise InputError("eps schedule needs at least two decreasing entries")
-    if points is None:
-        points = lattice(m, float(eps_schedule.min()) / 3.0, cover=True)
-    for e in eps_schedule:
-        if e < 3.0 * points.spacing - 1e-12:
-            raise InputError(
-                f"schedule entry eps = {e} violates eps >= 3 * spacing = {3 * points.spacing}"
-            )
+    points = lattice(m, float(eps_schedule.min()) / 3.0, cover=True)
     pair_arr = [(m.check_points(a)[0], m.check_points(b)[0]) for a, b in pairs]
     nodes = np.empty((len(pair_arr), 2), dtype=int)
     for k, (a, b) in enumerate(pair_arr):
@@ -630,7 +614,7 @@ def refine_distance(
     sources = np.unique(nodes[:, 0])
     table = np.empty((eps_schedule.size, len(pair_arr)))
     for r, e in enumerate(eps_schedule):
-        g = build_graph(m, points, float(e), field, estimator, budget, seed)
+        g = build_graph(m, points, float(e), field)
         dmat = shortest_paths(g, sources)
         for k in range(len(pair_arr)):
             table[r, k] = dmat.get(nodes[k, 0], nodes[k, 1])

@@ -216,6 +216,26 @@ def test_rejected_spec_writes_a_report_into_conf_lab_out(tmp_path, monkeypatch, 
     assert report["stages"]["error"]["type"] == "InputError"
 
 
+@pytest.mark.parametrize("text", ["", '{"name": "custom",'], ids=["empty", "truncated"])
+def test_malformed_json_spec_writes_a_report_into_conf_lab_out(tmp_path, monkeypatch, capsys, text):
+    spec = tmp_path / "bad.json"
+    spec.write_text(text)
+    assert main(["run", str(spec)]) == 2  # nowhere to write a report
+    assert "malformed JSON spec" in capsys.readouterr().err
+    monkeypatch.setenv("CONF_LAB_OUT", str(tmp_path / "out"))
+    assert main(["run", str(spec)]) == 2
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["passed"] is False
+    assert report["spec"] is None
+    assert report["stages"]["error"]["type"] == "InputError"
+    assert "malformed JSON spec" in report["stages"]["error"]["message"]
+
+
+def test_malformed_json_flag_is_an_input_error(tmp_path, capsys):
+    assert main(["ainfty", "--weight", "{bad", "--output-dir", str(tmp_path / "out")]) == 2
+    assert "malformed JSON --weight" in capsys.readouterr().err
+
+
 def _grid_spec(tmp_path, edit_manifest=None, payload=True):
     """A custom spec reading a grid weight whose manifest goes through
     edit_manifest (a function of the manifest object) before it is written."""

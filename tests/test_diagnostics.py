@@ -145,7 +145,7 @@ def test_strong_ratio_flat_value(flat_graph):
 
 def test_strong_ratio_scale_invariant(flat_graph):
     t2, pts, g, dm, pairs = flat_graph
-    gs = g.reweight(t2, Constant(0.8), 256, 0)
+    gs = g.reweight(Constant(0.8), 256, 0)
     dms = shortest_paths(gs, dm.sources)
     a = strong_ratio(t2, Constant(0.0), pts, dm, pairs, eta=1.0, budget=20_000, seed=2)
     b = strong_ratio(t2, Constant(0.8), pts, dms, pairs, eta=1.0, budget=20_000, seed=2)
@@ -155,7 +155,7 @@ def test_strong_ratio_scale_invariant(flat_graph):
 def test_strong_ratio_on_a_bounded_matrix(flat_graph):
     t2, pts, g, dm, pairs = flat_graph
     field = BuragoTorus(2)
-    gb = g.reweight(t2, field, 256, 0)
+    gb = g.reweight(field, 256, 0)
     full = shortest_paths(gb, dm.sources)
     bounded = shortest_paths(gb, dm.sources, sorted({j for _, j in pairs}))
     assert bounded.values.shape[1] < full.values.shape[1]
@@ -175,7 +175,7 @@ def test_lemma_comparison_bound(flat_graph):
     # d_f(x,y)^n <= B mu_f(B(x, d0(x,y))) with one finite B over all pairs
     t2, pts, g, dm, pairs = flat_graph
     sr = strong_ratio(t2, BuragoTorus(1), pts, shortest_paths(
-        g.reweight(t2, BuragoTorus(1), 256, 0), dm.sources
+        g.reweight(BuragoTorus(1), 256, 0), dm.sources
     ), pairs, eta=1.0, budget=20_000, seed=4)
     assert np.isfinite(sr.theta_strong)
     assert sr.theta_strong >= 1.0
@@ -193,7 +193,7 @@ def square_mats():
 
 def test_biholder_identity(square_mats):
     t2, pts, dm, d0m = square_mats
-    fit = biholder_fit(dm, d0m, t2.volume)
+    fit = biholder_fit(dm, d0m, t2.volume, 2)
     assert fit.slope == pytest.approx(1.0, abs=0.02)
     assert fit.alpha_low >= 0.95
     assert fit.constant >= 1.0
@@ -204,12 +204,27 @@ def test_biholder_shift_absorbed(square_mats):
     from conflab.metric import DistanceMatrix
 
     c = 0.6
-    dm_c = DistanceMatrix(
-        sources=dm.sources, targets=dm.targets, values=np.exp(c) * dm.values,
-        provenance=dict(dm.provenance),
-    )
-    fit0 = biholder_fit(dm, d0m, t2.volume)
-    fitc = biholder_fit(dm_c, d0m, t2.volume * np.exp(2 * c))
+    dm_c = DistanceMatrix(sources=dm.sources, targets=dm.targets, values=np.exp(c) * dm.values)
+    fit0 = biholder_fit(dm, d0m, t2.volume, 2)
+    fitc = biholder_fit(dm_c, d0m, t2.volume * np.exp(2 * c), 2)
+    assert fitc.slope == pytest.approx(fit0.slope, abs=1e-9)
+    assert fitc.constant == pytest.approx(fit0.constant, rel=1e-9)
+
+
+def test_biholder_shift_absorbed_on_a_3_torus():
+    # d_f -> e^c d_f with mass -> e^{3c} mass: normalizing by mass^{1/n}
+    # cancels the shift only at n = 3 (mass^{1/2} left a factor e^{c/2})
+    from conflab.metric import DistanceMatrix
+
+    t3 = Manifold.torus(3)
+    pts = lattice(t3, 0.7)
+    src = np.arange(0, len(pts), 17)
+    dm = shortest_paths(build_graph(t3, pts, 3 * pts.spacing, Constant(0.0)), src)
+    d0m = d0_matrix(t3, pts, src)
+    c = 0.6
+    dm_c = DistanceMatrix(sources=dm.sources, targets=dm.targets, values=np.exp(c) * dm.values)
+    fit0 = biholder_fit(dm, d0m, t3.volume, 3)
+    fitc = biholder_fit(dm_c, d0m, t3.volume * np.exp(3 * c), 3)
     assert fitc.slope == pytest.approx(fit0.slope, abs=1e-9)
     assert fitc.constant == pytest.approx(fit0.constant, rel=1e-9)
 
@@ -221,7 +236,7 @@ def test_biholder_needs_pairs(square_mats):
     tiny = DistanceMatrix(sources=np.array([0]), targets=np.array([0]),
                           values=np.zeros((1, 1)))
     with pytest.raises(SamplingError):
-        biholder_fit(tiny, tiny, 1.0)
+        biholder_fit(tiny, tiny, 1.0, 2)
 
 
 def test_holder_seminorm_d0(square_mats):

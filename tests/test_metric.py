@@ -45,7 +45,7 @@ def test_chain_vs_riemann_two_node_factor(torus2):
 def test_weight_scaling_per_edge(torus2):
     g0 = build_graph(torus2, TWO_NODES, 1.3, Constant(0.0), RiemannLine(5))
     for c in (0.5, -1.2):
-        gc = g0.reweight(torus2, Constant(c), 256, 0)
+        gc = g0.reweight(Constant(c), 256, 0)
         assert gc.edge_w[0] == pytest.approx(np.exp(c) * g0.edge_w[0], rel=1e-12)
 
 
@@ -91,7 +91,7 @@ def test_distance_matrix_symmetry_triangle(torus2):
 def test_scaling_equivariance_full(torus2):
     pts = lattice(torus2, 0.25)
     g0 = build_graph(torus2, pts, 3 * pts.spacing, BuragoTorus(1), seed=3)
-    g1 = g0.reweight(torus2, Scaled(BuragoTorus(1), 0.8), 256, 3)
+    g1 = g0.reweight(Scaled(BuragoTorus(1), 0.8), 256, 3)
     d0v = shortest_paths(g0, [0, 5]).values
     d1v = shortest_paths(g1, [0, 5]).values
     mask = d0v > 0
@@ -114,10 +114,10 @@ def test_refine_flat_and_scaled(torus2):
         (np.array([0.0, 0.0]), np.array([1.0, 0.0])),
         (np.array([0.3, 0.4]), np.array([2.0, 1.3])),
     ]
-    res = refine_distance(torus2, Constant(0.0), pairs, [0.6, 0.3, 0.15], seed=1)
+    res = refine_distance(torus2, Constant(0.0), pairs, [0.6, 0.3, 0.15])
     assert not res.monotone_warning.any()
     assert np.abs(res.extrapolated / res.pair_d0 - 1.0).max() <= 5e-3
-    res_c = refine_distance(torus2, Constant(0.4), pairs, [0.6, 0.3, 0.15], seed=1)
+    res_c = refine_distance(torus2, Constant(0.4), pairs, [0.6, 0.3, 0.15])
     expect = np.exp(0.4) * res_c.pair_d0
     assert np.abs(res_c.extrapolated / expect - 1.0).max() <= 5e-3
 
@@ -126,7 +126,7 @@ def test_refine_burago_valley(torus2):
     # vertical pair through the weight minimum: the optimal path hugs the
     # valley x1 = 0 and costs 2^{-1/2} per unit length
     pairs = [(np.array([0.0, 0.0]), np.array([0.0, np.pi]))]
-    res = refine_distance(torus2, BuragoTorus(1), pairs, [0.6, 0.3, 0.15], seed=2)
+    res = refine_distance(torus2, BuragoTorus(1), pairs, [0.6, 0.3, 0.15])
     assert res.extrapolated[0] == pytest.approx(np.pi / np.sqrt(2.0), rel=0.01)
 
 
@@ -402,15 +402,15 @@ def test_block_weights_match_edge_list(case, reach):
         assert a[order_got].tobytes() == b[order_want].astype(a.dtype).tobytes()
     edge_list = replace(g, blocks=None, d0=np.array(g.edge_d0))  # the per-edge geodesic_points path
     for field in fields:
-        blocked = g.reweight(m, field, 256, 0)
+        blocked = g.reweight(field, 256, 0)
         assert blocked.blocks is g.blocks
         assert blocked.csgraph.indices is csg.indices and blocked.csgraph.indptr is csg.indptr
-        want_w = edge_list.reweight(m, field, 256, 0).edge_w
+        want_w = edge_list.reweight(field, 256, 0).edge_w
         np.testing.assert_allclose(blocked.edge_w, want_w, rtol=1e-13, atol=0.0)
-    np.testing.assert_allclose(g.edge_w, edge_list.reweight(m, fields[0], 256, 0).edge_w,
+    np.testing.assert_allclose(g.edge_w, edge_list.reweight(fields[0], 256, 0).edge_w,
                                rtol=1e-13, atol=0.0)
     # Dijkstra on the node-major CSR equals it on the sorted COO-built one
-    w = g.reweight(m, fields[1], 256, 0)
+    w = g.reweight(fields[1], 256, 0)
     ref = csr_matrix((np.array(w.edge_w), (g.edge_i, g.edge_j)), shape=(g.n, g.n))
     src = [0, g.n // 3, g.n - 1]
     full = dijkstra(ref, directed=False, indices=src)

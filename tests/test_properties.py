@@ -534,7 +534,7 @@ def test_logcusp_distances_rise_with_the_cap(u, r0, cap, rise):
     g = build_graph(m, pts, 3 * pts.spacing, low)
     assert g.blocks is not None
     d_low = shortest_paths(g).values
-    d_high = shortest_paths(g.reweight(m, high, 100, 5)).values
+    d_high = shortest_paths(g.reweight(high, 100, 5)).values
     assert np.all(d_high >= d_low * (1 - 1e-12))
 
 
@@ -688,8 +688,8 @@ def test_declared_axes_keep_lattice_weights_bit_for_bit(kind, name, other, eps_r
     want = build_graph(m, pts, eps_rel * pts.spacing, _Undeclared(fields[name]))
     assert g.blocks is not None and want.blocks is not None
     assert g.csgraph.data.tobytes() == want.csgraph.data.tobytes()
-    got = g.reweight(m, fields[other], 0, 0).csgraph.data
-    assert got.tobytes() == want.reweight(m, _Undeclared(fields[other]), 0, 0).csgraph.data.tobytes()
+    got = g.reweight(fields[other], 0, 0).csgraph.data
+    assert got.tobytes() == want.reweight(_Undeclared(fields[other]), 0, 0).csgraph.data.tobytes()
 
 
 def _patch_weights(m, field):

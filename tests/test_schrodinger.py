@@ -100,6 +100,24 @@ def test_box_neumann_corner_row(rng):
     assert g.lap(u)[0] == pytest.approx(corner, rel=1e-14)
 
 
+@pytest.mark.parametrize("m", [BOX, Manifold.torus(3, [2.2, 1.7, 3.0])], ids=["box", "torus"])
+def test_grad_forward_matches_hand_written_differences(m, rng):
+    g = GridGeometry(m, (8, 9, 10))
+    u = rng.standard_normal(g.shape)
+    got = g.grad_forward(u.ravel())
+    for a, h in enumerate(g.axis_spacing):
+        want = np.zeros(g.shape)
+        for idx in np.ndindex(*g.shape):
+            nxt = list(idx)
+            nxt[a] += 1
+            if nxt[a] == g.shape[a]:
+                if m.kind == "box":
+                    continue  # no node past the last one: the difference is 0
+                nxt[a] = 0
+            want[idx] = (u[tuple(nxt)] - u[idx]) / h
+        assert got[a].tobytes() == want.ravel().tobytes()
+
+
 def test_grid_size_guard():
     with pytest.raises(InputError):
         GridGeometry(Manifold.torus(3, [L, L, L]), (6, 12, 12))

@@ -3,7 +3,12 @@ import pytest
 from scipy.integrate import quad
 
 from conflab.curvature import lp_scal_norm
-from conflab.diagnostics import BoxDomain, isoperimetric_ratio
+from conflab.diagnostics import (
+    BoxDomain,
+    _ball_boundary_quadrature,
+    _box_boundary_quadrature,
+    isoperimetric_ratio,
+)
 from conflab.errors import FormatError, InputError
 from conflab.experiments import weak_star_test
 from conflab.manifold import (
@@ -250,6 +255,29 @@ def test_sum_field(torus2, rng):
     assert np.allclose(eval_f_many(torus2, s, pts), expect, atol=1e-14)
 
 
+def test_sum_exact_curvature_and_radial_profile(torus2, rng):
+    from conflab.curvature import scalar_curvature_many
+
+    # a constant summand leaves the derivatives alone: scal picks up e^{-2c}
+    c = 0.3
+    pts = rng.random((20, 2)) * 2 * np.pi
+    base = scalar_curvature_many(torus2, BuragoTorus(1), pts)
+    got = scalar_curvature_many(torus2, Sum((BuragoTorus(1), Constant(c))), pts)
+    np.testing.assert_allclose(got, np.exp(-2 * c) * base, rtol=1e-12, atol=0)
+    # summands about one axis: the profile sums f, f' and f''
+    s2 = Manifold.sphere(2)
+    a, b = SphereBubble(2.0), SphereBubble(5.0)
+    prof, pa, pb = (w.radial_profile(s2) for w in (Sum((a, b)), a, b))
+    np.testing.assert_array_equal(prof.axis, pa.axis)
+    theta = np.linspace(0.1, 3.0, 7)
+    for part in ("f", "fp", "fpp"):
+        np.testing.assert_array_equal(getattr(prof, part)(theta),
+                                      getattr(pa, part)(theta) + getattr(pb, part)(theta))
+    # summands about different axes, or one with no profile: none
+    assert Sum((a, SphereBubble(5.0, pole=(1.0, 0.0, 0.0)))).radial_profile(s2) is None
+    assert Sum((BuragoTorus(1), Constant(c))).radial_profile(torus2) is None
+
+
 def test_empty_sum_rejected(torus2):
     from conflab.manifold import lattice
     from conflab.metric import build_graph
@@ -401,9 +429,11 @@ class _HalfInfinite(__import__("conflab.weight", fromlist=["WeightField"]).Weigh
             m, f, [BoxDomain((2.5, 1.0), (3.5, 2.0))], budget=2000, seed=1, mass_bound=np.inf
         ),
         lambda m, f: lp_scal_norm(m, f, whole_manifold_ball(m), 1.0, budget=2000, seed=1),
+        lambda m, f: _box_boundary_quadrature(m, f, BoxDomain((2.5, 1.0), (3.5, 2.0)), 4096),
+        lambda m, f: _ball_boundary_quadrature(m, f, BallSpec(np.array([np.pi, 1.5]), 0.5), 4096),
     ],
     ids=["mu_f_ball", "total_mass", "integrability_profile", "weak_star_test",
-         "isoperimetric_box", "lp_scal_norm"],
+         "isoperimetric_box", "lp_scal_norm", "box_perimeter", "ball_perimeter"],
 )
 def test_mu_f_ball_nonfinite_excess(torus2, mass):
     from conflab.errors import IntegrationError
