@@ -53,7 +53,7 @@ def _doc_from_flags(args) -> dict:
         "seed": args.seed,
         "output_dir": os.environ.get("CONF_LAB_OUT", args.output_dir),
         "manifold": _json(args.manifold, "--manifold") if args.manifold else {},
-        "weight": _json(args.weight, "--weight") if args.weight else {},
+        "weight": _json(args.weight, "--weight") if getattr(args, "weight", None) else {},
     }
     if args.command == "ainfty" and not doc["weight"]:
         doc["weight"] = {"kind": "burago", "ell": 1}
@@ -67,14 +67,18 @@ def _parse(args) -> ExperimentSpec:
     """The spec of the command line: the spec file of ``run``, else the
     wrapper's flags.  A spec that cannot be read or parsed, or that
     ExperimentSpec.from_dict rejects, still gets a report.json naming the
-    error, in CONF_LAB_OUT or else the output_dir the spec names, when
-    either is a string."""
+    error, in CONF_LAB_OUT or else the output_dir the spec names (a
+    wrapper's --output-dir when its flags do not parse), when either is a
+    string."""
     doc = None
     try:
         doc = _read_spec(args.spec) if args.command == "run" else _doc_from_flags(args)
         return ExperimentSpec.from_dict(doc)
     except InputError as exc:
-        out = os.environ.get("CONF_LAB_OUT", doc.get("output_dir") if isinstance(doc, dict) else None)
+        out = os.environ.get(
+            "CONF_LAB_OUT",
+            doc.get("output_dir") if isinstance(doc, dict) else getattr(args, "output_dir", None),
+        )
         if isinstance(out, str):
             RunReport.failed(doc, exc).write(Path(out))
         raise
@@ -88,7 +92,6 @@ def _add_common(sp):
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--output-dir", default="conflab-out")
     sp.add_argument("--manifold", help="JSON manifold descriptor", default=None)
-    sp.add_argument("--weight", help="JSON weight descriptor", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,6 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ain = sub.add_parser("ainfty", help="weight comparability diagnostics")
     _add_common(ain)
+    ain.add_argument("--weight", help="JSON weight descriptor", default=None)
     ain.add_argument("--q", type=float, default=None)
     ain.add_argument("--p", type=float, default=None)
     ain.add_argument("--eta", type=float, default=None)
@@ -117,11 +121,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     curv = sub.add_parser("curv", help="sphere-bubble curvature experiment")
     _add_common(curv)
+    curv.add_argument(
+        "--weight", help='JSON weight settings, e.g. {"lams": [1, 2, 10, 100]}', default=None
+    )
     curv.add_argument("--r0", type=float, default=None)
 
     stab = sub.add_parser("stablenorm", help="oscillating-torus stable norms")
     _add_common(stab)
-    stab.add_argument("--spacing", type=float, default=None)
+    stab.add_argument(
+        "--spacing", type=float, default=None,
+        help="graph.spacing: the lattice of the frequency-convergence graphs "
+        "(not of the stable norms)",
+    )
 
     schrod = sub.add_parser("schrod", help="Schrödinger grid suite")
     _add_common(schrod)

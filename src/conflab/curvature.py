@@ -17,7 +17,7 @@ Non-finite curvature raises NumericError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from math import pi
 from typing import Optional
 
@@ -82,24 +82,6 @@ class PinchingReport:
     budget: int = 0
     seed: int = 0
     method: str = "exact"
-    per_center_pos: np.ndarray = dc_field(repr=False, default=None)
-
-    def to_dict(self):
-        """JSON-ready report with all inputs echoed."""
-        return {
-            "radius": self.radius,
-            "n_centers": self.n_centers,
-            "sup_pos": self.sup_pos,
-            "sup_abs": self.sup_abs,
-            "alpha_n2": self.alpha_n2,
-            "lambda_margin": self.lambda_margin,
-            "below_alpha": bool(self.below_alpha),
-            "below_lambda0": None if self.below_lambda0 is None else bool(self.below_lambda0),
-            "lambda0": self.lambda0,
-            "budget": self.budget,
-            "seed": self.seed,
-            "method": self.method,
-        }
 
 
 def _scal0(m: Manifold) -> float:
@@ -275,5 +257,4 @@ def pinching_profile(
         budget=budget,
         seed=seed,
         method=method,
-        per_center_pos=pos_vals,
     )

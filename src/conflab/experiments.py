@@ -56,6 +56,81 @@ def _is_number(v) -> bool:
     return not isinstance(v, bool) and (isinstance(v, int) or isinstance(v, float) and isfinite(v))
 
 
+# experiment -> spec section -> key -> default: the settings a spec may give,
+# each a finite number or a list of them.  A key not declared here is an
+# InputError.  None is a default worked out from the manifold (run_custom).
+# The manifold of every experiment, and the weight of custom, are descriptors
+# whose keys depend on their kind (_MANIFOLD_KEYS, _WEIGHT_KEYS).
+SETTINGS = {
+    "flat-identity": {
+        "graph": {
+            "spacing": 0.05,
+            "eps": 0.15,
+            "eps_schedule": (0.3, 0.15, 0.075),
+            "pairs": 50,
+            "refine_pairs": 50,
+        },
+    },
+    "sphere-bubble": {
+        "weight": {"lams": (1.0, 2.0, 10.0, 100.0)},
+        "diagnostics": {"R0": 0.5},
+        "budgets": {"curvature_samples": 1000},
+    },
+    "log-cusp": {
+        "weight": {"r0": 0.75, "caps": (2.0, 4.0, 8.0)},
+        "graph": {"spacing": 0.08},
+    },
+    "burago": {
+        "graph": {"spacing": 0.06},
+    },
+    "schrodinger": {
+        "budgets": {"shape": (12, 12, 12), "decomp_shape": (10, 10, 10)},
+    },
+    "custom": {
+        "graph": {"center_spacing": None},  # a third of the least period
+        "diagnostics": {"eta": None, "q": 2.0, "p": 2.0},  # eta: dg.default_eta
+        "budgets": {"ball": 20_000, "mass": 100_000},
+    },
+}
+
+# descriptor kind -> (keys it needs, keys it may set), besides "kind"
+_MANIFOLD_KEYS = {
+    "torus": ((), ("dim", "periods")),
+    "box": (("extents",), ()),
+    "sphere": ((), ("dim", "radius")),
+}
+_WEIGHT_KEYS = {
+    "constant": ((), ("value",)),
+    "burago": ((), ("ell",)),
+    "log-cusp": (("x0",), ("r0", "cap")),
+    "sphere-bubble": ((), ("lam", "pole")),
+    "scaled": (("base", "shift"), ()),
+    "grid": (("path",), ("order",)),
+}
+
+
+def _check_descriptor(desc, kinds: dict, default_kind: str, what: str) -> None:
+    """InputError unless desc is an object of a known kind that gives every
+    key its kind needs and no key its kind does not take."""
+    if not isinstance(desc, dict):  # a scaled weight's base
+        raise InputError(f"{what} spec must be an object, got {type(desc).__name__}")
+    kind = desc.get("kind", default_kind)
+    if not isinstance(kind, str) or kind not in kinds:
+        raise InputError(f"unknown {what} kind {kind!r}")
+    needed, optional = kinds[kind]
+    for key in needed:
+        if key not in desc:
+            raise InputError(f"{kind} {what} spec needs the key {key!r}")
+    unknown = set(desc) - {"kind", *needed, *optional}
+    if unknown:
+        raise InputError(
+            f"unknown keys {sorted(unknown)} in a {kind} {what} spec; "
+            f"it takes {sorted({'kind', *needed, *optional})}"
+        )
+    if kind == "scaled":
+        _check_descriptor(desc["base"], kinds, default_kind, what)
+
+
 @dataclass
 class ExperimentSpec:
     name: str
@@ -92,11 +167,24 @@ class ExperimentSpec:
         for key in (f.name for f in spec_fields if f.default_factory is dict):
             if not isinstance(doc.get(key, {}), dict):
                 raise InputError(f"spec field {key!r} must be an object")
-        for key in ("graph", "diagnostics", "budgets"):
-            for name, value in doc.get(key, {}).items():
+        name = doc["name"]
+        _check_descriptor(doc.get("manifold", {}), _MANIFOLD_KEYS, "torus", "manifold")
+        sections = ("graph", "diagnostics", "budgets")
+        if name == "custom":
+            _check_descriptor(doc.get("weight", {}), _WEIGHT_KEYS, "constant", "weight")
+        else:
+            sections += ("weight",)
+        for section in sections:
+            declared = SETTINGS[name].get(section, {})
+            for key, value in doc.get(section, {}).items():
+                if key not in declared:
+                    raise InputError(
+                        f"unknown {section} setting {key!r} for the {name} experiment; "
+                        f"it takes {sorted(declared)}"
+                    )
                 if not all(map(_is_number, value if isinstance(value, (list, tuple)) else [value])):
                     raise InputError(
-                        f"spec {key} entry {name!r} must be a finite number or a list of them, "
+                        f"spec {section} entry {key!r} must be a finite number or a list of them, "
                         f"got {value!r}"
                     )
         spec = ExperimentSpec(**dict(doc, seed=seed))
@@ -111,29 +199,27 @@ class ExperimentSpec:
     def to_dict(self) -> dict:
         return asdict(self)
 
-
-def _required(desc: dict, key: str, what: str):
-    """desc[key], or InputError naming the spec entry and the missing key."""
-    if key not in desc:
-        raise InputError(f"{what} spec needs the key {key!r}")
-    return desc[key]
+    def settings(self) -> dict:
+        """section -> key -> value: the spec's settings over its experiment's
+        SETTINGS defaults."""
+        return {
+            section: dict(defaults, **getattr(self, section))
+            for section, defaults in SETTINGS[self.name].items()
+        }
 
 
 def build_manifold(desc: dict) -> Manifold:
+    """The manifold of a descriptor that ExperimentSpec.from_dict accepts."""
     kind = desc.get("kind", "torus")
     if kind == "torus":
-        dim = int(desc.get("dim", 2))
-        return Manifold.torus(dim, desc.get("periods"))
+        return Manifold.torus(int(desc.get("dim", 2)), desc.get("periods"))
     if kind == "box":
-        return Manifold.box(_required(desc, "extents", "box manifold"))
-    if kind == "sphere":
-        return Manifold.sphere(int(desc.get("dim", 2)), float(desc.get("radius", 1.0)))
-    raise InputError(f"unknown manifold kind {kind!r}")
+        return Manifold.box(desc["extents"])
+    return Manifold.sphere(int(desc.get("dim", 2)), float(desc.get("radius", 1.0)))
 
 
 def build_weight(desc: dict) -> wt.WeightField:
-    if not isinstance(desc, dict):  # a scaled weight's base
-        raise InputError(f"weight spec must be an object, got {type(desc).__name__}")
+    """The weight of a descriptor that ExperimentSpec.from_dict accepts."""
     kind = desc.get("kind", "constant")
     if kind == "constant":
         return wt.Constant(float(desc.get("value", 0.0)))
@@ -142,21 +228,14 @@ def build_weight(desc: dict) -> wt.WeightField:
     if kind == "log-cusp":
         cap = desc.get("cap")
         return wt.LogCusp(
-            tuple(_required(desc, "x0", "log-cusp weight")),
-            float(desc.get("r0", 1.0)),
-            None if cap is None else float(cap),
+            tuple(desc["x0"]), float(desc.get("r0", 1.0)), None if cap is None else float(cap)
         )
     if kind == "sphere-bubble":
         return wt.SphereBubble(float(desc.get("lam", 1.0)), desc.get("pole"))
     if kind == "scaled":
-        return wt.Scaled(
-            build_weight(_required(desc, "base", "scaled weight")),
-            float(_required(desc, "shift", "scaled weight")),
-        )
-    if kind == "grid":
-        grid = wt.read_grid(_required(desc, "path", "grid weight"))
-        return wt.GridWeight(grid, int(desc.get("order", 1)))
-    raise InputError(f"unknown weight kind {kind!r}")
+        return wt.Scaled(build_weight(desc["base"]), float(desc["shift"]))
+    grid = wt.read_grid(desc["path"])
+    return wt.GridWeight(grid, int(desc.get("order", 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +346,11 @@ def _require_surface(m: Manifold, name: str) -> None:
 def run_flat_identity(spec: ExperimentSpec, outdir: Path):
     """d_f == d0 for the trivial weight, plus scaling exactness and the
     constant-weight diagnostics oracles (criteria 1, 2, 10, 11)."""
-    g = spec.graph
-    spacing = float(g.get("spacing", 0.05))
-    eps = float(g.get("eps", 0.15))
-    schedule = [float(e) for e in g.get("eps_schedule", (0.3, 0.15, 0.075))]
-    n_pairs = int(g.get("pairs", 50))
+    g = spec.settings()["graph"]
+    spacing = float(g["spacing"])
+    eps = float(g["eps"])
+    schedule = [float(e) for e in g["eps_schedule"]]
+    n_pairs = int(g["pairs"])
     seed = spec.seed
     m = build_manifold(spec.manifold or {"kind": "torus", "dim": 2})
     zero = wt.Constant(0.0)
@@ -279,7 +358,7 @@ def run_flat_identity(spec: ExperimentSpec, outdir: Path):
     report = {}
 
     pts = lattice(m, spacing, cover=True)
-    graph = mt.build_graph(m, pts, eps, zero, mt.RiemannLine(int(g.get("K", 5))), seed=seed)
+    graph = mt.build_graph(m, pts, eps, zero, seed=seed)
     rng = derive_rng(seed, "pairs")
     src = rng.choice(len(pts), size=min(10, len(pts)), replace=False)
     dmat = mt.shortest_paths(graph, src)
@@ -298,7 +377,7 @@ def run_flat_identity(spec: ExperimentSpec, outdir: Path):
     _flag(flags, "C1-pairs", worst <= 0.03, worst, "max |d_f - d0|/d0 <= 3%")
     report["pair_table"] = [list(map(float, r)) for r in pair_rows]
 
-    ref_pairs = [(pts.points[i], pts.points[j]) for i, j, *_ in pair_rows[: int(g.get("refine_pairs", 50))]]
+    ref_pairs = [(pts.points[i], pts.points[j]) for i, j, *_ in pair_rows[: int(g["refine_pairs"])]]
     refined = mt.refine_distance(m, zero, ref_pairs, schedule)
     rel_ex = np.abs(refined.extrapolated - refined.pair_d0) / refined.pair_d0
     _flag(
@@ -321,8 +400,9 @@ def run_flat_identity(spec: ExperimentSpec, outdir: Path):
     g0 = mt.build_graph(m, small, 3 * small.spacing, zero, seed=seed)
     gs = g0.reweight(wt.Scaled(zero, shift), 256, seed)
     idx = derive_rng(seed, "scale").choice(len(small), 6, replace=False)
-    d_a = mt.shortest_paths(g0, idx).values
-    d_b = mt.shortest_paths(gs, idx).values
+    dm_a = mt.shortest_paths(g0, idx)
+    dm_b = mt.shortest_paths(gs, idx)
+    d_a, d_b = dm_a.values, dm_b.values
     off = d_a > 0
     dist_dev = float(np.max(np.abs(d_b[off] / d_a[off] / np.exp(shift) - 1.0)))
     _flag(flags, "C2-distances", dist_dev <= 1e-10, dist_dev, "e^c scaling to 1e-10")
@@ -339,10 +419,8 @@ def run_flat_identity(spec: ExperimentSpec, outdir: Path):
     near = d0_many(m, small.points, small.points[int(idx[0])])
     targets = np.nonzero((near > 0.25) & (near <= 0.9))[0][::7][:5]
     sr_pairs = [(int(idx[0]), int(j)) for j in targets]
-    sr_a = dg.strong_ratio(m, base_field, small, mt.shortest_paths(g0, idx), sr_pairs,
-                           eta=1.0, budget=20_000, seed=seed)
-    sr_b = dg.strong_ratio(m, shift_field, small, mt.shortest_paths(gs, idx), sr_pairs,
-                           eta=1.0, budget=20_000, seed=seed)
+    sr_a = dg.strong_ratio(m, base_field, small, dm_a, sr_pairs, eta=1.0, budget=20_000, seed=seed)
+    sr_b = dg.strong_ratio(m, shift_field, small, dm_b, sr_pairs, eta=1.0, budget=20_000, seed=seed)
     devs.append(abs(sr_b.theta_strong / sr_a.theta_strong - 1.0))
     doms = [BallSpec(m.canonicalize(np.full(m.dim, 3.0)), r) for r in (0.4, 0.8)]
     iso_a = dg.isoperimetric_ratio(m, base_field, doms, seed=seed)
@@ -379,9 +457,10 @@ def run_sphere_bubble(spec: ExperimentSpec, outdir: Path):
     """Dilation family on the sphere: constant curvature, conserved mass,
     curvature concentration toward the critical level (criteria 3, 4)."""
     m = build_manifold(spec.manifold or {"kind": "sphere", "dim": 3})
-    lams = [float(v) for v in spec.weight.get("lams", (1.0, 2.0, 10.0, 100.0))]
-    R0 = float(spec.diagnostics.get("R0", 0.5))
-    n_samples = int(spec.budgets.get("curvature_samples", 1000))
+    cfg = spec.settings()
+    lams = [float(v) for v in cfg["weight"]["lams"]]
+    R0 = float(cfg["diagnostics"]["R0"])
+    n_samples = int(cfg["budgets"]["curvature_samples"])
     seed = spec.seed
     flags = []
     report = {"lams": lams}
@@ -402,7 +481,7 @@ def run_sphere_bubble(spec: ExperimentSpec, outdir: Path):
     _flag(flags, "C3-mass", mass_dev <= 0.01, mass_dev, "total mass conserved to 1%")
     report["masses"] = masses
 
-    centers = lattice(m, float(spec.graph.get("center_spacing", 0.7)))
+    centers = lattice(m, 0.7)
     south = np.zeros(m.dim + 1)
     south[-1] = -1.0
     centers = PointSet(
@@ -437,11 +516,11 @@ def run_log_cusp(spec: ExperimentSpec, outdir: Path):
     the uniform bi-Hölder witness (criterion 8)."""
     m = build_manifold(spec.manifold or {"kind": "torus", "dim": 2})
     _require_surface(m, "log-cusp")
-    wdesc = spec.weight
-    x0 = tuple(wdesc.get("x0", (pi + 0.037, pi - 0.051)))
-    r0 = float(wdesc.get("r0", 0.75))
-    caps = [float(c) for c in wdesc.get("caps", (2.0, 4.0, 8.0))]
-    spacing = float(spec.graph.get("spacing", 0.08))
+    cfg = spec.settings()
+    x0 = (pi + 0.037, pi - 0.051)
+    r0 = float(cfg["weight"]["r0"])
+    caps = [float(c) for c in cfg["weight"]["caps"]]
+    spacing = float(cfg["graph"]["spacing"])
     seed = spec.seed
     flags = []
     report = {"caps": caps, "r0": r0}
@@ -507,7 +586,7 @@ def run_burago(spec: ExperimentSpec, outdir: Path):
     P = float(m.periods[0])
 
     # stable norms at ell = 1
-    sn_spacing = float(spec.graph.get("stable_spacing", 0.1))
+    sn_spacing = 0.1
     t_list = [P, 2 * P, 3 * P]
     bur1 = wt.BuragoTorus(1)
     t_sn = time.time()
@@ -538,7 +617,7 @@ def run_burago(spec: ExperimentSpec, outdir: Path):
     report["stable_norm_e2_by_ell"] = sweep
 
     # frequency convergence: d_ell for ell in {2, 4, 8}
-    spacing = float(spec.graph.get("spacing", 0.06))
+    spacing = float(spec.settings()["graph"]["spacing"])
     pts = lattice(m, spacing)
     eps = 3 * pts.spacing
     rng = derive_rng(seed, "bur-nodes")
@@ -549,12 +628,11 @@ def run_burago(spec: ExperimentSpec, outdir: Path):
     _flag(flags, "C6-rate", ratio <= 0.65, ratio, "successive sup-difference ratio <= 0.65")
     report["frequency_convergence"] = comp
 
-    budget_ws = int(spec.budgets.get("weak_star", 400_000))
     rows = weak_star_test(
         m,
         [(f"ell={l}", wt.BuragoTorus(l)) for l in (1, 2, 4)],
         ["1", ("cos", [1.0, 0.0])],
-        budget=budget_ws,
+        budget=400_000,
         seed=seed,
     )
     report["weak_star"] = rows
@@ -568,13 +646,12 @@ def run_burago(spec: ExperimentSpec, outdir: Path):
     _flag(flags, "C6-weak-star", ok_ws, "table", "weak-* integrals match within 3 sigma")
 
     # uniform A_p across frequencies: radii scaled with the oscillation
-    budget_ball = int(spec.budgets.get("ball", 60_000))
     centers = lattice(m, 2.0)
     c_aps = []
     for ell in (1, 2, 4, 8):
         radii = (2 * pi / ell * 0.5, 2 * pi / ell, m.max_distance * (1 + 1e-9))
         smp = dg.BallSampler(centers, radii, seed=derive_seed(seed, "ap", ell))
-        c_aps.append(dg.ap_product(m, wt.BuragoTorus(ell), 2.0, smp, budget_ball))
+        c_aps.append(dg.ap_product(m, wt.BuragoTorus(ell), 2.0, smp, 60_000))
     spread_ap = (max(c_aps) - min(c_aps)) / min(c_aps)
     _flag(flags, "C7-ap", spread_ap <= 0.05, spread_ap, "C_ap(p=2) within 5% across ell")
     report["c_ap_by_ell"] = c_aps
@@ -584,15 +661,13 @@ def run_burago(spec: ExperimentSpec, outdir: Path):
     # like 1/ell, so every frequency is probed in the same relative
     # configuration (the substitution xi = ell * x1 maps them onto each
     # other) and the uniformity of the family becomes measurable
-    base_spacing = float(spec.graph.get("strong_spacing", 0.3))
-    base_dists = spec.graph.get("strong_distances", (2.4, 3.2, 4.0))
-    ells = list(spec.graph.get("strong_ells", range(1, 17)))
+    base_dists = (2.4, 3.2, 4.0)
     anchors = np.array([[0.0, 0.0], [pi / 2, 0.7], [pi, 1.9], [3 * pi / 2, 3.1]])
     angles = np.array([0.0, pi / 6, pi / 3, pi / 2, 3 * pi / 4])
     thetas = []
-    for ell in ells:
+    for ell in range(1, 17):
         f = wt.BuragoTorus(ell)
-        spts = lattice(m, base_spacing / ell)
+        spts = lattice(m, 0.3 / ell)
         sg = mt.build_graph(m, spts, 3 * spts.spacing, f, seed=seed)
         src, pairs = [], []
         for a in anchors / ell:
@@ -606,8 +681,7 @@ def run_burago(spec: ExperimentSpec, outdir: Path):
                     pairs.append((i, spts.nearest(m, target)))
         sdm = mt.shortest_paths(sg, np.unique(src), np.unique([j for _, j in pairs]))
         sr = dg.strong_ratio(
-            m, f, spts, sdm, pairs, eta=1.05 * max(base_dists) / ell,
-            budget=int(spec.budgets.get("strong", 20_000)),
+            m, f, spts, sdm, pairs, eta=1.05 * max(base_dists) / ell, budget=20_000,
             seed=derive_seed(seed, "sr", ell),
         )
         thetas.append(sr.theta_strong)
@@ -623,9 +697,8 @@ def run_burago(spec: ExperimentSpec, outdir: Path):
         (full.radius,),
         seed=derive_seed(seed, "full"),
     )
-    budget_full = int(spec.budgets.get("full_torus", 200_000))
-    c_rh = dg.reverse_holder(m, bur1, 2.0, smp_full, budget_full)
-    c_ap = dg.ap_product(m, bur1, 2.0, smp_full, budget_full)
+    c_rh = dg.reverse_holder(m, bur1, 2.0, smp_full, 200_000)
+    c_ap = dg.ap_product(m, bur1, 2.0, smp_full, 200_000)
     dev_rh = abs(c_rh / sqrt(1.125) - 1.0)
     dev_ap = abs(c_ap / (2.0 / sqrt(3.0)) - 1.0)
     _flag(flags, "C11-burago", max(dev_rh, dev_ap) <= 0.02, max(dev_rh, dev_ap),
@@ -665,7 +738,8 @@ def run_schrodinger(spec: ExperimentSpec, outdir: Path):
     fixed point, decomposition (criterion 9)."""
     m = _cubic_3_torus(spec.manifold)
     L = float(m.periods[0])
-    shape = tuple(spec.budgets.get("shape", (12, 12, 12)))
+    budgets = spec.settings()["budgets"]
+    shape = tuple(budgets["shape"])
     seed = spec.seed
     geom = sc.GridGeometry(m, shape)
     x = geom.nodes()
@@ -727,8 +801,8 @@ def run_schrodinger(spec: ExperimentSpec, outdir: Path):
         "c_vs_lambda0": abs(fp.c - eig.lambda0),
     }
 
-    rho = float(spec.diagnostics.get("rho", 0.8))
-    dshape = tuple(spec.budgets.get("decomp_shape", (10, 10, 10)))
+    rho = 0.8
+    dshape = tuple(budgets["decomp_shape"])
     dgeom = sc.GridGeometry(m, dshape)
     dx = dgeom.nodes()
     Vd = 0.01 * np.cos(2 * pi * dx[:, 0] / L) * np.sin(2 * pi * dx[:, 1] / L)
@@ -750,18 +824,16 @@ def run_custom(spec: ExperimentSpec, outdir: Path):
     m = build_manifold(spec.manifold)
     field = build_weight(spec.weight)
     seed = spec.seed
-    eta = float(spec.diagnostics.get("eta", dg.default_eta(m)))
-    centers = lattice(m, float(spec.graph.get("center_spacing", m.min_period / 3)))
+    cfg = spec.settings()
+    diag, budgets = cfg["diagnostics"], cfg["budgets"]
+    eta = float(dg.default_eta(m) if diag["eta"] is None else diag["eta"])
+    spacing = cfg["graph"]["center_spacing"]
+    centers = lattice(m, float(m.min_period / 3 if spacing is None else spacing))
     smp = dg.BallSampler(centers, (eta / 2, eta), seed=seed)
     rep = dg.ainfty_report(
-        m,
-        field,
-        smp,
-        q=float(spec.diagnostics.get("q", 2.0)),
-        p=float(spec.diagnostics.get("p", 2.0)),
-        budget=int(spec.budgets.get("ball", 20_000)),
+        m, field, smp, q=float(diag["q"]), p=float(diag["p"]), budget=int(budgets["ball"])
     )
-    mass, mass_se = wt.total_mass(m, field, int(spec.budgets.get("mass", 100_000)), seed)
+    mass, mass_se = wt.total_mass(m, field, int(budgets["mass"]), seed)
     return {"ainfty": rep.to_dict(), "total_mass": mass, "total_mass_se": mass_se}, []
 
 

@@ -458,9 +458,8 @@ def _fibonacci_sphere(count: int) -> np.ndarray:
 
 
 def _sin_power_ppf(power: int, u: np.ndarray, theta_max: float = pi) -> np.ndarray:
-    """Inverse CDF of density sin(t)^power on [0, theta_max], by table lookup."""
-    if power == 0:
-        return u * theta_max
+    """Inverse CDF of density sin(t)^power (power >= 1) on [0, theta_max],
+    by table lookup."""
     if power == 1:
         lo = 1.0
         hi = np.cos(theta_max)

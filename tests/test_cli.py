@@ -1,12 +1,15 @@
+import argparse
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conflab.cli import main
+from conflab.cli import _FLAG_KEYS, _WRAPPER_EXPERIMENT, build_parser, main
 from conflab.errors import InputError, NumericError
 from conflab.experiments import (
     EXPERIMENT_NAMES,
+    SETTINGS,
     ExperimentSpec,
     converge_compare,
     run,
@@ -197,14 +200,34 @@ def test_weak_star_validates_each_field(sphere2):
         ({"name": "flat-identity", "graph": {"spacing": "abc"}}, "graph entry 'spacing'"),
         ({"name": "custom", "budgets": {"ball": [1.0, None]}}, "budgets entry 'ball'"),
         ({"name": "custom", "diagnostics": {"eta": float("inf")}}, "diagnostics entry 'eta'"),
+        # a retired setting (a constant now), a typo in a descriptor or a
+        # section, or a setting that is not a number: each rejected before
+        # any work
+        ({"name": "flat-identity", "graph": {"K": 5}}, "'K'"),
+        ({"name": "sphere-bubble", "graph": {"center_spacing": 0.7}}, "'center_spacing'"),
+        ({"name": "log-cusp", "weight": {"x0": [3.2, 3.1]}}, "'x0'"),
+        ({"name": "burago", "graph": {"stable_spacing": 0.1}}, "'stable_spacing'"),
+        ({"name": "burago", "graph": {"strong_spacing": 0.3}}, "'strong_spacing'"),
+        ({"name": "burago", "graph": {"strong_distances": [2.4, 3.2, 4.0]}}, "'strong_distances'"),
+        ({"name": "burago", "graph": {"strong_ells": [1, 2, 4]}}, "'strong_ells'"),
+        ({"name": "burago", "budgets": {"weak_star": 400_000}}, "'weak_star'"),
+        ({"name": "burago", "budgets": {"ball": 60_000}}, "'ball'"),
+        ({"name": "burago", "budgets": {"strong": 20_000}}, "'strong'"),
+        ({"name": "burago", "budgets": {"full_torus": 200_000}}, "'full_torus'"),
+        ({"name": "schrodinger", "diagnostics": {"rho": 0.8}}, "'rho'"),
+        ({"name": "flat-identity", "manifold": {"kind": "torus", "dims": 3}}, "'dims'"),
+        ({"name": "custom", "weight": {"kind": "burago", "el": 2}}, "'el'"),
+        ({"name": "burago", "graph": {"spcing": 0.06}}, "'spcing'"),
+        ({"name": "sphere-bubble", "weight": {"lams": ["x"]}}, "weight entry 'lams'"),
     ],
 )
 def test_missing_spec_key_is_an_input_error(tmp_path, capsys, doc, words):
     doc = dict(doc, seed=1, output_dir=str(tmp_path / "out"))
     assert main(["run", str(_write_spec(tmp_path, doc))]) == 2
-    error = json.loads((tmp_path / "out" / "report.json").read_text())["stages"]["error"]
-    assert error["type"] == "InputError"
-    assert words in error["message"]
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["spec"] == doc
+    assert report["stages"]["error"]["type"] == "InputError"
+    assert words in report["stages"]["error"]["message"]
 
 
 @pytest.mark.parametrize("doc", [3, ["name"], {"name": "custom", "seed": "abc"}], ids=["int", "list", "seed"])
@@ -231,9 +254,44 @@ def test_malformed_json_spec_writes_a_report_into_conf_lab_out(tmp_path, monkeyp
     assert "malformed JSON spec" in report["stages"]["error"]["message"]
 
 
-def test_malformed_json_flag_is_an_input_error(tmp_path, capsys):
-    assert main(["ainfty", "--weight", "{bad", "--output-dir", str(tmp_path / "out")]) == 2
-    assert "malformed JSON --weight" in capsys.readouterr().err
+def test_malformed_json_flag_is_an_input_error(tmp_path, monkeypatch, capsys):
+    # the report goes to --output-dir, or to CONF_LAB_OUT when it is set
+    for out in ("out", "env-out"):
+        if out == "env-out":
+            monkeypatch.setenv("CONF_LAB_OUT", str(tmp_path / out))
+        assert main(["ainfty", "--weight", "{bad", "--output-dir", str(tmp_path / "out")]) == 2
+        assert "malformed JSON --weight" in capsys.readouterr().err
+        report = json.loads((tmp_path / out / "report.json").read_text())
+        assert report["passed"] is False
+        assert report["spec"] is None
+        assert report["stages"]["error"]["type"] == "InputError"
+        assert "malformed JSON --weight" in report["stages"]["error"]["message"]
+
+
+def test_each_wrapper_flag_names_a_declared_setting():
+    parser = build_parser()
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, name in _WRAPPER_EXPERIMENT.items():
+        for dest in (a.dest for a in commands[command]._actions):
+            if dest in ("help", "seed", "output_dir", "manifold"):
+                continue  # spec fields, and the descriptor every experiment takes
+            if dest == "weight":
+                assert name == "custom" or "weight" in SETTINGS[name], (command, dest)
+                continue
+            (section,) = [sec for sec, keys in _FLAG_KEYS.items() if dest in keys]
+            assert _FLAG_KEYS[section][dest] in SETTINGS[name].get(section, {}), (command, dest)
+
+
+def test_readme_settings_table_matches_the_code():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("### Spec settings")[1].split("\n\n")[2]
+    rows = [[c.strip() for c in line.strip("|").split("|")] for line in table.splitlines()[2:]]
+    declared = {(name, section, key): default for name, sections in SETTINGS.items()
+                for section, keys in sections.items() for key, default in keys.items()}
+    assert {tuple(row[:3]) for row in rows} == set(declared)
+    for name, section, key, default in rows:
+        if declared[name, section, key] is not None:
+            assert json.loads(default) == pytest.approx(declared[name, section, key]), key
 
 
 def _grid_spec(tmp_path, edit_manifest=None, payload=True):
@@ -269,6 +327,26 @@ def test_unreadable_grid_payload_is_a_format_error(tmp_path, capsys, spec):
     assert main(["run", str(_write_spec(tmp_path, doc))]) == 2
     error = json.loads((tmp_path / "out" / "report.json").read_text())["stages"]["error"]
     assert error["type"] == "FormatError"
+
+
+@pytest.mark.parametrize(
+    "spec, mass",
+    [
+        # the grid holds f = 0.1 on the 2-torus: mass e^{0.2} (2 pi)^2
+        (_grid_spec, np.exp(0.2) * 4 * np.pi**2),
+        # a dilation of S^2 conserves its area 4 pi
+        (lambda tmp: {"name": "custom", "seed": 1, "output_dir": str(tmp / "out"),
+                      "manifold": {"kind": "sphere", "dim": 2},
+                      "weight": {"kind": "sphere-bubble", "lam": 2.0}}, 4 * np.pi),
+    ],
+    ids=["grid", "sphere-bubble"],
+)
+def test_custom_run_of_a_grid_or_sphere_bubble_weight(tmp_path, capsys, spec, mass):
+    doc = dict(spec(tmp_path), budgets={"ball": 2000, "mass": 2000})
+    assert main(["run", str(_write_spec(tmp_path, doc))]) == 0
+    stages = json.loads((tmp_path / "out" / "report.json").read_text())["stages"]
+    assert abs(stages["total_mass"] - mass) <= 4 * stages["total_mass_se"] + 1e-9 * mass
+    assert set(stages["ainfty"]) >= {"C_rh", "C_ap"}
 
 
 def test_missing_or_unreadable_spec_exit_code(tmp_path, capsys):

@@ -71,14 +71,27 @@ def _cusp_shell(dim, count):
     return 1.0 + np.linspace(0.3, 0.6, count)[:, None] * dirs
 
 
-# one case per branch of the finite differences: flat and round, n = 2 and n > 2
+def _seam_shell(m, x0, count):
+    """Points 0.3-0.6 from x0 on the torus m, wrapped into the fundamental
+    domain: with x0 near a seam, some sit across it."""
+    dirs = np.random.default_rng(12).standard_normal((count, m.dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return m.canonicalize(np.asarray(x0) + np.linspace(0.3, 0.6, count)[:, None] * dirs)
+
+
+# one case per branch of the finite differences: flat and round, n = 2 and
+# n > 2; and the torus branch of LogCusp's exact derivatives, x0 within r0
+# of every seam, at n = 3, where the gradient enters the curvature
 S2 = Manifold.sphere(2)
+T3 = Manifold.torus(3)
+SEAM_X0 = (0.15, 2 * np.pi - 0.1, 0.2)
 FD_CASES = {
     "T2": (Manifold.torus(2), BuragoTorus(1), np.array([[0.7, 0.3]])),
     "T3": (Manifold.torus(3), BuragoTorus(2), np.array([[0.7, 0.3, 5.0], [2.2, 6.0, 1.0]])),
     "S2": (S2, SphereBubble(3.0), sample_manifold(S2, 6, seed=9)[0]),
     "box3": (Manifold.box([[0.0, 2.0]] * 3), LogCusp((1.0, 1.0, 1.0), 0.4, 3.0), _cusp_shell(3, 6)),
     "box2": (Manifold.box([[0.0, 2.0]] * 2), LogCusp((1.0, 1.0), 0.4, 3.0), _cusp_shell(2, 6)),
+    "T3-cusp-seam": (T3, LogCusp(SEAM_X0, 0.4, 3.0), _seam_shell(T3, SEAM_X0, 6)),
 }
 
 
