@@ -247,7 +247,10 @@ def _lattice_csr(m, points: PointSet, eps):
         return np.ravel_multi_index(np.ix_(*ranges), shape)
 
     indices = _lattice_entries(m, points, blocks, targets, np.int32)
-    indptr = np.concatenate(([0], np.cumsum(_filled_slots(points, blocks).sum(axis=1))))
+    if m.kind == "torus":
+        indptr = np.arange(len(points) + 1) * len(blocks)  # every slot is filled
+    else:
+        indptr = np.concatenate(([0], np.cumsum(_filled_slots(points, blocks).sum(axis=1))))
     return blocks, indices, indptr
 
 

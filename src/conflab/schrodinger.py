@@ -36,7 +36,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.fft import dctn, idctn
 from scipy.sparse import csr_matrix, diags, kronsum
 from scipy.sparse.linalg import lobpcg, splu  # noqa: F401  perfbench's tracer rebinds splu
 
@@ -134,6 +133,8 @@ class GridGeometry(NodeGrid):
         if self.manifold.kind == "torus":
             out = np.real(np.fft.ifftn(np.fft.fftn(x, axes=axes) * mult, axes=axes))
         else:
+            from scipy.fft import dctn, idctn
+
             coef = dctn(x, type=2, norm="ortho", axes=axes)
             out = idctn(coef * mult, type=2, norm="ortho", axes=axes)
         return out.reshape(np.shape(u))

@@ -191,6 +191,8 @@ class LogCusp(WeightField):
     def validate(self, m):
         if m.kind not in ("torus", "box"):
             raise InputError("LogCusp is defined on tori and boxes only")
+        if len(self.x0) != m.dim:
+            raise InputError(f"LogCusp centre x0 needs {m.dim} coordinates, got {len(self.x0)}")
         if self.r0 <= 0:
             raise InputError("LogCusp radius r0 must be positive")
         if self.cap is not None and self.cap <= 0:
@@ -291,6 +293,10 @@ class SphereBubble(WeightField):
     def validate(self, m):
         if m.kind != "sphere":
             raise InputError("SphereBubble is only defined on spheres")
+        if self.pole is not None and len(self.pole) != m.dim + 1:
+            raise InputError(
+                f"SphereBubble pole needs {m.dim + 1} ambient coordinates, got {len(self.pole)}"
+            )
         if self.lam <= 0:
             raise InputError("SphereBubble dilation lam must be positive")
 

@@ -11,6 +11,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from conflab.curvature import alpha_n2
 from conflab.experiments import ExperimentSpec, run
@@ -176,6 +177,14 @@ def test_criterion_05_stable_norm(burago):
             ("valley norm 2^{-1/2} across the frequency sweep", sweep_ok),
         ],
     )
+
+
+def test_stable_norm_oracle_is_the_loop_quadrature(burago):
+    # C5-e1's closed form (2/pi) sqrt(3/2) E(2/3) against the loop integral
+    # of e^f = sqrt(1 - cos(t)/2) that it replaced
+    report, _ = burago
+    loop = quad(lambda t: np.sqrt(1 - 0.5 * np.cos(t)), 0, 2 * np.pi)[0] / (2 * np.pi)
+    assert abs(report.stages["stable_norm"]["oracle_e1"] - loop) <= np.spacing(loop)
 
 
 def test_criterion_06_frequency_convergence(burago):

@@ -1,10 +1,14 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import conflab
 from conflab.cli import _FLAG_KEYS, _WRAPPER_EXPERIMENT, build_parser, main
 from conflab.errors import InputError, NumericError
 from conflab.experiments import (
@@ -347,6 +351,51 @@ def test_custom_run_of_a_grid_or_sphere_bubble_weight(tmp_path, capsys, spec, ma
     stages = json.loads((tmp_path / "out" / "report.json").read_text())["stages"]
     assert abs(stages["total_mass"] - mass) <= 4 * stages["total_mass_se"] + 1e-9 * mass
     assert set(stages["ainfty"]) >= {"C_rh", "C_ap"}
+
+
+@pytest.mark.parametrize(
+    "manifold, weight, words",
+    [
+        ({}, {"kind": "constant", "value": "x"}, "entry 'value'"),
+        ({}, {"kind": "burago", "ell": "1"}, "entry 'ell'"),
+        ({}, {"kind": "burago", "ell": 1.5}, "entry 'ell'"),
+        ({}, {"kind": "log-cusp", "x0": [3.1, 3.1], "r0": None}, "entry 'r0'"),
+        ({}, {"kind": "log-cusp", "x0": [3.1, 3.1], "cap": "big"}, "entry 'cap'"),
+        ({}, {"kind": "log-cusp", "x0": "centre"}, "entry 'x0'"),
+        ({"kind": "sphere"}, {"kind": "sphere-bubble", "lam": [2.0]}, "entry 'lam'"),
+        ({"kind": "sphere"}, {"kind": "sphere-bubble", "pole": [0, 0, "n"]}, "entry 'pole'"),
+        ({}, {"kind": "scaled", "base": {"kind": "constant"}, "shift": "0.5"}, "entry 'shift'"),
+        ({}, {"kind": "scaled", "base": {"kind": "constant", "value": True}, "shift": 0.5}, "entry 'value'"),
+        ({}, {"kind": "grid", "path": "g.json", "order": "3"}, "entry 'order'"),
+        ({}, {"kind": "grid", "path": 3}, "entry 'path'"),
+        ({"kind": "torus", "dim": "two"}, {}, "entry 'dim'"),
+        ({"kind": "sphere", "radius": "1"}, {}, "entry 'radius'"),
+        ({"kind": "torus", "periods": [6.0, None]}, {}, "entry 'periods'"),
+        ({"kind": "box", "extents": [[0.0, 1.0], [0.0]]}, {}, "entry 'extents'"),
+        # well typed, but the wrong length for the manifold
+        ({}, {"kind": "log-cusp", "x0": [3.1, 3.1, 3.1]}, "x0 needs 2 coordinates"),
+        ({"kind": "sphere"}, {"kind": "sphere-bubble", "pole": [0.0, 1.0]}, "pole needs 3"),
+    ],
+)
+def test_descriptor_value_of_the_wrong_type_is_an_input_error(tmp_path, capsys, manifold, weight, words):
+    doc = {"name": "custom", "seed": 1, "output_dir": str(tmp_path / "out"),
+           "manifold": manifold, "weight": weight, "budgets": {"ball": 500, "mass": 500}}
+    assert main(["run", str(_write_spec(tmp_path, doc))]) == 2
+    error = json.loads((tmp_path / "out" / "report.json").read_text())["stages"]["error"]
+    assert error["type"] == "InputError"
+    assert words in error["message"]
+
+
+def test_import_loads_no_unused_scipy_subpackage():
+    # scipy.integrate (and the scipy.optimize it imports) has no caller in
+    # the package; scipy.fft loads on the first box-grid DCT
+    src = str(Path(conflab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import conflab, sys; print(' '.join(sorted(sys.modules)))"
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    assert "conflab.experiments" in loaded
+    assert not {"scipy.integrate", "scipy.optimize", "scipy.fft"} & set(loaded)
 
 
 def test_missing_or_unreadable_spec_exit_code(tmp_path, capsys):

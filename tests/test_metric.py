@@ -12,6 +12,8 @@ from conflab.metric import (
     ChainBall,
     DistanceMatrix,
     RiemannLine,
+    _filled_slots,
+    _lattice_csr,
     _lattice_offsets,
     build_graph,
     f_ball,
@@ -376,6 +378,17 @@ def _lattice_edges_one_by_one(m, pts, eps):
         ej.append(np.ravel_multi_index(dst[keep].T, shape))
         ed.append(np.full(keep.sum(), d))
     return np.concatenate(ei), np.concatenate(ej), np.concatenate(ed)
+
+
+@pytest.mark.parametrize("case", sorted(c for c in LATTICE_GRAPHS if c.startswith("T")))
+def test_torus_indptr_counts_the_filled_slots(case):
+    # a torus fills every slot of the node-major table, so its indptr is a
+    # plain stride; it must equal the count of filled slots, dtype included
+    m, spacing = LATTICE_GRAPHS[case]
+    pts = lattice(m, spacing)
+    blocks, _, indptr = _lattice_csr(m, pts, 4.3 * pts.spacing)
+    counted = np.concatenate(([0], np.cumsum(_filled_slots(pts, blocks).sum(axis=1))))
+    assert indptr.dtype == counted.dtype and indptr.tobytes() == counted.tobytes()
 
 
 @pytest.mark.parametrize("reach", [3, 4, 5])
