@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConflabError, InputError
-from .experiments import ExperimentSpec, RunReport, run
+from .experiments import SETTINGS, ExperimentSpec, RunReport, run, setting_type
 
 
 def _json(text: str, what: str):
@@ -39,27 +39,42 @@ def _read_spec(path: str):
     return doc
 
 
-# spec section -> {wrapper flag (argparse dest): key in the section}
-_FLAG_KEYS = {
-    "graph": {"spacing": "spacing", "eps": "eps", "eps_schedule": "eps_schedule"},
-    "diagnostics": {"r0": "R0", "eta": "eta", "q": "q", "p": "p"},
-    "budgets": {"budget": "ball"},
+# wrapper command -> (its experiment, help, {flag (argparse dest): the spec
+# entry it sets}); a "section.key" entry is a setting in SETTINGS, and
+# "weight" the spec's weight (custom's descriptor, else its settings), as JSON
+WRAPPERS = {
+    "dist": ("flat-identity", "flat-identity distance experiment",
+             {"spacing": "graph.spacing", "eps": "graph.eps", "eps_schedule": "graph.eps_schedule"}),
+    "ainfty": ("custom", "weight comparability diagnostics",
+               {"weight": "weight", "q": "diagnostics.q", "p": "diagnostics.p",
+                "eta": "diagnostics.eta", "budget": "budgets.ball"}),
+    "curv": ("sphere-bubble", "sphere-bubble curvature experiment",
+             {"weight": "weight", "r0": "diagnostics.R0"}),
+    "stablenorm": ("burago", "oscillating-torus stable norms (--spacing: the lattice of the "
+                   "frequency-convergence graphs)", {"spacing": "graph.spacing"}),
+    "schrod": ("schrodinger", "Schrödinger grid suite", {}),
 }
 
 
 def _doc_from_flags(args) -> dict:
+    name, _, flags = WRAPPERS[args.command]
     doc = {
-        "name": _WRAPPER_EXPERIMENT[args.command],
+        "name": name,
         "seed": args.seed,
         "output_dir": os.environ.get("CONF_LAB_OUT", args.output_dir),
         "manifold": _json(args.manifold, "--manifold") if args.manifold else {},
-        "weight": _json(args.weight, "--weight") if getattr(args, "weight", None) else {},
     }
-    if args.command == "ainfty" and not doc["weight"]:
+    for dest, entry in flags.items():
+        value = getattr(args, dest)
+        if value in (None, ""):
+            continue
+        if entry == "weight":
+            doc["weight"] = _json(value, "--weight")
+        else:
+            section, key = entry.split(".")
+            doc.setdefault(section, {})[key] = value
+    if name == "custom" and not doc.get("weight"):
         doc["weight"] = {"kind": "burago", "ell": 1}
-    for section, keys in _FLAG_KEYS.items():
-        flags = {key: getattr(args, dest, None) for dest, key in keys.items()}
-        doc[section] = {key: value for key, value in flags.items() if value is not None}
     return doc
 
 
@@ -84,14 +99,17 @@ def _parse(args) -> ExperimentSpec:
         raise
 
 
-def _float_list(text: str) -> list:
-    return [float(e) for e in text.split(",")]
+def _flag_type(default):
+    """The argparse type of a wrapper flag for a setting with this default:
+    the setting type's conversion, of each comma-separated entry for a list."""
+    convert = setting_type(default).convert
+    if not isinstance(default, tuple):
+        return convert
 
+    def comma_list(text: str) -> list:
+        return list(convert(text.split(",")))
 
-def _add_common(sp):
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--output-dir", default="conflab-out")
-    sp.add_argument("--manifold", help="JSON manifold descriptor", default=None)
+    return comma_list
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,47 +123,19 @@ def build_parser() -> argparse.ArgumentParser:
     runp = sub.add_parser("run", help="run an experiment spec (JSON document)")
     runp.add_argument("spec", help="path to the spec JSON")
 
-    dist = sub.add_parser("dist", help="flat-identity distance experiment")
-    _add_common(dist)
-    dist.add_argument("--spacing", type=float, default=None)
-    dist.add_argument("--eps", type=float, default=None)
-    dist.add_argument("--eps-schedule", type=_float_list, default=None)
-
-    ain = sub.add_parser("ainfty", help="weight comparability diagnostics")
-    _add_common(ain)
-    ain.add_argument("--weight", help="JSON weight descriptor", default=None)
-    ain.add_argument("--q", type=float, default=None)
-    ain.add_argument("--p", type=float, default=None)
-    ain.add_argument("--eta", type=float, default=None)
-    ain.add_argument("--budget", type=int, default=None)
-
-    curv = sub.add_parser("curv", help="sphere-bubble curvature experiment")
-    _add_common(curv)
-    curv.add_argument(
-        "--weight", help='JSON weight settings, e.g. {"lams": [1, 2, 10, 100]}', default=None
-    )
-    curv.add_argument("--r0", type=float, default=None)
-
-    stab = sub.add_parser("stablenorm", help="oscillating-torus stable norms")
-    _add_common(stab)
-    stab.add_argument(
-        "--spacing", type=float, default=None,
-        help="graph.spacing: the lattice of the frequency-convergence graphs "
-        "(not of the stable norms)",
-    )
-
-    schrod = sub.add_parser("schrod", help="Schrödinger grid suite")
-    _add_common(schrod)
+    for command, (name, help_text, flags) in WRAPPERS.items():
+        sp = sub.add_parser(command, help=help_text)
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--output-dir", default="conflab-out")
+        sp.add_argument("--manifold", help="JSON manifold descriptor", default=None)
+        for dest, entry in flags.items():
+            flag = "--" + dest.replace("_", "-")
+            if entry == "weight":
+                sp.add_argument(flag, help=f"JSON weight {'descriptor' if name == 'custom' else 'settings'}")
+            else:
+                section, key = entry.split(".")
+                sp.add_argument(flag, type=_flag_type(SETTINGS[name][section][key]), help=f"sets {entry}")
     return ap
-
-
-_WRAPPER_EXPERIMENT = {
-    "dist": "flat-identity",
-    "ainfty": "custom",
-    "curv": "sphere-bubble",
-    "stablenorm": "burago",
-    "schrod": "schrodinger",
-}
 
 
 def main(argv=None) -> int:

@@ -13,8 +13,11 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field as dc_field, fields as dc_fields
-from math import isfinite, pi, sqrt
+from math import pi, sqrt
 from pathlib import Path
+from sys import float_info
+from typing import Callable, NamedTuple
+
 import numpy as np
 from scipy.special import ellipe
 
@@ -51,16 +54,59 @@ EXPERIMENT_NAMES = (
 # ---------------------------------------------------------------------------
 
 
+class SpecType(NamedTuple):
+    """The type of a spec value: test(value) says whether a JSON value is
+    one (a descriptor's test raises InputError naming the entry at fault),
+    convert(value) gives the value a run uses, and what names the type in
+    errors."""
+
+    test: Callable
+    convert: Callable
+    what: str
+
+
 def _is_number(v) -> bool:
-    """A finite int or float (not a bool)."""
-    return not isinstance(v, bool) and (isinstance(v, int) or isinstance(v, float) and isfinite(v))
+    """An int or float (not a bool) that is a finite float."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= float_info.max
+
+
+def _list_of(item: SpecType, what: str) -> SpecType:
+    """A non-empty list of items, converted to a tuple."""
+    return SpecType(lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(map(item.test, v)),
+                    lambda v: tuple(map(item.convert, v)), what)
+
+
+def _or_null(t: SpecType) -> SpecType:
+    """t, or null for the builder's default (a default of None)."""
+    return SpecType(lambda v: v is None or t.test(v),
+                    lambda v: None if v is None else t.convert(v), f"{t.what} or null")
+
+
+INTEGER = SpecType(lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()), int, "an integer")
+NUMBER = SpecType(_is_number, float, "a finite number")
+NUMBERS = _list_of(NUMBER, "a non-empty list of finite numbers")
+INTEGERS = _list_of(INTEGER, "a non-empty list of integers")
+_PAIR = SpecType(lambda v: NUMBERS.test(v) and len(v) == 2, NUMBERS.convert, "a [lo, hi] pair")
+EXTENTS = _list_of(_PAIR, "a list of [lo, hi] pairs of finite numbers")
+STRING = SpecType(lambda v: isinstance(v, str), str, "a string")
+OBJECT = SpecType(lambda v: isinstance(v, dict), dict, "an object")
+WEIGHT = SpecType(lambda v: bool(_descriptor(v, _WEIGHTS, "weight")), dict, "a weight descriptor")
+
+
+def setting_type(default) -> SpecType:
+    """The type of a setting with this SETTINGS default: an integer for an
+    int, a finite number for a float or None, and a non-empty list of
+    integers or of finite numbers for a tuple of them."""
+    if isinstance(default, tuple):
+        return INTEGERS if isinstance(default[0], int) else NUMBERS
+    return INTEGER if isinstance(default, int) else NUMBER
 
 
 # experiment -> spec section -> key -> default: the settings a spec may give,
-# each a finite number or a list of them.  A key not declared here is an
-# InputError.  None is a default worked out from the manifold (run_custom).
-# The manifold of every experiment, and the weight of custom, are descriptors
-# whose keys depend on their kind (_MANIFOLD_KEYS, _WEIGHT_KEYS).
+# each of setting_type(default).  A key not declared here is an InputError.
+# None is a default worked out from the manifold (run_custom).  The manifold
+# of every experiment, and the weight of custom, are descriptors whose keys
+# depend on their kind (_MANIFOLDS, _WEIGHTS).
 SETTINGS = {
     "flat-identity": {
         "graph": {
@@ -93,71 +139,72 @@ SETTINGS = {
     },
 }
 
-# descriptor kind -> (keys it needs, keys it may set), besides "kind"
-_MANIFOLD_KEYS = {
-    "torus": ((), ("dim", "periods")),
-    "box": (("extents",), ()),
-    "sphere": ((), ("dim", "radius")),
+# descriptor kind -> (its builder, the type of each key it takes besides
+# "kind", the keys it needs); a key left out takes the builder's default,
+# and a descriptor without a kind is of the first kind
+_MANIFOLDS = {
+    "torus": (Manifold.torus, {"dim": INTEGER, "periods": _or_null(NUMBERS)}, ()),
+    "box": (Manifold.box, {"extents": EXTENTS}, ("extents",)),
+    "sphere": (Manifold.sphere, {"dim": INTEGER, "radius": NUMBER}, ()),
 }
-_WEIGHT_KEYS = {
-    "constant": ((), ("value",)),
-    "burago": ((), ("ell",)),
-    "log-cusp": (("x0",), ("r0", "cap")),
-    "sphere-bubble": ((), ("lam", "pole")),
-    "scaled": (("base", "shift"), ()),
-    "grid": (("path",), ("order",)),
-}
-
-
-def _is_numbers(v) -> bool:
-    """A list (or tuple) of finite numbers."""
-    return isinstance(v, (list, tuple)) and all(map(_is_number, v))
-
-
-# descriptor key -> (test of its value, what the value must be); null stands
-# for the builder's default only where that default is None
-_DESCRIPTOR_VALUES = {
-    **dict.fromkeys(("dim", "ell", "order"), (
-        lambda v: _is_number(v) and float(v).is_integer(), "an integer")),
-    **dict.fromkeys(("value", "radius", "r0", "lam", "shift"), (_is_number, "a finite number")),
-    "cap": (lambda v: v is None or _is_number(v), "a finite number or null"),
-    "x0": (_is_numbers, "a list of finite numbers"),
-    **dict.fromkeys(("periods", "pole"), (
-        lambda v: v is None or _is_numbers(v), "a list of finite numbers or null")),
-    "extents": (
-        lambda v: isinstance(v, (list, tuple)) and all(_is_numbers(e) and len(e) == 2 for e in v),
-        "a list of [lo, hi] pairs of finite numbers",
-    ),
-    "path": (lambda v: isinstance(v, str), "a string"),
+_WEIGHTS = {
+    "constant": (wt.Constant, {"value": NUMBER}, ()),
+    "burago": (wt.BuragoTorus, {"ell": INTEGER}, ()),
+    "log-cusp": (wt.LogCusp, {"x0": NUMBERS, "r0": NUMBER, "cap": _or_null(NUMBER)}, ("x0",)),
+    "sphere-bubble": (wt.SphereBubble, {"lam": NUMBER, "pole": _or_null(NUMBERS)}, ()),
+    "scaled": (lambda base, shift: wt.Scaled(build_weight(base), shift),
+               {"base": WEIGHT, "shift": NUMBER}, ("base", "shift")),
+    "grid": (lambda path, **rest: wt.GridWeight(wt.read_grid(path), **rest),
+             {"path": STRING, "order": INTEGER}, ("path",)),
 }
 
 
-def _check_descriptor(desc, kinds: dict, default_kind: str, what: str) -> None:
-    """InputError unless desc is an object of a known kind that gives every
-    key its kind needs, no key its kind does not take, and each value the
-    type _DESCRIPTOR_VALUES asks for."""
+def _entries(entries, types: dict, needed, what: str) -> dict:
+    """entries, each converted by its type in types; InputError naming the
+    key unless entries is an object that gives every needed key, no key
+    types lacks, and values that pass their types' tests."""
+    if not isinstance(entries, dict):
+        raise InputError(f"{what} must be an object, got {type(entries).__name__}")
+    for key in needed:
+        if key not in entries:
+            raise InputError(f"{what} needs the key {key!r}")
+    unknown = set(entries) - set(types)
+    if unknown:
+        raise InputError(f"unknown keys {sorted(unknown)} in {what}; it takes {sorted(types)}")
+    for key, value in entries.items():
+        if not types[key].test(value):
+            raise InputError(f"{what} entry {key!r} must be {types[key].what}, got {value!r}")
+    return {key: types[key].convert(value) for key, value in entries.items()}
+
+
+def _descriptor(desc, kinds: dict, what: str):
+    """(builder, converted entries) of a manifold or weight descriptor: an
+    object of a known kind whose other entries pass _entries, else
+    InputError."""
     if not isinstance(desc, dict):  # a scaled weight's base
-        raise InputError(f"{what} spec must be an object, got {type(desc).__name__}")
-    kind = desc.get("kind", default_kind)
+        raise InputError(f"a {what} descriptor must be an object, got {type(desc).__name__}")
+    kind = desc.get("kind", next(iter(kinds)))
     if not isinstance(kind, str) or kind not in kinds:
         raise InputError(f"unknown {what} kind {kind!r}")
-    needed, optional = kinds[kind]
-    for key in needed:
-        if key not in desc:
-            raise InputError(f"{kind} {what} spec needs the key {key!r}")
-    unknown = set(desc) - {"kind", *needed, *optional}
-    if unknown:
-        raise InputError(
-            f"unknown keys {sorted(unknown)} in a {kind} {what} spec; "
-            f"it takes {sorted({'kind', *needed, *optional})}"
-        )
-    for key, value in desc.items():
-        if key in _DESCRIPTOR_VALUES and not _DESCRIPTOR_VALUES[key][0](value):
-            raise InputError(
-                f"{kind} {what} entry {key!r} must be {_DESCRIPTOR_VALUES[key][1]}, got {value!r}"
-            )
-    if kind == "scaled":
-        _check_descriptor(desc["base"], kinds, default_kind, what)
+    builder, types, needed = kinds[kind]
+    entries = {key: value for key, value in desc.items() if key != "kind"}
+    return builder, _entries(entries, types, needed, f"the {kind} {what}")
+
+
+def build_manifold(desc: dict) -> Manifold:
+    """The manifold of a descriptor; InputError for one from_dict rejects."""
+    builder, entries = _descriptor(desc, _MANIFOLDS, "manifold")
+    return builder(**entries)
+
+
+def build_weight(desc: dict) -> wt.WeightField:
+    """The weight of a descriptor; InputError for one from_dict rejects."""
+    builder, entries = _descriptor(desc, _WEIGHTS, "weight")
+    return builder(**entries)
+
+
+# the type of each spec field, by its annotation in ExperimentSpec
+_FIELD_TYPES = {"str": STRING, "int": INTEGER, "dict": OBJECT}
 
 
 @dataclass
@@ -172,53 +219,23 @@ class ExperimentSpec:
     budgets: dict = dc_field(default_factory=dict)
 
     @staticmethod
-    def from_dict(doc: dict) -> "ExperimentSpec":
-        if not isinstance(doc, dict):
-            raise InputError(f"experiment spec must be a JSON object, got {type(doc).__name__}")
-        if "name" not in doc:
-            raise InputError("experiment spec needs a 'name'")
-        if doc["name"] not in EXPERIMENT_NAMES:
-            raise InputError(
-                f"unknown experiment {doc['name']!r}; expected one of {EXPERIMENT_NAMES}"
-            )
-        if "seed" not in doc:
-            raise InputError("experiment spec needs an explicit integer 'seed'")
-        spec_fields = dc_fields(ExperimentSpec)
-        unknown = set(doc) - {f.name for f in spec_fields}
-        if unknown:
-            raise InputError(f"unknown spec fields: {sorted(unknown)}")
-        try:
-            seed = int(doc["seed"])
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"spec seed must be an integer, got {doc['seed']!r}") from exc
-        if not isinstance(doc.get("output_dir", ""), str):
-            raise InputError(f"spec output_dir must be a string, got {doc['output_dir']!r}")
-        for key in (f.name for f in spec_fields if f.default_factory is dict):
-            if not isinstance(doc.get(key, {}), dict):
-                raise InputError(f"spec field {key!r} must be an object")
-        name = doc["name"]
-        _check_descriptor(doc.get("manifold", {}), _MANIFOLD_KEYS, "torus", "manifold")
-        sections = ("graph", "diagnostics", "budgets")
-        if name == "custom":
-            _check_descriptor(doc.get("weight", {}), _WEIGHT_KEYS, "constant", "weight")
+    def from_dict(doc) -> "ExperimentSpec":
+        """The spec of a JSON document; InputError naming the entry at fault
+        unless every field, setting and descriptor entry has its type."""
+        types = {f.name: _FIELD_TYPES[f.type] for f in dc_fields(ExperimentSpec)}
+        spec = ExperimentSpec(**_entries(doc, types, ("name", "seed"), "the experiment spec"))
+        if spec.name not in EXPERIMENT_NAMES:
+            raise InputError(f"unknown experiment {spec.name!r}; expected one of {EXPERIMENT_NAMES}")
+        _descriptor(spec.manifold, _MANIFOLDS, "manifold")
+        sections = ["graph", "diagnostics", "budgets"]
+        if spec.name == "custom":
+            _descriptor(spec.weight, _WEIGHTS, "weight")
         else:
-            sections += ("weight",)
+            sections.append("weight")
         for section in sections:
-            declared = SETTINGS[name].get(section, {})
-            for key, value in doc.get(section, {}).items():
-                if key not in declared:
-                    raise InputError(
-                        f"unknown {section} setting {key!r} for the {name} experiment; "
-                        f"it takes {sorted(declared)}"
-                    )
-                if not (_is_number(value) or _is_numbers(value)):
-                    raise InputError(
-                        f"spec {section} entry {key!r} must be a finite number or a list of them, "
-                        f"got {value!r}"
-                    )
-        spec = ExperimentSpec(**dict(doc, seed=seed))
+            spec._section(section)
         g = spec.graph
-        if _is_number(g.get("spacing")) and _is_number(g.get("eps")) and g["eps"] < 3 * g["spacing"] - 1e-12:
+        if "spacing" in g and "eps" in g and g["eps"] < 3 * g["spacing"] - 1e-12:
             raise InputError(
                 f"graph eps = {g['eps']} violates the constraint eps >= 3 * spacing "
                 f"= {3 * g['spacing']}"
@@ -228,43 +245,19 @@ class ExperimentSpec:
     def to_dict(self) -> dict:
         return asdict(self)
 
+    def _section(self, section: str) -> dict:
+        """The settings the spec gives in section, converted by their types."""
+        declared = SETTINGS[self.name].get(section, {})
+        types = {key: setting_type(default) for key, default in declared.items()}
+        return _entries(getattr(self, section), types, (), f"the {self.name} {section}")
+
     def settings(self) -> dict:
-        """section -> key -> value: the spec's settings over its experiment's
-        SETTINGS defaults."""
+        """section -> key -> value: the spec's settings, converted, over its
+        experiment's SETTINGS defaults."""
         return {
-            section: dict(defaults, **getattr(self, section))
+            section: dict(defaults, **self._section(section))
             for section, defaults in SETTINGS[self.name].items()
         }
-
-
-def build_manifold(desc: dict) -> Manifold:
-    """The manifold of a descriptor that ExperimentSpec.from_dict accepts."""
-    kind = desc.get("kind", "torus")
-    if kind == "torus":
-        return Manifold.torus(int(desc.get("dim", 2)), desc.get("periods"))
-    if kind == "box":
-        return Manifold.box(desc["extents"])
-    return Manifold.sphere(int(desc.get("dim", 2)), float(desc.get("radius", 1.0)))
-
-
-def build_weight(desc: dict) -> wt.WeightField:
-    """The weight of a descriptor that ExperimentSpec.from_dict accepts."""
-    kind = desc.get("kind", "constant")
-    if kind == "constant":
-        return wt.Constant(float(desc.get("value", 0.0)))
-    if kind == "burago":
-        return wt.BuragoTorus(int(desc.get("ell", 1)))
-    if kind == "log-cusp":
-        cap = desc.get("cap")
-        return wt.LogCusp(
-            tuple(desc["x0"]), float(desc.get("r0", 1.0)), None if cap is None else float(cap)
-        )
-    if kind == "sphere-bubble":
-        return wt.SphereBubble(float(desc.get("lam", 1.0)), desc.get("pole"))
-    if kind == "scaled":
-        return wt.Scaled(build_weight(desc["base"]), float(desc["shift"]))
-    grid = wt.read_grid(desc["path"])
-    return wt.GridWeight(grid, int(desc.get("order", 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +353,14 @@ def _flag(flags: list, cid: str, ok: bool, value, threshold: str):
     )
 
 
+def _using(entry: str, call, *args, **kwargs):
+    """call(*args, **kwargs), whose InputError names the spec entry it uses."""
+    try:
+        return call(*args, **kwargs)
+    except InputError as exc:
+        raise InputError(f"{entry}: {exc}") from exc
+
+
 def _require_surface(m: Manifold, name: str) -> None:
     """InputError unless m is 2-dimensional: the experiment's probes (snap
     offsets, stable-norm directions, oracles) are written for n = 2."""
@@ -376,24 +377,21 @@ def run_flat_identity(spec: ExperimentSpec, outdir: Path):
     """d_f == d0 for the trivial weight, plus scaling exactness and the
     constant-weight diagnostics oracles (criteria 1, 2, 10, 11)."""
     g = spec.settings()["graph"]
-    spacing = float(g["spacing"])
-    eps = float(g["eps"])
-    schedule = [float(e) for e in g["eps_schedule"]]
-    n_pairs = int(g["pairs"])
+    spacing = g["spacing"]
     seed = spec.seed
-    m = build_manifold(spec.manifold or {"kind": "torus", "dim": 2})
+    m = build_manifold(spec.manifold)
     zero = wt.Constant(0.0)
     flags = []
     report = {}
 
     pts = lattice(m, spacing, cover=True)
-    graph = mt.build_graph(m, pts, eps, zero, seed=seed)
+    graph = mt.build_graph(m, pts, g["eps"], zero, seed=seed)
     rng = derive_rng(seed, "pairs")
     src = rng.choice(len(pts), size=min(10, len(pts)), replace=False)
     dmat = mt.shortest_paths(graph, src)
     pair_rows = []
     worst = 0.0
-    for k in range(n_pairs):
+    for k in range(g["pairs"]):
         i = int(src[k % src.size])
         j = int(rng.integers(0, len(pts)))
         dd0 = float(d0_many(m, pts.points[i], pts.points[j]))
@@ -403,11 +401,15 @@ def run_flat_identity(spec: ExperimentSpec, outdir: Path):
         rel = abs(df - dd0) / dd0
         worst = max(worst, rel)
         pair_rows.append((i, j, dd0, df, rel))
+    if not pair_rows:
+        raise InputError(f"graph entry 'pairs' = {g['pairs']} leaves no pair with d0 >= 4 * spacing for C1")
     _flag(flags, "C1-pairs", worst <= 0.03, worst, "max |d_f - d0|/d0 <= 3%")
     report["pair_table"] = [list(map(float, r)) for r in pair_rows]
 
-    ref_pairs = [(pts.points[i], pts.points[j]) for i, j, *_ in pair_rows[: int(g["refine_pairs"])]]
-    refined = mt.refine_distance(m, zero, ref_pairs, schedule)
+    if g["refine_pairs"] < 1:
+        raise InputError(f"graph entry 'refine_pairs' = {g['refine_pairs']} leaves no pair to refine")
+    ref_pairs = [(pts.points[i], pts.points[j]) for i, j, *_ in pair_rows[: g["refine_pairs"]]]
+    refined = mt.refine_distance(m, zero, ref_pairs, g["eps_schedule"])
     rel_ex = np.abs(refined.extrapolated - refined.pair_d0) / refined.pair_d0
     _flag(
         flags,
@@ -487,14 +489,13 @@ def run_sphere_bubble(spec: ExperimentSpec, outdir: Path):
     curvature concentration toward the critical level (criteria 3, 4)."""
     m = build_manifold(spec.manifold or {"kind": "sphere", "dim": 3})
     cfg = spec.settings()
-    lams = [float(v) for v in cfg["weight"]["lams"]]
-    R0 = float(cfg["diagnostics"]["R0"])
-    n_samples = int(cfg["budgets"]["curvature_samples"])
+    lams = cfg["weight"]["lams"]
     seed = spec.seed
     flags = []
     report = {"lams": lams}
 
-    pts, _ = sample_manifold(m, n_samples, seed=derive_seed(seed, "scal"))
+    pts, _ = _using("budgets entry 'curvature_samples'", sample_manifold, m,
+                    cfg["budgets"]["curvature_samples"], seed=derive_seed(seed, "scal"))
     worst_scal = 0.0
     mass_dev = 0.0
     target = m.dim * (m.dim - 1) / m.radius**2
@@ -518,7 +519,7 @@ def run_sphere_bubble(spec: ExperimentSpec, outdir: Path):
     )
     sup_pos = []
     for lam in lams:
-        rep = pinching_profile(m, wt.SphereBubble(lam), R0, centers, seed=seed)
+        rep = pinching_profile(m, wt.SphereBubble(lam), cfg["diagnostics"]["R0"], centers, seed=seed)
         sup_pos.append(rep.sup_pos)
     alpha = alpha_n2(m.dim)
     final = sup_pos[-1] / alpha
@@ -543,18 +544,16 @@ def run_sphere_bubble(spec: ExperimentSpec, outdir: Path):
 def run_log_cusp(spec: ExperimentSpec, outdir: Path):
     """Capped cusp weights against the singular one: distance convergence and
     the uniform bi-Hölder witness (criterion 8)."""
-    m = build_manifold(spec.manifold or {"kind": "torus", "dim": 2})
+    m = build_manifold(spec.manifold)
     _require_surface(m, "log-cusp")
     cfg = spec.settings()
     x0 = (pi + 0.037, pi - 0.051)
-    r0 = float(cfg["weight"]["r0"])
-    caps = [float(c) for c in cfg["weight"]["caps"]]
-    spacing = float(cfg["graph"]["spacing"])
+    r0, caps = cfg["weight"]["r0"], cfg["weight"]["caps"]
     seed = spec.seed
     flags = []
     report = {"caps": caps, "r0": r0}
 
-    pts = lattice(m, spacing)
+    pts = lattice(m, cfg["graph"]["spacing"])
     eps = 3 * pts.spacing
     rng = derive_rng(seed, "cusp-nodes")
 
@@ -566,8 +565,8 @@ def run_log_cusp(spec: ExperimentSpec, outdir: Path):
             idx.append(pts.nearest(m, p))
     idx = np.unique(np.asarray(idx))
 
-    labels = caps + ["inf"]
-    cusps = [wt.LogCusp(x0, r0, cap) for cap in caps + [None]]
+    labels = [*caps, "inf"]
+    cusps = [wt.LogCusp(x0, r0, cap) for cap in (*caps, None)]
     mats = _family_distances(m, pts, eps, cusps, idx, seed)
     d_inf = mats[-1]
     sup_diff = [float(np.max(np.abs(dm.values - d_inf.values))) for dm in mats[:-1]]
@@ -607,7 +606,7 @@ def run_log_cusp(spec: ExperimentSpec, outdir: Path):
 def run_burago(spec: ExperimentSpec, outdir: Path):
     """Oscillating torus family: stable norms, distance convergence in the
     frequency, uniform weight constants, isoperimetry (criteria 5, 6, 7, 10, 11)."""
-    m = build_manifold(spec.manifold or {"kind": "torus", "dim": 2})
+    m = build_manifold(spec.manifold)
     _require_surface(m, "burago")
     seed = spec.seed
     flags = []
@@ -648,8 +647,7 @@ def run_burago(spec: ExperimentSpec, outdir: Path):
     report["stable_norm_e2_by_ell"] = sweep
 
     # frequency convergence: d_ell for ell in {2, 4, 8}
-    spacing = float(spec.settings()["graph"]["spacing"])
-    pts = lattice(m, spacing)
+    pts = lattice(m, spec.settings()["graph"]["spacing"])
     eps = 3 * pts.spacing
     rng = derive_rng(seed, "bur-nodes")
     idx = np.unique(rng.choice(len(pts), 12, replace=False))
@@ -758,7 +756,9 @@ def _cubic_3_torus(desc: dict) -> Manifold:
     equal periods (2.2 where none are given), else InputError; a spec
     without a manifold gets the 2.2-periodic 3-torus."""
     desc = desc or {"kind": "torus", "dim": 3}
-    m = build_manifold(dict({"periods": [2.2] * int(desc.get("dim", 2))}, **desc))
+    m = build_manifold(desc)
+    if m.kind == "torus" and "periods" not in desc:
+        m = Manifold.torus(m.dim, [2.2] * m.dim)
     if m.kind != "torus" or m.dim != 3 or np.any(m.periods != m.periods[0]):
         raise InputError(f"the schrodinger experiment needs a 3-torus with equal periods, got {desc}")
     return m
@@ -770,9 +770,9 @@ def run_schrodinger(spec: ExperimentSpec, outdir: Path):
     m = _cubic_3_torus(spec.manifold)
     L = float(m.periods[0])
     budgets = spec.settings()["budgets"]
-    shape = tuple(budgets["shape"])
+    shape = budgets["shape"]
     seed = spec.seed
-    geom = sc.GridGeometry(m, shape)
+    geom = _using("budgets entry 'shape'", sc.GridGeometry, m, shape)
     x = geom.nodes()
     flags = []
     report = {"shape": list(shape), "period": L}
@@ -833,8 +833,7 @@ def run_schrodinger(spec: ExperimentSpec, outdir: Path):
     }
 
     rho = 0.8
-    dshape = tuple(budgets["decomp_shape"])
-    dgeom = sc.GridGeometry(m, dshape)
+    dgeom = _using("budgets entry 'decomp_shape'", sc.GridGeometry, m, budgets["decomp_shape"])
     dx = dgeom.nodes()
     Vd = 0.01 * np.cos(2 * pi * dx[:, 0] / L) * np.sin(2 * pi * dx[:, 1] / L)
     dop = sc.GridOperator(dgeom, Vd)
@@ -857,14 +856,12 @@ def run_custom(spec: ExperimentSpec, outdir: Path):
     seed = spec.seed
     cfg = spec.settings()
     diag, budgets = cfg["diagnostics"], cfg["budgets"]
-    eta = float(dg.default_eta(m) if diag["eta"] is None else diag["eta"])
+    eta = dg.default_eta(m) if diag["eta"] is None else diag["eta"]
     spacing = cfg["graph"]["center_spacing"]
-    centers = lattice(m, float(m.min_period / 3 if spacing is None else spacing))
+    centers = lattice(m, m.min_period / 3 if spacing is None else spacing)
     smp = dg.BallSampler(centers, (eta / 2, eta), seed=seed)
-    rep = dg.ainfty_report(
-        m, field, smp, q=float(diag["q"]), p=float(diag["p"]), budget=int(budgets["ball"])
-    )
-    mass, mass_se = wt.total_mass(m, field, int(budgets["mass"]), seed)
+    rep = dg.ainfty_report(m, field, smp, q=diag["q"], p=diag["p"], budget=budgets["ball"])
+    mass, mass_se = wt.total_mass(m, field, budgets["mass"], seed)
     return {"ainfty": rep.to_dict(), "total_mass": mass, "total_mass_se": mass_se}, []
 
 
@@ -917,8 +914,6 @@ def _json_default(obj):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, tuple):
-        return list(obj)
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 

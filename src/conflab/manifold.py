@@ -570,6 +570,8 @@ def lattice(m: Manifold, spacing: float, cover: bool = False) -> PointSet:
 
 def sample_manifold(m: Manifold, count: int, seed: int = 0):
     """(points, weights): i.i.d. uniform w.r.t. mu0 over all of M."""
+    if count < 1:
+        raise InputError(f"sample count must be >= 1, got {count}")
     rng = derive_rng(seed, "manifold")
     if m.kind == "torus":
         pts = rng.random((count, m.dim)) * m.periods

@@ -64,6 +64,8 @@ class GridGeometry(NodeGrid):
     def __post_init__(self):
         if self.manifold.kind not in ("torus", "box"):
             raise InputError("grid operators live on tori and boxes only")
+        if len(self.shape) != self.manifold.dim:
+            raise InputError(f"grid shape {self.shape} needs {self.manifold.dim} entries, one per axis")
         if any(s < 8 for s in self.shape):
             raise InputError("grid size must be >= 8 per axis")
 

@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 import conflab
-from conflab.cli import _FLAG_KEYS, _WRAPPER_EXPERIMENT, build_parser, main
+from conflab.cli import WRAPPERS, build_parser, main
 from conflab.errors import InputError, NumericError
 from conflab.experiments import (
     EXPERIMENT_NAMES,
     SETTINGS,
     ExperimentSpec,
+    build_manifold,
+    build_weight,
     converge_compare,
     run,
     weak_star_test,
@@ -22,7 +24,7 @@ from conflab.experiments import (
 from conflab.manifold import Manifold
 from conflab.metric import DistanceMatrix
 from conflab.schrodinger import GridGeometry, GridOperator, lowest_eigenpair
-from conflab.weight import BuragoTorus
+from conflab.weight import BuragoTorus, Constant, LogCusp, Scaled, SphereBubble
 
 SMALL_FLAT = {
     "name": "flat-identity",
@@ -204,6 +206,7 @@ def test_weak_star_validates_each_field(sphere2):
         ({"name": "flat-identity", "graph": {"spacing": "abc"}}, "graph entry 'spacing'"),
         ({"name": "custom", "budgets": {"ball": [1.0, None]}}, "budgets entry 'ball'"),
         ({"name": "custom", "diagnostics": {"eta": float("inf")}}, "diagnostics entry 'eta'"),
+        ({"name": "burago", "graph": {"spacing": 10**400}}, "graph entry 'spacing'"),  # no float
         # a retired setting (a constant now), a typo in a descriptor or a
         # section, or a setting that is not a number: each rejected before
         # any work
@@ -275,15 +278,117 @@ def test_malformed_json_flag_is_an_input_error(tmp_path, monkeypatch, capsys):
 def test_each_wrapper_flag_names_a_declared_setting():
     parser = build_parser()
     (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    for command, name in _WRAPPER_EXPERIMENT.items():
+    for command, (name, _, flags) in WRAPPERS.items():
         for dest in (a.dest for a in commands[command]._actions):
             if dest in ("help", "seed", "output_dir", "manifold"):
                 continue  # spec fields, and the descriptor every experiment takes
-            if dest == "weight":
+            if flags[dest] == "weight":
                 assert name == "custom" or "weight" in SETTINGS[name], (command, dest)
                 continue
-            (section,) = [sec for sec, keys in _FLAG_KEYS.items() if dest in keys]
-            assert _FLAG_KEYS[section][dest] in SETTINGS[name].get(section, {}), (command, dest)
+            section, key = flags[dest].split(".")
+            assert key in SETTINGS[name].get(section, {}), (command, dest)
+
+
+# wrapper command -> flag -> (a command-line value, what it parses to)
+WRAPPER_FLAGS = {
+    "dist": {"--spacing": ("0.1", 0.1), "--eps": ("0.3", 0.3),
+             "--eps-schedule": ("0.9,0.54,0.3", [0.9, 0.54, 0.3])},
+    "ainfty": {"--weight": ("{}", "{}"), "--q": ("2", 2.0), "--p": ("3", 3.0),
+               "--eta": ("0.5", 0.5), "--budget": ("5000", 5000)},
+    "curv": {"--weight": ("{}", "{}"), "--r0": ("1", 1.0)},
+    "stablenorm": {"--spacing": ("0.06", 0.06)},
+    "schrod": {},
+}
+
+
+@pytest.mark.parametrize("command", WRAPPER_FLAGS)
+def test_wrapper_flags_parse_to_their_settings_types(command, capsys):
+    common = {"--seed": ("3", 3), "--output-dir": ("o", "o"), "--manifold": ("{}", "{}")}
+    flags = dict(common, **WRAPPER_FLAGS[command])
+    subparser = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {a.option_strings[0] for a in subparser.choices[command]._actions} - {"-h"}
+    assert options == set(flags)
+    args = build_parser().parse_args([command] + [t for f, (text, _) in flags.items() for t in (f, text)])
+    for flag, (_, want) in flags.items():
+        got = getattr(args, flag[2:].replace("-", "_"))
+        assert got == want and type(got) is type(want), flag
+    if "--budget" in flags:  # an integer setting's flag takes no fraction
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--budget", "2.5"])
+
+
+def _wrong_values(default):
+    """Values of the wrong type for a setting with this SETTINGS default."""
+    if isinstance(default, tuple):  # a scalar where a list belongs
+        return [2.0, [], True] + ([[12, 2.5]] if isinstance(default[0], int) else [])
+    scalar = 1.0 if default is None else default  # a list where a scalar belongs
+    return [[scalar], [], True] + ([2.5] if isinstance(default, int) else [])
+
+
+@pytest.mark.parametrize(
+    "name, section, key, value",
+    [
+        pytest.param(name, section, key, value, id=f"{name}-{key}-{json.dumps(value)}")
+        for name, sections in SETTINGS.items()
+        for section, keys in sections.items()
+        for key, default in keys.items()
+        for value in _wrong_values(default)
+    ],
+)
+def test_setting_of_the_wrong_type_is_an_input_error(tmp_path, capsys, name, section, key, value):
+    doc = {"name": name, "seed": 1, "output_dir": str(tmp_path / "out"), section: {key: value}}
+    assert main(["run", str(_write_spec(tmp_path, doc))]) == 2
+    error = json.loads((tmp_path / "out" / "report.json").read_text())["stages"]["error"]
+    assert error["type"] == "InputError"
+    assert f"{section} entry {key!r}" in error["message"]
+
+
+@pytest.mark.parametrize("seed", [7.5, "7", True])
+def test_seed_that_is_not_an_integer_is_an_input_error(tmp_path, capsys, seed):
+    doc = {"name": "burago", "seed": seed, "output_dir": str(tmp_path / "out")}
+    assert main(["run", str(_write_spec(tmp_path, doc))]) == 2
+    error = json.loads((tmp_path / "out" / "report.json").read_text())["stages"]["error"]
+    assert error["type"] == "InputError"
+    assert "entry 'seed'" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "doc, settings, words",
+    [
+        # values of the right type that the run cannot use
+        ({"name": "sphere-bubble"}, {"budgets": {"curvature_samples": 0}}, "'curvature_samples'"),
+        ({"name": "schrodinger"}, {"budgets": {"shape": [12, 12]}}, "'shape'"),
+        ({"name": "schrodinger"}, {"budgets": {"decomp_shape": [10, 10, 10, 10]}}, "'decomp_shape'"),
+        (SMALL_FLAT, {"graph": dict(SMALL_FLAT["graph"], pairs=0)}, "'pairs'"),
+        (SMALL_FLAT, {"graph": dict(SMALL_FLAT["graph"], refine_pairs=0)}, "'refine_pairs'"),
+    ],
+    ids=["no-curvature-sample", "2d-shape", "4d-decomp-shape", "no-pair", "no-refine-pair"],
+)
+def test_setting_the_run_cannot_use_is_an_input_error(tmp_path, capsys, doc, settings, words):
+    doc = dict(doc, seed=1, output_dir=str(tmp_path / "out"), **settings)
+    assert main(["run", str(_write_spec(tmp_path, doc))]) == 2
+    error = json.loads((tmp_path / "out" / "report.json").read_text())["stages"]["error"]
+    assert error["type"] == "InputError"
+    assert words in error["message"]
+
+
+@pytest.mark.parametrize(
+    "build, desc, default",
+    [
+        (build_manifold, {}, Manifold.torus()),
+        (build_manifold, {"kind": "torus"}, Manifold.torus()),
+        (build_manifold, {"kind": "sphere"}, Manifold.sphere()),
+        (build_weight, {}, Constant()),
+        (build_weight, {"kind": "burago"}, BuragoTorus()),
+        (build_weight, {"kind": "sphere-bubble"}, SphereBubble()),
+        (build_weight, {"kind": "log-cusp", "x0": [3, 3]}, LogCusp((3.0, 3.0))),
+        (build_weight, {"kind": "scaled", "base": {"kind": "burago"}, "shift": 1},
+         Scaled(BuragoTorus(), 1.0)),
+    ],
+)
+def test_descriptor_of_only_its_kind_builds_the_constructor_default(build, desc, default):
+    # repr, since a manifold holds arrays
+    assert repr(build(desc)) == repr(default)
 
 
 def test_readme_settings_table_matches_the_code():

@@ -254,3 +254,10 @@ def test_point_validation(sphere2):
         sphere2.check_points(np.array([0.0, 0.0, 1.0 + 1e-9]))
     # exactly unit is fine
     sphere2.check_points(N_POLE)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_sample_manifold_needs_a_sample(torus2, count):
+    # no sample used to end in a ZeroDivisionError in the weights
+    with pytest.raises(InputError, match="sample count must be >= 1"):
+        sample_manifold(torus2, count)

@@ -123,6 +123,13 @@ def test_grid_size_guard():
         GridGeometry(Manifold.torus(3, [L, L, L]), (6, 12, 12))
 
 
+@pytest.mark.parametrize("shape", [(12, 12), (12, 12, 12, 12)])
+def test_grid_shape_needs_one_entry_per_axis(shape):
+    # a shape of the wrong length used to end in a numpy broadcast error
+    with pytest.raises(InputError, match="needs 3 entries"):
+        GridGeometry(Manifold.torus(3, [L, L, L]), shape)
+
+
 def test_zero_potential(geom):
     n = int(np.prod(geom.shape))
     s = lowest_eigenpair(GridOperator(geom, np.zeros(n)))
