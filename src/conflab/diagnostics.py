@@ -31,7 +31,7 @@ from .manifold import (
 )
 from .metric import DistanceMatrix
 from .rng import derive_rng, derive_seed
-from .weight import WeightField, _mc_mean, mu_f_ball, total_mass
+from .weight import WeightField, _mc_integral, mu_f_ball, total_mass
 
 
 def default_eta(m: Manifold) -> float:
@@ -417,8 +417,8 @@ def _box_mass(m: Manifold, field: WeightField, dom: BoxDomain, budget: int, seed
     uniform samples of the box."""
     box = Manifold.box(np.column_stack([dom.lo, dom.hi]))
     pts, _ = sample_manifold(box, budget, seed)
-    mean, se = _mc_mean(np.exp(m.dim * field.eval_many(m, m.canonicalize(pts))), box.volume)
-    return box.volume * mean, se
+    return _mc_integral(np.exp(m.dim * field.eval_many(m, m.canonicalize(pts))), box.volume,
+                        "weight samples", 0.0)
 
 
 @dataclass

@@ -310,29 +310,28 @@ class SphereBubble(WeightField):
     def _profile_fns(self):
         lam = float(self.lam)
 
-        def val(theta):
+        def split(theta):
+            """near, tan(theta/2) where near and tan((pi - theta)/2) beyond."""
             theta = np.asarray(theta, dtype=float)
             near = theta <= pi / 2
             t = np.tan(np.where(near, theta, 0.0) / 2.0)
             u = np.tan((pi - np.where(near, pi, theta)) / 2.0)
+            return near, t, u
+
+        def val(theta):
+            near, t, u = split(theta)
             v_near = np.log(lam) + np.log1p(t * t) - np.log1p(lam * lam * t * t)
             v_far = -np.log(lam) + np.log1p(u * u) - np.log1p(u * u / lam**2)
             return np.where(near, v_near, v_far)
 
         def dval(theta):
-            theta = np.asarray(theta, dtype=float)
-            near = theta <= pi / 2
-            t = np.tan(np.where(near, theta, 0.0) / 2.0)
-            u = np.tan((pi - np.where(near, pi, theta)) / 2.0)
+            near, t, u = split(theta)
             d_near = (1.0 - lam * lam) * t / (1.0 + lam * lam * t * t)
             d_far = (1.0 - lam * lam) * u / (u * u + lam * lam)
             return np.where(near, d_near, d_far)
 
         def ddval(theta):
-            theta = np.asarray(theta, dtype=float)
-            near = theta <= pi / 2
-            t = np.tan(np.where(near, theta, 0.0) / 2.0)
-            u = np.tan((pi - np.where(near, pi, theta)) / 2.0)
+            near, t, u = split(theta)
             la2 = lam * lam
             n_num = (1.0 - la2) * (1.0 - la2 * t * t) * (1.0 + t * t)
             n_den = 2.0 * (1.0 + la2 * t * t) ** 2
@@ -714,58 +713,66 @@ def radial_ball_integral(m: Manifold, integrand, axis: np.ndarray, ball: BallSpe
     return float(w @ integrand(theta))
 
 
-def _mc_mean(vals: np.ndarray, volume: float, what: str = "weight samples"):
-    """(mean, volume * standard error of the mean) of the finite ``vals``,
-    of which at most 0.1% may be non-finite."""
+def _mc_integral(vals: np.ndarray, volume: float, what: str, volume_se: float):
+    """The one Monte Carlo estimate: (volume * mean, standard error) of the
+    finite ``vals`` (at most 0.1% may be non-finite), whose error joins
+    mean * volume_se, that of a sampled volume, to the sample error."""
     good = np.isfinite(vals)
     bad = vals.size - int(good.sum())
     if bad > 0.001 * vals.size:
         raise IntegrationError(f"{bad} of {vals.size} {what} non-finite (limit 0.1%)")
     vals = vals[good]
     se = volume * float(vals.std(ddof=1)) / np.sqrt(vals.size) if vals.size > 1 else 0.0
-    return float(vals.mean()), se
+    mean = float(vals.mean())
+    return volume * mean, float(np.hypot(mean * volume_se, se))
+
+
+def ball_integral(m: Manifold, field: WeightField, ball: Optional[BallSpec], on_points,
+                  on_profile, budget: int, seed: int, what: str):
+    """(value, standard error) of int g dmu0 over ball, or over all of M when
+    ball is None: the one place that picks how such an integral is computed.
+
+    With on_profile(prof, theta), g at angles from prof.axis, a field with
+    a radial profile on the sphere takes the colatitude rule of
+    cap_quadrature, accurate under measure concentration, and reports an
+    error of 1e-9 |value|.  Everything else is Monte Carlo on on_points(pts),
+    g at uniform samples of the ball or of M."""
+    field.validate(m)
+    prof = field.radial_profile(m) if m.kind == "sphere" and on_profile is not None else None
+    if prof is not None:
+        integrand = lambda theta: on_profile(prof, theta)
+        if ball is None:  # all of M: the cap of radius pi R about the axis, at gamma = 0 exactly
+            theta, w = cap_quadrature(m, 0.0, pi * m.radius)
+            val = float(w @ integrand(theta))
+        else:
+            val = radial_ball_integral(m, integrand, prof.axis, ball)
+        return val, 1e-9 * abs(val)
+    if ball is None:
+        pts, _ = sample_manifold(m, budget, seed)
+        volume, volume_se = m.volume, 0.0
+    else:
+        pts, w, volume_se = sample_ball(m, ball, budget, seed)
+        volume = float(w.sum())
+    return _mc_integral(on_points(pts), volume, what, volume_se)
+
+
+def _density(m: Manifold, field: WeightField):
+    """The integrand pair of mu_f: e^{nf} at points and along a profile."""
+    n = m.dim
+    return (lambda pts: np.exp(n * field.eval_many(m, pts)),
+            lambda prof, theta: np.exp(n * prof.f(theta)))
 
 
 def mu_f_ball(m: Manifold, field: WeightField, b: BallSpec, budget: int = 20_000, seed: int = 0):
-    """(mass, standard error) of mu_f(B) = int_B e^{nf} dmu0.
-
-    Monte Carlo over uniform ball samples (deterministic per seed), whose
-    error adds the volume error of sample_ball to the sample error.  Fields
-    that are rotationally symmetric on the sphere instead use the colatitude
-    rule of radial_ball_integral, which stays accurate under measure
-    concentration; its reported error is 1e-9 |mass|.
-    """
+    """(mass, standard error) of mu_f(B) = int_B e^{nf} dmu0, by ball_integral."""
     if budget < 100:
         raise InputError("mu_f_ball budget must be >= 100")
-    field.validate(m)
-    if m.kind == "sphere":
-        prof = field.radial_profile(m)
-        if prof is not None:
-            val = radial_ball_integral(m, lambda t: np.exp(m.dim * prof.f(t)), prof.axis, b)
-            return val, 1e-9 * abs(val)
-    pts, w, vol_se = sample_ball(m, b, budget, seed)
-    vol = float(w.sum())
-    mean, se = _mc_mean(np.exp(m.dim * field.eval_many(m, pts)), vol)
-    return vol * mean, float(np.hypot(mean * vol_se, se))
+    return ball_integral(m, field, b, *_density(m, field), budget, seed, "weight samples")
 
 
 def total_mass(m: Manifold, field: WeightField, budget: int = 100_000, seed: int = 0):
-    """(mass, standard error) of mu_f(M), whole-manifold quadrature.
-
-    Monte Carlo on uniform samples of M, except for fields rotationally
-    symmetric on the sphere: those use cap_quadrature over the whole sphere
-    (radius pi R), and the reported error is 1e-9 |mass|.
-    """
-    field.validate(m)
-    if m.kind == "sphere":
-        prof = field.radial_profile(m)
-        if prof is not None:
-            theta, w = cap_quadrature(m, 0.0, pi * m.radius)
-            val = float(w @ np.exp(m.dim * prof.f(theta)))
-            return val, 1e-9 * abs(val)
-    pts, _ = sample_manifold(m, budget, seed)
-    mean, se = _mc_mean(np.exp(m.dim * field.eval_many(m, pts)), m.volume)
-    return m.volume * mean, se
+    """(mass, standard error) of mu_f(M), by ball_integral over all of M."""
+    return ball_integral(m, field, None, *_density(m, field), budget, seed, "weight samples")
 
 
 def integrability_profile(
@@ -778,8 +785,5 @@ def integrability_profile(
         raise InputError("integrability exponents must be finite")
     pts, _ = sample_manifold(m, budget, seed)
     f = field.eval_many(m, pts)
-    out = []
-    for p in exponents:
-        mean, se = _mc_mean(np.exp(p * f), m.volume, f"samples of e^({p} f)")
-        out.append((p, m.volume * mean, se))
-    return out
+    return [(p, *_mc_integral(np.exp(p * f), m.volume, f"samples of e^({p} f)", 0.0))
+            for p in exponents]

@@ -69,7 +69,8 @@ def test_reports_bit_identical(tmp_path):
 
 
 def test_malformed_spec_exit_code(tmp_path, capsys):
-    doc = {"name": "flat-identity", "seed": 1, "graph": {"spacing": 0.1, "eps": 0.2}}
+    doc = {"name": "flat-identity", "seed": 1, "graph": {"spacing": 0.1, "eps": 0.2},
+           "output_dir": str(tmp_path / "out")}
     rc = main(["run", str(_write_spec(tmp_path, doc))])
     assert rc == 2
     assert "eps >= 3 * spacing" in capsys.readouterr().err
@@ -235,6 +236,28 @@ def test_missing_spec_key_is_an_input_error(tmp_path, capsys, doc, words):
     assert report["spec"] == doc
     assert report["stages"]["error"]["type"] == "InputError"
     assert words in report["stages"]["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "doc, entry, words",
+    [
+        ({"name": "custom", "budgets": {"ball": 500, "mass": 0}}, "budgets entry 'mass'", "sample count"),
+        ({"name": "custom", "budgets": {"ball": 50}}, "budgets entry 'ball'", "budget must be >= 100"),
+        ({"name": "custom", "graph": {"center_spacing": 0}}, "graph entry 'center_spacing'", "spacing"),
+        ({"name": "custom", "diagnostics": {"eta": 0}}, "diagnostics entry 'eta'", "radii"),
+        ({"name": "custom", "diagnostics": {"q": 1}}, "diagnostics entries 'q'", "q must exceed 1"),
+        ({"name": "flat-identity", "graph": {"spacing": 0.12}}, "graph entry 'eps'", "eps >= 3 * spacing"),
+    ],
+    ids=["mass", "ball", "center_spacing", "eta", "q", "eps"],
+)
+def test_setting_a_library_check_rejects_names_its_key(tmp_path, capsys, doc, entry, words):
+    # well typed, so the spec is accepted; the check that stops the run is
+    # the library's, and its message is prefixed with the setting it read
+    doc = dict(doc, seed=1, output_dir=str(tmp_path / "out"))
+    assert main(["run", str(_write_spec(tmp_path, doc))]) == 2
+    error = json.loads((tmp_path / "out" / "report.json").read_text())["stages"]["error"]
+    assert error["type"] == "InputError"
+    assert entry in error["message"] and words in error["message"]
 
 
 @pytest.mark.parametrize("doc", [3, ["name"], {"name": "custom", "seed": "abc"}], ids=["int", "list", "seed"])

@@ -28,6 +28,7 @@ from conflab.weight import (
     Scaled,
     SphereBubble,
     Sum,
+    WeightField,
     eval_f,
     eval_f_many,
     grid_from_field,
@@ -162,6 +163,37 @@ def test_bubble_dirac_development(sphere3):
         fracs.append(v / (2 * np.pi**2))
     assert np.all(np.diff(fracs) > 0)
     assert fracs[-1] > 0.99
+
+
+class _Unprofiled(WeightField):
+    """Test helper: a field's values without its radial profile, so its
+    masses take the Monte Carlo branch of ball_integral."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def validate(self, m):
+        self.base.validate(m)
+
+    def eval_many(self, m, x):
+        return self.base.eval_many(m, x)
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0, 10.0])
+@pytest.mark.parametrize("n", [2, 3])
+def test_sampled_bubble_masses_agree_with_the_cap_rule(n, lam):
+    m = Manifold.sphere(n)
+    balls = [BallSpec(_unit(n, gamma), R) for gamma in (0.0, 1.0, 2.5) for R in (0.3, 1.2, 2.8)]
+    masses = [lambda f, seed: total_mass(m, f, 20_000, seed)] + [
+        lambda f, seed, b=b: mu_f_ball(m, f, b, 20_000, seed) for b in balls
+    ]
+    for seed, mass in enumerate(masses):
+        exact, _ = mass(SphereBubble(lam), seed)
+        got, se = mass(_Unprofiled(SphereBubble(lam)), seed)
+        if lam == 1.0:  # e^{nf} = 1: no sample error, only the cap volume's 1e-12
+            assert se <= 1e-12 * got and abs(got / exact - 1) <= 1e-12
+        else:
+            assert se > 0 and abs(got - exact) <= 4 * se, (seed, got, exact, se)
 
 
 def test_scaled_pointwise_and_measure(torus2, rng):
