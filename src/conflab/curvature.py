@@ -153,9 +153,7 @@ def scalar_curvature_many(
     field.validate(m)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if method == "exact":
-        if not field.exact_derivatives:
-            raise InputError("field has no exact derivatives; use method='fd'")
-        vals = scal_exact_many(m, field, x)
+        vals = scal_exact_many(m, field, x)  # InputError for a field without exact derivatives
     elif method == "fd":
         vals = scal_fd_many(m, field, x, h)
     else:

@@ -31,7 +31,7 @@ from .manifold import (
 )
 from .metric import DistanceMatrix
 from .rng import derive_rng, derive_seed
-from .weight import WeightField, _mc_integral, mu_f_ball, total_mass
+from .weight import WeightField, _mc_integral, check_ball_budget, mu_f_ball, total_mass
 
 
 def default_eta(m: Manifold) -> float:
@@ -80,12 +80,20 @@ def _ball_pools(m: Manifold, field: WeightField, sampler: BallSampler, budget: i
 # ---------------------------------------------------------------------------
 
 
+_EXPONENTS = {"q": "reverse Hölder", "p": "A_p"}
+
+
+def check_exponent(name: str, value: float) -> None:
+    """InputError unless the reverse Hölder ("q") or A_p ("p") exponent exceeds 1."""
+    if value <= 1:
+        raise InputError(f"{_EXPONENTS[name]} exponent {name} must exceed 1")
+
+
 def reverse_holder(
     m: Manifold, field: WeightField, q: float, sampler: BallSampler, budget: int = 20_000
 ) -> float:
     """sup over sampled balls of (avg w^q)^{1/q} / avg w."""
-    if q <= 1:
-        raise InputError("reverse Hölder exponent q must exceed 1")
+    check_exponent("q", q)
     best = 0.0
     for _, _, w, _ in _ball_pools(m, field, sampler, budget, "rh"):
         best = max(best, float(np.mean(w**q) ** (1.0 / q) / np.mean(w)))
@@ -96,8 +104,7 @@ def ap_product(
     m: Manifold, field: WeightField, p: float, sampler: BallSampler, budget: int = 20_000
 ) -> float:
     """sup over sampled balls of (avg w) (avg w^{-1/(p-1)})^{p-1}."""
-    if p <= 1:
-        raise InputError("A_p exponent p must exceed 1")
+    check_exponent("p", p)
     best = 0.0
     for _, _, w, _ in _ball_pools(m, field, sampler, budget, "ap"):
         best = max(best, float(np.mean(w) * np.mean(w ** (-1.0 / (p - 1))) ** (p - 1)))
@@ -507,7 +514,10 @@ def ainfty_report(
 ) -> AInftyReport:
     """One-stop estimation of the averaged-weight comparability constants
     on one sampler: reverse Hölder, A_p, doubling (at half the radii) and
-    the subset-ratio exponent."""
+    the subset-ratio exponent; q, p and budget are checked before sampling."""
+    check_exponent("q", q)
+    check_exponent("p", p)
+    check_ball_budget(budget)
     eta = max(sampler.radii)
     c_rh = reverse_holder(m, field, q, sampler, budget)
     c_ap = ap_product(m, field, p, sampler, budget)

@@ -283,57 +283,58 @@ def converge_compare(matrices, labels=None) -> dict:
     }
 
 
+def _test_function(m: Manifold, tf):
+    """(label, phi) of a built-in test function, phi its values at points."""
+    if tf == "1" or tf == 1:
+        return "1", lambda pts: np.ones(len(pts))
+    if tf[0] == "cos":
+        k = np.asarray(tf[1], dtype=float)
+        if k.shape != (m.ambient_dim,):
+            raise InputError(f"cos test function needs a {m.ambient_dim}-vector k, got shape {k.shape}")
+        return f"cos({','.join(f'{v:g}' for v in k)})", lambda pts: np.cos(pts @ k)
+    if tf[0] == "bump":
+        x0 = m.check_points(tf[1])[0]
+        r = float(tf[2])
+        if not (np.isfinite(r) and r > 0):
+            raise InputError(f"bump test function needs a positive radius, got {r}")
+        return f"bump(r={r:g})", lambda pts: sc.bump(d0_many(m, pts, x0) / r)
+    raise InputError(f"unknown test function {tf!r}")
+
+
 def weak_star_test(
     m: Manifold, fields, testfns, budget: int = 200_000, seed: int = 0
 ) -> list:
     """Table of int phi e^{nf} dmu0 per (field, test function).
 
     Test functions come from the built-in dictionary: "1", ("cos", k-vector),
-    ("bump", x0, r).  A standard error needs a budget of at least 2 samples.
+    ("bump", x0, r), each checked before sampling and evaluated once.  A
+    standard error needs a budget of at least 2 samples.
     """
     if budget < 2:
         raise InputError(f"weak_star_test budget must be >= 2, got {budget}")
     for _, field in fields:
         field.validate(m)
+    phis = [_test_function(m, tf) for tf in testfns]
     pts, w = sample_manifold(m, budget, seed)
     volume = float(w.sum())
+    tests = [(tlabel, phi(pts)) for tlabel, phi in phis]
     rows = []
     for flabel, field in fields:
         dens = np.exp(m.dim * field.eval_many(m, pts))
-        for tf in testfns:
-            if tf == "1" or tf == 1:
-                vals = np.ones(budget)
-                tlabel = "1"
-            elif tf[0] == "cos":
-                k = np.asarray(tf[1], dtype=float)
-                if k.shape != (m.ambient_dim,):
-                    raise InputError(
-                        f"cos test function needs a {m.ambient_dim}-vector k, got shape {k.shape}"
-                    )
-                vals = np.cos(pts @ k)
-                tlabel = f"cos({','.join(f'{v:g}' for v in k)})"
-            elif tf[0] == "bump":
-                x0 = m.check_points(tf[1])[0]
-                r = float(tf[2])
-                if not (np.isfinite(r) and r > 0):
-                    raise InputError(f"bump test function needs a positive radius, got {r}")
-                vals = sc.bump(d0_many(m, pts, x0) / r)
-                tlabel = f"bump(r={r:g})"
-            else:
-                raise InputError(f"unknown test function {tf!r}")
+        for tlabel, vals in tests:
             value, se = wt._mc_integral(vals * dens, volume,
                                         f"samples of {tlabel} e^(nf) for {flabel}", 0.0)
             rows.append({"field": flabel, "testfn": tlabel, "value": value, "stderr": se})
     return rows
 
 
-def _family_distances(m: Manifold, pts: PointSet, eps: float, fields, sources, seed: int) -> list:
+def _family_distances(m: Manifold, pts: PointSet, eps: float, fields, sources) -> list:
     """shortest_paths from sources under each field of a family, on one
     eps-graph: built for the first field and reweighted for each other."""
-    graph = mt.build_graph(m, pts, eps, fields[0], seed=seed)
+    graph = mt.build_graph(m, pts, eps, fields[0])
     mats = [mt.shortest_paths(graph, sources)]
     for field in fields[1:]:
-        mats.append(mt.shortest_paths(graph.reweight(field, 256, seed), sources))
+        mats.append(mt.shortest_paths(graph.reweight(field), sources))
     return mats
 
 
@@ -380,7 +381,7 @@ def run_flat_identity(spec: ExperimentSpec, outdir: Path):
     report = {}
 
     pts = lattice(m, spacing, cover=True)
-    graph = _using("graph entry 'eps'", mt.build_graph, m, pts, g["eps"], zero, seed=seed)
+    graph = _using("graph entry 'eps'", mt.build_graph, m, pts, g["eps"], zero)
     rng = derive_rng(seed, "pairs")
     src = rng.choice(len(pts), size=min(10, len(pts)), replace=False)
     dmat = mt.shortest_paths(graph, src)
@@ -423,8 +424,8 @@ def run_flat_identity(spec: ExperimentSpec, outdir: Path):
     # never finer than the main lattice
     shift = 0.7
     small = lattice(m, max(0.12, spacing))
-    g0 = mt.build_graph(m, small, 3 * small.spacing, zero, seed=seed)
-    gs = g0.reweight(wt.Scaled(zero, shift), 256, seed)
+    g0 = mt.build_graph(m, small, 3 * small.spacing, zero)
+    gs = g0.reweight(wt.Scaled(zero, shift))
     idx = derive_rng(seed, "scale").choice(len(small), 6, replace=False)
     dm_a = mt.shortest_paths(g0, idx)
     dm_b = mt.shortest_paths(gs, idx)
@@ -562,7 +563,7 @@ def run_log_cusp(spec: ExperimentSpec, outdir: Path):
 
     labels = [*caps, "inf"]
     cusps = [wt.LogCusp(x0, r0, cap) for cap in (*caps, None)]
-    mats = _family_distances(m, pts, eps, cusps, idx, seed)
+    mats = _family_distances(m, pts, eps, cusps, idx)
     d_inf = mats[-1]
     sup_diff = [float(np.max(np.abs(dm.values - d_inf.values))) for dm in mats[:-1]]
     decreasing = bool(np.all(np.diff(sup_diff) <= 1e-12))
@@ -646,7 +647,7 @@ def run_burago(spec: ExperimentSpec, outdir: Path):
     eps = 3 * pts.spacing
     rng = derive_rng(seed, "bur-nodes")
     idx = np.unique(rng.choice(len(pts), 12, replace=False))
-    mats = _family_distances(m, pts, eps, [wt.BuragoTorus(ell) for ell in (2, 4, 8)], idx, seed)
+    mats = _family_distances(m, pts, eps, [wt.BuragoTorus(ell) for ell in (2, 4, 8)], idx)
     comp = converge_compare(mats, labels=["2", "4", "8"])
     ratio = comp["ratios"][0] if comp["ratios"] else float("nan")
     _flag(flags, "C6-rate", ratio <= 0.65, ratio, "successive sup-difference ratio <= 0.65")
@@ -692,7 +693,7 @@ def run_burago(spec: ExperimentSpec, outdir: Path):
     for ell in range(1, 17):
         f = wt.BuragoTorus(ell)
         spts = lattice(m, 0.3 / ell)
-        sg = mt.build_graph(m, spts, 3 * spts.spacing, f, seed=seed)
+        sg = mt.build_graph(m, spts, 3 * spts.spacing, f)
         src, pairs = [], []
         for a in anchors / ell:
             i = spts.nearest(m, a)
@@ -857,8 +858,10 @@ def run_custom(spec: ExperimentSpec, outdir: Path):
     centers = _using("graph entry 'center_spacing'", lattice, m,
                      m.min_period / 3 if spacing is None else spacing)
     smp = _using("diagnostics entry 'eta'", dg.BallSampler, centers, (eta / 2, eta), seed=seed)
-    rep = _using("diagnostics entries 'q', 'p' or budgets entry 'ball'", dg.ainfty_report,
-                 m, field, smp, q=diag["q"], p=diag["p"], budget=budgets["ball"])
+    for key in ("q", "p"):
+        _using(f"diagnostics entry {key!r}", dg.check_exponent, key, diag[key])
+    _using("budgets entry 'ball'", wt.check_ball_budget, budgets["ball"])
+    rep = dg.ainfty_report(m, field, smp, q=diag["q"], p=diag["p"], budget=budgets["ball"])
     mass, mass_se = _using("budgets entry 'mass'", wt.total_mass, m, field, budgets["mass"], seed)
     return {"ainfty": rep.to_dict(), "total_mass": mass, "total_mass_se": mass_se}, []
 

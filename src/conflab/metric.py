@@ -46,18 +46,20 @@ from .rng import derive_seed
 from .weight import WeightField, mu_f_ball, read_payload, write_payload
 
 _EDGE_CHUNK = 2_000_000
+_GAUSS_POINTS = 5  # RiemannLine's Gauss rule per edge
 
 
 @dataclass(frozen=True)
 class RiemannLine:
-    """Line-integral estimator with a K-point Gauss rule per edge."""
-
-    K: int = 5
+    """Line-integral estimator with a 5-point Gauss rule per edge."""
 
 
 @dataclass(frozen=True)
 class ChainBall:
-    """Chain-increment estimator; Monte Carlo ball masses per edge."""
+    """Chain-increment estimator: each edge's ball mass from ``budget`` samples, seeded by ``seed``."""
+
+    budget: int = 256
+    seed: int = 0
 
 
 class LatticeBlock(NamedTuple):
@@ -103,11 +105,6 @@ class EpsGraph:
     def n(self) -> int:
         return len(self.points)
 
-    def to_csgraph(self) -> csr_matrix:
-        """The stored CSR itself; its read-only ``indices`` and ``indptr``
-        are shared with every graph reweighted from this one."""
-        return self.csgraph
-
     # read-only per-edge views, in CSR order
     @property
     def edge_i(self) -> np.ndarray:
@@ -128,12 +125,11 @@ class EpsGraph:
             return _read_only(self.d0)
         return _read_only(_lattice_entries(self.manifold, self.points, self.blocks, lambda b: b.d0, float))
 
-    def reweight(self, field: WeightField, budget: int, seed: int) -> "EpsGraph":
-        """Same edges and blocks, weights recomputed for another field on
-        the graph's manifold (``budget`` and ``seed`` drive ChainBall's
-        Monte Carlo masses); the CSR shares ``indices`` and ``indptr``."""
+    def reweight(self, field: WeightField) -> "EpsGraph":
+        """Same edges, blocks and estimator, weights for another field on the
+        graph's manifold; the CSR shares its read-only ``indices`` and ``indptr``."""
         csg = copy(self.csgraph)
-        csg.data = _edge_weights(self, field, budget, seed)
+        csg.data = _edge_weights(self, field)
         return replace(self, csgraph=csg)
 
 
@@ -184,7 +180,7 @@ class DistanceMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _lattice_offsets(shape, axis_spacing, eps):
+def _lattice_offsets(axis_spacing, eps):
     """Half-space integer offsets with |offset * spacing| <= eps."""
     reach = [int(np.floor(eps / h)) for h in axis_spacing]
     offsets = []
@@ -234,7 +230,7 @@ def _lattice_csr(m, points: PointSet, eps):
     """
     shape = tuple(points.lattice_shape)
     blocks = []
-    for off, d in _lattice_offsets(shape, points.axis_spacing, eps):
+    for off, d in _lattice_offsets(points.axis_spacing, eps):
         if m.kind == "torus":
             lo, hi = (0,) * len(shape), shape
         else:
@@ -280,7 +276,7 @@ def _edges_kdtree(m, points: PointSet, eps) -> csr_matrix:
 # ---------------------------------------------------------------------------
 
 
-def _riemann_weights(g: EpsGraph, field: WeightField, K: int) -> np.ndarray:
+def _riemann_weights(g: EpsGraph, field: WeightField) -> np.ndarray:
     """Gauss-rule line integrals of e^f, one per CSR entry.
 
     On a lattice graph, the k-th Gauss points of a block's edges form the
@@ -294,14 +290,14 @@ def _riemann_weights(g: EpsGraph, field: WeightField, K: int) -> np.ndarray:
     every edge would get.  Other graphs run it edge by edge.
     """
     m = g.manifold
-    ts, ws = gauss_rule(K)
+    ts, ws = gauss_rule(_GAUSS_POINTS)
     n = m.dim
     if g.blocks is not None:
         axes, shape = g.points.axes(), g.points.lattice_shape
         constant = set(field.constant_axes(m))
 
         def block_weights(blk):
-            cols = []  # (K, s_a) Gauss coordinates along each axis
+            cols = []  # (Gauss point, s_a) coordinates along each axis
             for a, (lo, hi, o) in enumerate(zip(blk.lo, blk.hi, blk.offset)):
                 i = np.arange(lo, lo + 1 if a in constant else hi)
                 x, y = np.zeros((i.size, n)), np.zeros((i.size, n))
@@ -309,10 +305,10 @@ def _riemann_weights(g: EpsGraph, field: WeightField, K: int) -> np.ndarray:
                 cols.append(geodesic_points(m, x, y, ts)[:, :, a])
             gam = np.empty(tuple(c.shape[1] for c in cols) + (n,))
             acc = np.zeros(gam.shape[:-1])
-            for k in range(K):
+            for k, wk in enumerate(ws):
                 for a, c in enumerate(cols):
                     gam[..., a] = c[k].reshape([-1 if e == a else 1 for e in range(n)])
-                acc += ws[k] * np.exp(field.eval_many(m, gam.reshape(-1, n))).reshape(acc.shape)
+                acc += wk * np.exp(field.eval_many(m, gam.reshape(-1, n))).reshape(acc.shape)
             return acc * blk.d0
 
         return _lattice_entries(m, g.points, g.blocks, block_weights, float)
@@ -321,16 +317,16 @@ def _riemann_weights(g: EpsGraph, field: WeightField, K: int) -> np.ndarray:
     out = np.zeros(ei.size)
     for lo in range(0, ei.size, _EDGE_CHUNK):
         sl = slice(lo, min(lo + _EDGE_CHUNK, ei.size))
-        gam = geodesic_points(m, pts[ei[sl]], pts[ej[sl]], ts)  # (K, E, d)
+        gam = geodesic_points(m, pts[ei[sl]], pts[ej[sl]], ts)  # (Gauss point, E, d)
         acc = np.zeros(gam.shape[1])
-        for k in range(K):
-            acc += ws[k] * np.exp(field.eval_many(m, gam[k]))
+        for gk, wk in zip(gam, ws):
+            acc += wk * np.exp(field.eval_many(m, gk))
         out[sl] = acc * d0[sl]
     return out
 
 
-def _chain_weights(g: EpsGraph, field: WeightField, budget: int, seed: int) -> np.ndarray:
-    m = g.manifold
+def _chain_weights(g: EpsGraph, field: WeightField) -> np.ndarray:
+    m, est = g.manifold, g.estimator
     n = m.dim
     omega = unit_ball_volume(n)
     pts = g.points.points
@@ -340,17 +336,17 @@ def _chain_weights(g: EpsGraph, field: WeightField, budget: int, seed: int) -> n
     out = np.empty(ei.size)
     for e in range(ei.size):
         ball = BallSpec(center=mids[e], radius=radii[e])
-        mass, _ = mu_f_ball(m, field, ball, budget, derive_seed(seed, "edge", int(ei[e]), int(ej[e])))
+        mass, _ = mu_f_ball(m, field, ball, est.budget, derive_seed(est.seed, "edge", int(ei[e]), int(ej[e])))
         out[e] = (mass / omega) ** (1.0 / n)
     return out
 
 
-def _edge_weights(g: EpsGraph, field: WeightField, budget: int, seed: int) -> np.ndarray:
+def _edge_weights(g: EpsGraph, field: WeightField) -> np.ndarray:
     field.validate(g.manifold)
     if isinstance(g.estimator, RiemannLine):
-        w = _riemann_weights(g, field, g.estimator.K)
+        w = _riemann_weights(g, field)
     elif isinstance(g.estimator, ChainBall):
-        w = _chain_weights(g, field, budget, seed)
+        w = _chain_weights(g, field)
     else:
         raise InputError(f"unknown estimator {g.estimator!r}")
     if np.any(~np.isfinite(w)) or np.any(w < 0):
@@ -358,7 +354,7 @@ def _edge_weights(g: EpsGraph, field: WeightField, budget: int, seed: int) -> np
     return w
 
 
-def _eps_graph(m, points: PointSet, eps, field, estimator=RiemannLine(), budget=256, seed=0):
+def _eps_graph(m, points: PointSet, eps, field, estimator=RiemannLine()):
     """All d0 <= eps edges of ``points`` in one CSR, weighted per estimator.
 
     On a torus or box lattice whose axes each hold more nodes than the eps
@@ -390,7 +386,7 @@ def _eps_graph(m, points: PointSet, eps, field, estimator=RiemannLine(), budget=
         blocks=blocks,
         d0=d0,
     )
-    csg.data = _edge_weights(g, field, budget, seed)
+    csg.data = _edge_weights(g, field)
     return g
 
 
@@ -400,8 +396,6 @@ def build_graph(
     eps: float,
     field: WeightField,
     estimator=RiemannLine(),
-    budget: int = 256,
-    seed: int = 0,
 ) -> EpsGraph:
     """Proximity graph with all d0 <= eps edges, weighted per estimator
     (see ``_eps_graph``), for eps >= 3 * spacing and checked connected.
@@ -416,14 +410,14 @@ def build_graph(
             f"eps = {eps} violates the connectivity requirement "
             f"eps >= 3 * spacing = {3.0 * points.spacing}"
         )
-    g = _eps_graph(m, points, eps, field, estimator, budget, seed)
+    g = _eps_graph(m, points, eps, field, estimator)
     if g.blocks is not None:
         shape, offsets = points.lattice_shape, {b.offset for b in g.blocks}
         for a, s in enumerate(shape):
             if s > 1 and tuple(int(e == a) for e in range(len(shape))) not in offsets:
                 raise InputError(f"eps-graph lattice has no unit edge along axis {a}")
         return g
-    ncomp, _ = connected_components(g.to_csgraph(), directed=False)
+    ncomp, _ = connected_components(g.csgraph, directed=False)
     if ncomp != 1:
         raise InputError(f"eps-graph is disconnected ({ncomp} components)")
     return g

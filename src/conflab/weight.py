@@ -54,8 +54,6 @@ class RadialProfile:
 class WeightField:
     """Base class: the log factor f with optional exact derivatives."""
 
-    exact_derivatives = False
-
     def validate(self, m: Manifold) -> None:
         pass
 
@@ -63,8 +61,9 @@ class WeightField:
         raise NotImplementedError
 
     def grad_lap_many(self, m: Manifold, x: np.ndarray):
-        """(gradient vectors, Laplacian of f), geometer's sign Laplacian."""
-        raise InputError(f"{type(self).__name__} does not provide exact derivatives")
+        """(gradient vectors, Laplacian of f), geometer's sign Laplacian;
+        InputError for a field without closed-form derivatives."""
+        raise InputError(f"{type(self).__name__} does not provide exact derivatives; use method='fd'")
 
     def radial_profile(self, m: Manifold) -> Optional[RadialProfile]:
         return None
@@ -90,7 +89,6 @@ def eval_f_many(m: Manifold, field: WeightField, x: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Constant(WeightField):
     value: float = 0.0
-    exact_derivatives = True
 
     def eval_many(self, m, x):
         return np.full(x.shape[0], float(self.value))
@@ -121,7 +119,6 @@ class BuragoTorus(WeightField):
     """Oscillating weight e^{nf} = 1 - cos(ell * x1)/2 on a flat torus."""
 
     ell: int = 1
-    exact_derivatives = True
 
     def validate(self, m):
         if m.kind != "torus":
@@ -186,7 +183,6 @@ class LogCusp(WeightField):
     x0: tuple
     r0: float = 1.0
     cap: Optional[float] = None
-    exact_derivatives = True
 
     def validate(self, m):
         if m.kind not in ("torus", "box"):
@@ -288,7 +284,6 @@ class SphereBubble(WeightField):
 
     lam: float = 1.0
     pole: Optional[tuple] = None
-    exact_derivatives = True
 
     def validate(self, m):
         if m.kind != "sphere":
@@ -384,10 +379,6 @@ class Scaled(WeightField):
     base: WeightField
     shift: float
 
-    @property
-    def exact_derivatives(self):
-        return self.base.exact_derivatives
-
     def validate(self, m):
         self.base.validate(m)
 
@@ -413,10 +404,6 @@ class Scaled(WeightField):
 @dataclass(frozen=True)
 class Sum(WeightField):
     fields: tuple
-
-    @property
-    def exact_derivatives(self):
-        return all(f.exact_derivatives for f in self.fields)
 
     def validate(self, m):
         if not self.fields:
@@ -763,10 +750,15 @@ def _density(m: Manifold, field: WeightField):
             lambda prof, theta: np.exp(n * prof.f(theta)))
 
 
-def mu_f_ball(m: Manifold, field: WeightField, b: BallSpec, budget: int = 20_000, seed: int = 0):
-    """(mass, standard error) of mu_f(B) = int_B e^{nf} dmu0, by ball_integral."""
+def check_ball_budget(budget: int) -> None:
+    """InputError unless budget is enough samples for one ball mass."""
     if budget < 100:
         raise InputError("mu_f_ball budget must be >= 100")
+
+
+def mu_f_ball(m: Manifold, field: WeightField, b: BallSpec, budget: int = 20_000, seed: int = 0):
+    """(mass, standard error) of mu_f(B) = int_B e^{nf} dmu0, by ball_integral."""
+    check_ball_budget(budget)
     return ball_integral(m, field, b, *_density(m, field), budget, seed, "weight samples")
 
 

@@ -245,10 +245,11 @@ def test_missing_spec_key_is_an_input_error(tmp_path, capsys, doc, words):
         ({"name": "custom", "budgets": {"ball": 50}}, "budgets entry 'ball'", "budget must be >= 100"),
         ({"name": "custom", "graph": {"center_spacing": 0}}, "graph entry 'center_spacing'", "spacing"),
         ({"name": "custom", "diagnostics": {"eta": 0}}, "diagnostics entry 'eta'", "radii"),
-        ({"name": "custom", "diagnostics": {"q": 1}}, "diagnostics entries 'q'", "q must exceed 1"),
+        ({"name": "custom", "diagnostics": {"q": 1}}, "diagnostics entry 'q'", "q must exceed 1"),
         ({"name": "flat-identity", "graph": {"spacing": 0.12}}, "graph entry 'eps'", "eps >= 3 * spacing"),
+        ({"name": "custom", "diagnostics": {"p": 1}}, "diagnostics entry 'p'", "p must exceed 1"),
     ],
-    ids=["mass", "ball", "center_spacing", "eta", "q", "eps"],
+    ids=["mass", "ball", "center_spacing", "eta", "q", "eps", "p"],
 )
 def test_setting_a_library_check_rejects_names_its_key(tmp_path, capsys, doc, entry, words):
     # well typed, so the spec is accepted; the check that stops the run is

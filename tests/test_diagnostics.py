@@ -145,7 +145,7 @@ def test_strong_ratio_flat_value(flat_graph):
 
 def test_strong_ratio_scale_invariant(flat_graph):
     t2, pts, g, dm, pairs = flat_graph
-    gs = g.reweight(Constant(0.8), 256, 0)
+    gs = g.reweight(Constant(0.8))
     dms = shortest_paths(gs, dm.sources)
     a = strong_ratio(t2, Constant(0.0), pts, dm, pairs, eta=1.0, budget=20_000, seed=2)
     b = strong_ratio(t2, Constant(0.8), pts, dms, pairs, eta=1.0, budget=20_000, seed=2)
@@ -155,7 +155,7 @@ def test_strong_ratio_scale_invariant(flat_graph):
 def test_strong_ratio_on_a_bounded_matrix(flat_graph):
     t2, pts, g, dm, pairs = flat_graph
     field = BuragoTorus(2)
-    gb = g.reweight(field, 256, 0)
+    gb = g.reweight(field)
     full = shortest_paths(gb, dm.sources)
     bounded = shortest_paths(gb, dm.sources, sorted({j for _, j in pairs}))
     assert bounded.values.shape[1] < full.values.shape[1]
@@ -175,7 +175,7 @@ def test_lemma_comparison_bound(flat_graph):
     # d_f(x,y)^n <= B mu_f(B(x, d0(x,y))) with one finite B over all pairs
     t2, pts, g, dm, pairs = flat_graph
     sr = strong_ratio(t2, BuragoTorus(1), pts, shortest_paths(
-        g.reweight(BuragoTorus(1), 256, 0), dm.sources
+        g.reweight(BuragoTorus(1)), dm.sources
     ), pairs, eta=1.0, budget=20_000, seed=4)
     assert np.isfinite(sr.theta_strong)
     assert sr.theta_strong >= 1.0
@@ -318,6 +318,22 @@ def test_ainfty_report_assembly(torus2, small_sampler):
     assert doc["theta_doubling"] >= 1.0
     assert np.isfinite(doc["alpha_iv"])
     assert doc["eta"] == 0.8
+
+
+@pytest.mark.parametrize(
+    "setting, words",
+    [({"q": 1.0}, "q must exceed 1"), ({"p": 1.0}, "p must exceed 1"), ({"budget": 50}, ">= 100")],
+    ids=["q", "p", "budget"],
+)
+def test_ainfty_report_checks_settings_before_sampling(torus2, small_sampler, monkeypatch, setting, words):
+    import conflab.diagnostics as dg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a ball was sampled before the settings were checked")
+
+    monkeypatch.setattr(dg, "sample_ball", refuse)
+    with pytest.raises(InputError, match=words):
+        ainfty_report(torus2, BuragoTorus(1), small_sampler, **setting)
 
 
 def test_default_eta(torus2, sphere2):

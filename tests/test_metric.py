@@ -28,26 +28,26 @@ TWO_NODES = PointSet(points=np.array([[0.0, 0.0], [1.0, 0.0]]), spacing=0.4)
 
 
 def test_edge_weight_closed_forms(torus2):
-    g_r = build_graph(torus2, TWO_NODES, 1.3, Constant(0.0), RiemannLine(5))
+    g_r = build_graph(torus2, TWO_NODES, 1.3, Constant(0.0), RiemannLine())
     assert g_r.edge_w[0] == pytest.approx(1.0, rel=1e-14)
-    g_c = build_graph(torus2, TWO_NODES, 1.3, Constant(0.0), ChainBall(), budget=400)
+    g_c = build_graph(torus2, TWO_NODES, 1.3, Constant(0.0), ChainBall(budget=400))
     assert g_c.edge_w[0] == pytest.approx(0.5, rel=1e-14)
 
 
 def test_chain_vs_riemann_two_node_factor(torus2):
     # the chain increment of a single edge is exactly half the line integral
     # for the trivial weight; the factor-2 relation is kept literal
-    g_r = build_graph(torus2, TWO_NODES, 1.3, Constant(0.0), RiemannLine(5))
-    g_c = build_graph(torus2, TWO_NODES, 1.3, Constant(0.0), ChainBall(), budget=400)
+    g_r = build_graph(torus2, TWO_NODES, 1.3, Constant(0.0), RiemannLine())
+    g_c = build_graph(torus2, TWO_NODES, 1.3, Constant(0.0), ChainBall(budget=400))
     assert 2 * shortest_paths(g_c, [0]).get(0, 1) == pytest.approx(
         shortest_paths(g_r, [0]).get(0, 1), rel=1e-12
     )
 
 
 def test_weight_scaling_per_edge(torus2):
-    g0 = build_graph(torus2, TWO_NODES, 1.3, Constant(0.0), RiemannLine(5))
+    g0 = build_graph(torus2, TWO_NODES, 1.3, Constant(0.0), RiemannLine())
     for c in (0.5, -1.2):
-        gc = g0.reweight(Constant(c), 256, 0)
+        gc = g0.reweight(Constant(c))
         assert gc.edge_w[0] == pytest.approx(np.exp(c) * g0.edge_w[0], rel=1e-12)
 
 
@@ -92,8 +92,8 @@ def test_distance_matrix_symmetry_triangle(torus2):
 
 def test_scaling_equivariance_full(torus2):
     pts = lattice(torus2, 0.25)
-    g0 = build_graph(torus2, pts, 3 * pts.spacing, BuragoTorus(1), seed=3)
-    g1 = g0.reweight(Scaled(BuragoTorus(1), 0.8), 256, 3)
+    g0 = build_graph(torus2, pts, 3 * pts.spacing, BuragoTorus(1))
+    g1 = g0.reweight(Scaled(BuragoTorus(1), 0.8))
     d0v = shortest_paths(g0, [0, 5]).values
     d1v = shortest_paths(g1, [0, 5]).values
     mask = d0v > 0
@@ -135,7 +135,7 @@ def test_refine_burago_valley(torus2):
 def test_chain_riemann_consistency_modulo_factor(torus2):
     pts = lattice(torus2, 0.2)
     g_r = build_graph(torus2, pts, 3 * pts.spacing, BuragoTorus(1))
-    g_c = build_graph(torus2, pts, 3 * pts.spacing, BuragoTorus(1), ChainBall(), budget=256, seed=1)
+    g_c = build_graph(torus2, pts, 3 * pts.spacing, BuragoTorus(1), ChainBall(seed=1))
     src = [0, 200, 700]
     dr = shortest_paths(g_r, src).values
     dc = shortest_paths(g_c, src).values
@@ -345,12 +345,27 @@ def test_chain_ball_edge_on_box_face_is_truncated():
     # (mu0(B)/omega)^{1/2} = r / sqrt(2), not the full-disc r = 0.1
     box = Manifold.box([[0.0, 1.0], [0.0, 1.0]])
     pts = PointSet(points=np.array([[0.0, 0.0], [0.2, 0.0]]), spacing=0.1)
-    g = build_graph(box, pts, 0.3, Constant(0.0), ChainBall(), budget=400)
+    g = build_graph(box, pts, 0.3, Constant(0.0), ChainBall(budget=400))
     exact = 0.1 / np.sqrt(2)
     # binomial error of the half-disc acceptance over at least 2 * 400 draws,
     # halved by the square root
     se = exact / 2 * np.sqrt(0.5 * 0.5 / 800) / 0.5
     assert abs(g.edge_w[0] - exact) <= 3 * se
+
+
+@pytest.mark.parametrize("budget, seed", [(100, 0), (300, 7)])
+def test_chain_ball_graph_reweights_to_itself_bit_for_bit(torus2, budget, seed):
+    # the estimator holds its Monte Carlo budget and seed, so reweighting to
+    # the graph's own field redraws every edge mass from the same stream
+    pts = lattice(torus2, 1.0)
+    est = ChainBall(budget=budget, seed=seed)
+    g = build_graph(torus2, pts, 3 * pts.spacing, BuragoTorus(1), est)
+    again = g.reweight(BuragoTorus(1))
+    assert again.estimator is est
+    assert again.csgraph.data.tobytes() == g.csgraph.data.tobytes()
+    reseeded = build_graph(torus2, pts, g.eps, BuragoTorus(1), replace(est, seed=seed + 1))
+    assert reseeded.csgraph.indices.tobytes() == g.csgraph.indices.tobytes()
+    assert not np.array_equal(reseeded.edge_w, g.edge_w)
 
 
 # lattices on which every reach from 3 to 5 nodes leaves the offsets unaliased
@@ -369,7 +384,7 @@ def _lattice_edges_one_by_one(m, pts, eps):
     shape = np.asarray(pts.lattice_shape)
     src = np.indices(shape).reshape(shape.size, -1).T
     ei, ej, ed = [], [], []
-    for off, d in _lattice_offsets(pts.lattice_shape, pts.axis_spacing, eps):
+    for off, d in _lattice_offsets(pts.axis_spacing, eps):
         dst = src + off
         if m.kind == "torus":
             dst %= shape
@@ -404,7 +419,7 @@ def test_block_weights_match_edge_list(case, reach):
     g = build_graph(m, pts, eps, fields[0])
     assert g.blocks is not None
     # the CSR holds exactly the (i, j, d0) triples of the one-by-one edge list
-    csg = g.to_csgraph()
+    csg = g.csgraph
     assert csg.indices.dtype == np.int32
     assert not (csg.indices.flags.writeable or csg.indptr.flags.writeable)
     got = (g.edge_i, g.edge_j, g.edge_d0)
@@ -415,15 +430,15 @@ def test_block_weights_match_edge_list(case, reach):
         assert a[order_got].tobytes() == b[order_want].astype(a.dtype).tobytes()
     edge_list = replace(g, blocks=None, d0=np.array(g.edge_d0))  # the per-edge geodesic_points path
     for field in fields:
-        blocked = g.reweight(field, 256, 0)
+        blocked = g.reweight(field)
         assert blocked.blocks is g.blocks
         assert blocked.csgraph.indices is csg.indices and blocked.csgraph.indptr is csg.indptr
-        want_w = edge_list.reweight(field, 256, 0).edge_w
+        want_w = edge_list.reweight(field).edge_w
         np.testing.assert_allclose(blocked.edge_w, want_w, rtol=1e-13, atol=0.0)
-    np.testing.assert_allclose(g.edge_w, edge_list.reweight(fields[0], 256, 0).edge_w,
+    np.testing.assert_allclose(g.edge_w, edge_list.reweight(fields[0]).edge_w,
                                rtol=1e-13, atol=0.0)
     # Dijkstra on the node-major CSR equals it on the sorted COO-built one
-    w = g.reweight(fields[1], 256, 0)
+    w = g.reweight(fields[1])
     ref = csr_matrix((np.array(w.edge_w), (g.edge_i, g.edge_j)), shape=(g.n, g.n))
     src = [0, g.n // 3, g.n - 1]
     full = dijkstra(ref, directed=False, indices=src)
@@ -529,7 +544,7 @@ def test_shortest_paths_solves_one_source_per_orbit(monkeypatch, field, orbits):
     solved = _count_solved_sources(monkeypatch)
     got = shortest_paths(g, src).values
     assert len(solved) == 1 and len(solved[0]) == orbits(src, pts.lattice_shape)
-    assert got.tobytes() == dijkstra(g.to_csgraph(), directed=False, indices=src).tobytes()
+    assert got.tobytes() == dijkstra(g.csgraph, directed=False, indices=src).tobytes()
 
 
 def test_box_lattice_shares_no_orbit(monkeypatch):
@@ -541,7 +556,7 @@ def test_box_lattice_shares_no_orbit(monkeypatch):
     solved = _count_solved_sources(monkeypatch)
     got = shortest_paths(g, src).values
     assert solved == [[0, 5, g.n // 2, g.n - 1]]
-    assert got.tobytes() == dijkstra(g.to_csgraph(), directed=False, indices=src).tobytes()
+    assert got.tobytes() == dijkstra(g.csgraph, directed=False, indices=src).tobytes()
 
 
 def test_lattice_graphs_skip_the_component_count(torus2, monkeypatch):
@@ -587,5 +602,5 @@ def test_lattice_graph_memory_per_edge(m, spacing, field):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert g.to_csgraph().nnz > 800_000
-    assert peak <= 32 * g.to_csgraph().nnz
+    assert g.csgraph.nnz > 800_000
+    assert peak <= 32 * g.csgraph.nnz

@@ -369,7 +369,7 @@ def _graph_case(kind, u):
 
 
 def _distances(m, pts, eps_rel, field, estimator=RiemannLine()):
-    g = build_graph(m, pts, eps_rel * pts.spacing, field, estimator, budget=100, seed=5)
+    g = build_graph(m, pts, eps_rel * pts.spacing, field, estimator)
     return shortest_paths(g).values
 
 
@@ -382,7 +382,7 @@ def _distances(m, pts, eps_rel, field, estimator=RiemannLine()):
 )
 def test_graph_distance_is_a_metric(kind, u, eps_rel, chain):
     m, pts, field = _graph_case(kind, u)
-    d = _distances(m, pts, eps_rel, field, ChainBall() if chain else RiemannLine())
+    d = _distances(m, pts, eps_rel, field, ChainBall(budget=100, seed=5) if chain else RiemannLine())
     assert np.all(np.diag(d) == 0.0) and np.all(d[~np.eye(len(pts), dtype=bool)] > 0.0)
     tol = 1e-12 * d.max()
     assert np.all(np.abs(d - d.T) <= tol)
@@ -453,7 +453,7 @@ def test_accepted_lattice_graphs_are_connected(kind, counts, stretch, eps_rel):
         m = Manifold.box([[0.0, s] for s in sizes])
     pts = lattice(m, 0.1)
     g = build_graph(m, pts, eps_rel * pts.spacing, Constant(0.0))
-    assert connected_components(g.to_csgraph(), directed=False)[0] == 1
+    assert connected_components(g.csgraph, directed=False)[0] == 1
 
 
 # lattices for the snapping properties: unequal periods, a 3-torus and boxes
@@ -534,7 +534,7 @@ def test_logcusp_distances_rise_with_the_cap(u, r0, cap, rise):
     g = build_graph(m, pts, 3 * pts.spacing, low)
     assert g.blocks is not None
     d_low = shortest_paths(g).values
-    d_high = shortest_paths(g.reweight(high, 100, 5)).values
+    d_high = shortest_paths(g.reweight(high)).values
     assert np.all(d_high >= d_low * (1 - 1e-12))
 
 
@@ -607,7 +607,7 @@ def test_orbit_solve_is_the_per_source_dijkstra(kind, field, src, tgt, widen):
     shrink = patch.object(mt, "_weight_per_d0", lambda gg: 1e-3 * real(gg)) if widen else nullcontext()
     with shrink:
         got = shortest_paths(g, src, tgt).values
-    want = np.vstack([dijkstra(g.to_csgraph(), directed=False, indices=s) for s in src])
+    want = np.vstack([dijkstra(g.csgraph, directed=False, indices=s) for s in src])
     if tgt is not None:
         want = want[:, tgt]
     assert got.shape == want.shape
@@ -688,8 +688,8 @@ def test_declared_axes_keep_lattice_weights_bit_for_bit(kind, name, other, eps_r
     want = build_graph(m, pts, eps_rel * pts.spacing, _Undeclared(fields[name]))
     assert g.blocks is not None and want.blocks is not None
     assert g.csgraph.data.tobytes() == want.csgraph.data.tobytes()
-    got = g.reweight(fields[other], 0, 0).csgraph.data
-    assert got.tobytes() == want.reweight(_Undeclared(fields[other]), 0, 0).csgraph.data.tobytes()
+    got = g.reweight(fields[other]).csgraph.data
+    assert got.tobytes() == want.reweight(_Undeclared(fields[other])).csgraph.data.tobytes()
 
 
 def _patch_weights(m, field):

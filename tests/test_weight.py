@@ -441,8 +441,6 @@ class _HalfInfinite(__import__("conflab.weight", fromlist=["WeightField"]).Weigh
     """Test helper: infinite on half the torus, far beyond the 0.1% allowance.
     Its derivatives are zero, so its curvature e^{-2f} * 0 is finite."""
 
-    exact_derivatives = True
-
     def eval_many(self, m, x):
         return np.where(x[:, 0] < np.pi, np.inf, 0.0)
 
