@@ -194,7 +194,8 @@ def lp_scal_norm(
 
     def on_points(pts):
         s = scalar_curvature_many(m, field, pts, method)
-        return part(s) ** p * np.exp(n * field.eval_many(m, pts))
+        with np.errstate(invalid="ignore"):  # inf * 0 is nan, which _mc_integral rejects
+            return part(s) ** p * np.exp(n * field.eval_many(m, pts))
 
     def on_profile(prof, theta):
         return part(scal_radial(m, prof, theta)) ** p * np.exp(n * prof.f(theta))

@@ -448,6 +448,19 @@ def grid_axes(m: Manifold, shape) -> tuple:
     return [np.linspace(a, b, k) for a, b, k in zip(lo, hi, shape)], h
 
 
+def equal_slab_axes(table: np.ndarray, naxes: int) -> list:
+    """The axes among the first ``naxes`` of ``table`` along which it is
+    constant, compared with exact ==: each slab (the entries with one index
+    along the axis, a view) against the first, stopping at the first
+    mismatch."""
+
+    def constant_along(a):
+        slabs = np.moveaxis(table, a, 0)
+        return all(np.array_equal(s, slabs[0]) for s in slabs[1:])
+
+    return [a for a in range(naxes) if constant_along(a)]
+
+
 def _fibonacci_sphere(count: int) -> np.ndarray:
     golden = (1 + np.sqrt(5.0)) / 2
     i = np.arange(count)

@@ -36,6 +36,7 @@ from .manifold import (
     PointSet,
     _lattice_shape,
     d0_many,
+    equal_slab_axes,
     gauss_rule,
     geodesic_points,
     grid_axes,
@@ -43,7 +44,7 @@ from .manifold import (
     unit_ball_volume,
 )
 from .rng import derive_seed
-from .weight import WeightField, mu_f_ball, read_payload, write_payload
+from .weight import WeightField, check_ball_budget, mu_f_ball, read_payload, write_payload
 
 _EDGE_CHUNK = 2_000_000
 _GAUSS_POINTS = 5  # RiemannLine's Gauss rule per edge
@@ -60,6 +61,9 @@ class ChainBall:
 
     budget: int = 256
     seed: int = 0
+
+    def __post_init__(self):
+        check_ball_budget(self.budget)
 
 
 class LatticeBlock(NamedTuple):
@@ -455,19 +459,13 @@ def _weight_per_d0(g: EpsGraph) -> float:
 def _invariant_axes(g: EpsGraph) -> list:
     """The lattice axes along which every translation maps a torus lattice
     graph onto itself: those along which each column of its node-major
-    weight table is constant, compared with exact ==.  The table is compared
-    one lattice slab at a time (the nodes with one index along the axis, a
-    view), against the first slab, stopping at the first mismatch.  Box
-    lattices and kd-tree graphs have no invariant axis."""
+    weight table is constant (``equal_slab_axes``, exact ==, one lattice
+    slab at a time).  Box lattices and kd-tree graphs have no invariant
+    axis."""
     if g.blocks is None or g.manifold.kind != "torus":
         return []
     table = g.csgraph.data.reshape(tuple(g.points.lattice_shape) + (len(g.blocks),))
-
-    def constant_along(a):
-        slabs = np.moveaxis(table, a, 0)
-        return all(np.array_equal(s, slabs[0]) for s in slabs[1:])
-
-    return [a for a in range(table.ndim - 1) if constant_along(a)]
+    return equal_slab_axes(table, table.ndim - 1)
 
 
 def shortest_paths(g: EpsGraph, sources=None, targets=None) -> DistanceMatrix:

@@ -11,7 +11,12 @@ of the probes that estimate the functional constants.  The module also
 implements the eigenvalue-zeroing shift for potentials supported in
 a ball, the log-gradient fixed point producing a ground-state representative
 e^v, and the cover-based decomposition log(phi) = f + w with a W^{(1,2),n}
-part f and a Hölder part w.
+part f and a Hölder part w.  The decomposition solves one local ground state
+per orbit of cover centers under the grid translations that leave its
+problem unchanged: along an axis where V is constant (exact ==, slab by
+slab) and the center spacing is a whole number of grid steps, a center takes
+its representative's shift and translated log ground state, provided its
+ball mask is exactly the translated mask.
 
 Discrete square gradient: the fixed point uses
     G(v) = Delta v - e^{-v} Delta(e^v)
@@ -40,7 +45,7 @@ from scipy.sparse import csr_matrix, diags, kronsum
 from scipy.sparse.linalg import lobpcg, splu  # noqa: F401  perfbench's tracer rebinds splu
 
 from .errors import InputError, NumericError
-from .manifold import Manifold, PointSet, d0_many, grid_axes
+from .manifold import Manifold, PointSet, d0_many, equal_slab_axes, grid_axes
 from .rng import derive_rng
 from .weight import GridField, NodeGrid
 
@@ -481,8 +486,9 @@ def log_gradient_fixedpoint(op: GridOperator, a_est: Optional[float] = None) -> 
 # ---------------------------------------------------------------------------
 
 
-def _cover_centers(geom: GridGeometry, rho: float) -> np.ndarray:
-    """Cover centers: balls of radius rho/2 cover, quarter-balls disjoint."""
+def _cover_centers(geom: GridGeometry, rho: float) -> PointSet:
+    """Cover centers, a lattice: balls of radius rho/2 cover, quarter-balls
+    disjoint."""
     m = geom.manifold
     if m.kind != "torus":
         raise InputError("the ground-state decomposition runs on torus grids")
@@ -494,7 +500,28 @@ def _cover_centers(geom: GridGeometry, rho: float) -> np.ndarray:
                 f"rho = {rho:g} incompatible with period {L:g}: need a center "
                 f"spacing in [rho/2, rho/sqrt(n)]"
             )
-    return PointSet.grid(*grid_axes(m, shape)).points
+    return PointSet.grid(*grid_axes(m, shape))
+
+
+def _center_orbits(geom: GridGeometry, V: np.ndarray, cover_shape: tuple):
+    """(representative, steps) per cover center: the center's orbit
+    representative (its lattice index zeroed on the invariant axes) and the
+    grid steps, per axis, from the representative to the center.
+
+    An axis is invariant when V is constant along it (``equal_slab_axes``,
+    exact ==) and the center spacing along it is a whole number of grid
+    steps; a translation along such axes maps the representative's local
+    problem onto the center's.  With no invariant axis each center is its
+    own representative."""
+    shape = geom.shape
+    axes = [a for a in equal_slab_axes(V.reshape(shape), geom.dim) if shape[a] % cover_shape[a] == 0]
+    idx = np.indices(cover_shape).reshape(geom.dim, -1)
+    steps = np.zeros_like(idx)
+    for a in axes:
+        steps[a] = idx[a] * (shape[a] // cover_shape[a])
+    rep = idx.copy()
+    rep[axes] = 0
+    return np.ravel_multi_index(rep, cover_shape), steps.T
 
 
 def bump(t: np.ndarray) -> np.ndarray:
@@ -530,6 +557,15 @@ def decompose_ground_state(
     ||Delta f||_{n/2}, the sampled 1/2-Hölder seminorm of w and all
     thresholds.  Each local shift is solved to |lambda0| <= 1e-7 with eigen
     solves at tol 1e-9.
+
+    The shift and the fixed point run once per orbit of centers
+    (``_center_orbits``): along the axes where V is constant, compared with
+    exact ==, and the center spacing is a whole number of grid steps, every
+    center's local problem is a grid translate of its representative's.
+    Such a center takes the representative's c0 and its v rolled by the
+    index offset, unless its own ball mask differs from the rolled
+    representative mask, in which case it is solved directly.  A V that
+    varies along every axis solves every center.
     """
     geom = op.geom
     n = geom.dim
@@ -540,14 +576,13 @@ def decompose_ground_state(
         beta_est = estimate_sobolev_constant(geom)
     if a_est is None:
         a_est = estimate_grad_inv_constant(geom)
-    centers = _cover_centers(geom, rho)
+    cover = _cover_centers(geom, rho)
+    centers = cover.points
     nodes = geom.nodes()
+    dists = [d0_many(geom.manifold, nodes, c) for c in centers]
+    masks = [d <= rho for d in dists]  # each is geom.ball_mask(c, rho)
     # smallness of V on cover balls (the per-ball hypothesis)
-    local_norms = []
-    for c in centers:
-        mask = geom.ball_mask(c, rho)
-        local_norms.append(geom.lp_norm(op.V * mask, n / 2.0))
-    sup_local = float(np.max(local_norms))
+    sup_local = max(geom.lp_norm(op.V * mask, n / 2.0) for mask in masks)
     if sup_local > beta_est / 2.0:
         raise InputError(
             f"sup over cover balls of ||V||_{{n/2}} = {sup_local:.4g} exceeds "
@@ -559,20 +594,27 @@ def decompose_ground_state(
     chi_sum = np.zeros_like(log_phi)
     chis, vs, vbars = [], [], []
     shift_cs = []
-    for c in centers:
-        mask = geom.ball_mask(c, rho)
-        q_i = -op.V * mask  # local operator Delta - V 1_B + c 1_comp
-        shift = gs_shift_c0(geom, q_i, c, rho, beta_est=beta_est, tol=1e-7, eig_tol=1e-9)
-        comp = (~mask).astype(float)
-        v_loc = op.V * mask - shift.c0 * comp
-        fp = log_gradient_fixedpoint(GridOperator(geom, v_loc), a_est=a_est)
-        shift_cs.append(shift.c0)
-        support = geom.ball_mask(c, 0.75 * rho)
-        vbar = float(np.mean(fp.v[support]))
-        t = d0_many(geom.manifold, nodes, c) / (0.75 * rho)
-        chi = bump(t)
+    reps, steps = _center_orbits(geom, op.V, cover.lattice_shape)
+
+    def translate(u, k):
+        return np.roll(u.reshape(geom.shape), tuple(k), axis=tuple(range(n))).reshape(-1)
+
+    for c, d, mask, r, k in zip(centers, dists, masks, reps, steps):
+        if k.any() and np.array_equal(mask, translate(masks[r], k)):
+            # an exact grid translate of its representative's local problem
+            c0, v = shift_cs[r], translate(vs[r], k)
+        else:
+            q_i = -op.V * mask  # local operator Delta - V 1_B + c 1_comp
+            shift = gs_shift_c0(geom, q_i, c, rho, beta_est=beta_est, tol=1e-7, eig_tol=1e-9)
+            comp = (~mask).astype(float)
+            v_loc = op.V * mask - shift.c0 * comp
+            fp = log_gradient_fixedpoint(GridOperator(geom, v_loc), a_est=a_est)
+            c0, v = shift.c0, fp.v
+        shift_cs.append(c0)
+        vbar = float(np.mean(v[d <= 0.75 * rho]))
+        chi = bump(d / (0.75 * rho))
         chis.append(chi)
-        vs.append(fp.v)
+        vs.append(v)
         vbars.append(vbar)
         chi_sum += chi
     if chi_sum.min() <= 0:

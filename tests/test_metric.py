@@ -353,6 +353,11 @@ def test_chain_ball_edge_on_box_face_is_truncated():
     assert abs(g.edge_w[0] - exact) <= 3 * se
 
 
+def test_chain_ball_checks_its_budget_when_made():
+    with pytest.raises(InputError, match="budget must be >= 100"):
+        ChainBall(budget=50)
+
+
 @pytest.mark.parametrize("budget, seed", [(100, 0), (300, 7)])
 def test_chain_ball_graph_reweights_to_itself_bit_for_bit(torus2, budget, seed):
     # the estimator holds its Monte Carlo budget and seed, so reweighting to

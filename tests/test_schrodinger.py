@@ -326,6 +326,54 @@ def test_decomposition_norm_scaling(decomposition):
         assert abs(norms[t] / (t * norms[1.0]) - 1.0) <= 0.2
 
 
+def _counted_decomposition(monkeypatch, dgeom, V, beta_d, a_d):
+    """The decomposition of Delta - V and its number of gs_shift_c0 calls."""
+    import conflab.schrodinger as sc
+
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return gs_shift_c0(*args, **kwargs)
+
+    monkeypatch.setattr(sc, "gs_shift_c0", counted)
+    op = GridOperator(dgeom, V)
+    phi = lowest_eigenpair(op).phi
+    return decompose_ground_state(op, 0.8, phi, beta_est=beta_d, a_est=a_d, seed=3), calls
+
+
+def test_decomposition_solves_one_center_per_orbit(decomposition, monkeypatch):
+    # the fixture's V is constant along x3 and the 5^3 cover centers sit two
+    # grid steps apart, so each x3-column of 5 centers is one orbit
+    dgeom, op, phi, dec, beta_d, a_d = decomposition
+    x3 = dgeom.nodes()[:, 2]
+    same, calls = _counted_decomposition(monkeypatch, dgeom, op.V, beta_d, a_d)
+    assert calls == 25
+    # a variation along x3 far below every tolerance leaves no invariant axis
+    bent = op.V + 1e-13 * np.cos(2 * np.pi * x3 / L)
+    direct, calls = _counted_decomposition(monkeypatch, dgeom, bent, beta_d, a_d)
+    assert calls == 125
+    assert np.abs(same.f - direct.f).max() <= 1e-10
+    assert np.abs(same.w - direct.w).max() <= 1e-10
+    _, calls = _counted_decomposition(monkeypatch, dgeom, np.zeros_like(op.V), beta_d, a_d)
+    assert calls == 1
+
+
+def test_decomposition_translated_shift_zeroes_its_local_eigenvalue(decomposition):
+    from conflab.schrodinger import _center_orbits, _cover_centers
+
+    dgeom, op, phi, dec, *_ = decomposition
+    cover = _cover_centers(dgeom, 0.8)
+    reps, steps = _center_orbits(dgeom, op.V, cover.lattice_shape)
+    i = 1  # center (0, 0, 1): two grid steps along x3 from center 0
+    assert reps[i] == 0 and tuple(steps[i]) == (0, 0, 2)
+    mask = dgeom.ball_mask(cover.points[i], 0.8)
+    c0 = dec.report["shift_constants"][i]
+    cold = lowest_eigenpair(GridOperator(dgeom, op.V * mask - c0 * ~mask), tol=1e-11)
+    assert abs(cold.lambda0) <= 1e-7
+
+
 def test_decomposition_rho_guard(decomposition):
     dgeom, op, phi, *_ = decomposition
     with pytest.raises(InputError):
