@@ -8,7 +8,7 @@ eigenpairs, eigenvalue-zeroing shifts, log-gradient fixed points, ground
 state decompositions), together with five canonical experiments.
 """
 
-from .manifold import BallSpec, Manifold, PointSet, lattice, mu0_ball, sample_ball
+from .manifold import BallSpec, Manifold, PointSet, lattice, sample_ball
 from .weight import (
     BuragoTorus,
     Constant,
@@ -18,19 +18,16 @@ from .weight import (
     Scaled,
     SphereBubble,
     Sum,
-    eval_f,
-    integrability_profile,
     mu_f_ball,
     total_mass,
 )
-from .curvature import alpha_n2, lp_scal_norm, pinching_profile, scalar_curvature
+from .curvature import alpha_n2, lp_scal_norm, pinching_profile, scalar_curvature_many
 from .metric import (
     ChainBall,
     DistanceMatrix,
     EpsGraph,
     RiemannLine,
     build_graph,
-    f_ball,
     refine_distance,
     shortest_paths,
     stable_norm,

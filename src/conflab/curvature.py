@@ -18,7 +18,6 @@ Non-finite curvature raises NumericError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi
 from typing import Optional
 
 import numpy as np
@@ -29,7 +28,6 @@ from .manifold import (
     Manifold,
     PointSet,
     _householder_to,
-    cap_volume,
     sample_ball,  # noqa: F401  perfbench's tracer checks it rebinds this copy
     sphere_volume,
 )
@@ -42,28 +40,6 @@ def alpha_n2(n: int) -> float:
     if n < 3:
         raise InputError("alpha_n2 requires dimension n >= 3")
     return n * (n - 1) * sphere_volume(n) ** (2.0 / n)
-
-
-def alpha_n2_quadrature(n: int) -> float:
-    """Same quantity from direct quadrature of the constant-curvature integrand.
-
-    (int_{S^n} (n(n-1))^{n/2} dmu0)^{2/n} with the sphere volume evaluated by
-    the cap-integral backend; consistency guard for the closed form.
-    """
-    m = Manifold.sphere(n) if n <= 4 else None
-    if m is not None:
-        vol = cap_volume(m, pi)
-    else:  # cap-integral backend only covers the supported sphere dims
-        vol = sphere_volume(n)
-    return ((n * (n - 1)) ** (n / 2.0) * vol) ** (2.0 / n)
-
-
-@dataclass(frozen=True)
-class CurvatureSample:
-    point: np.ndarray
-    scal: float
-    method: str
-    h: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -161,15 +137,6 @@ def scalar_curvature_many(
     if not np.all(np.isfinite(vals)):
         raise NumericError("curvature evaluation hit the singular set")
     return vals
-
-
-def scalar_curvature(
-    m: Manifold, field: WeightField, x, method: str = "exact", h: float = 1e-3
-) -> CurvatureSample:
-    """Curvature sample at one point (units 1/length^2)."""
-    pt = m.check_points(x)[0]
-    val = float(scalar_curvature_many(m, field, pt[None, :], method, h)[0])
-    return CurvatureSample(point=pt, scal=val, method=method, h=h if method == "fd" else None)
 
 
 def lp_scal_norm(

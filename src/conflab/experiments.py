@@ -357,6 +357,14 @@ def _using(entry: str, call, *args, **kwargs):
         raise InputError(f"{entry}: {exc}") from exc
 
 
+def _require_nodes(pts: PointSet, count: int, spacing: float) -> None:
+    """InputError unless the lattice at ``spacing`` has the ``count`` nodes
+    a run draws from it as distinct sources."""
+    if len(pts) < count:
+        raise InputError(f"graph entry 'spacing' = {spacing} gives {len(pts)} lattice nodes, "
+                         f"fewer than the {count} sources the run draws")
+
+
 def _require_surface(m: Manifold, name: str) -> None:
     """InputError unless m is 2-dimensional: the experiment's probes (snap
     offsets, stable-norm directions, oracles) are written for n = 2."""
@@ -554,6 +562,7 @@ def run_log_cusp(spec: ExperimentSpec, outdir: Path):
     rng = derive_rng(seed, "cusp-nodes")
 
     x0a = np.asarray(x0)
+    _require_nodes(pts, 10, cfg["graph"]["spacing"])
     idx = list(rng.choice(len(pts), 10, replace=False))
     for dx in (0.6, 1.0, 1.6):
         for sgn in (-1.0, 1.0):
@@ -643,9 +652,11 @@ def run_burago(spec: ExperimentSpec, outdir: Path):
     report["stable_norm_e2_by_ell"] = sweep
 
     # frequency convergence: d_ell for ell in {2, 4, 8}
-    pts = lattice(m, spec.settings()["graph"]["spacing"])
+    spacing = spec.settings()["graph"]["spacing"]
+    pts = lattice(m, spacing)
     eps = 3 * pts.spacing
     rng = derive_rng(seed, "bur-nodes")
+    _require_nodes(pts, 12, spacing)
     idx = np.unique(rng.choice(len(pts), 12, replace=False))
     mats = _family_distances(m, pts, eps, [wt.BuragoTorus(ell) for ell in (2, 4, 8)], idx)
     comp = converge_compare(mats, labels=["2", "4", "8"])

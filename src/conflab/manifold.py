@@ -401,21 +401,6 @@ def _closed_form_volume(m: Manifold, b: BallSpec):
     return None
 
 
-def mu0_ball_detail(m: Manifold, b: BallSpec, budget: int = 200_000, seed: int = 0):
-    """(volume, standard error) of mu0(B): closed forms with zero error (caps
-    1e-12 relative), else the acceptance ratio of ``budget`` sample_ball draws."""
-    exact = _closed_form_volume(m, b)
-    if exact is not None:
-        return exact
-    _, w, se = sample_ball(m, b, budget, seed)
-    return float(w.sum()), se
-
-
-def mu0_ball(m: Manifold, b: BallSpec, budget: int = 200_000, seed: int = 0) -> float:
-    """Base-measure volume of a geodesic ball."""
-    return mu0_ball_detail(m, b, budget, seed)[0]
-
-
 # ---------------------------------------------------------------------------
 # lattices
 # ---------------------------------------------------------------------------
@@ -635,7 +620,7 @@ def sample_ball(m: Manifold, b: BallSpec, count: int, seed: int = 0):
     the draws c + r U^{1/n} g/|g| (U uniform, g Gaussian) that lie inside the
     box, or on a torus within half a period of c in every coordinate.
     Weights are uniform and sum to the exact volume where there is one (see
-    mu0_ball_detail), else to omega r^n a, a the accepted fraction of all
+    _closed_form_volume), else to omega r^n a, a the accepted fraction of all
     draws, with binomial volume_se omega r^n sqrt(a (1 - a) / drawn).
     """
     if count < 1:

@@ -12,9 +12,9 @@ over a covering point set, with two edge-weight estimators:
   relative to RiemannLine; the factor is kept literal and documented, and
   consistency checks compare 2 * chain against the line estimator.
 
-Also here: scheduled refinement with fitted-rate extrapolation, metric balls
-with their masses, and the stable norm of periodic weights, whose patches of
-the torus's universal cover are box lattices on the same eps-graph path.
+Also here: scheduled refinement with fitted-rate extrapolation, and the
+stable norm of periodic weights, whose patches of the torus's universal cover
+are box lattices on the same eps-graph path.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .manifold import (
     unit_ball_volume,
 )
 from .rng import derive_seed
-from .weight import WeightField, check_ball_budget, mu_f_ball, read_payload, write_payload
+from .weight import WeightField, check_ball_budget, mu_f_ball
 
 _EDGE_CHUNK = 2_000_000
 _GAUSS_POINTS = 5  # RiemannLine's Gauss rule per edge
@@ -159,24 +159,6 @@ class DistanceMatrix:
         header = ",".join(["source"] + [str(t) for t in self.targets])
         rows = np.column_stack([self.sources.astype(float), self.values])
         np.savetxt(path, rows, delimiter=",", header=header, comments="")
-
-    def write_binary(self, path) -> None:
-        manifest = {
-            "version": 1,
-            "sources": [int(s) for s in self.sources],
-            "targets": [int(t) for t in self.targets],
-        }
-        write_payload(path, manifest, self.values)
-
-    @staticmethod
-    def read_binary(path) -> "DistanceMatrix":
-        def parse(manifest):
-            sources = np.asarray(manifest["sources"], dtype=int)
-            targets = np.asarray(manifest["targets"], dtype=int)
-            return (sources, targets), (sources.size, targets.size)
-
-        (sources, targets), values = read_payload(path, "distance", parse)
-        return DistanceMatrix(sources=sources, targets=targets, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -625,34 +607,6 @@ def refine_distance(
         observed_q=qs,
         monotone_warning=warn,
     )
-
-
-# ---------------------------------------------------------------------------
-# metric balls
-# ---------------------------------------------------------------------------
-
-
-def f_ball(
-    m: Manifold,
-    field: WeightField,
-    graph: EpsGraph,
-    dmat: DistanceMatrix,
-    center_index: int,
-    r_f: float,
-):
-    """Members and mu_f mass of the graph-metric ball {d_f <= r_f}.
-
-    Mass sums per-node quadrature cells e^{nf(x_i)} * cell_volume; a coverage
-    warning is set when the requested radius exhausts the sampled graph.
-    """
-    row = dmat.row(center_index)
-    members = np.nonzero(row <= r_f)[0]
-    coverage_warning = bool(r_f > row.max())
-    pts = graph.points.points[members]
-    cells = graph.points.cell_volume
-    cell = cells[members] if cells is not None else np.full(members.size, m.volume / graph.n)
-    mass = float(np.sum(np.exp(m.dim * field.eval_many(m, pts)) * cell))
-    return members, mass, coverage_warning
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from scipy.sparse.linalg import lobpcg, splu  # noqa: F401  perfbench's tracer r
 from .errors import InputError, NumericError
 from .manifold import Manifold, PointSet, d0_many, equal_slab_axes, grid_axes
 from .rng import derive_rng
-from .weight import GridField, NodeGrid
+from .weight import NodeGrid
 
 
 def _second_difference(s: int, h: float, periodic: bool):
@@ -168,10 +168,6 @@ class GridOperator:
             raise InputError("potential size does not match the grid")
         if not np.all(np.isfinite(self.V)):
             raise InputError("potential must be finite")
-
-    @staticmethod
-    def from_grid_field(grid: GridField, V: np.ndarray) -> "GridOperator":
-        return GridOperator(GridGeometry(grid.manifold, grid.shape), V)
 
     def as_sparse(self) -> csr_matrix:
         return (self.geom.laplacian - diags(self.V)).tocsr()

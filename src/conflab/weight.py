@@ -3,7 +3,7 @@
 Analytic presets (constant, oscillating torus weight, log-cusp, sphere
 dilation bubble), grid-sampled fields with multilinear/cubic interpolation,
 and the quadrature operations on the deformed measure mu_f = e^{nf} mu0:
-ball masses, total mass and integrability profiles.
+ball masses and total mass.
 
 Fields are immutable and evaluated vectorized; fields with closed-form
 derivatives expose the ambient gradient and the (nonnegative-spectrum)
@@ -73,17 +73,6 @@ class WeightField:
         coordinates of a point leaves ``eval_many`` bit for bit unchanged.
         Lattice edge weighting evaluates f only across the other axes."""
         return ()
-
-
-def eval_f(m: Manifold, field: WeightField, x) -> float:
-    """Log conformal factor at one point (+-inf on the declared singular set)."""
-    field.validate(m)
-    return float(field.eval_many(m, m.check_points(x))[0])
-
-
-def eval_f_many(m: Manifold, field: WeightField, x: np.ndarray) -> np.ndarray:
-    field.validate(m)
-    return field.eval_many(m, np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -583,7 +572,8 @@ def grid_from_field(m: Manifold, field: WeightField, shape) -> GridField:
     """Sample an analytic field onto a node grid (torus/box)."""
     shape = tuple(int(s) for s in shape)
     nodes = PointSet.grid(*grid_axes(m, shape)).points
-    return GridField(manifold=m, shape=shape, values=eval_f_many(m, field, nodes).reshape(shape))
+    field.validate(m)
+    return GridField(manifold=m, shape=shape, values=field.eval_many(m, nodes).reshape(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -665,21 +655,6 @@ def _grid_header(manifest: dict):
 def read_grid(path) -> GridField:
     m, values = read_payload(path, "grid", _grid_header)
     return GridField(manifold=m, shape=values.shape, values=values)
-
-
-def write_grid_csv(grid: GridField, path) -> None:
-    """Fallback format: one 'x1,...,xn,f' row per node, row-major."""
-    cols = [*grid.nodes().T, grid.values.ravel()]
-    header = ",".join([f"x{i+1}" for i in range(grid.manifold.dim)] + ["f"])
-    np.savetxt(path, np.column_stack(cols), delimiter=",", header=header, comments="")
-
-
-def read_grid_csv(path, m: Manifold, shape) -> GridField:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    shape = tuple(int(s) for s in shape)
-    if data.shape[0] != int(np.prod(shape)) or data.shape[1] != m.dim + 1:
-        raise FormatError("csv grid row/column count does not match shape")
-    return GridField(manifold=m, shape=shape, values=data[:, -1].reshape(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -765,17 +740,3 @@ def mu_f_ball(m: Manifold, field: WeightField, b: BallSpec, budget: int = 20_000
 def total_mass(m: Manifold, field: WeightField, budget: int = 100_000, seed: int = 0):
     """(mass, standard error) of mu_f(M), by ball_integral over all of M."""
     return ball_integral(m, field, None, *_density(m, field), budget, seed, "weight samples")
-
-
-def integrability_profile(
-    m: Manifold, field: WeightField, exponents, budget: int = 100_000, seed: int = 0
-):
-    """[(p, int e^{pf} dmu0, stderr)] on a shared whole-manifold sample pool."""
-    field.validate(m)
-    exponents = [float(p) for p in exponents]
-    if not all(np.isfinite(exponents)):
-        raise InputError("integrability exponents must be finite")
-    pts, _ = sample_manifold(m, budget, seed)
-    f = field.eval_many(m, pts)
-    return [(p, *_mc_integral(np.exp(p * f), m.volume, f"samples of e^({p} f)", 0.0))
-            for p in exponents]

@@ -248,8 +248,10 @@ def test_missing_spec_key_is_an_input_error(tmp_path, capsys, doc, words):
         ({"name": "custom", "diagnostics": {"q": 1}}, "diagnostics entry 'q'", "q must exceed 1"),
         ({"name": "flat-identity", "graph": {"spacing": 0.12}}, "graph entry 'eps'", "eps >= 3 * spacing"),
         ({"name": "custom", "diagnostics": {"p": 1}}, "diagnostics entry 'p'", "p must exceed 1"),
+        ({"name": "burago", "graph": {"spacing": 3.0}}, "graph entry 'spacing'", "the 12 sources"),
+        ({"name": "log-cusp", "graph": {"spacing": 3.0}}, "graph entry 'spacing'", "the 10 sources"),
     ],
-    ids=["mass", "ball", "center_spacing", "eta", "q", "eps", "p"],
+    ids=["mass", "ball", "center_spacing", "eta", "q", "eps", "p", "burago-spacing", "log-cusp-spacing"],
 )
 def test_setting_a_library_check_rejects_names_its_key(tmp_path, capsys, doc, entry, words):
     # well typed, so the spec is accepted; the check that stops the run is

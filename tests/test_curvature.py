@@ -4,11 +4,9 @@ from scipy.integrate import quad
 
 from conflab.curvature import (
     alpha_n2,
-    alpha_n2_quadrature,
     lp_scal_norm,
     pinching_profile,
     scal_radial,
-    scalar_curvature,
     scalar_curvature_many,
 )
 from conflab.errors import InputError
@@ -34,6 +32,13 @@ def test_alpha_values():
     assert alpha_n2(4) == pytest.approx(61.56, rel=1e-3)
 
 
+def alpha_n2_quadrature(n: int) -> float:
+    """alpha_n2 from direct quadrature of the constant-curvature integrand:
+    (int_{S^n} (n(n-1))^{n/2} dmu0)^{2/n}, the sphere volume by the cap rule."""
+    vol = cap_volume(Manifold.sphere(n), np.pi)
+    return ((n * (n - 1)) ** (n / 2.0) * vol) ** (2.0 / n)
+
+
 def test_alpha_quadrature_consistency():
     for n in (3, 4):
         assert abs(alpha_n2_quadrature(n) / alpha_n2(n) - 1) <= 1e-6
@@ -45,16 +50,15 @@ def test_alpha_dimension_guard():
 
 
 def test_flat_and_round_curvature(torus2, sphere3):
-    assert scalar_curvature(torus2, Constant(0.0), (1.0, 2.0)).scal == 0.0
-    assert scalar_curvature(sphere3, Constant(0.0), N3).scal == pytest.approx(6.0, rel=1e-12)
+    assert scalar_curvature_many(torus2, Constant(0.0), (1.0, 2.0))[0] == 0.0
+    assert scalar_curvature_many(sphere3, Constant(0.0), N3)[0] == pytest.approx(6.0, rel=1e-12)
 
 
 def test_burago_curvature_fd_and_exact(torus2):
-    fd = scalar_curvature(torus2, BuragoTorus(1), (0.0, 0.0), method="fd", h=1e-4)
-    assert fd.scal == pytest.approx(-2.0, abs=5e-6)
-    assert fd.h == 1e-4
-    exact = scalar_curvature(torus2, BuragoTorus(1), (0.0, 0.0))
-    assert exact.scal == pytest.approx(-2.0, rel=1e-13)
+    fd = scalar_curvature_many(torus2, BuragoTorus(1), (0.0, 0.0), method="fd", h=1e-4)[0]
+    assert fd == pytest.approx(-2.0, abs=5e-6)
+    exact = scalar_curvature_many(torus2, BuragoTorus(1), (0.0, 0.0))[0]
+    assert exact == pytest.approx(-2.0, rel=1e-13)
 
 
 def test_bubble_constant_curvature(sphere3):
@@ -248,8 +252,8 @@ def test_cubic_grid_fd_curvature_at_a_box_face(x):
     box = Manifold.box([[0.0, 2.0]] * 3)
     cusp = LogCusp((0.3, 1.0, 1.0), 0.4)
     grid = GridWeight(grid_from_field(box, cusp, (81, 81, 81)), 3)
-    exact = scalar_curvature(box, cusp, x).scal
-    assert scalar_curvature(box, grid, x, method="fd").scal == pytest.approx(exact, rel=0.15)
+    exact = scalar_curvature_many(box, cusp, x)[0]
+    assert scalar_curvature_many(box, grid, x, method="fd")[0] == pytest.approx(exact, rel=0.15)
 
 
 def test_pinching_flags(sphere3):

@@ -7,14 +7,13 @@ from conflab.manifold import (
     BallSpec,
     Manifold,
     PointSet,
+    _closed_form_volume,
     cap_volume,
     d0,
     d0_many,
     geodesic_points,
     lattice,
     midpoint,
-    mu0_ball,
-    mu0_ball_detail,
     sample_ball,
     sample_manifold,
     unit_ball_volume,
@@ -66,12 +65,13 @@ def test_triangle_inequality_exact(torus3, sphere3, rng):
 
 
 def test_mu0_ball_euclidean_disc(torus2):
-    assert mu0_ball(torus2, BallSpec(np.zeros(2), 0.5)) == pytest.approx(np.pi * 0.25, rel=1e-14)
+    vol, se = _closed_form_volume(torus2, BallSpec(np.zeros(2), 0.5))
+    assert vol == pytest.approx(np.pi * 0.25, rel=1e-14) and se == 0.0
 
 
 def test_mu0_ball_exact_power(torus3):
     for r in (0.2, 0.5, 1.0):
-        got = mu0_ball(torus3, BallSpec(np.zeros(3), r))
+        got, _ = _closed_form_volume(torus3, BallSpec(np.zeros(3), r))
         assert got == pytest.approx(unit_ball_volume(3) * r**3, rel=1e-14)
 
 
@@ -98,14 +98,13 @@ def test_cap_volume_closed_forms(radius):
 
 
 def test_mu0_hemisphere_and_full(sphere2):
-    assert mu0_ball(sphere2, BallSpec(N_POLE, np.pi / 2)) == pytest.approx(2 * np.pi, rel=1e-9)
-    assert mu0_ball(sphere2, BallSpec(N_POLE, np.pi)) == pytest.approx(4 * np.pi, rel=1e-9)
-    assert mu0_ball(sphere2, BallSpec(N_POLE, 5.0)) == pytest.approx(4 * np.pi, rel=1e-9)
+    for r, vol in ((np.pi / 2, 2 * np.pi), (np.pi, 4 * np.pi), (5.0, 4 * np.pi)):
+        assert _closed_form_volume(sphere2, BallSpec(N_POLE, r))[0] == pytest.approx(vol, rel=1e-9)
 
 
 def test_mu0_monotone_in_radius(torus2, sphere2):
     radii = np.linspace(0.1, 4.0, 15)
-    vt = [mu0_ball(torus2, BallSpec(np.ones(2), r), budget=40_000, seed=3) for r in radii]
+    vt = [sample_ball(torus2, BallSpec(np.ones(2), r), 40_000, seed=3)[1].sum() for r in radii]
     assert np.all(np.diff(vt) >= -1e-9 * max(vt))
     vs = [cap_volume(sphere2, r) for r in radii]
     assert np.all(np.diff(vs) >= 0)
@@ -113,7 +112,8 @@ def test_mu0_monotone_in_radius(torus2, sphere2):
 
 def test_mu0_large_radius_monte_carlo(torus2):
     # radius beyond half period: Monte Carlo fallback with reported error
-    val, se = mu0_ball_detail(torus2, BallSpec(np.zeros(2), 3.5), budget=200_000, seed=5)
+    _, w, se = sample_ball(torus2, BallSpec(np.zeros(2), 3.5), 200_000, seed=5)
+    val = w.sum()
     disc = np.pi * 3.5**2  # would exceed the true clipped area
     assert se > 0
     assert val < disc
@@ -208,7 +208,7 @@ def test_sample_ball_weights_sum(torus2, sphere2):
     for m, center in ((torus2, np.zeros(2)), (sphere2, N_POLE)):
         b = BallSpec(center, 0.5)
         pts, w, _ = sample_ball(m, b, 5000, seed=2)
-        assert w.sum() == pytest.approx(mu0_ball(m, b), rel=1e-12)
+        assert w.sum() == pytest.approx(_closed_form_volume(m, b)[0], rel=1e-12)
         assert np.all(d0_many(m, pts, center) <= 0.5 + 1e-12)
 
 
@@ -238,7 +238,7 @@ def test_covering_ball_samples_the_whole_manifold():
         assert pts.shape == (1000, m.ambient_dim) and se == 0.0
         assert w.sum() == pytest.approx(m.volume, rel=1e-12)
         assert np.all(d0_many(m, pts, b.center) <= b.radius)
-        assert mu0_ball_detail(m, b) == (m.volume, 0.0)
+        assert _closed_form_volume(m, b) == (m.volume, 0.0)
     pts, _, _ = sample_ball(box, whole_manifold_ball(box), 1000, seed=3)
     assert np.all((pts >= box.extents[:, 0]) & (pts <= box.extents[:, 1]))
 

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from conflab.errors import FormatError, InputError
+from conflab.errors import InputError
 from conflab.manifold import Manifold, PointSet, d0_many, lattice
 from conflab.metric import (
     ChainBall,
@@ -16,7 +16,6 @@ from conflab.metric import (
     _lattice_csr,
     _lattice_offsets,
     build_graph,
-    f_ball,
     fit_rate,
     refine_distance,
     shortest_paths,
@@ -163,27 +162,6 @@ def test_fit_rate_of_a_table_is_each_column_fitted_alone(eps):
         assert one == (a[k], b[k], q[k]) and isinstance(one[0], float)
 
 
-def test_f_ball_members_and_mass(torus2):
-    pts = lattice(torus2, 0.15)
-    g = build_graph(torus2, pts, 3 * pts.spacing, Constant(0.0))
-    dm = shortest_paths(g, [0])
-    members, mass, warn = f_ball(torus2, Constant(0.0), g, dm, 0, 0.8)
-    d0_members = np.nonzero(d0_many(torus2, pts.points, pts.points[0]) <= 0.8)[0]
-    # graph metric overshoots d0 slightly: members form a subset
-    assert set(members).issubset(set(d0_members))
-    assert len(members) >= 0.9 * len(d0_members)
-    assert not warn
-    # mass of the whole set approximates the total mass
-    all_members, total, warn2 = f_ball(torus2, Constant(0.0), g, dm, 0, 1e9)
-    assert warn2
-    assert len(all_members) == len(pts)
-    assert total == pytest.approx(torus2.volume, rel=0.02)
-    # Ahlfors behaviour of the flat metric ball masses
-    for r in (0.5, 0.8):
-        mem, mass_r, _ = f_ball(torus2, Constant(0.0), g, dm, 0, r)
-        assert mass_r / r**2 == pytest.approx(np.pi, rel=0.10)
-
-
 def test_stable_norm_flat(torus2):
     P = 2 * np.pi
     r = stable_norm(torus2, Constant(0.0), [0.0, 1.0], [P, 2 * P], spacing=0.15)
@@ -251,25 +229,6 @@ def test_distance_matrix_get_unknown_target():
         dm.get(0, 2)
 
 
-@pytest.mark.parametrize(
-    "edit",
-    [
-        lambda text: text.replace('"f64le"', '"f32be"'),
-        lambda text: text.replace('"row-major"', '"column-major"'),
-        lambda text: text[:-2],
-        lambda text: text.replace('"dist.bin"', '"absent.bin"'),
-    ],
-    ids=["f32be", "column-major", "truncated", "missing-payload"],
-)
-def test_distance_matrix_read_binary_rejects_other_layouts(tmp_path, edit):
-    path = tmp_path / "dist.json"
-    dm = DistanceMatrix(sources=np.array([0]), targets=np.array([0, 1]), values=np.ones((1, 2)))
-    dm.write_binary(path)
-    path.write_text(edit(path.read_text()))
-    with pytest.raises(FormatError):
-        DistanceMatrix.read_binary(path)
-
-
 def test_distance_matrix_export(tmp_path, torus2):
     pts = lattice(torus2, 0.6)
     g = build_graph(torus2, pts, 3 * pts.spacing, Constant(0.0))
@@ -278,11 +237,6 @@ def test_distance_matrix_export(tmp_path, torus2):
     dm.write_csv(csv_path)
     loaded = np.loadtxt(csv_path, delimiter=",", skiprows=1)
     assert np.allclose(loaded[:, 1:], dm.values)
-    bin_path = tmp_path / "dist.json"
-    dm.write_binary(bin_path)
-    dm2 = DistanceMatrix.read_binary(bin_path)
-    assert np.array_equal(dm2.values, dm.values)
-    assert np.array_equal(dm2.sources, dm.sources)
 
 
 def test_box_lattice_graph(torus2):

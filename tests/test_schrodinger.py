@@ -197,14 +197,6 @@ def test_eigen_tolerance_miss_is_numeric_error(geom, nodes):
             lowest_eigenpair(op, tol=1e-13, max_iter=1)
 
 
-def test_operator_from_grid_field(geom, nodes):
-    from conflab.weight import GridField
-
-    grid = GridField(manifold=geom.manifold, shape=geom.shape, values=np.zeros(geom.shape))
-    op = GridOperator.from_grid_field(grid, np.zeros(nodes.shape[0]))
-    assert abs(lowest_eigenpair(op).lambda0) <= 1e-10
-
-
 def test_box_neumann_constants():
     box = Manifold.box([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
     geom = GridGeometry(box, (8, 8, 8))

@@ -29,16 +29,11 @@ from conflab.weight import (
     SphereBubble,
     Sum,
     WeightField,
-    eval_f,
-    eval_f_many,
     grid_from_field,
-    integrability_profile,
     mu_f_ball,
     read_grid,
-    read_grid_csv,
     total_mass,
     write_grid,
-    write_grid_csv,
 )
 
 S_POLE3 = np.array([0.0, 0.0, 0.0, -1.0])
@@ -46,31 +41,32 @@ S_POLE3 = np.array([0.0, 0.0, 0.0, -1.0])
 
 def test_burago_weight_value(torus2):
     # e^{nf} = 1 - cos(0)/2 = 1/2 on the ridge
-    f = eval_f(torus2, BuragoTorus(1), (0.0, 1.7))
+    f = BuragoTorus(1).eval_many(torus2, np.array([[0.0, 1.7]]))[0]
     assert np.exp(2 * f) == pytest.approx(0.5, rel=1e-14)
 
 
 def test_constant_field(torus2):
-    assert eval_f(torus2, Constant(0.0), (1.0, 2.0)) == 0.0
+    assert Constant(0.0).eval_many(torus2, np.array([[1.0, 2.0]]))[0] == 0.0
 
 
 def test_bubble_identity_at_lam_one(sphere3, rng):
     pts, _ = sample_manifold(sphere3, 50, seed=1)
-    assert np.abs(eval_f_many(sphere3, SphereBubble(1.0), pts)).max() == 0.0
+    assert np.abs(SphereBubble(1.0).eval_many(sphere3, pts)).max() == 0.0
 
 
 def test_bubble_pole_value(sphere3):
     # continuous extension by -ln(lam) at the projection pole
     pole = np.array([0.0, 0.0, 0.0, 1.0])
-    assert eval_f(sphere3, SphereBubble(7.0), pole) == pytest.approx(-np.log(7.0), abs=1e-9)
-    assert eval_f(sphere3, SphereBubble(7.0), S_POLE3) == pytest.approx(np.log(7.0), abs=1e-12)
+    north, south = SphereBubble(7.0).eval_many(sphere3, np.stack([pole, S_POLE3]))
+    assert north == pytest.approx(-np.log(7.0), abs=1e-9)
+    assert south == pytest.approx(np.log(7.0), abs=1e-12)
 
 
 def test_manifold_mismatch(torus2, sphere3):
     with pytest.raises(InputError):
-        eval_f(sphere3, BuragoTorus(1), S_POLE3)
+        BuragoTorus(1).validate(sphere3)
     with pytest.raises(InputError):
-        eval_f(torus2, SphereBubble(2.0), (0.0, 0.0))
+        SphereBubble(2.0).validate(torus2)
 
 
 def test_mu_f_ball_constant(torus2):
@@ -201,7 +197,7 @@ def test_scaled_pointwise_and_measure(torus2, rng):
     shifted = Scaled(base, 0.9)
     pts = rng.random((50, 2)) * 2 * np.pi
     assert np.allclose(
-        eval_f_many(torus2, shifted, pts), eval_f_many(torus2, base, pts) + 0.9, atol=1e-14
+        shifted.eval_many(torus2, pts), base.eval_many(torus2, pts) + 0.9, atol=1e-14
     )
     b = BallSpec(np.array([2.0, 3.0]), 0.7)
     v1, _ = mu_f_ball(torus2, base, b, budget=4000, seed=7)
@@ -217,26 +213,13 @@ def test_mu_f_ball_stderr_scaling(torus2):
     assert np.sqrt(10.0) / 2 <= ratio <= 2 * np.sqrt(10.0)
 
 
-def test_integrability_constant(torus2):
-    rows = integrability_profile(torus2, Constant(0.0), [1.0, -2.0, 3.5], budget=2000, seed=1)
-    for _, v, _ in rows:
-        assert v == pytest.approx(4 * np.pi**2, rel=1e-12)
-
-
-def test_integrability_burago_negative_power(torus2):
-    # mean of (1 - cos(x)/2)^{-1} over a period is 2/sqrt(3)
-    rows = integrability_profile(torus2, BuragoTorus(1), [-2.0], budget=400_000, seed=6)
-    _, v, se = rows[0]
-    assert abs(v / (4 * np.pi**2) - 2 / np.sqrt(3)) <= 3 * se / (4 * np.pi**2)
-
-
 def test_logcusp_radial_oracle(torus2):
     # 1-D radial quadrature of the cusp mass vs the Monte Carlo estimate
     lc = LogCusp((np.pi, np.pi), 0.75)
     x2 = np.full(1, np.pi)
 
     def prof(s):
-        return eval_f_many(torus2, lc, np.column_stack([np.pi + np.atleast_1d(s), x2]))[0]
+        return lc.eval_many(torus2, np.column_stack([np.pi + np.atleast_1d(s), x2]))[0]
 
     bump, _ = quad(lambda s: (np.exp(2 * prof(s)) - 1) * 2 * np.pi * s, 0, 1.5, limit=200)
     oracle = 4 * np.pi**2 + bump
@@ -245,13 +228,9 @@ def test_logcusp_radial_oracle(torus2):
 
 
 def test_logcusp_profile_decreasing_in_r0(torus2):
-    # the n-th power integral decreases with the cusp radius
-    vals = []
-    for r0 in (0.9, 0.6, 0.3):
-        rows = integrability_profile(
-            torus2, LogCusp((np.pi, np.pi), r0), [2.0], budget=200_000, seed=9
-        )
-        vals.append(rows[0][1])
+    # the total mass, the integral of e^{nf}, decreases with the cusp radius
+    vals = [total_mass(torus2, LogCusp((np.pi, np.pi), r0), 200_000, seed=9)[0]
+            for r0 in (0.9, 0.6, 0.3)]
     assert vals[0] > vals[1] > vals[2]
 
 
@@ -259,12 +238,13 @@ def test_logcusp_cap_monotone(torus2):
     x = np.column_stack([np.pi + np.array([0.003, 0.05, 0.3]), np.full(3, np.pi)])
     prev = None
     for cap in (2.0, 4.0, 8.0, None):
-        vals = eval_f_many(torus2, LogCusp((np.pi, np.pi), 0.75, cap), x)
+        vals = LogCusp((np.pi, np.pi), 0.75, cap).eval_many(torus2, x)
         if prev is not None:
             assert np.all(vals >= prev - 1e-14)
         prev = vals
-    assert np.isinf(eval_f(torus2, LogCusp((np.pi, np.pi), 0.75), (np.pi, np.pi)))
-    assert eval_f(torus2, LogCusp((np.pi, np.pi), 0.75, 3.0), (np.pi, np.pi)) == pytest.approx(3.0)
+    center = np.array([[np.pi, np.pi]])
+    assert np.isinf(LogCusp((np.pi, np.pi), 0.75).eval_many(torus2, center)[0])
+    assert LogCusp((np.pi, np.pi), 0.75, 3.0).eval_many(torus2, center)[0] == pytest.approx(3.0)
 
 
 def test_logcusp_blend_is_c2(torus2):
@@ -273,7 +253,7 @@ def test_logcusp_blend_is_c2(torus2):
     for d_star in (0.75 / np.e, 1.5):
         ds = d_star + np.linspace(-0.02, 0.02, 41)
         x = np.column_stack([ds, np.zeros_like(ds)])
-        f = eval_f_many(torus2, lc, x)
+        f = lc.eval_many(torus2, x)
         h = ds[1] - ds[0]
         second = np.diff(f, 2) / h**2
         assert np.all(np.isfinite(second))
@@ -283,8 +263,8 @@ def test_logcusp_blend_is_c2(torus2):
 def test_sum_field(torus2, rng):
     s = Sum((BuragoTorus(1), Constant(0.3)))
     pts = rng.random((20, 2)) * 2 * np.pi
-    expect = eval_f_many(torus2, BuragoTorus(1), pts) + 0.3
-    assert np.allclose(eval_f_many(torus2, s, pts), expect, atol=1e-14)
+    expect = BuragoTorus(1).eval_many(torus2, pts) + 0.3
+    assert np.allclose(s.eval_many(torus2, pts), expect, atol=1e-14)
 
 
 def test_sum_exact_curvature_and_radial_profile(torus2, rng):
@@ -330,12 +310,21 @@ def test_grid_io_roundtrip(tmp_path, torus2):
     assert g2.manifold.kind == "torus"
 
 
-def test_grid_io_truncated_payload(tmp_path, torus2):
-    g = grid_from_field(torus2, Constant(0.1), (8, 8))
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda path: path.write_text(path.read_text().replace('"f64le"', '"f32be"')),
+        lambda path: path.write_text(path.read_text().replace('"row-major"', '"column-major"')),
+        lambda path: path.write_text(path.read_text()[:-2]),
+        lambda path: path.with_suffix(".bin").unlink(),
+        lambda path: path.with_suffix(".bin").write_bytes(path.with_suffix(".bin").read_bytes()[:-8]),
+    ],
+    ids=["f32be", "column-major", "truncated-manifest", "missing-payload", "truncated-payload"],
+)
+def test_grid_io_rejects_other_layouts(tmp_path, torus2, edit):
     path = tmp_path / "grid.json"
-    write_grid(g, path)
-    payload = path.with_suffix(".bin")
-    payload.write_bytes(payload.read_bytes()[:-8])
+    write_grid(grid_from_field(torus2, Constant(0.1), (8, 8)), path)
+    edit(path)
     with pytest.raises(FormatError):
         read_grid(path)
 
@@ -354,20 +343,12 @@ def test_grid_io_unknown_field_name(tmp_path, torus2):
     assert "logf" in str(exc.value)
 
 
-def test_grid_csv_roundtrip(tmp_path, torus2):
-    g = grid_from_field(torus2, BuragoTorus(2), (12, 12))
-    path = tmp_path / "grid.csv"
-    write_grid_csv(g, path)
-    g2 = read_grid_csv(path, torus2, (12, 12))
-    assert np.allclose(g.values, g2.values, atol=1e-12)
-
-
 def test_grid_interpolation_accuracy(torus2, rng):
     g = grid_from_field(torus2, BuragoTorus(1), (64, 64))
     pts = rng.random((500, 2)) * 2 * np.pi
-    truth = eval_f_many(torus2, BuragoTorus(1), pts)
-    lin = eval_f_many(torus2, GridWeight(g, 1), pts)
-    cub = eval_f_many(torus2, GridWeight(g, 3), pts)
+    truth = BuragoTorus(1).eval_many(torus2, pts)
+    lin = GridWeight(g, 1).eval_many(torus2, pts)
+    cub = GridWeight(g, 3).eval_many(torus2, pts)
     assert np.abs(lin - truth).max() < 1e-3
     assert np.abs(cub - truth).max() < 1e-5
 
@@ -453,7 +434,6 @@ class _HalfInfinite(__import__("conflab.weight", fromlist=["WeightField"]).Weigh
     [
         lambda m, f: mu_f_ball(m, f, whole_manifold_ball(m), budget=2000, seed=1),
         lambda m, f: total_mass(m, f, budget=2000, seed=1),
-        lambda m, f: integrability_profile(m, f, [1.0], budget=2000, seed=1),
         lambda m, f: weak_star_test(m, [("half", f)], ["1"], budget=2000, seed=1),
         lambda m, f: isoperimetric_ratio(
             m, f, [BoxDomain((2.5, 1.0), (3.5, 2.0))], budget=2000, seed=1, mass_bound=np.inf
@@ -462,7 +442,7 @@ class _HalfInfinite(__import__("conflab.weight", fromlist=["WeightField"]).Weigh
         lambda m, f: _box_boundary_quadrature(m, f, BoxDomain((2.5, 1.0), (3.5, 2.0)), 4096),
         lambda m, f: _ball_boundary_quadrature(m, f, BallSpec(np.array([np.pi, 1.5]), 0.5), 4096),
     ],
-    ids=["mu_f_ball", "total_mass", "integrability_profile", "weak_star_test",
+    ids=["mu_f_ball", "total_mass", "weak_star_test",
          "isoperimetric_box", "lp_scal_norm", "box_perimeter", "ball_perimeter"],
 )
 def test_mu_f_ball_nonfinite_excess(torus2, mass):
@@ -496,6 +476,6 @@ def test_mu_f_ball_cut_ball_error_bar(torus2):
     ):
         _, se = mu_f_ball(m, f, b, budget=2000, seed=4)
         pts, w, vol_se = sample_ball(m, b, 2000, 4)
-        vals = np.exp(2 * eval_f_many(m, f, pts))
+        vals = np.exp(2 * f.eval_many(m, pts))
         assert vol_se == 0.0
         assert se == float(w.sum()) * float(vals.std(ddof=1)) / np.sqrt(vals.size)

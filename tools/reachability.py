@@ -1,0 +1,139 @@
+"""List the functions of src/conflab that no run reaches.
+
+Makes seven runs through ``cli.main`` under one ``sys.setprofile`` hook: the
+five canonical specs of tests/test_acceptance.py, ``conflab ainfty`` on a
+sphere, and a ``custom`` spec on a cubic grid weight on a box, which the tool
+writes with ``grid_from_field``/``write_grid``.  Then prints each function
+(methods and nested functions too) whose code never ran and that ``KEPT``
+does not name, and each ``KEPT`` entry that names no such function.  Exits 1
+if it prints anything.  Run from the repository root:
+
+    python tools/reachability.py
+"""
+
+import ast
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "conflab"
+
+SPECS = [
+    {"name": "flat-identity", "seed": 2026, "graph": {
+        "spacing": 0.05, "eps": 0.15, "eps_schedule": [0.3, 0.15, 0.075],
+        "pairs": 50, "refine_pairs": 50}},
+    {"name": "sphere-bubble", "seed": 2026, "weight": {"lams": [1.0, 2.0, 10.0, 100.0]},
+     "diagnostics": {"R0": 0.5}, "budgets": {"curvature_samples": 1000}},
+    {"name": "log-cusp", "seed": 2026, "weight": {"caps": [2.0, 4.0, 8.0], "r0": 0.75},
+     "graph": {"spacing": 0.08}},
+    {"name": "burago", "seed": 2026, "graph": {"spacing": 0.06}},
+    {"name": "schrodinger", "seed": 2026,
+     "budgets": {"shape": [12, 12, 12], "decomp_shape": [10, 10, 10]}},
+]
+
+# functions no run reaches, kept on purpose: qualified name (a class keeps
+# its methods, a function its nested functions) -> why
+ITEM4 = "exact curvature of torus and box fields (ROADMAP item 4's ||scal|| column)"
+KDTREE = "kd-tree graphs of scattered or adapted nodes (ROADMAP items 12 and 13)"
+CHAIN = "the chain-ball estimator, a documented convention"
+FD = "finite-difference curvature, the only curvature path of a GridWeight"
+KEPT = {
+    "cli._flag_type.comma_list": "a list-valued wrapper flag, such as dist --eps-schedule",
+    "curvature._fd_laplacian": FD,
+    "curvature.scal_fd_many": FD,
+    "curvature.lp_scal_norm.on_points": ITEM4,
+    "diagnostics.BoxDomain": "box domains of the isoperimetric sweep (ROADMAP item 5)",
+    "diagnostics._box_boundary_quadrature": "box perimeters (ROADMAP item 5)",
+    "diagnostics._box_mass": "box masses (ROADMAP item 5)",
+    "diagnostics.holder_seminorm": "the Hoelder part of box decompositions (ROADMAP item 9)",
+    "experiments.RunReport.failed": "the report of a rejected spec (exit 2)",
+    "experiments._json_default": "numpy values in a report; no report holds one today",
+    "manifold.d0": "the checked one-pair d0 of the metric-axiom property tests",
+    "metric._edges_kdtree": KDTREE,
+    "metric._read_only": KDTREE,
+    "metric.EpsGraph.edge_i": KDTREE,
+    "metric.EpsGraph.edge_j": KDTREE,
+    "metric.EpsGraph.edge_d0": KDTREE,
+    "metric.EpsGraph.edge_w": "per-edge weights in CSR order, as the estimator tests read them",
+    "metric.ChainBall": CHAIN,
+    "metric._chain_weights": CHAIN,
+    "weight.WeightField": "the field interface: defaults for fields that lack a feature",
+    "weight.Constant.grad_lap_many": ITEM4,
+    "weight.BuragoTorus.grad_lap_many": ITEM4,
+    "weight.LogCusp.grad_lap_many": ITEM4,
+    "weight.Scaled.grad_lap_many": ITEM4,
+    "weight.Constant.radial_profile": "cap rule for constant sphere fields (ROADMAP item 11)",
+    "weight.Scaled.radial_profile": "cap rule for shifted sphere fields (ROADMAP item 11)",
+    "weight.Sum": "sums of fields (ROADMAP items 5 and 6)",
+    "weight._linear_weights": "order-1 GridWeight interpolation; the grid run here is cubic",
+}
+
+
+def run_all(out: Path) -> None:
+    """Import conflab and make the runs, all under the hook, so that code run
+    at import counts too."""
+    sys.path.insert(0, str(SRC.parent))
+    from conflab import cli
+    from conflab.manifold import Manifold
+    from conflab.weight import LogCusp, grid_from_field, write_grid
+
+    box = Manifold.box([[0.0, 2.0], [0.0, 2.0]])
+    write_grid(grid_from_field(box, LogCusp((1.0, 1.0), 0.4, 3.0), (33, 33)), out / "grid.json")
+    grid = {"name": "custom", "seed": 1, "manifold": {"kind": "box", "extents": [[0, 2], [0, 2]]},
+            "weight": {"kind": "grid", "path": str(out / "grid.json"), "order": 3},
+            "budgets": {"ball": 2000, "mass": 2000}}
+    argvs = [["ainfty", "--seed", "1", "--budget", "2000", "--output-dir", str(out / "ainfty"),
+              "--manifold", '{"kind": "sphere"}', "--weight", '{"kind": "sphere-bubble", "lam": 2}']]
+    for k, doc in enumerate([*SPECS, grid]):
+        path = out / f"spec{k}.json"
+        path.write_text(json.dumps(dict(doc, output_dir=str(out / doc["name"]))))
+        argvs.append(["run", str(path)])
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(argv) not in (0, 1):
+                raise SystemExit(f"conflab {' '.join(argv)} stopped with an error")
+
+
+def functions(path: Path):
+    """(qualified name, first line) of every def in path, decorators included."""
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                if isinstance(child, ast.FunctionDef):
+                    yield name, min([child.lineno] + [d.lineno for d in child.decorator_list])
+                yield from walk(child, name)
+    yield from walk(ast.parse(path.read_text()), path.stem)
+
+
+def main() -> int:
+    ran = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            ran.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.setprofile(hook)
+        try:
+            run_all(Path(tmp))
+        finally:
+            sys.setprofile(None)
+    ran = {(str(Path(file).resolve()), line) for file, line in ran}
+    idle = [name for path in sorted(SRC.glob("*.py")) for name, line in functions(path)
+            if (str(path), line) not in ran]
+    kept = lambda name, k: name == k or name.startswith(k + ".")
+    unreached = [name for name in idle if not any(kept(name, k) for k in KEPT)]
+    stale = [k for k in KEPT if not any(kept(name, k) for name in idle)]
+    for name in unreached:
+        print(name)
+    for k in stale:
+        print(f"KEPT entry {k} names no function that stayed idle")
+    return 1 if unreached or stale else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
