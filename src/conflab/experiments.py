@@ -431,12 +431,10 @@ def run_flat_identity(spec: ExperimentSpec, outdir: Path):
     # scaling exactness on a reduced instance (distances and diagnostics),
     # never finer than the main lattice
     shift = 0.7
+    base_field, shift_field = zero, wt.Scaled(zero, shift)
     small = lattice(m, max(0.12, spacing))
-    g0 = mt.build_graph(m, small, 3 * small.spacing, zero)
-    gs = g0.reweight(wt.Scaled(zero, shift))
     idx = derive_rng(seed, "scale").choice(len(small), 6, replace=False)
-    dm_a = mt.shortest_paths(g0, idx)
-    dm_b = mt.shortest_paths(gs, idx)
+    dm_a, dm_b = _family_distances(m, small, 3 * small.spacing, [base_field, shift_field], idx)
     d_a, d_b = dm_a.values, dm_b.values
     off = d_a > 0
     dist_dev = float(np.max(np.abs(d_b[off] / d_a[off] / np.exp(shift) - 1.0)))
@@ -444,7 +442,6 @@ def run_flat_identity(spec: ExperimentSpec, outdir: Path):
 
     smp = dg.BallSampler(lattice(m, 2.5), (0.4, 0.8), seed=seed)
     devs = []
-    base_field, shift_field = zero, wt.Scaled(zero, shift)
     for fn in (
         lambda f: dg.reverse_holder(m, f, 2.0, smp, 20_000),
         lambda f: dg.ap_product(m, f, 2.0, smp, 20_000),
@@ -798,15 +795,13 @@ def run_schrodinger(spec: ExperimentSpec, outdir: Path):
     _flag(flags, "C9-dense", abs(s.lambda0 - dense) <= 1e-8, abs(s.lambda0 - dense),
           "iterative matches dense oracle +- 1e-8")
 
-    beta = sc.estimate_sobolev_constant(geom)
-    a_est = sc.estimate_grad_inv_constant(geom)
-    report["beta_est"] = beta
-    report["a_est"] = a_est
+    report["beta_est"] = geom.sobolev_constant
+    report["a_est"] = geom.grad_inv_constant
 
     c0 = np.asarray([L / 2] * 3)
     r0 = 0.8
     qq = 0.04 * np.exp(-(d0_many(m, x, c0) ** 2)) * geom.ball_mask(c0, r0)
-    shift = sc.gs_shift_c0(geom, qq, c0, r0, beta_est=beta, tol=1e-8)
+    shift = sc.gs_shift_c0(geom, qq, c0, r0, tol=1e-8)
     # judged by a cold solve at c0, not the root finder's own last value
     outside = ~geom.ball_mask(c0, r0)
     cold = sc.lowest_eigenpair(sc.GridOperator(geom, -(qq + shift.c0 * outside)), tol=1e-11)
@@ -820,7 +815,7 @@ def run_schrodinger(spec: ExperimentSpec, outdir: Path):
 
     Vs = 0.02 * np.cos(2 * pi * x[:, 0] / L) * np.cos(2 * pi * x[:, 1] / L)
     opf = sc.GridOperator(geom, Vs)
-    fp = sc.log_gradient_fixedpoint(opf, a_est=a_est)
+    fp = sc.log_gradient_fixedpoint(opf)
     eig = sc.lowest_eigenpair(opf, tol=1e-12)
     ratio = np.exp(fp.v) / eig.phi
     fp_ok = (
@@ -843,11 +838,7 @@ def run_schrodinger(spec: ExperimentSpec, outdir: Path):
     dgeom = _using("budgets entry 'decomp_shape'", sc.GridGeometry, m, budgets["decomp_shape"])
     dx = dgeom.nodes()
     Vd = 0.01 * np.cos(2 * pi * dx[:, 0] / L) * np.sin(2 * pi * dx[:, 1] / L)
-    dop = sc.GridOperator(dgeom, Vd)
-    dbeta = sc.estimate_sobolev_constant(dgeom)
-    da = sc.estimate_grad_inv_constant(dgeom)
-    dphi = sc.lowest_eigenpair(dop)
-    dec = sc.decompose_ground_state(dop, rho, dphi.phi, beta_est=dbeta, a_est=da, seed=seed)
+    dec = sc.decompose_ground_state(sc.GridOperator(dgeom, Vd), rho, seed=seed)
     _flag(flags, "C9-decomposition", dec.report["reconstruction_error"] <= 1e-8,
           dec.report["reconstruction_error"], "e^{f+w} = phi +- 1e-8")
     report["decomposition"] = {
@@ -912,21 +903,12 @@ class RunReport:
             },
             sort_keys=True,
             indent=2,
-            default=_json_default,
         )
 
     def write(self, outdir: Path) -> None:
         """report.json in outdir, made if missing."""
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "report.json").write_text(self.to_json())
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def run(spec: ExperimentSpec) -> RunReport:

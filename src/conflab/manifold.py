@@ -389,8 +389,6 @@ def cap_volume(m: Manifold, r: float) -> float:
 def _closed_form_volume(m: Manifold, b: BallSpec):
     """(mu0(B), standard error) where B has a closed-form volume, else None."""
     r = b.radius
-    if r >= m.max_distance:
-        return m.volume, 0.0
     if m.kind == "sphere":
         return cap_volume(m, r), 1e-12 * cap_volume(m, r)
     if m.kind == "torus" and r < m.min_period / 2.0:

@@ -120,10 +120,6 @@ class EpsGraph:
         return _read_only(self.csgraph.indices)
 
     @property
-    def edge_w(self) -> np.ndarray:
-        return _read_only(self.csgraph.data)
-
-    @property
     def edge_d0(self) -> np.ndarray:
         if self.blocks is None:
             return _read_only(self.d0)

@@ -8,15 +8,16 @@ applies functions of Delta through that transform: the mean-zero inverse used
 by the fixed-point machinery, the (Delta + c)^{-1} preconditioner of the
 lowest-eigenpair solver (scipy's LOBPCG, no factorization) and the smoothing
 of the probes that estimate the functional constants.  The module also
-implements the eigenvalue-zeroing shift for potentials supported in
-a ball, the log-gradient fixed point producing a ground-state representative
-e^v, and the cover-based decomposition log(phi) = f + w with a W^{(1,2),n}
-part f and a Hölder part w.  The decomposition solves one local ground state
-per orbit of cover centers under the grid translations that leave its
-problem unchanged: along an axis where V is constant (exact ==, slab by
-slab) and the center spacing is a whole number of grid steps, a center takes
-its representative's shift and translated log ground state, provided its
-ball mask is exactly the translated mask.
+implements the eigenvalue-zeroing shift for potentials supported in a ball,
+the log-gradient fixed point producing a ground-state representative e^v,
+and the cover-based decomposition log(phi) = f + w of the operator's own
+ground state phi, with a W^{(1,2),n} part f and a Hölder part w.  The
+decomposition solves one local ground state per orbit of cover centers
+under the grid translations that leave its problem unchanged: along an axis
+where V is constant (exact ==, slab by slab) and the center spacing is a
+whole number of grid steps, a center takes its representative's shift and
+translated log ground state, provided its ball mask is exactly the
+translated mask.
 
 Discrete square gradient: the fixed point uses
     G(v) = Delta v - e^{-v} Delta(e^v)
@@ -27,10 +28,12 @@ eigen-solver ground state to solver tolerance rather than discretization
 order.
 
 Grid norms are cell sums, gradients forward differences for norms and the
-central stencil for operators; the functional constants entering thresholds
-(the gradient/Laplacian comparison constant and the Sobolev constant) are
-estimated empirically on the grid by randomized probing and recorded in
-every report.
+central stencil for operators.  The functional constants entering
+thresholds, the gradient/inverse-Laplacian constant A and the Sobolev
+constant beta, are estimated empirically by randomized probing, once per
+grid: they are the cached properties ``GridGeometry.grad_inv_constant`` and
+``GridGeometry.sobolev_constant``, which every threshold reads from the
+operator's own grid, and every report records them.
 """
 
 from __future__ import annotations
@@ -116,9 +119,6 @@ class GridGeometry(NodeGrid):
         mag = np.sqrt(np.sum(g * g, axis=0))
         return self.lp_norm(mag, p)
 
-    def mean(self, u: np.ndarray) -> float:
-        return float(np.mean(u))
-
     @cached_property
     def symbol(self) -> np.ndarray:
         """Eigenvalues of the stencil in the order of ``spectral``: on the
@@ -153,6 +153,70 @@ class GridGeometry(NodeGrid):
 
     def ball_mask(self, center, radius: float) -> np.ndarray:
         return d0_many(self.manifold, self._grid.points, np.asarray(center, dtype=float)) <= radius
+
+    # -- empirical functional constants ------------------------------------
+
+    @cached_property
+    def grad_inv_constant(self) -> float:
+        """A: largest observed ||d (Delta^{-1} h)||_{L^n} / ||h||_{L^{n/2}}.
+
+        Randomized probing (48 probes, seed 0) over white and smoothed fields;
+        low frequencies dominate this quotient, so smoothed probes are included
+        explicitly.
+        """
+        n = self.dim
+        rng = derive_rng(0, "aconst")
+        best = 0.0
+        sym = self.symbol
+        damp = 1.0 / (1.0 + sym / np.median(sym[sym > 0]))
+        for k in range(48):
+            h = rng.standard_normal(self.shape).reshape(-1)
+            if k % 2 == 1:  # smooth the probe toward the low-frequency end
+                h = self.spectral(h, damp ** (1 + k % 5))
+            h -= h.mean()
+            denom = self.lp_norm(h, n / 2.0)
+            if denom == 0:
+                continue
+            z = self.lap_inverse(h)
+            best = max(best, self.grad_lp_norm(z, float(n)) / denom)
+        return best
+
+    @cached_property
+    def sobolev_constant(self) -> float:
+        """beta: smallest observed (||d phi||_2^2 + ||phi||_2^2) / ||phi||_{2n/(n-2)}^2.
+
+        Probes include the constant (value vol^{2/n}), concentrated bumps (the
+        scale-free regime) and 48 random smooth fields (seed 0).  Needs
+        n >= 3, else InputError.
+        """
+        n = self.dim
+        if n <= 2:
+            raise InputError("the Sobolev constant needs dimension n >= 3")
+        p_crit = 2.0 * n / (n - 2.0)
+        rng = derive_rng(0, "bconst")
+        m = self.manifold
+        center = (
+            m.periods / 2.0 if m.kind == "torus" else m.extents.mean(axis=1)
+        )
+        d = d0_many(m, self.nodes(), center)
+
+        def quotient(phi):
+            denom = self.lp_norm(phi, p_crit) ** 2
+            if denom == 0:
+                return np.inf
+            return (self.grad_lp_norm(phi, 2.0) ** 2 + self.lp_norm(phi, 2.0) ** 2) / denom
+
+        best = quotient(np.ones(d.size))
+        for s in np.geomspace(self.axis_spacing.max(), m.min_period / 3.0, 12):
+            best = min(best, quotient(np.exp(-((d / s) ** 2))))
+        sym = self.symbol
+        damp = 1.0 / (1.0 + sym / np.median(sym[sym > 0]))
+        for k in range(48):
+            h = rng.standard_normal(self.shape).reshape(-1)
+            phi = self.spectral(h, damp ** (1 + k % 4))
+            best = min(best, quotient(phi - phi.min() + 0.1 * np.abs(phi).max()))
+            best = min(best, quotient(phi))
+        return float(best)
 
 
 @dataclass
@@ -229,73 +293,6 @@ def lowest_eigenpair(op: GridOperator, tol: float = 1e-10, max_iter: int = 400,
 
 
 # ---------------------------------------------------------------------------
-# empirical functional constants
-# ---------------------------------------------------------------------------
-
-
-def estimate_grad_inv_constant(geom: GridGeometry) -> float:
-    """Largest observed ||d (Delta^{-1} h)||_{L^n} / ||h||_{L^{n/2}}.
-
-    Randomized probing (48 probes, seed 0) over white and smoothed fields;
-    low frequencies dominate this quotient, so smoothed probes are included
-    explicitly.
-    """
-    n = geom.dim
-    rng = derive_rng(0, "aconst")
-    best = 0.0
-    sym = geom.symbol
-    damp = 1.0 / (1.0 + sym / np.median(sym[sym > 0]))
-    for k in range(48):
-        h = rng.standard_normal(geom.shape).reshape(-1)
-        if k % 2 == 1:  # smooth the probe toward the low-frequency end
-            h = geom.spectral(h, damp ** (1 + k % 5))
-        h -= h.mean()
-        denom = geom.lp_norm(h, n / 2.0)
-        if denom == 0:
-            continue
-        z = geom.lap_inverse(h)
-        best = max(best, geom.grad_lp_norm(z, float(n)) / denom)
-    return best
-
-
-def estimate_sobolev_constant(geom: GridGeometry) -> float:
-    """Smallest observed (||d phi||_2^2 + ||phi||_2^2) / ||phi||_{2n/(n-2)}^2.
-
-    Probes include the constant (value vol^{2/n}), concentrated bumps (the
-    scale-free regime) and 48 random smooth fields (seed 0).
-    """
-    n = geom.dim
-    if n <= 2:
-        raise InputError("the Sobolev constant needs dimension n >= 3")
-    p_crit = 2.0 * n / (n - 2.0)
-    rng = derive_rng(0, "bconst")
-    nodes = geom.nodes()
-    m = geom.manifold
-    center = (
-        m.periods / 2.0 if m.kind == "torus" else m.extents.mean(axis=1)
-    )
-    d = d0_many(m, nodes, center)
-
-    def quotient(phi):
-        denom = geom.lp_norm(phi, p_crit) ** 2
-        if denom == 0:
-            return np.inf
-        return (geom.grad_lp_norm(phi, 2.0) ** 2 + geom.lp_norm(phi, 2.0) ** 2) / denom
-
-    best = quotient(np.ones(d.size))
-    for s in np.geomspace(geom.axis_spacing.max(), m.min_period / 3.0, 12):
-        best = min(best, quotient(np.exp(-((d / s) ** 2))))
-    sym = geom.symbol
-    damp = 1.0 / (1.0 + sym / np.median(sym[sym > 0]))
-    for k in range(48):
-        h = rng.standard_normal(geom.shape).reshape(-1)
-        phi = geom.spectral(h, damp ** (1 + k % 4))
-        best = min(best, quotient(phi - phi.min() + 0.1 * np.abs(phi).max()))
-        best = min(best, quotient(phi))
-    return float(best)
-
-
-# ---------------------------------------------------------------------------
 # eigenvalue-zeroing shift
 # ---------------------------------------------------------------------------
 
@@ -305,7 +302,6 @@ class GsShiftResult:
     c0: float
     lambda0: float
     bracket: tuple
-    beta_est: float
     evaluations: int
 
 
@@ -314,35 +310,33 @@ def gs_shift_c0(
     q: np.ndarray,
     x0,
     r0: float,
-    beta_est: Optional[float] = None,
     tol: float = 1e-8,
     eig_tol: float = 1e-11,
 ) -> GsShiftResult:
     """Constant c0 with lowest eigenvalue of Delta + q + c0*1_{complement} zero.
 
     q must be supported in the ball B(x0, r0) whose volume satisfies
-    vol <= (beta/2)^{n/2}; the bracket is [-(2/vol(M)) int |q|,
-    (2/beta) ||q||_{n/2}] and a failure to straddle zero reports both
-    endpoint eigenvalues.
+    vol <= (beta/2)^{n/2}, beta the grid's ``sobolev_constant``; the
+    bracket is [-(2/vol(M)) int |q|, (2/beta) ||q||_{n/2}] and a failure to
+    straddle zero reports both endpoint eigenvalues.
     """
     n = geom.dim
     q = np.asarray(q, dtype=float).reshape(-1)
     mask = geom.ball_mask(x0, r0)
     if np.any(np.abs(q[~mask]) > 1e-14):
         raise InputError("q has support outside B(x0, r0) on the grid")
-    if beta_est is None:
-        beta_est = estimate_sobolev_constant(geom)
+    beta = geom.sobolev_constant
     ball_vol = float(mask.sum()) * geom.cell_volume
-    if ball_vol > (beta_est / 2.0) ** (n / 2.0):
+    if ball_vol > (beta / 2.0) ** (n / 2.0):
         raise InputError(
             f"vol(B(x0,r0)) = {ball_vol:.4g} exceeds (beta/2)^(n/2) = "
-            f"{(beta_est / 2.0) ** (n / 2.0):.4g}"
+            f"{(beta / 2.0) ** (n / 2.0):.4g}"
         )
     vol_m = geom.manifold.volume
     q_l1 = float(np.sum(np.abs(q)) * geom.cell_volume)
     q_ln2 = geom.lp_norm(q, n / 2.0)
     c_lo = -2.0 * q_l1 / vol_m
-    c_hi = 2.0 * q_ln2 / beta_est
+    c_hi = 2.0 * q_ln2 / beta
     comp = (~mask).astype(float)
     evals = 0
     warm = {"v": None}
@@ -393,7 +387,6 @@ def gs_shift_c0(
         c0=float(c_mid),
         lambda0=float(lam_mid),
         bracket=(c_lo, c_hi),
-        beta_est=float(beta_est),
         evaluations=evals,
     )
 
@@ -418,31 +411,29 @@ class FixedPointResult:
     gap: float  # final ||v_{k+1} - v_k||_{W^{1,n}}
     residual_n2: float  # ||Delta v - G(v) - V - c||_{n/2}
     dv_norm: float  # ||dv||_{L^n}
-    a_est: float
-    threshold: float  # smallness threshold 1/(8 a_est^2)
-    v_norm_bound: float  # 2 a_est ||V||_{n/2}
+    threshold: float  # smallness threshold 1/(8 A^2)
+    v_norm_bound: float  # 2 A ||V||_{n/2}
 
 
-def log_gradient_fixedpoint(op: GridOperator, a_est: Optional[float] = None) -> FixedPointResult:
+def log_gradient_fixedpoint(op: GridOperator) -> FixedPointResult:
     """Picard iteration of S(v) = Delta^{-1} V + Delta^{-1} G(v) from v = 0,
     until the W^{1,n} step is at most 1e-11 (at most 400 iterations).
 
-    Requires the smallness ||V||_{n/2} < 1/(8 A^2) with A the empirically
-    estimated gradient/inverse-Laplacian constant; iterates leaving the
-    contraction ball ||dv||_n <= 1/(4A) abort with a numeric error.
+    Requires the smallness ||V||_{n/2} < 1/(8 A^2) with A the grid's
+    ``grad_inv_constant``; iterates leaving the contraction ball
+    ||dv||_n <= 1/(4A) abort with a numeric error.
     """
     geom = op.geom
     n = geom.dim
-    if a_est is None:
-        a_est = estimate_grad_inv_constant(geom)
+    A = geom.grad_inv_constant
     v_norm = geom.lp_norm(op.V, n / 2.0)
-    threshold = 1.0 / (8.0 * a_est**2)
+    threshold = 1.0 / (8.0 * A**2)
     if v_norm >= threshold:
         raise NumericError(
             f"||V||_{{n/2}} = {v_norm:.4g} is not below the contraction "
-            f"threshold 1/(8 A^2) = {threshold:.4g} (A = {a_est:.4g})"
+            f"threshold 1/(8 A^2) = {threshold:.4g} (A = {A:.4g})"
         )
-    rho = 1.0 / (4.0 * a_est)
+    rho = 1.0 / (4.0 * A)
     v = np.zeros(op.V.size)
     gap = np.inf
     for it in range(1, 401):
@@ -462,7 +453,7 @@ def log_gradient_fixedpoint(op: GridOperator, a_est: Optional[float] = None) -> 
     else:
         raise NumericError(f"fixed point did not converge; last gap {gap:.3e}")
     g_final = discrete_grad_square(geom, v)
-    c = -geom.mean(op.V + g_final)
+    c = -np.mean(op.V + g_final)
     residual = geom.lp_norm(geom.lap(v) - g_final - op.V - c, n / 2.0)
     return FixedPointResult(
         v=v,
@@ -471,9 +462,8 @@ def log_gradient_fixedpoint(op: GridOperator, a_est: Optional[float] = None) -> 
         gap=float(gap),
         residual_n2=float(residual),
         dv_norm=float(geom.grad_lp_norm(v, float(n))),
-        a_est=float(a_est),
         threshold=float(threshold),
-        v_norm_bound=float(2.0 * a_est * v_norm),
+        v_norm_bound=float(2.0 * A * v_norm),
     )
 
 
@@ -538,12 +528,10 @@ class DecompositionResult:
 def decompose_ground_state(
     op: GridOperator,
     rho: float,
-    phi: np.ndarray,
-    beta_est: Optional[float] = None,
-    a_est: Optional[float] = None,
     seed: int = 0,
 ) -> DecompositionResult:
-    """Split log(phi) = f + w through localized ground states.
+    """Split log(phi) = f + w, phi = ``lowest_eigenpair(op).phi``, through
+    localized ground states.
 
     Finite cover by balls B(x_i, rho/2) with disjoint quarter-balls; each
     center gets a shifted local potential (eigenvalue-zeroed), a local
@@ -551,8 +539,12 @@ def decompose_ground_state(
     C^2 partition of unity.  The reconstruction e^{f + w} = phi holds to
     round-off by construction; the report carries ||df||_{L^n},
     ||Delta f||_{n/2}, the sampled 1/2-Hölder seminorm of w and all
-    thresholds.  Each local shift is solved to |lambda0| <= 1e-7 with eigen
-    solves at tol 1e-9.
+    thresholds.  phi is solved here at ``lowest_eigenpair``'s default tol,
+    and every threshold reads the grid's ``sobolev_constant`` and
+    ``grad_inv_constant`` (echoed as ``beta_est`` and ``a_est``), so the
+    split is always of this operator's ground state on this grid.  Each
+    local shift is solved to |lambda0| <= 1e-7 with eigen solves at tol
+    1e-9.
 
     The shift and the fixed point run once per orbit of centers
     (``_center_orbits``): along the axes where V is constant, compared with
@@ -565,25 +557,20 @@ def decompose_ground_state(
     """
     geom = op.geom
     n = geom.dim
-    phi = np.asarray(phi, dtype=float).reshape(-1)
-    if phi.min() <= 0:
-        raise InputError("decomposition needs a positive ground state phi")
-    if beta_est is None:
-        beta_est = estimate_sobolev_constant(geom)
-    if a_est is None:
-        a_est = estimate_grad_inv_constant(geom)
     cover = _cover_centers(geom, rho)
+    beta = geom.sobolev_constant
     centers = cover.points
     nodes = geom.nodes()
     dists = [d0_many(geom.manifold, nodes, c) for c in centers]
     masks = [d <= rho for d in dists]  # each is geom.ball_mask(c, rho)
     # smallness of V on cover balls (the per-ball hypothesis)
     sup_local = max(geom.lp_norm(op.V * mask, n / 2.0) for mask in masks)
-    if sup_local > beta_est / 2.0:
+    if sup_local > beta / 2.0:
         raise InputError(
             f"sup over cover balls of ||V||_{{n/2}} = {sup_local:.4g} exceeds "
-            f"beta/2 = {beta_est / 2.0:.4g}"
+            f"beta/2 = {beta / 2.0:.4g}"
         )
+    phi = lowest_eigenpair(op).phi
     log_phi = np.log(phi)
     f = np.zeros_like(log_phi)
     w = np.zeros_like(log_phi)
@@ -601,10 +588,10 @@ def decompose_ground_state(
             c0, v = shift_cs[r], translate(vs[r], k)
         else:
             q_i = -op.V * mask  # local operator Delta - V 1_B + c 1_comp
-            shift = gs_shift_c0(geom, q_i, c, rho, beta_est=beta_est, tol=1e-7, eig_tol=1e-9)
+            shift = gs_shift_c0(geom, q_i, c, rho, tol=1e-7, eig_tol=1e-9)
             comp = (~mask).astype(float)
             v_loc = op.V * mask - shift.c0 * comp
-            fp = log_gradient_fixedpoint(GridOperator(geom, v_loc), a_est=a_est)
+            fp = log_gradient_fixedpoint(GridOperator(geom, v_loc))
             c0, v = shift.c0, fp.v
         shift_cs.append(c0)
         vbar = float(np.mean(v[d <= 0.75 * rho]))
@@ -637,8 +624,8 @@ def decompose_ground_state(
         "holder_seminorm_w": hold,
         "reconstruction_error": recon,
         "sup_local_V_n2": sup_local,
-        "beta_est": float(beta_est),
-        "a_est": float(a_est),
+        "beta_est": beta,
+        "a_est": geom.grad_inv_constant,
         "shift_constants": [float(c) for c in shift_cs],
     }
     return DecompositionResult(f=f, w=w, report=report)

@@ -580,80 +580,62 @@ def grid_from_field(m: Manifold, field: WeightField, shape) -> GridField:
 # grid i/o
 # ---------------------------------------------------------------------------
 
-_MANIFEST_KEYS = {"version", "manifold", "shape", "field", "payload", "dtype", "order"}
-
-
-def write_payload(path, manifest: dict, values: np.ndarray) -> None:
-    """Write ``manifest`` as JSON at path and ``values`` as its payload: a
-    little-endian float64 row-major file named in the manifest, next to it."""
-    path = Path(path)
-    manifest = dict(manifest, payload=path.with_suffix(".bin").name, dtype="f64le", order="row-major")
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    (path.parent / manifest["payload"]).write_bytes(np.ascontiguousarray(values, dtype="<f8").tobytes())
-
-
-def read_payload(path, what: str, parse):
-    """(header, values) of a manifest written by ``write_payload``:
-    parse(manifest) applies the caller's key rules and returns (header,
-    shape), and values is the payload in that shape.  An unreadable,
-    incomplete or malformed manifest or payload raises FormatError."""
-    path = Path(path)
-    try:
-        manifest = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or JSON
-        raise FormatError(f"cannot read {what} manifest {path}: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise FormatError(f"{what} manifest must be a JSON object, got {type(manifest).__name__}")
-    try:
-        header, shape = parse(manifest)
-        raw = (path.parent / manifest["payload"]).read_bytes()
-    except KeyError as exc:
-        raise FormatError(f"{what} manifest missing key {exc}") from exc
-    except (OSError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed {what} manifest or unreadable payload: {exc}") from exc
-    if manifest.get("dtype") != "f64le" or manifest.get("order") != "row-major":
-        raise FormatError(f"{what} payload must be f64le row-major")
-    expect = int(np.prod(shape)) * 8
-    if len(raw) != expect:
-        raise FormatError(f"payload holds {len(raw)} bytes, expected {expect}")
-    return header, np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-
-
 def write_grid(grid: GridField, path) -> None:
-    """Write manifest JSON + little-endian float64 payload next to it."""
+    """Write the grid's manifest as JSON at path and its values as the
+    payload the manifest names, next to it: little-endian float64,
+    row-major."""
+    path = Path(path)
     m = grid.manifold
     mdesc = {"kind": m.kind, "dim": m.dim}
     if m.kind == "torus":
         mdesc["periods"] = list(map(float, m.periods))
     else:
         mdesc["extents"] = [[float(lo), float(hi)] for lo, hi in m.extents]
-    manifest = {"version": 1, "manifold": mdesc, "shape": list(grid.shape), "field": "logf"}
-    write_payload(path, manifest, grid.values)
-
-
-def _grid_header(manifest: dict):
-    """(manifold, shape) of a grid manifest, whose keys must be exactly
-    ``_MANIFEST_KEYS``."""
-    keys = set(manifest)
-    if keys != _MANIFEST_KEYS:
-        raise FormatError(
-            f"grid manifest keys {sorted(keys)} do not match expected {sorted(_MANIFEST_KEYS)}"
-        )
-    if manifest["field"] != "logf":
-        raise FormatError(f"unknown field name {manifest['field']!r}; expected 'logf'")
-    mdesc = manifest["manifold"]
-    kind, dim = mdesc["kind"], int(mdesc["dim"])  # write_grid gives every kind a dim
-    if kind == "torus":
-        m = Manifold.torus(dim, mdesc["periods"])
-    elif kind == "box":
-        m = Manifold.box(mdesc["extents"])
-    else:
-        raise FormatError(f"grid manifold kind {kind!r} not supported")
-    return m, tuple(int(s) for s in manifest["shape"])
+    manifest = {"version": 1, "manifold": mdesc, "shape": list(grid.shape), "field": "logf",
+                "payload": path.with_suffix(".bin").name, "dtype": "f64le", "order": "row-major"}
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    (path.parent / manifest["payload"]).write_bytes(np.ascontiguousarray(grid.values, dtype="<f8").tobytes())
 
 
 def read_grid(path) -> GridField:
-    m, values = read_payload(path, "grid", _grid_header)
+    """The grid ``write_grid`` wrote at path.  The manifest's keys must be
+    exactly those ``write_grid`` writes; an unreadable, incomplete or
+    malformed manifest or payload raises FormatError."""
+    path = Path(path)
+    try:
+        manifest = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or JSON
+        raise FormatError(f"cannot read grid manifest {path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise FormatError(f"grid manifest must be a JSON object, got {type(manifest).__name__}")
+    expected = {"version", "manifold", "shape", "field", "payload", "dtype", "order"}
+    if set(manifest) != expected:
+        raise FormatError(
+            f"grid manifest keys {sorted(manifest)} do not match expected {sorted(expected)}"
+        )
+    if manifest["field"] != "logf":
+        raise FormatError(f"unknown field name {manifest['field']!r}; expected 'logf'")
+    try:
+        mdesc = manifest["manifold"]
+        kind, dim = mdesc["kind"], int(mdesc["dim"])  # write_grid gives every kind a dim
+        if kind == "torus":
+            m = Manifold.torus(dim, mdesc["periods"])
+        elif kind == "box":
+            m = Manifold.box(mdesc["extents"])
+        else:
+            raise FormatError(f"grid manifold kind {kind!r} not supported")
+        shape = tuple(int(s) for s in manifest["shape"])
+        raw = (path.parent / manifest["payload"]).read_bytes()
+    except KeyError as exc:
+        raise FormatError(f"grid manifest missing key {exc}") from exc
+    except (OSError, TypeError, ValueError) as exc:
+        raise FormatError(f"malformed grid manifest or unreadable payload: {exc}") from exc
+    if manifest["dtype"] != "f64le" or manifest["order"] != "row-major":
+        raise FormatError("grid payload must be f64le row-major")
+    expect = int(np.prod(shape)) * 8
+    if len(raw) != expect:
+        raise FormatError(f"payload holds {len(raw)} bytes, expected {expect}")
+    values = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
     return GridField(manifold=m, shape=values.shape, values=values)
 
 

@@ -238,7 +238,6 @@ def test_covering_ball_samples_the_whole_manifold():
         assert pts.shape == (1000, m.ambient_dim) and se == 0.0
         assert w.sum() == pytest.approx(m.volume, rel=1e-12)
         assert np.all(d0_many(m, pts, b.center) <= b.radius)
-        assert _closed_form_volume(m, b) == (m.volume, 0.0)
     pts, _, _ = sample_ball(box, whole_manifold_ball(box), 1000, seed=3)
     assert np.all((pts >= box.extents[:, 0]) & (pts <= box.extents[:, 1]))
 

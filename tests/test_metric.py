@@ -28,9 +28,9 @@ TWO_NODES = PointSet(points=np.array([[0.0, 0.0], [1.0, 0.0]]), spacing=0.4)
 
 def test_edge_weight_closed_forms(torus2):
     g_r = build_graph(torus2, TWO_NODES, 1.3, Constant(0.0), RiemannLine())
-    assert g_r.edge_w[0] == pytest.approx(1.0, rel=1e-14)
+    assert g_r.csgraph.data[0] == pytest.approx(1.0, rel=1e-14)
     g_c = build_graph(torus2, TWO_NODES, 1.3, Constant(0.0), ChainBall(budget=400))
-    assert g_c.edge_w[0] == pytest.approx(0.5, rel=1e-14)
+    assert g_c.csgraph.data[0] == pytest.approx(0.5, rel=1e-14)
 
 
 def test_chain_vs_riemann_two_node_factor(torus2):
@@ -47,7 +47,7 @@ def test_weight_scaling_per_edge(torus2):
     g0 = build_graph(torus2, TWO_NODES, 1.3, Constant(0.0), RiemannLine())
     for c in (0.5, -1.2):
         gc = g0.reweight(Constant(c))
-        assert gc.edge_w[0] == pytest.approx(np.exp(c) * g0.edge_w[0], rel=1e-12)
+        assert gc.csgraph.data[0] == pytest.approx(np.exp(c) * g0.csgraph.data[0], rel=1e-12)
 
 
 def test_connectivity_precondition(torus2):
@@ -304,7 +304,7 @@ def test_chain_ball_edge_on_box_face_is_truncated():
     # binomial error of the half-disc acceptance over at least 2 * 400 draws,
     # halved by the square root
     se = exact / 2 * np.sqrt(0.5 * 0.5 / 800) / 0.5
-    assert abs(g.edge_w[0] - exact) <= 3 * se
+    assert abs(g.csgraph.data[0] - exact) <= 3 * se
 
 
 def test_chain_ball_checks_its_budget_when_made():
@@ -324,7 +324,7 @@ def test_chain_ball_graph_reweights_to_itself_bit_for_bit(torus2, budget, seed):
     assert again.csgraph.data.tobytes() == g.csgraph.data.tobytes()
     reseeded = build_graph(torus2, pts, g.eps, BuragoTorus(1), replace(est, seed=seed + 1))
     assert reseeded.csgraph.indices.tobytes() == g.csgraph.indices.tobytes()
-    assert not np.array_equal(reseeded.edge_w, g.edge_w)
+    assert not np.array_equal(reseeded.csgraph.data, g.csgraph.data)
 
 
 # lattices on which every reach from 3 to 5 nodes leaves the offsets unaliased
@@ -392,13 +392,13 @@ def test_block_weights_match_edge_list(case, reach):
         blocked = g.reweight(field)
         assert blocked.blocks is g.blocks
         assert blocked.csgraph.indices is csg.indices and blocked.csgraph.indptr is csg.indptr
-        want_w = edge_list.reweight(field).edge_w
-        np.testing.assert_allclose(blocked.edge_w, want_w, rtol=1e-13, atol=0.0)
-    np.testing.assert_allclose(g.edge_w, edge_list.reweight(fields[0]).edge_w,
+        want_w = edge_list.reweight(field).csgraph.data
+        np.testing.assert_allclose(blocked.csgraph.data, want_w, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(g.csgraph.data, edge_list.reweight(fields[0]).csgraph.data,
                                rtol=1e-13, atol=0.0)
     # Dijkstra on the node-major CSR equals it on the sorted COO-built one
     w = g.reweight(fields[1])
-    ref = csr_matrix((np.array(w.edge_w), (g.edge_i, g.edge_j)), shape=(g.n, g.n))
+    ref = csr_matrix((w.csgraph.data, (g.edge_i, g.edge_j)), shape=(g.n, g.n))
     src = [0, g.n // 3, g.n - 1]
     full = dijkstra(ref, directed=False, indices=src)
     assert shortest_paths(w, src).values.tobytes() == full.tobytes()
@@ -463,7 +463,7 @@ def test_bounded_solve_is_the_full_solve(case):
     assert bounded.values.tobytes() == full.values[:, tgt].tobytes()
     if case == "u-shape-kdtree":
         # the first limit 2 rho (R + eps) falls short, so the solve widens
-        rho = np.max(g.edge_w / g.edge_d0)
+        rho = np.max(g.csgraph.data / g.edge_d0)
         reach = d0_many(m, pts.points[src][:, None], pts.points[tgt][None]).max()
         assert full.get(src[0], tgt[0]) > 2 * rho * (reach + eps)
 

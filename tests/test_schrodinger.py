@@ -10,8 +10,6 @@ from conflab.schrodinger import (
     GridOperator,
     decompose_ground_state,
     discrete_grad_square,
-    estimate_grad_inv_constant,
-    estimate_sobolev_constant,
     gs_shift_c0,
     log_gradient_fixedpoint,
     lowest_eigenpair,
@@ -28,11 +26,6 @@ def geom():
 @pytest.fixture(scope="module")
 def nodes(geom):
     return geom.nodes()
-
-
-@pytest.fixture(scope="module")
-def consts(geom):
-    return estimate_grad_inv_constant(geom), estimate_sobolev_constant(geom)
 
 
 def test_laplacian_symmetry(geom, rng):
@@ -206,28 +199,26 @@ def test_box_neumann_constants():
     assert abs(s.lambda0) <= 1e-10
 
 
-def test_gs_shift_signs_and_bracket(geom, nodes, consts):
-    a_est, beta = consts
+def test_gs_shift_signs_and_bracket(geom, nodes):
     c0 = np.full(3, L / 2)
     r0 = 0.8
     mask = geom.ball_mask(c0, r0)
     bump = 0.05 * np.exp(-d0_many(geom.manifold, nodes, c0) ** 2) * mask
-    res = gs_shift_c0(geom, bump, c0, r0, beta_est=beta, tol=1e-8)
+    res = gs_shift_c0(geom, bump, c0, r0, tol=1e-8)
     assert res.c0 < 0
     assert res.bracket[0] <= res.c0 <= res.bracket[1]
     assert abs(res.lambda0) <= 1e-8
-    res_neg = gs_shift_c0(geom, -bump, c0, r0, beta_est=beta, tol=1e-8)
+    res_neg = gs_shift_c0(geom, -bump, c0, r0, tol=1e-8)
     assert res_neg.c0 > 0
-    zero = gs_shift_c0(geom, np.zeros_like(bump), c0, r0, beta_est=beta, tol=1e-8)
+    zero = gs_shift_c0(geom, np.zeros_like(bump), c0, r0, tol=1e-8)
     assert abs(zero.c0) <= 1e-8
 
 
-def test_gs_shift_support_guard(geom, nodes, consts):
-    _, beta = consts
+def test_gs_shift_support_guard(geom, nodes):
     c0 = np.full(3, L / 2)
     q = np.full(nodes.shape[0], 0.01)  # supported everywhere
     with pytest.raises(InputError):
-        gs_shift_c0(geom, q, c0, 0.5, beta_est=beta)
+        gs_shift_c0(geom, q, c0, 0.5)
 
 
 def test_discrete_grad_square_nonnegative(geom, rng):
@@ -242,11 +233,10 @@ def test_fixed_point_zero_potential(geom):
     assert abs(fp.c) <= 1e-12
 
 
-def test_fixed_point_small_cosine(geom, nodes, consts):
-    a_est, _ = consts
+def test_fixed_point_small_cosine(geom, nodes):
     V = 0.02 * np.cos(2 * np.pi * nodes[:, 0] / L) * np.cos(2 * np.pi * nodes[:, 1] / L)
     op = GridOperator(geom, V)
-    fp = log_gradient_fixedpoint(op, a_est=a_est)
+    fp = log_gradient_fixedpoint(op)
     assert fp.residual_n2 <= 1e-6
     assert fp.dv_norm <= fp.v_norm_bound
     eig = lowest_eigenpair(op, tol=1e-12)
@@ -255,9 +245,8 @@ def test_fixed_point_small_cosine(geom, nodes, consts):
     assert ratio.max() / ratio.min() - 1.0 <= 1e-6
 
 
-def test_fixed_point_iterates_monotone(geom, nodes, consts):
+def test_fixed_point_iterates_monotone(geom, nodes):
     # contraction regime: successive gaps shrink geometrically
-    a_est, _ = consts
     V = 0.02 * np.sin(2 * np.pi * nodes[:, 2] / L)
     op = GridOperator(geom, V)
     gaps = []
@@ -270,55 +259,66 @@ def test_fixed_point_iterates_monotone(geom, nodes, consts):
     assert all(gaps[k + 1] <= gaps[k] for k in range(len(gaps) - 1))
 
 
-def test_fixed_point_threshold_violation(geom, nodes, consts):
-    a_est, _ = consts
+def test_fixed_point_threshold_violation(geom, nodes):
     V = 80.0 * np.cos(2 * np.pi * nodes[:, 0] / L)
     with pytest.raises(NumericError):
-        log_gradient_fixedpoint(GridOperator(geom, V), a_est=a_est)
+        log_gradient_fixedpoint(GridOperator(geom, V))
 
 
 @pytest.fixture(scope="module")
-def decomposition(geom, nodes, consts):
-    a_est, beta = consts
+def decomposition():
     dgeom = GridGeometry(Manifold.torus(3, [L, L, L]), (10, 10, 10))
     dx = dgeom.nodes()
     V = 0.01 * np.cos(2 * np.pi * dx[:, 0] / L) * np.sin(2 * np.pi * dx[:, 1] / L)
     op = GridOperator(dgeom, V)
-    beta_d = estimate_sobolev_constant(dgeom)
-    a_d = estimate_grad_inv_constant(dgeom)
-    phi = lowest_eigenpair(op).phi
-    dec = decompose_ground_state(op, 0.8, phi, beta_est=beta_d, a_est=a_d, seed=3)
-    return dgeom, op, phi, dec, beta_d, a_d
+    return dgeom, op, decompose_ground_state(op, 0.8, seed=3)
 
 
 def test_decomposition_reconstruction(decomposition):
-    dgeom, op, phi, dec, *_ = decomposition
+    dgeom, op, dec = decomposition
+    phi = lowest_eigenpair(op).phi
     assert dec.report["reconstruction_error"] <= 1e-8
     assert np.max(np.abs(np.exp(dec.f + dec.w) - phi)) <= 1e-8
+
+
+def test_functional_constants_are_computed_once_per_grid(decomposition):
+    dgeom, op, dec = decomposition
+    for name, key in (("sobolev_constant", "beta_est"), ("grad_inv_constant", "a_est")):
+        cached = dgeom.__dict__[name]  # set by the decomposition's thresholds
+        assert getattr(dgeom, name) is cached
+        assert dec.report[key] == cached
+
+
+def test_sobolev_constant_needs_dimension_three():
+    geom2 = GridGeometry(Manifold.torus(2), (8, 8))
+    with pytest.raises(InputError, match="n >= 3"):
+        geom2.sobolev_constant
+    c0 = np.full(2, np.pi)
+    q = 0.01 * geom2.ball_mask(c0, 1.0)
+    with pytest.raises(InputError, match="n >= 3"):
+        gs_shift_c0(geom2, q, c0, 1.0)
 
 
 def test_decomposition_trivial(decomposition):
     dgeom, *_ = decomposition
     n = int(np.prod(dgeom.shape))
     op0 = GridOperator(dgeom, np.zeros(n))
-    dec = decompose_ground_state(op0, 0.8, np.ones(n), seed=1)
+    dec = decompose_ground_state(op0, 0.8, seed=1)
     assert np.abs(dec.f).max() <= 1e-10
     assert np.abs(dec.w - dec.w[0]).max() <= 1e-10
 
 
 def test_decomposition_norm_scaling(decomposition):
-    dgeom, op, phi, dec, beta_d, a_d = decomposition
+    dgeom, op, dec = decomposition
     norms = {1.0: dec.report["df_ln"]}
     for t in (0.5, 0.25):
-        opt = GridOperator(dgeom, t * op.V)
-        phit = lowest_eigenpair(opt).phi
-        dt = decompose_ground_state(opt, 0.8, phit, beta_est=beta_d, a_est=a_d, seed=3)
+        dt = decompose_ground_state(GridOperator(dgeom, t * op.V), 0.8, seed=3)
         norms[t] = dt.report["df_ln"]
     for t in (0.5, 0.25):
         assert abs(norms[t] / (t * norms[1.0]) - 1.0) <= 0.2
 
 
-def _counted_decomposition(monkeypatch, dgeom, V, beta_d, a_d):
+def _counted_decomposition(monkeypatch, dgeom, V):
     """The decomposition of Delta - V and its number of gs_shift_c0 calls."""
     import conflab.schrodinger as sc
 
@@ -330,32 +330,30 @@ def _counted_decomposition(monkeypatch, dgeom, V, beta_d, a_d):
         return gs_shift_c0(*args, **kwargs)
 
     monkeypatch.setattr(sc, "gs_shift_c0", counted)
-    op = GridOperator(dgeom, V)
-    phi = lowest_eigenpair(op).phi
-    return decompose_ground_state(op, 0.8, phi, beta_est=beta_d, a_est=a_d, seed=3), calls
+    return decompose_ground_state(GridOperator(dgeom, V), 0.8, seed=3), calls
 
 
 def test_decomposition_solves_one_center_per_orbit(decomposition, monkeypatch):
     # the fixture's V is constant along x3 and the 5^3 cover centers sit two
     # grid steps apart, so each x3-column of 5 centers is one orbit
-    dgeom, op, phi, dec, beta_d, a_d = decomposition
+    dgeom, op, dec = decomposition
     x3 = dgeom.nodes()[:, 2]
-    same, calls = _counted_decomposition(monkeypatch, dgeom, op.V, beta_d, a_d)
+    same, calls = _counted_decomposition(monkeypatch, dgeom, op.V)
     assert calls == 25
     # a variation along x3 far below every tolerance leaves no invariant axis
     bent = op.V + 1e-13 * np.cos(2 * np.pi * x3 / L)
-    direct, calls = _counted_decomposition(monkeypatch, dgeom, bent, beta_d, a_d)
+    direct, calls = _counted_decomposition(monkeypatch, dgeom, bent)
     assert calls == 125
     assert np.abs(same.f - direct.f).max() <= 1e-10
     assert np.abs(same.w - direct.w).max() <= 1e-10
-    _, calls = _counted_decomposition(monkeypatch, dgeom, np.zeros_like(op.V), beta_d, a_d)
+    _, calls = _counted_decomposition(monkeypatch, dgeom, np.zeros_like(op.V))
     assert calls == 1
 
 
 def test_decomposition_translated_shift_zeroes_its_local_eigenvalue(decomposition):
     from conflab.schrodinger import _center_orbits, _cover_centers
 
-    dgeom, op, phi, dec, *_ = decomposition
+    dgeom, op, dec = decomposition
     cover = _cover_centers(dgeom, 0.8)
     reps, steps = _center_orbits(dgeom, op.V, cover.lattice_shape)
     i = 1  # center (0, 0, 1): two grid steps along x3 from center 0
@@ -367,6 +365,6 @@ def test_decomposition_translated_shift_zeroes_its_local_eigenvalue(decompositio
 
 
 def test_decomposition_rho_guard(decomposition):
-    dgeom, op, phi, *_ = decomposition
+    dgeom, op, dec = decomposition
     with pytest.raises(InputError):
-        decompose_ground_state(op, 5.0, phi)
+        decompose_ground_state(op, 5.0)

@@ -50,14 +50,12 @@ KEPT = {
     "diagnostics._box_mass": "box masses (ROADMAP item 5)",
     "diagnostics.holder_seminorm": "the Hoelder part of box decompositions (ROADMAP item 9)",
     "experiments.RunReport.failed": "the report of a rejected spec (exit 2)",
-    "experiments._json_default": "numpy values in a report; no report holds one today",
     "manifold.d0": "the checked one-pair d0 of the metric-axiom property tests",
     "metric._edges_kdtree": KDTREE,
     "metric._read_only": KDTREE,
     "metric.EpsGraph.edge_i": KDTREE,
     "metric.EpsGraph.edge_j": KDTREE,
     "metric.EpsGraph.edge_d0": KDTREE,
-    "metric.EpsGraph.edge_w": "per-edge weights in CSR order, as the estimator tests read them",
     "metric.ChainBall": CHAIN,
     "metric._chain_weights": CHAIN,
     "weight.WeightField": "the field interface: defaults for fields that lack a feature",
