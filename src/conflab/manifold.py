@@ -11,6 +11,7 @@ through explicit seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gamma, pi
 from typing import Optional
 
@@ -337,6 +338,8 @@ def gauss_rule(K: int):
 _GRADED = 0.5 * 0.25 ** np.arange(12)
 _PANELS = np.concatenate([[0.0], _GRADED[::-1], 1.0 - _GRADED[1:], [1.0]])
 _NODES, _WEIGHTS = gauss_rule(20)
+# colatitude rules kept by _cap_rule; one rule is at most 1,440 nodes (~23 KB)
+CAP_RULE_CACHE_SIZE = 256
 
 
 def _slice_measure(n: int, psi: np.ndarray) -> np.ndarray:
@@ -352,17 +355,28 @@ def cap_quadrature(m: Manifold, gamma: float, radius: float):
     """(theta, weights) with weights @ F(theta) = int_B F(theta(x)) dmu0.
 
     theta(x) is the angle of x from a symmetry axis; B is the geodesic ball
-    of the given radius whose center lies at angle gamma from the axis.  B
-    meets the colatitude sphere at theta in a cap of angular radius psi, the
-    angle opposite rb = radius/R in the spherical triangle (theta, gamma, rb).
-    psi comes from the half-angle formula, which unlike the cosine rule does
-    not cancel where cos(theta) rounds to 1; clipping gives psi = 0 on empty
-    slices and pi on full ones.  The composite 20-point Gauss-Legendre rule
-    breaks [0, pi] where slices start or stop meeting B and grades each piece
-    by 1/4 toward both ends, which resolves integrands concentrated there.
+    of the given radius whose center lies at angle gamma from the axis.  The
+    rule depends only on (n, R, gamma, radius), so it is built once per such
+    geometry (_cap_rule) and the same read-only arrays are returned to every
+    caller with the same floats.
     """
-    n = m.dim
-    rb = float(np.clip(radius / m.radius, 0.0, pi))
+    return _cap_rule(m.dim, float(m.radius), float(gamma), float(radius))
+
+
+@lru_cache(maxsize=CAP_RULE_CACHE_SIZE)
+def _cap_rule(n: int, R: float, gamma: float, radius: float):
+    """The colatitude rule of cap_quadrature on the radius-R round n-sphere.
+
+    B meets the colatitude sphere at theta in a cap of angular radius psi,
+    the angle opposite rb = radius/R in the spherical triangle
+    (theta, gamma, rb).  psi comes from the half-angle formula, which unlike
+    the cosine rule does not cancel where cos(theta) rounds to 1; clipping
+    gives psi = 0 on empty slices and pi on full ones.  The composite
+    20-point Gauss-Legendre rule breaks [0, pi] where slices start or stop
+    meeting B and grades each piece by 1/4 toward both ends, which resolves
+    integrands concentrated there.
+    """
+    rb = float(np.clip(radius / R, 0.0, pi))
     kinks = [abs(gamma - rb), min(gamma + rb, 2 * pi - gamma - rb)]
     breaks = np.unique(np.clip([0.0, *kinks, pi], 0.0, pi))
     edges = breaks[:-1, None] + np.diff(breaks)[:, None] * _PANELS
@@ -373,10 +387,13 @@ def cap_quadrature(m: Manifold, gamma: float, radius: float):
         np.sqrt(np.clip(np.sin(s - theta) * np.sin(s - gamma), 0.0, None)),
         np.sqrt(np.clip(np.sin(s) * np.sin(s - rb), 0.0, None)),
     )
-    w = (width * _WEIGHTS).ravel() * m.radius**n
+    w = (width * _WEIGHTS).ravel() * R**n
     w *= np.sin(theta) ** (n - 1) * _slice_measure(n, psi)
     keep = w > 0.0
-    return theta[keep], w[keep]
+    theta, w = theta[keep], w[keep]
+    theta.flags.writeable = False
+    w.flags.writeable = False
+    return theta, w
 
 
 def cap_volume(m: Manifold, r: float) -> float:
@@ -390,7 +407,8 @@ def _closed_form_volume(m: Manifold, b: BallSpec):
     """(mu0(B), standard error) where B has a closed-form volume, else None."""
     r = b.radius
     if m.kind == "sphere":
-        return cap_volume(m, r), 1e-12 * cap_volume(m, r)
+        vol = cap_volume(m, r)
+        return vol, 1e-12 * vol
     if m.kind == "torus" and r < m.min_period / 2.0:
         return unit_ball_volume(m.dim) * r**m.dim, 0.0
     c = np.asarray(b.center, dtype=float)

@@ -453,13 +453,14 @@ def shortest_paths(g: EpsGraph, sources=None, targets=None) -> DistanceMatrix:
 
     Sources and targets are integer node indices in [0, n); anything else
     raises InputError.  With targets the matrix holds only those columns,
-    and Dijkstra stops at the limit L = 2 rho (R + eps): rho is the largest
+    and Dijkstra stops at the limit L = rho (R + eps): rho is the largest
     edge weight per unit of d0 and R the largest d0 between a source and a
-    target.  Every node within L keeps its optimal predecessor, which is
-    within L too, so a finite entry is the unbounded solve's value bit for
-    bit.  An entry that comes back infinite doubles L and solves again,
-    ending with no limit, so the values are those of the full solve in
-    every case.
+    target.  L is only a first guess: a straight path to the farthest
+    target, plus one edge, at the heaviest rate.  Every node within L keeps
+    its optimal predecessor, which is within L too, so a finite entry is the
+    unbounded solve's value bit for bit, whatever L is.  An entry that comes
+    back infinite doubles L and solves again, ending with no limit, so the
+    values are those of the full solve in every case.
 
     Dijkstra runs once per orbit of the sources under the lattice
     translations that leave the graph unchanged (``_invariant_axes``).  The
@@ -482,7 +483,7 @@ def shortest_paths(g: EpsGraph, sources=None, targets=None) -> DistanceMatrix:
         if rho > 0:
             pts = g.points.points
             reach = d0_many(g.manifold, pts[sources][:, None], pts[targets][None]).max()
-            limit = 2.0 * rho * (float(reach) + g.eps)
+            limit = rho * (float(reach) + g.eps)
     shape = g.points.lattice_shape
     shifts = []  # (size, stride, tau): source i sits tau[i] steps along the axis from its representative
     for a in _invariant_axes(g):

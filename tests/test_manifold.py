@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from conflab.curvature import pinching_profile
 from conflab.errors import GeometryError, InputError, ResourceError
 from conflab.manifold import (
     BallSpec,
     Manifold,
     PointSet,
+    _cap_rule,
     _closed_form_volume,
+    cap_quadrature,
     cap_volume,
     d0,
     d0_many,
@@ -19,6 +22,7 @@ from conflab.manifold import (
     unit_ball_volume,
     whole_manifold_ball,
 )
+from conflab.weight import SphereBubble
 
 N_POLE = np.array([0.0, 0.0, 1.0])
 S_POLE = np.array([0.0, 0.0, -1.0])
@@ -95,6 +99,44 @@ def test_cap_volume_closed_forms(radius):
         for t in (0.1, 0.5, 1.0, np.pi / 2, 2.0, 3.0, np.pi):
             assert abs(cap_volume(m, t * radius) / (radius**n * vol(t)) - 1) <= 1e-13
         assert cap_volume(m, 10.0 * radius) == pytest.approx(m.volume, rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize(
+    "gamma, rb",  # rb: the ball's radius in units of the sphere's
+    [
+        (0.0, 0.5),  # centred on the axis
+        (np.pi - 1e-9, 0.5),  # centred next to the far pole
+        (2.5, 1.0),  # a cap that meets the far pole
+        (1.0, np.pi),  # the whole sphere
+        (0.3, 10.0),  # beyond the whole sphere
+    ],
+)
+def test_cap_rule_cache_is_the_uncached_rule(n, gamma, rb):
+    m = Manifold.sphere(n, 1.5)
+    fresh = _cap_rule.__wrapped__(n, 1.5, gamma, 1.5 * rb)
+    for _ in range(2):  # the second call is a cache hit
+        cached = cap_quadrature(m, np.float64(gamma), 1.5 * rb)
+        assert [a.tobytes() for a in cached] == [a.tobytes() for a in fresh]
+
+
+def test_cap_rule_is_read_only(sphere2):
+    theta, w = cap_quadrature(sphere2, 0.4, 0.7)
+    with pytest.raises(ValueError):
+        theta[0] = 0.0
+    with pytest.raises(ValueError):
+        w *= 2.0
+    assert cap_quadrature(sphere2, 0.4, 0.7)[1][0] == w[0]
+
+
+def test_pinching_sweep_builds_one_rule_per_gamma(sphere3):
+    centers = lattice(sphere3, 1.2)
+    axis = SphereBubble(1.0).radial_profile(sphere3).axis
+    gammas = {float(d0_many(sphere3, c, axis) / sphere3.radius) for c in centers.points}
+    _cap_rule.cache_clear()
+    for lam in (2.0, 10.0):  # each ball integrates sup_pos and sup_abs, at both lambdas
+        pinching_profile(sphere3, SphereBubble(lam), 0.5, centers, seed=1)
+    assert _cap_rule.cache_info().misses == len(gammas)
 
 
 def test_mu0_hemisphere_and_full(sphere2):

@@ -462,7 +462,7 @@ def test_bounded_solve_is_the_full_solve(case):
     assert np.array_equal(bounded.targets, tgt)
     assert bounded.values.tobytes() == full.values[:, tgt].tobytes()
     if case == "u-shape-kdtree":
-        # the first limit 2 rho (R + eps) falls short, so the solve widens
+        # even twice the first limit rho (R + eps) falls short, so the solve widens
         rho = np.max(g.csgraph.data / g.edge_d0)
         reach = d0_many(m, pts.points[src][:, None], pts.points[tgt][None]).max()
         assert full.get(src[0], tgt[0]) > 2 * rho * (reach + eps)
