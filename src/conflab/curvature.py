@@ -6,8 +6,9 @@ geometer's (nonnegative-spectrum) Laplacian:
     scal_{g_f} = e^{-2f} ( scal_{g0} + 2(n-1) Delta f - (n-1)(n-2) |df|^2 )
 
 method="exact" fills the bracket from a field's closed-form derivatives (or,
-for rotationally symmetric sphere fields, from the radial profile) and raises
-InputError for fields without them; the |df|^2 term vanishes at n = 2.
+for a rotationally symmetric sphere field, from the (f, f', f'') its
+``profile`` gives at angles from its ``radial_axis``) and raises InputError
+for fields without them; the |df|^2 term vanishes at n = 2.
 method="fd" fills it with 2 Delta_h f at n = 2 and with
 (4(n-1)/(n-2)) Delta_h u / u, u = e^{(n-2)f/2}, above, where Delta_h is the
 central second difference along an orthonormal frame at each point: the
@@ -32,7 +33,7 @@ from .manifold import (
     sphere_volume,
 )
 from .rng import derive_seed
-from .weight import RadialProfile, WeightField, _radial_laplacian, ball_integral
+from .weight import WeightField, _radial_laplacian, ball_integral
 
 
 def alpha_n2(n: int) -> float:
@@ -85,12 +86,11 @@ def scal_exact_many(m: Manifold, field: WeightField, x: np.ndarray) -> np.ndarra
     return _exact_scal(m, field.eval_many(m, x), lap, np.sum(grad * grad, axis=-1))
 
 
-def scal_radial(m: Manifold, prof: RadialProfile, theta: np.ndarray) -> np.ndarray:
-    """Curvature of a rotationally symmetric sphere field as a function of angle."""
-    theta = np.asarray(theta, dtype=float)
-    fp = prof.fp(theta)
-    lap = _radial_laplacian(m, theta, fp, prof.fpp(theta))
-    return _exact_scal(m, prof.f(theta), lap, (fp / m.radius) ** 2)
+def scal_radial(m: Manifold, theta: np.ndarray, f, fp, fpp) -> np.ndarray:
+    """Curvature of a rotationally symmetric sphere field at angles theta from
+    its axis, given its profile (f, f', f'') there."""
+    lap = _radial_laplacian(m, theta, fp, fpp)
+    return _exact_scal(m, f, lap, (fp / m.radius) ** 2)
 
 
 def _fd_laplacian(m: Manifold, func, x: np.ndarray, h: float) -> np.ndarray:
@@ -164,8 +164,8 @@ def lp_scal_norm(
         with np.errstate(invalid="ignore"):  # inf * 0 is nan, which _mc_integral rejects
             return part(s) ** p * np.exp(n * field.eval_many(m, pts))
 
-    def on_profile(prof, theta):
-        return part(scal_radial(m, prof, theta)) ** p * np.exp(n * prof.f(theta))
+    def on_profile(theta, f, fp, fpp):
+        return part(scal_radial(m, theta, f, fp, fpp)) ** p * np.exp(n * f)
 
     val, _ = ball_integral(m, field, b, on_points, on_profile if method == "exact" else None,
                            budget, seed, "samples of |scal|^p e^(nf)")

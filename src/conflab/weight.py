@@ -7,7 +7,10 @@ ball masses and total mass.
 
 Fields are immutable and evaluated vectorized; fields with closed-form
 derivatives expose the ambient gradient and the (nonnegative-spectrum)
-Laplacian of f, which is all the curvature layer needs.
+Laplacian of f, which is all the curvature layer needs.  A rotationally
+symmetric sphere field names its axis (``radial_axis``) and gives
+(f, f', f'') at angles from it in one call (``profile``), which is all the
+colatitude rule needs.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import pi
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -40,17 +43,6 @@ from .manifold import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RadialProfile:
-    """Rotationally symmetric description of a sphere field: f = f(theta),
-    theta the geodesic angle from ``axis`` (an ambient unit vector)."""
-
-    axis: np.ndarray
-    f: Callable[[np.ndarray], np.ndarray]
-    fp: Callable[[np.ndarray], np.ndarray]
-    fpp: Callable[[np.ndarray], np.ndarray]
-
-
 class WeightField:
     """Base class: the log factor f with optional exact derivatives."""
 
@@ -65,8 +57,15 @@ class WeightField:
         InputError for a field without closed-form derivatives."""
         raise InputError(f"{type(self).__name__} does not provide exact derivatives; use method='fd'")
 
-    def radial_profile(self, m: Manifold) -> Optional[RadialProfile]:
+    def radial_axis(self, m: Manifold) -> Optional[np.ndarray]:
+        """The ambient unit vector a sphere field is rotationally symmetric
+        about, f = f(theta) with theta the geodesic angle from it, or None.
+        A field that names one gives its ``profile``."""
         return None
+
+    def profile(self, theta: np.ndarray) -> tuple:
+        """(f, f', f'') at angles theta from ``radial_axis``."""
+        raise NotImplementedError
 
     def constant_axes(self, m: Manifold) -> tuple:
         """Coordinate axes along which f is constant on m: changing those
@@ -89,18 +88,16 @@ class Constant(WeightField):
     def constant_axes(self, m):
         return tuple(range(m.ambient_dim))
 
-    def radial_profile(self, m):
+    def radial_axis(self, m):
         if m.kind != "sphere":
             return None
         axis = np.zeros(m.dim + 1)
         axis[-1] = 1.0
-        c = float(self.value)
-        return RadialProfile(
-            axis=axis,
-            f=lambda t: np.full_like(np.asarray(t, dtype=float), c),
-            fp=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-            fpp=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        )
+        return axis
+
+    def profile(self, theta):
+        theta = np.asarray(theta, dtype=float)
+        return np.full_like(theta, float(self.value)), np.zeros_like(theta), np.zeros_like(theta)
 
 
 @dataclass(frozen=True)
@@ -281,62 +278,54 @@ class SphereBubble(WeightField):
             raise InputError(
                 f"SphereBubble pole needs {m.dim + 1} ambient coordinates, got {len(self.pole)}"
             )
+        if self.pole is not None and abs(1.0 - np.linalg.norm(self.pole)) > 1e-12:
+            raise InputError("SphereBubble pole must be a unit vector (|1 - |pole|| <= 1e-12)")
         if self.lam <= 0:
             raise InputError("SphereBubble dilation lam must be positive")
 
-    def _pole(self, m):
+    def radial_axis(self, m):
+        """The antipode of the pole, where the measure concentrates."""
         if self.pole is None:
-            p = np.zeros(m.dim + 1)
-            p[-1] = 1.0
-            return p
-        return np.asarray(self.pole, dtype=float)
+            pole = np.zeros(m.dim + 1)
+            pole[-1] = 1.0
+        else:
+            pole = np.asarray(self.pole, dtype=float)
+        return -pole
 
-    def _profile_fns(self):
+    def profile(self, theta):
+        """One split of theta, used by f, f' and f'': t = tan(theta/2) up to
+        pi/2 and u = tan((pi - theta)/2) beyond, so neither grows large."""
         lam = float(self.lam)
-
-        def split(theta):
-            """near, tan(theta/2) where near and tan((pi - theta)/2) beyond."""
-            theta = np.asarray(theta, dtype=float)
-            near = theta <= pi / 2
-            t = np.tan(np.where(near, theta, 0.0) / 2.0)
-            u = np.tan((pi - np.where(near, pi, theta)) / 2.0)
-            return near, t, u
-
-        def val(theta):
-            near, t, u = split(theta)
-            v_near = np.log(lam) + np.log1p(t * t) - np.log1p(lam * lam * t * t)
-            v_far = -np.log(lam) + np.log1p(u * u) - np.log1p(u * u / lam**2)
-            return np.where(near, v_near, v_far)
-
-        def dval(theta):
-            near, t, u = split(theta)
-            d_near = (1.0 - lam * lam) * t / (1.0 + lam * lam * t * t)
-            d_far = (1.0 - lam * lam) * u / (u * u + lam * lam)
-            return np.where(near, d_near, d_far)
-
-        def ddval(theta):
-            near, t, u = split(theta)
-            la2 = lam * lam
-            n_num = (1.0 - la2) * (1.0 - la2 * t * t) * (1.0 + t * t)
-            n_den = 2.0 * (1.0 + la2 * t * t) ** 2
-            f_num = (1.0 - la2) * (u * u - la2) * (u * u + 1.0)
-            f_den = 2.0 * (u * u + la2) ** 2
-            return np.where(near, n_num / n_den, f_num / f_den)
-
-        return val, dval, ddval
-
-    def radial_profile(self, m):
-        f, fp, fpp = self._profile_fns()
-        return RadialProfile(axis=-self._pole(m), f=f, fp=fp, fpp=fpp)
+        la2 = lam * lam
+        theta = np.asarray(theta, dtype=float)
+        near = theta <= pi / 2
+        t = np.tan(np.where(near, theta, 0.0) / 2.0)
+        u = np.tan((pi - np.where(near, pi, theta)) / 2.0)
+        v_near = np.log(lam) + np.log1p(t * t) - np.log1p(la2 * t * t)
+        v_far = -np.log(lam) + np.log1p(u * u) - np.log1p(u * u / lam**2)
+        d_near = (1.0 - la2) * t / (1.0 + la2 * t * t)
+        d_far = (1.0 - la2) * u / (u * u + la2)
+        n_num = (1.0 - la2) * (1.0 - la2 * t * t) * (1.0 + t * t)
+        n_den = 2.0 * (1.0 + la2 * t * t) ** 2
+        f_num = (1.0 - la2) * (u * u - la2) * (u * u + 1.0)
+        f_den = 2.0 * (u * u + la2) ** 2
+        return (np.where(near, v_near, v_far), np.where(near, d_near, d_far),
+                np.where(near, n_num / n_den, f_num / f_den))
 
     def eval_many(self, m, x):
-        prof = self.radial_profile(m)
-        theta = d0_many(m, x, prof.axis) / m.radius
-        return prof.f(theta)
+        return self.profile(d0_many(m, x, self.radial_axis(m)) / m.radius)[0]
 
     def grad_lap_many(self, m, x):
-        prof = self.radial_profile(m)
-        return _radial_sphere_grad_lap(m, prof, x)
+        axis = self.radial_axis(m)
+        theta = d0_many(m, x, axis) / m.radius
+        _, fp, fpp = self.profile(theta)
+        sin = np.sin(theta)
+        safe = np.where(sin > 1e-7, sin, 1.0)
+        # unit tangent pointing away from the axis
+        u = (np.cos(theta)[:, None] * x - axis[None, :]) / safe[:, None]
+        grad = (fp / m.radius)[:, None] * u
+        grad[sin <= 1e-7] = 0.0
+        return grad, _radial_laplacian(m, theta, fp, fpp)
 
 
 def _radial_laplacian(m: Manifold, theta: np.ndarray, fp: np.ndarray, fpp: np.ndarray):
@@ -346,19 +335,6 @@ def _radial_laplacian(m: Manifold, theta: np.ndarray, fp: np.ndarray, fpp: np.nd
     safe = np.where(sin > 1e-7, sin, 1.0)
     lap = np.where(sin > 1e-7, -(fpp + (m.dim - 1) * np.cos(theta) / safe * fp), -m.dim * fpp)
     return lap / m.radius**2
-
-
-def _radial_sphere_grad_lap(m: Manifold, prof: RadialProfile, x: np.ndarray):
-    """Ambient gradient and Laplacian of a rotationally symmetric sphere field."""
-    theta = d0_many(m, x, prof.axis) / m.radius
-    fp = prof.fp(theta)
-    sin = np.sin(theta)
-    safe = np.where(sin > 1e-7, sin, 1.0)
-    # unit tangent pointing away from the axis
-    u = (np.cos(theta)[:, None] * x - prof.axis[None, :]) / safe[:, None]
-    grad = (fp / m.radius)[:, None] * u
-    grad[sin <= 1e-7] = 0.0
-    return grad, _radial_laplacian(m, theta, fp, prof.fpp(theta))
 
 
 @dataclass(frozen=True)
@@ -380,14 +356,12 @@ class Scaled(WeightField):
     def constant_axes(self, m):
         return self.base.constant_axes(m)
 
-    def radial_profile(self, m):
-        prof = self.base.radial_profile(m)
-        if prof is None:
-            return None
-        c = float(self.shift)
-        return RadialProfile(
-            axis=prof.axis, f=lambda t: prof.f(t) + c, fp=prof.fp, fpp=prof.fpp
-        )
+    def radial_axis(self, m):
+        return self.base.radial_axis(m)
+
+    def profile(self, theta):
+        f, fp, fpp = self.base.profile(theta)
+        return f + float(self.shift), fp, fpp
 
 
 @dataclass(frozen=True)
@@ -411,19 +385,15 @@ class Sum(WeightField):
         declared = [f.constant_axes(m) for f in self.fields]
         return tuple(a for a in range(m.ambient_dim) if all(a in axes for axes in declared))
 
-    def radial_profile(self, m):
-        profs = [f.radial_profile(m) for f in self.fields]
-        if any(p is None for p in profs):
+    def radial_axis(self, m):
+        """The summands' one axis, or None unless every summand names it."""
+        axes = [f.radial_axis(m) for f in self.fields]
+        if any(a is None or np.linalg.norm(a - axes[0]) > 1e-12 for a in axes):
             return None
-        axis = profs[0].axis
-        if any(np.linalg.norm(p.axis - axis) > 1e-12 for p in profs[1:]):
-            return None
-        return RadialProfile(
-            axis=axis,
-            f=lambda t: sum(p.f(t) for p in profs),
-            fp=lambda t: sum(p.fp(t) for p in profs),
-            fpp=lambda t: sum(p.fpp(t) for p in profs),
-        )
+        return axes[0]
+
+    def profile(self, theta):
+        return tuple(sum(parts) for parts in zip(*(f.profile(theta) for f in self.fields)))
 
 
 # ---------------------------------------------------------------------------
@@ -676,20 +646,21 @@ def ball_integral(m: Manifold, field: WeightField, ball: Optional[BallSpec], on_
     """(value, standard error) of int g dmu0 over ball, or over all of M when
     ball is None: the one place that picks how such an integral is computed.
 
-    With on_profile(prof, theta), g at angles from prof.axis, a field with
-    a radial profile on the sphere takes the colatitude rule of
-    cap_quadrature, accurate under measure concentration, and reports an
-    error of 1e-9 |value|.  Everything else is Monte Carlo on on_points(pts),
-    g at uniform samples of the ball or of M."""
+    With on_profile(theta, f, fp, fpp), g at angles theta from the field's
+    radial_axis given its profile there, a field with a radial axis on the
+    sphere takes the colatitude rule of cap_quadrature, accurate under
+    measure concentration, and reports an error of 1e-9 |value|.
+    Everything else is Monte Carlo on on_points(pts), g at uniform samples
+    of the ball or of M."""
     field.validate(m)
-    prof = field.radial_profile(m) if m.kind == "sphere" and on_profile is not None else None
-    if prof is not None:
-        integrand = lambda theta: on_profile(prof, theta)
+    axis = field.radial_axis(m) if m.kind == "sphere" and on_profile is not None else None
+    if axis is not None:
+        integrand = lambda theta: on_profile(theta, *field.profile(theta))
         if ball is None:  # all of M: the cap of radius pi R about the axis, at gamma = 0 exactly
             theta, w = cap_quadrature(m, 0.0, pi * m.radius)
             val = float(w @ integrand(theta))
         else:
-            val = radial_ball_integral(m, integrand, prof.axis, ball)
+            val = radial_ball_integral(m, integrand, axis, ball)
         return val, 1e-9 * abs(val)
     if ball is None:
         pts, _ = sample_manifold(m, budget, seed)
@@ -704,7 +675,7 @@ def _density(m: Manifold, field: WeightField):
     """The integrand pair of mu_f: e^{nf} at points and along a profile."""
     n = m.dim
     return (lambda pts: np.exp(n * field.eval_many(m, pts)),
-            lambda prof, theta: np.exp(n * prof.f(theta)))
+            lambda theta, f, fp, fpp: np.exp(n * f))
 
 
 def check_ball_budget(budget: int) -> None:

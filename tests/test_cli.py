@@ -506,6 +506,9 @@ def test_custom_run_of_a_grid_or_sphere_bubble_weight(tmp_path, capsys, spec, ma
         # well typed, but the wrong length for the manifold
         ({}, {"kind": "log-cusp", "x0": [3.1, 3.1, 3.1]}, "x0 needs 2 coordinates"),
         ({"kind": "sphere"}, {"kind": "sphere-bubble", "pole": [0.0, 1.0]}, "pole needs 3"),
+        # well typed and the right length, but not a point of the sphere
+        ({"kind": "sphere"}, {"kind": "sphere-bubble", "pole": [0, 0, 2]}, "pole must be a unit vector"),
+        ({"kind": "sphere"}, {"kind": "sphere-bubble", "pole": [0, 0, 0]}, "pole must be a unit vector"),
     ],
 )
 def test_descriptor_value_of_the_wrong_type_is_an_input_error(tmp_path, capsys, manifold, weight, words):

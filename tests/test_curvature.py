@@ -166,7 +166,6 @@ def test_pinching_integrals_match_adaptive_quadrature(n):
     p = n / 2.0
     for lam in (1.0, 10.0, 100.0, 1000.0):
         field = SphereBubble(lam)
-        prof = field.radial_profile(m)
         for gamma in (0.3, 1.2, 2.5):
             center = np.zeros(n + 1)
             center[0], center[-1] = np.sin(gamma), -np.cos(gamma)  # axis is the south pole
@@ -175,12 +174,26 @@ def test_pinching_integrals_match_adaptive_quadrature(n):
                     part = (lambda s: np.maximum(s, 0.0)) if positive else np.abs
 
                     def integrand(t):
-                        return part(scal_radial(m, prof, t)) ** p * np.exp(n * prof.f(t))
+                        f, fp, fpp = field.profile(t)
+                        return part(scal_radial(m, t, f, fp, fpp)) ** p * np.exp(n * f)
 
                     ref = _quad_ball_integral(m, integrand, gamma, R)
                     ball = BallSpec(center, R)
                     got = lp_scal_norm(m, field, ball, p, positive_part=positive) ** p
                     assert abs(got / ref - 1) <= 1e-9, (lam, gamma, R, positive)
+
+
+def test_exact_ball_evaluates_the_profile_once(sphere3, monkeypatch):
+    calls = []
+    profile = SphereBubble.profile
+
+    def counted(self, theta):
+        calls.append(theta.size)
+        return profile(self, theta)
+
+    monkeypatch.setattr(SphereBubble, "profile", counted)
+    lp_scal_norm(sphere3, SphereBubble(10.0), BallSpec(N3, 0.5), 1.5)
+    assert len(calls) == 1 and calls[0] > 1
 
 
 def test_lp_norm_total_conformal_invariance(sphere3):

@@ -131,7 +131,7 @@ def test_cap_rule_is_read_only(sphere2):
 
 def test_pinching_sweep_builds_one_rule_per_gamma(sphere3):
     centers = lattice(sphere3, 1.2)
-    axis = SphereBubble(1.0).radial_profile(sphere3).axis
+    axis = SphereBubble(1.0).radial_axis(sphere3)
     gammas = {float(d0_many(sphere3, c, axis) / sphere3.radius) for c in centers.points}
     _cap_rule.cache_clear()
     for lam in (2.0, 10.0):  # each ball integrates sup_pos and sup_abs, at both lambdas

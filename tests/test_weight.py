@@ -162,7 +162,7 @@ def test_bubble_dirac_development(sphere3):
 
 
 class _Unprofiled(WeightField):
-    """Test helper: a field's values without its radial profile, so its
+    """Test helper: a field's values without its radial axis, so its
     masses take the Monte Carlo branch of ball_integral."""
 
     def __init__(self, base):
@@ -279,15 +279,27 @@ def test_sum_exact_curvature_and_radial_profile(torus2, rng):
     # summands about one axis: the profile sums f, f' and f''
     s2 = Manifold.sphere(2)
     a, b = SphereBubble(2.0), SphereBubble(5.0)
-    prof, pa, pb = (w.radial_profile(s2) for w in (Sum((a, b)), a, b))
-    np.testing.assert_array_equal(prof.axis, pa.axis)
+    np.testing.assert_array_equal(Sum((a, b)).radial_axis(s2), a.radial_axis(s2))
     theta = np.linspace(0.1, 3.0, 7)
-    for part in ("f", "fp", "fpp"):
-        np.testing.assert_array_equal(getattr(prof, part)(theta),
-                                      getattr(pa, part)(theta) + getattr(pb, part)(theta))
-    # summands about different axes, or one with no profile: none
-    assert Sum((a, SphereBubble(5.0, pole=(1.0, 0.0, 0.0)))).radial_profile(s2) is None
-    assert Sum((BuragoTorus(1), Constant(c))).radial_profile(torus2) is None
+    for got, pa, pb in zip(Sum((a, b)).profile(theta), a.profile(theta), b.profile(theta)):
+        np.testing.assert_array_equal(got, pa + pb)
+    # summands about different axes, or one with no axis: none
+    assert Sum((a, SphereBubble(5.0, pole=(1.0, 0.0, 0.0)))).radial_axis(s2) is None
+    assert Sum((BuragoTorus(1), Constant(c))).radial_axis(torus2) is None
+
+
+@pytest.mark.parametrize("field", [
+    SphereBubble(1.0), SphereBubble(10.0), SphereBubble(1000.0),
+    Scaled(SphereBubble(10.0), 0.7), Sum((SphereBubble(2.0), SphereBubble(5.0))), Constant(0.3),
+], ids=["bubble1", "bubble10", "bubble1000", "scaled", "sum", "constant"])
+def test_profile_derivatives_match_central_differences(field):
+    # both sides of the branch switch at pi/2, and across it
+    theta = np.array([0.2, 0.9, np.pi / 2 - 0.01, np.pi / 2, np.pi / 2 + 0.01, 2.2, 2.9])
+    h = 1e-4
+    f, fp, fpp = field.profile(theta)
+    lo, hi = field.profile(theta - h)[0], field.profile(theta + h)[0]
+    np.testing.assert_allclose(fp, (hi - lo) / (2 * h), rtol=1e-6, atol=1e-6)
+    np.testing.assert_allclose(fpp, (hi - 2 * f + lo) / h**2, rtol=1e-5, atol=1e-5)
 
 
 def test_empty_sum_rejected(torus2):

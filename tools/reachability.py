@@ -40,6 +40,8 @@ ITEM4 = "exact curvature of torus and box fields (ROADMAP item 4's ||scal|| colu
 KDTREE = "kd-tree graphs of scattered or adapted nodes (ROADMAP items 12 and 13)"
 CHAIN = "the chain-ball estimator, a documented convention"
 FD = "finite-difference curvature, the only curvature path of a GridWeight"
+CONSTANT_CAP = "cap rule for constant sphere fields (ROADMAP item 11)"
+SHIFTED_CAP = "cap rule for shifted sphere fields (ROADMAP item 11)"
 KEPT = {
     "cli._flag_type.comma_list": "a list-valued wrapper flag, such as dist --eps-schedule",
     "curvature._fd_laplacian": FD,
@@ -63,8 +65,10 @@ KEPT = {
     "weight.BuragoTorus.grad_lap_many": ITEM4,
     "weight.LogCusp.grad_lap_many": ITEM4,
     "weight.Scaled.grad_lap_many": ITEM4,
-    "weight.Constant.radial_profile": "cap rule for constant sphere fields (ROADMAP item 11)",
-    "weight.Scaled.radial_profile": "cap rule for shifted sphere fields (ROADMAP item 11)",
+    "weight.Constant.radial_axis": CONSTANT_CAP,
+    "weight.Constant.profile": CONSTANT_CAP,
+    "weight.Scaled.radial_axis": SHIFTED_CAP,
+    "weight.Scaled.profile": SHIFTED_CAP,
     "weight.Sum": "sums of fields (ROADMAP items 5 and 6)",
     "weight._linear_weights": "order-1 GridWeight interpolation; the grid run here is cubic",
 }
