@@ -19,7 +19,6 @@ Non-finite curvature raises NumericError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -47,18 +46,9 @@ def alpha_n2(n: int) -> float:
 class PinchingReport:
     """sup over sampled centers of the local curvature functionals."""
 
-    radius: float
     n_centers: int
     sup_pos: float
     sup_abs: float
-    alpha_n2: float
-    lambda_margin: float  # sup of the raw integral, no 2/n exponent
-    below_alpha: bool
-    below_lambda0: Optional[bool]
-    lambda0: Optional[float]
-    budget: int = 0
-    seed: int = 0
-    method: str = "exact"
 
 
 def _scal0(m: Manifold) -> float:
@@ -179,15 +169,13 @@ def pinching_profile(
     centers: PointSet,
     budget: int = 20_000,
     seed: int = 0,
-    lambda0: Optional[float] = None,
     method: str = "exact",
 ) -> PinchingReport:
     """Local curvature concentration: sup over centers of the two
-    (int_{B(x,R0)} . dmu_f)^{2/n} functionals, with threshold flags."""
+    (int_{B(x,R0)} . dmu_f)^{2/n} functionals."""
     if R0 <= 0:
         raise InputError("pinching radius R0 must be positive")
-    n = m.dim
-    p = n / 2.0
+    p = m.dim / 2.0
     pos_vals = np.empty(len(centers))
     abs_vals = np.empty(len(centers))
     for i, c in enumerate(centers.points):
@@ -200,21 +188,6 @@ def pinching_profile(
             m, field, ball, p, budget, s, positive_part=False, method=method
         )
     # lp_scal_norm returns ( . )^{1/p} = ( . )^{2/n}, already the pinched form
-    sup_pos = float(pos_vals.max())
-    sup_abs = float(abs_vals.max())
-    alpha = alpha_n2(n) if n >= 3 else float("nan")
-    margin = sup_abs**p
     return PinchingReport(
-        radius=R0,
-        n_centers=len(centers),
-        sup_pos=sup_pos,
-        sup_abs=sup_abs,
-        alpha_n2=alpha,
-        lambda_margin=margin,
-        below_alpha=bool(n >= 3 and sup_pos < alpha),
-        below_lambda0=None if lambda0 is None else bool(margin < lambda0),
-        lambda0=lambda0,
-        budget=budget,
-        seed=seed,
-        method=method,
+        n_centers=len(centers), sup_pos=float(pos_vals.max()), sup_abs=float(abs_vals.max())
     )

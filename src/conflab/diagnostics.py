@@ -120,11 +120,13 @@ class SubsetRatioResult:
     n_excluded: int
 
 
+_SUBDIVISIONS = 12  # equal-count shells per ball, and random unions of them
+
+
 def subset_ratio_exponent(
     m: Manifold,
     field: WeightField,
     sampler: BallSampler,
-    subdivisions: int = 12,
     budget: int = 20_000,
 ) -> SubsetRatioResult:
     """Fit of log(w-mass ratio) against log(mu0 ratio) over subsets E of
@@ -132,8 +134,6 @@ def subset_ratio_exponent(
 
     Degenerate subsets (no mass) are excluded and counted.
     """
-    if subdivisions < 8:
-        raise InputError("subset_ratio_exponent needs subdivisions >= 8")
     xs, ys = [], []
     excluded = 0
     for k, ball, w, pts in _ball_pools(m, field, sampler, budget, "iv"):
@@ -142,10 +142,10 @@ def subset_ratio_exponent(
         subsets = [dists <= tau * ball.radius for tau in (0.25, 0.4, 0.55, 0.7, 0.85)]
         # random unions of equal-count shells
         qbins = np.searchsorted(
-            np.quantile(dists, np.linspace(0, 1, subdivisions + 1)[1:-1]), dists
+            np.quantile(dists, np.linspace(0, 1, _SUBDIVISIONS + 1)[1:-1]), dists
         )
-        for _ in range(subdivisions):
-            pick = rng.random(subdivisions) < 0.5
+        for _ in range(_SUBDIVISIONS):
+            pick = rng.random(_SUBDIVISIONS) < 0.5
             subsets.append(pick[qbins])
         for mask in subsets:
             cnt = int(mask.sum())
@@ -267,10 +267,8 @@ def d0_matrix(m: Manifold, points: PointSet, sources=None) -> DistanceMatrix:
 @dataclass
 class BiHolderFit:
     slope: float
-    alpha: float  # fitted slope clipped into (0, 1)
-    constant: float  # smallest C validating both two-sided bounds at alpha
+    constant: float  # smallest C validating both bounds at the slope clipped into (0, 1)
     alpha_low: float  # min(slope, 1/slope)
-    alpha_high: float  # max(slope, 1/slope)
     n_pairs: int
 
 
@@ -309,10 +307,8 @@ def biholder_fit(
     constant = float(max(c_up, c_lo, 1.0))
     return BiHolderFit(
         slope=slope,
-        alpha=alpha,
         constant=constant,
         alpha_low=float(min(slope, 1.0 / slope)),
-        alpha_high=float(max(slope, 1.0 / slope)),
         n_pairs=int(good.sum()),
     )
 

@@ -259,7 +259,7 @@ class ExperimentSpec:
 # ---------------------------------------------------------------------------
 
 
-def converge_compare(matrices, labels=None) -> dict:
+def converge_compare(matrices, labels) -> dict:
     """sup |d_k - d_{k+1}| over aligned entries, with a fitted decay rate."""
     if len(matrices) < 2:
         raise InputError("converge_compare needs at least two matrices")
@@ -276,7 +276,7 @@ def converge_compare(matrices, labels=None) -> dict:
         r > 0 for r in ratios
     ) else 0.0
     return {
-        "labels": list(labels) if labels is not None else list(range(len(matrices))),
+        "labels": list(labels),
         "sup_diffs": sups,
         "ratios": ratios,
         "geometric_rate": rate,

@@ -523,14 +523,12 @@ def fit_rate(eps_values: np.ndarray, d_values: np.ndarray):
     converge as the neighbourhood grows, i.e. as eps^q -> 0 with q < 0); the
     extrapolant a is the fitted asymptote and the observed q is reported.
 
-    d_values is one series (m,), giving floats a, b, q, or one series per
-    column (m, P), giving arrays of P fits: each q solves every column at
-    once as the right-hand sides of one lstsq, and each column keeps its own
-    best q.
+    d_values is an (m, P) table, one series per column, giving arrays a, b,
+    q of P fits: each q solves every column at once as the right-hand sides
+    of one lstsq, and each column keeps its own best q.
     """
     eps_values = np.asarray(eps_values, dtype=float)
-    d_values = np.asarray(d_values, dtype=float)
-    d = d_values.reshape(eps_values.size, -1)
+    d = np.asarray(d_values, dtype=float)
     if eps_values.size == 2:
         # the exponent is not identifiable from 2 points; the fixed-point-set
         # distances converge as the neighbourhood grows, i.e. toward eps^-1 -> 0
@@ -546,8 +544,6 @@ def fit_rate(eps_values: np.ndarray, d_values: np.ndarray):
         r = res if res.size else np.sum((basis @ coef - d) ** 2, axis=0)
         better = r < best * (1.0 - 1e-9)
         best[better], a[better], b[better], q_best[better] = r[better], coef[0, better], coef[1, better], q
-    if d_values.ndim == 1:
-        return float(a[0]), float(b[0]), float(q_best[0])
     return a, b, q_best
 
 
@@ -613,8 +609,6 @@ def refine_distance(
 
 @dataclass
 class StableNormResult:
-    direction: np.ndarray
-    t_values: np.ndarray
     per_t: np.ndarray  # d(0, t v)/|snapped displacement| per t, widest margin
     estimate: float
     corridor_check: Optional[float]  # sup |narrow - wide| over t, if checked
@@ -635,6 +629,9 @@ class _Lifted(WeightField):
 
     def constant_axes(self, m):
         return self.field.constant_axes(self.torus)
+
+
+_NODE_BUDGET = 400_000  # most cover-patch nodes at the 2 eps margin; twice that at 4 eps
 
 
 def _cover_distance(m, field, v, t, spacing, margin, node_budget) -> float:
@@ -672,7 +669,6 @@ def stable_norm(
     t_list: Sequence[float],
     spacing: float = 0.1,
     check_corridor: bool = True,
-    node_budget: int = 400_000,
 ) -> StableNormResult:
     """Asymptotic length per unit of direction v for a periodic torus weight.
 
@@ -680,7 +676,8 @@ def stable_norm(
     universal cover around the segment 0 -> t v, grown by a margin of
     2 eps (weight evaluated periodically); the reported norm is the
     monotone-corrected a + b/t extrapolation of d(0, tv)/t.  Sufficiency
-    of the margin is checked by recomputing with it doubled.
+    of the margin is checked by recomputing with it doubled.  A patch over
+    the node budget raises ResourceError before it is built.
     """
     if m.kind != "torus":
         raise InputError("stable_norm is defined for torus weights")
@@ -697,7 +694,7 @@ def stable_norm(
         raise InputError("t_list entries must be positive and finite")
     margin = 6.0 * spacing  # 2 eps
     runs = [
-        np.array([_cover_distance(m, field, v, t, spacing, k * margin, k * node_budget)
+        np.array([_cover_distance(m, field, v, t, spacing, k * margin, k * _NODE_BUDGET)
                   for t in t_list])
         for k in ((1, 2) if check_corridor else (1,))
     ]
@@ -706,6 +703,4 @@ def stable_norm(
     basis = np.column_stack([np.ones_like(t_list), 1.0 / t_list])
     coef, *_ = np.linalg.lstsq(basis, per_t, rcond=None)
     est = min(float(coef[0]), float(per_t.min()))  # subadditive: inf_t is an upper bound
-    return StableNormResult(
-        direction=v, t_values=t_list, per_t=per_t, estimate=est, corridor_check=check
-    )
+    return StableNormResult(per_t=per_t, estimate=est, corridor_check=check)

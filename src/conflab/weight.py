@@ -402,7 +402,7 @@ class Sum(WeightField):
 
 
 class NodeGrid:
-    """Node layout of a torus/box grid with ``manifold`` and ``shape`` fields:
+    """Node layout of a torus/box grid with ``manifold`` and ``shape`` attributes:
     the ``grid_axes`` nodes, cached once as a read-only lattice.  The axes
     are cached apart, so reading the spacing builds no node mesh."""
 
@@ -433,16 +433,17 @@ class GridField(NodeGrid):
     """Sampled log factor on a torus/box node grid (row-major values of f)."""
 
     manifold: Manifold
-    shape: tuple
     values: np.ndarray
 
     def __post_init__(self):
         if self.manifold.kind not in ("torus", "box"):
             raise InputError("grid fields live on tori and boxes only")
-        if tuple(self.values.shape) != tuple(self.shape):
-            raise InputError("grid values shape does not match declared shape")
         if not np.all(np.isfinite(self.values)):
             raise InputError("grid values must be finite")
+
+    @property
+    def shape(self) -> tuple:
+        return self.values.shape
 
 
 def _linear_weights(s: np.ndarray) -> np.ndarray:
@@ -543,7 +544,7 @@ def grid_from_field(m: Manifold, field: WeightField, shape) -> GridField:
     shape = tuple(int(s) for s in shape)
     nodes = PointSet.grid(*grid_axes(m, shape)).points
     field.validate(m)
-    return GridField(manifold=m, shape=shape, values=field.eval_many(m, nodes).reshape(shape))
+    return GridField(manifold=m, values=field.eval_many(m, nodes).reshape(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +607,7 @@ def read_grid(path) -> GridField:
     if len(raw) != expect:
         raise FormatError(f"payload holds {len(raw)} bytes, expected {expect}")
     values = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    return GridField(manifold=m, shape=values.shape, values=values)
+    return GridField(manifold=m, values=values)
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,7 @@ def test_converge_compare_zeros(torus2):
     dm = DistanceMatrix(
         sources=np.array([0, 1]), targets=np.array([0, 1]), values=np.array([[0.0, 1.0], [1.0, 0.0]])
     )
-    comp = converge_compare([dm, dm, dm])
+    comp = converge_compare([dm, dm, dm], labels=["a", "b", "c"])
     assert comp["sup_diffs"] == [0.0, 0.0]
 
 
@@ -154,7 +154,7 @@ def test_converge_compare_misaligned(torus2):
     a = DistanceMatrix(sources=np.array([0]), targets=np.array([0, 1]), values=np.zeros((1, 2)))
     b = DistanceMatrix(sources=np.array([1]), targets=np.array([0, 1]), values=np.zeros((1, 2)))
     with pytest.raises(InputError):
-        converge_compare([a, b])
+        converge_compare([a, b], labels=["a", "b"])
 
 
 def test_weak_star_values(torus2):

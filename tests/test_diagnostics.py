@@ -49,7 +49,7 @@ def test_reverse_holder_step_grid(torus2):
     vals = np.zeros((128, 128))
     vals[:64, :] = 0.0
     vals[64:, :] = np.log(10.0) / 2
-    gw = GridWeight(GridField(manifold=torus2, shape=(128, 128), values=vals), 1)
+    gw = GridWeight(GridField(manifold=torus2, values=vals), 1)
     got = reverse_holder(torus2, gw, 2.0, full_torus_sampler(torus2), budget=200_000)
     assert got == pytest.approx(np.sqrt(50.5) / 5.5, rel=0.02)
 
@@ -115,11 +115,6 @@ def test_subset_ratio_burago(torus2, small_sampler):
     res = subset_ratio_exponent(torus2, BuragoTorus(1), small_sampler, budget=20_000)
     assert res.alpha_iv <= 1.5
     assert 1 / 1.5 <= res.slope <= 1.5
-
-
-def test_subset_ratio_needs_subdivisions(torus2, small_sampler):
-    with pytest.raises(InputError):
-        subset_ratio_exponent(torus2, Constant(0.0), small_sampler, subdivisions=4)
 
 
 @pytest.fixture(scope="module")

@@ -144,9 +144,9 @@ def test_chain_riemann_consistency_modulo_factor(torus2):
 
 def test_fit_rate_exact_model():
     eps = np.array([0.4, 0.2, 0.1])
-    a, b, q = fit_rate(eps, 2.0 + 0.3 * eps**1.5)
-    assert a == pytest.approx(2.0, abs=1e-6)
-    assert q == pytest.approx(1.5, abs=0.05)
+    a, b, q = fit_rate(eps, (2.0 + 0.3 * eps**1.5)[:, None])
+    assert a[0] == pytest.approx(2.0, abs=1e-6)
+    assert q[0] == pytest.approx(1.5, abs=0.05)
 
 
 @pytest.mark.parametrize("eps", [[0.4, 0.2], [0.3, 0.15, 0.075], [0.5, 0.3, 0.2, 0.1]], ids=len)
@@ -158,8 +158,8 @@ def test_fit_rate_of_a_table_is_each_column_fitted_alone(eps):
     a, b, q = fit_rate(eps, table)
     assert a.shape == b.shape == q.shape == (30,)
     for k in range(30):
-        one = fit_rate(eps, table[:, k])
-        assert one == (a[k], b[k], q[k]) and isinstance(one[0], float)
+        one = fit_rate(eps, table[:, [k]])
+        assert np.array_equal(np.ravel(one), [a[k], b[k], q[k]])
 
 
 def test_stable_norm_flat(torus2):
@@ -201,7 +201,7 @@ def test_stable_norm_margin_check_sees_an_offaxis_valley(torus2):
     P = 2 * np.pi
     x = np.arange(64) * (P / 64)
     vals = np.repeat(0.5 * np.log(1 - 0.5 * np.cos(x - 1.0))[:, None], 64, axis=1)
-    f = GridWeight(GridField(manifold=torus2, shape=(64, 64), values=vals), 1)
+    f = GridWeight(GridField(manifold=torus2, values=vals), 1)
     r = stable_norm(torus2, f, [0.0, 1.0], [P, 2 * P], spacing=0.1)
     assert r.corridor_check > 1e-3
     assert r.estimate == pytest.approx(2.0**-0.5, rel=0.01)
@@ -278,11 +278,9 @@ def test_sphere_graph_distances(sphere2):
 def test_stable_norm_node_budget(torus2):
     from conflab.errors import ResourceError
 
-    with pytest.raises(ResourceError):
-        stable_norm(
-            torus2, Constant(0.0), [0.0, 1.0], [2 * np.pi, 4 * np.pi],
-            spacing=0.1, node_budget=100,
-        )
+    # a 20,000 x 20,000 patch of the cover: raised before any node is built
+    with pytest.raises(ResourceError, match="over the budget 400000$"):
+        stable_norm(torus2, Constant(0.0), [1.0, 1.0], [2000.0, 4000.0], spacing=0.1)
 
 
 def test_logcusp_distance_finite(torus2):

@@ -289,7 +289,7 @@ def test_grid_nodes_are_the_lattice_nodes(kind, lengths, lo, steps, cover):
     else:
         want = [np.linspace(a, b, k) for (a, b), k in zip(m.extents, shape)]
     assert [a.tobytes() for a in pts.axes()] == [w.tobytes() for w in want]
-    grids = [GridField(m, shape, np.zeros(shape))]
+    grids = [GridField(m, np.zeros(shape))]
     if min(shape) >= 8:
         grids.append(GridGeometry(m, shape))
     for g in grids:

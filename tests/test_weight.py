@@ -314,12 +314,21 @@ def test_empty_sum_rejected(torus2):
 
 
 def test_grid_io_roundtrip(tmp_path, torus2):
-    g = grid_from_field(torus2, BuragoTorus(1), (16, 24))
-    path = tmp_path / "grid.json"
-    write_grid(g, path)
-    g2 = read_grid(path)
-    assert np.array_equal(g.values, g2.values)
-    assert g2.manifold.kind == "torus"
+    box = Manifold.box([[-1.0, 2.0], [0.5, 1.25]])
+    uneven = Manifold.torus(2, [2.2, 5.0])
+    cusp = LogCusp((0.3, 0.9), 0.4)
+    for k, (m, field) in enumerate([(torus2, BuragoTorus(1)), (box, cusp), (uneven, Constant(0.1))]):
+        g = grid_from_field(m, field, (16, 24))
+        path = tmp_path / f"grid{k}.json"
+        write_grid(g, path)
+        g2 = read_grid(path)
+        assert g2.values.tobytes() == g.values.tobytes()
+        assert g2.shape == g.shape == (16, 24)
+        assert g2.manifold.kind == m.kind
+        if m.kind == "torus":
+            assert g2.manifold.periods.tobytes() == m.periods.tobytes()
+        else:
+            assert g2.manifold.extents.tobytes() == m.extents.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -369,8 +378,8 @@ def test_cubic_grid_reproduces_quadratics_up_to_box_faces(rng):
     box = Manifold.box([[0.0, 1.0], [-1.0, 2.0]])
     quadratic = lambda p: 1.0 + p[:, 0] - 2.0 * p[:, 1] + 3.0 * p[:, 0] * p[:, 1] - p[:, 1] ** 2
     shape = (9, 13)
-    nodes = GridField(manifold=box, shape=shape, values=np.zeros(shape)).nodes()
-    g = GridField(manifold=box, shape=shape, values=quadratic(nodes).reshape(shape))
+    nodes = GridField(manifold=box, values=np.zeros(shape)).nodes()
+    g = GridField(manifold=box, values=quadratic(nodes).reshape(shape))
     near_faces = np.array(
         [[0.0, 0.0], [0.03, -1.0], [1.0, 1.97], [0.5, 2.0], [-1e-3, 0.4], [1.001, -1.001]]
     )
@@ -392,7 +401,7 @@ def _row_major_gather(vals, idx_list, torus):
 @pytest.mark.parametrize("kind", ["torus", "box"])
 def test_gather_is_the_row_major_loop(kind, order, rng):
     m = Manifold.torus(3, [1.0, 2.0, 3.0]) if kind == "torus" else Manifold.box([[0, 1]] * 3)
-    w = GridWeight(GridField(m, (5, 7, 4), rng.normal(size=(5, 7, 4))), order)
+    w = GridWeight(GridField(m, rng.normal(size=(5, 7, 4))), order)
     idx = list(rng.integers(-30, 30, size=(3, 200)))
     vals, pad = (w._ghosted, 2) if (kind, order) == ("box", 3) else (w.grid.values, 0)
     want = _row_major_gather(vals, [i + pad for i in idx], kind == "torus")
@@ -404,14 +413,14 @@ def test_grid_weight_reads_a_tiny_negative_as_zero(order, rng):
     # np.mod(-1e-17, 2.2) rounds up to 2.2, which over h = 2.2 / 7 fell just
     # short of node 7 = node 0 and interpolated from the far side of the cell
     m = Manifold.torus(2, [2.2, 2.2])
-    w = GridWeight(GridField(m, (7, 7), rng.normal(size=(7, 7))), order)
+    w = GridWeight(GridField(m, rng.normal(size=(7, 7))), order)
     at = w.eval_many(m, np.array([[-1e-17, 0.3], [0.0, 0.3]]))
     assert at[0].tobytes() == at[1].tobytes()
 
 
 def test_grid_on_sphere_rejected(sphere2):
     with pytest.raises(InputError):
-        GridField(manifold=sphere2, shape=(8, 8), values=np.zeros((8, 8)))
+        GridField(manifold=sphere2, values=np.zeros((8, 8)))
 
 
 def test_grid_io_unknown_manifest_key(tmp_path, torus2):

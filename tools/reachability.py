@@ -1,9 +1,11 @@
 """List the functions of src/conflab that no run reaches.
 
-Makes seven runs through ``cli.main`` under one ``sys.setprofile`` hook: the
+Makes ten runs through ``cli.main`` under one ``sys.setprofile`` hook: the
 five canonical specs of tests/test_acceptance.py, ``conflab ainfty`` on a
-sphere, and a ``custom`` spec on a cubic grid weight on a box, which the tool
-writes with ``grid_from_field``/``write_grid``.  Then prints each function
+sphere, ``conflab dist`` with a list-valued ``--eps-schedule``, ``custom``
+specs on a cubic and on a multilinear grid weight on a box, which the tool
+writes with ``grid_from_field``/``write_grid``, and a rejected ``custom``
+spec, which must end with exit code 2.  Then prints each function
 (methods and nested functions too) whose code never ran and that ``KEPT``
 does not name, and each ``KEPT`` entry that names no such function.  Exits 1
 if it prints anything.  Run from the repository root:
@@ -43,7 +45,6 @@ FD = "finite-difference curvature, the only curvature path of a GridWeight"
 CONSTANT_CAP = "cap rule for constant sphere fields (ROADMAP item 11)"
 SHIFTED_CAP = "cap rule for shifted sphere fields (ROADMAP item 11)"
 KEPT = {
-    "cli._flag_type.comma_list": "a list-valued wrapper flag, such as dist --eps-schedule",
     "curvature._fd_laplacian": FD,
     "curvature.scal_fd_many": FD,
     "curvature.lp_scal_norm.on_points": ITEM4,
@@ -51,7 +52,6 @@ KEPT = {
     "diagnostics._box_boundary_quadrature": "box perimeters (ROADMAP item 5)",
     "diagnostics._box_mass": "box masses (ROADMAP item 5)",
     "diagnostics.holder_seminorm": "the Hoelder part of box decompositions (ROADMAP item 9)",
-    "experiments.RunReport.failed": "the report of a rejected spec (exit 2)",
     "manifold.d0": "the checked one-pair d0 of the metric-axiom property tests",
     "metric._edges_kdtree": KDTREE,
     "metric._read_only": KDTREE,
@@ -70,7 +70,6 @@ KEPT = {
     "weight.Scaled.radial_axis": SHIFTED_CAP,
     "weight.Scaled.profile": SHIFTED_CAP,
     "weight.Sum": "sums of fields (ROADMAP items 5 and 6)",
-    "weight._linear_weights": "order-1 GridWeight interpolation; the grid run here is cubic",
 }
 
 
@@ -87,16 +86,22 @@ def run_all(out: Path) -> None:
     grid = {"name": "custom", "seed": 1, "manifold": {"kind": "box", "extents": [[0, 2], [0, 2]]},
             "weight": {"kind": "grid", "path": str(out / "grid.json"), "order": 3},
             "budgets": {"ball": 2000, "mass": 2000}}
+    linear = dict(grid, weight=dict(grid["weight"], order=1))
+    rejected = {"name": "custom", "seed": 1, "weight": 3}
     argvs = [["ainfty", "--seed", "1", "--budget", "2000", "--output-dir", str(out / "ainfty"),
-              "--manifold", '{"kind": "sphere"}', "--weight", '{"kind": "sphere-bubble", "lam": 2}']]
-    for k, doc in enumerate([*SPECS, grid]):
+              "--manifold", '{"kind": "sphere"}', "--weight", '{"kind": "sphere-bubble", "lam": 2}'],
+             ["dist", "--spacing", "0.1", "--eps", "0.3", "--eps-schedule", "0.9,0.54,0.3",
+              "--output-dir", str(out / "dist")]]
+    for k, doc in enumerate([*SPECS, grid, linear, rejected]):
         path = out / f"spec{k}.json"
-        path.write_text(json.dumps(dict(doc, output_dir=str(out / doc["name"]))))
+        path.write_text(json.dumps(dict(doc, output_dir=str(out / f"{doc['name']}{k}"))))
         argvs.append(["run", str(path)])
     for argv in argvs:
-        with contextlib.redirect_stdout(io.StringIO()):
-            if cli.main(argv) not in (0, 1):
-                raise SystemExit(f"conflab {' '.join(argv)} stopped with an error")
+        # the rejected spec, run last, must exit 2; 1 is a finished run with a failed flag
+        codes = (2,) if argv is argvs[-1] else (0, 1)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            if cli.main(argv) not in codes:
+                raise SystemExit(f"conflab {' '.join(argv)} did not end with exit code {codes}")
 
 
 def functions(path: Path):
