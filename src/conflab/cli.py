@@ -28,15 +28,12 @@ def _json(text: str, what: str):
 
 
 def _read_spec(path: str):
-    """The JSON document at path, with CONF_LAB_OUT as its output_dir when set."""
+    """The JSON document at path."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read spec file {path}: {exc}") from exc
-    doc = _json(text, f"spec {path}")
-    if "CONF_LAB_OUT" in os.environ and isinstance(doc, dict):
-        doc["output_dir"] = os.environ["CONF_LAB_OUT"]
-    return doc
+    return _json(text, f"spec {path}")
 
 
 # wrapper command -> (its experiment, help, {flag (argparse dest): the spec
@@ -61,7 +58,7 @@ def _doc_from_flags(args) -> dict:
     doc = {
         "name": name,
         "seed": args.seed,
-        "output_dir": os.environ.get("CONF_LAB_OUT", args.output_dir),
+        "output_dir": args.output_dir,
         "manifold": _json(args.manifold, "--manifold") if args.manifold else {},
     }
     for dest, entry in flags.items():
@@ -80,20 +77,21 @@ def _doc_from_flags(args) -> dict:
 
 def _parse(args) -> ExperimentSpec:
     """The spec of the command line: the spec file of ``run``, else the
-    wrapper's flags.  A spec that cannot be read or parsed, or that
-    ExperimentSpec.from_dict rejects, still gets a report.json naming the
-    error, in CONF_LAB_OUT or else the output_dir the spec names (a
-    wrapper's --output-dir when its flags do not parse), when either is a
-    string."""
+    wrapper's flags, with CONF_LAB_OUT as its output_dir when set.  A spec
+    that cannot be read or parsed, or that ExperimentSpec.from_dict
+    rejects, still gets a report.json naming the error, in CONF_LAB_OUT,
+    else the output_dir the spec names, else a wrapper's --output-dir (when
+    its flags do not parse), when that is a string."""
+    out = os.environ.get("CONF_LAB_OUT", getattr(args, "output_dir", None))
     doc = None
     try:
         doc = _read_spec(args.spec) if args.command == "run" else _doc_from_flags(args)
+        if isinstance(doc, dict) and out is not None:  # a wrapper's doc already holds --output-dir
+            doc["output_dir"] = out
         return ExperimentSpec.from_dict(doc)
     except InputError as exc:
-        out = os.environ.get(
-            "CONF_LAB_OUT",
-            doc.get("output_dir") if isinstance(doc, dict) else getattr(args, "output_dir", None),
-        )
+        if isinstance(doc, dict):
+            out = doc.get("output_dir")
         if isinstance(out, str):
             RunReport.failed(doc, exc).write(Path(out))
         raise

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from math import pi
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,12 +26,11 @@ from .manifold import (
     d0_many,
     midpoint,
     sample_ball,
-    sample_manifold,
     sphere_volume,
 )
 from .metric import DistanceMatrix
 from .rng import derive_rng, derive_seed
-from .weight import WeightField, _mc_integral, check_ball_budget, mu_f_ball, total_mass
+from .weight import WeightField, _Lifted, check_ball_budget, mu_f_ball, total_mass
 
 
 def default_eta(m: Manifold) -> float:
@@ -415,15 +414,6 @@ def _box_boundary_quadrature(m: Manifold, field: WeightField, dom: BoxDomain, no
     return total
 
 
-def _box_mass(m: Manifold, field: WeightField, dom: BoxDomain, budget: int, seed: int):
-    """(mass, standard error) of mu_f over a box domain, Monte Carlo on
-    uniform samples of the box."""
-    box = Manifold.box(np.column_stack([dom.lo, dom.hi]))
-    pts, _ = sample_manifold(box, budget, seed)
-    return _mc_integral(np.exp(m.dim * field.eval_many(m, m.canonicalize(pts))), box.volume,
-                        "weight samples", 0.0)
-
-
 @dataclass
 class IsoperimetricResult:
     inf_ratio: float
@@ -436,18 +426,17 @@ def isoperimetric_ratio(
     domains: Sequence,
     budget: int = 40_000,
     seed: int = 0,
-    mass_bound: Optional[float] = None,
 ) -> IsoperimetricResult:
     """inf over domains of perimeter / mass^{1-1/n} for the deformed metric.
 
     Perimeter is the boundary quadrature of e^{(n-1)f} on 4096 nodes (per
-    face of a box); mass is mu_f of the domain.  Domains with more than
-    half the total mass violate the precondition and are rejected.
+    face of a box); mass is mu_f of the domain, a box's the total_mass of
+    the box read through m.  Domains with more than half the total mass
+    violate the precondition and are rejected.
     """
     field.validate(m)
     n = m.dim
-    if mass_bound is None:
-        mass_bound = 0.5 * total_mass(m, field, seed=derive_seed(seed, "tot"))[0]
+    mass_bound = 0.5 * total_mass(m, field, seed=derive_seed(seed, "tot"))[0]
     rows = []
     ratios = []
     for k, dom in enumerate(domains):
@@ -464,7 +453,8 @@ def isoperimetric_ratio(
                     f"period {tuple(m.periods)} on every axis"
                 )
             perim = _box_boundary_quadrature(m, field, dom, 4096)
-            mass, _ = _box_mass(m, field, dom, budget, s)
+            box = Manifold.box(np.column_stack([dom.lo, dom.hi]))
+            mass, _ = total_mass(box, _Lifted(m, field), budget, s)
             desc = "box"
         else:
             raise InputError(f"unsupported isoperimetric domain {dom!r}")

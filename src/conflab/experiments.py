@@ -39,16 +39,6 @@ from .manifold import (
 )
 from .rng import derive_rng, derive_seed
 
-EXPERIMENT_NAMES = (
-    "flat-identity",
-    "sphere-bubble",
-    "log-cusp",
-    "burago",
-    "schrodinger",
-    "custom",
-)
-
-
 # ---------------------------------------------------------------------------
 # spec parsing
 # ---------------------------------------------------------------------------
@@ -102,8 +92,9 @@ def setting_type(default) -> SpecType:
     return INTEGER if isinstance(default, int) else NUMBER
 
 
-# experiment -> spec section -> key -> default: the settings a spec may give,
-# each of setting_type(default).  A key not declared here is an InputError.
+# experiment -> spec section -> key -> default: the experiments, in
+# EXPERIMENT_NAMES order, and the settings a spec may give, each of
+# setting_type(default).  A key not declared here is an InputError.
 # None is a default worked out from the manifold (run_custom).  The manifold
 # of every experiment, and the weight of custom, are descriptors whose keys
 # depend on their kind (_MANIFOLDS, _WEIGHTS).
@@ -138,6 +129,7 @@ SETTINGS = {
         "budgets": {"ball": 20_000, "mass": 100_000},
     },
 }
+EXPERIMENT_NAMES = tuple(SETTINGS)
 
 # descriptor kind -> (its builder, the type of each key it takes besides
 # "kind", the keys it needs); a key left out takes the builder's default,
@@ -292,12 +284,6 @@ def _test_function(m: Manifold, tf):
         if k.shape != (m.ambient_dim,):
             raise InputError(f"cos test function needs a {m.ambient_dim}-vector k, got shape {k.shape}")
         return f"cos({','.join(f'{v:g}' for v in k)})", lambda pts: np.cos(pts @ k)
-    if tf[0] == "bump":
-        x0 = m.check_points(tf[1])[0]
-        r = float(tf[2])
-        if not (np.isfinite(r) and r > 0):
-            raise InputError(f"bump test function needs a positive radius, got {r}")
-        return f"bump(r={r:g})", lambda pts: sc.bump(d0_many(m, pts, x0) / r)
     raise InputError(f"unknown test function {tf!r}")
 
 
@@ -306,8 +292,8 @@ def weak_star_test(
 ) -> list:
     """Table of int phi e^{nf} dmu0 per (field, test function).
 
-    Test functions come from the built-in dictionary: "1", ("cos", k-vector),
-    ("bump", x0, r), each checked before sampling and evaluated once.  A
+    Test functions come from the built-in dictionary: "1" and ("cos",
+    k-vector), each checked before sampling and evaluated once.  A
     standard error needs a budget of at least 2 samples.
     """
     if budget < 2:

@@ -284,13 +284,6 @@ def d0_many(m: Manifold, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return m.radius * _sphere_angle(x, y)
 
 
-def d0(m: Manifold, x, y) -> float:
-    """Base distance between two points."""
-    x = m.check_points(x)[0]
-    y = m.check_points(y)[0]
-    return float(d0_many(m, x, y))
-
-
 def midpoint(m: Manifold, x, y) -> np.ndarray:
     """Point at distance d0(x,y)/2 from both ends of a minimizing geodesic."""
     x = m.check_points(x)[0]

@@ -44,7 +44,7 @@ from .manifold import (
     unit_ball_volume,
 )
 from .rng import derive_seed
-from .weight import WeightField, check_ball_budget, mu_f_ball
+from .weight import WeightField, _Lifted, check_ball_budget, mu_f_ball
 
 _EDGE_CHUNK = 2_000_000
 _GAUSS_POINTS = 5  # RiemannLine's Gauss rule per edge
@@ -612,23 +612,6 @@ class StableNormResult:
     per_t: np.ndarray  # d(0, t v)/|snapped displacement| per t, widest margin
     estimate: float
     corridor_check: Optional[float]  # sup |narrow - wide| over t, if checked
-
-
-@dataclass(frozen=True)
-class _Lifted(WeightField):
-    """A torus field read on a patch of the universal cover."""
-
-    torus: Manifold
-    field: WeightField
-
-    def validate(self, m):
-        self.field.validate(self.torus)
-
-    def eval_many(self, m, x):
-        return self.field.eval_many(self.torus, self.torus.canonicalize(x))
-
-    def constant_axes(self, m):
-        return self.field.constant_axes(self.torus)
 
 
 _NODE_BUDGET = 400_000  # most cover-patch nodes at the 2 eps margin; twice that at 4 eps

@@ -48,7 +48,7 @@ from scipy.sparse import csr_matrix, diags, kronsum
 from scipy.sparse.linalg import lobpcg, splu  # noqa: F401  perfbench's tracer rebinds splu
 
 from .errors import InputError, NumericError
-from .manifold import Manifold, PointSet, d0_many, equal_slab_axes, grid_axes
+from .manifold import Manifold, PointSet, d0_many, equal_slab_axes, lattice
 from .rng import derive_rng
 from .weight import NodeGrid
 
@@ -473,20 +473,19 @@ def log_gradient_fixedpoint(op: GridOperator) -> FixedPointResult:
 
 
 def _cover_centers(geom: GridGeometry, rho: float) -> PointSet:
-    """Cover centers, a lattice: balls of radius rho/2 cover, quarter-balls
-    disjoint."""
+    """Cover centers, the lattice at spacing 0.52 rho: balls of radius rho/2
+    cover, quarter-balls disjoint."""
     m = geom.manifold
     if m.kind != "torus":
         raise InputError("the ground-state decomposition runs on torus grids")
-    n = geom.dim
-    shape = tuple(max(1, int(round(L / (0.52 * rho)))) for L in m.periods)
-    for L, s in zip(m.periods, m.periods / np.asarray(shape)):
-        if s < rho / 2.0 - 1e-12 or s * np.sqrt(n) / 2.0 > rho / 2.0 + 1e-12:
+    cover = lattice(m, 0.52 * rho)
+    for L, s in zip(m.periods, cover.axis_spacing):
+        if s < rho / 2.0 - 1e-12 or s * np.sqrt(geom.dim) / 2.0 > rho / 2.0 + 1e-12:
             raise InputError(
                 f"rho = {rho:g} incompatible with period {L:g}: need a center "
                 f"spacing in [rho/2, rho/sqrt(n)]"
             )
-    return PointSet.grid(*grid_axes(m, shape))
+    return cover
 
 
 def _center_orbits(geom: GridGeometry, V: np.ndarray, cover_shape: tuple):

@@ -396,6 +396,25 @@ class Sum(WeightField):
         return tuple(sum(parts) for parts in zip(*(f.profile(theta) for f in self.fields)))
 
 
+@dataclass(frozen=True)
+class _Lifted(WeightField):
+    """A field of ``manifold`` read through its ``canonicalize``, on another
+    manifold whose coordinates are its own: a box patch of a torus's
+    universal cover, or a box domain inside a torus or box."""
+
+    manifold: Manifold
+    field: WeightField
+
+    def validate(self, m):
+        self.field.validate(self.manifold)
+
+    def eval_many(self, m, x):
+        return self.field.eval_many(self.manifold, self.manifold.canonicalize(x))
+
+    def constant_axes(self, m):
+        return self.field.constant_axes(self.manifold)
+
+
 # ---------------------------------------------------------------------------
 # grid fields
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from conflab.diagnostics import (
     subset_ratio_exponent,
 )
 from conflab.errors import InputError, SamplingError
-from conflab.manifold import BallSpec, Manifold, PointSet, lattice, whole_manifold_ball
+from conflab.manifold import BallSpec, Manifold, PointSet, cap_volume, lattice, whole_manifold_ball
 from conflab.metric import build_graph, shortest_paths
 from conflab.weight import BuragoTorus, Constant, GridField, GridWeight, Scaled
 
@@ -266,12 +266,17 @@ def test_isoperimetric_flat_and_scaled(torus2):
 
 
 def test_isoperimetric_box_domain(torus2):
-    iso = isoperimetric_ratio(
-        torus2, Constant(0.0), [BoxDomain(lo=(1.0, 1.0), hi=(2.2, 2.6))], seed=1
-    )
-    # rectangle: perimeter / sqrt(area)
-    expect = 2 * (1.2 + 1.6) / np.sqrt(1.2 * 1.6)
-    assert iso.inf_ratio == pytest.approx(expect, rel=0.02)
+    # f = c on a w x h rectangle: mass w h e^{2c} and perimeter 2 (w + h) e^c,
+    # on the torus, across its seam x1 = 2 pi, and on a box manifold
+    c = 0.3
+    box = Manifold.box([[0.0, 4.0], [-1.0, 3.0]])
+    for m, lo in ((torus2, (1.0, 1.0)), (torus2, (5.5, 1.0)), (box, (0.5, -0.5))):
+        dom = BoxDomain(lo=lo, hi=(lo[0] + 1.2, lo[1] + 1.6))
+        iso = isoperimetric_ratio(m, Constant(c), [dom], seed=1)
+        (_, perim, mass, ratio), = iso.table
+        assert mass == pytest.approx(1.2 * 1.6 * np.exp(2 * c), rel=1e-12, abs=0)
+        assert perim == pytest.approx(2 * (1.2 + 1.6) * np.exp(c), rel=1e-12, abs=0)
+        assert iso.inf_ratio == ratio == pytest.approx(2 * 2.8 / np.sqrt(1.92), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize(
@@ -294,8 +299,7 @@ def test_isoperimetric_box_domain_must_fit_in_a_period(torus2):
     # 4 pi and area 2 pi, but its faces and draws would count the overlap twice
     with pytest.raises(InputError, match="period"):
         isoperimetric_ratio(
-            torus2, Constant(0.0), [BoxDomain((0.0, 0.0), (10.0, 1.0))], seed=1,
-            mass_bound=1e9,
+            torus2, Constant(0.0), [BoxDomain((0.0, 0.0), (10.0, 1.0))], seed=1
         )
 
 
@@ -313,6 +317,18 @@ def test_ainfty_report_assembly(torus2, small_sampler):
     assert doc["theta_doubling"] >= 1.0
     assert np.isfinite(doc["alpha_iv"])
     assert doc["eta"] == 0.8
+
+
+def test_ainfty_report_of_a_shifted_constant_on_the_sphere(sphere2):
+    # the sampler of run_custom; w is constant, so every ball's averages
+    # cancel, and each doubling ratio is one of cap volumes (colatitude rule)
+    eta = default_eta(sphere2)
+    smp = BallSampler(lattice(sphere2, sphere2.min_period / 3), (eta / 2, eta), seed=0)
+    rep = ainfty_report(sphere2, Scaled(Constant(0.1), 0.2), smp, budget=2000)
+    assert rep.C_rh == pytest.approx(1.0, rel=0, abs=1e-12)
+    assert rep.C_ap == pytest.approx(1.0, rel=0, abs=1e-12)
+    want = max(cap_volume(sphere2, r) / cap_volume(sphere2, r / 2) for r in smp.radii)
+    assert rep.theta_doubling == pytest.approx(want, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize(

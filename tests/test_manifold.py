@@ -12,7 +12,6 @@ from conflab.manifold import (
     _closed_form_volume,
     cap_quadrature,
     cap_volume,
-    d0,
     d0_many,
     geodesic_points,
     lattice,
@@ -26,6 +25,11 @@ from conflab.weight import SphereBubble
 
 N_POLE = np.array([0.0, 0.0, 1.0])
 S_POLE = np.array([0.0, 0.0, -1.0])
+
+
+def d0(m, x, y) -> float:
+    """The base distance of two points, each checked by ``m.check_points``."""
+    return float(d0_many(m, m.check_points(x)[0], m.check_points(y)[0]))
 
 
 def test_d0_torus_half_period(torus2):

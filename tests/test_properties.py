@@ -35,7 +35,6 @@ from conflab.diagnostics import (
 from conflab.manifold import (
     BallSpec,
     Manifold,
-    d0,
     d0_many,
     _closed_form_volume,
     lattice,
@@ -55,6 +54,7 @@ from conflab.weight import (
     SphereBubble,
     Sum,
     WeightField,
+    _Lifted,
     mu_f_ball,
 )
 
@@ -295,6 +295,11 @@ def test_grid_nodes_are_the_lattice_nodes(kind, lengths, lo, steps, cover):
     for g in grids:
         assert g.nodes().tobytes() == pts.points.tobytes()
         assert g.axis_spacing.tobytes() == pts.axis_spacing.tobytes()
+
+
+def d0(m, x, y) -> float:
+    """The base distance of two points, each checked by ``m.check_points``."""
+    return float(d0_many(m, m.check_points(x)[0], m.check_points(y)[0]))
 
 
 def _point(m, u):
@@ -629,7 +634,7 @@ DECLARE_LATTICES = {
 def _declaring_fields(m):
     base = BuragoTorus(2)
     if m.kind == "box":
-        base = mt._Lifted(ORBIT_TORI["torus3"][0], base)
+        base = _Lifted(ORBIT_TORI["torus3"][0], base)
     return {
         "constant": Constant(0.3),
         "periodic": base,
@@ -658,7 +663,7 @@ class _Undeclared(WeightField):
 def test_declared_axes_leave_eval_many_unchanged(kind, name, seed):
     m = DECLARE_LATTICES[kind][0]
     fields = _declaring_fields(m)
-    field = mt._Lifted(m, fields["sum"]) if name == "lifted" else fields[name]
+    field = _Lifted(m, fields["sum"]) if name == "lifted" else fields[name]
     axes = list(field.constant_axes(m))
     assert axes and set(axes) <= set(range(m.dim))
     rng = np.random.default_rng(seed)

@@ -1,11 +1,12 @@
 """List the functions of src/conflab that no run reaches.
 
-Makes ten runs through ``cli.main`` under one ``sys.setprofile`` hook: the
-five canonical specs of tests/test_acceptance.py, ``conflab ainfty`` on a
-sphere, ``conflab dist`` with a list-valued ``--eps-schedule``, ``custom``
-specs on a cubic and on a multilinear grid weight on a box, which the tool
-writes with ``grid_from_field``/``write_grid``, and a rejected ``custom``
-spec, which must end with exit code 2.  Then prints each function
+Makes eleven runs through ``cli.main`` under one ``sys.setprofile`` hook:
+the five canonical specs of tests/test_acceptance.py, ``conflab ainfty`` on
+a sphere with a bubble and with a shifted constant weight, ``conflab dist``
+with a list-valued ``--eps-schedule``, ``custom`` specs on a cubic and on a
+multilinear grid weight on a box, which the tool writes with
+``grid_from_field``/``write_grid``, and a rejected ``custom`` spec, which
+must end with exit code 2.  Then prints each function
 (methods and nested functions too) whose code never ran and that ``KEPT``
 does not name, and each ``KEPT`` entry that names no such function.  Exits 1
 if it prints anything.  Run from the repository root:
@@ -42,17 +43,13 @@ ITEM4 = "exact curvature of torus and box fields (ROADMAP item 4's ||scal|| colu
 KDTREE = "kd-tree graphs of scattered or adapted nodes (ROADMAP items 12 and 13)"
 CHAIN = "the chain-ball estimator, a documented convention"
 FD = "finite-difference curvature, the only curvature path of a GridWeight"
-CONSTANT_CAP = "cap rule for constant sphere fields (ROADMAP item 11)"
-SHIFTED_CAP = "cap rule for shifted sphere fields (ROADMAP item 11)"
 KEPT = {
     "curvature._fd_laplacian": FD,
     "curvature.scal_fd_many": FD,
     "curvature.lp_scal_norm.on_points": ITEM4,
     "diagnostics.BoxDomain": "box domains of the isoperimetric sweep (ROADMAP item 5)",
     "diagnostics._box_boundary_quadrature": "box perimeters (ROADMAP item 5)",
-    "diagnostics._box_mass": "box masses (ROADMAP item 5)",
     "diagnostics.holder_seminorm": "the Hoelder part of box decompositions (ROADMAP item 9)",
-    "manifold.d0": "the checked one-pair d0 of the metric-axiom property tests",
     "metric._edges_kdtree": KDTREE,
     "metric._read_only": KDTREE,
     "metric.EpsGraph.edge_i": KDTREE,
@@ -65,12 +62,13 @@ KEPT = {
     "weight.BuragoTorus.grad_lap_many": ITEM4,
     "weight.LogCusp.grad_lap_many": ITEM4,
     "weight.Scaled.grad_lap_many": ITEM4,
-    "weight.Constant.radial_axis": CONSTANT_CAP,
-    "weight.Constant.profile": CONSTANT_CAP,
-    "weight.Scaled.radial_axis": SHIFTED_CAP,
-    "weight.Scaled.profile": SHIFTED_CAP,
     "weight.Sum": "sums of fields (ROADMAP items 5 and 6)",
 }
+
+
+# a constant sphere weight with a shift: its ball masses take the colatitude
+# rule through Constant's and Scaled's radial_axis and profile
+SHIFTED_CONSTANT = '{"kind": "scaled", "base": {"kind": "constant", "value": 0.1}, "shift": 0.2}'
 
 
 def run_all(out: Path) -> None:
@@ -90,6 +88,8 @@ def run_all(out: Path) -> None:
     rejected = {"name": "custom", "seed": 1, "weight": 3}
     argvs = [["ainfty", "--seed", "1", "--budget", "2000", "--output-dir", str(out / "ainfty"),
               "--manifold", '{"kind": "sphere"}', "--weight", '{"kind": "sphere-bubble", "lam": 2}'],
+             ["ainfty", "--manifold", '{"kind": "sphere"}', "--weight", SHIFTED_CONSTANT,
+              "--budget", "2000", "--output-dir", str(out / "ainfty-scaled")],
              ["dist", "--spacing", "0.1", "--eps", "0.3", "--eps-schedule", "0.9,0.54,0.3",
               "--output-dir", str(out / "dist")]]
     for k, doc in enumerate([*SPECS, grid, linear, rejected]):
