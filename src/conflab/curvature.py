@@ -5,15 +5,17 @@ geometer's (nonnegative-spectrum) Laplacian:
 
     scal_{g_f} = e^{-2f} ( scal_{g0} + 2(n-1) Delta f - (n-1)(n-2) |df|^2 )
 
-method="exact" fills the bracket from a field's closed-form derivatives (or,
-for a rotationally symmetric sphere field, from the (f, f', f'') its
+Every functional fills the bracket from a field's closed-form derivatives
+(or, for a rotationally symmetric sphere field, from the (f, f', f'') its
 ``profile`` gives at angles from its ``radial_axis``) and raises InputError
-for fields without them; the |df|^2 term vanishes at n = 2.
-method="fd" fills it with 2 Delta_h f at n = 2 and with
+for fields without them; the |df|^2 term vanishes at n = 2.  Non-finite
+curvature raises NumericError.
+
+``scal_fd_many`` is the finite-difference reference the exact derivatives
+are checked against: it fills the bracket with 2 Delta_h f at n = 2 and with
 (4(n-1)/(n-2)) Delta_h u / u, u = e^{(n-2)f/2}, above, where Delta_h is the
 central second difference along an orthonormal frame at each point: the
 chart axes on tori and boxes, geodesic normal coordinates on the sphere.
-Non-finite curvature raises NumericError.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from .manifold import (
 )
 from .rng import derive_seed
 from .weight import WeightField, _radial_laplacian, ball_integral
+
+_BUDGET = 20_000  # samples per ball of the Monte Carlo path of lp_scal_norm
 
 
 def alpha_n2(n: int) -> float:
@@ -68,12 +72,6 @@ def _exact_scal(m: Manifold, f, lap, grad_sq) -> np.ndarray:
     """The identity with bracket 2(n-1) Delta f - (n-1)(n-2) |df|^2."""
     n = m.dim
     return _conformal_scal(m, f, 2.0 * (n - 1) * lap, (n - 1) * (n - 2) * grad_sq)
-
-
-def scal_exact_many(m: Manifold, field: WeightField, x: np.ndarray) -> np.ndarray:
-    """Vectorized curvature from a field's closed-form derivatives."""
-    grad, lap = field.grad_lap_many(m, x)
-    return _exact_scal(m, field.eval_many(m, x), lap, np.sum(grad * grad, axis=-1))
 
 
 def scal_radial(m: Manifold, theta: np.ndarray, f, fp, fpp) -> np.ndarray:
@@ -113,17 +111,12 @@ def scal_fd_many(m: Manifold, field: WeightField, x: np.ndarray, h: float) -> np
     return _conformal_scal(m, f0, (4.0 * (n - 1) / (n - 2)) * lap_u / np.exp((n - 2) * f0 / 2.0))
 
 
-def scalar_curvature_many(
-    m: Manifold, field: WeightField, x: np.ndarray, method: str = "exact", h: float = 1e-3
-) -> np.ndarray:
+def scalar_curvature_many(m: Manifold, field: WeightField, x: np.ndarray) -> np.ndarray:
+    """Vectorized curvature from a field's closed-form derivatives."""
     field.validate(m)
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if method == "exact":
-        vals = scal_exact_many(m, field, x)  # InputError for a field without exact derivatives
-    elif method == "fd":
-        vals = scal_fd_many(m, field, x, h)
-    else:
-        raise InputError(f"unknown curvature method {method!r}")
+    grad, lap = field.grad_lap_many(m, x)  # InputError for a field without exact derivatives
+    vals = _exact_scal(m, field.eval_many(m, x), lap, np.sum(grad * grad, axis=-1))
     if not np.all(np.isfinite(vals)):
         raise NumericError("curvature evaluation hit the singular set")
     return vals
@@ -134,15 +127,12 @@ def lp_scal_norm(
     field: WeightField,
     b: BallSpec,
     p: float,
-    budget: int = 20_000,
     seed: int = 0,
     positive_part: bool = False,
-    method: str = "exact",
 ) -> float:
     """(int_B |scal|^p dmu_f)^{1/p}, optionally with the positive part, by
     ball_integral: the colatitude rule for rotationally symmetric sphere
-    fields at method "exact", else Monte Carlo on uniform ball samples with
-    the curvature from scalar_curvature_many(method) at its default fd step.
+    fields, else Monte Carlo on _BUDGET uniform ball samples.
     """
     if p < 1:
         raise InputError("lp_scal_norm requires p >= 1")
@@ -150,15 +140,15 @@ def lp_scal_norm(
     part = (lambda s: np.maximum(s, 0.0)) if positive_part else np.abs
 
     def on_points(pts):
-        s = scalar_curvature_many(m, field, pts, method)
+        s = scalar_curvature_many(m, field, pts)
         with np.errstate(invalid="ignore"):  # inf * 0 is nan, which _mc_integral rejects
             return part(s) ** p * np.exp(n * field.eval_many(m, pts))
 
     def on_profile(theta, f, fp, fpp):
         return part(scal_radial(m, theta, f, fp, fpp)) ** p * np.exp(n * f)
 
-    val, _ = ball_integral(m, field, b, on_points, on_profile if method == "exact" else None,
-                           budget, seed, "samples of |scal|^p e^(nf)")
+    val, _ = ball_integral(m, field, b, on_points, on_profile, _BUDGET, seed,
+                           "samples of |scal|^p e^(nf)")
     return val ** (1.0 / p)
 
 
@@ -167,9 +157,7 @@ def pinching_profile(
     field: WeightField,
     R0: float,
     centers: PointSet,
-    budget: int = 20_000,
     seed: int = 0,
-    method: str = "exact",
 ) -> PinchingReport:
     """Local curvature concentration: sup over centers of the two
     (int_{B(x,R0)} . dmu_f)^{2/n} functionals."""
@@ -181,12 +169,8 @@ def pinching_profile(
     for i, c in enumerate(centers.points):
         ball = BallSpec(center=c, radius=R0)
         s = derive_seed(seed, "pinch", i)
-        pos_vals[i] = lp_scal_norm(
-            m, field, ball, p, budget, s, positive_part=True, method=method
-        )
-        abs_vals[i] = lp_scal_norm(
-            m, field, ball, p, budget, s, positive_part=False, method=method
-        )
+        pos_vals[i] = lp_scal_norm(m, field, ball, p, s, positive_part=True)
+        abs_vals[i] = lp_scal_norm(m, field, ball, p, s, positive_part=False)
     # lp_scal_norm returns ( . )^{1/p} = ( . )^{2/n}, already the pinched form
     return PinchingReport(
         n_centers=len(centers), sup_pos=float(pos_vals.max()), sup_abs=float(abs_vals.max())

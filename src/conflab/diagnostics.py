@@ -116,7 +116,6 @@ class SubsetRatioResult:
     alpha_iv: float  # two-sided exponent: max(slope, 1/slope)
     constant: float  # envelope constant at the fitted exponent
     n_pairs: int
-    n_excluded: int
 
 
 _SUBDIVISIONS = 12  # equal-count shells per ball, and random unions of them
@@ -131,10 +130,9 @@ def subset_ratio_exponent(
     """Fit of log(w-mass ratio) against log(mu0 ratio) over subsets E of
     sampled balls (concentric shrinks plus random unions of quantile cells).
 
-    Degenerate subsets (no mass) are excluded and counted.
+    Degenerate subsets (no mass) are excluded.
     """
     xs, ys = [], []
-    excluded = 0
     for k, ball, w, pts in _ball_pools(m, field, sampler, budget, "iv"):
         dists = d0_many(m, pts, ball.center)
         rng = derive_rng(sampler.seed, "ivsub", k)
@@ -149,12 +147,10 @@ def subset_ratio_exponent(
         for mask in subsets:
             cnt = int(mask.sum())
             if cnt == 0 or cnt == mask.size:
-                excluded += 1
                 continue
             mu_ratio = cnt / mask.size
             w_ratio = float(w[mask].sum() / w.sum())
             if w_ratio <= 0:
-                excluded += 1
                 continue
             xs.append(np.log(mu_ratio))
             ys.append(np.log(w_ratio))
@@ -171,7 +167,6 @@ def subset_ratio_exponent(
         alpha_iv=alpha,
         constant=constant,
         n_pairs=len(xs),
-        n_excluded=excluded,
     )
 
 
@@ -206,6 +201,9 @@ class StrongRatioResult:
     n_pairs: int
 
 
+_STRONG_BUDGET = 20_000  # samples per ball mass of strong_ratio
+
+
 def strong_ratio(
     m: Manifold,
     field: WeightField,
@@ -213,7 +211,6 @@ def strong_ratio(
     dmat: DistanceMatrix,
     pairs: Sequence,
     eta: float,
-    budget: int = 20_000,
     seed: int = 0,
 ) -> StrongRatioResult:
     """sup over pairs of max(rho, 1/rho), rho = d_f(x,y)/mu_f(B)^{1/n}.
@@ -233,7 +230,7 @@ def strong_ratio(
             continue
         df = dmat.get(int(i), int(j))
         mass_x, _ = mu_f_ball(
-            m, field, BallSpec(center=x, radius=d0_xy), budget, derive_seed(seed, "sr", k)
+            m, field, BallSpec(center=x, radius=d0_xy), _STRONG_BUDGET, derive_seed(seed, "sr", k)
         )
         rho = df / mass_x ** (1.0 / n)
         best_x = max(best_x, rho, 1.0 / rho)
@@ -242,7 +239,7 @@ def strong_ratio(
             m,
             field,
             BallSpec(center=mid, radius=d0_xy / 2.0),
-            budget,
+            _STRONG_BUDGET,
             derive_seed(seed, "srm", k),
         )
         rho_m = df / mass_m ** (1.0 / n)
@@ -420,11 +417,13 @@ class IsoperimetricResult:
     table: list  # (domain description, perimeter, mass, ratio)
 
 
+_ISO_BUDGET = 40_000  # samples per domain mass of isoperimetric_ratio
+
+
 def isoperimetric_ratio(
     m: Manifold,
     field: WeightField,
     domains: Sequence,
-    budget: int = 40_000,
     seed: int = 0,
 ) -> IsoperimetricResult:
     """inf over domains of perimeter / mass^{1-1/n} for the deformed metric.
@@ -443,7 +442,7 @@ def isoperimetric_ratio(
         s = derive_seed(seed, "iso", k)
         if isinstance(dom, BallSpec):
             perim = _ball_boundary_quadrature(m, field, dom, 4096)
-            mass, _ = mu_f_ball(m, field, dom, budget, s)
+            mass, _ = mu_f_ball(m, field, dom, _ISO_BUDGET, s)
             desc = f"ball(r={dom.radius:g})"
         elif isinstance(dom, BoxDomain):
             if m.kind == "torus" and np.any(np.subtract(dom.hi, dom.lo) >= m.periods):
@@ -454,7 +453,7 @@ def isoperimetric_ratio(
                 )
             perim = _box_boundary_quadrature(m, field, dom, 4096)
             box = Manifold.box(np.column_stack([dom.lo, dom.hi]))
-            mass, _ = total_mass(box, _Lifted(m, field), budget, s)
+            mass, _ = total_mass(box, _Lifted(m, field), _ISO_BUDGET, s)
             desc = "box"
         else:
             raise InputError(f"unsupported isoperimetric domain {dom!r}")
@@ -494,9 +493,9 @@ def ainfty_report(
     m: Manifold,
     field: WeightField,
     sampler: BallSampler,
-    q: float = 2.0,
-    p: float = 2.0,
-    budget: int = 20_000,
+    q: float,
+    p: float,
+    budget: int,
 ) -> AInftyReport:
     """One-stop estimation of the averaged-weight comparability constants
     on one sampler: reverse Hölder, A_p, doubling (at half the radii) and

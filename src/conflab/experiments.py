@@ -399,7 +399,8 @@ def run_flat_identity(spec: ExperimentSpec, outdir: Path):
     if g["refine_pairs"] < 1:
         raise InputError(f"graph entry 'refine_pairs' = {g['refine_pairs']} leaves no pair to refine")
     ref_pairs = [(pts.points[i], pts.points[j]) for i, j, *_ in pair_rows[: g["refine_pairs"]]]
-    refined = mt.refine_distance(m, zero, ref_pairs, g["eps_schedule"])
+    refined = _using("graph entry 'eps_schedule'", mt.refine_distance,
+                     m, zero, ref_pairs, g["eps_schedule"])
     rel_ex = np.abs(refined.extrapolated - refined.pair_d0) / refined.pair_d0
     _flag(
         flags,
@@ -437,8 +438,8 @@ def run_flat_identity(spec: ExperimentSpec, outdir: Path):
     near = d0_many(m, small.points, small.points[int(idx[0])])
     targets = np.nonzero((near > 0.25) & (near <= 0.9))[0][::7][:5]
     sr_pairs = [(int(idx[0]), int(j)) for j in targets]
-    sr_a = dg.strong_ratio(m, base_field, small, dm_a, sr_pairs, eta=1.0, budget=20_000, seed=seed)
-    sr_b = dg.strong_ratio(m, shift_field, small, dm_b, sr_pairs, eta=1.0, budget=20_000, seed=seed)
+    sr_a = dg.strong_ratio(m, base_field, small, dm_a, sr_pairs, eta=1.0, seed=seed)
+    sr_b = dg.strong_ratio(m, shift_field, small, dm_b, sr_pairs, eta=1.0, seed=seed)
     devs.append(abs(sr_b.theta_strong / sr_a.theta_strong - 1.0))
     doms = [BallSpec(m.canonicalize(np.full(m.dim, 3.0)), r) for r in (0.4, 0.8)]
     iso_a = dg.isoperimetric_ratio(m, base_field, doms, seed=seed)
@@ -602,12 +603,11 @@ def run_burago(spec: ExperimentSpec, outdir: Path):
     P = float(m.periods[0])
 
     # stable norms at ell = 1
-    sn_spacing = 0.1
     t_list = [P, 2 * P, 3 * P]
     bur1 = wt.BuragoTorus(1)
     t_sn = time.time()
-    r_e2 = mt.stable_norm(m, bur1, [0.0, 1.0], t_list, spacing=sn_spacing)
-    r_e1 = mt.stable_norm(m, bur1, [1.0, 0.0], t_list, spacing=sn_spacing)
+    r_e2 = mt.stable_norm(m, bur1, [0.0, 1.0], t_list)
+    r_e1 = mt.stable_norm(m, bur1, [1.0, 0.0], t_list)
     sn_seconds = time.time() - t_sn
     # the loop mean of e^f = sqrt(1 - cos(t)/2) over one period: with
     # 1 - cos(t)/2 = (3/2)(1 - (2/3)cos^2(t/2)) it is (2/pi) sqrt(3/2) E(2/3)
@@ -627,10 +627,7 @@ def run_burago(spec: ExperimentSpec, outdir: Path):
     # direction norm is 2^{-1/2} for the whole sweep
     sweep = {}
     for ell in (1, 2, 4, 8):
-        r = mt.stable_norm(
-            m, wt.BuragoTorus(ell), [0.0, 1.0], [P, 2 * P], spacing=sn_spacing,
-            check_corridor=False,
-        )
+        r = mt.stable_norm(m, wt.BuragoTorus(ell), [0.0, 1.0], [P, 2 * P], check_corridor=False)
         sweep[str(ell)] = r.estimate
     report["stable_norm_e2_by_ell"] = sweep
 
@@ -700,7 +697,7 @@ def run_burago(spec: ExperimentSpec, outdir: Path):
                     pairs.append((i, spts.nearest(m, target)))
         sdm = mt.shortest_paths(sg, np.unique(src), np.unique([j for _, j in pairs]))
         sr = dg.strong_ratio(
-            m, f, spts, sdm, pairs, eta=1.05 * max(base_dists) / ell, budget=20_000,
+            m, f, spts, sdm, pairs, eta=1.05 * max(base_dists) / ell,
             seed=derive_seed(seed, "sr", ell),
         )
         thetas.append(sr.theta_strong)

@@ -34,12 +34,10 @@ from .manifold import (
     BallSpec,
     Manifold,
     PointSet,
-    _lattice_shape,
     d0_many,
     equal_slab_axes,
     gauss_rule,
     geodesic_points,
-    grid_axes,
     lattice,
     unit_ball_volume,
 )
@@ -336,7 +334,7 @@ def _edge_weights(g: EpsGraph, field: WeightField) -> np.ndarray:
     return w
 
 
-def _eps_graph(m, points: PointSet, eps, field, estimator=RiemannLine()):
+def _eps_graph(m, points: PointSet, eps, field, estimator):
     """All d0 <= eps edges of ``points`` in one CSR, weighted per estimator.
 
     On a torus or box lattice whose axes each hold more nodes than the eps
@@ -550,7 +548,6 @@ def fit_rate(eps_values: np.ndarray, d_values: np.ndarray):
 @dataclass
 class RefineResult:
     eps_schedule: np.ndarray
-    pair_nodes: np.ndarray  # (P, 2) node indices after snapping
     pair_d0: np.ndarray  # (P,) base distance of the snapped pairs
     table: np.ndarray  # (n_eps, P) graph distances
     extrapolated: np.ndarray  # (P,)
@@ -570,7 +567,7 @@ def refine_distance(
     The point set is the covering lattice matched to the finest schedule
     entry (spacing = min(eps)/3), so coarser entries see strictly richer
     chord sets and the per-pair distances decrease monotonically toward the
-    metric.
+    metric.  A pair whose ends snap to one node of it raises InputError.
     """
     eps_schedule = np.asarray(sorted(set(float(e) for e in eps_schedule), reverse=True))
     if eps_schedule.size < 2:
@@ -580,6 +577,10 @@ def refine_distance(
     nodes = np.empty((len(pair_arr), 2), dtype=int)
     for k, (a, b) in enumerate(pair_arr):
         nodes[k] = points.nearest(m, a), points.nearest(m, b)
+    same = np.nonzero(nodes[:, 0] == nodes[:, 1])[0]
+    if same.size:
+        raise InputError(f"pair {same[0]} has both ends on one node of the refinement lattice "
+                         f"at spacing {points.spacing:.4g}, a third of the finest eps or less")
     pair_d0 = d0_many(m, points.points[nodes[:, 0]], points.points[nodes[:, 1]])
     sources = np.unique(nodes[:, 0])
     table = np.empty((eps_schedule.size, len(pair_arr)))
@@ -593,7 +594,6 @@ def refine_distance(
     warn = np.any(diffs < -1e-12 * np.maximum(1.0, np.abs(table[-1])), axis=0)
     return RefineResult(
         eps_schedule=eps_schedule,
-        pair_nodes=nodes,
         pair_d0=pair_d0,
         table=table,
         extrapolated=extrap,
@@ -614,20 +614,21 @@ class StableNormResult:
     corridor_check: Optional[float]  # sup |narrow - wide| over t, if checked
 
 
+_SPACING = 0.1  # requested lattice spacing of the cover patches
 _NODE_BUDGET = 400_000  # most cover-patch nodes at the 2 eps margin; twice that at 4 eps
 
 
-def _cover_distance(m, field, v, t, spacing, margin, node_budget) -> float:
+def _cover_distance(m, field, v, t, margin, node_budget) -> float:
     """Graph distance 0 -> t*v on the universal cover per unit of snapped
     displacement.
 
-    The patch is the rectangle of torus lattice nodes (spacing h of
-    ``lattice(m, spacing)``) around the segment, grown by ``margin`` on
-    every side, taken as a box lattice and weighted at eps = 3 * spacing
+    The patch is the rectangle of torus lattice nodes (steps h of
+    ``lattice(m, _SPACING)``) around the segment, grown by ``margin`` on
+    every side, taken as a box lattice and weighted at eps = 3 * _SPACING
     with the field read periodically.  A full rectangle at that eps is
     connected, so no connectivity check runs.
     """
-    _, h = grid_axes(m, _lattice_shape(m, spacing))
+    h = lattice(m, _SPACING).axis_spacing
     target = t * v
     lo = np.minimum(0.0, target) - margin
     hi = np.maximum(0.0, target) + margin
@@ -637,7 +638,7 @@ def _cover_distance(m, field, v, t, spacing, margin, node_budget) -> float:
         raise ResourceError(f"cover patch needs {count} nodes, over the budget {node_budget}")
     pts = PointSet.grid(axes, h)
     box = Manifold.box([[a[0], a[-1]] for a in axes])
-    g = _eps_graph(box, pts, 3.0 * spacing, _Lifted(m, field))
+    g = _eps_graph(box, pts, 3.0 * _SPACING, _Lifted(m, field), RiemannLine())
     src, dst = pts.nearest(box, np.zeros(m.dim)), pts.nearest(box, target)
     if src == dst:
         raise InputError(f"t = {t} snaps to the origin; t |v| must exceed half a lattice step")
@@ -650,12 +651,11 @@ def stable_norm(
     field: WeightField,
     v,
     t_list: Sequence[float],
-    spacing: float = 0.1,
     check_corridor: bool = True,
 ) -> StableNormResult:
     """Asymptotic length per unit of direction v for a periodic torus weight.
 
-    Shortest paths at eps = 3 * spacing run on lattice rectangles of the
+    Shortest paths at eps = 3 * _SPACING run on lattice rectangles of the
     universal cover around the segment 0 -> t v, grown by a margin of
     2 eps (weight evaluated periodically); the reported norm is the
     monotone-corrected a + b/t extrapolation of d(0, tv)/t.  Sufficiency
@@ -668,16 +668,14 @@ def stable_norm(
     v = np.asarray(v, dtype=float)
     if np.allclose(v, 0.0):
         raise InputError("stable norm direction must be nonzero")
-    if not (np.isfinite(spacing) and spacing > 0):
-        raise InputError(f"stable norm spacing must be positive, got {spacing}")
     t_list = np.asarray(sorted(float(t) for t in t_list))
     if np.any(np.diff(t_list) <= 0) or t_list.size < 2:
         raise InputError("t_list must be strictly increasing with >= 2 entries")
     if not np.all(np.isfinite(t_list) & (t_list > 0)):
         raise InputError("t_list entries must be positive and finite")
-    margin = 6.0 * spacing  # 2 eps
+    margin = 6.0 * _SPACING  # 2 eps
     runs = [
-        np.array([_cover_distance(m, field, v, t, spacing, k * margin, k * _NODE_BUDGET)
+        np.array([_cover_distance(m, field, v, t, k * margin, k * _NODE_BUDGET)
                   for t in t_list])
         for k in ((1, 2) if check_corridor else (1,))
     ]

@@ -246,7 +246,10 @@ class SchrodingerSolve:
     history: list = dc_field(default_factory=list)
 
 
-def lowest_eigenpair(op: GridOperator, tol: float = 1e-10, max_iter: int = 400,
+_MAX_ITER = 400  # most LOBPCG iterations of one eigen solve
+
+
+def lowest_eigenpair(op: GridOperator, tol: float = 1e-10,
                      v0: Optional[np.ndarray] = None) -> SchrodingerSolve:
     """Lowest eigenpair by LOBPCG preconditioned with (Delta + c)^{-1}.
 
@@ -268,12 +271,12 @@ def lowest_eigenpair(op: GridOperator, tol: float = 1e-10, max_iter: int = 400,
         warnings.filterwarnings("ignore", "(?s).*not reaching the requested tolerance", UserWarning)
         lams, vecs, res_hist = lobpcg(
             A, v[:, None], M=lambda r: geom.spectral(r, inv), largest=False, tol=tol,
-            maxiter=max_iter, retResidualNormsHistory=True,
+            maxiter=_MAX_ITER, retResidualNormsHistory=True,
         )
     history = [float(r) for r in res_hist]
     if not history[-1] <= tol:
         raise NumericError(
-            f"eigen iteration did not reach tol={tol} in {max_iter} iterations; "
+            f"eigen iteration did not reach tol={tol} in {_MAX_ITER} iterations; "
             f"residual history tail {history[-5:]}"
         )
     lam = float(lams[0])
@@ -408,10 +411,8 @@ class FixedPointResult:
     v: np.ndarray  # mean-zero log of the ground-state representative
     c: float  # the constant: Delta v - G(v) = V + c, eigenvalue of e^v
     iterations: int
-    gap: float  # final ||v_{k+1} - v_k||_{W^{1,n}}
     residual_n2: float  # ||Delta v - G(v) - V - c||_{n/2}
     dv_norm: float  # ||dv||_{L^n}
-    threshold: float  # smallness threshold 1/(8 A^2)
     v_norm_bound: float  # 2 A ||V||_{n/2}
 
 
@@ -459,10 +460,8 @@ def log_gradient_fixedpoint(op: GridOperator) -> FixedPointResult:
         v=v,
         c=float(c),
         iterations=it,
-        gap=float(gap),
         residual_n2=float(residual),
         dv_norm=float(geom.grad_lp_norm(v, float(n))),
-        threshold=float(threshold),
         v_norm_bound=float(2.0 * A * v_norm),
     )
 

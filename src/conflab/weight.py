@@ -55,7 +55,10 @@ class WeightField:
     def grad_lap_many(self, m: Manifold, x: np.ndarray):
         """(gradient vectors, Laplacian of f), geometer's sign Laplacian;
         InputError for a field without closed-form derivatives."""
-        raise InputError(f"{type(self).__name__} does not provide exact derivatives; use method='fd'")
+        raise InputError(
+            f"{type(self).__name__} does not provide exact derivatives; "
+            "its curvature has only the finite-difference reference scal_fd_many"
+        )
 
     def radial_axis(self, m: Manifold) -> Optional[np.ndarray]:
         """The ambient unit vector a sphere field is rotationally symmetric

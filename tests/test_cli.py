@@ -247,8 +247,12 @@ def test_missing_spec_key_is_an_input_error(tmp_path, capsys, doc, words):
         ({"name": "custom", "diagnostics": {"p": 1}}, "diagnostics entry 'p'", "p must exceed 1"),
         ({"name": "burago", "graph": {"spacing": 3.0}}, "graph entry 'spacing'", "the 12 sources"),
         ({"name": "log-cusp", "graph": {"spacing": 3.0}}, "graph entry 'spacing'", "the 10 sources"),
+        # the refinement lattice at spacing 9 / 3 snaps pair ends onto one node
+        ({"name": "flat-identity", "graph": {"spacing": 0.1, "eps": 0.3, "eps_schedule": [12, 9]}},
+         "graph entry 'eps_schedule'", "both ends on one node"),
     ],
-    ids=["mass", "ball", "center_spacing", "eta", "q", "eps", "p", "burago-spacing", "log-cusp-spacing"],
+    ids=["mass", "ball", "center_spacing", "eta", "q", "eps", "p", "burago-spacing", "log-cusp-spacing",
+         "eps_schedule"],
 )
 def test_setting_a_library_check_rejects_names_its_key(tmp_path, capsys, doc, entry, words):
     # well typed, so the spec is accepted; the check that stops the run is

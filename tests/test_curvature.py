@@ -6,6 +6,7 @@ from conflab.curvature import (
     alpha_n2,
     lp_scal_norm,
     pinching_profile,
+    scal_fd_many,
     scal_radial,
     scalar_curvature_many,
 )
@@ -55,7 +56,7 @@ def test_flat_and_round_curvature(torus2, sphere3):
 
 
 def test_burago_curvature_fd_and_exact(torus2):
-    fd = scalar_curvature_many(torus2, BuragoTorus(1), (0.0, 0.0), method="fd", h=1e-4)[0]
+    fd = scal_fd_many(torus2, BuragoTorus(1), np.array([[0.0, 0.0]]), 1e-4)[0]
     assert fd == pytest.approx(-2.0, abs=5e-6)
     exact = scalar_curvature_many(torus2, BuragoTorus(1), (0.0, 0.0))[0]
     assert exact == pytest.approx(-2.0, rel=1e-13)
@@ -104,7 +105,7 @@ def test_fd_order_two(case):
     m, field, pts = FD_CASES[case]
     truth = scalar_curvature_many(m, field, pts)
     errs = [
-        np.abs(scalar_curvature_many(m, field, pts, method="fd", h=h) - truth)
+        np.abs(scal_fd_many(m, field, pts, h) - truth)
         for h in (0.02, 0.01, 0.005)
     ]
     orders = [np.log2(errs[k] / errs[k + 1]) for k in range(2)]
@@ -116,7 +117,7 @@ def test_fd_order_two_on_sphere(sphere3):
     pts = np.vstack([pts, N3, S3])  # both reflections of the tangent frames
     truth = scalar_curvature_many(sphere3, SphereBubble(10.0), pts)
     errs = [
-        np.abs(scalar_curvature_many(sphere3, SphereBubble(10.0), pts, method="fd", h=h) - truth)
+        np.abs(scal_fd_many(sphere3, SphereBubble(10.0), pts, h) - truth)
         for h in (4e-3, 2e-3, 1e-3)
     ]
     orders = [np.log2(errs[k] / errs[k + 1]) for k in range(2)]
@@ -127,13 +128,13 @@ def test_fd_on_sphere_analytic(sphere3):
     # geodesic normal-coordinate differences; 5e-2 tolerance across dilations
     pts, _ = sample_manifold(sphere3, 25, seed=9)
     for lam in (1.0, 10.0, 100.0):
-        s = scalar_curvature_many(sphere3, SphereBubble(lam), pts, method="fd", h=2e-3)
+        s = scal_fd_many(sphere3, SphereBubble(lam), pts, 2e-3)
         assert np.abs(s / 6.0 - 1.0).max() <= 5e-2
 
 
 def test_lp_norm_flat_zero(torus2):
     b = BallSpec(np.array([1.0, 1.0]), 0.6)
-    assert lp_scal_norm(torus2, Constant(0.0), b, 2.0, budget=500, seed=1) == 0.0
+    assert lp_scal_norm(torus2, Constant(0.0), b, 2.0, seed=1) == 0.0
 
 
 def test_lp_norm_hemisphere_value(sphere3):
@@ -204,8 +205,8 @@ def test_lp_norm_total_conformal_invariance(sphere3):
 
 def test_lp_positive_part_bound(torus2):
     b = BallSpec(np.array([0.5, 0.5]), 0.8)
-    pos = lp_scal_norm(torus2, BuragoTorus(1), b, 1.0, budget=20_000, seed=2, positive_part=True)
-    absv = lp_scal_norm(torus2, BuragoTorus(1), b, 1.0, budget=20_000, seed=2)
+    pos = lp_scal_norm(torus2, BuragoTorus(1), b, 1.0, seed=2, positive_part=True)
+    absv = lp_scal_norm(torus2, BuragoTorus(1), b, 1.0, seed=2)
     assert pos <= absv + 1e-12
 
 
@@ -215,7 +216,7 @@ def _bubble_centers(sphere3):
 
 
 def test_pinching_flat(torus2):
-    rep = pinching_profile(torus2, Constant(0.0), 0.5, lattice(torus2, 2.5), budget=500, seed=1)
+    rep = pinching_profile(torus2, Constant(0.0), 0.5, lattice(torus2, 2.5), seed=1)
     assert rep.sup_pos == 0.0
     assert rep.sup_abs == 0.0
 
@@ -251,10 +252,8 @@ def test_pinching_scale_invariance(torus2, sphere3):
 def test_pinching_on_grid_field_needs_fd(torus2):
     field = GridWeight(grid_from_field(torus2, BuragoTorus(1), (32, 32)), 3)
     cents = lattice(torus2, 2.5)
-    with pytest.raises(InputError):
-        pinching_profile(torus2, field, 0.5, cents, budget=500, seed=1)
-    rep = pinching_profile(torus2, field, 0.5, cents, budget=500, seed=1, method="fd")
-    assert np.isfinite(rep.sup_abs) and rep.sup_abs > 0.0
+    with pytest.raises(InputError, match="scal_fd_many"):
+        pinching_profile(torus2, field, 0.5, cents, seed=1)
 
 
 @pytest.mark.parametrize("x", [(0.0, 1.2, 1.0), (0.01, 1.2, 1.0)])
@@ -265,7 +264,7 @@ def test_cubic_grid_fd_curvature_at_a_box_face(x):
     cusp = LogCusp((0.3, 1.0, 1.0), 0.4)
     grid = GridWeight(grid_from_field(box, cusp, (81, 81, 81)), 3)
     exact = scalar_curvature_many(box, cusp, x)[0]
-    assert scalar_curvature_many(box, grid, x, method="fd")[0] == pytest.approx(exact, rel=0.15)
+    assert scal_fd_many(box, grid, np.array([x]), 1e-3)[0] == pytest.approx(exact, rel=0.15)
 
 
 def test_pinching_flags(sphere3):

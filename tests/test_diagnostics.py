@@ -134,7 +134,7 @@ def flat_graph():
 
 def test_strong_ratio_flat_value(flat_graph):
     t2, pts, g, dm, pairs = flat_graph
-    sr = strong_ratio(t2, Constant(0.0), pts, dm, pairs, eta=1.0, budget=20_000, seed=2)
+    sr = strong_ratio(t2, Constant(0.0), pts, dm, pairs, eta=1.0, seed=2)
     assert sr.theta_strong == pytest.approx(np.sqrt(np.pi), rel=0.03)
 
 
@@ -142,8 +142,8 @@ def test_strong_ratio_scale_invariant(flat_graph):
     t2, pts, g, dm, pairs = flat_graph
     gs = g.reweight(Constant(0.8))
     dms = shortest_paths(gs, dm.sources)
-    a = strong_ratio(t2, Constant(0.0), pts, dm, pairs, eta=1.0, budget=20_000, seed=2)
-    b = strong_ratio(t2, Constant(0.8), pts, dms, pairs, eta=1.0, budget=20_000, seed=2)
+    a = strong_ratio(t2, Constant(0.0), pts, dm, pairs, eta=1.0, seed=2)
+    b = strong_ratio(t2, Constant(0.8), pts, dms, pairs, eta=1.0, seed=2)
     assert abs(b.theta_strong / a.theta_strong - 1.0) <= 1e-10
 
 
@@ -154,8 +154,8 @@ def test_strong_ratio_on_a_bounded_matrix(flat_graph):
     full = shortest_paths(gb, dm.sources)
     bounded = shortest_paths(gb, dm.sources, sorted({j for _, j in pairs}))
     assert bounded.values.shape[1] < full.values.shape[1]
-    a = strong_ratio(t2, field, pts, full, pairs, eta=2.0, budget=5_000, seed=4)
-    b = strong_ratio(t2, field, pts, bounded, pairs, eta=2.0, budget=5_000, seed=4)
+    a = strong_ratio(t2, field, pts, full, pairs, eta=2.0, seed=4)
+    b = strong_ratio(t2, field, pts, bounded, pairs, eta=2.0, seed=4)
     assert a == b
 
 
@@ -171,7 +171,7 @@ def test_lemma_comparison_bound(flat_graph):
     t2, pts, g, dm, pairs = flat_graph
     sr = strong_ratio(t2, BuragoTorus(1), pts, shortest_paths(
         g.reweight(BuragoTorus(1)), dm.sources
-    ), pairs, eta=1.0, budget=20_000, seed=4)
+    ), pairs, eta=1.0, seed=4)
     assert np.isfinite(sr.theta_strong)
     assert sr.theta_strong >= 1.0
 
@@ -310,7 +310,7 @@ def test_isoperimetric_mass_precondition(torus2):
 
 
 def test_ainfty_report_assembly(torus2, small_sampler):
-    rep = ainfty_report(torus2, BuragoTorus(1), small_sampler, budget=10_000)
+    rep = ainfty_report(torus2, BuragoTorus(1), small_sampler, q=2.0, p=2.0, budget=10_000)
     doc = rep.to_dict()
     assert doc["C_rh"] >= 1.0 - 0.02
     assert doc["C_ap"] >= 1.0 - 0.02
@@ -324,7 +324,7 @@ def test_ainfty_report_of_a_shifted_constant_on_the_sphere(sphere2):
     # cancel, and each doubling ratio is one of cap volumes (colatitude rule)
     eta = default_eta(sphere2)
     smp = BallSampler(lattice(sphere2, sphere2.min_period / 3), (eta / 2, eta), seed=0)
-    rep = ainfty_report(sphere2, Scaled(Constant(0.1), 0.2), smp, budget=2000)
+    rep = ainfty_report(sphere2, Scaled(Constant(0.1), 0.2), smp, q=2.0, p=2.0, budget=2000)
     assert rep.C_rh == pytest.approx(1.0, rel=0, abs=1e-12)
     assert rep.C_ap == pytest.approx(1.0, rel=0, abs=1e-12)
     want = max(cap_volume(sphere2, r) / cap_volume(sphere2, r / 2) for r in smp.radii)
@@ -343,8 +343,9 @@ def test_ainfty_report_checks_settings_before_sampling(torus2, small_sampler, mo
         raise AssertionError("a ball was sampled before the settings were checked")
 
     monkeypatch.setattr(dg, "sample_ball", refuse)
+    settings = {"q": 2.0, "p": 2.0, "budget": 20_000} | setting
     with pytest.raises(InputError, match=words):
-        ainfty_report(torus2, BuragoTorus(1), small_sampler, **setting)
+        ainfty_report(torus2, BuragoTorus(1), small_sampler, **settings)
 
 
 def test_default_eta(torus2, sphere2):

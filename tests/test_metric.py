@@ -164,15 +164,15 @@ def test_fit_rate_of_a_table_is_each_column_fitted_alone(eps):
 
 def test_stable_norm_flat(torus2):
     P = 2 * np.pi
-    r = stable_norm(torus2, Constant(0.0), [0.0, 1.0], [P, 2 * P], spacing=0.15)
+    r = stable_norm(torus2, Constant(0.0), [0.0, 1.0], [P, 2 * P])
     assert r.estimate == pytest.approx(1.0, rel=0.01)
 
 
 def test_stable_norm_burago(torus2):
     P = 2 * np.pi
-    r2 = stable_norm(torus2, BuragoTorus(1), [0.0, 1.0], [P, 2 * P, 3 * P], spacing=0.1)
+    r2 = stable_norm(torus2, BuragoTorus(1), [0.0, 1.0], [P, 2 * P, 3 * P])
     assert r2.estimate == pytest.approx(2.0**-0.5, rel=0.01)
-    r1 = stable_norm(torus2, BuragoTorus(1), [1.0, 0.0], [P, 2 * P, 3 * P], spacing=0.1)
+    r1 = stable_norm(torus2, BuragoTorus(1), [1.0, 0.0], [P, 2 * P, 3 * P])
     oracle = quad(lambda t: np.sqrt(1 - 0.5 * np.cos(t)), 0, 2 * np.pi)[0] / (2 * np.pi)
     assert r1.estimate == pytest.approx(oracle, rel=0.01)
     assert r2.corridor_check <= 1e-9
@@ -180,17 +180,17 @@ def test_stable_norm_burago(torus2):
 
 def test_stable_norm_subadditive(torus2):
     P = 2 * np.pi
-    kw = dict(spacing=0.15, check_corridor=False)
-    n_e1 = stable_norm(torus2, BuragoTorus(1), [1.0, 0.0], [P, 2 * P], **kw).estimate
-    n_e2 = stable_norm(torus2, BuragoTorus(1), [0.0, 1.0], [P, 2 * P], **kw).estimate
-    n_diag = stable_norm(torus2, BuragoTorus(1), [1.0, 1.0], [P, 2 * P], **kw).estimate
+    n_e1, n_e2, n_diag = (
+        stable_norm(torus2, BuragoTorus(1), v, [P, 2 * P], check_corridor=False).estimate
+        for v in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0])
+    )
     assert np.sqrt(2.0) * n_diag <= (n_e1 + n_e2) * 1.02
 
 
 def test_stable_norm_flat_at_a_node_tie(torus2):
     # t = pi lies half-way between lattice nodes 31 h and 32 h; the cover
     # distance is divided by the snapped displacement, not by t
-    r = stable_norm(torus2, Constant(0.0), [0.0, 1.0], [np.pi, 2 * np.pi], spacing=0.1)
+    r = stable_norm(torus2, Constant(0.0), [0.0, 1.0], [np.pi, 2 * np.pi])
     assert r.per_t == pytest.approx([1.0, 1.0], rel=1e-12)
     assert r.estimate == pytest.approx(1.0, rel=1e-12)
 
@@ -202,24 +202,23 @@ def test_stable_norm_margin_check_sees_an_offaxis_valley(torus2):
     x = np.arange(64) * (P / 64)
     vals = np.repeat(0.5 * np.log(1 - 0.5 * np.cos(x - 1.0))[:, None], 64, axis=1)
     f = GridWeight(GridField(manifold=torus2, values=vals), 1)
-    r = stable_norm(torus2, f, [0.0, 1.0], [P, 2 * P], spacing=0.1)
+    r = stable_norm(torus2, f, [0.0, 1.0], [P, 2 * P])
     assert r.corridor_check > 1e-3
     assert r.estimate == pytest.approx(2.0**-0.5, rel=0.01)
 
 
 @pytest.mark.parametrize(
-    "t_list, spacing",
+    "t_list",
     [
-        ([0.0, 1.0], 0.1),
-        ([-1.0, 1.0], 0.1),
-        ([0.01, 1.0], 0.1),  # under half a lattice step: snaps onto the origin
-        ([1.0, 2.0], 0.0),
-        ([1.0, 2.0], -0.1),
+        [0.0, 1.0],
+        [-1.0, 1.0],
+        [0.01, 1.0],  # under half a lattice step: snaps onto the origin
     ],
+    ids=["t_list0-0.1", "t_list1-0.1", "t_list2-0.1"],  # 0.1: the cover lattice spacing
 )
-def test_stable_norm_rejects_bad_t_and_spacing(torus2, t_list, spacing):
+def test_stable_norm_rejects_bad_t_and_spacing(torus2, t_list):
     with pytest.raises(InputError):
-        stable_norm(torus2, Constant(0.0), [0.0, 1.0], t_list, spacing=spacing)
+        stable_norm(torus2, Constant(0.0), [0.0, 1.0], t_list)
 
 
 def test_distance_matrix_get_unknown_target():
@@ -280,7 +279,7 @@ def test_stable_norm_node_budget(torus2):
 
     # a 20,000 x 20,000 patch of the cover: raised before any node is built
     with pytest.raises(ResourceError, match="over the budget 400000$"):
-        stable_norm(torus2, Constant(0.0), [1.0, 1.0], [2000.0, 4000.0], spacing=0.1)
+        stable_norm(torus2, Constant(0.0), [1.0, 1.0], [2000.0, 4000.0])
 
 
 def test_logcusp_distance_finite(torus2):

@@ -708,8 +708,7 @@ def _patch_weights(m, field):
         return g
 
     with patch.object(mt, "_eps_graph", spy):
-        mt.stable_norm(m, field, np.linspace(1.0, 0.3, m.dim), [1.5, 3.0], spacing=0.2,
-                       check_corridor=False)
+        mt.stable_norm(m, field, np.linspace(1.0, 0.3, m.dim), [1.5, 3.0], check_corridor=False)
     return seen
 
 

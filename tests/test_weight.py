@@ -457,9 +457,9 @@ class _HalfInfinite(__import__("conflab.weight", fromlist=["WeightField"]).Weigh
         lambda m, f: total_mass(m, f, budget=2000, seed=1),
         lambda m, f: weak_star_test(m, [("half", f)], ["1"], budget=2000, seed=1),
         lambda m, f: isoperimetric_ratio(
-            m, f, [BoxDomain((2.5, 1.0), (3.5, 2.0))], budget=2000, seed=1
+            m, f, [BoxDomain((2.5, 1.0), (3.5, 2.0))], seed=1
         ),
-        lambda m, f: lp_scal_norm(m, f, whole_manifold_ball(m), 1.0, budget=2000, seed=1),
+        lambda m, f: lp_scal_norm(m, f, whole_manifold_ball(m), 1.0, seed=1),
         lambda m, f: _box_boundary_quadrature(m, f, BoxDomain((2.5, 1.0), (3.5, 2.0)), 4096),
         lambda m, f: _ball_boundary_quadrature(m, f, BallSpec(np.array([np.pi, 1.5]), 0.5), 4096),
     ],

@@ -1,25 +1,33 @@
-"""List the functions of src/conflab that no run reaches.
+"""List the functions of src/conflab that no run reaches, and the defaulted
+parameters that no run sets.
 
-Makes eleven runs through ``cli.main`` under one ``sys.setprofile`` hook:
-the five canonical specs of tests/test_acceptance.py, ``conflab ainfty`` on
-a sphere with a bubble and with a shifted constant weight, ``conflab dist``
-with a list-valued ``--eps-schedule``, ``custom`` specs on a cubic and on a
+Makes twelve runs through ``cli.main`` under one ``sys.setprofile`` hook:
+the five canonical specs of tests/test_acceptance.py, a ``log-cusp`` spec
+on a 4x4 lattice, whose eps-graph wraps the lattice and so comes from the
+kd-tree, ``conflab ainfty`` on a sphere of radius 2 with a bubble and on
+the unit sphere with a shifted constant weight, ``conflab dist`` with a
+list-valued ``--eps-schedule``, ``custom`` specs on a cubic and on a
 multilinear grid weight on a box, which the tool writes with
 ``grid_from_field``/``write_grid``, and a rejected ``custom`` spec, which
-must end with exit code 2.  Then prints each function
-(methods and nested functions too) whose code never ran and that ``KEPT``
-does not name, and each ``KEPT`` entry that names no such function.  Exits 1
-if it prints anything.  Run from the repository root:
+must end with exit code 2.  Then prints each function (methods and nested
+functions too) whose code never ran and that ``KEPT`` does not name, as
+``module.func``; each defaulted parameter of a function that ran which no
+call bound to another value (not the default object itself, and not of its
+type and equal to it) and that ``KEPT`` does not name, as
+``module.func(param)``; and each ``KEPT`` entry that names neither.  Exits
+1 if it prints anything.  Run from the repository root:
 
     python tools/reachability.py
 """
 
 import ast
 import contextlib
+import inspect
 import io
 import json
 import sys
 import tempfile
+from collections import defaultdict
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "conflab"
@@ -32,17 +40,18 @@ SPECS = [
      "diagnostics": {"R0": 0.5}, "budgets": {"curvature_samples": 1000}},
     {"name": "log-cusp", "seed": 2026, "weight": {"caps": [2.0, 4.0, 8.0], "r0": 0.75},
      "graph": {"spacing": 0.08}},
+    {"name": "log-cusp", "seed": 1, "graph": {"spacing": 1.6}},
     {"name": "burago", "seed": 2026, "graph": {"spacing": 0.06}},
     {"name": "schrodinger", "seed": 2026,
      "budgets": {"shape": [12, 12, 12], "decomp_shape": [10, 10, 10]}},
 ]
 
-# functions no run reaches, kept on purpose: qualified name (a class keeps
-# its methods, a function its nested functions) -> why
+# functions no run reaches and defaulted parameters no run sets, kept on
+# purpose: qualified name (a class keeps its methods, a function its nested
+# functions), or name(parameter) -> why
 ITEM4 = "exact curvature of torus and box fields (ROADMAP item 4's ||scal|| column)"
-KDTREE = "kd-tree graphs of scattered or adapted nodes (ROADMAP items 12 and 13)"
 CHAIN = "the chain-ball estimator, a documented convention"
-FD = "finite-difference curvature, the only curvature path of a GridWeight"
+FD = "finite-difference curvature, the reference the exact derivatives are tested against"
 KEPT = {
     "curvature._fd_laplacian": FD,
     "curvature.scal_fd_many": FD,
@@ -50,11 +59,7 @@ KEPT = {
     "diagnostics.BoxDomain": "box domains of the isoperimetric sweep (ROADMAP item 5)",
     "diagnostics._box_boundary_quadrature": "box perimeters (ROADMAP item 5)",
     "diagnostics.holder_seminorm": "the Hoelder part of box decompositions (ROADMAP item 9)",
-    "metric._edges_kdtree": KDTREE,
-    "metric._read_only": KDTREE,
-    "metric.EpsGraph.edge_i": KDTREE,
-    "metric.EpsGraph.edge_j": KDTREE,
-    "metric.EpsGraph.edge_d0": KDTREE,
+    "metric.build_graph(estimator)": CHAIN,
     "metric.ChainBall": CHAIN,
     "metric._chain_weights": CHAIN,
     "weight.WeightField": "the field interface: defaults for fields that lack a feature",
@@ -87,7 +92,8 @@ def run_all(out: Path) -> None:
     linear = dict(grid, weight=dict(grid["weight"], order=1))
     rejected = {"name": "custom", "seed": 1, "weight": 3}
     argvs = [["ainfty", "--seed", "1", "--budget", "2000", "--output-dir", str(out / "ainfty"),
-              "--manifold", '{"kind": "sphere"}', "--weight", '{"kind": "sphere-bubble", "lam": 2}'],
+              "--manifold", '{"kind": "sphere", "radius": 2.0}',
+              "--weight", '{"kind": "sphere-bubble", "lam": 2}'],
              ["ainfty", "--manifold", '{"kind": "sphere"}', "--weight", SHIFTED_CONSTANT,
               "--budget", "2000", "--output-dir", str(out / "ainfty-scaled")],
              ["dist", "--spacing", "0.1", "--eps", "0.3", "--eps-schedule", "0.9,0.54,0.3",
@@ -105,23 +111,66 @@ def run_all(out: Path) -> None:
 
 
 def functions(path: Path):
-    """(qualified name, first line) of every def in path, decorators included."""
+    """(qualified name, first line, names of the defaulted parameters) of
+    every def in path, decorators included."""
     def walk(node, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 name = f"{prefix}.{child.name}"
                 if isinstance(child, ast.FunctionDef):
-                    yield name, min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    a = child.args
+                    positional = a.posonlyargs + a.args
+                    defaulted = [p.arg for p in positional[len(positional) - len(a.defaults):]]
+                    defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                    yield name, min([child.lineno] + [d.lineno for d in child.decorator_list]), defaulted
                 yield from walk(child, name)
     yield from walk(ast.parse(path.read_text()), path.stem)
 
 
+def defaults_of(frame, name: str, params) -> dict:
+    """{parameter: default} of the function running in frame, found by its
+    qualified name in its module (no defaulted src function is nested)."""
+    obj = frame.f_globals
+    for part in frame.f_code.co_qualname.split("."):
+        obj = (obj if isinstance(obj, dict) else vars(obj)).get(part)
+    fn = getattr(obj, "__func__", obj)  # staticmethod, classmethod
+    if getattr(fn, "__code__", None) is not frame.f_code:
+        raise SystemExit(f"cannot find the function object of {name}")
+    signature = inspect.signature(fn)
+    return {p: signature.parameters[p].default for p in params}
+
+
+def is_default(value, default) -> bool:
+    """Whether a call left a parameter at its default: the value is the
+    default object itself, or of the same type and == to it."""
+    if value is default:
+        return True
+    if type(value) is not type(default):
+        return False
+    try:
+        return bool(value == default)
+    except (TypeError, ValueError):  # no single truth value, as for arrays
+        return False
+
+
 def main() -> int:
-    ran = set()
+    defs = {(str(path), line): (name, params) for path in sorted(SRC.glob("*.py"))
+            for name, line, params in functions(path)}
+    watched = {}  # code object -> (def key, {defaulted parameter: default})
+    moved = defaultdict(set)  # def key -> defaulted parameters some call set to another value
 
     def hook(frame, event, arg):
-        if event == "call":
-            ran.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+        if event != "call":
+            return
+        code = frame.f_code
+        if code not in watched:
+            key = (str(Path(code.co_filename).resolve()), code.co_firstlineno)
+            name, params = defs.get(key, (None, ()))
+            watched[code] = key, defaults_of(frame, name, params) if params else {}
+        key, defaults = watched[code]
+        if defaults:
+            values = frame.f_locals
+            moved[key].update(p for p, d in defaults.items() if not is_default(values[p], d))
 
     with tempfile.TemporaryDirectory() as tmp:
         sys.setprofile(hook)
@@ -129,17 +178,21 @@ def main() -> int:
             run_all(Path(tmp))
         finally:
             sys.setprofile(None)
-    ran = {(str(Path(file).resolve()), line) for file, line in ran}
-    idle = [name for path in sorted(SRC.glob("*.py")) for name, line in functions(path)
-            if (str(path), line) not in ran]
+    ran = {key for key, _ in watched.values()}
+    idle = [name for key, (name, _) in defs.items() if key not in ran]
+    at_default = [f"{name}({p})" for key, (name, params) in defs.items() if key in ran
+                  for p in params if p not in moved[key]]
     kept = lambda name, k: name == k or name.startswith(k + ".")
-    unreached = [name for name in idle if not any(kept(name, k) for k in KEPT)]
-    stale = [k for k in KEPT if not any(kept(name, k) for name in idle)]
-    for name in unreached:
+    kept_functions = [k for k in KEPT if not k.endswith(")")]
+    unreached = [name for name in idle if not any(kept(name, k) for k in kept_functions)]
+    constant = [name for name in at_default if name not in KEPT]
+    stale = [k for k in kept_functions if not any(kept(name, k) for name in idle)]
+    stale += [k for k in KEPT if k.endswith(")") and k not in at_default]
+    for name in unreached + constant:
         print(name)
     for k in stale:
-        print(f"KEPT entry {k} names no function that stayed idle")
-    return 1 if unreached or stale else 0
+        print(f"KEPT entry {k} names no function that stayed idle or parameter that kept its default")
+    return 1 if unreached or constant or stale else 0
 
 
 if __name__ == "__main__":
