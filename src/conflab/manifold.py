@@ -415,17 +415,20 @@ def _closed_form_volume(m: Manifold, b: BallSpec):
 # ---------------------------------------------------------------------------
 
 
-def _lattice_shape(m: Manifold, spacing: float, cover: bool = False) -> tuple:
-    """Node counts of the torus/box lattice at ``spacing``: each period over
-    the spacing, rounded; on a box one more than the whole steps that fit.
-    ``cover`` rounds up, so the realized spacing never exceeds the request."""
+def lattice_steps(m: Manifold, spacing: float, cover: bool = False) -> tuple:
+    """(shape, axis_spacing) of ``lattice(m, spacing, cover)`` on a torus or
+    box, without building it: the node counts are each period over the
+    spacing, rounded, and on a box one more than the whole steps that fit
+    (``cover`` rounds up, so the realized spacing never exceeds the
+    request); the node steps are those of ``grid_axes``."""
     torus = m.kind == "torus"
     steps = (m.periods if torus else m.extents[:, 1] - m.extents[:, 0]) / spacing
     if cover:
         steps = np.ceil(steps - 1e-9)
     else:
         steps = np.round(steps) if torus else np.floor(steps + 1e-9)
-    return tuple(int(k) + (not torus) for k in np.maximum(steps, 1))
+    shape = tuple(int(k) + (not torus) for k in np.maximum(steps, 1))
+    return shape, grid_axes(m, shape)[1]
 
 
 def grid_axes(m: Manifold, shape) -> tuple:
@@ -549,7 +552,7 @@ def lattice(m: Manifold, spacing: float, cover: bool = False) -> PointSet:
     if spacing <= 0:
         raise InputError("lattice spacing must be positive")
     if m.kind in ("torus", "box"):
-        shape = _lattice_shape(m, spacing, cover)
+        shape, _ = lattice_steps(m, spacing, cover)
         npts = int(np.prod([float(s) for s in shape]))
         if npts > DEFAULT_LATTICE_BUDGET:
             raise ResourceError(

@@ -39,6 +39,7 @@ from .manifold import (
     gauss_rule,
     geodesic_points,
     lattice,
+    lattice_steps,
     unit_ball_volume,
 )
 from .rng import derive_seed
@@ -121,7 +122,8 @@ class EpsGraph:
     def edge_d0(self) -> np.ndarray:
         if self.blocks is None:
             return _read_only(self.d0)
-        return _read_only(_lattice_entries(self.manifold, self.points, self.blocks, lambda b: b.d0, float))
+        every_axis = range(self.manifold.dim)
+        return _read_only(_lattice_entries(self.manifold, self.points, self.blocks, lambda b: b.d0, every_axis))
 
     def reweight(self, field: WeightField) -> "EpsGraph":
         """Same edges, blocks and estimator, weights for another field on the
@@ -177,26 +179,37 @@ def _lattice_offsets(axis_spacing, eps):
     return offsets
 
 
-def _lattice_table(points: PointSet, blocks, column, dtype) -> np.ndarray:
-    """Node-major (n, B) table whose column b holds column(blocks[b]) on the
-    block's source sub-box (an array shaped like the sub-box, or a scalar)
-    and 0 in the other slots."""
-    table = np.zeros(tuple(points.lattice_shape) + (len(blocks),), dtype)
+def _lattice_table(points: PointSet, blocks, column, flat) -> np.ndarray:
+    """Node-major (n, B) float table whose column b holds column(blocks[b])
+    on the block's source sub-box.  column(blk) is a scalar or an array
+    shaped like the sub-box, but of extent 1 along the axes ``flat``, whose
+    one value holds for every node along them.  The table is filled at
+    extent 1 along ``flat`` and broadcast to (n, B) once, so a box block's
+    slots off its sub-box hold copies rather than zeros; only the filled
+    slots are ever read."""
+    shape = tuple(points.lattice_shape)
+    table = np.zeros(tuple(1 if a in flat else s for a, s in enumerate(shape)) + (len(blocks),))
     for b, blk in enumerate(blocks):
-        table[tuple(slice(a, z) for a, z in zip(blk.lo, blk.hi)) + (b,)] = column(blk)
-    return table.reshape(len(points), len(blocks))
+        box = (slice(0, 1) if a in flat else slice(lo, hi) for a, (lo, hi) in enumerate(zip(blk.lo, blk.hi)))
+        table[tuple(box) + (b,)] = column(blk)
+    return np.broadcast_to(table, shape + (len(blocks),)).reshape(len(points), len(blocks))
 
 
 def _filled_slots(points: PointSet, blocks) -> np.ndarray:
-    """Which slots of the node-major table hold an edge."""
-    return _lattice_table(points, blocks, lambda blk: True, bool)
+    """Which slots of the node-major table hold an edge: the AND over axes
+    a of the (s_a, B) tests lo_a <= i_a < hi_a, broadcast over the lattice."""
+    lo, hi = (np.array([getattr(b, k) for b in blocks]) for k in ("lo", "hi"))
+    filled = True
+    for a, i in enumerate(np.ix_(*map(np.arange, points.lattice_shape))):
+        filled = filled & (lo[:, a] <= i[..., None]) & (i[..., None] < hi[:, a])
+    return filled.reshape(len(points), len(blocks))
 
 
-def _lattice_entries(m, points: PointSet, blocks, column, dtype) -> np.ndarray:
+def _lattice_entries(m, points: PointSet, blocks, column, flat) -> np.ndarray:
     """column's values at a lattice graph's CSR entries, in CSR order: the
     filled slots of ``_lattice_table``, row by row.  On a torus every slot
     is filled, so the table itself is the entry array."""
-    table = _lattice_table(points, blocks, column, dtype)
+    table = _lattice_table(points, blocks, column, flat)
     return table.ravel() if m.kind == "torus" else table[_filled_slots(points, blocks)]
 
 
@@ -206,7 +219,9 @@ def _lattice_csr(m, points: PointSet, eps):
 
     A block joins every node of a source sub-box to the node one offset
     away: on a torus the whole lattice, wrapped; on a box the nodes whose
-    translate stays inside.
+    translate stays inside.  The target table is the sum over axes of the
+    per-axis (s_a, B) terms stride_a * ((i_a + o_a) mod s_a), materialised
+    once as (n, B); a box compresses it by ``_filled_slots``.
     """
     shape = tuple(points.lattice_shape)
     blocks = []
@@ -217,17 +232,15 @@ def _lattice_csr(m, points: PointSet, eps):
             lo = tuple(max(0, -o) for o in off)
             hi = tuple(s - max(0, o) for s, o in zip(shape, off))
         blocks.append(LatticeBlock(off, d, lo, hi))
-
-    def targets(blk):
-        ranges = [(np.arange(lo, hi) + o) % s for lo, hi, o, s in zip(blk.lo, blk.hi, blk.offset, shape)]
-        return np.ravel_multi_index(np.ix_(*ranges), shape)
-
-    indices = _lattice_entries(m, points, blocks, targets, np.int32)
+    offsets, targets = np.array([b.offset for b in blocks]), np.int32(0)
+    for a, i in enumerate(np.ix_(*map(np.arange, shape))):
+        term = (i[..., None] + offsets[:, a]) % shape[a] * int(np.prod(shape[a + 1:]))
+        targets = targets + term.astype(np.int32)
+    targets = targets.reshape(len(points), len(blocks))
     if m.kind == "torus":
-        indptr = np.arange(len(points) + 1) * len(blocks)  # every slot is filled
-    else:
-        indptr = np.concatenate(([0], np.cumsum(_filled_slots(points, blocks).sum(axis=1))))
-    return blocks, indices, indptr
+        return blocks, targets.ravel(), np.arange(len(points) + 1) * len(blocks)  # every slot is filled
+    filled = _filled_slots(points, blocks)
+    return blocks, targets[filled], np.concatenate(([0], np.cumsum(filled.sum(axis=1))))
 
 
 def _edges_kdtree(m, points: PointSet, eps) -> csr_matrix:
@@ -266,8 +279,9 @@ def _riemann_weights(g: EpsGraph, field: WeightField) -> np.ndarray:
     the same bits as on every edge; nothing is gathered or wrapped per edge.
     Along the axes of ``field.constant_axes`` the grid keeps only the
     sub-box's first index: the weights then have extent 1 there, and
-    ``_lattice_table`` broadcasts them over the sub-box, the same floats
-    every edge would get.  Other graphs run it edge by edge.
+    ``_lattice_table`` fills its table at extent 1 along those axes and
+    broadcasts it once to (n, B), the same floats every edge would get.
+    Other graphs run it edge by edge.
     """
     m = g.manifold
     ts, ws = gauss_rule(_GAUSS_POINTS)
@@ -291,7 +305,7 @@ def _riemann_weights(g: EpsGraph, field: WeightField) -> np.ndarray:
                 acc += wk * np.exp(field.eval_many(m, gam.reshape(-1, n))).reshape(acc.shape)
             return acc * blk.d0
 
-        return _lattice_entries(m, g.points, g.blocks, block_weights, float)
+        return _lattice_entries(m, g.points, g.blocks, block_weights, constant)
     pts = g.points.points
     ei, ej, d0 = g.edge_i, g.edge_j, g.edge_d0
     out = np.zeros(ei.size)
@@ -623,12 +637,13 @@ def _cover_distance(m, field, v, t, margin, node_budget) -> float:
     displacement.
 
     The patch is the rectangle of torus lattice nodes (steps h of
-    ``lattice(m, _SPACING)``) around the segment, grown by ``margin`` on
+    ``lattice(m, _SPACING)``, read by ``lattice_steps`` without building
+    the torus lattice) around the segment, grown by ``margin`` on
     every side, taken as a box lattice and weighted at eps = 3 * _SPACING
     with the field read periodically.  A full rectangle at that eps is
     connected, so no connectivity check runs.
     """
-    h = lattice(m, _SPACING).axis_spacing
+    _, h = lattice_steps(m, _SPACING)
     target = t * v
     lo = np.minimum(0.0, target) - margin
     hi = np.maximum(0.0, target) + margin

@@ -195,6 +195,20 @@ def test_stable_norm_flat_at_a_node_tie(torus2):
     assert r.estimate == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "m, v, t_list",
+    [(Manifold.torus(2, [150.0, 150.0]), [0, 1], [5, 10]),
+     (Manifold.torus(3, [13.0] * 3), [0, 0, 1], [1, 2])],
+    ids=["T2-150", "T3-13"],
+)
+def test_stable_norm_of_a_torus_over_the_lattice_budget(m, v, t_list):
+    # the torus lattice at the cover spacing would exceed the lattice budget;
+    # only its node steps are read, and the patch is small
+    r = stable_norm(m, Constant(0.0), v, t_list, check_corridor=False)
+    assert r.per_t == pytest.approx([1.0, 1.0], rel=1e-12)
+    assert r.estimate == pytest.approx(1.0, rel=1e-12)
+
+
 def test_stable_norm_margin_check_sees_an_offaxis_valley(torus2):
     # the cheapest line x1 = 1 lies 1.0 off the segment: outside the margin
     # 2 eps = 0.6, inside the doubled one
@@ -360,6 +374,32 @@ def test_torus_indptr_counts_the_filled_slots(case):
     blocks, _, indptr = _lattice_csr(m, pts, 4.3 * pts.spacing)
     counted = np.concatenate(([0], np.cumsum(_filled_slots(pts, blocks).sum(axis=1))))
     assert indptr.dtype == counted.dtype and indptr.tobytes() == counted.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(LATTICE_GRAPHS))
+def test_lattice_csr_is_node_major(case):
+    # row i lists node i's edges in _lattice_offsets order, unsorted:
+    # _weight_per_d0 and _invariant_axes read the weights as an (n, B) table
+    m, spacing = LATTICE_GRAPHS[case]
+    pts = lattice(m, spacing)
+    eps = 4.3 * pts.spacing
+    g = build_graph(m, pts, eps, Constant(0.0))
+    shape = np.asarray(pts.lattice_shape)
+    offsets = _lattice_offsets(pts.axis_spacing, eps)
+    off, d0 = np.array([o for o, _ in offsets]), np.array([d for _, d in offsets])
+    indices, indptr, edge_d0 = [], [0], []
+    for i in range(g.n):
+        dst = np.array(np.unravel_index(i, shape)) + off
+        if m.kind == "torus":
+            dst %= shape
+        keep = np.all((dst >= 0) & (dst < shape), axis=1)
+        indices.append(np.ravel_multi_index(dst[keep].T, shape))
+        indptr.append(indptr[-1] + keep.sum())
+        edge_d0.append(d0[keep])
+    csg = g.csgraph
+    assert np.array_equal(csg.indices, np.concatenate(indices))
+    assert np.array_equal(csg.indptr, indptr)
+    assert g.edge_d0.tobytes() == np.concatenate(edge_d0).tobytes()
 
 
 @pytest.mark.parametrize("reach", [3, 4, 5])
