@@ -110,14 +110,6 @@ def ap_product(
     return best
 
 
-@dataclass
-class SubsetRatioResult:
-    slope: float
-    alpha_iv: float  # two-sided exponent: max(slope, 1/slope)
-    constant: float  # envelope constant at the fitted exponent
-    n_pairs: int
-
-
 _SUBDIVISIONS = 12  # equal-count shells per ball, and random unions of them
 
 
@@ -126,9 +118,11 @@ def subset_ratio_exponent(
     field: WeightField,
     sampler: BallSampler,
     budget: int = 20_000,
-) -> SubsetRatioResult:
-    """Fit of log(w-mass ratio) against log(mu0 ratio) over subsets E of
-    sampled balls (concentric shrinks plus random unions of quantile cells).
+) -> float:
+    """Two-sided exponent alpha_iv = max(slope, 1/slope) of the fit of
+    log(w-mass ratio) against log(mu0 ratio) over subsets E of sampled balls
+    (concentric shrinks plus random unions of quantile cells); inf for a
+    slope that is not positive.
 
     Degenerate subsets (no mass) are excluded.
     """
@@ -156,18 +150,8 @@ def subset_ratio_exponent(
             ys.append(np.log(w_ratio))
     if len(xs) < 8:
         raise SamplingError(f"only {len(xs)} valid (E, B) pairs; need at least 8")
-    xs = np.asarray(xs)
-    ys = np.asarray(ys)
     slope = float(np.polyfit(xs, ys, 1)[0])
-    alpha = max(slope, 1.0 / slope) if slope > 0 else float("inf")
-    resid = ys - slope * xs
-    constant = float(np.exp(np.max(np.abs(resid))))
-    return SubsetRatioResult(
-        slope=slope,
-        alpha_iv=alpha,
-        constant=constant,
-        n_pairs=len(xs),
-    )
+    return max(slope, 1.0 / slope) if slope > 0 else float("inf")
 
 
 def doubling_constant(
@@ -260,27 +244,12 @@ def d0_matrix(m: Manifold, points: PointSet, sources=None) -> DistanceMatrix:
     return DistanceMatrix(sources=sources, targets=np.arange(n), values=vals)
 
 
-@dataclass
-class BiHolderFit:
-    slope: float
-    constant: float  # smallest C validating both bounds at the slope clipped into (0, 1)
-    alpha_low: float  # min(slope, 1/slope)
-    n_pairs: int
+def biholder_fit(dmat_f: DistanceMatrix, dmat_0: DistanceMatrix) -> float:
+    """alpha_low = min(slope, 1/slope) of the least-squares fit of log d_f
+    against log d0 over the pairs where both are positive and finite.
 
-
-def biholder_fit(
-    dmat_f: DistanceMatrix, dmat_0: DistanceMatrix, mass_total: float, dim: int
-) -> BiHolderFit:
-    """Least-squares exponent between log d_f (mass-normalized) and log d0.
-
-    Returns the fitted slope and the smallest constant C for which
-
-        mass^{1/n}/C * d0^{1/alpha} <= d_f <= C mass^{1/n} d0^alpha
-
-    holds over all represented pairs, at alpha = slope clipped into (0,1),
-    with n = dim, the manifold's dimension.  Dividing d_f by mass_total^{1/n}
-    makes C invariant under a constant shift of f (the exponent fit itself
-    is normalization-independent).
+    A constant shift of f scales d_f, which moves only the fit's intercept,
+    so alpha_low does not depend on it.
     """
     if dmat_f.values.shape != dmat_0.values.shape or not np.array_equal(
         dmat_f.sources, dmat_0.sources
@@ -291,22 +260,8 @@ def biholder_fit(
     good = (df > 0) & (d0v > 0) & np.isfinite(df) & np.isfinite(d0v)
     if int(good.sum()) < 10:
         raise SamplingError("bi-Hölder fit needs at least 10 positive pairs")
-    scale = mass_total ** (1.0 / dim)
-    y = np.log(df[good] / scale)
-    x = np.log(d0v[good])
-    slope, intercept = np.polyfit(x, y, 1)
-    slope = float(slope)
-    alpha = min(max(slope, 0.01), 0.99)
-    dn = df[good] / scale
-    c_up = np.max(dn / d0v[good] ** alpha)
-    c_lo = np.max(d0v[good] ** (1.0 / alpha) / dn)
-    constant = float(max(c_up, c_lo, 1.0))
-    return BiHolderFit(
-        slope=slope,
-        constant=constant,
-        alpha_low=float(min(slope, 1.0 / slope)),
-        n_pairs=int(good.sum()),
-    )
+    slope = float(np.polyfit(np.log(d0v[good]), np.log(df[good]), 1)[0])
+    return min(slope, 1.0 / slope)
 
 
 def holder_seminorm(
@@ -512,14 +467,14 @@ def ainfty_report(
         seed=sampler.seed,
     )
     theta = doubling_constant(m, field, half, budget)
-    ratio = subset_ratio_exponent(m, field, sampler, budget=budget)
+    alpha_iv = subset_ratio_exponent(m, field, sampler, budget=budget)
     return AInftyReport(
         q=q,
         C_rh=c_rh,
         p=p,
         C_ap=c_ap,
         theta_doubling=theta,
-        alpha_iv=ratio.alpha_iv,
+        alpha_iv=alpha_iv,
         eta=eta,
         n_balls=sampler.count,
         budget=budget,

@@ -488,8 +488,8 @@ def run_sphere_bubble(spec: ExperimentSpec, outdir: Path):
     mass_dev = 0.0
     target = m.dim * (m.dim - 1) / m.radius**2
     masses = []
-    for lam in lams:
-        f = wt.SphereBubble(lam)
+    bubbles = [_using("weight entry 'lams'", wt.SphereBubble, lam) for lam in lams]
+    for f in bubbles:
         s = scalar_curvature_many(m, f, pts)
         worst_scal = max(worst_scal, float(np.max(np.abs(s / target - 1.0))))
         mass, _ = wt.total_mass(m, f)
@@ -506,8 +506,9 @@ def run_sphere_bubble(spec: ExperimentSpec, outdir: Path):
         points=np.vstack([centers.points, south[None, :]]), spacing=centers.spacing
     )
     sup_pos = []
-    for lam in lams:
-        rep = pinching_profile(m, wt.SphereBubble(lam), cfg["diagnostics"]["R0"], centers, seed=seed)
+    for f in bubbles:
+        rep = _using("diagnostics entry 'R0'", pinching_profile, m, f, cfg["diagnostics"]["R0"],
+                     centers, seed=seed)
         sup_pos.append(rep.sup_pos)
     alpha = alpha_n2(m.dim)
     final = sup_pos[-1] / alpha
@@ -555,7 +556,8 @@ def run_log_cusp(spec: ExperimentSpec, outdir: Path):
     idx = np.unique(np.asarray(idx))
 
     labels = [*caps, "inf"]
-    cusps = [wt.LogCusp(x0, r0, cap) for cap in (*caps, None)]
+    uncapped = _using("weight entry 'r0'", wt.LogCusp, x0, r0)
+    cusps = [_using("weight entry 'caps'", wt.LogCusp, x0, r0, cap) for cap in caps] + [uncapped]
     mats = _family_distances(m, pts, eps, cusps, idx)
     d_inf = mats[-1]
     sup_diff = [float(np.max(np.abs(dm.values - d_inf.values))) for dm in mats[:-1]]
@@ -573,13 +575,11 @@ def run_log_cusp(spec: ExperimentSpec, outdir: Path):
     report["converge"] = converge_compare(mats, labels=[str(l) for l in labels])
 
     d0m = dg.d0_matrix(m, pts, idx)
-    alpha_lows = []
-    for dm, cusp in zip(mats, cusps):
-        sub = mt.DistanceMatrix(sources=idx, targets=idx, values=dm.values[:, idx])
-        sub0 = mt.DistanceMatrix(sources=idx, targets=idx, values=d0m.values[:, idx])
-        mass, _ = wt.total_mass(m, cusp, seed=derive_seed(seed, "mass"))
-        fit = dg.biholder_fit(sub, sub0, mass, m.dim)
-        alpha_lows.append(fit.alpha_low)
+    sub0 = mt.DistanceMatrix(sources=idx, targets=idx, values=d0m.values[:, idx])
+    alpha_lows = [
+        dg.biholder_fit(mt.DistanceMatrix(sources=idx, targets=idx, values=dm.values[:, idx]), sub0)
+        for dm in mats
+    ]
     _flag(
         flags,
         "C8-biholder",
@@ -640,7 +640,7 @@ def run_burago(spec: ExperimentSpec, outdir: Path):
     idx = np.unique(rng.choice(len(pts), 12, replace=False))
     mats = _family_distances(m, pts, eps, [wt.BuragoTorus(ell) for ell in (2, 4, 8)], idx)
     comp = converge_compare(mats, labels=["2", "4", "8"])
-    ratio = comp["ratios"][0] if comp["ratios"] else float("nan")
+    ratio = comp["ratios"][0]
     _flag(flags, "C6-rate", ratio <= 0.65, ratio, "successive sup-difference ratio <= 0.65")
     report["frequency_convergence"] = comp
 

@@ -563,10 +563,8 @@ def fit_rate(eps_values: np.ndarray, d_values: np.ndarray):
 class RefineResult:
     eps_schedule: np.ndarray
     pair_d0: np.ndarray  # (P,) base distance of the snapped pairs
-    table: np.ndarray  # (n_eps, P) graph distances
     extrapolated: np.ndarray  # (P,)
     observed_q: np.ndarray  # (P,)
-    monotone_warning: np.ndarray  # (P,) True where convergence not monotone
 
 
 def refine_distance(
@@ -604,16 +602,7 @@ def refine_distance(
         for k in range(len(pair_arr)):
             table[r, k] = dmat.get(nodes[k, 0], nodes[k, 1])
     extrap, _, qs = fit_rate(eps_schedule, table)
-    diffs = np.diff(table, axis=0)  # moving to finer eps: distances grow
-    warn = np.any(diffs < -1e-12 * np.maximum(1.0, np.abs(table[-1])), axis=0)
-    return RefineResult(
-        eps_schedule=eps_schedule,
-        pair_d0=pair_d0,
-        table=table,
-        extrapolated=extrap,
-        observed_q=qs,
-        monotone_warning=warn,
-    )
+    return RefineResult(eps_schedule=eps_schedule, pair_d0=pair_d0, extrapolated=extrap, observed_q=qs)
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +612,6 @@ def refine_distance(
 
 @dataclass
 class StableNormResult:
-    per_t: np.ndarray  # d(0, t v)/|snapped displacement| per t, widest margin
     estimate: float
     corridor_check: Optional[float]  # sup |narrow - wide| over t, if checked
 
@@ -699,4 +687,4 @@ def stable_norm(
     basis = np.column_stack([np.ones_like(t_list), 1.0 / t_list])
     coef, *_ = np.linalg.lstsq(basis, per_t, rcond=None)
     est = min(float(coef[0]), float(per_t.min()))  # subadditive: inf_t is an upper bound
-    return StableNormResult(per_t=per_t, estimate=est, corridor_check=check)
+    return StableNormResult(estimate=est, corridor_check=check)

@@ -39,7 +39,7 @@ operator's own grid, and every report records them.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -241,9 +241,7 @@ class GridOperator:
 class SchrodingerSolve:
     lambda0: float
     phi: np.ndarray  # positive, max-normalized
-    residual: float
     iterations: int
-    history: list = dc_field(default_factory=list)
 
 
 _MAX_ITER = 400  # most LOBPCG iterations of one eigen solve
@@ -257,9 +255,9 @@ def lowest_eigenpair(op: GridOperator, tol: float = 1e-10,
     (or a warm start).  The preconditioner needs no factorization: it is
     applied by ``GridGeometry.spectral`` as 1/(symbol + c) with
     c = max(1 - mean V, 1e-3) > 0, so it is positive definite, and for a
-    constant V it is a shifted inverse of A itself.  ``history`` holds the
-    eigen residual ||A v - lambda v|| (unit v) per iteration; a residual
-    above tol or a ground state that is not positive raises NumericError.
+    constant V it is a shifted inverse of A itself.  A final eigen residual
+    ||A v - lambda v|| (unit v) above tol or a ground state that is not
+    positive raises NumericError, which quotes the residual history's tail.
     """
     A = op.as_sparse()
     n = A.shape[0]
@@ -288,11 +286,7 @@ def lowest_eigenpair(op: GridOperator, tol: float = 1e-10,
             "converged eigenvector is not positive; residual history "
             f"tail {history[-5:]}"
         )
-    phi = v / v.max()
-    res_rel = float(np.linalg.norm(A @ phi - lam * phi) / np.linalg.norm(phi))
-    return SchrodingerSolve(
-        lambda0=lam, phi=phi, residual=res_rel, iterations=len(history), history=history
-    )
+    return SchrodingerSolve(lambda0=lam, phi=v / v.max(), iterations=len(history))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +297,6 @@ def lowest_eigenpair(op: GridOperator, tol: float = 1e-10,
 @dataclass
 class GsShiftResult:
     c0: float
-    lambda0: float
     bracket: tuple
     evaluations: int
 
@@ -386,12 +379,7 @@ def gs_shift_c0(
             hi, f_hi = c_try, lam_try
     else:
         raise NumericError(f"shift root finding stalled; last lambda0 = {lam_mid:.3e}")
-    return GsShiftResult(
-        c0=float(c_mid),
-        lambda0=float(lam_mid),
-        bracket=(c_lo, c_hi),
-        evaluations=evals,
-    )
+    return GsShiftResult(c0=float(c_mid), bracket=(c_lo, c_hi), evaluations=evals)
 
 
 # ---------------------------------------------------------------------------

@@ -173,15 +173,17 @@ class LogCusp(WeightField):
     r0: float = 1.0
     cap: Optional[float] = None
 
+    def __post_init__(self):
+        if self.r0 <= 0:
+            raise InputError("LogCusp radius r0 must be positive")
+        if self.cap is not None and self.cap <= 0:
+            raise InputError("LogCusp cap must be positive (or None)")
+
     def validate(self, m):
         if m.kind not in ("torus", "box"):
             raise InputError("LogCusp is defined on tori and boxes only")
         if len(self.x0) != m.dim:
             raise InputError(f"LogCusp centre x0 needs {m.dim} coordinates, got {len(self.x0)}")
-        if self.r0 <= 0:
-            raise InputError("LogCusp radius r0 must be positive")
-        if self.cap is not None and self.cap <= 0:
-            raise InputError("LogCusp cap must be positive (or None)")
         if m.kind == "torus" and 2 * self.r0 >= m.min_period / 2:
             raise InputError("LogCusp support 2*r0 must fit inside half the min period")
 
@@ -274,6 +276,10 @@ class SphereBubble(WeightField):
     lam: float = 1.0
     pole: Optional[tuple] = None
 
+    def __post_init__(self):
+        if self.lam <= 0:
+            raise InputError("SphereBubble dilation lam must be positive")
+
     def validate(self, m):
         if m.kind != "sphere":
             raise InputError("SphereBubble is only defined on spheres")
@@ -283,8 +289,6 @@ class SphereBubble(WeightField):
             )
         if self.pole is not None and abs(1.0 - np.linalg.norm(self.pole)) > 1e-12:
             raise InputError("SphereBubble pole must be a unit vector (|1 - |pole|| <= 1e-12)")
-        if self.lam <= 0:
-            raise InputError("SphereBubble dilation lam must be positive")
 
     def radial_axis(self, m):
         """The antipode of the pole, where the measure concentrates."""

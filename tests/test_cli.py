@@ -250,9 +250,15 @@ def test_missing_spec_key_is_an_input_error(tmp_path, capsys, doc, words):
         # the refinement lattice at spacing 9 / 3 snaps pair ends onto one node
         ({"name": "flat-identity", "graph": {"spacing": 0.1, "eps": 0.3, "eps_schedule": [12, 9]}},
          "graph entry 'eps_schedule'", "both ends on one node"),
+        ({"name": "sphere-bubble", "weight": {"lams": [0, 2]}}, "weight entry 'lams'",
+         "SphereBubble dilation lam must be positive"),
+        ({"name": "sphere-bubble", "diagnostics": {"R0": 0}}, "diagnostics entry 'R0'",
+         "pinching radius R0 must be positive"),
+        ({"name": "log-cusp", "weight": {"r0": -1}}, "weight entry 'r0'", "LogCusp radius r0 must be positive"),
+        ({"name": "log-cusp", "weight": {"caps": [-1, 2]}}, "weight entry 'caps'", "LogCusp cap must be positive"),
     ],
     ids=["mass", "ball", "center_spacing", "eta", "q", "eps", "p", "burago-spacing", "log-cusp-spacing",
-         "eps_schedule"],
+         "eps_schedule", "lams", "R0", "r0", "caps"],
 )
 def test_setting_a_library_check_rejects_names_its_key(tmp_path, capsys, doc, entry, words):
     # well typed, so the spec is accepted; the check that stops the run is

@@ -18,7 +18,7 @@ from conflab.diagnostics import (
 )
 from conflab.errors import InputError, SamplingError
 from conflab.manifold import BallSpec, Manifold, PointSet, cap_volume, lattice, whole_manifold_ball
-from conflab.metric import build_graph, shortest_paths
+from conflab.metric import DistanceMatrix, build_graph, shortest_paths
 from conflab.weight import BuragoTorus, Constant, GridField, GridWeight, Scaled
 
 
@@ -106,15 +106,15 @@ def test_doubling_burago_envelope(torus2):
 
 
 def test_subset_ratio_constant(torus2, small_sampler):
-    res = subset_ratio_exponent(torus2, Constant(0.0), small_sampler, budget=20_000)
-    assert res.slope == pytest.approx(1.0, abs=0.05)
-    assert res.n_pairs >= 8
+    # alpha_iv = max(slope, 1/slope) >= 1, and 1 for a flat weight
+    alpha_iv = subset_ratio_exponent(torus2, Constant(0.0), small_sampler, budget=20_000)
+    assert 1.0 <= alpha_iv <= 1.05
 
 
 def test_subset_ratio_burago(torus2, small_sampler):
-    res = subset_ratio_exponent(torus2, BuragoTorus(1), small_sampler, budget=20_000)
-    assert res.alpha_iv <= 1.5
-    assert 1 / 1.5 <= res.slope <= 1.5
+    # a finite alpha_iv <= 1.5 puts the slope in [1/1.5, 1.5]
+    alpha_iv = subset_ratio_exponent(torus2, BuragoTorus(1), small_sampler, budget=20_000)
+    assert 1.0 <= alpha_iv <= 1.5
 
 
 @pytest.fixture(scope="module")
@@ -188,50 +188,27 @@ def square_mats():
 
 def test_biholder_identity(square_mats):
     t2, pts, dm, d0m = square_mats
-    fit = biholder_fit(dm, d0m, t2.volume, 2)
-    assert fit.slope == pytest.approx(1.0, abs=0.02)
-    assert fit.alpha_low >= 0.95
-    assert fit.constant >= 1.0
+    assert biholder_fit(dm, d0m) == pytest.approx(1.0, abs=0.02)
 
 
-def test_biholder_shift_absorbed(square_mats):
-    t2, pts, dm, d0m = square_mats
-    from conflab.metric import DistanceMatrix
-
-    c = 0.6
-    dm_c = DistanceMatrix(sources=dm.sources, targets=dm.targets, values=np.exp(c) * dm.values)
-    fit0 = biholder_fit(dm, d0m, t2.volume, 2)
-    fitc = biholder_fit(dm_c, d0m, t2.volume * np.exp(2 * c), 2)
-    assert fitc.slope == pytest.approx(fit0.slope, abs=1e-9)
-    assert fitc.constant == pytest.approx(fit0.constant, rel=1e-9)
-
-
-def test_biholder_shift_absorbed_on_a_3_torus():
-    # d_f -> e^c d_f with mass -> e^{3c} mass: normalizing by mass^{1/n}
-    # cancels the shift only at n = 3 (mass^{1/2} left a factor e^{c/2})
-    from conflab.metric import DistanceMatrix
-
-    t3 = Manifold.torus(3)
-    pts = lattice(t3, 0.7)
-    src = np.arange(0, len(pts), 17)
-    dm = shortest_paths(build_graph(t3, pts, 3 * pts.spacing, Constant(0.0)), src)
-    d0m = d0_matrix(t3, pts, src)
-    c = 0.6
-    dm_c = DistanceMatrix(sources=dm.sources, targets=dm.targets, values=np.exp(c) * dm.values)
-    fit0 = biholder_fit(dm, d0m, t3.volume, 3)
-    fitc = biholder_fit(dm_c, d0m, t3.volume * np.exp(3 * c), 3)
-    assert fitc.slope == pytest.approx(fit0.slope, abs=1e-9)
-    assert fitc.constant == pytest.approx(fit0.constant, rel=1e-9)
+@pytest.mark.parametrize("n, spacing, stride", [(2, 0.3, 1), (3, 0.7, 17)], ids=["2", "3"])
+def test_biholder_shift_absorbed(n, spacing, stride):
+    # f -> f + c scales d_f by e^c, which moves only the fit's intercept
+    m = Manifold.torus(n)
+    pts = lattice(m, spacing)
+    src = np.arange(0, len(pts), stride)
+    dm = shortest_paths(build_graph(m, pts, 3 * pts.spacing, Constant(0.0)), src)
+    d0m = d0_matrix(m, pts, src)
+    dm_c = DistanceMatrix(sources=dm.sources, targets=dm.targets, values=np.exp(0.6) * dm.values)
+    assert biholder_fit(dm_c, d0m) == pytest.approx(biholder_fit(dm, d0m), abs=1e-12)
 
 
 def test_biholder_needs_pairs(square_mats):
     t2, pts, dm, d0m = square_mats
-    from conflab.metric import DistanceMatrix
-
     tiny = DistanceMatrix(sources=np.array([0]), targets=np.array([0]),
                           values=np.zeros((1, 1)))
     with pytest.raises(SamplingError):
-        biholder_fit(tiny, tiny, 1.0, 2)
+        biholder_fit(tiny, tiny)
 
 
 def test_holder_seminorm_d0(square_mats):

@@ -548,16 +548,11 @@ SHIFT_BALLS = BallSampler(lattice(TORUS2, 3.0), (0.4, 0.9), seed=3)
 SHIFT_BASE = LogCusp((3.0, 3.0), 1.2, cap=3.0)  # A_2 product 1.26 on these balls
 
 
-def _subset_fit(f):
-    fit = subset_ratio_exponent(TORUS2, f, SHIFT_BALLS, budget=2000)
-    return fit.slope, fit.constant
-
-
 SHIFT_DIAGNOSTICS = {
     "reverse_holder": lambda f: reverse_holder(TORUS2, f, 2.0, SHIFT_BALLS, 2000),
     "ap_product": lambda f: ap_product(TORUS2, f, 2.0, SHIFT_BALLS, 2000),
     "doubling_constant": lambda f: doubling_constant(TORUS2, f, SHIFT_BALLS, 2000),
-    "subset_ratio_exponent": _subset_fit,
+    "subset_ratio_exponent": lambda f: subset_ratio_exponent(TORUS2, f, SHIFT_BALLS, 2000),
 }
 
 

@@ -1,5 +1,6 @@
-"""List the functions of src/conflab that no run reaches, and the defaulted
-parameters that no run sets.
+"""List the functions of src/conflab that no run reaches, the defaulted
+parameters that no run sets, and the dataclass and NamedTuple fields that no
+run reads.
 
 Makes twelve runs through ``cli.main`` under one ``sys.setprofile`` hook:
 the five canonical specs of tests/test_acceptance.py, a ``log-cusp`` spec
@@ -14,14 +15,21 @@ functions too) whose code never ran and that ``KEPT`` does not name, as
 ``module.func``; each defaulted parameter of a function that ran which no
 call bound to another value (not the default object itself, and not of its
 type and equal to it) and that ``KEPT`` does not name, as
-``module.func(param)``; and each ``KEPT`` entry that names neither.  Exits
-1 if it prints anything.  Run from the repository root:
+``module.func(param)``; each field of a dataclass or NamedTuple class
+defined in src/conflab that no run read and that ``KEPT`` does not name, as
+``module.Class.field``; and each ``KEPT`` entry that names none of these.
+Exits 1 if it prints anything.  A field read counts however it is made: by
+attribute, through a subclass, or by ``asdict``, ``replace`` and the
+generated ``__eq__`` and ``__hash__``; only the tool's own comparisons of
+values with defaults do not count.  Run from the repository root:
 
     python tools/reachability.py
 """
 
 import ast
 import contextlib
+import dataclasses
+import importlib
 import inspect
 import io
 import json
@@ -46,22 +54,34 @@ SPECS = [
      "budgets": {"shape": [12, 12, 12], "decomp_shape": [10, 10, 10]}},
 ]
 
-# functions no run reaches and defaulted parameters no run sets, kept on
-# purpose: qualified name (a class keeps its methods, a function its nested
-# functions), or name(parameter) -> why
+# functions no run reaches, defaulted parameters no run sets and fields no
+# run reads, kept on purpose: qualified name (a class keeps its methods and
+# fields, a function its nested functions), or name(parameter) -> why
 ITEM4 = "exact curvature of torus and box fields (ROADMAP item 4's ||scal|| column)"
 CHAIN = "the chain-ball estimator, a documented convention"
 FD = "finite-difference curvature, the reference the exact derivatives are tested against"
+TRACER = "a work count that perfbench's tracer reads (ROADMAP item 7 makes it a counter)"
+PINNED = "its work sits inside a CI-gated perfbench call pin (ROADMAP item 1 drops it)"
+SPLIT = "the split itself, which the orbit-reuse tests compare against a direct solve"
 KEPT = {
     "curvature._fd_laplacian": FD,
     "curvature.scal_fd_many": FD,
     "curvature.lp_scal_norm.on_points": ITEM4,
+    "curvature.PinchingReport.n_centers": TRACER,
+    "curvature.PinchingReport.sup_abs": PINNED,
     "diagnostics.BoxDomain": "box domains of the isoperimetric sweep (ROADMAP item 5)",
     "diagnostics._box_boundary_quadrature": "box perimeters (ROADMAP item 5)",
     "diagnostics.holder_seminorm": "the Hoelder part of box decompositions (ROADMAP item 9)",
+    "diagnostics.StrongRatioResult.n_pairs": TRACER,
+    "diagnostics.StrongRatioResult.theta_strong_mid": PINNED,
+    "manifold.PointSet.cell_volume": "node masses of metric balls (ROADMAP item 17)",
     "metric.build_graph(estimator)": CHAIN,
     "metric.ChainBall": CHAIN,
     "metric._chain_weights": CHAIN,
+    "schrodinger.SchrodingerSolve.iterations": TRACER,
+    "schrodinger.GsShiftResult.evaluations": TRACER,
+    "schrodinger.DecompositionResult.f": SPLIT,
+    "schrodinger.DecompositionResult.w": SPLIT,
     "weight.WeightField": "the field interface: defaults for fields that lack a feature",
     "weight.Constant.grad_lap_many": ITEM4,
     "weight.BuragoTorus.grad_lap_many": ITEM4,
@@ -76,10 +96,16 @@ KEPT = {
 SHIFTED_CONSTANT = '{"kind": "scaled", "base": {"kind": "constant", "value": 0.1}, "shift": 0.2}'
 
 
-def run_all(out: Path) -> None:
-    """Import conflab and make the runs, all under the hook, so that code run
-    at import counts too."""
+def load() -> list:
+    """Import every module of conflab, under the hook, so that code run at
+    import counts too."""
     sys.path.insert(0, str(SRC.parent))
+    return [importlib.import_module(f"conflab.{path.stem}") for path in sorted(SRC.glob("*.py"))
+            if path.stem != "__init__"]
+
+
+def run_all(out: Path) -> None:
+    """Make the runs."""
     from conflab import cli
     from conflab.manifold import Manifold
     from conflab.weight import LogCusp, grid_from_field, write_grid
@@ -140,6 +166,52 @@ def defaults_of(frame, name: str, params) -> dict:
     return {p: signature.parameters[p].default for p in params}
 
 
+class FieldReads:
+    """(class, field) of each read of a field of a dataclass or NamedTuple
+    class defined in the watched modules, recorded while ``watching`` them
+    and not ``paused``.  A read through a subclass counts for each class in
+    its MRO that has the field."""
+
+    def __init__(self):
+        self.fields = {}  # class -> names of its fields
+        self.read = set()
+        self.paused = False
+
+    @contextlib.contextmanager
+    def watching(self, modules):
+        """Wrap the ``__getattribute__`` of every such class of modules, and
+        restore it on exit."""
+        for mod in modules:
+            for cls in vars(mod).values():
+                if not isinstance(cls, type) or cls.__module__ != mod.__name__:
+                    continue
+                if "__getattribute__" in vars(cls):  # it would be lost on restore
+                    raise SystemExit(f"{cls.__qualname__} defines its own __getattribute__")
+                if dataclasses.is_dataclass(cls):
+                    self.fields[cls] = tuple(f.name for f in dataclasses.fields(cls))
+                elif issubclass(cls, tuple) and hasattr(cls, "_fields"):
+                    self.fields[cls] = cls._fields
+        fields, read = self.fields, self.read
+
+        def __getattribute__(obj, name):
+            if not self.paused:
+                read.update((c, name) for c in type(obj).__mro__ if name in fields.get(c, ()))
+            return object.__getattribute__(obj, name)
+
+        for cls in fields:
+            cls.__getattribute__ = __getattribute__
+        try:
+            yield
+        finally:
+            for cls in fields:
+                del cls.__getattribute__
+
+    def unread(self) -> list:
+        """module.Class.field of every field that no read recorded."""
+        return [f"{cls.__module__.removeprefix('conflab.')}.{cls.__qualname__}.{name}"
+                for cls, names in self.fields.items() for name in names if (cls, name) not in self.read]
+
+
 def is_default(value, default) -> bool:
     """Whether a call left a parameter at its default: the value is the
     default object itself, or of the same type and == to it."""
@@ -158,6 +230,7 @@ def main() -> int:
             for name, line, params in functions(path)}
     watched = {}  # code object -> (def key, {defaulted parameter: default})
     moved = defaultdict(set)  # def key -> defaulted parameters some call set to another value
+    reads = FieldReads()
 
     def hook(frame, event, arg):
         if event != "call":
@@ -170,12 +243,15 @@ def main() -> int:
         key, defaults = watched[code]
         if defaults:
             values = frame.f_locals
+            reads.paused = True  # comparing a value with a default reads no field for a run
             moved[key].update(p for p, d in defaults.items() if not is_default(values[p], d))
+            reads.paused = False
 
     with tempfile.TemporaryDirectory() as tmp:
         sys.setprofile(hook)
         try:
-            run_all(Path(tmp))
+            with reads.watching(load()):
+                run_all(Path(tmp))
         finally:
             sys.setprofile(None)
     ran = {key for key, _ in watched.values()}
@@ -183,15 +259,17 @@ def main() -> int:
     at_default = [f"{name}({p})" for key, (name, params) in defs.items() if key in ran
                   for p in params if p not in moved[key]]
     kept = lambda name, k: name == k or name.startswith(k + ".")
-    kept_functions = [k for k in KEPT if not k.endswith(")")]
-    unreached = [name for name in idle if not any(kept(name, k) for k in kept_functions)]
+    kept_names = [k for k in KEPT if not k.endswith(")")]
+    unread = reads.unread()
+    unreached = [name for name in idle + unread if not any(kept(name, k) for k in kept_names)]
     constant = [name for name in at_default if name not in KEPT]
-    stale = [k for k in kept_functions if not any(kept(name, k) for name in idle)]
+    stale = [k for k in kept_names if not any(kept(name, k) for name in idle + unread)]
     stale += [k for k in KEPT if k.endswith(")") and k not in at_default]
     for name in unreached + constant:
         print(name)
     for k in stale:
-        print(f"KEPT entry {k} names no function that stayed idle or parameter that kept its default")
+        print(f"KEPT entry {k} names no function that stayed idle, parameter that kept its default "
+              f"or field that no run read")
     return 1 if unreached or constant or stale else 0
 
 
