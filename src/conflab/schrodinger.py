@@ -7,7 +7,8 @@ the orthonormal DCT-II (box) diagonalizes it; ``GridGeometry.spectral``
 applies functions of Delta through that transform: the mean-zero inverse used
 by the fixed-point machinery, the (Delta + c)^{-1} preconditioner of the
 lowest-eigenpair solver (scipy's LOBPCG, no factorization) and the smoothing
-of the probes that estimate the functional constants.  The module also
+of the probes that estimate the functional constants.  The dense LAPACK
+oracle keeps only the axes where V varies.  The module also
 implements the eigenvalue-zeroing shift for potentials supported in a ball,
 the log-gradient fixed point producing a ground-state representative e^v,
 and the cover-based decomposition log(phi) = f + w of the operator's own
@@ -62,6 +63,16 @@ def _second_difference(s: int, h: float, periodic: bool):
     return diags([-1.0, main, -1.0], [-1, 0, 1], shape=(s, s)) / h**2
 
 
+def _kron_laplacian(shape, spacing, periodic: bool) -> csr_matrix:
+    """Kronecker sum of the 1-D second differences along each axis, on
+    row-major node vectors (earlier axes vary slowest)."""
+    terms = [_second_difference(s, h, periodic) for s, h in zip(shape, spacing)]
+    out = terms[0]
+    for t in terms[1:]:
+        out = kronsum(t, out)
+    return out.tocsr()
+
+
 @dataclass(frozen=True)
 class GridGeometry(NodeGrid):
     """Node grid on a torus/box with the discrete calculus used throughout."""
@@ -91,12 +102,7 @@ class GridGeometry(NodeGrid):
     def laplacian(self) -> csr_matrix:
         """Geometer's-sign Laplacian, periodic (torus) or Neumann (box), as a
         sparse matrix on row-major node vectors."""
-        periodic = self.manifold.kind == "torus"
-        terms = [_second_difference(s, h, periodic) for s, h in zip(self.shape, self.axis_spacing)]
-        out = terms[0]
-        for t in terms[1:]:
-            out = kronsum(t, out)  # earlier axes vary slowest
-        return out.tocsr()
+        return _kron_laplacian(self.shape, self.axis_spacing, self.manifold.kind == "torus")
 
     def lap(self, u: np.ndarray) -> np.ndarray:
         return self.laplacian @ np.ravel(u)
@@ -287,6 +293,23 @@ def lowest_eigenpair(op: GridOperator, tol: float = 1e-10,
             f"tail {history[-5:]}"
         )
     return SchrodingerSolve(lambda0=lam, phi=v / v.max(), iterations=len(history))
+
+
+def dense_lowest_eigenvalue(op: GridOperator) -> float:
+    """Lowest eigenvalue of Delta - V by dense LAPACK, on the axes where V
+    varies only (``equal_slab_axes``, exact ==; one axis for a constant V).
+
+    Delta - V is the Kronecker sum of its restriction to those axes with the
+    1-D second differences of the others, each positive semidefinite with
+    the constants in its kernel (periodic and Neumann alike), so both have
+    the same lambda0."""
+    geom = op.geom
+    V = op.V.reshape(geom.shape)
+    flat = equal_slab_axes(V, geom.dim)
+    keep = [a for a in range(geom.dim) if a not in flat] or [0]
+    sub = V[tuple(slice(None) if a in keep else 0 for a in range(geom.dim))]
+    lap = _kron_laplacian(sub.shape, geom.axis_spacing[keep], geom.manifold.kind == "torus")
+    return float(np.linalg.eigvalsh((lap - diags(sub.reshape(-1))).toarray())[0])
 
 
 # ---------------------------------------------------------------------------

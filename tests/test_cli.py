@@ -256,9 +256,13 @@ def test_missing_spec_key_is_an_input_error(tmp_path, capsys, doc, words):
          "pinching radius R0 must be positive"),
         ({"name": "log-cusp", "weight": {"r0": -1}}, "weight entry 'r0'", "LogCusp radius r0 must be positive"),
         ({"name": "log-cusp", "weight": {"caps": [-1, 2]}}, "weight entry 'caps'", "LogCusp cap must be positive"),
+        ({"name": "log-cusp", "weight": {"r0": 2}}, "weight entry 'r0'", "half the min period"),
+        # a 2-sphere passes the dimension check; the cusp rejects it before any work
+        ({"name": "log-cusp", "manifold": {"kind": "sphere", "dim": 2}}, "manifold or weight entry 'r0'",
+         "defined on tori and boxes only"),
     ],
     ids=["mass", "ball", "center_spacing", "eta", "q", "eps", "p", "burago-spacing", "log-cusp-spacing",
-         "eps_schedule", "lams", "R0", "r0", "caps"],
+         "eps_schedule", "lams", "R0", "r0", "caps", "r0-period", "log-cusp-sphere"],
 )
 def test_setting_a_library_check_rejects_names_its_key(tmp_path, capsys, doc, entry, words):
     # well typed, so the spec is accepted; the check that stops the run is

@@ -9,6 +9,7 @@ from conflab.schrodinger import (
     GridGeometry,
     GridOperator,
     decompose_ground_state,
+    dense_lowest_eigenvalue,
     discrete_grad_square,
     gs_shift_c0,
     log_gradient_fixedpoint,
@@ -82,6 +83,18 @@ def test_box_dense_oracle():
     dense = np.linalg.eigvalsh(op.as_sparse().toarray())[0]
     assert abs(s.lambda0 - dense) <= 1e-8
     assert s.phi.min() > 0
+
+
+@pytest.mark.parametrize("m", [BOX, Manifold.torus(3, [2.2, 1.7, 3.0])], ids=["box", "torus"])
+@pytest.mark.parametrize("varies", [(0,), (1, 2), (0, 1, 2), ()], ids=["x1", "x2x3", "all", "none"])
+def test_reduced_dense_oracle_matches_the_full_matrix(m, varies):
+    # the dropped axes' second differences have lowest eigenvalue 0
+    g = GridGeometry(m, (8, 9, 10))
+    x = g.nodes()
+    V = np.full(x.shape[0], 0.3) + sum(0.2 * np.cos(3.0 * x[:, a] + a) for a in varies)
+    op = GridOperator(g, V)
+    full = np.linalg.eigvalsh(op.as_sparse().toarray())[0]
+    assert abs(dense_lowest_eigenvalue(op) - full) <= 1e-11
 
 
 def test_box_neumann_corner_row(rng):
