@@ -661,9 +661,13 @@ def stable_norm(
     Shortest paths at eps = 3 * _SPACING run on lattice rectangles of the
     universal cover around the segment 0 -> t v, grown by a margin of
     2 eps (weight evaluated periodically); the reported norm is the
-    monotone-corrected a + b/t extrapolation of d(0, tv)/t.  Sufficiency
-    of the margin is checked by recomputing with it doubled.  A patch over
-    the node budget raises ResourceError before it is built.
+    monotone-corrected a + b/t extrapolation of d(0, tv)/t.  Every endpoint
+    t v must be a whole number of periods along each axis the field varies
+    on (outside ``field.constant_axes(m)``, to 1e-9 relative), else
+    InputError: off that lattice d(0, tv)/t oscillates around the norm by
+    O(1/t), and the fit extrapolates the oscillation.  Sufficiency of the
+    margin is checked by recomputing with it doubled.  A patch over the
+    node budget raises ResourceError before it is built.
     """
     if m.kind != "torus":
         raise InputError("stable_norm is defined for torus weights")
@@ -676,6 +680,14 @@ def stable_norm(
         raise InputError("t_list must be strictly increasing with >= 2 entries")
     if not np.all(np.isfinite(t_list) & (t_list > 0)):
         raise InputError("t_list entries must be positive and finite")
+    varying = [a for a in range(m.dim) if a not in field.constant_axes(m)]
+    for t in t_list:
+        q = t * v[varying] / m.periods[varying]
+        if np.any(np.abs(q - np.round(q)) > 1e-9 * np.maximum(np.abs(q), 1.0)):
+            raise InputError(
+                f"stable_norm endpoint t v = {(t * v).tolist()} at t = {t:g} is not a whole "
+                f"number of periods {m.periods.tolist()} along the axes {varying} the field varies on"
+            )
     margin = 6.0 * _SPACING  # 2 eps
     runs = [
         np.array([_cover_distance(m, field, v, t, k * margin, k * _NODE_BUDGET)

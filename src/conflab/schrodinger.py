@@ -6,7 +6,7 @@ differences (periodic on the torus, Neumann on the box).  The FFT (torus) or
 the orthonormal DCT-II (box) diagonalizes it; ``GridGeometry.spectral``
 applies functions of Delta through that transform: the mean-zero inverse used
 by the fixed-point machinery, the (Delta + c)^{-1} preconditioner of the
-lowest-eigenpair solver (scipy's LOBPCG, no factorization) and the smoothing
+lowest-eigenpair solver (a block-1 LOBPCG, no factorization) and the smoothing
 of the probes that estimate the functional constants.  The dense LAPACK
 oracle keeps only the axes where V varies.  The module also
 implements the eigenvalue-zeroing shift for potentials supported in a ball,
@@ -31,22 +31,23 @@ order.
 Grid norms are cell sums, gradients forward differences for norms and the
 central stencil for operators.  The functional constants entering
 thresholds, the gradient/inverse-Laplacian constant A and the Sobolev
-constant beta, are estimated empirically by randomized probing, once per
-grid: they are the cached properties ``GridGeometry.grad_inv_constant`` and
-``GridGeometry.sobolev_constant``, which every threshold reads from the
-operator's own grid, and every report records them.
+constant beta, are estimated empirically by probing, once per grid (the
+lowest mode of each axis and seeded random fields for A; bumps and seeded
+random fields for beta): they are the cached properties
+``GridGeometry.grad_inv_constant`` and ``GridGeometry.sobolev_constant``,
+which every threshold reads from the operator's own grid, and every report
+records them.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix, diags, kronsum
-from scipy.sparse.linalg import lobpcg, splu  # noqa: F401  perfbench's tracer rebinds splu
+from scipy.sparse.linalg import splu  # noqa: F401  perfbench's tracer rebinds splu
 
 from .errors import InputError, NumericError
 from .manifold import Manifold, PointSet, d0_many, equal_slab_axes, lattice
@@ -164,27 +165,35 @@ class GridGeometry(NodeGrid):
 
     @cached_property
     def grad_inv_constant(self) -> float:
-        """A: largest observed ||d (Delta^{-1} h)||_{L^n} / ||h||_{L^{n/2}}.
+        """A: the best lower bound found on the sup over h of
+        ||d (Delta^{-1} h)||_{L^n} / ||h||_{L^{n/2}}.
 
-        Randomized probing (48 probes, seed 0) over white and smoothed fields;
-        low frequencies dominate this quotient, so smoothed probes are included
-        explicitly.
+        The probes are the lowest nonconstant stencil mode of each axis (the
+        ``symbol`` index 1: cos(2 pi k/s) on a torus, cos(pi (k + 1/2)/s) on
+        a box), where this quotient peaks, and 48 random fields (seed 0),
+        white and smoothed.
         """
         n = self.dim
         rng = derive_rng(0, "aconst")
+
+        def quotient(h):
+            h = h - h.mean()
+            denom = self.lp_norm(h, n / 2.0)
+            return 0.0 if denom == 0 else self.grad_lp_norm(self.lap_inverse(h), float(n)) / denom
+
         best = 0.0
+        freq, offset = (2.0, 0.0) if self.manifold.kind == "torus" else (1.0, 0.5)
+        for a, s in enumerate(self.shape):
+            mode = np.cos(freq * np.pi * (np.arange(s) + offset) / s)
+            mode = mode.reshape([s if b == a else 1 for b in range(n)])
+            best = max(best, quotient(np.broadcast_to(mode, self.shape).reshape(-1)))
         sym = self.symbol
         damp = 1.0 / (1.0 + sym / np.median(sym[sym > 0]))
         for k in range(48):
             h = rng.standard_normal(self.shape).reshape(-1)
             if k % 2 == 1:  # smooth the probe toward the low-frequency end
                 h = self.spectral(h, damp ** (1 + k % 5))
-            h -= h.mean()
-            denom = self.lp_norm(h, n / 2.0)
-            if denom == 0:
-                continue
-            z = self.lap_inverse(h)
-            best = max(best, self.grad_lp_norm(z, float(n)) / denom)
+            best = max(best, quotient(h))
         return best
 
     @cached_property
@@ -250,49 +259,61 @@ class SchrodingerSolve:
     iterations: int
 
 
-_MAX_ITER = 400  # most LOBPCG iterations of one eigen solve
+_MAX_ITER = 400  # most residual evaluations of one eigen solve
 
 
 def lowest_eigenpair(op: GridOperator, tol: float = 1e-10,
                      v0: Optional[np.ndarray] = None) -> SchrodingerSolve:
-    """Lowest eigenpair by LOBPCG preconditioned with (Delta + c)^{-1}.
+    """Lowest eigenpair by block-1 LOBPCG preconditioned with (Delta + c)^{-1}.
 
-    scipy's lobpcg runs on A = Delta - V from the positive constant vector
-    (or a warm start).  The preconditioner needs no factorization: it is
-    applied by ``GridGeometry.spectral`` as 1/(symbol + c) with
+    The iterate x starts as the unit positive constant vector (or the unit
+    warm start v0).  Each step applies A = Delta - V (``GridOperator.as_sparse``)
+    and takes the Rayleigh-Ritz pair of lowest value on an orthonormal basis
+    of [x, w, p]: w is the preconditioned residual, p the last iterate minus
+    its component along the one before (Knyazev, SIAM J. Sci. Comput. 23,
+    2001).  The preconditioner needs no factorization: it is applied by
+    ``GridGeometry.spectral`` as 1/(symbol + c) with
     c = max(1 - mean V, 1e-3) > 0, so it is positive definite, and for a
-    constant V it is a shifted inverse of A itself.  A final eigen residual
-    ||A v - lambda v|| (unit v) above tol or a ground state that is not
-    positive raises NumericError, which quotes the residual history's tail.
+    constant V it is a shifted inverse of A itself.  The solve stops once
+    ||A x - lambda x|| <= tol; ``iterations`` counts these residual
+    evaluations.  No stop within ``_MAX_ITER`` of them, or a ground state
+    that is not positive, raises NumericError, which quotes the residual
+    history's tail.
     """
     A = op.as_sparse()
-    n = A.shape[0]
     geom = op.geom
     inv = 1.0 / (geom.symbol + max(1.0 - float(op.V.mean()), 1e-3))
-    v = np.ones(n) if v0 is None else np.asarray(v0, dtype=float).copy()
-    with warnings.catch_warnings():
-        # a missed tolerance is reported below as a NumericError
-        warnings.filterwarnings("ignore", "(?s).*not reaching the requested tolerance", UserWarning)
-        lams, vecs, res_hist = lobpcg(
-            A, v[:, None], M=lambda r: geom.spectral(r, inv), largest=False, tol=tol,
-            maxiter=_MAX_ITER, retResidualNormsHistory=True,
-        )
-    history = [float(r) for r in res_hist]
-    if not history[-1] <= tol:
+    x = np.ones(A.shape[0]) if v0 is None else np.asarray(v0, dtype=float)
+    x = x / np.linalg.norm(x)
+    Ax = A @ x
+    lam = float(x @ Ax)
+    p = None
+    history = []
+    for _ in range(_MAX_ITER):
+        r = Ax - lam * x
+        history.append(float(np.linalg.norm(r)))
+        if history[-1] <= tol:
+            break
+        basis = [x, geom.spectral(r, inv)] + ([] if p is None else [p])
+        Q = np.linalg.qr(np.column_stack(basis))[0]
+        AQ = A @ Q
+        vals, vecs = np.linalg.eigh(Q.T @ AQ)
+        x_new, Ax, lam = Q @ vecs[:, 0], AQ @ vecs[:, 0], float(vals[0])
+        p = x_new - (x @ x_new) * x
+        x = x_new
+    else:
         raise NumericError(
             f"eigen iteration did not reach tol={tol} in {_MAX_ITER} iterations; "
             f"residual history tail {history[-5:]}"
         )
-    lam = float(lams[0])
-    v = vecs[:, 0]
-    if v[np.argmax(np.abs(v))] < 0:
-        v = -v
-    if v.min() <= 0:
+    if x[np.argmax(np.abs(x))] < 0:
+        x = -x
+    if x.min() <= 0:
         raise NumericError(
             "converged eigenvector is not positive; residual history "
             f"tail {history[-5:]}"
         )
-    return SchrodingerSolve(lambda0=lam, phi=v / v.max(), iterations=len(history))
+    return SchrodingerSolve(lambda0=lam, phi=x / x.max(), iterations=len(history))
 
 
 def dense_lowest_eigenvalue(op: GridOperator) -> float:

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
@@ -187,6 +188,24 @@ def test_stable_norm_subadditive(torus2):
         for v in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0])
     )
     assert np.sqrt(2.0) * n_diag <= (n_e1 + n_e2) * 1.02
+
+
+def test_stable_norm_off_the_axes_is_sound_on_period_vectors(torus2):
+    # rho = e^f = sqrt(1 - cos(x1)/2): the closed form c dx2 + sqrt(rho^2 - c^2) dx1
+    # calibrates the Clairaut geodesic of constant c, which advances
+    # X(c) = int_0^P c / sqrt(rho^2 - c^2) dx1 in x2 per period P in x1;
+    # direction (1, 1) is X(c) = P, and its unit norm is
+    # (c P + int_0^P sqrt(rho^2 - c^2) dx1) / (P sqrt 2)
+    P = 2 * np.pi
+    rho2 = lambda x: 1 - 0.5 * np.cos(x)  # noqa: E731
+    c = brentq(lambda c: quad(lambda x: c / np.sqrt(rho2(x) - c * c), 0, P)[0] - P, 0.0, 0.7)
+    exact = (c * P + quad(lambda x: np.sqrt(rho2(x) - c * c), 0, P)[0]) / (P * np.sqrt(2.0))
+    assert exact == pytest.approx(0.965258, abs=1e-6)
+    r = stable_norm(torus2, BuragoTorus(1), [1.0, 1.0], [P, 2 * P])
+    assert exact <= r.estimate <= 1.015 * exact
+    # t v = (P, P)/sqrt 2 is off the period lattice along x1, where the field varies
+    with pytest.raises(InputError, match=r"t v = \[4.44.*not a whole number of periods"):
+        stable_norm(torus2, BuragoTorus(1), np.array([1.0, 1.0]) / np.sqrt(2.0), [P, 2 * P])
 
 
 def _per_t(m, v, t_list):

@@ -693,7 +693,13 @@ def test_declared_axes_keep_lattice_weights_bit_for_bit(kind, name, other, eps_r
     assert got.tobytes() == want.reweight(_Undeclared(fields[other])).csgraph.data.tobytes()
 
 
-def _patch_weights(m, field):
+# stable_norm's endpoints t v lie on each torus's period lattice: t = 1, 2 times
+# the diagonal period vector on torus2, and times P_2 e_2 on torus3, where the
+# diagonal one would need a patch of over 10^5 nodes
+PATCH_PERIODS = {"torus2": [1, 1], "torus3": [0, 1, 0]}
+
+
+def _patch_weights(m, field, v):
     """Edge weights of every cover patch stable_norm builds."""
     seen, real = [], mt._eps_graph
 
@@ -703,7 +709,7 @@ def _patch_weights(m, field):
         return g
 
     with patch.object(mt, "_eps_graph", spy):
-        mt.stable_norm(m, field, np.linspace(1.0, 0.3, m.dim), [1.5, 3.0], check_corridor=False)
+        mt.stable_norm(m, field, v, [1.0, 2.0], check_corridor=False)
     return seen
 
 
@@ -712,6 +718,7 @@ def _patch_weights(m, field):
 def test_declared_axes_keep_stable_norm_patches_bit_for_bit(kind, name):
     m = DECLARE_LATTICES[kind][0]
     field = _declaring_fields(m)[name]
-    got = _patch_weights(m, field)
+    v = m.periods * PATCH_PERIODS[kind]
+    got = _patch_weights(m, field, v)
     assert len(got) == 2 and all(lattice_graph for lattice_graph, _ in got)
-    assert got == _patch_weights(m, _Undeclared(field))
+    assert got == _patch_weights(m, _Undeclared(field), v)

@@ -208,6 +208,55 @@ def test_eigen_tolerance_miss_is_numeric_error(geom, nodes):
             lowest_eigenpair(op, tol=1e-16)
 
 
+SOLVER_GRIDS = {
+    "torus2": (Manifold.torus(2), (12, 10)),
+    "torus3": (Manifold.torus(3, [2 * np.pi, 2 * np.pi, 5.0]), (8, 8, 10)),
+    "box2": (Manifold.box([[0.0, 3.0], [0.0, 2.5]]), (12, 10)),
+    "box3": (Manifold.box([[0.0, 3.0], [0.0, 2.5], [-1.0, 1.0]]), (8, 10, 8)),
+}
+
+
+def _smooth_potential(geom, amplitude, rng):
+    """White noise damped by (1 + symbol)^{-1}, scaled to max |V| = amplitude."""
+    h = geom.spectral(rng.standard_normal(geom.symbol.size), 1.0 / (1.0 + geom.symbol))
+    return amplitude * h / np.abs(h).max()
+
+
+# amplitudes up to 3: at 30 the (Delta + c)^{-1} preconditioner, which does not
+# see V, stalls into a NumericError on some seeds, as scipy's lobpcg did with it
+@pytest.mark.parametrize("seed, amplitude", [(1, 1e-2), (2, 0.3), (3, 3.0)])
+@pytest.mark.parametrize("kind", sorted(SOLVER_GRIDS))
+def test_lowest_eigenpair_on_random_potentials(kind, seed, amplitude):
+    geom = GridGeometry(*SOLVER_GRIDS[kind])
+    rng = np.random.default_rng(seed)
+    V = _smooth_potential(geom, amplitude, rng)
+    op = GridOperator(geom, V)
+    s = lowest_eigenpair(op)
+    dense = np.linalg.eigvalsh(op.as_sparse().toarray())[0]
+    assert abs(s.lambda0 - dense) <= 1e-10 * max(abs(dense), 1.0)
+    assert _residual(op, s) <= 1e-10
+    assert s.phi.min() > 0
+    # a warm start from the ground state of a nearby potential
+    near = GridOperator(geom, V + 1e-3 * _smooth_potential(geom, amplitude, rng))
+    cold = lowest_eigenpair(near)
+    warm = lowest_eigenpair(near, v0=s.phi)
+    assert warm.iterations < cold.iterations
+    assert warm.lambda0 == pytest.approx(cold.lambda0, rel=1e-10, abs=1e-10)
+
+
+def test_grad_inv_constant_probes_the_lowest_mode():
+    # on the 2 pi-torus the quotient peaks at the lowest modes, which random
+    # probes miss; cos(x_1) is one of the probes, up to round-off
+    values = []
+    for s in (8, 12, 16):
+        g = GridGeometry(Manifold.torus(3), (s, s, s))
+        h = np.cos(g.nodes()[:, 0])
+        mode = g.grad_lp_norm(g.lap_inverse(h), 3.0) / g.lp_norm(h, 1.5)
+        assert g.grad_inv_constant >= mode * (1.0 - 1e-12)
+        values.append(g.grad_inv_constant)
+    assert values[2] == pytest.approx(values[1], rel=0.02)
+
+
 def test_box_neumann_constants():
     box = Manifold.box([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
     geom = GridGeometry(box, (8, 8, 8))
