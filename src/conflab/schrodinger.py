@@ -5,20 +5,19 @@ sign, assembled once per grid as a sparse Kronecker sum of 1-D second
 differences (periodic on the torus, Neumann on the box).  The FFT (torus) or
 the orthonormal DCT-II (box) diagonalizes it; ``GridGeometry.spectral``
 applies functions of Delta through that transform: the mean-zero inverse used
-by the fixed-point machinery, the (Delta + c)^{-1} preconditioner of the
-lowest-eigenpair solver (a block-1 LOBPCG, no factorization) and the smoothing
-of the probes that estimate the functional constants.  The dense LAPACK
-oracle keeps only the axes where V varies.  The module also
-implements the eigenvalue-zeroing shift for potentials supported in a ball,
-the log-gradient fixed point producing a ground-state representative e^v,
-and the cover-based decomposition log(phi) = f + w of the operator's own
-ground state phi, with a W^{(1,2),n} part f and a Hölder part w.  The
-decomposition solves one local ground state per orbit of cover centers
-under the grid translations that leave its problem unchanged: along an axis
-where V is constant (exact ==, slab by slab) and the center spacing is a
-whole number of grid steps, a center takes its representative's shift and
-translated log ground state, provided its ball mask is exactly the
-translated mask.
+by the fixed-point machinery and the (Delta + c)^{-1} preconditioner of the
+lowest-eigenpair solver (a block-1 LOBPCG, no factorization, whose shift c
+follows the current Ritz value).  The dense LAPACK oracle keeps only the axes
+where V varies.  The module also implements the eigenvalue-zeroing shift for
+potentials supported in a ball, the log-gradient fixed point producing a
+ground-state representative e^v, and the cover-based decomposition
+log(phi) = f + w of the operator's own ground state phi, with a W^{(1,2),n}
+part f and a Hölder part w.  The decomposition solves one local ground
+state per orbit of cover centers under the grid translations that leave its
+problem unchanged: along an axis where V is constant (exact ==, slab by
+slab) and the center spacing is a whole number of grid steps, a center takes
+its representative's shift and translated log ground state, provided its
+ball mask is exactly the translated mask.
 
 Discrete square gradient: the fixed point uses
     G(v) = Delta v - e^{-v} Delta(e^v)
@@ -32,8 +31,8 @@ Grid norms are cell sums, gradients forward differences for norms and the
 central stencil for operators.  The functional constants entering
 thresholds, the gradient/inverse-Laplacian constant A and the Sobolev
 constant beta, are estimated empirically by probing, once per grid (the
-lowest mode of each axis and seeded random fields for A; bumps and seeded
-random fields for beta): they are the cached properties
+lowest nonconstant mode of each axis for A; the constant and Gaussian bumps
+for beta): they are the cached properties
 ``GridGeometry.grad_inv_constant`` and ``GridGeometry.sobolev_constant``,
 which every threshold reads from the operator's own grid, and every report
 records them.
@@ -165,21 +164,19 @@ class GridGeometry(NodeGrid):
 
     @cached_property
     def grad_inv_constant(self) -> float:
-        """A: the best lower bound found on the sup over h of
+        """A: the best lower bound from the axis modes on the sup over h of
         ||d (Delta^{-1} h)||_{L^n} / ||h||_{L^{n/2}}.
 
         The probes are the lowest nonconstant stencil mode of each axis (the
         ``symbol`` index 1: cos(2 pi k/s) on a torus, cos(pi (k + 1/2)/s) on
-        a box), where this quotient peaks, and 48 random fields (seed 0),
-        white and smoothed.
+        a box).  They do not reach the sup: a mixture such as
+        cos x_1 + cos x_2 gives a larger quotient.
         """
         n = self.dim
-        rng = derive_rng(0, "aconst")
 
         def quotient(h):
             h = h - h.mean()
-            denom = self.lp_norm(h, n / 2.0)
-            return 0.0 if denom == 0 else self.grad_lp_norm(self.lap_inverse(h), float(n)) / denom
+            return self.grad_lp_norm(self.lap_inverse(h), float(n)) / self.lp_norm(h, n / 2.0)
 
         best = 0.0
         freq, offset = (2.0, 0.0) if self.manifold.kind == "torus" else (1.0, 0.5)
@@ -187,28 +184,20 @@ class GridGeometry(NodeGrid):
             mode = np.cos(freq * np.pi * (np.arange(s) + offset) / s)
             mode = mode.reshape([s if b == a else 1 for b in range(n)])
             best = max(best, quotient(np.broadcast_to(mode, self.shape).reshape(-1)))
-        sym = self.symbol
-        damp = 1.0 / (1.0 + sym / np.median(sym[sym > 0]))
-        for k in range(48):
-            h = rng.standard_normal(self.shape).reshape(-1)
-            if k % 2 == 1:  # smooth the probe toward the low-frequency end
-                h = self.spectral(h, damp ** (1 + k % 5))
-            best = max(best, quotient(h))
         return best
 
     @cached_property
     def sobolev_constant(self) -> float:
         """beta: smallest observed (||d phi||_2^2 + ||phi||_2^2) / ||phi||_{2n/(n-2)}^2.
 
-        Probes include the constant (value vol^{2/n}), concentrated bumps (the
-        scale-free regime) and 48 random smooth fields (seed 0).  Needs
-        n >= 3, else InputError.
+        The probes are the constant (value vol^{2/n}) and 12 Gaussian bumps
+        about the grid's center (the scale-free regime).  Needs n >= 3, else
+        InputError.
         """
         n = self.dim
         if n <= 2:
             raise InputError("the Sobolev constant needs dimension n >= 3")
         p_crit = 2.0 * n / (n - 2.0)
-        rng = derive_rng(0, "bconst")
         m = self.manifold
         center = (
             m.periods / 2.0 if m.kind == "torus" else m.extents.mean(axis=1)
@@ -216,21 +205,12 @@ class GridGeometry(NodeGrid):
         d = d0_many(m, self.nodes(), center)
 
         def quotient(phi):
-            denom = self.lp_norm(phi, p_crit) ** 2
-            if denom == 0:
-                return np.inf
-            return (self.grad_lp_norm(phi, 2.0) ** 2 + self.lp_norm(phi, 2.0) ** 2) / denom
+            num = self.grad_lp_norm(phi, 2.0) ** 2 + self.lp_norm(phi, 2.0) ** 2
+            return num / self.lp_norm(phi, p_crit) ** 2
 
         best = quotient(np.ones(d.size))
         for s in np.geomspace(self.axis_spacing.max(), m.min_period / 3.0, 12):
             best = min(best, quotient(np.exp(-((d / s) ** 2))))
-        sym = self.symbol
-        damp = 1.0 / (1.0 + sym / np.median(sym[sym > 0]))
-        for k in range(48):
-            h = rng.standard_normal(self.shape).reshape(-1)
-            phi = self.spectral(h, damp ** (1 + k % 4))
-            best = min(best, quotient(phi - phi.min() + 0.1 * np.abs(phi).max()))
-            best = min(best, quotient(phi))
         return float(best)
 
 
@@ -272,17 +252,18 @@ def lowest_eigenpair(op: GridOperator, tol: float = 1e-10,
     of [x, w, p]: w is the preconditioned residual, p the last iterate minus
     its component along the one before (Knyazev, SIAM J. Sci. Comput. 23,
     2001).  The preconditioner needs no factorization: it is applied by
-    ``GridGeometry.spectral`` as 1/(symbol + c) with
-    c = max(1 - mean V, 1e-3) > 0, so it is positive definite, and for a
-    constant V it is a shifted inverse of A itself.  The solve stops once
-    ||A x - lambda x|| <= tol; ``iterations`` counts these residual
-    evaluations.  No stop within ``_MAX_ITER`` of them, or a ground state
-    that is not positive, raises NumericError, which quotes the residual
-    history's tail.
+    ``GridGeometry.spectral`` as 1/(symbol + c), with c recomputed each step
+    from the current Ritz value lambda as c = max(-lambda - mean V, 1e-3).
+    It is the inverse of A - lambda with V replaced by its mean, kept
+    positive definite by the floor (a shift that ignored lambda stalled at
+    strong potentials).  The solve stops once ||A x - lambda x|| <= tol;
+    ``iterations`` counts these residual evaluations.  No stop within
+    ``_MAX_ITER`` of them, or a ground state that is not positive, raises
+    NumericError, which quotes the residual history's tail.
     """
     A = op.as_sparse()
     geom = op.geom
-    inv = 1.0 / (geom.symbol + max(1.0 - float(op.V.mean()), 1e-3))
+    v_mean = float(op.V.mean())
     x = np.ones(A.shape[0]) if v0 is None else np.asarray(v0, dtype=float)
     x = x / np.linalg.norm(x)
     Ax = A @ x
@@ -294,6 +275,7 @@ def lowest_eigenpair(op: GridOperator, tol: float = 1e-10,
         history.append(float(np.linalg.norm(r)))
         if history[-1] <= tol:
             break
+        inv = 1.0 / (geom.symbol + max(-lam - v_mean, 1e-3))
         basis = [x, geom.spectral(r, inv)] + ([] if p is None else [p])
         Q = np.linalg.qr(np.column_stack(basis))[0]
         AQ = A @ Q
@@ -379,13 +361,13 @@ def gs_shift_c0(
     c_hi = 2.0 * q_ln2 / beta
     comp = (~mask).astype(float)
     evals = 0
-    warm = {"v": None}
+    warm = None
 
     def lam(c):
-        nonlocal evals
+        nonlocal evals, warm
         op = GridOperator(geom, -(q + c * comp))
-        sol = lowest_eigenpair(op, tol=eig_tol, v0=warm["v"])
-        warm["v"] = sol.phi
+        sol = lowest_eigenpair(op, tol=eig_tol, v0=warm)
+        warm = sol.phi
         evals += 1
         return sol.lambda0
 
@@ -493,7 +475,7 @@ def log_gradient_fixedpoint(op: GridOperator) -> FixedPointResult:
         c=float(c),
         iterations=it,
         residual_n2=float(residual),
-        dv_norm=float(geom.grad_lp_norm(v, float(n))),
+        dv_norm=dv,
         v_norm_bound=float(2.0 * A * v_norm),
     )
 
