@@ -152,10 +152,14 @@ class GridGeometry(NodeGrid):
             out = idctn(coef * mult, type=2, norm="ortho", axes=axes)
         return out.reshape(np.shape(u))
 
+    @cached_property
+    def _symbol_inverse(self) -> np.ndarray:
+        """1/symbol with the k = 0 mode dropped (0 there)."""
+        return 1.0 / np.where(self.symbol > 0, self.symbol, np.inf)
+
     def lap_inverse(self, rhs: np.ndarray) -> np.ndarray:
         """Mean-zero solution of Delta u = rhs - mean(rhs)."""
-        inv = 1.0 / np.where(self.symbol > 0, self.symbol, np.inf)  # drops the k = 0 mode
-        return self.spectral(np.ravel(rhs), inv)
+        return self.spectral(np.ravel(rhs), self._symbol_inverse)
 
     def ball_mask(self, center, radius: float) -> np.ndarray:
         return d0_many(self.manifold, self._grid.points, np.asarray(center, dtype=float)) <= radius
