@@ -7,7 +7,9 @@ the orthonormal DCT-II (box) diagonalizes it; ``GridGeometry.spectral``
 applies functions of Delta through that transform: the mean-zero inverse used
 by the fixed-point machinery and the (Delta + c)^{-1} preconditioner of the
 lowest-eigenpair solver (a block-1 LOBPCG, no factorization, whose shift c
-follows the current Ritz value).  The dense LAPACK oracle keeps only the axes
+follows the current Ritz value).  The solver applies Delta - V as the stencil
+product minus V times the vector (``GridOperator.apply``); no matrix of
+Delta - V is assembled.  The dense LAPACK oracle keeps only the axes
 where V varies.  The module also implements the eigenvalue-zeroing shift for
 potentials supported in a ball, the log-gradient fixed point producing a
 ground-state representative e^v, and the cover-based decomposition
@@ -232,8 +234,9 @@ class GridOperator:
         if not np.all(np.isfinite(self.V)):
             raise InputError("potential must be finite")
 
-    def as_sparse(self) -> csr_matrix:
-        return (self.geom.laplacian - diags(self.V)).tocsr()
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """(Delta - V) x for node vectors x of shape (N,) or (N, k)."""
+        return self.geom.laplacian @ x - (self.V if x.ndim == 1 else self.V[:, None]) * x
 
 
 @dataclass
@@ -251,11 +254,11 @@ def lowest_eigenpair(op: GridOperator, tol: float = 1e-10,
     """Lowest eigenpair by block-1 LOBPCG preconditioned with (Delta + c)^{-1}.
 
     The iterate x starts as the unit positive constant vector (or the unit
-    warm start v0).  Each step applies A = Delta - V (``GridOperator.as_sparse``)
-    and takes the Rayleigh-Ritz pair of lowest value on an orthonormal basis
-    of [x, w, p]: w is the preconditioned residual, p the last iterate minus
-    its component along the one before (Knyazev, SIAM J. Sci. Comput. 23,
-    2001).  The preconditioner needs no factorization: it is applied by
+    warm start v0).  Each step applies A = Delta - V by
+    ``GridOperator.apply``, without assembling it, and takes the Rayleigh-Ritz
+    pair of lowest value on an orthonormal basis of [x, w, p]: w is the
+    preconditioned residual, p the last iterate minus its component along the
+    one before (Knyazev, SIAM J. Sci. Comput. 23, 2001).  The preconditioner needs no factorization: it is applied by
     ``GridGeometry.spectral`` as 1/(symbol + c), with c recomputed each step
     from the current Ritz value lambda as c = max(-lambda - mean V, 1e-3).
     It is the inverse of A - lambda with V replaced by its mean, kept
@@ -265,12 +268,11 @@ def lowest_eigenpair(op: GridOperator, tol: float = 1e-10,
     ``_MAX_ITER`` of them, or a ground state that is not positive, raises
     NumericError, which quotes the residual history's tail.
     """
-    A = op.as_sparse()
     geom = op.geom
     v_mean = float(op.V.mean())
-    x = np.ones(A.shape[0]) if v0 is None else np.asarray(v0, dtype=float)
+    x = np.ones(op.V.size) if v0 is None else np.asarray(v0, dtype=float)
     x = x / np.linalg.norm(x)
-    Ax = A @ x
+    Ax = op.apply(x)
     lam = float(x @ Ax)
     p = None
     history = []
@@ -282,7 +284,7 @@ def lowest_eigenpair(op: GridOperator, tol: float = 1e-10,
         inv = 1.0 / (geom.symbol + max(-lam - v_mean, 1e-3))
         basis = [x, geom.spectral(r, inv)] + ([] if p is None else [p])
         Q = np.linalg.qr(np.column_stack(basis))[0]
-        AQ = A @ Q
+        AQ = op.apply(Q)
         vals, vecs = np.linalg.eigh(Q.T @ AQ)
         x_new, Ax, lam = Q @ vecs[:, 0], AQ @ vecs[:, 0], float(vals[0])
         p = x_new - (x @ x_new) * x

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse import diags
 
 from conflab.errors import InputError, NumericError
 from conflab.manifold import Manifold, d0_many
@@ -17,6 +18,12 @@ from conflab.schrodinger import (
 )
 
 L = 2.2
+
+
+def _assembled(op):
+    """Delta - V as a sparse matrix, built here so that the oracles do not
+    go through ``GridOperator.apply``."""
+    return (op.geom.laplacian - diags(op.V)).tocsr()
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +87,7 @@ def test_box_dense_oracle():
     x = g.nodes()
     op = GridOperator(g, 0.4 * np.cos(3.0 * x[:, 0]) + 0.2 * x[:, 1] * x[:, 2])
     s = lowest_eigenpair(op)
-    dense = np.linalg.eigvalsh(op.as_sparse().toarray())[0]
+    dense = np.linalg.eigvalsh(_assembled(op).toarray())[0]
     assert abs(s.lambda0 - dense) <= 1e-8
     assert s.phi.min() > 0
 
@@ -93,7 +100,7 @@ def test_reduced_dense_oracle_matches_the_full_matrix(m, varies):
     x = g.nodes()
     V = np.full(x.shape[0], 0.3) + sum(0.2 * np.cos(3.0 * x[:, a] + a) for a in varies)
     op = GridOperator(g, V)
-    full = np.linalg.eigvalsh(op.as_sparse().toarray())[0]
+    full = np.linalg.eigvalsh(_assembled(op).toarray())[0]
     assert abs(dense_lowest_eigenvalue(op) - full) <= 1e-11
 
 
@@ -159,14 +166,14 @@ def test_shift_law(geom, nodes):
 
 def _residual(op, s):
     """Relative eigen residual ||A phi - lambda phi|| / ||phi|| of a solve."""
-    return np.linalg.norm(op.as_sparse() @ s.phi - s.lambda0 * s.phi) / np.linalg.norm(s.phi)
+    return np.linalg.norm(_assembled(op) @ s.phi - s.lambda0 * s.phi) / np.linalg.norm(s.phi)
 
 
 def test_dense_oracle(geom, nodes):
     V = 0.15 * np.cos(2 * np.pi * nodes[:, 0] / L)
     op = GridOperator(geom, V)
     s = lowest_eigenpair(op)
-    dense = np.linalg.eigvalsh(op.as_sparse().toarray())[0]
+    dense = np.linalg.eigvalsh(_assembled(op).toarray())[0]
     assert abs(s.lambda0 - dense) <= 1e-8
     assert _residual(op, s) <= 1e-10
     assert s.phi.min() > 0
@@ -179,7 +186,7 @@ def test_dense_oracle_2d_16():
     x = g2.nodes()
     op = GridOperator(g2, 0.2 * np.cos(x[:, 0]))
     s = lowest_eigenpair(op)
-    dense = np.linalg.eigvalsh(op.as_sparse().toarray())[0]
+    dense = np.linalg.eigvalsh(_assembled(op).toarray())[0]
     assert abs(s.lambda0 - dense) <= 1e-8
 
 
@@ -194,10 +201,30 @@ def test_spike_potential_no_factorization(geom, monkeypatch):
     V[777] = 100.0
     op = GridOperator(geom, V)
     s = lowest_eigenpair(op)
-    dense = np.linalg.eigvalsh(op.as_sparse().toarray())[0]
+    dense = np.linalg.eigvalsh(_assembled(op).toarray())[0]
     assert abs(s.lambda0 - dense) <= 1e-8
     assert s.phi.min() > 0
     assert _residual(op, s) <= 1e-10
+
+
+def test_lowest_eigenpair_assembles_no_matrix(geom, nodes, monkeypatch):
+    import conflab.schrodinger as sc
+
+    op = GridOperator(geom, 0.15 * np.cos(2 * np.pi * nodes[:, 0] / L))
+    near = GridOperator(geom, 1.01 * op.V)
+    dense = [np.linalg.eigvalsh(_assembled(o).toarray())[0] for o in (op, near)]
+    geom.laplacian  # the stencil itself is built once per grid, before the patch
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("lowest_eigenpair assembled a matrix")
+
+    monkeypatch.setattr(sc, "diags", no_assembly)
+    monkeypatch.setattr(sc, "csr_matrix", no_assembly)
+    cold = lowest_eigenpair(op)
+    warm = lowest_eigenpair(near, v0=cold.phi)
+    assert warm.iterations > 1  # the warm solve took steps, not only its first residual
+    assert abs(cold.lambda0 - dense[0]) <= 1e-8
+    assert abs(warm.lambda0 - dense[1]) <= 1e-8
 
 
 def test_eigen_tolerance_miss_is_numeric_error(geom, nodes):
@@ -216,6 +243,22 @@ SOLVER_GRIDS = {
 }
 
 
+APPLY_GRIDS = {**SOLVER_GRIDS, "torus3-12": (Manifold.torus(3, [L, L, L]), (12, 12, 12))}
+
+
+@pytest.mark.parametrize("kind", sorted(APPLY_GRIDS))
+def test_apply_matches_the_assembled_operator(kind, rng):
+    geom = GridGeometry(*APPLY_GRIDS[kind])
+    n = int(np.prod(geom.shape))
+    op = GridOperator(geom, rng.standard_normal(n))
+    A = _assembled(op)
+    for x in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+        got = op.apply(x)
+        want = A @ x
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(got).max()
+
+
 def _smooth_potential(geom, amplitude, rng):
     """White noise damped by (1 + symbol)^{-1}, scaled to max |V| = amplitude."""
     h = geom.spectral(rng.standard_normal(geom.symbol.size), 1.0 / (1.0 + geom.symbol))
@@ -232,7 +275,7 @@ def test_lowest_eigenpair_on_random_potentials(kind, seed, amplitude):
     V = _smooth_potential(geom, amplitude, rng)
     op = GridOperator(geom, V)
     s = lowest_eigenpair(op)
-    dense = np.linalg.eigvalsh(op.as_sparse().toarray())[0]
+    dense = np.linalg.eigvalsh(_assembled(op).toarray())[0]
     assert abs(s.lambda0 - dense) <= 1e-10 * max(abs(dense), 1.0)
     assert _residual(op, s) <= 1e-10
     assert s.phi.min() > 0
