@@ -9,8 +9,8 @@ by the fixed-point machinery and the (Delta + c)^{-1} preconditioner of the
 lowest-eigenpair solver (a block-1 LOBPCG, no factorization, whose shift c
 follows the current Ritz value).  The solver applies Delta - V as the stencil
 product minus V times the vector (``GridOperator.apply``); no matrix of
-Delta - V is assembled.  The dense LAPACK oracle keeps only the axes
-where V varies.  The module also implements the eigenvalue-zeroing shift for
+Delta - V is assembled.  The dense LAPACK oracle keeps only the axes where V
+varies.  The module also implements the eigenvalue-zeroing shift for
 potentials supported in a ball, the log-gradient fixed point producing a
 ground-state representative e^v, and the cover-based decomposition
 log(phi) = f + w of the operator's own ground state phi, with a W^{(1,2),n}
@@ -258,7 +258,8 @@ def lowest_eigenpair(op: GridOperator, tol: float = 1e-10,
     ``GridOperator.apply``, without assembling it, and takes the Rayleigh-Ritz
     pair of lowest value on an orthonormal basis of [x, w, p]: w is the
     preconditioned residual, p the last iterate minus its component along the
-    one before (Knyazev, SIAM J. Sci. Comput. 23, 2001).  The preconditioner needs no factorization: it is applied by
+    one before (Knyazev, SIAM J. Sci. Comput. 23, 2001).  The preconditioner
+    needs no factorization: it is applied by
     ``GridGeometry.spectral`` as 1/(symbol + c), with c recomputed each step
     from the current Ritz value lambda as c = max(-lambda - mean V, 1e-3).
     It is the inverse of A - lambda with V replaced by its mean, kept
