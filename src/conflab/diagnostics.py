@@ -30,7 +30,7 @@ from .manifold import (
 )
 from .metric import DistanceMatrix
 from .rng import derive_rng, derive_seed
-from .weight import WeightField, _Lifted, check_ball_budget, mu_f_ball, total_mass
+from .weight import WeightField, _Lifted, _density, check_ball_budget, mu_f_ball, total_mass
 
 
 def default_eta(m: Manifold) -> float:
@@ -69,9 +69,10 @@ def _ball_pools(m: Manifold, field: WeightField, sampler: BallSampler, budget: i
     seeded by derive_seed(sampler.seed, stream, k), and w = e^{nf} on it.
     The field is validated once, before the first ball."""
     field.validate(m)
+    density = _density(m, field)[0]
     for k, ball in sampler.balls():
         pts, _, _ = sample_ball(m, ball, budget, derive_seed(sampler.seed, stream, k))
-        yield k, ball, np.exp(m.dim * field.eval_many(m, pts)), pts
+        yield k, ball, density(pts), pts
 
 
 # ---------------------------------------------------------------------------

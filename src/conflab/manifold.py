@@ -233,7 +233,10 @@ def torus_wrap(x: np.ndarray, periods: np.ndarray) -> np.ndarray:
     within [-p, 2p) is shifted by at most one period.  There x - p is exact
     for x in [p, 2p) (Sterbenz), which is the remainder np.mod computes, and
     for x in [-p, 0) np.mod's remainder is x + p with the same rounding.
-    Any other axis, non-finite entries included, goes through np.mod.
+    Such an axis is skipped when it already lies inside (0, p), else wrapped
+    by three selects (products with 0/1 masks) on a contiguous copy of it
+    (the axis itself when it is contiguous) and written back once.  Any
+    other axis, non-finite entries included, goes through np.mod.
     """
     if x.size == 0:
         return x
@@ -244,11 +247,15 @@ def torus_wrap(x: np.ndarray, periods: np.ndarray) -> np.ndarray:
             np.mod(col, p, out=col)
             np.copyto(col, 0.0, where=~(col < p))
             continue
-        if hi >= p:
-            np.subtract(col, p, out=col, where=col >= p)
-        if lo <= 0.0:
-            np.add(col, p, out=col, where=col < 0.0)
-            np.copyto(col, 0.0, where=(col >= p) | (col == 0.0))
+        if 0.0 < lo and hi < p:
+            continue
+        # products with 0/1 masks, not np.where, which costs four times as
+        # much on an axis of mixed signs.  v -/+ 0.0 is v, except that
+        # -0.0 + 0.0 is +0.0, np.mod's zero; v * 0.0 is +0.0 for v >= p > 0
+        v = np.ascontiguousarray(col)
+        v = v - p * (v >= p)
+        v = v + p * (v < 0.0)
+        col[...] = v * (v < p)
     return x
 
 
@@ -630,7 +637,9 @@ def sample_ball(m: Manifold, b: BallSpec, count: int, seed: int = 0):
     A ball that covers M (r >= max_distance) is sample_manifold's draws.
     Caps are sampled by colatitude inversion and a rotation.  Flat balls keep
     the draws c + r U^{1/n} g/|g| (U uniform, g Gaussian) that lie inside the
-    box, or on a torus within half a period of c in every coordinate.
+    box, or on a torus within half a period of c in every coordinate.  They
+    are placed in one axis-major (n, count) block, so the (count, n) points
+    returned may be F-ordered.
     Weights are uniform and sum to the exact volume where there is one (see
     _closed_form_volume), else to omega r^n a, a the accepted fraction of all
     draws, with binomial volume_se omega r^n sqrt(a (1 - a) / drawn).
@@ -649,23 +658,19 @@ def sample_ball(m: Manifold, b: BallSpec, count: int, seed: int = 0):
     lo, hi = (c - m.periods / 2.0, c + m.periods / 2.0) if m.kind == "torus" else m.extents.T
     kept, accepted, drawn = [], 0, 0
     while accepted < count:
-        pts = rng.standard_normal((count, n))
-        rad = b.radius * rng.random(count) ** (1.0 / n) / np.sqrt(np.einsum("ij,ij->i", pts, pts))
-        inside = None if whole else np.ones(count, dtype=bool)
-        for a in range(n):  # c + rad * g, rounded as written, in place
-            col = pts[:, a]
-            col *= rad
-            col += c[a]
-            if inside is not None:
-                inside &= (col >= lo[a]) & (col < hi[a])
-        if inside is not None:
-            pts = pts[inside]
-        kept.append(pts)
-        accepted += len(pts)
+        g = rng.standard_normal((count, n))
+        rad = b.radius * rng.random(count) ** (1.0 / n) / np.sqrt(np.einsum("ij,ij->i", g, g))
+        cols = g.T.copy()  # (n, count): c + rad * g, rounded as written
+        cols *= rad
+        cols += c[:, None]
+        if not whole:
+            cols = cols[:, ((cols >= lo[:, None]) & (cols < hi[:, None])).all(axis=0)]
+        kept.append(cols)
+        accepted += cols.shape[1]
         drawn += count
         if drawn > 4096 and accepted / drawn < 1e-3:
             raise ResourceError(f"ball rejection efficiency {accepted / drawn:.2e} below 1e-3")
-    pts = kept[0][:count] if len(kept) == 1 else np.concatenate(kept)[:count]
+    pts = (kept[0] if len(kept) == 1 else np.concatenate(kept, axis=1))[:, :count].T
     if m.kind == "torus":
         pts = torus_wrap(pts, m.periods)
     if volume is None:

@@ -662,7 +662,8 @@ def _mc_integral(vals: np.ndarray, volume: float, what: str, volume_se: float):
     bad = vals.size - int(good.sum())
     if bad > 0.001 * vals.size:
         raise IntegrationError(f"{bad} of {vals.size} {what} non-finite (limit 0.1%)")
-    vals = vals[good]
+    if bad:
+        vals = vals[good]
     se = volume * float(vals.std(ddof=1)) / np.sqrt(vals.size) if vals.size > 1 else 0.0
     mean = float(vals.mean())
     return volume * mean, float(np.hypot(mean * volume_se, se))

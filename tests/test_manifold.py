@@ -21,6 +21,7 @@ from conflab.manifold import (
     unit_ball_volume,
     whole_manifold_ball,
 )
+from conflab.rng import derive_rng
 from conflab.weight import SphereBubble
 
 N_POLE = np.array([0.0, 0.0, 1.0])
@@ -264,6 +265,55 @@ def test_sample_ball_deterministic(torus2):
     p2, w2, _ = sample_ball(torus2, b, 1000, seed=9)
     assert np.array_equal(p1, p2)
     assert np.array_equal(w1, w2)
+
+
+def _row_major_ball(m, b, count, seed):
+    """sample_ball's flat draws placed in the row-major (count, n) block one
+    axis column at a time, wrapped by np.mod: the reference for its
+    axis-major placement."""
+    rng = derive_rng(seed, "ball")
+    volume = _closed_form_volume(m, b)
+    n, c = m.dim, np.asarray(b.center, dtype=float)
+    lo, hi = (c - m.periods / 2.0, c + m.periods / 2.0) if m.kind == "torus" else m.extents.T
+    kept, accepted, drawn = [], 0, 0
+    while accepted < count:
+        pts = rng.standard_normal((count, n))
+        rad = b.radius * rng.random(count) ** (1.0 / n) / np.sqrt(np.einsum("ij,ij->i", pts, pts))
+        inside = np.ones(count, dtype=bool)
+        for a in range(n):
+            col = pts[:, a]
+            col *= rad
+            col += c[a]
+            if volume is None:
+                inside &= (col >= lo[a]) & (col < hi[a])
+        kept.append(pts[inside])
+        accepted += int(inside.sum())
+        drawn += count
+    pts = np.concatenate(kept)[:count]
+    if m.kind == "torus":
+        y = np.mod(pts, m.periods)
+        pts = np.where(y < m.periods, y, 0.0)
+    if volume is None:
+        a, disc = accepted / drawn, unit_ball_volume(n) * b.radius**n
+        volume = disc * a, disc * float(np.sqrt(a * (1.0 - a) / drawn))
+    return pts, np.full(count, volume[0] / count), volume[1]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize(
+    "kind, center, radius",
+    [("torus", 3.0, 1.0), ("torus", 0.0, 1.0), ("torus", 1.0, 3.5), ("box", 0.2, 0.5)],
+    ids=["torus-inside", "torus-seams", "torus-rejection", "box-face"],
+)
+def test_sample_ball_is_the_row_major_draw(n, kind, center, radius):
+    m = Manifold.torus(n) if kind == "torus" else Manifold.box([[0.0, 1.0]] * n)
+    b = BallSpec(np.full(n, center), radius)
+    count = 1237
+    pts, w, se = sample_ball(m, b, count, seed=17)
+    want_pts, want_w, want_se = _row_major_ball(m, b, count, 17)
+    assert pts.shape == (count, n)
+    assert np.ascontiguousarray(pts).tobytes() == want_pts.tobytes()
+    assert w.tobytes() == want_w.tobytes() and se == want_se
 
 
 def test_sample_ball_symmetric_mean(torus2):

@@ -178,6 +178,7 @@ def test_torus_delta_in_half_open_period(periods, x, y):
 
 # entries a float u stands for u * p * stretch; the names for edge values
 WRAP_SPECIAL = {
+    "0": lambda p: 0.0,
     "-0": lambda p: -0.0,
     "+1e-17": lambda p: 1e-17,
     "-1e-17": lambda p: -1e-17,
@@ -200,9 +201,20 @@ WRAP_SPECIAL = {
         min_size=1, max_size=36,
     ),
     stretch=st.sampled_from([1.0, 3.0, 1e4]),
+    order=st.sampled_from(["C", "F", "view"]),
 )
-@example(periods=[2 * np.pi, 3.0], shape=(4, 3), entries=["-1e-17", 0.25, "-0"], stretch=1.0)
-def test_torus_wrap_is_the_np_mod_wrap(periods, shape, entries, stretch):
+@example(periods=[2 * np.pi, 3.0], shape=(4, 3), entries=["-1e-17", 0.25, "-0"], stretch=1.0,
+         order="C")
+# at the skip test: every entry inside (0, p), or all but one at or next to a wrap edge
+@example(periods=[2 * np.pi, 3.0], shape=(4, 3), entries=[0.25, 0.5, 0.75], stretch=1.0,
+         order="F")
+@example(periods=[2 * np.pi, 3.0], shape=(4, 3), entries=["0"] + [0.25] * 23, stretch=1.0,
+         order="view")
+@example(periods=[2 * np.pi, 3.0], shape=(4, 3), entries=["-0"] + [0.25] * 23, stretch=1.0,
+         order="F")
+@example(periods=[2 * np.pi, 3.0], shape=(4, 3), entries=["below p"] + [0.5] * 23, stretch=1.0,
+         order="C")
+def test_torus_wrap_is_the_np_mod_wrap(periods, shape, entries, stretch, order):
     p = np.asarray(periods)
     size = int(np.prod(shape, dtype=int)) * p.size
     x = np.empty(size)
@@ -212,7 +224,16 @@ def test_torus_wrap_is_the_np_mod_wrap(periods, shape, entries, stretch):
     x = x.reshape(shape + (p.size,))
     y = np.mod(x, p)
     want = np.where(y < p, y, 0).tobytes()  # sign of zero included
-    assert torus_wrap(x.copy(), p).tobytes() == want
+    if order == "view":  # the axes of a wider array: strided columns
+        wide = np.full(shape + (p.size + 1,), 7.5)
+        wide[..., :-1] = x
+        arg = wide[..., :-1]
+    else:
+        arg = x.copy(order=order)
+    assert torus_wrap(arg, p) is arg
+    assert np.ascontiguousarray(arg).tobytes() == want
+    if order == "view":
+        assert np.all(wide[..., -1] == 7.5)
     assert Manifold.torus(p.size, p).canonicalize(x).tobytes() == want
 
 

@@ -9,7 +9,7 @@ from conflab.diagnostics import (
     _box_boundary_quadrature,
     isoperimetric_ratio,
 )
-from conflab.errors import FormatError, InputError
+from conflab.errors import FormatError, InputError, IntegrationError
 from conflab.experiments import weak_star_test
 from conflab.manifold import (
     BallSpec,
@@ -29,6 +29,7 @@ from conflab.weight import (
     SphereBubble,
     Sum,
     WeightField,
+    _mc_integral,
     grid_from_field,
     mu_f_ball,
     read_grid,
@@ -471,6 +472,20 @@ def test_mu_f_ball_nonfinite_excess(torus2, mass):
 
     with pytest.raises(IntegrationError):
         mass(torus2, _HalfInfinite())
+
+
+@pytest.mark.parametrize("nans", [0, 1, 2])
+def test_mc_integral_averages_the_finite_values(nans):
+    vals = np.random.default_rng(5).lognormal(size=1000)
+    vals[[417, 803][:nans]] = np.nan
+    if nans > 1:  # 2 of 1000 is over the 0.1% allowance
+        with pytest.raises(IntegrationError):
+            _mc_integral(vals, 2.5, "values", 0.01)
+        return
+    good = vals[np.isfinite(vals)]
+    mean = float(good.mean())
+    se = 2.5 * float(good.std(ddof=1)) / np.sqrt(good.size)
+    assert _mc_integral(vals, 2.5, "values", 0.01) == (2.5 * mean, float(np.hypot(mean * 0.01, se)))
 
 
 def test_burago_needs_whole_turns_across_the_seam():
