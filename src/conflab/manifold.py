@@ -273,10 +273,11 @@ def _sphere_angle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # 2*arcsin of half-chord; switch to the antipodal form for obtuse angles
     # so accuracy is ~1e-15 over the whole range (plain arccos loses digits).
     dot = np.sum(x * y, axis=-1)
-    chord = np.linalg.norm(x - y, axis=-1)
-    anti = np.linalg.norm(x + y, axis=-1)
-    near = 2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0))
-    far = pi - 2.0 * np.arcsin(np.clip(anti / 2.0, 0.0, 1.0))
+    # the chords are norms, so only the clip at 1 can act
+    chord = np.sqrt(np.sum((x - y) ** 2, axis=-1))
+    anti = np.sqrt(np.sum((x + y) ** 2, axis=-1))
+    near = 2.0 * np.arcsin(np.minimum(chord / 2.0, 1.0))
+    far = pi - 2.0 * np.arcsin(np.minimum(anti / 2.0, 1.0))
     return np.where(dot >= 0.0, near, far)
 
 

@@ -270,15 +270,19 @@ class SphereBubble(WeightField):
     the round metric pulled back under dilation by lam, i.e.
     f = ln(lam (1+|sigma|^2)) - ln(1+lam^2 |sigma|^2), extended continuously
     by -ln(lam) at the pole.  Rotationally symmetric about the antipode of
-    the pole, where the measure concentrates as lam grows.
+    the pole, where the measure concentrates as lam grows.  In the angle
+    theta from ``radial_axis``, with s = sin(theta/2), c = cos(theta/2),
+    a = lam^2 - 1 and q = a s^2, d = 1 + q, the profile is bounded on all of
+    [0, pi]: f = ln(lam) - log1p(q), f' = -a s c / d and
+    f'' = -a ((c - s)(c + s) - q) / (2 d^2).
     """
 
     lam: float = 1.0
     pole: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise InputError("SphereBubble dilation lam must be positive")
+        if not 0 < self.lam < np.inf:
+            raise InputError("SphereBubble dilation lam must be positive and finite")
 
     def validate(self, m):
         if m.kind != "sphere":
@@ -300,24 +304,13 @@ class SphereBubble(WeightField):
         return -pole
 
     def profile(self, theta):
-        """One split of theta, used by f, f' and f'': t = tan(theta/2) up to
-        pi/2 and u = tan((pi - theta)/2) beyond, so neither grows large."""
         lam = float(self.lam)
-        la2 = lam * lam
-        theta = np.asarray(theta, dtype=float)
-        near = theta <= pi / 2
-        t = np.tan(np.where(near, theta, 0.0) / 2.0)
-        u = np.tan((pi - np.where(near, pi, theta)) / 2.0)
-        v_near = np.log(lam) + np.log1p(t * t) - np.log1p(la2 * t * t)
-        v_far = -np.log(lam) + np.log1p(u * u) - np.log1p(u * u / lam**2)
-        d_near = (1.0 - la2) * t / (1.0 + la2 * t * t)
-        d_far = (1.0 - la2) * u / (u * u + la2)
-        n_num = (1.0 - la2) * (1.0 - la2 * t * t) * (1.0 + t * t)
-        n_den = 2.0 * (1.0 + la2 * t * t) ** 2
-        f_num = (1.0 - la2) * (u * u - la2) * (u * u + 1.0)
-        f_den = 2.0 * (u * u + la2) ** 2
-        return (np.where(near, v_near, v_far), np.where(near, d_near, d_far),
-                np.where(near, n_num / n_den, f_num / f_den))
+        half = np.asarray(theta, dtype=float) / 2.0
+        s, c = np.sin(half), np.cos(half)
+        a = (lam - 1.0) * (lam + 1.0)
+        q = a * s * s
+        d = 1.0 + q
+        return np.log(lam) - np.log1p(q), -a * s * c / d, -a * ((c - s) * (c + s) - q) / (2.0 * d * d)
 
     def eval_many(self, m, x):
         return self.profile(d0_many(m, x, self.radial_axis(m)) / m.radius)[0]

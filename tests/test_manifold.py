@@ -10,6 +10,7 @@ from conflab.manifold import (
     PointSet,
     _cap_rule,
     _closed_form_volume,
+    _sphere_angle,
     cap_quadrature,
     cap_volume,
     d0_many,
@@ -51,6 +52,38 @@ def test_canonicalize_strictly_below_period(torus2):
 
 def test_d0_sphere_antipodal(sphere2):
     assert d0(sphere2, N_POLE, S_POLE) == pytest.approx(np.pi, abs=1e-14)
+
+
+def _sphere_angle_by_linalg_norm(x, y):
+    """The sphere angle with np.linalg.norm chords clipped to [0, 1]: the
+    sum-of-squares chords clipped at 1 must give the same bits."""
+    dot = np.sum(x * y, axis=-1)
+    chord = np.linalg.norm(x - y, axis=-1)
+    anti = np.linalg.norm(x + y, axis=-1)
+    near = 2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0))
+    far = np.pi - 2.0 * np.arcsin(np.clip(anti / 2.0, 0.0, 1.0))
+    return np.where(dot >= 0.0, near, far)
+
+
+def test_sphere_angle_is_the_linalg_norm_angle():
+    rng = np.random.default_rng(37)
+
+    def unit(a):
+        return a / np.linalg.norm(a, axis=-1, keepdims=True)
+
+    cases = []
+    for d in (3, 4, 5):  # the spheres S^2 to S^4
+        x, y = unit(rng.standard_normal((2, 500, d)))
+        tiny = unit(-x + 1e-9 * rng.standard_normal(x.shape))
+        cases += [(x, y), (x, x), (x, -x), (x, tiny)]
+    x, y = unit(rng.standard_normal((2, 3)))
+    cases.append((x, y))  # one 1-D pair
+    x, y = unit(rng.standard_normal((7, 1, 4))), unit(rng.standard_normal((1, 9, 4)))
+    cases.append((x, y))  # broadcast to (7, 9)
+    for x, y in cases:
+        got, ref = _sphere_angle(x, y), _sphere_angle_by_linalg_norm(x, y)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_d0_dimension_mismatch(torus2):

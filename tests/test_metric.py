@@ -25,7 +25,7 @@ from conflab.metric import (
     shortest_paths,
     stable_norm,
 )
-from conflab.weight import BuragoTorus, Constant, GridField, GridWeight, LogCusp, Scaled
+from conflab.weight import BuragoTorus, Constant, GridField, GridWeight, LogCusp, Scaled, SphereBubble
 
 TWO_NODES = PointSet(points=np.array([[0.0, 0.0], [1.0, 0.0]]), spacing=0.4)
 
@@ -314,6 +314,30 @@ def test_sphere_graph_distances(sphere2):
     rel = dm.values[0][ok] / d0v[ok] - 1.0
     assert rel.min() >= -1e-9  # graph metric never undershoots
     assert rel.max() <= 0.05
+
+
+def _dilate(x: np.ndarray, lam: float) -> np.ndarray:
+    """sigma^-1(lam sigma(x)) on S^2, sigma the stereographic projection
+    from the bubble's pole (0, 0, 1)."""
+    y = lam * x[:, :2] / (1.0 - x[:, 2:])
+    r2 = np.sum(y * y, axis=1, keepdims=True)
+    return np.hstack([2.0 * y, r2 - 1.0]) / (r2 + 1.0)
+
+
+@pytest.mark.parametrize("lam", [1.0, 10.0])
+def test_bubble_graph_distances_are_the_dilated_round_distances(sphere2, lam):
+    # the bubble metric is the round metric pulled back by the dilation, so
+    # d_f(x, y) = d0(dilate(x), dilate(y)) exactly; no lattice node is the
+    # pole, where sigma divides by zero
+    pts = lattice(sphere2, 0.1)
+    g = build_graph(sphere2, pts, 3 * pts.spacing, SphereBubble(lam))
+    sources = np.arange(4) * (g.n // 4)
+    y = _dilate(pts.points, lam)
+    exact = d0_many(sphere2, y[sources][:, None], y[None])
+    far = exact > 0.2
+    rel = shortest_paths(g, sources).values[far] / exact[far] - 1.0
+    assert rel.min() >= -1e-12  # graph metric never undershoots
+    assert rel.max() <= 0.03 and np.median(rel) <= 0.005
 
 
 def test_stable_norm_node_budget(torus2):

@@ -55,6 +55,52 @@ def test_bubble_identity_at_lam_one(sphere3, rng):
     assert np.abs(SphereBubble(1.0).eval_many(sphere3, pts)).max() == 0.0
 
 
+@pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf])
+def test_bubble_rejects_a_non_positive_or_non_finite_lam(lam):
+    # nan <= 0 is False, so a nan lam used to construct a field of nan values
+    with pytest.raises(InputError, match="positive and finite"):
+        SphereBubble(lam)
+
+
+def _tan_split_profile(lam, theta):
+    """The bubble profile in two branches, t = tan(theta/2) up to pi/2 and
+    u = tan((pi - theta)/2) beyond, neither of which grows large: the
+    reference of the half-angle closed form."""
+    la2 = lam * lam
+    near = theta <= np.pi / 2
+    t = np.tan(np.where(near, theta, 0.0) / 2.0)
+    u = np.tan((np.pi - np.where(near, np.pi, theta)) / 2.0)
+    v_near = np.log(lam) + np.log1p(t * t) - np.log1p(la2 * t * t)
+    v_far = -np.log(lam) + np.log1p(u * u) - np.log1p(u * u / lam**2)
+    d_near = (1.0 - la2) * t / (1.0 + la2 * t * t)
+    d_far = (1.0 - la2) * u / (u * u + la2)
+    n_num = (1.0 - la2) * (1.0 - la2 * t * t) * (1.0 + t * t)
+    n_den = 2.0 * (1.0 + la2 * t * t) ** 2
+    f_num = (1.0 - la2) * (u * u - la2) * (u * u + 1.0)
+    f_den = 2.0 * (u * u + la2) ** 2
+    return (np.where(near, v_near, v_far), np.where(near, d_near, d_far),
+            np.where(near, n_num / n_den, f_num / f_den))
+
+
+@pytest.mark.parametrize("lam, rtol", [
+    (1.0, 0.0), (2.0, 1e-15), (10.0, 1e-15), (100.0, 1e-15), (1000.0, 1e-15), (1e4, 1e-15),
+    (0.3, 1e-11), (0.01, 1e-11),
+])
+def test_bubble_profile_is_the_tan_split_profile(lam, rtol):
+    # both forms are exactly 0 at lam = 1 and round-off apart above it; below
+    # it, which no run uses, the half-angle error grows like 1e-16 / lam^2
+    half_pi = np.pi / 2
+    ends = [0.0, 1e-300, 1e-12, np.nextafter(half_pi, 0.0), half_pi, np.nextafter(half_pi, 4.0),
+            np.pi - 1e-6, np.nextafter(np.pi, 0.0), np.pi]
+    theta = np.concatenate([ends, np.random.default_rng(37).uniform(0.0, np.pi, 4000)])
+    got, ref = SphereBubble(lam).profile(theta), _tan_split_profile(lam, theta)
+    for g, r in zip(got, ref):
+        assert np.abs(g - r).max() <= rtol * np.abs(r).max()
+    if lam == 1.0:
+        assert not any(np.any(g) for g in got)
+    assert got[0][0] == np.log(lam) and got[1][0] == 0.0
+
+
 def test_bubble_pole_value(sphere3):
     # continuous extension by -ln(lam) at the projection pole
     pole = np.array([0.0, 0.0, 0.0, 1.0])
@@ -294,7 +340,7 @@ def test_sum_exact_curvature_and_radial_profile(torus2, rng):
     Scaled(SphereBubble(10.0), 0.7), Sum((SphereBubble(2.0), SphereBubble(5.0))), Constant(0.3),
 ], ids=["bubble1", "bubble10", "bubble1000", "scaled", "sum", "constant"])
 def test_profile_derivatives_match_central_differences(field):
-    # both sides of the branch switch at pi/2, and across it
+    # near both ends of [0, pi] and on both sides of pi/2
     theta = np.array([0.2, 0.9, np.pi / 2 - 0.01, np.pi / 2, np.pi / 2 + 0.01, 2.2, 2.9])
     h = 1e-4
     f, fp, fpp = field.profile(theta)
