@@ -330,27 +330,27 @@ def _boundary_mean(m: Manifold, field: WeightField, pts: np.ndarray) -> float:
     return float(vals.mean())
 
 
-def _ball_boundary_quadrature(m: Manifold, field: WeightField, ball: BallSpec, nodes: int):
+def _ball_boundary_quadrature(m: Manifold, field: WeightField, ball: BallSpec):
     """int_{boundary} e^{(n-1)f} dA0 for a coordinate ball on a torus/box."""
     n = m.dim
     c = np.asarray(ball.center, dtype=float)
     r = ball.radius
     if n == 2:
-        theta = (np.arange(nodes) + 0.5) * (2 * pi / nodes)
+        theta = (np.arange(_ISO_NODES) + 0.5) * (2 * pi / _ISO_NODES)
         pts = c + r * np.column_stack([np.cos(theta), np.sin(theta)])
         area = 2 * pi * r
     else:
-        dirs = _quasi_uniform_sphere(n - 1, nodes)
+        dirs = _quasi_uniform_sphere(n - 1, _ISO_NODES)
         pts = c + r * dirs
         area = sphere_volume(n - 1) * r ** (n - 1)
     return area * _boundary_mean(m, field, pts)
 
 
-def _box_boundary_quadrature(m: Manifold, field: WeightField, dom: BoxDomain, nodes_per_face: int):
+def _box_boundary_quadrature(m: Manifold, field: WeightField, dom: BoxDomain):
     n = m.dim
     lo = np.asarray(dom.lo, dtype=float)
     hi = np.asarray(dom.hi, dtype=float)
-    rng_like = np.linspace(0.0, 1.0, max(2, int(round(nodes_per_face ** (1.0 / max(n - 1, 1))))) + 1)
+    rng_like = np.linspace(0.0, 1.0, max(2, int(round(_ISO_NODES ** (1.0 / max(n - 1, 1))))) + 1)
     mids = (rng_like[1:] + rng_like[:-1]) / 2
     total = 0.0
     for a in range(n):
@@ -374,6 +374,7 @@ class IsoperimetricResult:
 
 
 _ISO_BUDGET = 40_000  # samples per domain mass of isoperimetric_ratio
+_ISO_NODES = 4096  # boundary nodes per ball (per face of a box) of its perimeters
 
 
 def isoperimetric_ratio(
@@ -384,9 +385,9 @@ def isoperimetric_ratio(
 ) -> IsoperimetricResult:
     """inf over domains of perimeter / mass^{1-1/n} for the deformed metric.
 
-    Perimeter is the boundary quadrature of e^{(n-1)f} on 4096 nodes (per
-    face of a box); mass is mu_f of the domain, a box's the total_mass of
-    the box read through m.  Domains with more than half the total mass
+    Perimeter is the boundary quadrature of e^{(n-1)f} on ``_ISO_NODES``
+    nodes (per face of a box); mass is mu_f of the domain, a box's the
+    total_mass of the box read through m.  Domains with more than half the total mass
     violate the precondition and are rejected.
     """
     field.validate(m)
@@ -397,7 +398,7 @@ def isoperimetric_ratio(
     for k, dom in enumerate(domains):
         s = derive_seed(seed, "iso", k)
         if isinstance(dom, BallSpec):
-            perim = _ball_boundary_quadrature(m, field, dom, 4096)
+            perim = _ball_boundary_quadrature(m, field, dom)
             mass, _ = mu_f_ball(m, field, dom, _ISO_BUDGET, s)
             desc = f"ball(r={dom.radius:g})"
         elif isinstance(dom, BoxDomain):
@@ -407,7 +408,7 @@ def isoperimetric_ratio(
                     f"box domain {dom.lo}..{dom.hi} is not narrower than the torus "
                     f"period {tuple(m.periods)} on every axis"
                 )
-            perim = _box_boundary_quadrature(m, field, dom, 4096)
+            perim = _box_boundary_quadrature(m, field, dom)
             box = Manifold.box(np.column_stack([dom.lo, dom.hi]))
             mass, _ = total_mass(box, _Lifted(m, field), _ISO_BUDGET, s)
             desc = "box"

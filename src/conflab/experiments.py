@@ -485,7 +485,6 @@ def run_sphere_bubble(spec: ExperimentSpec, outdir: Path):
     pts, _ = _using("budgets entry 'curvature_samples'", sample_manifold, m,
                     cfg["budgets"]["curvature_samples"], seed=derive_seed(seed, "scal"))
     worst_scal = 0.0
-    mass_dev = 0.0
     target = m.dim * (m.dim - 1) / m.radius**2
     masses = []
     bubbles = [_using("weight entry 'lams'", wt.SphereBubble, lam) for lam in lams]

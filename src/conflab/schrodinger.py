@@ -346,8 +346,15 @@ def gs_shift_c0(
 
     q must be supported in the ball B(x0, r0) whose volume satisfies
     vol <= (beta/2)^{n/2}, beta the grid's ``sobolev_constant``; the
-    bracket is [-(2/vol(M)) int |q|, (2/beta) ||q||_{n/2}] and a failure to
-    straddle zero reports both endpoint eigenvalues.
+    bracket is [c_lo, c_hi] = [-(2/vol(M)) int |q|, (2/beta) ||q||_{n/2}].
+    Newton's method runs from c_lo, each eigen solve warm-started from the
+    last ground state phi, until |lambda0| <= tol.  Its slope d lambda0/dc
+    is phi's share of mass outside the ball (Hellmann-Feynman).  lambda0(c)
+    is a minimum of functions affine in c, hence concave, so each tangent
+    lies above the curve and the iterates rise monotonically to the root
+    without passing it.  lambda0(c_lo) > tol, or a step past c_hi (checked
+    before solving there), means the bracket does not straddle zero: the
+    NumericError names lambda0(c_lo), the step and the last lambda0.
     """
     n = geom.dim
     q = np.asarray(q, dtype=float).reshape(-1)
@@ -367,52 +374,24 @@ def gs_shift_c0(
     c_lo = -2.0 * q_l1 / vol_m
     c_hi = 2.0 * q_ln2 / beta
     comp = (~mask).astype(float)
-    evals = 0
-    warm = None
-
-    def lam(c):
-        nonlocal evals, warm
-        op = GridOperator(geom, -(q + c * comp))
-        sol = lowest_eigenpair(op, tol=eig_tol, v0=warm)
-        warm = sol.phi
-        evals += 1
-        return sol.lambda0
-
-    lam_lo = lam(c_lo)
-    lam_hi = lam(c_hi)
-    if lam_lo > tol or lam_hi < -tol:
-        raise NumericError(
-            f"bracket does not straddle zero: lambda0({c_lo:.4g}) = {lam_lo:.4g}, "
-            f"lambda0({c_hi:.4g}) = {lam_hi:.4g}"
-        )
-    # Illinois false position: bracketed, superlinear on this smooth
-    # monotone eigenvalue curve, and stopped as soon as |lambda0| <= tol.
-    # scipy's bracketing root finders stop on the bracket width instead:
-    # brentq with xtol = tol (as strict, since |d lambda0 / dc| <= 1) took
-    # 888 eigen solves on the schrodinger experiment at seed 2026, this
-    # loop 392, so it stays hand-written.
-    lo, hi, f_lo, f_hi = c_lo, c_hi, lam_lo, lam_hi
-    c_mid, lam_mid = (lo, f_lo) if abs(f_lo) < abs(f_hi) else (hi, f_hi)
-    for _ in range(100):
-        if abs(lam_mid) <= tol:
-            break
-        denom = f_hi - f_lo
-        c_try = 0.5 * (lo + hi) if denom == 0 else lo - f_lo * (hi - lo) / denom
-        if not (lo < c_try < hi):
-            c_try = 0.5 * (lo + hi)
-        lam_try = lam(c_try)
-        c_mid, lam_mid = c_try, lam_try
-        if lam_try < 0:
-            if f_lo < 0:
-                f_hi *= 0.5  # Illinois damping of the stale endpoint
-            lo, f_lo = c_try, lam_try
-        else:
-            if f_hi > 0:
-                f_lo *= 0.5
-            hi, f_hi = c_try, lam_try
-    else:
-        raise NumericError(f"shift root finding stalled; last lambda0 = {lam_mid:.3e}")
-    return GsShiftResult(c0=float(c_mid), bracket=(c_lo, c_hi), evaluations=evals)
+    c, warm = c_lo, None
+    for evals in range(1, 101):
+        sol = lowest_eigenpair(GridOperator(geom, -(q + c * comp)), tol=eig_tol, v0=warm)
+        lam, warm = sol.lambda0, sol.phi
+        if evals == 1:
+            lam_lo = lam
+        if abs(lam) <= tol:
+            return GsShiftResult(c0=float(c), bracket=(c_lo, c_hi), evaluations=evals)
+        # outside mass > 0: beta <= vol(M)^{2/n} caps vol(B) at vol(M)/2^{n/2}
+        c_next = c - lam * (warm @ warm) / (warm @ (comp * warm))
+        if lam_lo > tol or c_next > c_hi:
+            raise NumericError(
+                f"bracket does not straddle zero: lambda0({c_lo:.4g}) = {lam_lo:.4g}, "
+                f"Newton step to {c_next:.4g} (c_hi = {c_hi:.4g}) from "
+                f"lambda0({c:.4g}) = {lam:.4g}"
+            )
+        c = c_next
+    raise NumericError(f"shift root finding stalled; last lambda0 = {lam:.3e}")
 
 
 # ---------------------------------------------------------------------------

@@ -621,3 +621,27 @@ def test_huge_constant_potential_has_constant_ground_state():
     s = lowest_eigenpair(GridOperator(geom, np.full(64, 1e20)))
     assert s.lambda0 == pytest.approx(-1e20, rel=1e-12)
     assert s.phi.min() > 0
+
+
+@pytest.mark.parametrize(
+    "call, words",
+    [
+        (lambda t2: build_manifold({"kind": "cone"}), "unknown manifold kind 'cone'"),
+        (lambda t2: converge_compare([DistanceMatrix(np.array([0]), np.array([0]),
+                                                     np.zeros((1, 1)))], labels=["a"]),
+         "at least two matrices"),
+        (lambda t2: weak_star_test(t2, [("ell=1", BuragoTorus(1))], ["bump"], 100, seed=5),
+         "unknown test function 'bump'"),
+    ],
+    ids=["cone-manifold", "one-matrix", "bump-test-function"],
+)
+def test_experiments_reject_bad_inputs(torus2, call, words):
+    with pytest.raises(InputError, match=words):
+        call(torus2)
+
+
+def test_ainfty_without_a_weight_runs_burago_with_ell_one(tmp_path):
+    out = tmp_path / "ai"
+    assert main(["ainfty", "--seed", "3", "--output-dir", str(out), "--budget", "2000"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["spec"]["weight"] == {"kind": "burago", "ell": 1}

@@ -272,3 +272,8 @@ def test_pinching_flags(sphere3):
     rep = pinching_profile(sphere3, SphereBubble(2.0), 0.5, cents, seed=1)
     assert rep.sup_pos < alpha_n2(3)
     assert rep.sup_abs**1.5 < 1e9
+
+
+def test_lp_scal_norm_needs_p_at_least_one(torus2):
+    with pytest.raises(InputError, match="p >= 1"):
+        lp_scal_norm(torus2, Constant(0.0), BallSpec(np.array([1.0, 1.0]), 0.5), 0.5)

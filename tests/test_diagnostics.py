@@ -328,3 +328,19 @@ def test_ainfty_report_checks_settings_before_sampling(torus2, small_sampler, mo
 def test_default_eta(torus2, sphere2):
     assert default_eta(torus2) == 1.0
     assert default_eta(sphere2) == pytest.approx(np.pi / 4)
+
+
+@pytest.mark.parametrize(
+    "call, words",
+    [
+        (lambda t2, dm, d0m: biholder_fit(dm, DistanceMatrix(
+            d0m.sources[:-1], d0m.targets, d0m.values[:-1])), "same index set"),
+        (lambda t2, dm, d0m: isoperimetric_ratio(t2, Constant(0.0), ["disc"], seed=1),
+         "unsupported isoperimetric domain"),
+    ],
+    ids=["biholder-misaligned", "isoperimetric-non-domain"],
+)
+def test_diagnostics_rejects_bad_inputs(square_mats, call, words):
+    t2, pts, dm, d0m = square_mats
+    with pytest.raises(InputError, match=words):
+        call(t2, dm, d0m)

@@ -389,3 +389,21 @@ def test_sample_manifold_needs_a_sample(torus2, count):
     # no sample used to end in a ZeroDivisionError in the weights
     with pytest.raises(InputError, match="sample count must be >= 1"):
         sample_manifold(torus2, count)
+
+
+@pytest.mark.parametrize(
+    "build, words",
+    [
+        (lambda: Manifold.torus(1), "dimension must be >= 2"),
+        (lambda: Manifold.torus(2, [1.0]), "periods must be a positive vector"),
+        (lambda: Manifold.box([[0, 1]]), r"\(n, 2\) array with n >= 2"),
+        (lambda: Manifold.box([[0, 1], [1, 1]]), "hi > lo"),
+        (lambda: Manifold.sphere(5), "dimension must be in"),
+        (lambda: Manifold.sphere(2, 0.0), "radius must be positive"),
+    ],
+    ids=["torus-dim-1", "torus-periods", "box-1d", "box-flat-axis", "sphere-dim-5",
+         "sphere-radius-0"],
+)
+def test_manifold_constructors_reject_bad_arguments(build, words):
+    with pytest.raises(InputError, match=words):
+        build()

@@ -652,3 +652,21 @@ def test_lattice_graph_memory_per_edge(m, spacing, field):
         tracemalloc.stop()
     assert g.csgraph.nnz > 800_000
     assert peak <= 32 * g.csgraph.nnz
+
+
+@pytest.mark.parametrize(
+    "call, words",
+    [
+        (lambda t2: refine_distance(t2, Constant(0.0), [((1.0, 1.0), (2.0, 2.0))], [0.3]),
+         "at least two"),
+        (lambda t2: stable_norm(Manifold.box([[0, 1], [0, 1]]), Constant(0.0), [1.0, 0.0],
+                                [1.0, 2.0]), "torus"),
+        (lambda t2: stable_norm(t2, Constant(0.0), [0.0, 0.0], [1.0, 2.0]), "nonzero"),
+        (lambda t2: stable_norm(t2, Constant(0.0), [0.0, 1.0], [2 * np.pi]), ">= 2 entries"),
+    ],
+    ids=["refine-one-eps", "stable-norm-box", "stable-norm-zero-direction",
+         "stable-norm-one-t"],
+)
+def test_metric_rejects_bad_inputs(torus2, call, words):
+    with pytest.raises(InputError, match=words):
+        call(torus2)

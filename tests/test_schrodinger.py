@@ -331,11 +331,72 @@ def test_gs_shift_signs_and_bracket(geom, nodes):
     assert res.bracket[0] <= res.c0 <= res.bracket[1]
     # a cold solve at c0, as the C9-shift-c0 criterion judges it
     cold = lowest_eigenpair(GridOperator(geom, -(bump + res.c0 * ~mask)), tol=1e-11)
-    assert abs(cold.lambda0) <= 1e-8
+    assert abs(cold.lambda0) <= 1e-10
     res_neg = gs_shift_c0(geom, -bump, c0, r0, tol=1e-8)
     assert res_neg.c0 > 0
+    cold = lowest_eigenpair(GridOperator(geom, bump - res_neg.c0 * ~mask), tol=1e-11)
+    assert abs(cold.lambda0) <= 1e-10
     zero = gs_shift_c0(geom, np.zeros_like(bump), c0, r0, tol=1e-8)
     assert abs(zero.c0) <= 1e-8
+
+
+def _centred_bump(geom, r0):
+    """exp(-d^2) on the ball B(centre, r0) of the torus of period L, and
+    the ball's mask."""
+    c0 = np.full(geom.dim, L / 2)
+    mask = geom.ball_mask(c0, r0)
+    return np.exp(-d0_many(geom.manifold, geom.nodes(), c0) ** 2) * mask, mask
+
+
+@pytest.mark.parametrize("amp", [0.05, -0.05, 2.0])
+@pytest.mark.parametrize("r0", [0.5, 0.7])
+def test_gs_shift_matches_the_dense_root(r0, amp):
+    from scipy.linalg import eigvalsh
+    from scipy.optimize import brentq
+
+    g8 = GridGeometry(Manifold.torus(3, [L, L, L]), (8, 8, 8))
+    bump, mask = _centred_bump(g8, r0)
+    q = amp * bump
+    res = gs_shift_c0(g8, q, np.full(3, L / 2), r0, tol=1e-10)
+    lap = g8.laplacian.toarray()
+
+    def lam(c):
+        return eigvalsh(lap + np.diag(q + c * ~mask), subset_by_index=[0, 0])[0]
+
+    oracle = brentq(lam, *res.bracket, xtol=1e-14)
+    assert abs(res.c0 - oracle) <= 1e-11
+    assert res.evaluations <= 4
+
+
+@pytest.mark.parametrize("sign", ["positive", "mixed", "negative"])
+def test_gs_shift_rises_monotonically_to_its_root(geom, nodes, monkeypatch, sign):
+    import conflab.schrodinger as sc
+
+    r0 = 0.8
+    bump, mask = _centred_bump(geom, r0)
+    q = 0.05 * {"positive": bump, "negative": -bump,
+                "mixed": bump * np.cos(2 * np.pi * nodes[:, 0] / L)}[sign]
+    seen = []
+
+    def recorded(*args, **kwargs):
+        sol = lowest_eigenpair(*args, **kwargs)
+        seen.append(sol.lambda0)
+        return sol
+
+    monkeypatch.setattr(sc, "lowest_eigenpair", recorded)
+    res = gs_shift_c0(geom, q, np.full(3, L / 2), r0, tol=1e-8)
+    assert len(seen) == res.evaluations >= 2
+    assert all(lam < 0 for lam in seen[:-1])
+
+
+def test_gs_shift_bracket_that_misses_the_root_is_numeric_error():
+    g12 = GridGeometry(Manifold.torus(3, [L, L, L]), (12, 12, 12))
+    # a Sobolev constant this large puts c_hi (about 1.2e-4) below the
+    # root of -bump (about 0.0092)
+    g12.__dict__["sobolev_constant"] = 1e3
+    bump, _ = _centred_bump(g12, 0.8)
+    with pytest.raises(NumericError, match="bracket does not straddle zero"):
+        gs_shift_c0(g12, -0.05 * bump, np.full(3, L / 2), 0.8)
 
 
 def test_gs_shift_support_guard(geom, nodes):
@@ -492,3 +553,23 @@ def test_decomposition_rho_guard(decomposition):
     dgeom, op, dec = decomposition
     with pytest.raises(InputError):
         decompose_ground_state(op, 5.0)
+
+
+def _box_operator():
+    box = GridGeometry(Manifold.box([[0.0, L], [0.0, L], [0.0, L]]), (8, 8, 8))
+    return GridOperator(box, np.zeros(8**3))
+
+
+@pytest.mark.parametrize(
+    "call, words",
+    [
+        (lambda g: GridGeometry(Manifold.sphere(3), (8, 8, 8)), "tori and boxes only"),
+        (lambda g: GridOperator(g, np.zeros(10)), "does not match the grid"),
+        (lambda g: GridOperator(g, np.full(12**3, np.nan)), "must be finite"),
+        (lambda g: decompose_ground_state(_box_operator(), 0.8), "torus grids"),
+    ],
+    ids=["sphere-grid", "potential-size", "nan-potential", "box-decomposition"],
+)
+def test_schrodinger_rejects_bad_inputs(geom, call, words):
+    with pytest.raises(InputError, match=words):
+        call(geom)

@@ -379,21 +379,26 @@ def test_grid_io_roundtrip(tmp_path, torus2):
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "edit, words",
     [
-        lambda path: path.write_text(path.read_text().replace('"f64le"', '"f32be"')),
-        lambda path: path.write_text(path.read_text().replace('"row-major"', '"column-major"')),
-        lambda path: path.write_text(path.read_text()[:-2]),
-        lambda path: path.with_suffix(".bin").unlink(),
-        lambda path: path.with_suffix(".bin").write_bytes(path.with_suffix(".bin").read_bytes()[:-8]),
+        (lambda path: path.write_text(path.read_text().replace('"f64le"', '"f32be"')), None),
+        (lambda path: path.write_text(path.read_text().replace('"row-major"', '"column-major"')),
+         None),
+        (lambda path: path.write_text(path.read_text()[:-2]), None),
+        (lambda path: path.with_suffix(".bin").unlink(), None),
+        (lambda path: path.with_suffix(".bin").write_bytes(path.with_suffix(".bin").read_bytes()[:-8]),
+         None),
+        (lambda path: path.write_text(path.read_text().replace('"torus"', '"sphere"')),
+         "kind 'sphere' not supported"),
     ],
-    ids=["f32be", "column-major", "truncated-manifest", "missing-payload", "truncated-payload"],
+    ids=["f32be", "column-major", "truncated-manifest", "missing-payload", "truncated-payload",
+         "sphere-kind"],
 )
-def test_grid_io_rejects_other_layouts(tmp_path, torus2, edit):
+def test_grid_io_rejects_other_layouts(tmp_path, torus2, edit, words):
     path = tmp_path / "grid.json"
     write_grid(grid_from_field(torus2, Constant(0.1), (8, 8)), path)
     edit(path)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=words):
         read_grid(path)
 
 
@@ -507,8 +512,8 @@ class _HalfInfinite(__import__("conflab.weight", fromlist=["WeightField"]).Weigh
             m, f, [BoxDomain((2.5, 1.0), (3.5, 2.0))], seed=1
         ),
         lambda m, f: lp_scal_norm(m, f, whole_manifold_ball(m), 1.0, seed=1),
-        lambda m, f: _box_boundary_quadrature(m, f, BoxDomain((2.5, 1.0), (3.5, 2.0)), 4096),
-        lambda m, f: _ball_boundary_quadrature(m, f, BallSpec(np.array([np.pi, 1.5]), 0.5), 4096),
+        lambda m, f: _box_boundary_quadrature(m, f, BoxDomain((2.5, 1.0), (3.5, 2.0))),
+        lambda m, f: _ball_boundary_quadrature(m, f, BallSpec(np.array([np.pi, 1.5]), 0.5)),
     ],
     ids=["mu_f_ball", "total_mass", "weak_star_test",
          "isoperimetric_box", "lp_scal_norm", "box_perimeter", "ball_perimeter"],
@@ -561,3 +566,25 @@ def test_mu_f_ball_cut_ball_error_bar(torus2):
         vals = np.exp(2 * f.eval_many(m, pts))
         assert vol_se == 0.0
         assert se == float(w.sum()) * float(vals.std(ddof=1)) / np.sqrt(vals.size)
+
+
+def _box_grid(shape):
+    return GridField(Manifold.box([[0.0, 1.0], [0.0, 1.0]]), np.zeros(shape))
+
+
+@pytest.mark.parametrize(
+    "call, words",
+    [
+        (lambda t2: BuragoTorus(0).validate(t2), "positive integer"),
+        (lambda t2: GridField(t2, np.full((8, 8), np.nan)), "must be finite"),
+        (lambda t2: GridWeight(_box_grid((8, 8))).validate(t2), "does not match"),
+        (lambda t2: GridWeight(GridField(t2, np.zeros((8, 8))), order=2).validate(t2),
+         "order must be 1 or 3"),
+        (lambda t2: GridWeight(_box_grid((2, 8)), order=3).validate(_box_grid((2, 8)).manifold),
+         ">= 3 nodes per axis"),
+    ],
+    ids=["burago-ell-0", "nan-grid", "grid-manifold-kind", "grid-order-2", "cubic-box-2-nodes"],
+)
+def test_weights_reject_bad_inputs(torus2, call, words):
+    with pytest.raises(InputError, match=words):
+        call(torus2)
