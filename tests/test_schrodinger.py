@@ -373,7 +373,7 @@ def test_gs_shift_rises_monotonically_to_its_root(geom, nodes, monkeypatch, sign
     import conflab.schrodinger as sc
 
     r0 = 0.8
-    bump, mask = _centred_bump(geom, r0)
+    bump, _ = _centred_bump(geom, r0)
     q = 0.05 * {"positive": bump, "negative": -bump,
                 "mixed": bump * np.cos(2 * np.pi * nodes[:, 0] / L)}[sign]
     seen = []
