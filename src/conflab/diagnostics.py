@@ -12,7 +12,6 @@ reductions independent of evaluation order.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from math import pi
 from typing import Sequence
 
 import numpy as np
@@ -49,6 +48,8 @@ class BallSampler:
     seed: int = 0
 
     def __post_init__(self):
+        if len(self.radii) == 0 or len(self.centers) == 0:
+            raise InputError("a ball sampler needs at least one radius and one center")
         if any(r <= 0 for r in self.radii):
             raise InputError("sampler radii must be positive")
 
@@ -239,9 +240,7 @@ def d0_matrix(m: Manifold, points: PointSet, sources=None) -> DistanceMatrix:
     """Base-distance matrix aligned with shortest_paths output."""
     n = len(points)
     sources = np.arange(n) if sources is None else np.asarray(sources, dtype=int)
-    vals = np.stack(
-        [d0_many(m, points.points, points.points[s]) for s in sources], axis=0
-    )
+    vals = d0_many(m, points.points[None], points.points[sources][:, None])
     return DistanceMatrix(sources=sources, targets=np.arange(n), values=vals)
 
 
@@ -335,15 +334,8 @@ def _ball_boundary_quadrature(m: Manifold, field: WeightField, ball: BallSpec):
     n = m.dim
     c = np.asarray(ball.center, dtype=float)
     r = ball.radius
-    if n == 2:
-        theta = (np.arange(_ISO_NODES) + 0.5) * (2 * pi / _ISO_NODES)
-        pts = c + r * np.column_stack([np.cos(theta), np.sin(theta)])
-        area = 2 * pi * r
-    else:
-        dirs = _quasi_uniform_sphere(n - 1, _ISO_NODES)
-        pts = c + r * dirs
-        area = sphere_volume(n - 1) * r ** (n - 1)
-    return area * _boundary_mean(m, field, pts)
+    pts = c + r * _quasi_uniform_sphere(n - 1, _ISO_NODES)
+    return sphere_volume(n - 1) * r ** (n - 1) * _boundary_mean(m, field, pts)
 
 
 def _box_boundary_quadrature(m: Manifold, field: WeightField, dom: BoxDomain):
@@ -390,6 +382,8 @@ def isoperimetric_ratio(
     total_mass of the box read through m.  Domains with more than half the total mass
     violate the precondition and are rejected.
     """
+    if len(domains) == 0:
+        raise InputError("isoperimetric_ratio needs at least one domain")
     field.validate(m)
     n = m.dim
     mass_bound = 0.5 * total_mass(m, field, seed=derive_seed(seed, "tot"))[0]

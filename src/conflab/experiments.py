@@ -279,7 +279,7 @@ def _test_function(m: Manifold, tf):
     """(label, phi) of a built-in test function, phi its values at points."""
     if tf == "1" or tf == 1:
         return "1", lambda pts: np.ones(len(pts))
-    if tf[0] == "cos":
+    if isinstance(tf, (tuple, list)) and len(tf) == 2 and tf[0] == "cos":
         k = np.asarray(tf[1], dtype=float)
         if k.shape != (m.ambient_dim,):
             raise InputError(f"cos test function needs a {m.ambient_dim}-vector k, got shape {k.shape}")

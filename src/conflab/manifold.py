@@ -466,6 +466,24 @@ def equal_slab_axes(table: np.ndarray, naxes: int) -> list:
     return [a for a in range(naxes) if constant_along(a)]
 
 
+def lattice_orbits(shape, axes, index):
+    """(rep, steps) of row-major indices into a lattice of ``shape`` under
+    the translations along ``axes``: rep, each index with its coordinates
+    along ``axes`` zeroed (its orbit representative), and the (len(index),
+    d) coordinates that were zeroed, which ``lattice_roll`` moves by."""
+    coords = np.array(np.unravel_index(index, shape)).T
+    steps = np.zeros_like(coords)
+    steps[:, axes] = coords[:, axes]
+    return np.ravel_multi_index((coords - steps).T, shape), steps
+
+
+def lattice_roll(u: np.ndarray, shape, steps) -> np.ndarray:
+    """The row-major lattice vector u translated by ``steps`` nodes along
+    each axis, wrapping around: entry t of the result is u's entry at
+    t - steps (mod shape)."""
+    return np.roll(u.reshape(shape), tuple(steps), axis=tuple(range(len(shape)))).reshape(-1)
+
+
 def _fibonacci_sphere(count: int) -> np.ndarray:
     golden = (1 + np.sqrt(5.0)) / 2
     i = np.arange(count)
@@ -501,10 +519,14 @@ def _kronecker_sequence(count: int, dims: int) -> np.ndarray:
 def _quasi_uniform_sphere(n: int, count: int) -> np.ndarray:
     """Quasi-uniform points on S^n.
 
-    S^2 uses the golden spiral; higher spheres start from a low-discrepancy
-    set in area-preserving spherical coordinates and even out the
+    S^1 takes the equispaced midpoint angles (k + 1/2) 2 pi / count, S^2
+    the golden spiral; higher spheres start from a low-discrepancy set in
+    area-preserving spherical coordinates and even out the
     nearest-neighbour spacing with deterministic repulsion sweeps.
     """
+    if n == 1:
+        theta = (np.arange(count) + 0.5) * (2 * pi / count)
+        return np.column_stack([np.cos(theta), np.sin(theta)])
     if n == 2:
         return _fibonacci_sphere(count)
     u = _kronecker_sequence(count, n)

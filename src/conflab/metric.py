@@ -39,6 +39,8 @@ from .manifold import (
     gauss_rule,
     geodesic_points,
     lattice,
+    lattice_orbits,
+    lattice_roll,
     lattice_steps,
     unit_ball_volume,
 )
@@ -475,12 +477,11 @@ def shortest_paths(g: EpsGraph, sources=None, targets=None) -> DistanceMatrix:
     values are those of the full solve in every case.
 
     Dijkstra runs once per orbit of the sources under the lattice
-    translations that leave the graph unchanged (``_invariant_axes``).  The
-    orbit's representative is the node with the source's lattice index
-    zeroed on the invariant axes, and a source tau steps from it reads its
-    entry at target t from the representative's row at t - tau (mod the
-    lattice shape).  A translated path adds the same edge weights in the
-    same order, so this is the per-source solve bit for bit.  With no
+    translations that leave the graph unchanged (``_invariant_axes``,
+    ``lattice_orbits``), and each source's row is its representative's,
+    moved by ``lattice_roll``.  A translated path adds the same edge
+    weights in the same order, so this is the per-source solve bit for
+    bit.  A kd-tree graph is a 1-D lattice of its n nodes; with no
     invariant axis (box lattices, kd-tree graphs, fields that vary along
     every axis) each distinct source is its own representative.
     """
@@ -496,26 +497,15 @@ def shortest_paths(g: EpsGraph, sources=None, targets=None) -> DistanceMatrix:
             pts = g.points.points
             reach = d0_many(g.manifold, pts[sources][:, None], pts[targets][None]).max()
             limit = rho * (float(reach) + g.eps)
-    shape = g.points.lattice_shape
-    shifts = []  # (size, stride, tau): source i sits tau[i] steps along the axis from its representative
-    for a in _invariant_axes(g):
-        size, stride = shape[a], int(np.prod(shape[a + 1:]))
-        shifts.append((size, stride, sources // stride % size))
-    rep = sources - sum(stride * tau for _, stride, tau in shifts)
+    shape = g.points.lattice_shape if g.blocks is not None else (n,)
+    rep, tau = lattice_orbits(shape, _invariant_axes(g), sources)
     reps, orbit = np.unique(rep, return_inverse=True)
-
-    def translated(rows):
-        """Source i's entries: its representative's row at targets - tau[i]
-        (mod the lattice shape), indexed after the solve."""
-        idx = np.broadcast_to(targets, (sources.size, targets.size))
-        for size, stride, tau in shifts:
-            col = targets // stride % size
-            idx = idx + ((col - tau[:, None]) % size - col) * stride
-        return rows[orbit[:, None], idx]
-
     csg = g.csgraph
     while True:
-        vals = translated(np.atleast_2d(dijkstra(csg, directed=False, indices=reps, limit=limit)))
+        rows = np.atleast_2d(dijkstra(csg, directed=False, indices=reps, limit=limit))
+        vals = np.empty((sources.size, targets.size))  # after the solve, not held through it
+        for i, (o, t) in enumerate(zip(orbit, tau)):
+            vals[i] = lattice_roll(rows[o], shape, t)[targets]
         if limit == np.inf or np.all(np.isfinite(vals)):
             break
         # no finite distance exceeds the total edge weight
@@ -673,6 +663,8 @@ def stable_norm(
         raise InputError("stable_norm is defined for torus weights")
     field.validate(m)
     v = np.asarray(v, dtype=float)
+    if v.shape != (m.dim,) or not np.all(np.isfinite(v)):
+        raise InputError(f"stable norm direction must be a finite {m.dim}-vector, got {v.tolist()}")
     if np.allclose(v, 0.0):
         raise InputError("stable norm direction must be nonzero")
     t_list = np.asarray(sorted(float(t) for t in t_list))

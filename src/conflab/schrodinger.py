@@ -51,7 +51,7 @@ from scipy.sparse import csr_matrix, diags, kronsum
 from scipy.sparse.linalg import splu  # noqa: F401  perfbench's tracer rebinds splu
 
 from .errors import InputError, NumericError
-from .manifold import Manifold, PointSet, d0_many, equal_slab_axes, lattice
+from .manifold import Manifold, PointSet, d0_many, equal_slab_axes, lattice, lattice_orbits, lattice_roll
 from .rng import derive_rng
 from .weight import NodeGrid
 
@@ -487,27 +487,6 @@ def _cover_centers(geom: GridGeometry, rho: float) -> PointSet:
     return cover
 
 
-def _center_orbits(geom: GridGeometry, V: np.ndarray, cover_shape: tuple):
-    """(representative, steps) per cover center: the center's orbit
-    representative (its lattice index zeroed on the invariant axes) and the
-    grid steps, per axis, from the representative to the center.
-
-    An axis is invariant when V is constant along it (``equal_slab_axes``,
-    exact ==) and the center spacing along it is a whole number of grid
-    steps; a translation along such axes maps the representative's local
-    problem onto the center's.  With no invariant axis each center is its
-    own representative."""
-    shape = geom.shape
-    axes = [a for a in equal_slab_axes(V.reshape(shape), geom.dim) if shape[a] % cover_shape[a] == 0]
-    idx = np.indices(cover_shape).reshape(geom.dim, -1)
-    steps = np.zeros_like(idx)
-    for a in axes:
-        steps[a] = idx[a] * (shape[a] // cover_shape[a])
-    rep = idx.copy()
-    rep[axes] = 0
-    return np.ravel_multi_index(rep, cover_shape), steps.T
-
-
 def bump(t: np.ndarray) -> np.ndarray:
     """C^2 radial bump on [0, 1]: (1 - t^2)^3, zero beyond."""
     out = np.zeros_like(t)
@@ -544,14 +523,15 @@ def decompose_ground_state(
     local shift is solved to |lambda0| <= 1e-7 with eigen solves at tol
     1e-9.
 
-    The shift and the fixed point run once per orbit of centers
-    (``_center_orbits``): along the axes where V is constant, compared with
-    exact ==, and the center spacing is a whole number of grid steps, every
-    center's local problem is a grid translate of its representative's.
-    Such a center takes the representative's c0 and its v rolled by the
-    index offset, unless its own ball mask differs from the rolled
-    representative mask, in which case it is solved directly.  A V that
-    varies along every axis solves every center.
+    The shift and the fixed point run once per orbit of centers under the
+    cover-lattice translations along the axes where V is constant
+    (``equal_slab_axes``, exact ==) and the center spacing is a whole
+    number of grid steps (``lattice_orbits``): there every center's local
+    problem is a grid translate of its representative's.  Such a center
+    takes the representative's c0 and its v moved by ``lattice_roll``,
+    unless its own ball mask differs from the moved representative mask,
+    in which case it is solved directly.  A V that varies along every axis
+    solves every center.
     """
     geom = op.geom
     n = geom.dim
@@ -575,15 +555,14 @@ def decompose_ground_state(
     chi_sum = np.zeros_like(log_phi)
     chis, vs, vbars = [], [], []
     shift_cs = []
-    reps, steps = _center_orbits(geom, op.V, cover.lattice_shape)
-
-    def translate(u, k):
-        return np.roll(u.reshape(geom.shape), tuple(k), axis=tuple(range(n))).reshape(-1)
-
+    shape, cover_shape = geom.shape, cover.lattice_shape
+    axes = [a for a in equal_slab_axes(op.V.reshape(shape), n) if shape[a] % cover_shape[a] == 0]
+    reps, steps = lattice_orbits(cover_shape, axes, np.arange(len(centers)))
+    steps = steps * (np.asarray(shape) // cover_shape)  # cover steps to grid steps
     for c, d, mask, r, k in zip(centers, dists, masks, reps, steps):
-        if k.any() and np.array_equal(mask, translate(masks[r], k)):
+        if k.any() and np.array_equal(mask, lattice_roll(masks[r], shape, k)):
             # an exact grid translate of its representative's local problem
-            c0, v = shift_cs[r], translate(vs[r], k)
+            c0, v = shift_cs[r], lattice_roll(vs[r], shape, k)
         else:
             q_i = -op.V * mask  # local operator Delta - V 1_B + c 1_comp
             shift = gs_shift_c0(geom, q_i, c, rho, tol=1e-7, eig_tol=1e-9)

@@ -632,8 +632,13 @@ def test_huge_constant_potential_has_constant_ground_state():
          "at least two matrices"),
         (lambda t2: weak_star_test(t2, [("ell=1", BuragoTorus(1))], ["bump"], 100, seed=5),
          "unknown test function 'bump'"),
+        (lambda t2: weak_star_test(t2, [("ell=1", BuragoTorus(1))], [2.0], 100, seed=5),
+         "unknown test function 2.0"),
+        (lambda t2: weak_star_test(t2, [("ell=1", BuragoTorus(1))], [("cos",)], 100, seed=5),
+         r"unknown test function \('cos',\)"),
     ],
-    ids=["cone-manifold", "one-matrix", "bump-test-function"],
+    ids=["cone-manifold", "one-matrix", "bump-test-function", "number-test-function",
+         "cos-without-k-test-function"],
 )
 def test_experiments_reject_bad_inputs(torus2, call, words):
     with pytest.raises(InputError, match=words):

@@ -186,6 +186,13 @@ def square_mats():
     return t2, pts, dm, d0m
 
 
+def test_d0_matrix_with_no_sources_is_empty(torus2):
+    pts = lattice(torus2, 0.3)
+    d0m = d0_matrix(torus2, pts, [])
+    assert d0m.values.shape == (0, len(pts))
+    assert d0m.sources.size == 0
+
+
 def test_biholder_identity(square_mats):
     t2, pts, dm, d0m = square_mats
     assert biholder_fit(dm, d0m) == pytest.approx(1.0, abs=0.02)
@@ -337,8 +344,14 @@ def test_default_eta(torus2, sphere2):
             d0m.sources[:-1], d0m.targets, d0m.values[:-1])), "same index set"),
         (lambda t2, dm, d0m: isoperimetric_ratio(t2, Constant(0.0), ["disc"], seed=1),
          "unsupported isoperimetric domain"),
+        (lambda t2, dm, d0m: isoperimetric_ratio(t2, Constant(0.0), [], seed=1),
+         "at least one domain"),
+        (lambda t2, dm, d0m: BallSampler(lattice(t2, 2.5), ()), "at least one radius"),
+        (lambda t2, dm, d0m: BallSampler(PointSet(points=np.zeros((0, 2)), spacing=1.0), (0.4,)),
+         "one center"),
     ],
-    ids=["biholder-misaligned", "isoperimetric-non-domain"],
+    ids=["biholder-misaligned", "isoperimetric-non-domain", "isoperimetric-no-domain",
+         "sampler-no-radius", "sampler-no-center"],
 )
 def test_diagnostics_rejects_bad_inputs(square_mats, call, words):
     t2, pts, dm, d0m = square_mats

@@ -663,9 +663,14 @@ def test_lattice_graph_memory_per_edge(m, spacing, field):
                                 [1.0, 2.0]), "torus"),
         (lambda t2: stable_norm(t2, Constant(0.0), [0.0, 0.0], [1.0, 2.0]), "nonzero"),
         (lambda t2: stable_norm(t2, Constant(0.0), [0.0, 1.0], [2 * np.pi]), ">= 2 entries"),
+        (lambda t2: stable_norm(t2, Constant(0.0), [np.nan, 1.0], [1.0, 2.0]), "finite 2-vector"),
+        (lambda t2: stable_norm(t2, Constant(0.0), [np.inf, 1.0], [1.0, 2.0]), "finite 2-vector"),
+        (lambda t2: stable_norm(t2, Constant(0.0), [0.0, 1.0, 0.0], [1.0, 2.0]),
+         "finite 2-vector"),
     ],
     ids=["refine-one-eps", "stable-norm-box", "stable-norm-zero-direction",
-         "stable-norm-one-t"],
+         "stable-norm-one-t", "stable-norm-nan-direction", "stable-norm-inf-direction",
+         "stable-norm-3-vector"],
 )
 def test_metric_rejects_bad_inputs(torus2, call, words):
     with pytest.raises(InputError, match=words):

@@ -3,7 +3,8 @@ node grid shared by lattices and grid fields, the d0 metric axioms, the
 e^{nc} scaling of ball masses, nearest-node snapping on lattices, the
 eps-graph distances (metric axioms, e^c scaling,
 monotonicity in eps and in the LogCusp cap, the one-solve-per-orbit shortest
-paths against per-source Dijkstra), the connectivity of accepted
+paths against per-source Dijkstra, and the lattice orbit
+representatives and translations behind it), the connectivity of accepted
 lattice graphs, the invariance of the Muckenhoupt-type diagnostics
 under constant shifts of f, and the axes a field declares it is constant
 along (the field ignores them; lattice weights keep every bit).
@@ -38,6 +39,8 @@ from conflab.manifold import (
     d0_many,
     _closed_form_volume,
     lattice,
+    lattice_orbits,
+    lattice_roll,
     sample_ball,
     torus_delta,
     torus_wrap,
@@ -634,6 +637,27 @@ def test_orbit_solve_is_the_per_source_dijkstra(kind, field, src, tgt, widen):
         want = want[:, tgt]
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@PROPS
+@given(data=st.data(), shape=st.lists(st.integers(1, 7), min_size=1, max_size=3).map(tuple))
+def test_lattice_orbit_steps_roll_the_representative_onto_the_index(data, shape):
+    d, size = len(shape), int(np.prod(shape))
+    axes = data.draw(st.lists(st.integers(0, d - 1), unique=True).map(sorted))
+    index = np.array(data.draw(st.lists(st.integers(0, size - 1), max_size=6)), dtype=int)
+    rep, steps = lattice_orbits(shape, axes, index)
+    assert rep.shape == index.shape and steps.shape == (index.size, d)
+    coords = np.array(np.unravel_index(index, shape)).T
+    rep_coords = np.array(np.unravel_index(rep, shape)).T
+    off = [a for a in range(d) if a not in axes]
+    assert np.all(rep_coords[:, axes] == 0)
+    assert np.array_equal(rep_coords[:, off], coords[:, off])
+    for i, r, k in zip(index, rep, steps):
+        at_rep = np.zeros(size)
+        at_rep[r] = 1.0
+        assert np.flatnonzero(lattice_roll(at_rep, shape, k)).tolist() == [i]
+    rep0, steps0 = lattice_orbits(shape, [], index)
+    assert np.array_equal(rep0, index) and not steps0.any()
 
 
 # tori of unequal periods and a box whose axes hold 11, 13 and 8 nodes, with

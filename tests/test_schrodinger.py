@@ -5,7 +5,7 @@ import pytest
 from scipy.sparse import diags
 
 from conflab.errors import InputError, NumericError
-from conflab.manifold import Manifold, d0_many
+from conflab.manifold import Manifold, d0_many, equal_slab_axes, lattice_orbits
 from conflab.schrodinger import (
     GridGeometry,
     GridOperator,
@@ -536,13 +536,15 @@ def test_decomposition_solves_one_center_per_orbit(decomposition, monkeypatch):
 
 
 def test_decomposition_translated_shift_zeroes_its_local_eigenvalue(decomposition):
-    from conflab.schrodinger import _center_orbits, _cover_centers
+    from conflab.schrodinger import _cover_centers
 
     dgeom, op, dec = decomposition
     cover = _cover_centers(dgeom, 0.8)
-    reps, steps = _center_orbits(dgeom, op.V, cover.lattice_shape)
+    shape, cover_shape = dgeom.shape, cover.lattice_shape
+    axes = [a for a in equal_slab_axes(op.V.reshape(shape), 3) if shape[a] % cover_shape[a] == 0]
+    reps, steps = lattice_orbits(cover_shape, axes, np.arange(len(cover)))
     i = 1  # center (0, 0, 1): two grid steps along x3 from center 0
-    assert reps[i] == 0 and tuple(steps[i]) == (0, 0, 2)
+    assert reps[i] == 0 and tuple(steps[i] * (np.asarray(shape) // cover_shape)) == (0, 0, 2)
     mask = dgeom.ball_mask(cover.points[i], 0.8)
     c0 = dec.report["shift_constants"][i]
     cold = lowest_eigenpair(GridOperator(dgeom, op.V * mask - c0 * ~mask), tol=1e-11)
