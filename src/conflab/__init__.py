@@ -15,7 +15,6 @@ from .weight import (
     GridField,
     GridWeight,
     LogCusp,
-    Scaled,
     SphereBubble,
     Sum,
     mu_f_ball,

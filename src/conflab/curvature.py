@@ -134,8 +134,8 @@ def lp_scal_norm(
     ball_integral: the colatitude rule for rotationally symmetric sphere
     fields, else Monte Carlo on _BUDGET uniform ball samples.
     """
-    if p < 1:
-        raise InputError("lp_scal_norm requires p >= 1")
+    if not 1 <= p < np.inf:
+        raise InputError("lp_scal_norm requires a finite p >= 1")
     n = m.dim
     part = (lambda s: np.maximum(s, 0.0)) if positive_part else np.abs
 

@@ -86,8 +86,8 @@ _EXPONENTS = {"q": "reverse Hölder", "p": "A_p"}
 
 def check_exponent(name: str, value: float) -> None:
     """InputError unless the reverse Hölder ("q") or A_p ("p") exponent exceeds 1."""
-    if value <= 1:
-        raise InputError(f"{_EXPONENTS[name]} exponent {name} must exceed 1")
+    if not 1 < value < np.inf:
+        raise InputError(f"{_EXPONENTS[name]} exponent {name} must exceed 1 and be finite")
 
 
 def reverse_holder(
@@ -380,8 +380,11 @@ def isoperimetric_ratio(
     Perimeter is the boundary quadrature of e^{(n-1)f} on ``_ISO_NODES``
     nodes (per face of a box); mass is mu_f of the domain, a box's the
     total_mass of the box read through m.  Domains with more than half the total mass
-    violate the precondition and are rejected.
+    violate the precondition and are rejected.  The boundary quadratures
+    are coordinate-chart ones, so m must be a torus or a box.
     """
+    if m.kind not in ("torus", "box"):
+        raise InputError(f"isoperimetric_ratio needs a torus or a box, got a {m.kind}")
     if len(domains) == 0:
         raise InputError("isoperimetric_ratio needs at least one domain")
     field.validate(m)

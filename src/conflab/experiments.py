@@ -32,6 +32,7 @@ from .manifold import (
     Manifold,
     PointSet,
     d0_many,
+    float_array,
     lattice,
     sample_manifold,
     unit_ball_volume,
@@ -144,7 +145,7 @@ _WEIGHTS = {
     "burago": (wt.BuragoTorus, {"ell": INTEGER}, ()),
     "log-cusp": (wt.LogCusp, {"x0": NUMBERS, "r0": NUMBER, "cap": _or_null(NUMBER)}, ("x0",)),
     "sphere-bubble": (wt.SphereBubble, {"lam": NUMBER, "pole": _or_null(NUMBERS)}, ()),
-    "scaled": (lambda base, shift: wt.Scaled(build_weight(base), shift),
+    "scaled": (lambda base, shift: wt.Sum((build_weight(base), wt.Constant(shift))),
                {"base": WEIGHT, "shift": NUMBER}, ("base", "shift")),
     "grid": (lambda path, **rest: wt.GridWeight(wt.read_grid(path), **rest),
              {"path": STRING, "order": INTEGER}, ("path",)),
@@ -280,7 +281,7 @@ def _test_function(m: Manifold, tf):
     if tf == "1" or tf == 1:
         return "1", lambda pts: np.ones(len(pts))
     if isinstance(tf, (tuple, list)) and len(tf) == 2 and tf[0] == "cos":
-        k = np.asarray(tf[1], dtype=float)
+        k = float_array(tf[1], "cos test function wave vector")
         if k.shape != (m.ambient_dim,):
             raise InputError(f"cos test function needs a {m.ambient_dim}-vector k, got shape {k.shape}")
         return f"cos({','.join(f'{v:g}' for v in k)})", lambda pts: np.cos(pts @ k)
@@ -418,7 +419,7 @@ def run_flat_identity(spec: ExperimentSpec, outdir: Path):
     # scaling exactness on a reduced instance (distances and diagnostics),
     # never finer than the main lattice
     shift = 0.7
-    base_field, shift_field = zero, wt.Scaled(zero, shift)
+    base_field, shift_field = zero, wt.Sum((zero, wt.Constant(shift)))
     small = lattice(m, max(0.12, spacing))
     idx = derive_rng(seed, "scale").choice(len(small), 6, replace=False)
     dm_a, dm_b = _family_distances(m, small, 3 * small.spacing, [base_field, shift_field], idx)
@@ -847,8 +848,8 @@ def run_custom(spec: ExperimentSpec, outdir: Path):
     for key in ("q", "p"):
         _using(f"diagnostics entry {key!r}", dg.check_exponent, key, diag[key])
     _using("budgets entry 'ball'", wt.check_ball_budget, budgets["ball"])
-    rep = dg.ainfty_report(m, field, smp, q=diag["q"], p=diag["p"], budget=budgets["ball"])
     mass, mass_se = _using("budgets entry 'mass'", wt.total_mass, m, field, budgets["mass"], seed)
+    rep = dg.ainfty_report(m, field, smp, q=diag["q"], p=diag["p"], budget=budgets["ball"])
     return {"ainfty": rep.to_dict(), "total_mass": mass, "total_mass_se": mass_se}, []
 
 

@@ -32,6 +32,14 @@ def unit_ball_volume(n: int) -> float:
     return pi ** (n / 2.0) / gamma(n / 2.0 + 1.0)
 
 
+def float_array(values, what: str) -> np.ndarray:
+    """values as a float array; InputError naming what unless they are numbers."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} must be numbers, got {values!r}") from exc
+
+
 def sphere_volume(n: int) -> float:
     """Riemannian volume of the unit round n-sphere."""
     return 2.0 * pi ** ((n + 1) / 2.0) / gamma((n + 1) / 2.0)
@@ -51,26 +59,26 @@ class Manifold:
     def torus(dim: int = 2, periods=None) -> "Manifold":
         if dim < 2:
             raise InputError(f"torus dimension must be >= 2, got {dim}")
-        p = np.full(dim, 2 * pi) if periods is None else np.asarray(periods, dtype=float)
-        if p.shape != (dim,) or np.any(p <= 0):
-            raise InputError("torus periods must be a positive vector of length dim")
+        p = np.full(dim, 2 * pi) if periods is None else float_array(periods, "torus periods")
+        if p.shape != (dim,) or not np.all((p > 0) & (p < np.inf)):
+            raise InputError("torus periods must be a positive vector of length dim with finite entries")
         return Manifold("torus", dim, periods=p)
 
     @staticmethod
     def box(extents) -> "Manifold":
-        e = np.asarray(extents, dtype=float)
+        e = float_array(extents, "box extents")
         if e.ndim != 2 or e.shape[1] != 2 or e.shape[0] < 2:
             raise InputError("box extents must be an (n, 2) array with n >= 2")
-        if np.any(e[:, 1] <= e[:, 0]):
-            raise InputError("box extents must have hi > lo on every axis")
+        if np.any(e[:, 1] <= e[:, 0]) or not np.all(np.isfinite(e)):
+            raise InputError("box extents must be finite, with hi > lo on every axis")
         return Manifold("box", e.shape[0], extents=e)
 
     @staticmethod
     def sphere(dim: int = 2, radius: float = 1.0) -> "Manifold":
         if dim not in (2, 3, 4):
             raise InputError(f"sphere dimension must be in {{2,3,4}}, got {dim}")
-        if radius <= 0:
-            raise InputError("sphere radius must be positive")
+        if not 0 < radius < np.inf:
+            raise InputError("sphere radius must be positive and finite")
         return Manifold("sphere", dim, radius=float(radius))
 
     # -- basic attributes ------------------------------------------------
@@ -579,7 +587,7 @@ def lattice(m: Manifold, spacing: float, cover: bool = False) -> PointSet:
     exceeds the request).  Sphere: quasi-uniform layout with
     nearest-neighbour spacing within [0.5, 2] of the request.
     """
-    if spacing <= 0:
+    if not spacing > 0:  # NaN too
         raise InputError("lattice spacing must be positive")
     if m.kind in ("torus", "box"):
         shape, _ = lattice_steps(m, spacing, cover)

@@ -36,6 +36,7 @@ from .manifold import (
     PointSet,
     d0_many,
     equal_slab_axes,
+    float_array,
     gauss_rule,
     geodesic_points,
     lattice,
@@ -662,13 +663,13 @@ def stable_norm(
     if m.kind != "torus":
         raise InputError("stable_norm is defined for torus weights")
     field.validate(m)
-    v = np.asarray(v, dtype=float)
+    v = float_array(v, "stable norm direction")
     if v.shape != (m.dim,) or not np.all(np.isfinite(v)):
         raise InputError(f"stable norm direction must be a finite {m.dim}-vector, got {v.tolist()}")
     if np.allclose(v, 0.0):
         raise InputError("stable norm direction must be nonzero")
-    t_list = np.asarray(sorted(float(t) for t in t_list))
-    if np.any(np.diff(t_list) <= 0) or t_list.size < 2:
+    t_list = np.sort(float_array(t_list, "t_list"))
+    if t_list.ndim != 1 or t_list.size < 2 or np.any(np.diff(t_list) <= 0):
         raise InputError("t_list must be strictly increasing with >= 2 entries")
     if not np.all(np.isfinite(t_list) & (t_list > 0)):
         raise InputError("t_list entries must be positive and finite")

@@ -174,9 +174,9 @@ class LogCusp(WeightField):
     cap: Optional[float] = None
 
     def __post_init__(self):
-        if self.r0 <= 0:
-            raise InputError("LogCusp radius r0 must be positive")
-        if self.cap is not None and self.cap <= 0:
+        if not 0 < self.r0 < np.inf:
+            raise InputError("LogCusp radius r0 must be positive and finite")
+        if self.cap is not None and not self.cap > 0:  # NaN too
             raise InputError("LogCusp cap must be positive (or None)")
 
     def validate(self, m):
@@ -338,33 +338,6 @@ def _radial_laplacian(m: Manifold, theta: np.ndarray, fp: np.ndarray, fpp: np.nd
 
 
 @dataclass(frozen=True)
-class Scaled(WeightField):
-    """base field shifted by a constant: f = base.f + shift."""
-
-    base: WeightField
-    shift: float
-
-    def validate(self, m):
-        self.base.validate(m)
-
-    def eval_many(self, m, x):
-        return self.base.eval_many(m, x) + self.shift
-
-    def grad_lap_many(self, m, x):
-        return self.base.grad_lap_many(m, x)
-
-    def constant_axes(self, m):
-        return self.base.constant_axes(m)
-
-    def radial_axis(self, m):
-        return self.base.radial_axis(m)
-
-    def profile(self, theta):
-        f, fp, fpp = self.base.profile(theta)
-        return f + float(self.shift), fp, fpp
-
-
-@dataclass(frozen=True)
 class Sum(WeightField):
     fields: tuple
 
@@ -386,8 +359,11 @@ class Sum(WeightField):
         return tuple(a for a in range(m.ambient_dim) if all(a in axes for axes in declared))
 
     def radial_axis(self, m):
-        """The summands' one axis, or None unless every summand names it."""
-        axes = [f.radial_axis(m) for f in self.fields]
+        """The one axis of the summands that vary, or None unless each names
+        it; a summand constant along every axis is radial about any, so a
+        sum of constants keeps its first summand's axis."""
+        varying = [f for f in self.fields if len(f.constant_axes(m)) < m.ambient_dim]
+        axes = [f.radial_axis(m) for f in varying or self.fields[:1]]
         if any(a is None or np.linalg.norm(a - axes[0]) > 1e-12 for a in axes):
             return None
         return axes[0]
@@ -712,5 +688,8 @@ def mu_f_ball(m: Manifold, field: WeightField, b: BallSpec, budget: int = 20_000
 
 
 def total_mass(m: Manifold, field: WeightField, budget: int = 100_000, seed: int = 0):
-    """(mass, standard error) of mu_f(M), by ball_integral over all of M."""
+    """(mass, standard error) of mu_f(M), by ball_integral over all of M; a
+    standard error needs a budget of at least 2 samples."""
+    if budget < 2:
+        raise InputError(f"total_mass needs a sample count of at least 2, got {budget}")
     return ball_integral(m, field, None, *_density(m, field), budget, seed, "weight samples")

@@ -24,7 +24,7 @@ from conflab.experiments import (
 from conflab.manifold import Manifold
 from conflab.metric import DistanceMatrix
 from conflab.schrodinger import GridGeometry, GridOperator, lowest_eigenpair
-from conflab.weight import BuragoTorus, Constant, LogCusp, Scaled, SphereBubble
+from conflab.weight import BuragoTorus, Constant, LogCusp, SphereBubble, Sum
 
 SMALL_FLAT = {
     "name": "flat-identity",
@@ -239,6 +239,9 @@ def test_missing_spec_key_is_an_input_error(tmp_path, capsys, doc, words):
     "doc, entry, words",
     [
         ({"name": "custom", "budgets": {"ball": 500, "mass": 0}}, "budgets entry 'mass'", "sample count"),
+        # one sample has no standard error: the mass read 40.24 +- 0.0, exact 39.48
+        ({"name": "custom", "weight": {"kind": "burago"}, "budgets": {"mass": 1}}, "budgets entry 'mass'",
+         "at least 2"),
         ({"name": "custom", "budgets": {"ball": 50}}, "budgets entry 'ball'", "budget must be >= 100"),
         ({"name": "custom", "graph": {"center_spacing": 0}}, "graph entry 'center_spacing'", "spacing"),
         ({"name": "custom", "diagnostics": {"eta": 0}}, "diagnostics entry 'eta'", "radii"),
@@ -261,7 +264,7 @@ def test_missing_spec_key_is_an_input_error(tmp_path, capsys, doc, words):
         ({"name": "log-cusp", "manifold": {"kind": "sphere", "dim": 2}}, "manifold or weight entry 'r0'",
          "defined on tori and boxes only"),
     ],
-    ids=["mass", "ball", "center_spacing", "eta", "q", "eps", "p", "burago-spacing", "log-cusp-spacing",
+    ids=["mass", "mass-one", "ball", "center_spacing", "eta", "q", "eps", "p", "burago-spacing", "log-cusp-spacing",
          "eps_schedule", "lams", "R0", "r0", "caps", "r0-period", "log-cusp-sphere"],
 )
 def test_setting_a_library_check_rejects_names_its_key(tmp_path, capsys, doc, entry, words):
@@ -420,7 +423,7 @@ def test_setting_the_run_cannot_use_is_an_input_error(tmp_path, capsys, doc, set
         (build_weight, {"kind": "sphere-bubble"}, SphereBubble()),
         (build_weight, {"kind": "log-cusp", "x0": [3, 3]}, LogCusp((3.0, 3.0))),
         (build_weight, {"kind": "scaled", "base": {"kind": "burago"}, "shift": 1},
-         Scaled(BuragoTorus(), 1.0)),
+         Sum((BuragoTorus(), Constant(1.0)))),
     ],
 )
 def test_descriptor_of_only_its_kind_builds_the_constructor_default(build, desc, default):
@@ -636,9 +639,11 @@ def test_huge_constant_potential_has_constant_ground_state():
          "unknown test function 2.0"),
         (lambda t2: weak_star_test(t2, [("ell=1", BuragoTorus(1))], [("cos",)], 100, seed=5),
          r"unknown test function \('cos',\)"),
+        (lambda t2: weak_star_test(t2, [("ell=1", BuragoTorus(1))], [("cos", "ab")], 100, seed=5),
+         "wave vector must be numbers"),
     ],
     ids=["cone-manifold", "one-matrix", "bump-test-function", "number-test-function",
-         "cos-without-k-test-function"],
+         "cos-without-k-test-function", "cos-text-k-test-function"],
 )
 def test_experiments_reject_bad_inputs(torus2, call, words):
     with pytest.raises(InputError, match=words):

@@ -17,8 +17,8 @@ from conflab.weight import (
     Constant,
     GridWeight,
     LogCusp,
-    Scaled,
     SphereBubble,
+    Sum,
     grid_from_field,
 )
 
@@ -241,11 +241,11 @@ def test_pinching_bubble_concentration(sphere3):
 def test_pinching_scale_invariance(torus2, sphere3):
     cents = lattice(torus2, 2.0)
     a = pinching_profile(torus2, BuragoTorus(1), 0.5, cents, seed=3)
-    b = pinching_profile(torus2, Scaled(BuragoTorus(1), 1.1), 0.5, cents, seed=3)
+    b = pinching_profile(torus2, Sum((BuragoTorus(1), Constant(1.1))), 0.5, cents, seed=3)
     assert abs(b.sup_abs / a.sup_abs - 1) <= 1e-10
     sc = _bubble_centers(sphere3)
     a = pinching_profile(sphere3, SphereBubble(5.0), 0.5, sc, seed=3)
-    b = pinching_profile(sphere3, Scaled(SphereBubble(5.0), -0.4), 0.5, sc, seed=3)
+    b = pinching_profile(sphere3, Sum((SphereBubble(5.0), Constant(-0.4))), 0.5, sc, seed=3)
     assert abs(b.sup_pos / a.sup_pos - 1) <= 1e-10
 
 
@@ -275,5 +275,6 @@ def test_pinching_flags(sphere3):
 
 
 def test_lp_scal_norm_needs_p_at_least_one(torus2):
-    with pytest.raises(InputError, match="p >= 1"):
-        lp_scal_norm(torus2, Constant(0.0), BallSpec(np.array([1.0, 1.0]), 0.5), 0.5)
+    for p in (0.5, np.nan, np.inf):  # NaN returned nan
+        with pytest.raises(InputError, match="finite p >= 1"):
+            lp_scal_norm(torus2, Constant(0.0), BallSpec(np.array([1.0, 1.0]), 0.5), p)

@@ -19,7 +19,7 @@ from conflab.diagnostics import (
 from conflab.errors import InputError, SamplingError
 from conflab.manifold import BallSpec, Manifold, PointSet, cap_volume, lattice, whole_manifold_ball
 from conflab.metric import DistanceMatrix, build_graph, shortest_paths
-from conflab.weight import BuragoTorus, Constant, GridField, GridWeight, Scaled
+from conflab.weight import BuragoTorus, Constant, GridField, GridWeight, Sum
 
 
 def full_torus_sampler(m, seed=3):
@@ -83,7 +83,7 @@ def test_rh_monotone_in_q_and_ap_monotone_in_p(torus2):
 
 def test_scale_invariance_exact(torus2, small_sampler):
     base = BuragoTorus(1)
-    shifted = Scaled(base, 0.9)
+    shifted = Sum((base, Constant(0.9)))
     for fn in (
         lambda f: reverse_holder(torus2, f, 2.0, small_sampler, 10_000),
         lambda f: ap_product(torus2, f, 2.0, small_sampler, 10_000),
@@ -243,7 +243,7 @@ def test_isoperimetric_flat_and_scaled(torus2):
     iso = isoperimetric_ratio(torus2, Constant(0.0), doms, seed=6)
     assert iso.inf_ratio == pytest.approx(2 * np.sqrt(np.pi), rel=0.02)
     iso_b = isoperimetric_ratio(torus2, BuragoTorus(1), doms, seed=6)
-    iso_s = isoperimetric_ratio(torus2, Scaled(BuragoTorus(1), 1.1), doms, seed=6)
+    iso_s = isoperimetric_ratio(torus2, Sum((BuragoTorus(1), Constant(1.1))), doms, seed=6)
     assert abs(iso_s.inf_ratio / iso_b.inf_ratio - 1.0) <= 1e-10
     envelope = 2 * np.sqrt(np.pi) * np.sqrt(0.5 / 1.5)
     assert iso_b.inf_ratio >= envelope
@@ -308,7 +308,7 @@ def test_ainfty_report_of_a_shifted_constant_on_the_sphere(sphere2):
     # cancel, and each doubling ratio is one of cap volumes (colatitude rule)
     eta = default_eta(sphere2)
     smp = BallSampler(lattice(sphere2, sphere2.min_period / 3), (eta / 2, eta), seed=0)
-    rep = ainfty_report(sphere2, Scaled(Constant(0.1), 0.2), smp, q=2.0, p=2.0, budget=2000)
+    rep = ainfty_report(sphere2, Sum((Constant(0.1), Constant(0.2))), smp, q=2.0, p=2.0, budget=2000)
     assert rep.C_rh == pytest.approx(1.0, rel=0, abs=1e-12)
     assert rep.C_ap == pytest.approx(1.0, rel=0, abs=1e-12)
     want = max(cap_volume(sphere2, r) / cap_volume(sphere2, r / 2) for r in smp.radii)
@@ -349,9 +349,22 @@ def test_default_eta(torus2, sphere2):
         (lambda t2, dm, d0m: BallSampler(lattice(t2, 2.5), ()), "at least one radius"),
         (lambda t2, dm, d0m: BallSampler(PointSet(points=np.zeros((0, 2)), spacing=1.0), (0.4,)),
          "one center"),
+        (lambda t2, dm, d0m: reverse_holder(t2, Constant(0.0), np.nan,
+                                            BallSampler(lattice(t2, 2.5), (0.4,)), 200),
+         "q must exceed 1 and be finite"),
+        (lambda t2, dm, d0m: ap_product(t2, Constant(0.0), np.inf,
+                                        BallSampler(lattice(t2, 2.5), (0.4,)), 200),
+         "p must exceed 1 and be finite"),
+        (lambda t2, dm, d0m: isoperimetric_ratio(
+            Manifold.sphere(2), Constant(0.0), [BallSpec(np.array([0.0, 0.0, 1.0]), 0.5)]),
+         "needs a torus or a box"),
+        (lambda t2, dm, d0m: isoperimetric_ratio(
+            Manifold.sphere(2), Constant(0.0), [BoxDomain((0.1, 0.1), (0.5, 0.5))]),
+         "needs a torus or a box"),
     ],
     ids=["biholder-misaligned", "isoperimetric-non-domain", "isoperimetric-no-domain",
-         "sampler-no-radius", "sampler-no-center"],
+         "sampler-no-radius", "sampler-no-center", "reverse-holder-nan-q", "ap-inf-p",
+         "isoperimetric-sphere-ball", "isoperimetric-sphere-box"],
 )
 def test_diagnostics_rejects_bad_inputs(square_mats, call, words):
     t2, pts, dm, d0m = square_mats

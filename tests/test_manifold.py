@@ -400,10 +400,22 @@ def test_sample_manifold_needs_a_sample(torus2, count):
         (lambda: Manifold.box([[0, 1], [1, 1]]), "hi > lo"),
         (lambda: Manifold.sphere(5), "dimension must be in"),
         (lambda: Manifold.sphere(2, 0.0), "radius must be positive"),
+        (lambda: Manifold.torus(2, [np.inf, 1.0]), "finite entries"),
+        (lambda: Manifold.box([[0, np.inf], [0, 1]]), "extents must be finite"),
+        (lambda: Manifold.sphere(2, np.nan), "radius must be positive and finite"),
+        (lambda: Manifold.torus(2, ["a", 1.0]), "torus periods must be numbers"),
+        (lambda: Manifold.box([["a", 1], [0, 1]]), "box extents must be numbers"),
     ],
     ids=["torus-dim-1", "torus-periods", "box-1d", "box-flat-axis", "sphere-dim-5",
-         "sphere-radius-0"],
+         "sphere-radius-0", "torus-inf-period", "box-inf-extent", "sphere-nan-radius",
+         "torus-text-period", "box-text-extent"],
 )
 def test_manifold_constructors_reject_bad_arguments(build, words):
     with pytest.raises(InputError, match=words):
         build()
+
+
+def test_lattice_rejects_nan_spacing(torus2):
+    # NaN passed the positivity test and failed converting a node count to int
+    with pytest.raises(InputError, match="spacing must be positive"):
+        lattice(torus2, np.nan)

@@ -25,7 +25,7 @@ from conflab.metric import (
     shortest_paths,
     stable_norm,
 )
-from conflab.weight import BuragoTorus, Constant, GridField, GridWeight, LogCusp, Scaled, SphereBubble
+from conflab.weight import BuragoTorus, Constant, GridField, GridWeight, LogCusp, SphereBubble, Sum
 
 TWO_NODES = PointSet(points=np.array([[0.0, 0.0], [1.0, 0.0]]), spacing=0.4)
 
@@ -96,7 +96,7 @@ def test_distance_matrix_symmetry_triangle(torus2):
 def test_scaling_equivariance_full(torus2):
     pts = lattice(torus2, 0.25)
     g0 = build_graph(torus2, pts, 3 * pts.spacing, BuragoTorus(1))
-    g1 = g0.reweight(Scaled(BuragoTorus(1), 0.8))
+    g1 = g0.reweight(Sum((BuragoTorus(1), Constant(0.8))))
     d0v = shortest_paths(g0, [0, 5]).values
     d1v = shortest_paths(g1, [0, 5]).values
     mask = d0v > 0
@@ -578,7 +578,7 @@ ORBIT_TORUS = Manifold.torus(2, [2 * np.pi, 4.0])
     "field, orbits",
     [
         (Constant(0.3), lambda src, shape: 1),
-        (Scaled(Constant(0.0), 0.7), lambda src, shape: 1),
+        (Sum((Constant(0.0), Constant(0.7))), lambda src, shape: 1),
         # e^{nf} depends on x1 alone: one solve per distinct x1 index
         (BuragoTorus(2), lambda src, shape: np.unique(src // shape[1]).size),
         (LogCusp((1.3, 1.1), 0.5, None), lambda src, shape: np.unique(src).size),
@@ -667,10 +667,13 @@ def test_lattice_graph_memory_per_edge(m, spacing, field):
         (lambda t2: stable_norm(t2, Constant(0.0), [np.inf, 1.0], [1.0, 2.0]), "finite 2-vector"),
         (lambda t2: stable_norm(t2, Constant(0.0), [0.0, 1.0, 0.0], [1.0, 2.0]),
          "finite 2-vector"),
+        (lambda t2: stable_norm(t2, Constant(0.0), ["a", 1.0], [1.0, 2.0]),
+         "direction must be numbers"),
+        (lambda t2: stable_norm(t2, Constant(0.0), [0.0, 1.0], ["a", 2.0]), "t_list must be numbers"),
     ],
     ids=["refine-one-eps", "stable-norm-box", "stable-norm-zero-direction",
          "stable-norm-one-t", "stable-norm-nan-direction", "stable-norm-inf-direction",
-         "stable-norm-3-vector"],
+         "stable-norm-3-vector", "stable-norm-text-direction", "stable-norm-text-t"],
 )
 def test_metric_rejects_bad_inputs(torus2, call, words):
     with pytest.raises(InputError, match=words):

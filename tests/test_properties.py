@@ -53,7 +53,6 @@ from conflab.weight import (
     Constant,
     GridField,
     LogCusp,
-    Scaled,
     SphereBubble,
     Sum,
     WeightField,
@@ -371,7 +370,7 @@ def test_sphere_ball_mass_scales_by_e_to_the_nc(n, log_lam, shift, u, rel_radius
     assume(center is not None)
     b = BallSpec(center, rel_radius * np.pi)
     base, _ = mu_f_ball(m, SphereBubble(10.0**log_lam), b)
-    scaled, _ = mu_f_ball(m, Scaled(SphereBubble(10.0**log_lam), shift), b)
+    scaled, _ = mu_f_ball(m, Sum((SphereBubble(10.0**log_lam), Constant(shift))), b)
     assert abs(scaled / (np.exp(n * shift) * base) - 1) <= 1e-12
 
 
@@ -430,7 +429,7 @@ def test_graph_distance_is_a_metric(kind, u, eps_rel, chain):
 def test_graph_distances_scale_by_e_to_the_c(kind, u, eps_rel, c):
     m, pts, field = _graph_case(kind, u)
     base = _distances(m, pts, eps_rel, field)
-    scaled = _distances(m, pts, eps_rel, Scaled(field, c))
+    scaled = _distances(m, pts, eps_rel, Sum((field, Constant(c))))
     assert np.all(np.abs(scaled - np.exp(c) * base) <= 1e-12 * np.exp(c) * base)
 
 
@@ -448,7 +447,7 @@ def test_flat_ball_mass_scales_by_e_to_the_nc(kind, u, rel_radius, c, seed):
     field = BuragoTorus(1) if m.kind == "torus" else LogCusp(tuple(_point(m, u[::-1])), 0.1, 2.0)
     b = BallSpec(center, rel_radius * m.max_distance)
     base, _ = mu_f_ball(m, field, b, 500, seed)
-    scaled, _ = mu_f_ball(m, Scaled(field, c), b, 500, seed)
+    scaled, _ = mu_f_ball(m, Sum((field, Constant(c))), b, 500, seed)
     assert abs(scaled / (np.exp(m.dim * c) * base) - 1) <= 1e-12
 
 
@@ -586,7 +585,7 @@ SHIFT_DIAGNOSTICS = {
 def test_diagnostics_ignore_constant_shifts(name, c):
     # e^{n(f + c)} = e^{nc} e^{nf}: the factor cancels in every ratio
     diag = SHIFT_DIAGNOSTICS[name]
-    np.testing.assert_allclose(diag(Scaled(SHIFT_BASE, c)), diag(SHIFT_BASE), rtol=1e-10)
+    np.testing.assert_allclose(diag(Sum((SHIFT_BASE, Constant(c)))), diag(SHIFT_BASE), rtol=1e-10)
 
 
 # torus lattices with unequal periods, under fields invariant along every
@@ -597,7 +596,7 @@ ORBIT_TORI = {
 }
 ORBIT_FIELDS = {
     "constant": Constant(0.3),
-    "scaled": Scaled(Constant(0.0), 0.7),
+    "scaled": Sum((Constant(0.0), Constant(0.7))),
     "burago": BuragoTorus(2),
     "logcusp": LogCusp((1.3, 1.1, 0.9), 0.5, None),
 }
@@ -678,8 +677,8 @@ def _declaring_fields(m):
     return {
         "constant": Constant(0.3),
         "periodic": base,
-        "scaled": Scaled(base, -0.4),
-        "sum": Sum((base, Constant(0.5), Scaled(base, 0.1))),
+        "scaled": Sum((base, Constant(-0.4))),
+        "sum": Sum((base, Constant(0.5), Sum((base, Constant(0.1))))),
     }
 
 

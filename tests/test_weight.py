@@ -25,7 +25,6 @@ from conflab.weight import (
     GridField,
     GridWeight,
     LogCusp,
-    Scaled,
     SphereBubble,
     Sum,
     WeightField,
@@ -241,7 +240,7 @@ def test_sampled_bubble_masses_agree_with_the_cap_rule(n, lam):
 
 def test_scaled_pointwise_and_measure(torus2, rng):
     base = BuragoTorus(2)
-    shifted = Scaled(base, 0.9)
+    shifted = Sum((base, Constant(0.9)))
     pts = rng.random((50, 2)) * 2 * np.pi
     assert np.allclose(
         shifted.eval_many(torus2, pts), base.eval_many(torus2, pts) + 0.9, atol=1e-14
@@ -335,9 +334,26 @@ def test_sum_exact_curvature_and_radial_profile(torus2, rng):
     assert Sum((BuragoTorus(1), Constant(c))).radial_axis(torus2) is None
 
 
+def test_sum_axis_ignores_constant_summands():
+    # a constant summand is radial about any axis: a shifted bubble keeps
+    # the bubble's axis, so its masses take the colatitude rule (error 1e-9)
+    s2 = Manifold.sphere(2)
+    bubble = SphereBubble(10.0)
+    shifted = Sum((bubble, Constant(0.7)))
+    np.testing.assert_array_equal(shifted.radial_axis(s2), bubble.radial_axis(s2))
+    b = BallSpec(np.array([0.0, 0.6, 0.8]), 0.9)
+    base, _ = mu_f_ball(s2, bubble, b)
+    mass, se = mu_f_ball(s2, shifted, b)
+    assert abs(mass / (np.exp(2 * 0.7) * base) - 1) <= 1e-12
+    assert se == 1e-9 * mass
+    # a sum of constants keeps its first summand's axis
+    np.testing.assert_array_equal(Sum((Constant(0.1), Constant(0.2))).radial_axis(s2),
+                                  Constant(0.1).radial_axis(s2))
+
+
 @pytest.mark.parametrize("field", [
     SphereBubble(1.0), SphereBubble(10.0), SphereBubble(1000.0),
-    Scaled(SphereBubble(10.0), 0.7), Sum((SphereBubble(2.0), SphereBubble(5.0))), Constant(0.3),
+    Sum((SphereBubble(10.0), Constant(0.7))), Sum((SphereBubble(2.0), SphereBubble(5.0))), Constant(0.3),
 ], ids=["bubble1", "bubble10", "bubble1000", "scaled", "sum", "constant"])
 def test_profile_derivatives_match_central_differences(field):
     # near both ends of [0, pi] and on both sides of pi/2
@@ -582,8 +598,12 @@ def _box_grid(shape):
          "order must be 1 or 3"),
         (lambda t2: GridWeight(_box_grid((2, 8)), order=3).validate(_box_grid((2, 8)).manifold),
          ">= 3 nodes per axis"),
+        (lambda t2: LogCusp((1.0, 1.0), np.nan), "r0 must be positive and finite"),
+        (lambda t2: LogCusp((1.0, 1.0), 0.5, np.nan), "cap must be positive"),
+        (lambda t2: total_mass(t2, BuragoTorus(1), 1), "sample count of at least 2"),
     ],
-    ids=["burago-ell-0", "nan-grid", "grid-manifold-kind", "grid-order-2", "cubic-box-2-nodes"],
+    ids=["burago-ell-0", "nan-grid", "grid-manifold-kind", "grid-order-2", "cubic-box-2-nodes",
+         "log-cusp-nan-r0", "log-cusp-nan-cap", "total-mass-one-sample"],
 )
 def test_weights_reject_bad_inputs(torus2, call, words):
     with pytest.raises(InputError, match=words):

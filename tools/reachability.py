@@ -86,13 +86,13 @@ KEPT = {
     "weight.Constant.grad_lap_many": ITEM4,
     "weight.BuragoTorus.grad_lap_many": ITEM4,
     "weight.LogCusp.grad_lap_many": ITEM4,
-    "weight.Scaled.grad_lap_many": ITEM4,
-    "weight.Sum": "sums of fields (ROADMAP items 5 and 6)",
+    "weight.Sum.grad_lap_many": ITEM4,
 }
 
 
-# a constant sphere weight with a shift: its ball masses take the colatitude
-# rule through Constant's and Scaled's radial_axis and profile
+# a constant sphere weight with a shift, the sum of two constants: its ball
+# masses take the colatitude rule through Sum's radial_axis (its first
+# summand's axis) and the summands' profiles
 SHIFTED_CONSTANT = '{"kind": "scaled", "base": {"kind": "constant", "value": 0.1}, "shift": 0.2}'
 
 
