@@ -38,7 +38,6 @@ from .diagnostics import (
     ap_product,
     biholder_fit,
     doubling_constant,
-    holder_seminorm,
     isoperimetric_ratio,
     reverse_holder,
     strong_ratio,

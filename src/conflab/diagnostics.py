@@ -23,6 +23,7 @@ from .manifold import (
     PointSet,
     _quasi_uniform_sphere,
     d0_many,
+    float_array,
     midpoint,
     sample_ball,
     sphere_volume,
@@ -50,8 +51,9 @@ class BallSampler:
     def __post_init__(self):
         if len(self.radii) == 0 or len(self.centers) == 0:
             raise InputError("a ball sampler needs at least one radius and one center")
-        if any(r <= 0 for r in self.radii):
-            raise InputError("sampler radii must be positive")
+        r = float_array(self.radii, "sampler radii")
+        if not np.all((r > 0) & (r < np.inf)):
+            raise InputError(f"sampler radii must be positive and finite, got {self.radii!r}")
 
     def balls(self):
         k = 0
@@ -262,44 +264,6 @@ def biholder_fit(dmat_f: DistanceMatrix, dmat_0: DistanceMatrix) -> float:
         raise SamplingError("bi-Hölder fit needs at least 10 positive pairs")
     slope = float(np.polyfit(np.log(d0v[good]), np.log(df[good]), 1)[0])
     return min(slope, 1.0 / slope)
-
-
-def holder_seminorm(
-    dmat: DistanceMatrix,
-    d0mat: DistanceMatrix,
-    alpha: float,
-    seed: int = 0,
-) -> float:
-    """sup over sampled quadruples of
-    |d(x,y) - d(x',y')| / (d0(x,x')^alpha + d0(y,y')^alpha).
-
-    Works on square matrices (sources == targets).  Besides 4000 uniform
-    random quadruples, structured ones with y' = y and x' ranging over all
-    other points are included, which is where the sup is typically attained.
-    """
-    if dmat.values.shape != d0mat.values.shape or not np.array_equal(
-        dmat.sources, d0mat.sources
-    ):
-        raise InputError("matrices must be aligned")
-    if not np.array_equal(dmat.sources, dmat.targets):
-        raise InputError("holder_seminorm needs square matrices (sources == targets)")
-    d = dmat.values
-    d0v = d0mat.values
-    S = dmat.sources.size
-    rng = derive_rng(seed, "holder")
-    best = 0.0
-    dxx = d0v**alpha
-    np.fill_diagonal(dxx, np.inf)  # exclude the degenerate x' = x, y' = y case
-    for y in rng.choice(S, size=min(S, 48), replace=False):
-        num = np.abs(d[:, y][:, None] - d[:, y][None, :])
-        best = max(best, float(np.max(num / dxx)))
-    a, b, y, yp = rng.integers(0, S, (4, 4000))
-    den = d0v[a, b] ** alpha + d0v[y, yp] ** alpha
-    num = np.abs(d[a, y] - d[b, yp])
-    ok = den > 0
-    if np.any(ok):
-        best = max(best, float(np.max(num[ok] / den[ok])))
-    return best
 
 
 # ---------------------------------------------------------------------------

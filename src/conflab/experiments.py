@@ -33,6 +33,7 @@ from .manifold import (
     PointSet,
     d0_many,
     float_array,
+    is_count,
     lattice,
     sample_manifold,
     unit_ball_volume,
@@ -297,8 +298,8 @@ def weak_star_test(
     k-vector), each checked before sampling and evaluated once.  A
     standard error needs a budget of at least 2 samples.
     """
-    if budget < 2:
-        raise InputError(f"weak_star_test budget must be >= 2, got {budget}")
+    if not is_count(budget, 2):
+        raise InputError(f"weak_star_test budget must be >= 2 and an integer, got {budget!r}")
     for _, field in fields:
         field.validate(m)
     phis = [_test_function(m, tf) for tf in testfns]
@@ -381,7 +382,6 @@ def run_flat_identity(spec: ExperimentSpec, outdir: Path):
     src = rng.choice(len(pts), size=min(10, len(pts)), replace=False)
     dmat = mt.shortest_paths(graph, src)
     pair_rows = []
-    worst = 0.0
     for k in range(g["pairs"]):
         i = int(src[k % src.size])
         j = int(rng.integers(0, len(pts)))
@@ -389,11 +389,16 @@ def run_flat_identity(spec: ExperimentSpec, outdir: Path):
         if dd0 < 4 * spacing:
             continue
         df = dmat.get(i, j)
-        rel = abs(df - dd0) / dd0
-        worst = max(worst, rel)
-        pair_rows.append((i, j, dd0, df, rel))
+        pair_rows.append((i, j, dd0, df, abs(df - dd0) / dd0))
     if not pair_rows:
         raise InputError(f"graph entry 'pairs' = {g['pairs']} leaves no pair with d0 >= 4 * spacing for C1")
+    # the verdict is over every target with d0 >= 4 spacing of the solved
+    # rows; on a torus each row is a lattice translate of one, so over all
+    # such pairs
+    d0 = dg.d0_matrix(m, pts, src).values
+    far = d0 >= 4 * spacing
+    worst = float(np.max(np.abs(dmat.values[far] - d0[far]) / d0[far]))
+    del d0, far  # not held through refine_distance
     _flag(flags, "C1-pairs", worst <= 0.03, worst, "max |d_f - d0|/d0 <= 3%")
     report["pair_table"] = [list(map(float, r)) for r in pair_rows]
 
@@ -760,7 +765,6 @@ def run_schrodinger(spec: ExperimentSpec, outdir: Path):
     L = float(m.periods[0])
     budgets = spec.settings()["budgets"]
     shape = budgets["shape"]
-    seed = spec.seed
     geom = _using("budgets entry 'shape'", sc.GridGeometry, m, shape)
     x = geom.nodes()
     flags = []
@@ -823,7 +827,7 @@ def run_schrodinger(spec: ExperimentSpec, outdir: Path):
     dgeom = _using("budgets entry 'decomp_shape'", sc.GridGeometry, m, budgets["decomp_shape"])
     dx = dgeom.nodes()
     Vd = 0.01 * np.cos(2 * pi * dx[:, 0] / L) * np.sin(2 * pi * dx[:, 1] / L)
-    dec = sc.decompose_ground_state(sc.GridOperator(dgeom, Vd), rho, seed=seed)
+    dec = sc.decompose_ground_state(sc.GridOperator(dgeom, Vd), rho)
     _flag(flags, "C9-decomposition", dec.report["reconstruction_error"] <= 1e-8,
           dec.report["reconstruction_error"], "e^{f+w} = phi +- 1e-8")
     report["decomposition"] = {

@@ -10,6 +10,7 @@ through explicit seeds.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gamma, pi
@@ -40,6 +41,14 @@ def float_array(values, what: str) -> np.ndarray:
         raise InputError(f"{what} must be numbers, got {values!r}") from exc
 
 
+def is_count(value, least: int) -> bool:
+    """Whether value is an integer (Python or numpy) of at least ``least``."""
+    try:
+        return operator.index(value) >= least
+    except TypeError:
+        return False
+
+
 def sphere_volume(n: int) -> float:
     """Riemannian volume of the unit round n-sphere."""
     return 2.0 * pi ** ((n + 1) / 2.0) / gamma((n + 1) / 2.0)
@@ -57,8 +66,8 @@ class Manifold:
 
     @staticmethod
     def torus(dim: int = 2, periods=None) -> "Manifold":
-        if dim < 2:
-            raise InputError(f"torus dimension must be >= 2, got {dim}")
+        if not is_count(dim, 2):
+            raise InputError(f"torus dimension must be >= 2 and an integer, got {dim!r}")
         p = np.full(dim, 2 * pi) if periods is None else float_array(periods, "torus periods")
         if p.shape != (dim,) or not np.all((p > 0) & (p < np.inf)):
             raise InputError("torus periods must be a positive vector of length dim with finite entries")
@@ -77,9 +86,10 @@ class Manifold:
     def sphere(dim: int = 2, radius: float = 1.0) -> "Manifold":
         if dim not in (2, 3, 4):
             raise InputError(f"sphere dimension must be in {{2,3,4}}, got {dim}")
-        if not 0 < radius < np.inf:
-            raise InputError("sphere radius must be positive and finite")
-        return Manifold("sphere", dim, radius=float(radius))
+        r = float_array(radius, "sphere radius")
+        if r.ndim or not 0 < r < np.inf:
+            raise InputError(f"sphere radius must be positive and finite, got {radius!r}")
+        return Manifold("sphere", dim, radius=float(r))
 
     # -- basic attributes ------------------------------------------------
 
@@ -587,8 +597,10 @@ def lattice(m: Manifold, spacing: float, cover: bool = False) -> PointSet:
     exceeds the request).  Sphere: quasi-uniform layout with
     nearest-neighbour spacing within [0.5, 2] of the request.
     """
-    if not spacing > 0:  # NaN too
-        raise InputError("lattice spacing must be positive")
+    h = float_array(spacing, "lattice spacing")
+    if h.ndim or not 0 < h < np.inf:  # NaN too
+        raise InputError(f"lattice spacing must be positive and finite, got {spacing!r}")
+    spacing = float(h)
     if m.kind in ("torus", "box"):
         shape, _ = lattice_steps(m, spacing, cover)
         npts = int(np.prod([float(s) for s in shape]))
@@ -618,8 +630,8 @@ def lattice(m: Manifold, spacing: float, cover: bool = False) -> PointSet:
 
 def sample_manifold(m: Manifold, count: int, seed: int = 0):
     """(points, weights): i.i.d. uniform w.r.t. mu0 over all of M."""
-    if count < 1:
-        raise InputError(f"sample count must be >= 1, got {count}")
+    if not is_count(count, 1):
+        raise InputError(f"sample count must be >= 1 and an integer, got {count!r}")
     rng = derive_rng(seed, "manifold")
     if m.kind == "torus":
         pts = rng.random((count, m.dim)) * m.periods
@@ -675,8 +687,8 @@ def sample_ball(m: Manifold, b: BallSpec, count: int, seed: int = 0):
     _closed_form_volume), else to omega r^n a, a the accepted fraction of all
     draws, with binomial volume_se omega r^n sqrt(a (1 - a) / drawn).
     """
-    if count < 1:
-        raise InputError("sample count must be >= 1")
+    if not is_count(count, 1):
+        raise InputError(f"sample count must be >= 1 and an integer, got {count!r}")
     if b.radius >= m.max_distance:
         pts, w = sample_manifold(m, count, seed)
         return pts, w, 0.0

@@ -52,7 +52,6 @@ from scipy.sparse.linalg import splu  # noqa: F401  perfbench's tracer rebinds s
 
 from .errors import InputError, NumericError
 from .manifold import Manifold, PointSet, d0_many, equal_slab_axes, lattice, lattice_orbits, lattice_roll
-from .rng import derive_rng
 from .weight import NodeGrid
 
 
@@ -505,7 +504,6 @@ class DecompositionResult:
 def decompose_ground_state(
     op: GridOperator,
     rho: float,
-    seed: int = 0,
 ) -> DecompositionResult:
     """Split log(phi) = f + w, phi = ``lowest_eigenpair(op).phi``, through
     localized ground states.
@@ -515,8 +513,8 @@ def decompose_ground_state(
     ground state from the fixed point, and the pieces are glued with a
     C^2 partition of unity.  The reconstruction e^{f + w} = phi holds to
     round-off by construction; the report carries ||df||_{L^n},
-    ||Delta f||_{n/2}, the sampled 1/2-Hölder seminorm of w and all
-    thresholds.  phi is solved here at ``lowest_eigenpair``'s default tol,
+    ||Delta f||_{n/2}, the 1/2-Hölder seminorm of w over every node pair and
+    all thresholds.  phi is solved here at ``lowest_eigenpair``'s default tol,
     and every threshold reads the grid's ``sobolev_constant`` and
     ``grad_inv_constant`` (echoed as ``beta_est`` and ``a_est``), so the
     split is always of this operator's ground state on this grid.  Each
@@ -584,14 +582,19 @@ def decompose_ground_state(
         f += lam * (v_i - vbar)
         w += lam * ((log_phi - v_i) + vbar)
     recon = float(np.max(np.abs(np.exp(f + w) - phi) / phi))
-    rng = derive_rng(seed, "holder-w")
-    npairs = min(20_000, phi.size**2)
-    ii = rng.integers(0, phi.size, npairs)
-    jj = rng.integers(0, phi.size, npairs)
-    dd = d0_many(geom.manifold, nodes[ii], nodes[jj])
-    ok = dd > 0
+    # the seminorm over every node pair: d0 depends only on the grid offset,
+    # whose pairs one roll of w gives; nearest offsets first, stopping once
+    # the oscillation of w over d0^alpha cannot beat the best
     holder_alpha = 0.5
-    hold = float(np.max(np.abs(w[ii[ok]] - w[jj[ok]]) / dd[ok] ** holder_alpha))
+    d0 = d0_many(geom.manifold, nodes, nodes[0])
+    osc = float(w.max() - w.min())
+    hold = 0.0
+    for k in np.argsort(d0)[1:]:
+        scale = d0[k] ** holder_alpha
+        if osc / scale <= hold:
+            break
+        step = np.unravel_index(k, shape)
+        hold = max(hold, float(np.max(np.abs(lattice_roll(w, shape, step) - w))) / scale)
     report = {
         "n_centers": int(centers.shape[0]),
         "rho": float(rho),

@@ -32,6 +32,7 @@ from .manifold import (
     cap_quadrature,
     d0_many,
     grid_axes,
+    is_count,
     sample_ball,
     sample_manifold,
     torus_delta,
@@ -677,8 +678,8 @@ def _density(m: Manifold, field: WeightField):
 
 def check_ball_budget(budget: int) -> None:
     """InputError unless budget is enough samples for one ball mass."""
-    if budget < 100:
-        raise InputError("mu_f_ball budget must be >= 100")
+    if not is_count(budget, 100):
+        raise InputError(f"mu_f_ball budget must be >= 100 and an integer, got {budget!r}")
 
 
 def mu_f_ball(m: Manifold, field: WeightField, b: BallSpec, budget: int = 20_000, seed: int = 0):
@@ -690,6 +691,6 @@ def mu_f_ball(m: Manifold, field: WeightField, b: BallSpec, budget: int = 20_000
 def total_mass(m: Manifold, field: WeightField, budget: int = 100_000, seed: int = 0):
     """(mass, standard error) of mu_f(M), by ball_integral over all of M; a
     standard error needs a budget of at least 2 samples."""
-    if budget < 2:
-        raise InputError(f"total_mass needs a sample count of at least 2, got {budget}")
+    if not is_count(budget, 2):
+        raise InputError(f"total_mass needs an integer sample count of at least 2, got {budget!r}")
     return ball_integral(m, field, None, *_density(m, field), budget, seed, "weight samples")

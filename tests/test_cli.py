@@ -21,8 +21,9 @@ from conflab.experiments import (
     run,
     weak_star_test,
 )
-from conflab.manifold import Manifold
-from conflab.metric import DistanceMatrix
+from conflab.diagnostics import d0_matrix
+from conflab.manifold import Manifold, lattice
+from conflab.metric import DistanceMatrix, build_graph, shortest_paths
 from conflab.schrodinger import GridGeometry, GridOperator, lowest_eigenpair
 from conflab.weight import BuragoTorus, Constant, LogCusp, SphereBubble, Sum
 
@@ -66,6 +67,42 @@ def test_reports_bit_identical(tmp_path):
     b = (tmp_path / "b" / "report.json").read_bytes()
     # reports are bit-identical once the echoed output path is normalized
     assert a.replace(b"/a", b"/x") == b.replace(b"/b", b"/x")
+
+
+# a coarse flat-identity spec whose every pair is cheap to solve
+COARSE_FLAT = {
+    "name": "flat-identity",
+    "graph": {"spacing": 0.25, "eps": 0.75, "eps_schedule": [1.5, 1.0, 0.75], "pairs": 10, "refine_pairs": 3},
+}
+
+
+def _flag_value(report, criterion):
+    (value,) = [f["value"] for f in report.flags if f["criterion"] == criterion]
+    return value
+
+
+def _run_at(tmp_path, doc, seed):
+    return run(ExperimentSpec.from_dict(dict(doc, seed=seed, output_dir=str(tmp_path / f"{doc['name']}-{seed}"))))
+
+
+def test_c1_pairs_is_the_max_over_every_pair(tmp_path):
+    report = _run_at(tmp_path, COARSE_FLAT, 1)
+    g = COARSE_FLAT["graph"]
+    m = Manifold.torus(2)
+    pts = lattice(m, g["spacing"], cover=True)
+    d = shortest_paths(build_graph(m, pts, g["eps"], Constant(0.0)), None).values
+    d0 = d0_matrix(m, pts).values
+    far = d0 >= 4 * g["spacing"]
+    brute = float(np.max(np.abs(d[far] - d0[far]) / d0[far]))
+    assert _flag_value(report, "C1-pairs") == pytest.approx(brute, rel=1e-12, abs=0)
+
+
+def test_exact_sups_do_not_depend_on_the_seed(tmp_path):
+    # seeds whose sampled sups differed
+    c1 = [_flag_value(_run_at(tmp_path, COARSE_FLAT, seed), "C1-pairs") for seed in (1, 4)]
+    assert c1[0] == pytest.approx(c1[1], rel=1e-12, abs=0)
+    schrod = {"name": "schrodinger", "budgets": {"shape": [8, 8, 8], "decomp_shape": [8, 8, 8]}}
+    assert _run_at(tmp_path, schrod, 1).stages == _run_at(tmp_path, schrod, 2).stages
 
 
 def test_malformed_spec_exit_code(tmp_path, capsys):

@@ -10,7 +10,6 @@ from conflab.diagnostics import (
     d0_matrix,
     default_eta,
     doubling_constant,
-    holder_seminorm,
     isoperimetric_ratio,
     reverse_holder,
     strong_ratio,
@@ -218,22 +217,15 @@ def test_biholder_needs_pairs(square_mats):
         biholder_fit(tiny, tiny)
 
 
-def test_holder_seminorm_d0(square_mats):
-    t2, pts, dm, d0m = square_mats
-    h = holder_seminorm(d0m, d0m, 1.0, seed=4)
-    assert h <= 1.0 + 1e-12
-    assert h >= 0.98  # structured quadruples approach the triangle bound
-    assert holder_seminorm(dm, d0m, 1.0, seed=4) >= 0.0
-
-
-def test_holder_seminorm_burago_envelope(torus2):
+def test_lipschitz_envelope_burago(torus2):
     pts = lattice(torus2, 0.25)
     d0m = d0_matrix(torus2, pts)
+    far = d0m.values > 0
     worst = 0.0
     for ell in (1, 2, 4):
         g = build_graph(torus2, pts, 3 * pts.spacing, BuragoTorus(ell))
         dm = shortest_paths(g, None)
-        worst = max(worst, holder_seminorm(dm, d0m, 1.0, seed=5))
+        worst = max(worst, float(np.max(dm.values[far] / d0m.values[far])))
     # Lipschitz envelope: max e^f = (3/2)^{1/2}, plus graph overshoot
     assert worst <= np.sqrt(1.5) * 1.03
 
@@ -347,6 +339,11 @@ def test_default_eta(torus2, sphere2):
         (lambda t2, dm, d0m: isoperimetric_ratio(t2, Constant(0.0), [], seed=1),
          "at least one domain"),
         (lambda t2, dm, d0m: BallSampler(lattice(t2, 2.5), ()), "at least one radius"),
+        (lambda t2, dm, d0m: BallSampler(lattice(t2, 2.5), (np.nan,)), "positive and finite"),
+        (lambda t2, dm, d0m: BallSampler(lattice(t2, 2.5), (0.4, np.inf)), "positive and finite"),
+        (lambda t2, dm, d0m: reverse_holder(t2, Constant(0.0), 2.0,
+                                            BallSampler(lattice(t2, 2.5), (0.4,)), np.nan),
+         "sample count must be >= 1 and an integer"),
         (lambda t2, dm, d0m: BallSampler(PointSet(points=np.zeros((0, 2)), spacing=1.0), (0.4,)),
          "one center"),
         (lambda t2, dm, d0m: reverse_holder(t2, Constant(0.0), np.nan,
@@ -363,7 +360,8 @@ def test_default_eta(torus2, sphere2):
          "needs a torus or a box"),
     ],
     ids=["biholder-misaligned", "isoperimetric-non-domain", "isoperimetric-no-domain",
-         "sampler-no-radius", "sampler-no-center", "reverse-holder-nan-q", "ap-inf-p",
+         "sampler-no-radius", "sampler-nan-radius", "sampler-inf-radius", "reverse-holder-nan-budget",
+         "sampler-no-center", "reverse-holder-nan-q", "ap-inf-p",
          "isoperimetric-sphere-ball", "isoperimetric-sphere-box"],
 )
 def test_diagnostics_rejects_bad_inputs(square_mats, call, words):

@@ -384,9 +384,10 @@ def test_point_validation(sphere2):
     sphere2.check_points(N_POLE)
 
 
-@pytest.mark.parametrize("count", [0, -3])
+@pytest.mark.parametrize("count", [0, -3, np.nan, 2.5])
 def test_sample_manifold_needs_a_sample(torus2, count):
-    # no sample used to end in a ZeroDivisionError in the weights
+    # no sample used to end in a ZeroDivisionError in the weights, and NaN
+    # or a fraction in a TypeError
     with pytest.raises(InputError, match="sample count must be >= 1"):
         sample_manifold(torus2, count)
 
@@ -405,10 +406,12 @@ def test_sample_manifold_needs_a_sample(torus2, count):
         (lambda: Manifold.sphere(2, np.nan), "radius must be positive and finite"),
         (lambda: Manifold.torus(2, ["a", 1.0]), "torus periods must be numbers"),
         (lambda: Manifold.box([["a", 1], [0, 1]]), "box extents must be numbers"),
+        (lambda: Manifold.sphere(2, "a"), "sphere radius must be numbers"),
+        (lambda: Manifold.torus("a"), "dimension must be >= 2 and an integer"),
     ],
     ids=["torus-dim-1", "torus-periods", "box-1d", "box-flat-axis", "sphere-dim-5",
          "sphere-radius-0", "torus-inf-period", "box-inf-extent", "sphere-nan-radius",
-         "torus-text-period", "box-text-extent"],
+         "torus-text-period", "box-text-extent", "sphere-text-radius", "torus-text-dim"],
 )
 def test_manifold_constructors_reject_bad_arguments(build, words):
     with pytest.raises(InputError, match=words):
@@ -419,3 +422,14 @@ def test_lattice_rejects_nan_spacing(torus2):
     # NaN passed the positivity test and failed converting a node count to int
     with pytest.raises(InputError, match="spacing must be positive"):
         lattice(torus2, np.nan)
+
+
+@pytest.mark.parametrize(
+    "spacing, words",
+    [("a", "lattice spacing must be numbers"), (np.inf, "spacing must be positive and finite")],
+    ids=["text", "inf"],
+)
+def test_lattice_rejects_a_spacing_that_is_no_finite_number(torus2, spacing, words):
+    # text failed comparing with 0, and an infinite spacing gave one node
+    with pytest.raises(InputError, match=words):
+        lattice(torus2, spacing)

@@ -456,7 +456,7 @@ def decomposition():
     dx = dgeom.nodes()
     V = 0.01 * np.cos(2 * np.pi * dx[:, 0] / L) * np.sin(2 * np.pi * dx[:, 1] / L)
     op = GridOperator(dgeom, V)
-    return dgeom, op, decompose_ground_state(op, 0.8, seed=3)
+    return dgeom, op, decompose_ground_state(op, 0.8)
 
 
 def test_decomposition_reconstruction(decomposition):
@@ -464,6 +464,15 @@ def test_decomposition_reconstruction(decomposition):
     phi = lowest_eigenpair(op).phi
     assert dec.report["reconstruction_error"] <= 1e-8
     assert np.max(np.abs(np.exp(dec.f + dec.w) - phi)) <= 1e-8
+
+
+def test_decomposition_holder_seminorm_is_over_every_pair(decomposition):
+    dgeom, op, dec = decomposition
+    x = dgeom.nodes()
+    d0 = d0_many(dgeom.manifold, x[:, None], x[None])
+    off = d0 > 0
+    brute = float(np.max(np.abs(dec.w[:, None] - dec.w[None])[off] / d0[off] ** 0.5))
+    assert dec.report["holder_seminorm_w"] == pytest.approx(brute, rel=1e-12, abs=0)
 
 
 def test_functional_constants_are_computed_once_per_grid(decomposition):
@@ -488,7 +497,7 @@ def test_decomposition_trivial(decomposition):
     dgeom, *_ = decomposition
     n = int(np.prod(dgeom.shape))
     op0 = GridOperator(dgeom, np.zeros(n))
-    dec = decompose_ground_state(op0, 0.8, seed=1)
+    dec = decompose_ground_state(op0, 0.8)
     assert np.abs(dec.f).max() <= 1e-10
     assert np.abs(dec.w - dec.w[0]).max() <= 1e-10
 
@@ -497,7 +506,7 @@ def test_decomposition_norm_scaling(decomposition):
     dgeom, op, dec = decomposition
     norms = {1.0: dec.report["df_ln"]}
     for t in (0.5, 0.25):
-        dt = decompose_ground_state(GridOperator(dgeom, t * op.V), 0.8, seed=3)
+        dt = decompose_ground_state(GridOperator(dgeom, t * op.V), 0.8)
         norms[t] = dt.report["df_ln"]
     for t in (0.5, 0.25):
         assert abs(norms[t] / (t * norms[1.0]) - 1.0) <= 0.2
@@ -515,7 +524,7 @@ def _counted_decomposition(monkeypatch, dgeom, V):
         return gs_shift_c0(*args, **kwargs)
 
     monkeypatch.setattr(sc, "gs_shift_c0", counted)
-    return decompose_ground_state(GridOperator(dgeom, V), 0.8, seed=3), calls
+    return decompose_ground_state(GridOperator(dgeom, V), 0.8), calls
 
 
 def test_decomposition_solves_one_center_per_orbit(decomposition, monkeypatch):

@@ -601,9 +601,19 @@ def _box_grid(shape):
         (lambda t2: LogCusp((1.0, 1.0), np.nan), "r0 must be positive and finite"),
         (lambda t2: LogCusp((1.0, 1.0), 0.5, np.nan), "cap must be positive"),
         (lambda t2: total_mass(t2, BuragoTorus(1), 1), "sample count of at least 2"),
+        (lambda t2: total_mass(t2, BuragoTorus(1), np.nan), "integer sample count"),
+        (lambda t2: total_mass(t2, BuragoTorus(1), 2.5), "integer sample count"),
+        (lambda t2: mu_f_ball(t2, BuragoTorus(1), whole_manifold_ball(t2), budget=np.nan),
+         "budget must be >= 100 and an integer"),
+        (lambda t2: mu_f_ball(t2, BuragoTorus(1), whole_manifold_ball(t2), budget=2000.5),
+         "budget must be >= 100 and an integer"),
+        (lambda t2: weak_star_test(t2, [("ell=1", BuragoTorus(1))], ["1"], np.nan),
+         "budget must be >= 2 and an integer"),
     ],
     ids=["burago-ell-0", "nan-grid", "grid-manifold-kind", "grid-order-2", "cubic-box-2-nodes",
-         "log-cusp-nan-r0", "log-cusp-nan-cap", "total-mass-one-sample"],
+         "log-cusp-nan-r0", "log-cusp-nan-cap", "total-mass-one-sample", "total-mass-nan-budget",
+         "total-mass-fractional-budget", "ball-nan-budget", "ball-fractional-budget",
+         "weak-star-nan-budget"],
 )
 def test_weights_reject_bad_inputs(torus2, call, words):
     with pytest.raises(InputError, match=words):

@@ -71,7 +71,6 @@ KEPT = {
     "curvature.PinchingReport.sup_abs": PINNED,
     "diagnostics.BoxDomain": "box domains of the isoperimetric sweep (ROADMAP item 5)",
     "diagnostics._box_boundary_quadrature": "box perimeters (ROADMAP item 5)",
-    "diagnostics.holder_seminorm": "the Hoelder part of box decompositions (ROADMAP item 9)",
     "diagnostics.StrongRatioResult.n_pairs": TRACER,
     "diagnostics.StrongRatioResult.theta_strong_mid": PINNED,
     "manifold.PointSet.cell_volume": "node masses of metric balls (ROADMAP item 17)",
