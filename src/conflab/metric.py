@@ -402,6 +402,10 @@ def build_graph(
     puts those blocks in, so lattice graphs are checked by their offsets;
     kd-tree graphs count their connected components.
     """
+    e = float_array(eps, "eps")
+    if e.ndim or not 0 < e < np.inf:  # NaN too
+        raise InputError(f"eps must be positive and finite, got {eps!r}")
+    eps = float(e)
     if eps < 3.0 * points.spacing - 1e-12:
         raise InputError(
             f"eps = {eps} violates the connectivity requirement "

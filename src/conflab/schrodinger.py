@@ -51,7 +51,16 @@ from scipy.sparse import csr_matrix, diags, kronsum
 from scipy.sparse.linalg import splu  # noqa: F401  perfbench's tracer rebinds splu
 
 from .errors import InputError, NumericError
-from .manifold import Manifold, PointSet, d0_many, equal_slab_axes, lattice, lattice_orbits, lattice_roll
+from .manifold import (
+    Manifold,
+    PointSet,
+    d0_many,
+    equal_slab_axes,
+    is_count,
+    lattice,
+    lattice_orbits,
+    lattice_roll,
+)
 from .weight import NodeGrid
 
 
@@ -84,10 +93,14 @@ class GridGeometry(NodeGrid):
     def __post_init__(self):
         if self.manifold.kind not in ("torus", "box"):
             raise InputError("grid operators live on tori and boxes only")
-        if len(self.shape) != self.manifold.dim:
-            raise InputError(f"grid shape {self.shape} needs {self.manifold.dim} entries, one per axis")
-        if any(s < 8 for s in self.shape):
-            raise InputError("grid size must be >= 8 per axis")
+        try:
+            entries = len(self.shape)
+        except TypeError:  # a scalar
+            entries = 0
+        if entries != self.manifold.dim:
+            raise InputError(f"grid shape {self.shape!r} needs {self.manifold.dim} entries, one per axis")
+        if not all(is_count(s, 8) for s in self.shape):
+            raise InputError(f"grid size must be an integer >= 8 per axis, got {self.shape!r}")
 
     @property
     def dim(self) -> int:

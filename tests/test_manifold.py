@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -301,27 +303,36 @@ def test_sample_ball_deterministic(torus2):
 
 
 def _row_major_ball(m, b, count, seed):
-    """sample_ball's flat draws placed in the row-major (count, n) block one
-    axis column at a time, wrapped by np.mod: the reference for its
-    axis-major placement."""
+    """sample_ball's flat draws, one row per point, wrapped by np.mod: the
+    reference for its axis-major placement.  Below n = 5 each round keeps
+    the rows v of a uniform block on [-1, 1)^n with |v|^2 < 1 as c + r v;
+    from n = 5 on it draws c + r U^{1/n} g/|g| count times."""
     rng = derive_rng(seed, "ball")
     volume = _closed_form_volume(m, b)
-    n, c = m.dim, np.asarray(b.center, dtype=float)
+    n, c, r = m.dim, np.asarray(b.center, dtype=float), b.radius
     lo, hi = (c - m.periods / 2.0, c + m.periods / 2.0) if m.kind == "torus" else m.extents.T
+    cube = unit_ball_volume(n) / 2.0**n
+    first = math.ceil((count + 3 * math.sqrt(count) + 1) / cube)
     kept, accepted, drawn = [], 0, 0
     while accepted < count:
-        pts = rng.standard_normal((count, n))
-        rad = b.radius * rng.random(count) ** (1.0 / n) / np.sqrt(np.einsum("ij,ij->i", pts, pts))
-        inside = np.ones(count, dtype=bool)
-        for a in range(n):
-            col = pts[:, a]
-            col *= rad
-            col += c[a]
-            if volume is None:
-                inside &= (col >= lo[a]) & (col < hi[a])
-        kept.append(pts[inside])
-        accepted += int(inside.sum())
-        drawn += count
+        if n <= 4:
+            need = count - accepted
+            share = cube * accepted / drawn if accepted else cube
+            k = min(math.ceil((need + 3 * math.sqrt(need) + 1) / share), first)
+            v = rng.uniform(-1.0, 1.0, (n, k)).T
+            sq = np.zeros(k)
+            for a in range(n):
+                sq += v[:, a] ** 2
+            pts = r * v[sq < 1.0]
+        else:
+            pts = rng.standard_normal((count, n))
+            pts *= (r * rng.random(count) ** (1.0 / n) / np.sqrt(np.einsum("ij,ij->i", pts, pts)))[:, None]
+        drawn += len(pts)
+        pts += c
+        if volume is None:
+            pts = pts[np.all((pts >= lo) & (pts < hi), axis=1)]
+        kept.append(pts)
+        accepted += len(pts)
     pts = np.concatenate(kept)[:count]
     if m.kind == "torus":
         y = np.mod(pts, m.periods)
@@ -332,7 +343,7 @@ def _row_major_ball(m, b, count, seed):
     return pts, np.full(count, volume[0] / count), volume[1]
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 5])
 @pytest.mark.parametrize(
     "kind, center, radius",
     [("torus", 3.0, 1.0), ("torus", 0.0, 1.0), ("torus", 1.0, 3.5), ("box", 0.2, 0.5)],
@@ -408,10 +419,13 @@ def test_sample_manifold_needs_a_sample(torus2, count):
         (lambda: Manifold.box([["a", 1], [0, 1]]), "box extents must be numbers"),
         (lambda: Manifold.sphere(2, "a"), "sphere radius must be numbers"),
         (lambda: Manifold.torus("a"), "dimension must be >= 2 and an integer"),
+        (lambda: Manifold.sphere(2.0), "dimension must be in"),
+        (lambda: Manifold.sphere("a"), "dimension must be in"),
     ],
     ids=["torus-dim-1", "torus-periods", "box-1d", "box-flat-axis", "sphere-dim-5",
          "sphere-radius-0", "torus-inf-period", "box-inf-extent", "sphere-nan-radius",
-         "torus-text-period", "box-text-extent", "sphere-text-radius", "torus-text-dim"],
+         "torus-text-period", "box-text-extent", "sphere-text-radius", "torus-text-dim",
+         "sphere-float-dim", "sphere-text-dim"],
 )
 def test_manifold_constructors_reject_bad_arguments(build, words):
     with pytest.raises(InputError, match=words):

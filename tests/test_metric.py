@@ -61,6 +61,17 @@ def test_connectivity_precondition(torus2):
     assert "eps >= 3 * spacing" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "eps, words",
+    [(np.nan, "positive and finite"), (np.inf, "positive and finite"), ("a", "eps must be numbers")],
+    ids=["nan", "inf", "text"],
+)
+def test_build_graph_rejects_a_bad_eps(torus2, eps, words):
+    # NaN and inf used to fail converting a reach to int, text comparing it
+    with pytest.raises(InputError, match=words):
+        build_graph(torus2, lattice(torus2, 0.5), eps, Constant(0.0))
+
+
 def test_graph_on_points_just_below_zero(torus2):
     pts = PointSet(points=np.array([[-1e-17, 0.0], [0.3, 0.0], [0.6, 0.0]]), spacing=0.3)
     g = build_graph(torus2, pts, 0.9, Constant(0.0))

@@ -1,7 +1,7 @@
-"""Property tests: the flat-ball sampler, the torus wraps, the torus/box
-node grid shared by lattices and grid fields, the d0 metric axioms, the
-e^{nc} scaling of ball masses, nearest-node snapping on lattices, the
-eps-graph distances (metric axioms, e^c scaling,
+"""Property tests: the flat-ball sampler and the law of its draws, the
+torus wraps, the torus/box node grid shared by lattices and grid fields,
+the d0 metric axioms, the e^{nc} scaling of ball masses, nearest-node
+snapping on lattices, the eps-graph distances (metric axioms, e^c scaling,
 monotonicity in eps and in the LogCusp cap, the one-solve-per-orbit shortest
 paths against per-source Dijkstra, and the lattice orbit
 representatives and translations behind it), the connectivity of accepted
@@ -22,6 +22,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
+from scipy.integrate import quad
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 import conflab.metric as mt
@@ -84,11 +86,13 @@ def _in_manifold(m, pts):
     return np.all((pts >= m.extents[:, 0]) & (pts <= m.extents[:, 1]))
 
 
-def _wrapped_disc_area(r):
-    # disc of radius pi < r < pi sqrt(2) on the 2pi-torus: the square minus
-    # four disjoint circular segments at distance pi from the center
-    h = np.pi
-    return np.pi * r**2 - 4 * (r**2 * np.arccos(h / r) - h * np.sqrt(r**2 - h**2))
+def _wrapped_ball_volume(n, r):
+    # ball of radius pi < r < pi sqrt(2) on the 2pi n-torus: the ball minus
+    # 2n disjoint caps beyond the faces at distance pi from the center, each
+    # a stack of (n - 1)-balls of radius sqrt(r^2 - x^2) for pi < x < r
+    # (in the plane, four circular segments r^2 acos(pi/r) - pi sqrt(r^2 - pi^2))
+    cap, _ = quad(lambda x: (r * r - x * x) ** ((n - 1) / 2), np.pi, r, epsabs=0.0, epsrel=1e-12)
+    return unit_ball_volume(n) * r**n - 2 * n * unit_ball_volume(n - 1) * cap
 
 
 @PROPS
@@ -157,11 +161,33 @@ def test_cut_and_wrapped_volumes_within_four_sigma(shape, t, seed):
     else:
         r = np.pi * (1 + t * (np.sqrt(2) - 1))
         m, b = TORUS2, BallSpec(np.array([t, 2 * np.pi * t]), r)
-        exact = _wrapped_disc_area(r)
+        exact = _wrapped_ball_volume(2, r)
     _, w, se = sample_ball(m, b, 2000, seed)
     assert se > 0.0
     assert abs(w.sum() - exact) <= 4 * se
     assert _closed_form_volume(m, b) is None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_flat_ball_draws_are_uniform(n):
+    # both draws (the cube's below n = 5, the Gaussian's above): in a whole
+    # ball (|x - c| / r)^n is U(0, 1) and each coordinate has second moment
+    # r^2 / (n + 2); a wrapping and a face-cut ball read their exact volume
+    count, r = 20_000, 1.0
+    m, c = Manifold.torus(n), np.full(n, np.pi)
+    pts, _, se = sample_ball(m, BallSpec(c, r), count, seed=n)
+    y = pts - c
+    assert se == 0.0 and stats.kstest((np.sqrt(np.sum(y * y, axis=1)) / r) ** n, "uniform").pvalue > 1e-3
+    m2, m4 = r**2 / (n + 2), 3 * r**4 / ((n + 2) * (n + 4))
+    assert np.all(np.abs(np.mean(y * y, axis=0) - m2) <= 4 * np.sqrt((m4 - m2 * m2) / count))
+    r = 1.2 * np.pi
+    cases = [
+        (m, BallSpec(np.full(n, 1.0), r), _wrapped_ball_volume(n, r)),
+        (Manifold.box([[0.0, 1.0]] * n), BallSpec(np.ones(n), 0.7), unit_ball_volume(n) * 0.35**n),
+    ]
+    for mc, b, exact in cases:
+        _, w, se = sample_ball(mc, b, count, seed=n)
+        assert se > 0.0 and abs(w.sum() - exact) <= 4 * se
 
 
 @PROPS

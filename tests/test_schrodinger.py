@@ -136,11 +136,19 @@ def test_grid_size_guard():
         GridGeometry(Manifold.torus(3, [L, L, L]), (6, 12, 12))
 
 
-@pytest.mark.parametrize("shape", [(12, 12), (12, 12, 12, 12)])
+@pytest.mark.parametrize("shape", [(12, 12), (12, 12, 12, 12), 12])
 def test_grid_shape_needs_one_entry_per_axis(shape):
-    # a shape of the wrong length used to end in a numpy broadcast error
+    # a shape of the wrong length used to end in a numpy broadcast error,
+    # and a scalar in a TypeError
     with pytest.raises(InputError, match="needs 3 entries"):
         GridGeometry(Manifold.torus(3, [L, L, L]), shape)
+
+
+@pytest.mark.parametrize("shape", [("a", 8, 8), (8.5, 8, 8)], ids=["text", "fraction"])
+def test_grid_shape_needs_integer_entries(shape):
+    # text used to end in a raw TypeError, and a fraction was accepted
+    with pytest.raises(InputError, match="integer >= 8 per axis"):
+        GridGeometry(Manifold.torus(3), shape)
 
 
 def test_zero_potential(geom):
