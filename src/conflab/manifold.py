@@ -218,10 +218,21 @@ class BallSpec:
     radius: float
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.center)):
+        if not np.all(np.isfinite(float_array(self.center, "ball center"))):
             raise InputError("ball center must have finite coordinates")
-        if not (np.isfinite(self.radius) and self.radius > 0):
+        radius = float_array(self.radius, "ball radius")
+        if radius.ndim or not (np.isfinite(radius) and radius > 0):
             raise InputError("ball radius must be positive and finite")
+
+
+def check_ball(m: Manifold, b: BallSpec) -> None:
+    """InputError unless b's center has m's ambient dimension (a length
+    check: no pass over any samples)."""
+    if np.shape(b.center) != (m.ambient_dim,):
+        raise InputError(
+            f"ball center of shape {np.shape(b.center)} does not match manifold "
+            f"ambient dimension {m.ambient_dim}"
+        )
 
 
 def whole_manifold_ball(m: Manifold) -> BallSpec:
@@ -696,6 +707,7 @@ def sample_ball(m: Manifold, b: BallSpec, count: int, seed: int = 0):
     """
     if not is_count(count, 1):
         raise InputError(f"sample count must be >= 1 and an integer, got {count!r}")
+    check_ball(m, b)
     if b.radius >= m.max_distance:
         pts, w = sample_manifold(m, count, seed)
         return pts, w, 0.0

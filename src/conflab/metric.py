@@ -576,7 +576,10 @@ def refine_distance(
     chord sets and the per-pair distances decrease monotonically toward the
     metric.  A pair whose ends snap to one node of it raises InputError.
     """
-    eps_schedule = np.asarray(sorted(set(float(e) for e in eps_schedule), reverse=True))
+    eps_schedule = float_array(eps_schedule, "eps schedule")
+    if eps_schedule.ndim != 1:
+        raise InputError("eps schedule must be a list of numbers")
+    eps_schedule = np.asarray(sorted(set(eps_schedule.tolist()), reverse=True))
     if eps_schedule.size < 2:
         raise InputError("eps schedule needs at least two decreasing entries")
     points = lattice(m, float(eps_schedule.min()) / 3.0, cover=True)

@@ -19,7 +19,11 @@ state per orbit of cover centers under the grid translations that leave its
 problem unchanged: along an axis where V is constant (exact ==, slab by
 slab) and the center spacing is a whole number of grid steps, a center takes
 its representative's shift and translated log ground state, provided its
-ball mask is exactly the translated mask.
+ball mask is exactly the translated mask.  The solved centers' fixed points
+run as one batch: each Picard step applies the stencil and the spectral
+inverse once to the block of every local problem still running, while each
+problem keeps its own norms, checks and stop, so every local v is bit for
+bit its own fixed point's.
 
 Discrete square gradient: the fixed point uses
     G(v) = Delta v - e^{-v} Delta(e^v)
@@ -106,7 +110,7 @@ class GridGeometry(NodeGrid):
     def dim(self) -> int:
         return self.manifold.dim
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.axis_spacing))
 
@@ -122,22 +126,29 @@ class GridGeometry(NodeGrid):
         return self.laplacian @ np.ravel(u)
 
     def grad_forward(self, u: np.ndarray) -> np.ndarray:
-        """(dim, N) forward differences: wrapped to the first slab on the
+        """(dim, N) forward differences of a node vector u (N,), or
+        (dim, N, k) of a block (N, k): wrapped to the first slab on the
         torus, 0 past the last slab of a box (its last slab is repeated)."""
-        u = u.reshape(self.shape)
+        x = np.reshape(u, self.shape + np.shape(u)[1:])
         edge = 0 if self.manifold.kind == "torus" else -1
         return np.stack([
-            (np.diff(u, axis=a, append=np.take(u, [edge], axis=a)) / h).reshape(-1)
+            (np.diff(x, axis=a, append=np.take(x, [edge], axis=a)) / h).reshape(np.shape(u))
             for a, h in enumerate(self.axis_spacing)
         ])
+
+    def grad_magnitude(self, u: np.ndarray) -> np.ndarray:
+        """|du| at each node from ``grad_forward``, shaped like u; the
+        squares are summed axis by axis, so no (dim, N, k) square is held."""
+        square = 0.0
+        for g in self.grad_forward(u):
+            square = square + g * g
+        return np.sqrt(square)
 
     def lp_norm(self, u: np.ndarray, p: float) -> float:
         return float(np.sum(np.abs(u) ** p) * self.cell_volume) ** (1.0 / p)
 
     def grad_lp_norm(self, u: np.ndarray, p: float) -> float:
-        g = self.grad_forward(u)
-        mag = np.sqrt(np.sum(g * g, axis=0))
-        return self.lp_norm(mag, p)
+        return self.lp_norm(self.grad_magnitude(u), p)
 
     @cached_property
     def symbol(self) -> np.ndarray:
@@ -413,9 +424,10 @@ def gs_shift_c0(
 
 def discrete_grad_square(geom: GridGeometry, v: np.ndarray) -> np.ndarray:
     """G(v) = Delta v - e^{-v} Delta e^v, the exponential-consistent discrete
-    |dv|^2 (pointwise nonnegative)."""
+    |dv|^2 (pointwise nonnegative), for node vectors v of shape (N,) or
+    (N, k)."""
     ev = np.exp(v)
-    return geom.lap(v) - geom.lap(ev) / ev
+    return geom.laplacian @ v - (geom.laplacian @ ev) / ev
 
 
 @dataclass
@@ -428,9 +440,65 @@ class FixedPointResult:
     v_norm_bound: float  # 2 A ||V||_{n/2}
 
 
+def _fixed_points(geom: GridGeometry, V: np.ndarray):
+    """Picard iterations of S(v) = Delta^{-1} (V + G(v)) from v = 0 for the
+    k potentials in the columns of V (N, k), run as one batch.
+
+    Each step applies G and Delta^{-1} once to the (N, k) block of the
+    problems still running (``discrete_grad_square``, then
+    ``GridGeometry.spectral``) and takes the block's gradient magnitudes,
+    all entrywise arithmetic that rounds each column as it would alone.
+    Each problem sums its own norms from its column (a sum over the block
+    would round differently) and stops once its W^{1,n} step is at most
+    1e-11, so every column is bit for bit what the problem gives alone.
+    A potential with ||V||_{n/2} >= 1/(8 A^2), A the grid's
+    ``grad_inv_constant``, an iterate leaving the contraction ball
+    ||dv||_n <= 1/(4A), or a problem still running after 400 steps raises
+    NumericError.  Returns v (N, k) and, per problem, the step count and
+    the last ||dv||_n.
+    """
+    p = float(geom.dim)
+    A = geom.grad_inv_constant
+    threshold = 1.0 / (8.0 * A**2)
+    for j in range(V.shape[1]):
+        v_norm = geom.lp_norm(V[:, j], p / 2.0)
+        if v_norm >= threshold:
+            raise NumericError(
+                f"||V||_{{n/2}} = {v_norm:.4g} is not below the contraction "
+                f"threshold 1/(8 A^2) = {threshold:.4g} (A = {A:.4g})"
+            )
+    rho = 1.0 / (4.0 * A)
+    v = np.zeros_like(V)
+    iterations = np.zeros(V.shape[1], dtype=int)
+    dv = np.zeros(V.shape[1])
+    gap = np.full(V.shape[1], np.inf)
+    active = np.arange(V.shape[1])
+    for it in range(1, 401):
+        block = v[:, active]
+        new = geom.spectral(V[:, active] + discrete_grad_square(geom, block), geom._symbol_inverse)
+        diff = new - block
+        grad_diff, grad_new = geom.grad_magnitude(diff), geom.grad_magnitude(new)
+        for col, j in enumerate(active):
+            gap[j] = geom.lp_norm(diff[:, col], p) + geom.lp_norm(grad_diff[:, col], p)
+            dv[j] = geom.lp_norm(grad_new[:, col], p)
+            if dv[j] > rho:
+                raise NumericError(
+                    f"fixed-point iterate left the contraction ball: ||dv||_n = "
+                    f"{dv[j]:.4g} > rho = {rho:.4g}"
+                )
+        v[:, active] = new
+        iterations[active] = it
+        active = active[~(gap[active] <= 1e-11)]
+        if not active.size:
+            return v, iterations, dv
+    raise NumericError(f"fixed point did not converge; last gap {gap[active].max():.3e}")
+
+
 def log_gradient_fixedpoint(op: GridOperator) -> FixedPointResult:
     """Picard iteration of S(v) = Delta^{-1} V + Delta^{-1} G(v) from v = 0,
-    until the W^{1,n} step is at most 1e-11 (at most 400 iterations).
+    until the W^{1,n} step is at most 1e-11 (at most 400 iterations): the
+    batch core that solves ``decompose_ground_state``'s local problems
+    together, run on this one potential, with the report fields added.
 
     Requires the smallness ||V||_{n/2} < 1/(8 A^2) with A the grid's
     ``grad_inv_constant``; iterates leaving the contraction ball
@@ -438,43 +506,18 @@ def log_gradient_fixedpoint(op: GridOperator) -> FixedPointResult:
     """
     geom = op.geom
     n = geom.dim
-    A = geom.grad_inv_constant
-    v_norm = geom.lp_norm(op.V, n / 2.0)
-    threshold = 1.0 / (8.0 * A**2)
-    if v_norm >= threshold:
-        raise NumericError(
-            f"||V||_{{n/2}} = {v_norm:.4g} is not below the contraction "
-            f"threshold 1/(8 A^2) = {threshold:.4g} (A = {A:.4g})"
-        )
-    rho = 1.0 / (4.0 * A)
-    v = np.zeros(op.V.size)
-    gap = np.inf
-    for it in range(1, 401):
-        rhs = op.V + discrete_grad_square(geom, v)
-        v_new = geom.lap_inverse(rhs)
-        diff = v_new - v
-        gap = geom.lp_norm(diff, float(n)) + geom.grad_lp_norm(diff, float(n))
-        v = v_new
-        dv = geom.grad_lp_norm(v, float(n))
-        if dv > rho:
-            raise NumericError(
-                f"fixed-point iterate left the contraction ball: ||dv||_n = "
-                f"{dv:.4g} > rho = {rho:.4g}"
-            )
-        if gap <= 1e-11:
-            break
-    else:
-        raise NumericError(f"fixed point did not converge; last gap {gap:.3e}")
+    block, iterations, dv = _fixed_points(geom, op.V[:, None])
+    v = block[:, 0]
     g_final = discrete_grad_square(geom, v)
     c = -np.mean(op.V + g_final)
     residual = geom.lp_norm(geom.lap(v) - g_final - op.V - c, n / 2.0)
     return FixedPointResult(
         v=v,
         c=float(c),
-        iterations=it,
+        iterations=int(iterations[0]),
         residual_n2=float(residual),
-        dv_norm=dv,
-        v_norm_bound=float(2.0 * A * v_norm),
+        dv_norm=float(dv[0]),
+        v_norm_bound=float(2.0 * geom.grad_inv_constant * geom.lp_norm(op.V, n / 2.0)),
     )
 
 
@@ -542,7 +585,11 @@ def decompose_ground_state(
     takes the representative's c0 and its v moved by ``lattice_roll``,
     unless its own ball mask differs from the moved representative mask,
     in which case it is solved directly.  A V that varies along every axis
-    solves every center.
+    solves every center.  The work runs in three steps: ``gs_shift_c0`` once
+    per center solved directly, then all of those centers' fixed points in
+    one batch (the core of ``log_gradient_fixedpoint``, each v bit for bit
+    its own solve's), then each other center takes its representative's c0
+    and moved v.
     """
     geom = op.geom
     n = geom.dim
@@ -561,32 +608,33 @@ def decompose_ground_state(
         )
     phi = lowest_eigenpair(op).phi
     log_phi = np.log(phi)
-    f = np.zeros_like(log_phi)
-    w = np.zeros_like(log_phi)
-    chi_sum = np.zeros_like(log_phi)
-    chis, vs, vbars = [], [], []
-    shift_cs = []
     shape, cover_shape = geom.shape, cover.lattice_shape
     axes = [a for a in equal_slab_axes(op.V.reshape(shape), n) if shape[a] % cover_shape[a] == 0]
     reps, steps = lattice_orbits(cover_shape, axes, np.arange(len(centers)))
     steps = steps * (np.asarray(shape) // cover_shape)  # cover steps to grid steps
-    for c, d, mask, r, k in zip(centers, dists, masks, reps, steps):
-        if k.any() and np.array_equal(mask, lattice_roll(masks[r], shape, k)):
-            # an exact grid translate of its representative's local problem
-            c0, v = shift_cs[r], lattice_roll(vs[r], shape, k)
-        else:
-            q_i = -op.V * mask  # local operator Delta - V 1_B + c 1_comp
-            shift = gs_shift_c0(geom, q_i, c, rho, tol=1e-7, eig_tol=1e-9)
-            comp = (~mask).astype(float)
-            v_loc = op.V * mask - shift.c0 * comp
-            fp = log_gradient_fixedpoint(GridOperator(geom, v_loc))
-            c0, v = shift.c0, fp.v
-        shift_cs.append(c0)
-        vbar = float(np.mean(v[d <= 0.75 * rho]))
+    # an exact grid translate of its representative's local problem reuses it
+    reuse = [k.any() and np.array_equal(mask, lattice_roll(masks[r], shape, k))
+             for mask, r, k in zip(masks, reps, steps)]
+    shift_cs, v_locs = [], []
+    for c, mask, r, reused in zip(centers, masks, reps, reuse):
+        if reused:
+            shift_cs.append(shift_cs[r])
+            continue
+        q_i = -op.V * mask  # local operator Delta - V 1_B + c 1_comp
+        shift = gs_shift_c0(geom, q_i, c, rho, tol=1e-7, eig_tol=1e-9)
+        shift_cs.append(shift.c0)
+        v_locs.append(op.V * mask - shift.c0 * (~mask).astype(float))
+    solved = iter(_fixed_points(geom, np.column_stack(v_locs))[0].T)
+    f = np.zeros_like(log_phi)
+    w = np.zeros_like(log_phi)
+    chi_sum = np.zeros_like(log_phi)
+    chis, vs, vbars = [], [], []
+    for d, r, k, reused in zip(dists, reps, steps, reuse):
+        v = lattice_roll(vs[r], shape, k) if reused else next(solved)
         chi = bump(d / (0.75 * rho))
         chis.append(chi)
         vs.append(v)
-        vbars.append(vbar)
+        vbars.append(float(np.mean(v[d <= 0.75 * rho])))
         chi_sum += chi
     if chi_sum.min() <= 0:
         raise InputError("partition of unity failed to cover the grid")

@@ -30,6 +30,7 @@ from .manifold import (
     Manifold,
     PointSet,
     cap_quadrature,
+    check_ball,
     d0_many,
     grid_axes,
     is_count,
@@ -113,8 +114,8 @@ class BuragoTorus(WeightField):
     def validate(self, m):
         if m.kind != "torus":
             raise InputError("BuragoTorus is only defined on tori")
-        if self.ell < 1:
-            raise InputError("BuragoTorus frequency ell must be a positive integer")
+        if not is_count(self.ell, 1):
+            raise InputError(f"BuragoTorus frequency ell must be a positive integer, got {self.ell!r}")
         turns = self.ell * float(m.periods[0]) / (2 * pi)  # else f jumps at x1 = P1 ~ 0
         if abs(turns - round(turns)) > 1e-9 * turns:
             raise InputError(f"BuragoTorus needs ell * P1 / (2 pi) integer, got {turns:.6g}")
@@ -649,8 +650,11 @@ def ball_integral(m: Manifold, field: WeightField, ball: Optional[BallSpec], on_
     sphere takes the colatitude rule of cap_quadrature, accurate under
     measure concentration, and reports an error of 1e-9 |value|.
     Everything else is Monte Carlo on on_points(pts), g at uniform samples
-    of the ball or of M."""
+    of the ball or of M.  A ball whose center is not a point of M's ambient
+    space is an InputError."""
     field.validate(m)
+    if ball is not None:
+        check_ball(m, ball)
     axis = field.radial_axis(m) if m.kind == "sphere" and on_profile is not None else None
     if axis is not None:
         integrand = lambda theta: on_profile(theta, *field.profile(theta))

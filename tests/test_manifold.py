@@ -239,12 +239,20 @@ def test_lattice_counts(torus2):
 
 @pytest.mark.parametrize(
     "center, radius",
-    [([np.nan, 1.0], 0.5), ([0.0, -np.inf], 0.5), ([0.0, 1.0], np.nan), ([0.0, 1.0], np.inf)],
+    [([np.nan, 1.0], 0.5), ([0.0, -np.inf], 0.5), ([0.0, 1.0], np.nan), ([0.0, 1.0], np.inf),
+     ([0.0, 0.0], "a"), (["a", 0.0], 1.0)],
 )
 def test_ball_spec_rejects_non_finite(center, radius):
-    # nan <= 0 is False, so a nan radius used to pass the positivity check
+    # nan <= 0 is False, so a nan radius used to pass the positivity check;
+    # text used to escape as a TypeError from np.isfinite
     with pytest.raises(InputError):
         BallSpec(np.asarray(center), radius)
+
+
+@pytest.mark.parametrize("center", [np.zeros(3), np.zeros(1)], ids=["3", "1"])
+def test_sample_ball_rejects_a_center_of_another_dimension(torus2, center):
+    with pytest.raises(InputError, match="ambient dimension 2"):
+        sample_ball(torus2, BallSpec(center, 1.0), 100)
 
 
 @pytest.mark.parametrize("x", [[np.nan, 1.0], [1.0, np.inf]])

@@ -670,6 +670,8 @@ def test_lattice_graph_memory_per_edge(m, spacing, field):
     [
         (lambda t2: refine_distance(t2, Constant(0.0), [((1.0, 1.0), (2.0, 2.0))], [0.3]),
          "at least two"),
+        (lambda t2: refine_distance(t2, Constant(0.0), [((1.0, 1.0), (2.0, 2.0))], [0.6, "a"]),
+         "eps schedule must be numbers"),
         (lambda t2: stable_norm(Manifold.box([[0, 1], [0, 1]]), Constant(0.0), [1.0, 0.0],
                                 [1.0, 2.0]), "torus"),
         (lambda t2: stable_norm(t2, Constant(0.0), [0.0, 0.0], [1.0, 2.0]), "nonzero"),
@@ -682,7 +684,7 @@ def test_lattice_graph_memory_per_edge(m, spacing, field):
          "direction must be numbers"),
         (lambda t2: stable_norm(t2, Constant(0.0), [0.0, 1.0], ["a", 2.0]), "t_list must be numbers"),
     ],
-    ids=["refine-one-eps", "stable-norm-box", "stable-norm-zero-direction",
+    ids=["refine-one-eps", "refine-text-eps", "stable-norm-box", "stable-norm-zero-direction",
          "stable-norm-one-t", "stable-norm-nan-direction", "stable-norm-inf-direction",
          "stable-norm-3-vector", "stable-norm-text-direction", "stable-norm-text-t"],
 )

@@ -9,6 +9,7 @@ from conflab.manifold import Manifold, d0_many, equal_slab_axes, lattice_orbits
 from conflab.schrodinger import (
     GridGeometry,
     GridOperator,
+    _fixed_points,
     decompose_ground_state,
     dense_lowest_eigenvalue,
     discrete_grad_square,
@@ -458,6 +459,41 @@ def test_fixed_point_threshold_violation(geom, nodes):
         log_gradient_fixedpoint(GridOperator(geom, V))
 
 
+def _spike(geom, share):
+    """A one-node potential at ``share`` of the contraction threshold
+    1/(8 A^2): far rougher than the axis modes that estimate A."""
+    V = np.zeros(int(np.prod(geom.shape)))
+    V[0] = 1.0
+    return V * share / (8.0 * geom.grad_inv_constant**2 * geom.lp_norm(V, 1.5))
+
+
+def test_fixed_point_batch_is_each_problem_bit_for_bit(geom, nodes):
+    x = nodes
+    Vs = [
+        0.02 * np.cos(2 * np.pi * x[:, 0] / L) * np.cos(2 * np.pi * x[:, 1] / L),
+        0.06 * np.cos(2 * np.pi * x[:, 2] / L),
+        _spike(geom, 0.5),
+    ]
+    alone = [log_gradient_fixedpoint(GridOperator(geom, V)) for V in Vs]
+    assert len({fp.iterations for fp in alone}) == 3  # the members stop at different steps
+    for members in ([0], [0, 1], [2, 0, 1]):
+        v, iterations, dv = _fixed_points(geom, np.column_stack([Vs[j] for j in members]))
+        for col, j in enumerate(members):
+            assert np.array_equal(v[:, col], alone[j].v)
+            assert iterations[col] == alone[j].iterations
+            assert dv[col] == alone[j].dv_norm
+
+
+@pytest.mark.parametrize(
+    "share, words", [(1.5, "contraction threshold"), (0.9, "left the contraction ball")],
+    ids=["over-threshold", "leaves-ball"],
+)
+def test_fixed_point_batch_rejects_one_bad_member(geom, nodes, share, words):
+    good = 0.02 * np.sin(2 * np.pi * nodes[:, 2] / L)
+    with pytest.raises(NumericError, match=words):
+        _fixed_points(geom, np.column_stack([good, _spike(geom, share)]))
+
+
 @pytest.fixture(scope="module")
 def decomposition():
     dgeom = GridGeometry(Manifold.torus(3, [L, L, L]), (10, 10, 10))
@@ -521,18 +557,25 @@ def test_decomposition_norm_scaling(decomposition):
 
 
 def _counted_decomposition(monkeypatch, dgeom, V):
-    """The decomposition of Delta - V and its number of gs_shift_c0 calls."""
+    """The decomposition of Delta - V, its number of gs_shift_c0 calls and
+    the number of fixed-point problems it solves."""
     import conflab.schrodinger as sc
 
-    calls = 0
+    calls = problems = 0
 
     def counted(*args, **kwargs):
         nonlocal calls
         calls += 1
         return gs_shift_c0(*args, **kwargs)
 
+    def counted_fixed_points(geom, V):
+        nonlocal problems
+        problems += V.shape[1]
+        return _fixed_points(geom, V)
+
     monkeypatch.setattr(sc, "gs_shift_c0", counted)
-    return decompose_ground_state(GridOperator(dgeom, V), 0.8), calls
+    monkeypatch.setattr(sc, "_fixed_points", counted_fixed_points)
+    return decompose_ground_state(GridOperator(dgeom, V), 0.8), calls, problems
 
 
 def test_decomposition_solves_one_center_per_orbit(decomposition, monkeypatch):
@@ -540,16 +583,16 @@ def test_decomposition_solves_one_center_per_orbit(decomposition, monkeypatch):
     # grid steps apart, so each x3-column of 5 centers is one orbit
     dgeom, op, dec = decomposition
     x3 = dgeom.nodes()[:, 2]
-    same, calls = _counted_decomposition(monkeypatch, dgeom, op.V)
-    assert calls == 25
+    same, calls, problems = _counted_decomposition(monkeypatch, dgeom, op.V)
+    assert calls == problems == 25
     # a variation along x3 far below every tolerance leaves no invariant axis
     bent = op.V + 1e-13 * np.cos(2 * np.pi * x3 / L)
-    direct, calls = _counted_decomposition(monkeypatch, dgeom, bent)
-    assert calls == 125
+    direct, calls, problems = _counted_decomposition(monkeypatch, dgeom, bent)
+    assert calls == problems == 125
     assert np.abs(same.f - direct.f).max() <= 1e-10
     assert np.abs(same.w - direct.w).max() <= 1e-10
-    _, calls = _counted_decomposition(monkeypatch, dgeom, np.zeros_like(op.V))
-    assert calls == 1
+    _, calls, problems = _counted_decomposition(monkeypatch, dgeom, np.zeros_like(op.V))
+    assert calls == problems == 1
 
 
 def test_decomposition_translated_shift_zeroes_its_local_eigenvalue(decomposition):

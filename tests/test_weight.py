@@ -592,6 +592,13 @@ def _box_grid(shape):
     "call, words",
     [
         (lambda t2: BuragoTorus(0).validate(t2), "positive integer"),
+        (lambda t2: mu_f_ball(t2, BuragoTorus("a"), BallSpec(np.ones(2), 0.5), 1000),
+         "positive integer"),
+        (lambda t2: mu_f_ball(t2, Constant(0.0), BallSpec(np.zeros(3), 1.0), 1000),
+         "ambient dimension 2"),
+        # the colatitude rule never samples, so ball_integral checks the ball too
+        (lambda t2: mu_f_ball(Manifold.sphere(3), SphereBubble(2.0), BallSpec(np.zeros(3), 1.0), 1000),
+         "ambient dimension 4"),
         (lambda t2: GridField(t2, np.full((8, 8), np.nan)), "must be finite"),
         (lambda t2: GridWeight(_box_grid((8, 8))).validate(t2), "does not match"),
         (lambda t2: GridWeight(GridField(t2, np.zeros((8, 8))), order=2).validate(t2),
@@ -610,7 +617,8 @@ def _box_grid(shape):
         (lambda t2: weak_star_test(t2, [("ell=1", BuragoTorus(1))], ["1"], np.nan),
          "budget must be >= 2 and an integer"),
     ],
-    ids=["burago-ell-0", "nan-grid", "grid-manifold-kind", "grid-order-2", "cubic-box-2-nodes",
+    ids=["burago-ell-0", "burago-ell-text", "ball-center-3-on-2-torus", "ball-center-3-on-3-sphere",
+         "nan-grid", "grid-manifold-kind", "grid-order-2", "cubic-box-2-nodes",
          "log-cusp-nan-r0", "log-cusp-nan-cap", "total-mass-one-sample", "total-mass-nan-budget",
          "total-mass-fractional-budget", "ball-nan-budget", "ball-fractional-budget",
          "weak-star-nan-budget"],
