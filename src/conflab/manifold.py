@@ -223,6 +223,7 @@ class BallSpec:
         radius = float_array(self.radius, "ball radius")
         if radius.ndim or not (np.isfinite(radius) and radius > 0):
             raise InputError("ball radius must be positive and finite")
+        object.__setattr__(self, "radius", float(radius))
 
 
 def check_ball(m: Manifold, b: BallSpec) -> None:

@@ -8,22 +8,23 @@ applies functions of Delta through that transform: the mean-zero inverse used
 by the fixed-point machinery and the (Delta + c)^{-1} preconditioner of the
 lowest-eigenpair solver (a block-1 LOBPCG, no factorization, whose shift c
 follows the current Ritz value).  The solver applies Delta - V as the stencil
-product minus V times the vector (``GridOperator.apply``); no matrix of
-Delta - V is assembled.  The dense LAPACK oracle keeps only the axes where V
-varies.  The module also implements the eigenvalue-zeroing shift for
-potentials supported in a ball, the log-gradient fixed point producing a
-ground-state representative e^v, and the cover-based decomposition
+product minus V times the vector; no matrix of Delta - V is assembled.  The
+dense LAPACK oracle keeps only the axes where V varies.  The module also
+implements the eigenvalue-zeroing shift for potentials supported in a ball,
+the log-gradient fixed point producing a ground-state representative e^v,
+and the cover-based decomposition
 log(phi) = f + w of the operator's own ground state phi, with a W^{(1,2),n}
 part f and a Hölder part w.  The decomposition solves one local ground
 state per orbit of cover centers under the grid translations that leave its
 problem unchanged: along an axis where V is constant (exact ==, slab by
 slab) and the center spacing is a whole number of grid steps, a center takes
 its representative's shift and translated log ground state, provided its
-ball mask is exactly the translated mask.  The solved centers' fixed points
-run as one batch: each Picard step applies the stencil and the spectral
-inverse once to the block of every local problem still running, while each
-problem keeps its own norms, checks and stop, so every local v is bit for
-bit its own fixed point's.
+ball mask is exactly the translated mask.  The solved centers' shifts and
+fixed points each run as one batch: each Newton round solves the eigenpairs
+of every local problem still running in lockstep, and each eigen or Picard
+step applies the stencil and the spectral transform once to the block of
+those problems, while each problem keeps its own reductions, checks and
+stop, so every local c0 and v is bit for bit its own solve's.
 
 Discrete square gradient: the fixed point uses
     G(v) = Delta v - e^{-v} Delta(e^v)
@@ -48,7 +49,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix, diags, kronsum
@@ -58,12 +58,13 @@ from .errors import InputError, NumericError
 from .manifold import (
     Manifold,
     PointSet,
-    d0_many,
     equal_slab_axes,
+    float_array,
     is_count,
     lattice,
     lattice_orbits,
     lattice_roll,
+    torus_wrap,
 )
 from .weight import NodeGrid
 
@@ -163,11 +164,13 @@ class GridGeometry(NodeGrid):
         return sym
 
     def spectral(self, u: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
-        """The function of Delta with eigenvalues ``multiplier`` (shaped like
-        ``symbol``) applied to node vectors u of shape (N,) or (N, k)."""
+        """The function of Delta with eigenvalues ``multiplier`` applied to
+        node vectors u of shape (N,) or (N, k).  The multiplier is shaped
+        like ``symbol``, or for a block like ``symbol`` plus a last axis of
+        k, one function per column."""
         axes = tuple(range(self.dim))
         x = np.reshape(u, self.shape + np.shape(u)[1:])
-        mult = multiplier.reshape(multiplier.shape + (1,) * (x.ndim - self.dim))
+        mult = multiplier.reshape(multiplier.shape + (1,) * (x.ndim - multiplier.ndim))
         if self.manifold.kind == "torus":
             out = np.real(np.fft.ifftn(np.fft.fftn(x, axes=axes) * mult, axes=axes))
         else:
@@ -186,8 +189,30 @@ class GridGeometry(NodeGrid):
         """Mean-zero solution of Delta u = rhs - mean(rhs)."""
         return self.spectral(np.ravel(rhs), self._symbol_inverse)
 
+    def distances(self, centers) -> np.ndarray:
+        """(K, N) d0 from each of the K points in the rows of ``centers``
+        (K, dim) to every node, bit for bit ``d0_many(manifold, nodes(), c)``.
+
+        Each axis's displacement c_a - x_a is taken on that axis's node
+        coordinates alone (wrapped by ``torus_wrap`` on a torus as
+        ``d0_many`` wraps it, plain on a box), and the squares are summed
+        axis by axis over the broadcast grid, in ``d0_many``'s order, so no
+        (K, N, dim) array is held."""
+        m = self.manifold
+        centers = np.asarray(centers, dtype=float)
+        square = 0.0
+        for a, axis in enumerate(self._axes[0]):
+            delta = centers[:, a, None] - axis
+            if m.kind == "torus":
+                period = m.periods[a : a + 1]
+                half = period / 2.0
+                delta = torus_wrap(delta[..., None] + half, period)[..., 0] - half
+            grid = [s if b == a else 1 for b, s in enumerate(self.shape)]
+            square = square + (delta * delta).reshape([len(centers)] + grid)
+        return np.sqrt(square, out=square).reshape(len(centers), -1)
+
     def ball_mask(self, center, radius: float) -> np.ndarray:
-        return d0_many(self.manifold, self._grid.points, np.asarray(center, dtype=float)) <= radius
+        return self.distances(np.asarray(center, dtype=float)[None])[0] <= radius
 
     # -- empirical functional constants ------------------------------------
 
@@ -231,7 +256,7 @@ class GridGeometry(NodeGrid):
         center = (
             m.periods / 2.0 if m.kind == "torus" else m.extents.mean(axis=1)
         )
-        d = d0_many(m, self.nodes(), center)
+        d = self.distances(center[None])[0]
 
         def quotient(phi):
             num = self.grad_lp_norm(phi, 2.0) ** 2 + self.lp_norm(phi, 2.0) ** 2
@@ -257,9 +282,17 @@ class GridOperator:
         if not np.all(np.isfinite(self.V)):
             raise InputError("potential must be finite")
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """(Delta - V) x for node vectors x of shape (N,) or (N, k)."""
-        return self.geom.laplacian @ x - (self.V if x.ndim == 1 else self.V[:, None]) * x
+
+def _apply(geom: GridGeometry, V, xs) -> list:
+    """(Delta - V_j) x_j for each problem j: the potentials V_j (N,) and the
+    node vectors (N,) or blocks (N, m) x_j, all of one shape.  The stencil
+    product runs once on the stacked columns; each problem's own V is then
+    subtracted on its own slice, into a new array of x_j's shape, so no
+    broadcast block of V is built."""
+    stencil = geom.laplacian @ np.column_stack(xs)
+    parts = np.split(stencil, len(xs), axis=1)
+    return [s.reshape(x.shape) - (v if x.ndim == 1 else v[:, None]) * x
+            for s, v, x in zip(parts, V, xs)]
 
 
 @dataclass
@@ -272,60 +305,97 @@ class SchrodingerSolve:
 _MAX_ITER = 400  # most residual evaluations of one eigen solve
 
 
-def lowest_eigenpair(op: GridOperator, tol: float = 1e-10,
-                     v0: Optional[np.ndarray] = None) -> SchrodingerSolve:
+def _check_tolerance(tol, what: str) -> None:
+    """InputError unless tol is one positive finite number."""
+    t = float_array(tol, what)
+    if t.ndim or not (np.isfinite(t) and t > 0):
+        raise InputError(f"{what} must be positive and finite, got {tol!r}")
+
+
+def _eigenpairs(geom: GridGeometry, V, x0, tol: float) -> list:
+    """Lowest eigenpairs of Delta - V_j for the k potentials V_j (N,) in V,
+    each from the start x0[j] (N,), by block-1 LOBPCG run in lockstep.
+
+    Each step applies the stencil once to the block of the problems still
+    running (``_apply``) and the preconditioner once, by one
+    ``GridGeometry.spectral`` call with one multiplier column per problem.
+    Every reduction and small dense step stays per problem, on its own
+    contiguous vectors (a dot product along a strided column of a block
+    rounds differently): norm, Rayleigh quotient, QR, eigh and the update
+    of p.  So each problem stops at its own step, bit for bit what it gives
+    alone.  Returns one ``SchrodingerSolve`` per problem; a problem that
+    misses tol or whose ground state is not positive raises its own
+    NumericError.
+    """
+    _check_tolerance(tol, "eigen tol")
+    k = len(V)
+    v_mean = [float(v.mean()) for v in V]
+    x = [row / np.linalg.norm(row) for row in x0]
+    Ax = _apply(geom, V, x)
+    lam = [float(a @ b) for a, b in zip(x, Ax)]
+    p = [None] * k
+    history = [[] for _ in range(k)]
+    out = [None] * k
+    active = range(k)
+    for step in range(_MAX_ITER):
+        running, residuals = [], []
+        for j in active:
+            r = Ax[j] - lam[j] * x[j]
+            history[j].append(float(np.linalg.norm(r)))
+            if history[j][-1] > tol:
+                running.append(j)
+                residuals.append(r)
+                continue
+            xj = -x[j] if x[j][np.argmax(np.abs(x[j]))] < 0 else x[j]
+            if xj.min() <= 0:
+                raise NumericError(
+                    "converged eigenvector is not positive; residual history "
+                    f"tail {history[j][-5:]}"
+                )
+            out[j] = SchrodingerSolve(lambda0=lam[j], phi=xj / xj.max(), iterations=len(history[j]))
+        active = running
+        if not active:
+            return out
+        if step == _MAX_ITER - 1:
+            raise NumericError(
+                f"eigen iteration did not reach tol={tol} in {_MAX_ITER} iterations; "
+                f"residual history tail {history[active[0]][-5:]}"
+            )
+        shifts = [max(-lam[j] - v_mean[j], 1e-3) for j in active]
+        w = geom.spectral(np.column_stack(residuals), 1.0 / (geom.symbol[..., None] + shifts))
+        Q = [np.linalg.qr(np.column_stack([x[j], w[:, col]] + ([] if p[j] is None else [p[j]])))[0]
+             for col, j in enumerate(active)]
+        del residuals, w  # not held through the block product
+        AQ = _apply(geom, [V[j] for j in active], Q)
+        for Qj, AQj, j in zip(Q, AQ, active):
+            vals, vecs = np.linalg.eigh(Qj.T @ AQj)
+            x_new, Ax[j], lam[j] = Qj @ vecs[:, 0], AQj @ vecs[:, 0], float(vals[0])
+            p[j] = x_new - (x[j] @ x_new) * x[j]
+            x[j] = x_new
+
+
+def lowest_eigenpair(op: GridOperator, tol: float = 1e-10) -> SchrodingerSolve:
     """Lowest eigenpair by block-1 LOBPCG preconditioned with (Delta + c)^{-1}.
 
-    The iterate x starts as the unit positive constant vector (or the unit
-    warm start v0).  Each step applies A = Delta - V by
-    ``GridOperator.apply``, without assembling it, and takes the Rayleigh-Ritz
-    pair of lowest value on an orthonormal basis of [x, w, p]: w is the
-    preconditioned residual, p the last iterate minus its component along the
-    one before (Knyazev, SIAM J. Sci. Comput. 23, 2001).  The preconditioner
-    needs no factorization: it is applied by
-    ``GridGeometry.spectral`` as 1/(symbol + c), with c recomputed each step
-    from the current Ritz value lambda as c = max(-lambda - mean V, 1e-3).
-    It is the inverse of A - lambda with V replaced by its mean, kept
-    positive definite by the floor (a shift that ignored lambda stalled at
-    strong potentials).  The solve stops once ||A x - lambda x|| <= tol;
-    ``iterations`` counts these residual evaluations.  No stop within
-    ``_MAX_ITER`` of them, or a ground state that is not positive, raises
-    NumericError, which quotes the residual history's tail.
+    The iterate x starts as the unit positive constant vector.  Each step
+    applies A = Delta - V as the stencil product minus V x, without
+    assembling A, and takes the Rayleigh-Ritz pair of lowest value on an
+    orthonormal basis of [x, w, p]: w is the preconditioned residual, p the
+    last iterate minus its component along the one before (Knyazev, SIAM J.
+    Sci. Comput. 23, 2001).  The preconditioner needs no factorization: it
+    is applied by ``GridGeometry.spectral`` as 1/(symbol + c), with c
+    recomputed each step from the current Ritz value lambda as
+    c = max(-lambda - mean V, 1e-3).  It is the inverse of A - lambda with V
+    replaced by its mean, kept positive definite by the floor (a shift that
+    ignored lambda stalled at strong potentials).  The solve stops once
+    ||A x - lambda x|| <= tol; ``iterations`` counts these residual
+    evaluations.  A tol that is not positive and finite is an InputError.
+    No stop within ``_MAX_ITER`` of them, or a ground state that is not
+    positive, raises NumericError, which quotes the residual history's
+    tail.  This is the lockstep core of the decomposition's local shifts
+    run on one problem.
     """
-    geom = op.geom
-    v_mean = float(op.V.mean())
-    x = np.ones(op.V.size) if v0 is None else np.asarray(v0, dtype=float)
-    x = x / np.linalg.norm(x)
-    Ax = op.apply(x)
-    lam = float(x @ Ax)
-    p = None
-    history = []
-    for _ in range(_MAX_ITER):
-        r = Ax - lam * x
-        history.append(float(np.linalg.norm(r)))
-        if history[-1] <= tol:
-            break
-        inv = 1.0 / (geom.symbol + max(-lam - v_mean, 1e-3))
-        basis = [x, geom.spectral(r, inv)] + ([] if p is None else [p])
-        Q = np.linalg.qr(np.column_stack(basis))[0]
-        AQ = op.apply(Q)
-        vals, vecs = np.linalg.eigh(Q.T @ AQ)
-        x_new, Ax, lam = Q @ vecs[:, 0], AQ @ vecs[:, 0], float(vals[0])
-        p = x_new - (x @ x_new) * x
-        x = x_new
-    else:
-        raise NumericError(
-            f"eigen iteration did not reach tol={tol} in {_MAX_ITER} iterations; "
-            f"residual history tail {history[-5:]}"
-        )
-    if x[np.argmax(np.abs(x))] < 0:
-        x = -x
-    if x.min() <= 0:
-        raise NumericError(
-            "converged eigenvector is not positive; residual history "
-            f"tail {history[-5:]}"
-        )
-    return SchrodingerSolve(lambda0=lam, phi=x / x.max(), iterations=len(history))
+    return _eigenpairs(op.geom, [op.V], [np.ones(op.V.size)], tol)[0]
 
 
 def dense_lowest_eigenvalue(op: GridOperator) -> float:
@@ -357,64 +427,86 @@ class GsShiftResult:
     evaluations: int
 
 
-def gs_shift_c0(
-    geom: GridGeometry,
-    q: np.ndarray,
-    x0,
-    r0: float,
-    tol: float = 1e-8,
-    eig_tol: float = 1e-11,
-) -> GsShiftResult:
+_SHIFT_EIG_TOL = 1e-11  # the eigen solves of gs_shift_c0
+
+
+def _shifts(geom: GridGeometry, q, masks, tol: float, eig_tol: float) -> list:
+    """``gs_shift_c0`` for the k problems (q_j, ball mask masks[j]), run as
+    one batch: each Newton round solves every problem still running by one
+    ``_eigenpairs`` call at eig_tol.  Each problem keeps its own checks,
+    bracket, warm start, NumericError and stop, so each result is bit for
+    bit what the problem gives alone.  Returns one ``GsShiftResult`` per
+    problem."""
+    _check_tolerance(tol, "shift tol")
+    n = geom.dim
+    vol_m = geom.manifold.volume
+    c_lo, c_hi, comp = [], [], []
+    for qj, mask in zip(q, masks):
+        if np.any(np.abs(qj[~mask]) > 1e-14):
+            raise InputError("q has support outside B(x0, r0) on the grid")
+        beta = geom.sobolev_constant
+        ball_vol = float(mask.sum()) * geom.cell_volume
+        if ball_vol > (beta / 2.0) ** (n / 2.0):
+            raise InputError(
+                f"vol(B(x0,r0)) = {ball_vol:.4g} exceeds (beta/2)^(n/2) = "
+                f"{(beta / 2.0) ** (n / 2.0):.4g}"
+            )
+        q_l1 = float(np.sum(np.abs(qj)) * geom.cell_volume)
+        c_lo.append(-2.0 * q_l1 / vol_m)
+        c_hi.append(2.0 * geom.lp_norm(qj, n / 2.0) / beta)
+        comp.append((~mask).astype(float))
+    c = list(c_lo)
+    warm = [np.ones(qj.size) for qj in q]
+    lam, lam_lo = [None] * len(c), [None] * len(c)
+    out = [None] * len(c)
+    active = range(len(c))
+    for evals in range(1, 101):
+        sols = _eigenpairs(geom, [-(q[j] + c[j] * comp[j]) for j in active],
+                           [warm[j] for j in active], eig_tol)
+        running = []
+        for j, sol in zip(active, sols):
+            lam[j], warm[j] = sol.lambda0, sol.phi
+            if evals == 1:
+                lam_lo[j] = lam[j]
+            if abs(lam[j]) <= tol:
+                out[j] = GsShiftResult(c0=float(c[j]), bracket=(c_lo[j], c_hi[j]), evaluations=evals)
+                continue
+            # outside mass > 0: beta <= vol(M)^{2/n} caps vol(B) at vol(M)/2^{n/2}
+            c_next = c[j] - lam[j] * (warm[j] @ warm[j]) / (warm[j] @ (comp[j] * warm[j]))
+            if lam_lo[j] > tol or c_next > c_hi[j]:
+                raise NumericError(
+                    f"bracket does not straddle zero: lambda0({c_lo[j]:.4g}) = {lam_lo[j]:.4g}, "
+                    f"Newton step to {c_next:.4g} (c_hi = {c_hi[j]:.4g}) from "
+                    f"lambda0({c[j]:.4g}) = {lam[j]:.4g}"
+                )
+            c[j] = c_next
+            running.append(j)
+        active = running
+        if not active:
+            return out
+    raise NumericError(f"shift root finding stalled; last lambda0 = {lam[active[0]]:.3e}")
+
+
+def gs_shift_c0(geom: GridGeometry, q: np.ndarray, x0, r0: float, tol: float) -> GsShiftResult:
     """Constant c0 with lowest eigenvalue of Delta + q + c0*1_{complement} zero.
 
     q must be supported in the ball B(x0, r0) whose volume satisfies
     vol <= (beta/2)^{n/2}, beta the grid's ``sobolev_constant``; the
     bracket is [c_lo, c_hi] = [-(2/vol(M)) int |q|, (2/beta) ||q||_{n/2}].
-    Newton's method runs from c_lo, each eigen solve warm-started from the
-    last ground state phi, until |lambda0| <= tol.  Its slope d lambda0/dc
-    is phi's share of mass outside the ball (Hellmann-Feynman).  lambda0(c)
-    is a minimum of functions affine in c, hence concave, so each tangent
-    lies above the curve and the iterates rise monotonically to the root
-    without passing it.  lambda0(c_lo) > tol, or a step past c_hi (checked
-    before solving there), means the bracket does not straddle zero: the
-    NumericError names lambda0(c_lo), the step and the last lambda0.
+    Newton's method runs from c_lo, each eigen solve (at tol 1e-11)
+    warm-started from the last ground state phi, until |lambda0| <= tol, a
+    positive finite number (else InputError, before any solve).  Its slope
+    d lambda0/dc is phi's share of mass outside the ball (Hellmann-Feynman).
+    lambda0(c) is a minimum of functions affine in c, hence concave, so each
+    tangent lies above the curve and the iterates rise monotonically to the
+    root without passing it.  lambda0(c_lo) > tol, or a step past c_hi
+    (checked before solving there), means the bracket does not straddle
+    zero: the NumericError names lambda0(c_lo), the step and the last
+    lambda0.  This is the batch core of the decomposition's local shifts
+    run on one problem.
     """
-    n = geom.dim
     q = np.asarray(q, dtype=float).reshape(-1)
-    mask = geom.ball_mask(x0, r0)
-    if np.any(np.abs(q[~mask]) > 1e-14):
-        raise InputError("q has support outside B(x0, r0) on the grid")
-    beta = geom.sobolev_constant
-    ball_vol = float(mask.sum()) * geom.cell_volume
-    if ball_vol > (beta / 2.0) ** (n / 2.0):
-        raise InputError(
-            f"vol(B(x0,r0)) = {ball_vol:.4g} exceeds (beta/2)^(n/2) = "
-            f"{(beta / 2.0) ** (n / 2.0):.4g}"
-        )
-    vol_m = geom.manifold.volume
-    q_l1 = float(np.sum(np.abs(q)) * geom.cell_volume)
-    q_ln2 = geom.lp_norm(q, n / 2.0)
-    c_lo = -2.0 * q_l1 / vol_m
-    c_hi = 2.0 * q_ln2 / beta
-    comp = (~mask).astype(float)
-    c, warm = c_lo, None
-    for evals in range(1, 101):
-        sol = lowest_eigenpair(GridOperator(geom, -(q + c * comp)), tol=eig_tol, v0=warm)
-        lam, warm = sol.lambda0, sol.phi
-        if evals == 1:
-            lam_lo = lam
-        if abs(lam) <= tol:
-            return GsShiftResult(c0=float(c), bracket=(c_lo, c_hi), evaluations=evals)
-        # outside mass > 0: beta <= vol(M)^{2/n} caps vol(B) at vol(M)/2^{n/2}
-        c_next = c - lam * (warm @ warm) / (warm @ (comp * warm))
-        if lam_lo > tol or c_next > c_hi:
-            raise NumericError(
-                f"bracket does not straddle zero: lambda0({c_lo:.4g}) = {lam_lo:.4g}, "
-                f"Newton step to {c_next:.4g} (c_hi = {c_hi:.4g}) from "
-                f"lambda0({c:.4g}) = {lam:.4g}"
-            )
-        c = c_next
-    raise NumericError(f"shift root finding stalled; last lambda0 = {lam:.3e}")
+    return _shifts(geom, [q], [geom.ball_mask(x0, r0)], tol, _SHIFT_EIG_TOL)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -585,20 +677,21 @@ def decompose_ground_state(
     takes the representative's c0 and its v moved by ``lattice_roll``,
     unless its own ball mask differs from the moved representative mask,
     in which case it is solved directly.  A V that varies along every axis
-    solves every center.  The work runs in three steps: ``gs_shift_c0`` once
-    per center solved directly, then all of those centers' fixed points in
-    one batch (the core of ``log_gradient_fixedpoint``, each v bit for bit
-    its own solve's), then each other center takes its representative's c0
-    and moved v.
+    solves every center.  The work runs in three steps: the shifts of every
+    center solved directly in one batch (the core of ``gs_shift_c0``, given
+    the ball masks held here), then all of those centers' fixed points in
+    one batch (the core of ``log_gradient_fixedpoint``), each c0 and v bit
+    for bit its own solve's, then each other center takes its
+    representative's c0 and moved v.  Every center's distances to the nodes
+    come from one ``GridGeometry.distances`` call.
     """
     geom = op.geom
     n = geom.dim
     cover = _cover_centers(geom, rho)
     beta = geom.sobolev_constant
     centers = cover.points
-    nodes = geom.nodes()
-    dists = [d0_many(geom.manifold, nodes, c) for c in centers]
-    masks = [d <= rho for d in dists]  # each is geom.ball_mask(c, rho)
+    dists = geom.distances(centers)
+    masks = dists <= rho  # row i is geom.ball_mask(centers[i], rho)
     # smallness of V on cover balls (the per-ball hypothesis)
     sup_local = max(geom.lp_norm(op.V * mask, n / 2.0) for mask in masks)
     if sup_local > beta / 2.0:
@@ -615,15 +708,12 @@ def decompose_ground_state(
     # an exact grid translate of its representative's local problem reuses it
     reuse = [k.any() and np.array_equal(mask, lattice_roll(masks[r], shape, k))
              for mask, r, k in zip(masks, reps, steps)]
-    shift_cs, v_locs = [], []
-    for c, mask, r, reused in zip(centers, masks, reps, reuse):
-        if reused:
-            shift_cs.append(shift_cs[r])
-            continue
-        q_i = -op.V * mask  # local operator Delta - V 1_B + c 1_comp
-        shift = gs_shift_c0(geom, q_i, c, rho, tol=1e-7, eig_tol=1e-9)
-        shift_cs.append(shift.c0)
-        v_locs.append(op.V * mask - shift.c0 * (~mask).astype(float))
+    direct = [i for i, reused in enumerate(reuse) if not reused]
+    # local operators Delta - V 1_B + c 1_comp
+    shifts = _shifts(geom, [-op.V * masks[i] for i in direct], masks[direct], 1e-7, 1e-9)
+    c0 = {i: s.c0 for i, s in zip(direct, shifts)}
+    shift_cs = [c0[r if reused else i] for i, (r, reused) in enumerate(zip(reps, reuse))]
+    v_locs = [op.V * masks[i] - c0[i] * (~masks[i]).astype(float) for i in direct]
     solved = iter(_fixed_points(geom, np.column_stack(v_locs))[0].T)
     f = np.zeros_like(log_phi)
     w = np.zeros_like(log_phi)
@@ -647,7 +737,7 @@ def decompose_ground_state(
     # whose pairs one roll of w gives; nearest offsets first, stopping once
     # the oscillation of w over d0^alpha cannot beat the best
     holder_alpha = 0.5
-    d0 = d0_many(geom.manifold, nodes, nodes[0])
+    d0 = geom.distances(geom.nodes()[:1])[0]
     osc = float(w.max() - w.min())
     hold = 0.0
     for k in np.argsort(d0)[1:]:

@@ -1,7 +1,7 @@
 """Property tests: the flat-ball sampler and the law of its draws, the
 torus wraps, the torus/box node grid shared by lattices and grid fields,
 the d0 metric axioms, the e^{nc} scaling of ball masses, nearest-node
-snapping on lattices, the eps-graph distances (metric axioms, e^c scaling,
+snapping on lattices, grid distances to every node against d0, the eps-graph distances (metric axioms, e^c scaling,
 monotonicity in eps and in the LogCusp cap, the one-solve-per-orbit shortest
 paths against per-source Dijkstra, and the lattice orbit
 representatives and translations behind it), the connectivity of accepted
@@ -344,6 +344,34 @@ def test_grid_nodes_are_the_lattice_nodes(kind, lengths, lo, steps, cover):
     for g in grids:
         assert g.nodes().tobytes() == pts.points.tobytes()
         assert g.axis_spacing.tobytes() == pts.axis_spacing.tobytes()
+
+
+
+@PROPS
+@given(
+    kind=st.sampled_from(["torus", "box"]),
+    lengths=st.lists(st.floats(0.5, 3.0), min_size=2, max_size=3),
+    lo=st.floats(-5.0, 5.0),
+    sizes=st.lists(st.integers(8, 13), min_size=3, max_size=3),
+    u=st.lists(st.floats(-1.5, 2.5), min_size=12, max_size=12),
+    node=st.integers(0, 2**16),
+)
+@example(kind="torus", lengths=[2 * np.pi, 2 * np.pi, 2 * np.pi], lo=0.0, sizes=[8, 9, 10],
+         u=[0.5] * 12, node=0)
+def test_grid_distances_are_d0_bit_for_bit(kind, lengths, lo, sizes, u, node):
+    # four centers off the nodes, inside and outside the chart, and one on a node
+    lens = np.asarray(lengths)
+    if kind == "torus":
+        m = Manifold.torus(lens.size, lens)
+    else:
+        m = Manifold.box(np.column_stack([np.full(lens.size, lo), lo + lens]))
+    g = GridGeometry(m, tuple(sizes[: lens.size]))
+    nodes = g.nodes()
+    base = 0.0 if kind == "torus" else m.extents[:, 0]
+    centers = base + np.reshape(u, (4, 3))[:, : lens.size] * lens
+    centers = np.vstack([centers, nodes[node % len(nodes)]])
+    want = np.stack([d0_many(m, nodes, c) for c in centers])
+    assert g.distances(centers).tobytes() == want.tobytes()
 
 
 def d0(m, x, y) -> float:

@@ -9,7 +9,11 @@ from conflab.manifold import Manifold, d0_many, equal_slab_axes, lattice_orbits
 from conflab.schrodinger import (
     GridGeometry,
     GridOperator,
+    _SHIFT_EIG_TOL,
+    _apply,
+    _eigenpairs,
     _fixed_points,
+    _shifts,
     decompose_ground_state,
     dense_lowest_eigenvalue,
     discrete_grad_square,
@@ -23,7 +27,7 @@ L = 2.2
 
 def _assembled(op):
     """Delta - V as a sparse matrix, built here so that the oracles do not
-    go through ``GridOperator.apply``."""
+    go through the solver's own operator product ``_apply``."""
     return (op.geom.laplacian - diags(op.V)).tocsr()
 
 
@@ -230,7 +234,7 @@ def test_lowest_eigenpair_assembles_no_matrix(geom, nodes, monkeypatch):
     monkeypatch.setattr(sc, "diags", no_assembly)
     monkeypatch.setattr(sc, "csr_matrix", no_assembly)
     cold = lowest_eigenpair(op)
-    warm = lowest_eigenpair(near, v0=cold.phi)
+    warm = _eigenpairs(geom, [near.V], [cold.phi], 1e-10)[0]
     assert warm.iterations > 1  # the warm solve took steps, not only its first residual
     assert abs(cold.lambda0 - dense[0]) <= 1e-8
     assert abs(warm.lambda0 - dense[1]) <= 1e-8
@@ -257,15 +261,16 @@ APPLY_GRIDS = {**SOLVER_GRIDS, "torus3-12": (Manifold.torus(3, [L, L, L]), (12, 
 
 @pytest.mark.parametrize("kind", sorted(APPLY_GRIDS))
 def test_apply_matches_the_assembled_operator(kind, rng):
+    # two problems with their own potentials, on vectors and on (N, 3) blocks
     geom = GridGeometry(*APPLY_GRIDS[kind])
     n = int(np.prod(geom.shape))
-    op = GridOperator(geom, rng.standard_normal(n))
-    A = _assembled(op)
-    for x in (rng.standard_normal(n), rng.standard_normal((n, 3))):
-        got = op.apply(x)
-        want = A @ x
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(got).max()
+    ops = [GridOperator(geom, rng.standard_normal(n)) for _ in range(2)]
+    for shape in ((n,), (n, 3)):
+        xs = [rng.standard_normal(shape) for _ in ops]
+        for got, op, x in zip(_apply(geom, [op.V for op in ops], xs), ops, xs):
+            want = _assembled(op) @ x
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(got).max()
 
 
 def _smooth_potential(geom, amplitude, rng):
@@ -291,7 +296,7 @@ def test_lowest_eigenpair_on_random_potentials(kind, seed, amplitude):
     # a warm start from the ground state of a nearby potential
     near = GridOperator(geom, V + 1e-3 * _smooth_potential(geom, amplitude, rng))
     cold = lowest_eigenpair(near)
-    warm = lowest_eigenpair(near, v0=s.phi)
+    warm = _eigenpairs(geom, [near.V], [s.phi], 1e-10)[0]
     assert warm.iterations < cold.iterations
     assert warm.lambda0 == pytest.approx(cold.lambda0, rel=1e-10, abs=1e-10)
 
@@ -388,11 +393,11 @@ def test_gs_shift_rises_monotonically_to_its_root(geom, nodes, monkeypatch, sign
     seen = []
 
     def recorded(*args, **kwargs):
-        sol = lowest_eigenpair(*args, **kwargs)
-        seen.append(sol.lambda0)
-        return sol
+        sols = _eigenpairs(*args, **kwargs)
+        seen.extend(sol.lambda0 for sol in sols)
+        return sols
 
-    monkeypatch.setattr(sc, "lowest_eigenpair", recorded)
+    monkeypatch.setattr(sc, "_eigenpairs", recorded)
     res = gs_shift_c0(geom, q, np.full(3, L / 2), r0, tol=1e-8)
     assert len(seen) == res.evaluations >= 2
     assert all(lam < 0 for lam in seen[:-1])
@@ -405,14 +410,91 @@ def test_gs_shift_bracket_that_misses_the_root_is_numeric_error():
     g12.__dict__["sobolev_constant"] = 1e3
     bump, _ = _centred_bump(g12, 0.8)
     with pytest.raises(NumericError, match="bracket does not straddle zero"):
-        gs_shift_c0(g12, -0.05 * bump, np.full(3, L / 2), 0.8)
+        gs_shift_c0(g12, -0.05 * bump, np.full(3, L / 2), 0.8, tol=1e-8)
 
 
 def test_gs_shift_support_guard(geom, nodes):
     c0 = np.full(3, L / 2)
     q = np.full(nodes.shape[0], 0.01)  # supported everywhere
     with pytest.raises(InputError):
-        gs_shift_c0(geom, q, c0, 0.5)
+        gs_shift_c0(geom, q, c0, 0.5, tol=1e-8)
+
+
+def test_eigen_batch_is_each_problem_bit_for_bit(geom, nodes):
+    x = nodes
+    Vs = [
+        0.15 * np.cos(2 * np.pi * x[:, 0] / L),
+        np.zeros(x.shape[0]),
+        3.0 * np.exp(-d0_many(geom.manifold, x, np.full(3, L / 2)) ** 2),
+    ]
+    alone = [lowest_eigenpair(GridOperator(geom, V)) for V in Vs]
+    assert len({s.iterations for s in alone}) == 3  # the members stop at different steps
+    # a warm start from a nearby ground state, solved alone
+    warm_V, warm_x0 = 1.01 * Vs[0], alone[0].phi
+    warm = _eigenpairs(geom, [warm_V], [warm_x0], 1e-10)[0]
+    for members in ([0], [0, 1], [2, 0, 1]):
+        for warmed in (False, True):
+            V = [Vs[j] for j in members] + [warm_V] * warmed
+            x0 = [np.ones(x.shape[0]) for _ in members] + [warm_x0] * warmed
+            got = _eigenpairs(geom, V, x0, 1e-10)
+            for sol, want in zip(got, [alone[j] for j in members] + [warm] * warmed):
+                assert np.array_equal(sol.phi, want.phi)
+                assert sol.lambda0 == want.lambda0
+                assert sol.iterations == want.iterations
+
+
+def _shift_problems(geom, amps):
+    """The bump potentials amp * exp(-d^2) on B(centre, 0.8) and their masks."""
+    bump, mask = _centred_bump(geom, 0.8)
+    return [amp * bump for amp in amps], [mask] * len(amps)
+
+
+def _same_shift(got, want):
+    return (got.c0 == want.c0 and got.bracket == want.bracket
+            and got.evaluations == want.evaluations)
+
+
+def test_shift_batch_is_each_problem_bit_for_bit(geom, nodes):
+    q, masks = _shift_problems(geom, [0.0, 0.05, -0.5, 2.0])
+    centre = np.full(3, L / 2)
+    alone = [gs_shift_c0(geom, qj, centre, 0.8, tol=1e-8) for qj in q]
+    assert len({s.evaluations for s in alone}) >= 3  # different Newton step counts
+    for members in ([1], [0, 1], [3, 2, 0, 1]):
+        got = _shifts(geom, [q[j] for j in members], [masks[j] for j in members],
+                      1e-8, _SHIFT_EIG_TOL)
+        assert all(_same_shift(s, alone[j]) for s, j in zip(got, members))
+
+
+def test_shift_batch_of_the_decomposition_centres(decomposition):
+    # the fixture's 25 directly solved centres: one per x3-column of the cover
+    from conflab.schrodinger import _cover_centers
+
+    dgeom, op, dec = decomposition
+    cover = _cover_centers(dgeom, 0.8)
+    reps = np.unique(lattice_orbits(cover.lattice_shape, [2], np.arange(len(cover)))[0])
+    assert reps.size == 25
+    masks = dgeom.distances(cover.points[reps]) <= 0.8
+    q = [-op.V * mask for mask in masks]
+    got = _shifts(dgeom, q, masks, 1e-7, _SHIFT_EIG_TOL)
+    for s, qj, i in zip(got, q, reps):
+        assert _same_shift(s, gs_shift_c0(dgeom, qj, cover.points[i], 0.8, tol=1e-7))
+
+
+@pytest.mark.parametrize("bad", ["support", "bracket"])
+def test_shift_batch_rejects_one_bad_member(nodes, bad):
+    g12 = GridGeometry(Manifold.torus(3, [L, L, L]), (12, 12, 12))
+    centre = np.full(3, L / 2)
+    q, masks = _shift_problems(g12, [0.05, -0.05])
+    if bad == "support":
+        q[1] = np.full(nodes.shape[0], 0.01)
+    else:
+        # as in the bracket test: c_hi falls below the root of -bump only
+        g12.__dict__["sobolev_constant"] = 1e3
+    with pytest.raises((InputError, NumericError)) as solo:
+        gs_shift_c0(g12, q[1], centre, 0.8, tol=1e-8)
+    with pytest.raises(solo.type) as batch:
+        _shifts(g12, q, masks, 1e-8, _SHIFT_EIG_TOL)
+    assert str(batch.value) == str(solo.value)
 
 
 def test_discrete_grad_square_nonnegative(geom, rng):
@@ -534,7 +616,7 @@ def test_sobolev_constant_needs_dimension_three():
     c0 = np.full(2, np.pi)
     q = 0.01 * geom2.ball_mask(c0, 1.0)
     with pytest.raises(InputError, match="n >= 3"):
-        gs_shift_c0(geom2, q, c0, 1.0)
+        gs_shift_c0(geom2, q, c0, 1.0, tol=1e-8)
 
 
 def test_decomposition_trivial(decomposition):
@@ -557,23 +639,23 @@ def test_decomposition_norm_scaling(decomposition):
 
 
 def _counted_decomposition(monkeypatch, dgeom, V):
-    """The decomposition of Delta - V, its number of gs_shift_c0 calls and
-    the number of fixed-point problems it solves."""
+    """The decomposition of Delta - V and the numbers of shift problems and
+    of fixed-point problems it solves."""
     import conflab.schrodinger as sc
 
     calls = problems = 0
 
-    def counted(*args, **kwargs):
+    def counted(geom, q, masks, tol, eig_tol):
         nonlocal calls
-        calls += 1
-        return gs_shift_c0(*args, **kwargs)
+        calls += len(q)
+        return _shifts(geom, q, masks, tol, eig_tol)
 
     def counted_fixed_points(geom, V):
         nonlocal problems
         problems += V.shape[1]
         return _fixed_points(geom, V)
 
-    monkeypatch.setattr(sc, "gs_shift_c0", counted)
+    monkeypatch.setattr(sc, "_shifts", counted)
     monkeypatch.setattr(sc, "_fixed_points", counted_fixed_points)
     return decompose_ground_state(GridOperator(dgeom, V), 0.8), calls, problems
 

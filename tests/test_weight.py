@@ -124,6 +124,14 @@ def test_mu_f_ball_constant(torus2):
     assert v2 == pytest.approx(np.exp(2 * c) * v, rel=1e-12)
 
 
+def test_mu_f_ball_takes_a_numeral_radius(torus2):
+    # the radius is stored as the float it converts to, not as the text
+    text = BallSpec(np.zeros(2), "1.0")
+    assert type(text.radius) is float and text.radius == 1.0
+    got = mu_f_ball(torus2, Constant(0.0), text, 1000, 3)
+    assert got == mu_f_ball(torus2, Constant(0.0), BallSpec(np.zeros(2), 1.0), 1000, 3)
+
+
 def test_mu_f_ball_rejects_a_non_finite_center(torus2):
     # the torus wrap sends nan to 0: this ball used to get the mass pi / 4
     with pytest.raises(InputError):
