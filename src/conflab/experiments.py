@@ -708,6 +708,7 @@ def run_burago(spec: ExperimentSpec, outdir: Path):
             seed=derive_seed(seed, "sr", ell),
         )
         thetas.append(sr.theta_strong)
+        del sg, sdm  # not held while the next frequency's graph is built
     spread_th = (max(thetas) - min(thetas)) / min(thetas)
     _flag(flags, "C7-strong", spread_th <= 0.10, spread_th,
           "theta_strong within 10% across ell at matched scale")

@@ -69,7 +69,7 @@ class ChainBall:
 
 
 class LatticeBlock(NamedTuple):
-    """Column of a lattice graph's node-major (n, B) edge table: each node of
+    """Column of a lattice graph's node-major (n, 2B) edge table: each node of
     the source sub-box lo <= index < hi joined to the node ``offset`` steps
     away (wrapped on a torus), at base length d0."""
 
@@ -87,16 +87,22 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass
 class EpsGraph:
-    """Undirected eps-graph stored as one CSR adjacency, a single entry
-    (i, j) with the edge weight per undirected edge.
+    """Undirected eps-graph stored as one symmetric CSR adjacency: each
+    undirected edge {i, j} is the two entries (i, j) and (j, i), which hold
+    the same weight, bit for bit, so Dijkstra runs on it as a directed graph
+    and builds no transpose.
 
     A graph built on a torus or box lattice fills its CSR node-major: row i
     lists the edges from node i, one per offset block in block order, and
-    ``blocks`` holds one ``LatticeBlock`` per column of that (n, B) table,
-    from which the base lengths d0 follow.  Graphs whose edges come from a
+    ``blocks`` holds one ``LatticeBlock`` per column of that (n, 2B) table,
+    from which the base lengths d0 follow.  Its first B blocks are the
+    half-space offsets, the last B their mirrors: block B + b joins the
+    targets of block b back to its sources.  Graphs whose edges come from a
     kd-tree (sphere layouts, scattered points, lattices smaller than the
     eps reach) share no displacement: ``blocks`` is None, the CSR rows are
-    sorted and ``d0`` holds each entry's base length.
+    sorted and ``d0`` holds each entry's base length.  Either way the
+    weights are computed once per undirected edge, on the forward entries
+    (the first B blocks, or i < j), and copied to the reverse ones.
     """
 
     points: PointSet
@@ -183,37 +189,44 @@ def _lattice_offsets(axis_spacing, eps):
 
 
 def _lattice_table(points: PointSet, blocks, column, flat) -> np.ndarray:
-    """Node-major (n, B) float table whose column b holds column(blocks[b])
-    on the block's source sub-box.  column(blk) is a scalar or an array
-    shaped like the sub-box, but of extent 1 along the axes ``flat``, whose
-    one value holds for every node along them.  The table is filled at
-    extent 1 along ``flat`` and broadcast to (n, B) once, so a box block's
-    slots off its sub-box hold copies rather than zeros; only the filled
-    slots are ever read."""
-    shape = tuple(points.lattice_shape)
+    """Lattice-shaped (..., 2B) float table whose column b < B holds
+    column(blocks[b]) on the block's source sub-box, and whose column B + b,
+    the mirror of block b, holds that column rolled by the block's offset.
+    column(blk) is a scalar or an array shaped like the sub-box, but of
+    extent 1 along the axes ``flat``, whose one value holds for every node
+    along them; the table keeps extent 1 there (a roll along such an axis
+    moves nothing), and ``_lattice_entries`` broadcasts it.  A box block's
+    slots off its sub-box, and the mirror slots its roll brings in from
+    there, are never filled; nothing reads them."""
+    shape, half = tuple(points.lattice_shape), len(blocks) // 2
     table = np.zeros(tuple(1 if a in flat else s for a, s in enumerate(shape)) + (len(blocks),))
-    for b, blk in enumerate(blocks):
+    for b, blk in enumerate(blocks[:half]):
         box = (slice(0, 1) if a in flat else slice(lo, hi) for a, (lo, hi) in enumerate(zip(blk.lo, blk.hi)))
         table[tuple(box) + (b,)] = column(blk)
-    return np.broadcast_to(table, shape + (len(blocks),)).reshape(len(points), len(blocks))
+        table[..., half + b] = np.roll(table[..., b], blk.offset, axis=tuple(range(len(shape))))
+    return table
 
 
 def _filled_slots(points: PointSet, blocks) -> np.ndarray:
-    """Which slots of the node-major table hold an edge: the AND over axes
-    a of the (s_a, B) tests lo_a <= i_a < hi_a, broadcast over the lattice."""
+    """Which slots of the lattice-shaped (..., 2B) table hold an edge: the
+    AND over axes a of the (s_a, 2B) tests lo_a <= i_a < hi_a, taken in
+    place on one bool per slot."""
     lo, hi = (np.array([getattr(b, k) for b in blocks]) for k in ("lo", "hi"))
-    filled = True
+    filled = np.ones(tuple(points.lattice_shape) + (len(blocks),), dtype=bool)
     for a, i in enumerate(np.ix_(*map(np.arange, points.lattice_shape))):
-        filled = filled & (lo[:, a] <= i[..., None]) & (i[..., None] < hi[:, a])
-    return filled.reshape(len(points), len(blocks))
+        filled &= (lo[:, a] <= i[..., None]) & (i[..., None] < hi[:, a])
+    return filled
 
 
 def _lattice_entries(m, points: PointSet, blocks, column, flat) -> np.ndarray:
     """column's values at a lattice graph's CSR entries, in CSR order: the
     filled slots of ``_lattice_table``, row by row.  On a torus every slot
-    is filled, so the table itself is the entry array."""
+    is filled, so the table broadcast to (n, 2B) is the entry array; a box
+    reads its filled slots straight from the broadcast view, so no (n, 2B)
+    float table is held besides the entries."""
     table = _lattice_table(points, blocks, column, flat)
-    return table.ravel() if m.kind == "torus" else table[_filled_slots(points, blocks)]
+    full = np.broadcast_to(table, tuple(points.lattice_shape) + (len(blocks),))
+    return full.ravel() if m.kind == "torus" else full[_filled_slots(points, blocks)]
 
 
 def _lattice_csr(m, points: PointSet, eps):
@@ -222,32 +235,37 @@ def _lattice_csr(m, points: PointSet, eps):
 
     A block joins every node of a source sub-box to the node one offset
     away: on a torus the whole lattice, wrapped; on a box the nodes whose
-    translate stays inside.  The target table is the sum over axes of the
-    per-axis (s_a, B) terms stride_a * ((i_a + o_a) mod s_a), materialised
-    once as (n, B); a box compresses it by ``_filled_slots``.
+    translate stays inside.  The B half-space offsets come first, then
+    their negations: the mirror of block (o, d0, lo, hi) holds the same
+    edges read from the other end, (-o, d0, lo + o, hi + o) on a box and
+    the whole lattice again on a torus.  The target table is one int32
+    (..., 2B) array, the per-axis (s_a, 2B) terms
+    stride_a * ((i_a + o_a) mod s_a) added to it in place; a box
+    compresses it by ``_filled_slots``.
     """
     shape = tuple(points.lattice_shape)
+    half = _lattice_offsets(points.axis_spacing, eps)
     blocks = []
-    for off, d in _lattice_offsets(points.axis_spacing, eps):
+    for off, d in half + [(tuple(-o for o in off), d) for off, d in half]:
         if m.kind == "torus":
             lo, hi = (0,) * len(shape), shape
         else:
             lo = tuple(max(0, -o) for o in off)
             hi = tuple(s - max(0, o) for s, o in zip(shape, off))
         blocks.append(LatticeBlock(off, d, lo, hi))
-    offsets, targets = np.array([b.offset for b in blocks]), np.int32(0)
+    offsets = np.array([b.offset for b in blocks])
+    targets = np.zeros(shape + (len(blocks),), dtype=np.int32)
     for a, i in enumerate(np.ix_(*map(np.arange, shape))):
-        term = (i[..., None] + offsets[:, a]) % shape[a] * int(np.prod(shape[a + 1:]))
-        targets = targets + term.astype(np.int32)
-    targets = targets.reshape(len(points), len(blocks))
+        targets += ((i[..., None] + offsets[:, a]) % shape[a] * int(np.prod(shape[a + 1:]))).astype(np.int32)
     if m.kind == "torus":
         return blocks, targets.ravel(), np.arange(len(points) + 1) * len(blocks)  # every slot is filled
     filled = _filled_slots(points, blocks)
-    return blocks, targets[filled], np.concatenate(([0], np.cumsum(filled.sum(axis=1))))
+    return blocks, targets[filled], np.concatenate(([0], np.cumsum(filled.sum(axis=-1).ravel())))
 
 
-def _edges_kdtree(m, points: PointSet, eps) -> csr_matrix:
-    """The d0 <= eps pairs i < j, as a CSR matrix of their d0."""
+def _edges_kdtree(m, points: PointSet, eps):
+    """CSR indices, indptr and per-entry d0 of the d0 <= eps pairs, each
+    pair i < j stored as (i, j) and (j, i), rows sorted by column."""
     pts = points.points
     if m.kind == "torus":
         tree = cKDTree(m.canonicalize(pts), boxsize=m.periods)
@@ -264,7 +282,10 @@ def _edges_kdtree(m, points: PointSet, eps) -> csr_matrix:
     i, j = pairs[:, 0], pairs[:, 1]
     d = d0_many(m, pts[i], pts[j])
     keep = d <= eps
-    return csr_matrix((d[keep], (i[keep], j[keep])), shape=(len(pts), len(pts)))
+    rows, cols = np.concatenate((i[keep], j[keep])), np.concatenate((j[keep], i[keep]))
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(pts)))))
+    return cols[order].astype(np.int32), indptr, np.concatenate((d[keep], d[keep]))[order]
 
 
 # ---------------------------------------------------------------------------
@@ -272,45 +293,50 @@ def _edges_kdtree(m, points: PointSet, eps) -> csr_matrix:
 # ---------------------------------------------------------------------------
 
 
-def _riemann_weights(g: EpsGraph, field: WeightField) -> np.ndarray:
-    """Gauss-rule line integrals of e^f, one per CSR entry.
+def _riemann_lattice_weights(g: EpsGraph, field: WeightField) -> np.ndarray:
+    """Gauss-rule line integrals of e^f, one per CSR entry of a lattice
+    graph.
 
-    On a lattice graph, the k-th Gauss points of a block's edges form the
-    tensor-product grid of per-axis coordinate vectors, one entry per source
-    index of the sub-box.  geodesic_points works coordinate by coordinate,
-    so running it on the s_a source/target coordinates of axis a alone gives
-    the same bits as on every edge; nothing is gathered or wrapped per edge.
-    Along the axes of ``field.constant_axes`` the grid keeps only the
-    sub-box's first index: the weights then have extent 1 there, and
-    ``_lattice_table`` fills its table at extent 1 along those axes and
-    broadcasts it once to (n, B), the same floats every edge would get.
-    Other graphs run it edge by edge.
+    The k-th Gauss points of a block's edges form the tensor-product grid
+    of per-axis coordinate vectors, one entry per source index of the
+    sub-box.  geodesic_points works coordinate by coordinate, so running it
+    on the s_a source/target coordinates of axis a alone gives the same
+    bits as on every edge; nothing is gathered or wrapped per edge.  Along
+    the axes of ``field.constant_axes`` the grid keeps only the sub-box's
+    first index: the weights then have extent 1 there, and
+    ``_lattice_table`` fills its table at extent 1 along those axes, the
+    same floats every edge would get.
     """
     m = g.manifold
     ts, ws = gauss_rule(_GAUSS_POINTS)
     n = m.dim
-    if g.blocks is not None:
-        axes, shape = g.points.axes(), g.points.lattice_shape
-        constant = set(field.constant_axes(m))
+    axes, shape = g.points.axes(), g.points.lattice_shape
+    constant = set(field.constant_axes(m))
 
-        def block_weights(blk):
-            cols = []  # (Gauss point, s_a) coordinates along each axis
-            for a, (lo, hi, o) in enumerate(zip(blk.lo, blk.hi, blk.offset)):
-                i = np.arange(lo, lo + 1 if a in constant else hi)
-                x, y = np.zeros((i.size, n)), np.zeros((i.size, n))
-                x[:, a], y[:, a] = axes[a][i], axes[a][(i + o) % shape[a]]
-                cols.append(geodesic_points(m, x, y, ts)[:, :, a])
-            gam = np.empty(tuple(c.shape[1] for c in cols) + (n,))
-            acc = np.zeros(gam.shape[:-1])
-            for k, wk in enumerate(ws):
-                for a, c in enumerate(cols):
-                    gam[..., a] = c[k].reshape([-1 if e == a else 1 for e in range(n)])
-                acc += wk * np.exp(field.eval_many(m, gam.reshape(-1, n))).reshape(acc.shape)
-            return acc * blk.d0
+    def block_weights(blk):
+        cols = []  # (Gauss point, s_a) coordinates along each axis
+        for a, (lo, hi, o) in enumerate(zip(blk.lo, blk.hi, blk.offset)):
+            i = np.arange(lo, lo + 1 if a in constant else hi)
+            x, y = np.zeros((i.size, n)), np.zeros((i.size, n))
+            x[:, a], y[:, a] = axes[a][i], axes[a][(i + o) % shape[a]]
+            cols.append(geodesic_points(m, x, y, ts)[:, :, a])
+        gam = np.empty(tuple(c.shape[1] for c in cols) + (n,))
+        acc = np.zeros(gam.shape[:-1])
+        for k, wk in enumerate(ws):
+            for a, c in enumerate(cols):
+                gam[..., a] = c[k].reshape([-1 if e == a else 1 for e in range(n)])
+            acc += wk * np.exp(field.eval_many(m, gam.reshape(-1, n))).reshape(acc.shape)
+        return acc * blk.d0
 
-        return _lattice_entries(m, g.points, g.blocks, block_weights, constant)
+    return _lattice_entries(m, g.points, g.blocks, block_weights, constant)
+
+
+def _riemann_weights(g: EpsGraph, field: WeightField, ei, ej, d0) -> np.ndarray:
+    """Gauss-rule line integrals of e^f along the edges ei -> ej of base
+    lengths d0, edge by edge."""
+    m = g.manifold
+    ts, ws = gauss_rule(_GAUSS_POINTS)
     pts = g.points.points
-    ei, ej, d0 = g.edge_i, g.edge_j, g.edge_d0
     out = np.zeros(ei.size)
     for lo in range(0, ei.size, _EDGE_CHUNK):
         sl = slice(lo, min(lo + _EDGE_CHUNK, ei.size))
@@ -322,12 +348,13 @@ def _riemann_weights(g: EpsGraph, field: WeightField) -> np.ndarray:
     return out
 
 
-def _chain_weights(g: EpsGraph, field: WeightField) -> np.ndarray:
+def _chain_weights(g: EpsGraph, field: WeightField, ei, ej, d0) -> np.ndarray:
+    """Chain increments of the edges ei -> ej of base lengths d0, each ball
+    mass seeded by the estimator's seed and the edge's end nodes."""
     m, est = g.manifold, g.estimator
     n = m.dim
     omega = unit_ball_volume(n)
     pts = g.points.points
-    ei, ej, d0 = g.edge_i, g.edge_j, g.edge_d0
     mids = geodesic_points(m, pts[ei], pts[ej], np.array([0.5]))[0]
     radii = d0 / 2.0
     out = np.empty(ei.size)
@@ -338,21 +365,50 @@ def _chain_weights(g: EpsGraph, field: WeightField) -> np.ndarray:
     return out
 
 
+def _block_edges(points: PointSet, blk: LatticeBlock):
+    """The edges of a lattice block as (ei, ej, d0) lists over its source
+    sub-box in row-major order, and the sub-box's shape."""
+    shape = points.lattice_shape
+    src = np.meshgrid(*(np.arange(lo, hi) for lo, hi in zip(blk.lo, blk.hi)), indexing="ij")
+    dst = [(i + o) % s for i, o, s in zip(src, blk.offset, shape)]
+    ei, ej = (np.ravel_multi_index(c, shape).ravel() for c in (src, dst))
+    return (ei, ej, np.full(ei.size, blk.d0)), src[0].shape
+
+
 def _edge_weights(g: EpsGraph, field: WeightField) -> np.ndarray:
+    """The graph's CSR data for ``field``: each undirected edge weighted
+    once, from its forward entry (a half-space block of a lattice graph,
+    i < j on a kd-tree graph), and copied to its reverse entry."""
     field.validate(g.manifold)
-    if isinstance(g.estimator, RiemannLine):
-        w = _riemann_weights(g, field)
-    elif isinstance(g.estimator, ChainBall):
-        w = _chain_weights(g, field)
-    else:
+    riemann = isinstance(g.estimator, RiemannLine)
+    if not (riemann or isinstance(g.estimator, ChainBall)):
         raise InputError(f"unknown estimator {g.estimator!r}")
-    if np.any(~np.isfinite(w)) or np.any(w < 0):
+    per_edge = _riemann_weights if riemann else _chain_weights
+    if g.blocks is None:
+        # rows are sorted, so the (j, i) entries, i < j, come in the order of (j, i)
+        ei, ej = g.edge_i, g.edge_j
+        up = ei < ej
+        w = np.empty(ei.size)
+        w[up] = forward = per_edge(g, field, ei[up], ej[up], g.edge_d0[up])
+        w[~up] = forward[np.lexsort((ei[up], ej[up]))]
+    elif riemann:
+        w = _riemann_lattice_weights(g, field)
+    else:
+
+        def block_weights(blk):
+            edges, box = _block_edges(g.points, blk)
+            return per_edge(g, field, *edges).reshape(box)
+
+        w = _lattice_entries(g.manifold, g.points, g.blocks, block_weights, ())
+    # min and max allocate no per-entry temporary; a NaN fails the first test
+    if w.size and not (w.min() >= 0 and w.max() < np.inf):
         raise InputError("edge weights must be finite and nonnegative")
     return w
 
 
 def _eps_graph(m, points: PointSet, eps, field, estimator):
-    """All d0 <= eps edges of ``points`` in one CSR, weighted per estimator.
+    """All d0 <= eps edges of ``points`` in one symmetric CSR, each edge in
+    both directions, weighted per estimator.
 
     On a torus or box lattice whose axes each hold more nodes than the eps
     reach spans, the edges are enumerated one integer offset at a time, as
@@ -369,8 +425,7 @@ def _eps_graph(m, points: PointSet, eps, field, estimator):
         blocks, indices, indptr = _lattice_csr(m, points, eps)
     else:
         # wrap reach would alias the offset enumeration on tiny lattices
-        kd = _edges_kdtree(m, points, eps)
-        indices, indptr, d0 = kd.indices, kd.indptr, kd.data
+        indices, indptr, d0 = _edges_kdtree(m, points, eps)
     # every edge reads 0, without storage, until its weight is computed
     csg = csr_matrix((np.broadcast_to(0.0, indices.shape), indices, indptr), shape=(len(points),) * 2)
     csg.indices.flags.writeable = csg.indptr.flags.writeable = False  # shared by reweighted graphs
@@ -418,7 +473,9 @@ def build_graph(
             if s > 1 and tuple(int(e == a) for e in range(len(shape))) not in offsets:
                 raise InputError(f"eps-graph lattice has no unit edge along axis {a}")
         return g
-    ncomp, _ = connected_components(g.csgraph, directed=False)
+    # the CSR holds both directions, so the strong components are the
+    # undirected ones, found without a transpose
+    ncomp, _ = connected_components(g.csgraph, directed=True, connection="strong")
     if ncomp != 1:
         raise InputError(f"eps-graph is disconnected ({ncomp} components)")
     return g
@@ -438,37 +495,41 @@ def _node_indices(idx, n: int, what: str) -> np.ndarray:
 
 def _weight_per_d0(g: EpsGraph) -> float:
     """rho, the largest edge weight per unit of d0 over the edges with
-    d0 > 0 (0 if there are none).  A lattice graph takes it block by block:
-    the largest weight of each table column over the column's d0."""
+    d0 > 0 (0 if there are none).  A lattice graph takes it block by block
+    over the forward half of its table: the largest weight of each column
+    over the column's d0."""
     w = g.csgraph.data
     if g.blocks is None:
         pos = g.d0 > 0
         return float(np.max(w[pos] / g.d0[pos])) if np.any(pos) else 0.0
+    half = len(g.blocks) // 2
     if g.manifold.kind == "torus":
         table = w.reshape(g.n, len(g.blocks))  # every slot holds an edge
     else:
         filled = _filled_slots(g.points, g.blocks)
         table = np.zeros(filled.shape)
         table[filled] = w  # weights are nonnegative, so the empty slots change no maximum
-    return float(np.max(table.max(axis=0) / [blk.d0 for blk in g.blocks]))
+        table = table.reshape(g.n, len(g.blocks))
+    return float(np.max(table[:, :half].max(axis=0) / [blk.d0 for blk in g.blocks[:half]]))
 
 
 def _invariant_axes(g: EpsGraph) -> list:
     """The lattice axes along which every translation maps a torus lattice
-    graph onto itself: those along which each column of its node-major
-    weight table is constant (``equal_slab_axes``, exact ==, one lattice
-    slab at a time).  Box lattices and kd-tree graphs have no invariant
-    axis."""
+    graph onto itself: those along which each forward column of its
+    node-major weight table is constant (``equal_slab_axes``, exact ==, one
+    lattice slab at a time); each mirror column is a roll of one of them.
+    Box lattices and kd-tree graphs have no invariant axis."""
     if g.blocks is None or g.manifold.kind != "torus":
         return []
     table = g.csgraph.data.reshape(tuple(g.points.lattice_shape) + (len(g.blocks),))
-    return equal_slab_axes(table, table.ndim - 1)
+    return equal_slab_axes(table[..., :len(g.blocks) // 2], table.ndim - 1)
 
 
 def shortest_paths(g: EpsGraph, sources=None, targets=None) -> DistanceMatrix:
     """Exact nonnegative-edge shortest paths from each source node (all
     nodes if None), to every node or only to ``targets``, on the graph's
-    CSR.
+    CSR, read as a directed graph: it stores both directions of each edge,
+    so Dijkstra builds no transpose.
 
     Sources and targets are integer node indices in [0, n); anything else
     raises InputError.  With targets the matrix holds only those columns,
@@ -507,7 +568,7 @@ def shortest_paths(g: EpsGraph, sources=None, targets=None) -> DistanceMatrix:
     reps, orbit = np.unique(rep, return_inverse=True)
     csg = g.csgraph
     while True:
-        rows = np.atleast_2d(dijkstra(csg, directed=False, indices=reps, limit=limit))
+        rows = np.atleast_2d(dijkstra(csg, directed=True, indices=reps, limit=limit))
         vals = np.empty((sources.size, targets.size))  # after the solve, not held through it
         for i, (o, t) in enumerate(zip(orbit, tau)):
             vals[i] = lattice_roll(rows[o], shape, t)[targets]
@@ -599,6 +660,7 @@ def refine_distance(
         dmat = shortest_paths(g, sources)
         for k in range(len(pair_arr)):
             table[r, k] = dmat.get(nodes[k, 0], nodes[k, 1])
+        del g, dmat  # not held while the next entry's graph is built
     extrap, _, qs = fit_rate(eps_schedule, table)
     return RefineResult(eps_schedule=eps_schedule, pair_d0=pair_d0, extrapolated=extrap, observed_q=qs)
 

@@ -734,14 +734,20 @@ def decompose_ground_state(
         w += lam * ((log_phi - v_i) + vbar)
     recon = float(np.max(np.abs(np.exp(f + w) - phi) / phi))
     # the seminorm over every node pair: d0 depends only on the grid offset,
-    # whose pairs one roll of w gives; nearest offsets first, stopping once
-    # the oscillation of w over d0^alpha cannot beat the best
+    # whose pairs one roll of w gives; the offsets k and -k give one max of
+    # |w(x + k) - w(x)|, so each pair is rolled once, over the smaller of
+    # its two d0 (wrapped, they can differ by an ulp); nearest pairs first,
+    # stopping once the oscillation of w over d0^alpha cannot beat the best
     holder_alpha = 0.5
     d0 = geom.distances(geom.nodes()[:1])[0]
+    offsets = np.arange(d0.size)
+    neg = np.ravel_multi_index([-c % s for c, s in zip(np.unravel_index(offsets, shape), shape)], shape)
+    pair_d0 = np.minimum(d0, d0[neg])
+    once = offsets[(offsets <= neg) & (offsets > 0)]  # offset 0 pairs no two nodes
     osc = float(w.max() - w.min())
     hold = 0.0
-    for k in np.argsort(d0)[1:]:
-        scale = d0[k] ** holder_alpha
+    for k in once[np.argsort(pair_d0[once])]:
+        scale = pair_d0[k] ** holder_alpha
         if osc / scale <= hold:
             break
         step = np.unravel_index(k, shape)

@@ -413,7 +413,8 @@ LATTICE_GRAPHS = {
 
 
 def _lattice_edges_one_by_one(m, pts, eps):
-    """Edges per offset, each source node in row-major order to its translate."""
+    """Edges per half-space offset, each source node in row-major order to
+    its translate."""
     shape = np.asarray(pts.lattice_shape)
     src = np.indices(shape).reshape(shape.size, -1).T
     ei, ej, ed = [], [], []
@@ -430,25 +431,31 @@ def _lattice_edges_one_by_one(m, pts, eps):
 
 @pytest.mark.parametrize("case", sorted(c for c in LATTICE_GRAPHS if c.startswith("T")))
 def test_torus_indptr_counts_the_filled_slots(case):
-    # a torus fills every slot of the node-major table, so its indptr is a
-    # plain stride; it must equal the count of filled slots, dtype included
+    # a torus fills every slot of the node-major (n, 2B) table, B half-space
+    # blocks and their mirrors, so its indptr is a plain stride of 2B; it
+    # must equal the count of filled slots, dtype included
     m, spacing = LATTICE_GRAPHS[case]
     pts = lattice(m, spacing)
-    blocks, _, indptr = _lattice_csr(m, pts, 4.3 * pts.spacing)
-    counted = np.concatenate(([0], np.cumsum(_filled_slots(pts, blocks).sum(axis=1))))
+    eps = 4.3 * pts.spacing
+    blocks, _, indptr = _lattice_csr(m, pts, eps)
+    assert len(blocks) == 2 * len(_lattice_offsets(pts.axis_spacing, eps))
+    counted = np.concatenate(([0], np.cumsum(_filled_slots(pts, blocks).reshape(len(pts), -1).sum(axis=1))))
     assert indptr.dtype == counted.dtype and indptr.tobytes() == counted.tobytes()
 
 
 @pytest.mark.parametrize("case", sorted(LATTICE_GRAPHS))
 def test_lattice_csr_is_node_major(case):
-    # row i lists node i's edges in _lattice_offsets order, unsorted:
-    # _weight_per_d0 and _invariant_axes read the weights as an (n, B) table
+    # row i lists node i's edges in _lattice_offsets order, then the same
+    # offsets negated, unsorted: _weight_per_d0 and _invariant_axes read the
+    # weights as an (n, 2B) table whose first B columns are the half-space
+    # blocks
     m, spacing = LATTICE_GRAPHS[case]
     pts = lattice(m, spacing)
     eps = 4.3 * pts.spacing
     g = build_graph(m, pts, eps, Constant(0.0))
     shape = np.asarray(pts.lattice_shape)
     offsets = _lattice_offsets(pts.axis_spacing, eps)
+    offsets += [(tuple(-np.asarray(o)), d) for o, d in offsets]
     off, d0 = np.array([o for o, _ in offsets]), np.array([d for _, d in offsets])
     indices, indptr, edge_d0 = [], [0], []
     for i in range(g.n):
@@ -477,33 +484,105 @@ def test_block_weights_match_edge_list(case, reach):
         fields.append(BuragoTorus(2))
     g = build_graph(m, pts, eps, fields[0])
     assert g.blocks is not None
-    # the CSR holds exactly the (i, j, d0) triples of the one-by-one edge list
+    # the CSR holds exactly the (i, j, d0) triples of the one-by-one edge
+    # list, each also read from the other end as (j, i, d0)
     csg = g.csgraph
     assert csg.indices.dtype == np.int32
     assert not (csg.indices.flags.writeable or csg.indptr.flags.writeable)
     got = (g.edge_i, g.edge_j, g.edge_d0)
-    want = _lattice_edges_one_by_one(m, pts, eps)
+    ei, ej, ed = _lattice_edges_one_by_one(m, pts, eps)
+    want = (np.concatenate((ei, ej)), np.concatenate((ej, ei)), np.concatenate((ed, ed)))
     assert np.array_equal(got[0], np.repeat(np.arange(g.n), np.diff(csg.indptr)))
     order_got, order_want = np.lexsort(got[1::-1]), np.lexsort(want[1::-1])
     for a, b in zip(got, want):
         assert a[order_got].tobytes() == b[order_want].astype(a.dtype).tobytes()
-    edge_list = replace(g, blocks=None, d0=np.array(g.edge_d0))  # the per-edge geodesic_points path
+    # the per-edge geodesic_points path, on the same entries with sorted rows
+    sorted_csg = csr_matrix((np.zeros(csg.nnz), got[1][order_got], csg.indptr), shape=csg.shape)
+    edge_list = replace(g, csgraph=sorted_csg, blocks=None, d0=got[2][order_got])
     for field in fields:
         blocked = g.reweight(field)
         assert blocked.blocks is g.blocks
         assert blocked.csgraph.indices is csg.indices and blocked.csgraph.indptr is csg.indptr
         want_w = edge_list.reweight(field).csgraph.data
-        np.testing.assert_allclose(blocked.csgraph.data, want_w, rtol=1e-13, atol=0.0)
-    np.testing.assert_allclose(g.csgraph.data, edge_list.reweight(fields[0]).csgraph.data,
+        np.testing.assert_allclose(blocked.csgraph.data[order_got], want_w, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(g.csgraph.data[order_got], edge_list.reweight(fields[0]).csgraph.data,
                                rtol=1e-13, atol=0.0)
-    # Dijkstra on the node-major CSR equals it on the sorted COO-built one
+    # Dijkstra on the symmetric node-major CSR equals the undirected solve
+    # on its upper triangle
     w = g.reweight(fields[1])
-    ref = csr_matrix((w.csgraph.data, (g.edge_i, g.edge_j)), shape=(g.n, g.n))
     src = [0, g.n // 3, g.n - 1]
-    full = dijkstra(ref, directed=False, indices=src)
+    full = dijkstra(_upper_triangle(w), directed=False, indices=src)
     assert shortest_paths(w, src).values.tobytes() == full.tobytes()
     tgt = sorted({1, g.n // 2, g.n // 3 + 2, g.n - 5})
     assert shortest_paths(w, src, tgt).values.tobytes() == full[:, tgt].tobytes()
+
+
+def _upper_triangle(g):
+    """The entries i < j of a graph's CSR, as a sorted CSR of their
+    weights: the half-stored undirected graph."""
+    up = g.edge_i < g.edge_j
+    return csr_matrix((g.csgraph.data[up], (g.edge_i[up], g.edge_j[up])), shape=(g.n, g.n))
+
+
+def _symmetric_cases():
+    t2, box, s2 = Manifold.torus(2), Manifold.box([[0.0, 2.0], [0.0, 1.0]]), Manifold.sphere(2)
+    return {
+        "torus-lattice": (t2, lattice(t2, 0.5), True),
+        "box-lattice": (box, lattice(box, 0.125), True),
+        "sphere-kdtree": (s2, lattice(s2, 0.3), False),
+        "small-lattice-kdtree": (t2, lattice(t2, 1.0), False),
+    }
+
+
+@pytest.mark.parametrize("estimator", [RiemannLine(), ChainBall(budget=100, seed=3)], ids=["riemann", "chain"])
+@pytest.mark.parametrize("case", ["torus-lattice", "box-lattice", "sphere-kdtree", "small-lattice-kdtree"])
+def test_csr_is_its_own_transpose(case, estimator):
+    # every edge is stored both ways with one weight, bit for bit, so the
+    # directed solve on it is the undirected solve on its upper triangle
+    m, pts, on_lattice = _symmetric_cases()[case]
+    center = tuple(pts.points[len(pts) // 2] + 0.013) if m.kind != "sphere" else (0.6, 0.0, 0.8)
+    fields = (Constant(0.3), SphereBubble(3.0, pole=center) if m.kind == "sphere" else LogCusp(center, 0.3, 2.0))
+    g = build_graph(m, pts, 3.3 * pts.spacing, fields[0], estimator)
+    assert (g.blocks is not None) == on_lattice
+    for w in (g, g.reweight(fields[1])):
+        c = w.csgraph.copy()
+        c.sort_indices()
+        t = w.csgraph.T.tocsr()
+        t.sort_indices()
+        for a, b in ((c.indptr, t.indptr), (c.indices, t.indices), (c.data, t.data)):
+            assert a.tobytes() == b.tobytes()
+        src = [0, w.n // 2, w.n - 1]
+        want = dijkstra(_upper_triangle(w), directed=False, indices=src)
+        assert shortest_paths(w, src).values.tobytes() == want.tobytes()
+
+
+def test_graphs_solve_without_a_transpose(monkeypatch):
+    # Dijkstra and the component count read the symmetric CSR as directed,
+    # so neither builds the transpose an undirected solve needs
+    import scipy.sparse as sp
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the CSR was transposed")
+
+    monkeypatch.setattr(sp.csr_matrix, "transpose", refuse)
+    t2 = Manifold.torus(2)
+    # a torus lattice, a lattice smaller than the eps reach and a sphere layout
+    for m, spacing in ((t2, 0.25), (t2, 1.0), (Manifold.sphere(2), 0.3)):
+        pts = lattice(m, spacing)
+        g = build_graph(m, pts, 3 * pts.spacing, Constant(0.0))
+        shortest_paths(g, [0, 3])
+        shortest_paths(g, [0], [1, g.n - 1])
+    with pytest.raises(AssertionError, match="transposed"):
+        dijkstra(g.csgraph, directed=False, indices=[0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+def test_edge_weights_must_be_finite_and_nonnegative(torus2, monkeypatch, bad):
+    import conflab.metric as mt
+
+    monkeypatch.setattr(mt, "_riemann_weights", lambda g, field, ei, ej, d0: np.full(ei.size, bad))
+    with pytest.raises(InputError, match="finite and nonnegative"):
+        build_graph(torus2, TWO_NODES, 1.3, Constant(0.0))
 
 
 @pytest.mark.parametrize("which", ["sources", "targets"])
@@ -646,9 +725,10 @@ def test_lattice_graph_without_a_unit_offset_is_rejected(torus2):
     ids=["torus", "box"],
 )
 def test_lattice_graph_memory_per_edge(m, spacing, field):
-    # the CSR (an int32 target and a float64 weight per edge) and Dijkstra's
-    # transposed copy of it, with room for the build's node-major tables;
-    # block-major int64 edge arrays plus a CSR rebuilt per solve took 56
+    # 32 bytes per undirected edge: its two CSR entries (an int32 target and
+    # a float64 weight each), with room for the build's node-major tables
+    # and Dijkstra's scans; block-major int64 edge arrays plus a CSR rebuilt
+    # per solve took 56
     import tracemalloc
 
     pts = lattice(m, spacing)
@@ -662,7 +742,7 @@ def test_lattice_graph_memory_per_edge(m, spacing, field):
     finally:
         tracemalloc.stop()
     assert g.csgraph.nnz > 800_000
-    assert peak <= 32 * g.csgraph.nnz
+    assert peak <= 16 * g.csgraph.nnz  # nnz counts each undirected edge twice
 
 
 @pytest.mark.parametrize(
