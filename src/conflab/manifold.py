@@ -485,15 +485,13 @@ def grid_axes(m: Manifold, shape) -> tuple:
 
 def equal_slab_axes(table: np.ndarray, naxes: int) -> list:
     """The axes among the first ``naxes`` of ``table`` along which it is
-    constant, compared with exact ==: each slab (the entries with one index
-    along the axis, a view) against the first, stopping at the first
-    mismatch."""
-
-    def constant_along(a):
-        slabs = np.moveaxis(table, a, 0)
-        return all(np.array_equal(s, slabs[0]) for s in slabs[1:])
-
-    return [a for a in range(naxes) if constant_along(a)]
+    constant, compared with exact == as ``np.array_equal`` compares each
+    slab (the entries with one index along the axis) with the first: its
+    max and min along the axis are equal everywhere, one reduction each
+    (a NaN fails, -0.0 == 0.0).  An axis of extent 1 has one slab, so it
+    is constant, and so is every axis of an empty table."""
+    return [a for a in range(naxes) if table.shape[a] < 2 or table.size == 0
+            or np.all(table.max(axis=a) == table.min(axis=a))]
 
 
 def lattice_orbits(shape, axes, index):

@@ -103,6 +103,11 @@ class EpsGraph:
     sorted and ``d0`` holds each entry's base length.  Either way the
     weights are computed once per undirected edge, on the forward entries
     (the first B blocks, or i < j), and copied to the reverse ones.
+
+    ``invariant_axes``, found once per weighting, are the axes along which
+    each forward column of a torus lattice graph's compact weight table is
+    constant (exact ==), so every translation along them maps the graph
+    onto itself; they are () on boxes and kd-tree graphs.
     """
 
     points: PointSet
@@ -112,6 +117,7 @@ class EpsGraph:
     manifold: Manifold  # the geometry of d0 and of the edge weights
     blocks: Optional[list] = None
     d0: Optional[np.ndarray] = None  # kd-tree graphs: d0 per CSR entry
+    invariant_axes: tuple = ()
 
     @property
     def n(self) -> int:
@@ -131,15 +137,15 @@ class EpsGraph:
     def edge_d0(self) -> np.ndarray:
         if self.blocks is None:
             return _read_only(self.d0)
-        every_axis = range(self.manifold.dim)
-        return _read_only(_lattice_entries(self.manifold, self.points, self.blocks, lambda b: b.d0, every_axis))
+        table = _lattice_table(self.points, self.blocks, lambda b: b.d0, range(self.manifold.dim))
+        return _read_only(_lattice_entries(self.manifold, self.points, self.blocks, table))
 
     def reweight(self, field: WeightField) -> "EpsGraph":
-        """Same edges, blocks and estimator, weights for another field on the
-        graph's manifold; the CSR shares its read-only ``indices`` and ``indptr``."""
+        """Same edges, blocks and estimator; weights and invariant axes for
+        another field on the graph's manifold.  The CSR shares ``indices`` and ``indptr``."""
         csg = copy(self.csgraph)
-        csg.data = _edge_weights(self, field)
-        return replace(self, csgraph=csg)
+        csg.data, axes = _edge_weights(self, field)
+        return replace(self, csgraph=csg, invariant_axes=axes)
 
 
 @dataclass
@@ -197,7 +203,8 @@ def _lattice_table(points: PointSet, blocks, column, flat) -> np.ndarray:
     along them; the table keeps extent 1 there (a roll along such an axis
     moves nothing), and ``_lattice_entries`` broadcasts it.  A box block's
     slots off its sub-box, and the mirror slots its roll brings in from
-    there, are never filled; nothing reads them."""
+    there, keep zeros, which no entry reads.  Tests over every entry
+    (finite, nonnegative, constant along an axis) can read this table."""
     shape, half = tuple(points.lattice_shape), len(blocks) // 2
     table = np.zeros(tuple(1 if a in flat else s for a, s in enumerate(shape)) + (len(blocks),))
     for b, blk in enumerate(blocks[:half]):
@@ -218,13 +225,12 @@ def _filled_slots(points: PointSet, blocks) -> np.ndarray:
     return filled
 
 
-def _lattice_entries(m, points: PointSet, blocks, column, flat) -> np.ndarray:
-    """column's values at a lattice graph's CSR entries, in CSR order: the
-    filled slots of ``_lattice_table``, row by row.  On a torus every slot
-    is filled, so the table broadcast to (n, 2B) is the entry array; a box
+def _lattice_entries(m, points: PointSet, blocks, table) -> np.ndarray:
+    """A ``_lattice_table``'s values at a lattice graph's CSR entries, in
+    CSR order: its filled slots, row by row.  On a torus every slot is
+    filled, so the table broadcast to (n, 2B) is the entry array; a box
     reads its filled slots straight from the broadcast view, so no (n, 2B)
     float table is held besides the entries."""
-    table = _lattice_table(points, blocks, column, flat)
     full = np.broadcast_to(table, tuple(points.lattice_shape) + (len(blocks),))
     return full.ravel() if m.kind == "torus" else full[_filled_slots(points, blocks)]
 
@@ -239,9 +245,9 @@ def _lattice_csr(m, points: PointSet, eps):
     their negations: the mirror of block (o, d0, lo, hi) holds the same
     edges read from the other end, (-o, d0, lo + o, hi + o) on a box and
     the whole lattice again on a torus.  The target table is one int32
-    (..., 2B) array, the per-axis (s_a, 2B) terms
-    stride_a * ((i_a + o_a) mod s_a) added to it in place; a box
-    compresses it by ``_filled_slots``.
+    (..., 2B) array, the sum of the per-axis (s_a, 2B) terms
+    stride_a * ((i_a + o_a) mod s_a), written by the first addition and
+    added to in place by the rest; a box compresses it by ``_filled_slots``.
     """
     shape = tuple(points.lattice_shape)
     half = _lattice_offsets(points.axis_spacing, eps)
@@ -254,9 +260,11 @@ def _lattice_csr(m, points: PointSet, eps):
             hi = tuple(s - max(0, o) for s, o in zip(shape, off))
         blocks.append(LatticeBlock(off, d, lo, hi))
     offsets = np.array([b.offset for b in blocks])
-    targets = np.zeros(shape + (len(blocks),), dtype=np.int32)
-    for a, i in enumerate(np.ix_(*map(np.arange, shape))):
-        targets += ((i[..., None] + offsets[:, a]) % shape[a] * int(np.prod(shape[a + 1:]))).astype(np.int32)
+    terms = [((i[..., None] + offsets[:, a]) % shape[a] * int(np.prod(shape[a + 1:]))).astype(np.int32)
+             for a, i in enumerate(np.ix_(*map(np.arange, shape)))]
+    targets = np.add(terms[0], terms[1], out=np.empty(shape + (len(blocks),), dtype=np.int32))  # dim >= 2
+    for term in terms[2:]:
+        targets += term
     if m.kind == "torus":
         return blocks, targets.ravel(), np.arange(len(points) + 1) * len(blocks)  # every slot is filled
     filled = _filled_slots(points, blocks)
@@ -293,9 +301,9 @@ def _edges_kdtree(m, points: PointSet, eps):
 # ---------------------------------------------------------------------------
 
 
-def _riemann_lattice_weights(g: EpsGraph, field: WeightField) -> np.ndarray:
-    """Gauss-rule line integrals of e^f, one per CSR entry of a lattice
-    graph.
+def _riemann_lattice_table(g: EpsGraph, field: WeightField) -> np.ndarray:
+    """Gauss-rule line integrals of e^f over a lattice graph's edges, as
+    its ``_lattice_table``.
 
     The k-th Gauss points of a block's edges form the tensor-product grid
     of per-axis coordinate vectors, one entry per source index of the
@@ -303,9 +311,8 @@ def _riemann_lattice_weights(g: EpsGraph, field: WeightField) -> np.ndarray:
     on the s_a source/target coordinates of axis a alone gives the same
     bits as on every edge; nothing is gathered or wrapped per edge.  Along
     the axes of ``field.constant_axes`` the grid keeps only the sub-box's
-    first index: the weights then have extent 1 there, and
-    ``_lattice_table`` fills its table at extent 1 along those axes, the
-    same floats every edge would get.
+    first index: the weights then have extent 1 there, and the table keeps
+    extent 1 along those axes, the same floats every edge would get.
     """
     m = g.manifold
     ts, ws = gauss_rule(_GAUSS_POINTS)
@@ -328,7 +335,7 @@ def _riemann_lattice_weights(g: EpsGraph, field: WeightField) -> np.ndarray:
             acc += wk * np.exp(field.eval_many(m, gam.reshape(-1, n))).reshape(acc.shape)
         return acc * blk.d0
 
-    return _lattice_entries(m, g.points, g.blocks, block_weights, constant)
+    return _lattice_table(g.points, g.blocks, block_weights, constant)
 
 
 def _riemann_weights(g: EpsGraph, field: WeightField, ei, ej, d0) -> np.ndarray:
@@ -375,10 +382,11 @@ def _block_edges(points: PointSet, blk: LatticeBlock):
     return (ei, ej, np.full(ei.size, blk.d0)), src[0].shape
 
 
-def _edge_weights(g: EpsGraph, field: WeightField) -> np.ndarray:
-    """The graph's CSR data for ``field``: each undirected edge weighted
-    once, from its forward entry (a half-space block of a lattice graph,
-    i < j on a kd-tree graph), and copied to its reverse entry."""
+def _edge_weights(g: EpsGraph, field: WeightField):
+    """The graph's CSR data for ``field`` and its invariant axes: each
+    undirected edge weighted once, from its forward entry (a half-space
+    block of a lattice graph, i < j on a kd-tree graph), and copied to its
+    reverse entry.  A lattice graph's check and axes read its compact table."""
     field.validate(g.manifold)
     riemann = isinstance(g.estimator, RiemannLine)
     if not (riemann or isinstance(g.estimator, ChainBall)):
@@ -392,18 +400,21 @@ def _edge_weights(g: EpsGraph, field: WeightField) -> np.ndarray:
         w[up] = forward = per_edge(g, field, ei[up], ej[up], g.edge_d0[up])
         w[~up] = forward[np.lexsort((ei[up], ej[up]))]
     elif riemann:
-        w = _riemann_lattice_weights(g, field)
+        w = _riemann_lattice_table(g, field)
     else:
 
         def block_weights(blk):
             edges, box = _block_edges(g.points, blk)
             return per_edge(g, field, *edges).reshape(box)
 
-        w = _lattice_entries(g.manifold, g.points, g.blocks, block_weights, ())
+        w = _lattice_table(g.points, g.blocks, block_weights, ())
     # min and max allocate no per-entry temporary; a NaN fails the first test
     if w.size and not (w.min() >= 0 and w.max() < np.inf):
         raise InputError("edge weights must be finite and nonnegative")
-    return w
+    if g.blocks is None:
+        return w, ()
+    axes = equal_slab_axes(w[..., :len(g.blocks) // 2], g.manifold.dim) if g.manifold.kind == "torus" else ()
+    return _lattice_entries(g.manifold, g.points, g.blocks, w), tuple(axes)
 
 
 def _eps_graph(m, points: PointSet, eps, field, estimator):
@@ -438,7 +449,7 @@ def _eps_graph(m, points: PointSet, eps, field, estimator):
         blocks=blocks,
         d0=d0,
     )
-    csg.data = _edge_weights(g, field)
+    csg.data, g.invariant_axes = _edge_weights(g, field)
     return g
 
 
@@ -513,18 +524,6 @@ def _weight_per_d0(g: EpsGraph) -> float:
     return float(np.max(table[:, :half].max(axis=0) / [blk.d0 for blk in g.blocks[:half]]))
 
 
-def _invariant_axes(g: EpsGraph) -> list:
-    """The lattice axes along which every translation maps a torus lattice
-    graph onto itself: those along which each forward column of its
-    node-major weight table is constant (``equal_slab_axes``, exact ==, one
-    lattice slab at a time); each mirror column is a roll of one of them.
-    Box lattices and kd-tree graphs have no invariant axis."""
-    if g.blocks is None or g.manifold.kind != "torus":
-        return []
-    table = g.csgraph.data.reshape(tuple(g.points.lattice_shape) + (len(g.blocks),))
-    return equal_slab_axes(table[..., :len(g.blocks) // 2], table.ndim - 1)
-
-
 def shortest_paths(g: EpsGraph, sources=None, targets=None) -> DistanceMatrix:
     """Exact nonnegative-edge shortest paths from each source node (all
     nodes if None), to every node or only to ``targets``, on the graph's
@@ -543,7 +542,7 @@ def shortest_paths(g: EpsGraph, sources=None, targets=None) -> DistanceMatrix:
     values are those of the full solve in every case.
 
     Dijkstra runs once per orbit of the sources under the lattice
-    translations that leave the graph unchanged (``_invariant_axes``,
+    translations that leave the graph unchanged (``g.invariant_axes``,
     ``lattice_orbits``), and each source's row is its representative's,
     moved by ``lattice_roll``.  A translated path adds the same edge
     weights in the same order, so this is the per-source solve bit for
@@ -564,7 +563,7 @@ def shortest_paths(g: EpsGraph, sources=None, targets=None) -> DistanceMatrix:
             reach = d0_many(g.manifold, pts[sources][:, None], pts[targets][None]).max()
             limit = rho * (float(reach) + g.eps)
     shape = g.points.lattice_shape if g.blocks is not None else (n,)
-    rep, tau = lattice_orbits(shape, _invariant_axes(g), sources)
+    rep, tau = lattice_orbits(shape, g.invariant_axes, sources)
     reps, orbit = np.unique(rep, return_inverse=True)
     csg = g.csgraph
     while True:

@@ -446,9 +446,8 @@ def test_torus_indptr_counts_the_filled_slots(case):
 @pytest.mark.parametrize("case", sorted(LATTICE_GRAPHS))
 def test_lattice_csr_is_node_major(case):
     # row i lists node i's edges in _lattice_offsets order, then the same
-    # offsets negated, unsorted: _weight_per_d0 and _invariant_axes read the
-    # weights as an (n, 2B) table whose first B columns are the half-space
-    # blocks
+    # offsets negated, unsorted: _weight_per_d0 reads the weights as an
+    # (n, 2B) table whose first B columns are the half-space blocks
     m, spacing = LATTICE_GRAPHS[case]
     pts = lattice(m, spacing)
     eps = 4.3 * pts.spacing
@@ -583,6 +582,23 @@ def test_edge_weights_must_be_finite_and_nonnegative(torus2, monkeypatch, bad):
     monkeypatch.setattr(mt, "_riemann_weights", lambda g, field, ei, ej, d0: np.full(ei.size, bad))
     with pytest.raises(InputError, match="finite and nonnegative"):
         build_graph(torus2, TWO_NODES, 1.3, Constant(0.0))
+    # lattice graphs check their compact weight tables, in which a box keeps
+    # zeros in its empty slots: the bad value still reaches a torus and a
+    # box through their block weights, built or reweighted, from every Gauss
+    # weight or from the ChainBall edges of one node
+    box = Manifold.box([[0.0, 2.0], [0.0, 2.0]])
+    graphs = [build_graph(m, pts, 3 * pts.spacing, Constant(0.0))
+              for m, pts in ((m, lattice(m, 0.25)) for m in (torus2, box))]
+    gauss = mt.gauss_rule
+    monkeypatch.setattr(mt, "gauss_rule", lambda k: (gauss(k)[0], np.full(k, bad)))
+    monkeypatch.setattr(mt, "_chain_weights", lambda g, field, ei, ej, d0: np.where(ei == 5, bad, d0))
+    for g in graphs:
+        assert g.blocks is not None
+        for weigh in (lambda: build_graph(g.manifold, g.points, g.eps, Constant(0.0)),
+                      lambda: g.reweight(Constant(0.2)),
+                      lambda: build_graph(g.manifold, g.points, g.eps, Constant(0.0), ChainBall())):
+            with pytest.raises(InputError, match="finite and nonnegative"):
+                weigh()
 
 
 @pytest.mark.parametrize("which", ["sources", "targets"])

@@ -40,6 +40,7 @@ from conflab.manifold import (
     Manifold,
     d0_many,
     _closed_form_volume,
+    equal_slab_axes,
     lattice,
     lattice_orbits,
     lattice_roll,
@@ -54,6 +55,7 @@ from conflab.weight import (
     BuragoTorus,
     Constant,
     GridField,
+    GridWeight,
     LogCusp,
     SphereBubble,
     Sum,
@@ -711,6 +713,94 @@ def test_lattice_orbit_steps_roll_the_representative_onto_the_index(data, shape)
         assert np.flatnonzero(lattice_roll(at_rep, shape, k)).tolist() == [i]
     rep0, steps0 = lattice_orbits(shape, [], index)
     assert np.array_equal(rep0, index) and not steps0.any()
+
+
+def _slab_axes(table, naxes):
+    """The axes along which ``table`` is constant, by definition: every
+    slab along the axis array_equal to the first."""
+    return [a for a in range(naxes)
+            if all(np.array_equal(s, np.moveaxis(table, a, 0)[0]) for s in np.moveaxis(table, a, 0)[1:])]
+
+
+SLAB_VALUES = [0.0, -0.0, 1.0, -2.5, np.inf, -np.inf, np.nan]
+
+
+@PROPS
+@given(data=st.data(), shape=st.lists(st.integers(0, 4), min_size=1, max_size=4).map(tuple))
+def test_equal_slab_axes_is_the_slab_by_slab_test(data, shape):
+    # a table broadcast along some axes, with NaN, +-inf and -0.0 entries
+    # and a few spot changes, so both verdicts come up on every axis
+    flat = data.draw(st.lists(st.booleans(), min_size=len(shape), max_size=len(shape)))
+    base = tuple(1 if f else s for f, s in zip(flat, shape))
+    values = data.draw(st.lists(st.sampled_from(SLAB_VALUES), min_size=int(np.prod(base)),
+                                max_size=int(np.prod(base))))
+    table = np.broadcast_to(np.array(values).reshape(base), shape).copy()
+    for _ in range(data.draw(st.integers(0, 2)) if table.size else 0):
+        table.flat[data.draw(st.integers(0, table.size - 1))] = data.draw(st.sampled_from(SLAB_VALUES))
+    naxes = data.draw(st.integers(0, len(shape)))
+    assert equal_slab_axes(table, naxes) == _slab_axes(table, naxes)
+
+
+def _invariant_fields(m):
+    """Fields on the torus m constant along every axis, along all but x1 (a
+    sum with a constant too), along none, and multilinear grid fields that
+    declare no constant axis, one of them constant along x2 all the same."""
+    rng = np.random.default_rng(4)
+    shape = (7,) + (5,) * (m.dim - 1)
+    along_x1 = np.broadcast_to(rng.uniform(-0.5, 0.5, (7,) + (1,) * (m.dim - 1)), shape)
+    return {
+        "constant": Constant(0.3),
+        "burago": BuragoTorus(2),
+        "sum": Sum((BuragoTorus(2), Constant(0.5))),
+        "logcusp": LogCusp((1.3, 1.1, 0.9)[: m.dim], 0.5, None),
+        "grid-x1": GridWeight(GridField(m, np.array(along_x1))),
+        "grid": GridWeight(GridField(m, rng.uniform(-0.5, 0.5, shape))),
+    }
+
+
+def _expanded_invariant_axes(g):
+    """The invariant axes of a torus lattice graph as first defined: those
+    along which each forward column of the expanded (n, 2B) CSR data is
+    constant."""
+    table = g.csgraph.data.reshape(tuple(g.points.lattice_shape) + (len(g.blocks),))
+    return tuple(_slab_axes(table[..., : len(g.blocks) // 2], g.manifold.dim))
+
+
+@cache
+def _invariant_graph(kind, name, chain):
+    # ChainBall weighs edge by edge, so it gets the torus2 of 11 x 7 nodes
+    m, spacing = (ORBIT_TORI[kind][0], 0.6) if chain else ORBIT_TORI[kind]
+    pts = lattice(m, spacing)
+    estimator = ChainBall(budget=100, seed=3) if chain else RiemannLine()
+    g = build_graph(m, pts, 3 * pts.spacing, _invariant_fields(m)[name], estimator)
+    assert g.blocks is not None
+    return g
+
+
+@pytest.mark.parametrize("kind, chain", [("torus2", False), ("torus3", False), ("torus2", True)],
+                         ids=["torus2", "torus3", "torus2-chain"])
+@settings(PROPS, max_examples=12)
+@given(
+    name=st.sampled_from(["constant", "burago", "sum", "logcusp", "grid-x1", "grid"]),
+    other=st.sampled_from(["constant", "burago", "sum", "logcusp", "grid-x1", "grid"]),
+)
+def test_invariant_axes_are_those_of_the_expanded_weights(kind, chain, name, other):
+    g = _invariant_graph(kind, name, chain)
+    assert g.invariant_axes == _expanded_invariant_axes(g)
+    h = g.reweight(_invariant_fields(g.manifold)[other])
+    assert h.invariant_axes == _expanded_invariant_axes(h)
+    if not chain:  # every axis a field declares constant is invariant
+        assert set(_invariant_fields(g.manifold)[name].constant_axes(g.manifold)) <= set(g.invariant_axes)
+
+
+def test_boxes_and_kd_tree_graphs_have_no_invariant_axis():
+    box = Manifold.box([[0.0, 2.0], [0.0, 1.0]])
+    small = lattice(TORUS2, 1.5)  # fewer nodes than the eps reach spans: a kd-tree graph
+    sphere = Manifold.sphere(2)
+    for m, pts in ((box, lattice(box, 0.1)), (TORUS2, small), (sphere, lattice(sphere, 0.3))):
+        g = build_graph(m, pts, 3 * pts.spacing, Constant(0.3))
+        assert (g.blocks is not None) == (m is box)
+        assert g.invariant_axes == () and g.reweight(Constant(0.0)).invariant_axes == ()
 
 
 # tori of unequal periods and a box whose axes hold 11, 13 and 8 nodes, with
