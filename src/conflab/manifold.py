@@ -489,9 +489,8 @@ def equal_slab_axes(table: np.ndarray, naxes: int) -> list:
     slab (the entries with one index along the axis) with the first: its
     max and min along the axis are equal everywhere, one reduction each
     (a NaN fails, -0.0 == 0.0).  An axis of extent 1 has one slab, so it
-    is constant, and so is every axis of an empty table."""
-    return [a for a in range(naxes) if table.shape[a] < 2 or table.size == 0
-            or np.all(table.max(axis=a) == table.min(axis=a))]
+    is constant, NaN or not."""
+    return [a for a in range(naxes) if table.shape[a] < 2 or np.all(table.max(axis=a) == table.min(axis=a))]
 
 
 def lattice_orbits(shape, axes, index):

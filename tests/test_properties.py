@@ -3,8 +3,9 @@ torus wraps, the torus/box node grid shared by lattices and grid fields,
 the d0 metric axioms, the e^{nc} scaling of ball masses, nearest-node
 snapping on lattices, grid distances to every node against d0, the eps-graph distances (metric axioms, e^c scaling,
 monotonicity in eps and in the LogCusp cap, the one-solve-per-orbit shortest
-paths against per-source Dijkstra, and the lattice orbit
-representatives and translations behind it), the connectivity of accepted
+paths against per-source Dijkstra, the lattice orbit
+representatives and translations behind it, and the invariant axes they
+use, against the slab-by-slab test of the expanded weights), the connectivity of accepted
 lattice graphs, the invariance of the Muckenhoupt-type diagnostics
 under constant shifts of f, and the axes a field declares it is constant
 along (the field ignores them; lattice weights keep every bit).
