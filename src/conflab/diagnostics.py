@@ -28,7 +28,7 @@ from .manifold import (
     sample_ball,
     sphere_volume,
 )
-from .metric import DistanceMatrix
+from .metric import DistanceMatrix, _node_indices
 from .rng import derive_rng, derive_seed
 from .weight import WeightField, _Lifted, _density, check_ball_budget, mu_f_ball, total_mass
 
@@ -239,9 +239,10 @@ def strong_ratio(
 
 
 def d0_matrix(m: Manifold, points: PointSet, sources=None) -> DistanceMatrix:
-    """Base-distance matrix aligned with shortest_paths output."""
+    """Base-distance matrix aligned with shortest_paths output, its sources
+    checked as there."""
     n = len(points)
-    sources = np.arange(n) if sources is None else np.asarray(sources, dtype=int)
+    sources = np.arange(n) if sources is None else _node_indices(sources, n, "sources")
     vals = d0_many(m, points.points[None], points.points[sources][:, None])
     return DistanceMatrix(sources=sources, targets=np.arange(n), values=vals)
 

@@ -41,6 +41,15 @@ def float_array(values, what: str) -> np.ndarray:
         raise InputError(f"{what} must be numbers, got {values!r}") from exc
 
 
+def positive_scalar(value, what: str) -> float:
+    """value as a float; InputError naming what unless it is one positive
+    finite number (NaN fails too)."""
+    v = float_array(value, what)
+    if v.ndim or not 0 < v < np.inf:
+        raise InputError(f"{what} must be positive and finite, got {value!r}")
+    return float(v)
+
+
 def is_count(value, least: int) -> bool:
     """Whether value is an integer (Python or numpy) of at least ``least``."""
     try:
@@ -86,10 +95,7 @@ class Manifold:
     def sphere(dim: int = 2, radius: float = 1.0) -> "Manifold":
         if not (is_count(dim, 2) and dim <= 4):
             raise InputError(f"sphere dimension must be in {{2,3,4}}, got {dim!r}")
-        r = float_array(radius, "sphere radius")
-        if r.ndim or not 0 < r < np.inf:
-            raise InputError(f"sphere radius must be positive and finite, got {radius!r}")
-        return Manifold("sphere", dim, radius=float(r))
+        return Manifold("sphere", dim, radius=positive_scalar(radius, "sphere radius"))
 
     # -- basic attributes ------------------------------------------------
 
@@ -193,7 +199,12 @@ class PointSet:
         along every axis (wrapped on a torus, clipped on a box) are compared;
         every other node is at least a spacing farther, far beyond rounding.
         """
-        x = np.asarray(x, dtype=float)
+        x = float_array(x, "nearest point")
+        if x.shape != (m.ambient_dim,):
+            raise InputError(
+                f"nearest point of shape {x.shape} does not match manifold "
+                f"ambient dimension {m.ambient_dim}"
+            )
         if not np.all(np.isfinite(x)):
             raise InputError("nearest needs a point with finite coordinates")
         if self.lattice_shape is None:
@@ -220,10 +231,7 @@ class BallSpec:
     def __post_init__(self):
         if not np.all(np.isfinite(float_array(self.center, "ball center"))):
             raise InputError("ball center must have finite coordinates")
-        radius = float_array(self.radius, "ball radius")
-        if radius.ndim or not (np.isfinite(radius) and radius > 0):
-            raise InputError("ball radius must be positive and finite")
-        object.__setattr__(self, "radius", float(radius))
+        object.__setattr__(self, "radius", positive_scalar(self.radius, "ball radius"))
 
 
 def check_ball(m: Manifold, b: BallSpec) -> None:
@@ -606,10 +614,7 @@ def lattice(m: Manifold, spacing: float, cover: bool = False) -> PointSet:
     exceeds the request).  Sphere: quasi-uniform layout with
     nearest-neighbour spacing within [0.5, 2] of the request.
     """
-    h = float_array(spacing, "lattice spacing")
-    if h.ndim or not 0 < h < np.inf:  # NaN too
-        raise InputError(f"lattice spacing must be positive and finite, got {spacing!r}")
-    spacing = float(h)
+    spacing = positive_scalar(spacing, "lattice spacing")
     if m.kind in ("torus", "box"):
         shape, _ = lattice_steps(m, spacing, cover)
         npts = int(np.prod([float(s) for s in shape]))

@@ -43,6 +43,7 @@ from .manifold import (
     lattice_orbits,
     lattice_roll,
     lattice_steps,
+    positive_scalar,
     unit_ball_volume,
 )
 from .rng import derive_seed
@@ -92,22 +93,26 @@ class EpsGraph:
     the same weight, bit for bit, so Dijkstra runs on it as a directed graph
     and builds no transpose.
 
-    A graph built on a torus or box lattice fills its CSR node-major: row i
-    lists the edges from node i, one per offset block in block order, and
-    ``blocks`` holds one ``LatticeBlock`` per column of that (n, 2B) table,
-    from which the base lengths d0 follow.  Its first B blocks are the
-    half-space offsets, the last B their mirrors: block B + b joins the
-    targets of block b back to its sources.  Graphs whose edges come from a
-    kd-tree (sphere layouts, scattered points, lattices smaller than the
-    eps reach) share no displacement: ``blocks`` is None, the CSR rows are
-    sorted and ``d0`` holds each entry's base length.  Either way the
-    weights are computed once per undirected edge, on the forward entries
-    (the first B blocks, or i < j), and copied to the reverse ones.
+    A RiemannLine graph on a torus or box lattice fills its CSR
+    node-major: row i lists the edges from node i, one per offset block in
+    block order, and ``blocks`` holds one ``LatticeBlock`` per column of
+    that (n, 2B) table, from which the base lengths d0 follow.  Its first B
+    blocks are the half-space offsets, the last B their mirrors: block
+    B + b joins the targets of block b back to its sources.  Graphs whose
+    edges come from a kd-tree (ChainBall graphs, sphere layouts, scattered
+    points, lattices smaller than the eps reach) share no displacement:
+    ``blocks`` is None, the CSR rows are sorted and ``d0`` holds each
+    entry's base length.  Either way the weights are computed once per
+    undirected edge, on the forward entries (the first B blocks, or i < j),
+    and copied to the reverse ones.
 
-    ``invariant_axes``, found once per weighting, are the axes along which
-    each forward column of a torus lattice graph's compact weight table is
-    constant (exact ==), so every translation along them maps the graph
-    onto itself; they are () on boxes and kd-tree graphs.
+    ``invariant_axes`` and ``rho`` are found once per weighting, with the
+    weights.  The invariant axes are those along which each forward column
+    of a torus lattice graph's compact weight table is constant (exact ==),
+    so every translation along them maps the graph onto itself; they are ()
+    on boxes and kd-tree graphs.  rho is the largest edge weight per unit
+    of d0 over the edges with d0 > 0, 0 if there are none; it bounds
+    ``shortest_paths``' first Dijkstra limit.
     """
 
     points: PointSet
@@ -118,6 +123,7 @@ class EpsGraph:
     blocks: Optional[list] = None
     d0: Optional[np.ndarray] = None  # kd-tree graphs: d0 per CSR entry
     invariant_axes: tuple = ()
+    rho: float = 0.0
 
     @property
     def n(self) -> int:
@@ -141,11 +147,11 @@ class EpsGraph:
         return _read_only(_lattice_entries(self.manifold, self.points, self.blocks, table))
 
     def reweight(self, field: WeightField) -> "EpsGraph":
-        """Same edges, blocks and estimator; weights and invariant axes for
-        another field on the graph's manifold.  The CSR shares ``indices`` and ``indptr``."""
+        """Same edges, blocks and estimator; weights, invariant axes and rho
+        for another field on the graph's manifold.  The CSR shares ``indices`` and ``indptr``."""
         csg = copy(self.csgraph)
-        csg.data, axes = _edge_weights(self, field)
-        return replace(self, csgraph=csg, invariant_axes=axes)
+        csg.data, axes, rho = _edge_weights(self, field)
+        return replace(self, csgraph=csg, invariant_axes=axes, rho=rho)
 
 
 @dataclass
@@ -372,67 +378,64 @@ def _chain_weights(g: EpsGraph, field: WeightField, ei, ej, d0) -> np.ndarray:
     return out
 
 
-def _block_edges(points: PointSet, blk: LatticeBlock):
-    """The edges of a lattice block as (ei, ej, d0) lists over its source
-    sub-box in row-major order, and the sub-box's shape."""
-    shape = points.lattice_shape
-    src = np.meshgrid(*(np.arange(lo, hi) for lo, hi in zip(blk.lo, blk.hi)), indexing="ij")
-    dst = [(i + o) % s for i, o, s in zip(src, blk.offset, shape)]
-    ei, ej = (np.ravel_multi_index(c, shape).ravel() for c in (src, dst))
-    return (ei, ej, np.full(ei.size, blk.d0)), src[0].shape
-
-
 def _edge_weights(g: EpsGraph, field: WeightField):
-    """The graph's CSR data for ``field`` and its invariant axes: each
-    undirected edge weighted once, from its forward entry (a half-space
-    block of a lattice graph, i < j on a kd-tree graph), and copied to its
-    reverse entry.  A lattice graph's check and axes read its compact table."""
+    """The graph's CSR data for ``field``, its invariant axes and rho, from
+    one weighting.  Each undirected edge is weighted once, on its forward
+    entry (a half-space block of a lattice graph, i < j on a kd-tree graph),
+    and copied to its reverse entry, so the weight check (finite and
+    nonnegative), the invariant axes and rho, the largest weight per unit of
+    d0 over the edges with d0 > 0 (0 if there are none), read the forward
+    entries alone.  A lattice graph reads the forward half of its compact
+    table, and its rho is each column's largest weight over the column's
+    one d0 (a box's empty slots hold zeros, below every weight)."""
     field.validate(g.manifold)
-    riemann = isinstance(g.estimator, RiemannLine)
-    if not (riemann or isinstance(g.estimator, ChainBall)):
-        raise InputError(f"unknown estimator {g.estimator!r}")
-    per_edge = _riemann_weights if riemann else _chain_weights
-    if g.blocks is None:
-        # rows are sorted, so the (j, i) entries, i < j, come in the order of (j, i)
+    if g.blocks is not None:
+        table = _riemann_lattice_table(g, field)
+        half = len(g.blocks) // 2
+        forward, d0 = table[..., :half], np.array([blk.d0 for blk in g.blocks[:half]])
+    elif isinstance(g.estimator, (RiemannLine, ChainBall)):
+        per_edge = _riemann_weights if isinstance(g.estimator, RiemannLine) else _chain_weights
         ei, ej = g.edge_i, g.edge_j
         up = ei < ej
-        w = np.empty(ei.size)
-        w[up] = forward = per_edge(g, field, ei[up], ej[up], g.edge_d0[up])
-        w[~up] = forward[np.lexsort((ei[up], ej[up]))]
-    elif riemann:
-        w = _riemann_lattice_table(g, field)
+        d0 = g.edge_d0[up]
+        forward = per_edge(g, field, ei[up], ej[up], d0)
     else:
-
-        def block_weights(blk):
-            edges, box = _block_edges(g.points, blk)
-            return per_edge(g, field, *edges).reshape(box)
-
-        w = _lattice_table(g.points, g.blocks, block_weights, ())
+        raise InputError(f"unknown estimator {g.estimator!r}")
     # min and max allocate no per-entry temporary; a NaN fails the first test
-    if w.size and not (w.min() >= 0 and w.max() < np.inf):
+    if forward.size and not (forward.min() >= 0 and forward.max() < np.inf):
         raise InputError("edge weights must be finite and nonnegative")
-    if g.blocks is None:
-        return w, ()
-    axes = equal_slab_axes(w[..., :len(g.blocks) // 2], g.manifold.dim) if g.manifold.kind == "torus" else ()
-    return _lattice_entries(g.manifold, g.points, g.blocks, w), tuple(axes)
+    if g.blocks is not None:
+        rho = float(np.max(forward.max(axis=tuple(range(forward.ndim - 1))) / d0))
+        axes = equal_slab_axes(forward, g.manifold.dim) if g.manifold.kind == "torus" else ()
+        return _lattice_entries(g.manifold, g.points, g.blocks, table), tuple(axes), rho
+    pos = d0 > 0
+    rho = float(np.max(forward[pos] / d0[pos])) if np.any(pos) else 0.0
+    # rows are sorted, so the (j, i) entries, i < j, come in the order of (j, i)
+    w = np.empty(ei.size)
+    w[up] = forward
+    w[~up] = forward[np.lexsort((ei[up], ej[up]))]
+    return w, (), rho
 
 
 def _eps_graph(m, points: PointSet, eps, field, estimator):
     """All d0 <= eps edges of ``points`` in one symmetric CSR, each edge in
-    both directions, weighted per estimator.
+    both directions, weighted per estimator, with the graph's invariant
+    axes and rho from the same weighting (``_edge_weights``).
 
-    On a torus or box lattice whose axes each hold more nodes than the eps
-    reach spans, the edges are enumerated one integer offset at a time, as
-    the ``LatticeBlock`` columns of a node-major table, through which
-    RiemannLine weights its Gauss points axis by axis; other point sets get
-    their edges from a kd-tree and are weighted edge by edge.
+    A RiemannLine graph on a torus or box lattice whose axes each hold more
+    nodes than the eps reach spans takes the lattice layout: its edges are
+    enumerated one integer offset at a time, as the ``LatticeBlock`` columns
+    of a node-major table, through which its Gauss points are weighted axis
+    by axis.  Every other graph, ChainBall graphs on lattices included,
+    gets its edges from a kd-tree and is weighted edge by edge.
     """
     small_lattice = points.lattice_shape is not None and any(
         2 * int(np.floor(eps / h)) + 1 > s
         for h, s in zip(points.axis_spacing, points.lattice_shape)
     )
     blocks = d0 = None
-    if points.lattice_shape is not None and m.kind in ("torus", "box") and not small_lattice:
+    if (isinstance(estimator, RiemannLine) and points.lattice_shape is not None
+            and m.kind in ("torus", "box") and not small_lattice):
         blocks, indices, indptr = _lattice_csr(m, points, eps)
     else:
         # wrap reach would alias the offset enumeration on tiny lattices
@@ -449,7 +452,7 @@ def _eps_graph(m, points: PointSet, eps, field, estimator):
         blocks=blocks,
         d0=d0,
     )
-    csg.data, g.invariant_axes = _edge_weights(g, field)
+    csg.data, g.invariant_axes, g.rho = _edge_weights(g, field)
     return g
 
 
@@ -468,10 +471,7 @@ def build_graph(
     puts those blocks in, so lattice graphs are checked by their offsets;
     kd-tree graphs count their connected components.
     """
-    e = float_array(eps, "eps")
-    if e.ndim or not 0 < e < np.inf:  # NaN too
-        raise InputError(f"eps must be positive and finite, got {eps!r}")
-    eps = float(e)
+    eps = positive_scalar(eps, "eps")
     if eps < 3.0 * points.spacing - 1e-12:
         raise InputError(
             f"eps = {eps} violates the connectivity requirement "
@@ -504,26 +504,6 @@ def _node_indices(idx, n: int, what: str) -> np.ndarray:
     return arr.astype(int)
 
 
-def _weight_per_d0(g: EpsGraph) -> float:
-    """rho, the largest edge weight per unit of d0 over the edges with
-    d0 > 0 (0 if there are none).  A lattice graph takes it block by block
-    over the forward half of its table: the largest weight of each column
-    over the column's d0."""
-    w = g.csgraph.data
-    if g.blocks is None:
-        pos = g.d0 > 0
-        return float(np.max(w[pos] / g.d0[pos])) if np.any(pos) else 0.0
-    half = len(g.blocks) // 2
-    if g.manifold.kind == "torus":
-        table = w.reshape(g.n, len(g.blocks))  # every slot holds an edge
-    else:
-        filled = _filled_slots(g.points, g.blocks)
-        table = np.zeros(filled.shape)
-        table[filled] = w  # weights are nonnegative, so the empty slots change no maximum
-        table = table.reshape(g.n, len(g.blocks))
-    return float(np.max(table[:, :half].max(axis=0) / [blk.d0 for blk in g.blocks[:half]]))
-
-
 def shortest_paths(g: EpsGraph, sources=None, targets=None) -> DistanceMatrix:
     """Exact nonnegative-edge shortest paths from each source node (all
     nodes if None), to every node or only to ``targets``, on the graph's
@@ -532,10 +512,11 @@ def shortest_paths(g: EpsGraph, sources=None, targets=None) -> DistanceMatrix:
 
     Sources and targets are integer node indices in [0, n); anything else
     raises InputError.  With targets the matrix holds only those columns,
-    and Dijkstra stops at the limit L = rho (R + eps): rho is the largest
-    edge weight per unit of d0 and R the largest d0 between a source and a
-    target.  L is only a first guess: a straight path to the farthest
-    target, plus one edge, at the heaviest rate.  Every node within L keeps
+    and Dijkstra stops at the limit L = rho (R + eps): rho (``g.rho``, found
+    with the weights) is the largest edge weight per unit of d0 and R the
+    largest d0 between a source and a target.  L is only a first guess: a
+    straight path to the farthest target, plus one edge, at the heaviest
+    rate.  Every node within L keeps
     its optimal predecessor, which is within L too, so a finite entry is the
     unbounded solve's value bit for bit, whatever L is.  An entry that comes
     back infinite doubles L and solves again, ending with no limit, so the
@@ -557,11 +538,10 @@ def shortest_paths(g: EpsGraph, sources=None, targets=None) -> DistanceMatrix:
         targets = np.arange(n)
     else:
         targets = _node_indices(targets, n, "targets")
-        rho = _weight_per_d0(g) if sources.size and targets.size else 0.0
-        if rho > 0:
+        if sources.size and targets.size and g.rho > 0:
             pts = g.points.points
             reach = d0_many(g.manifold, pts[sources][:, None], pts[targets][None]).max()
-            limit = rho * (float(reach) + g.eps)
+            limit = g.rho * (float(reach) + g.eps)
     shape = g.points.lattice_shape if g.blocks is not None else (n,)
     rep, tau = lattice_orbits(shape, g.invariant_axes, sources)
     reps, orbit = np.unique(rep, return_inverse=True)

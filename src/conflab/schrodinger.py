@@ -59,11 +59,11 @@ from .manifold import (
     Manifold,
     PointSet,
     equal_slab_axes,
-    float_array,
     is_count,
     lattice,
     lattice_orbits,
     lattice_roll,
+    positive_scalar,
     torus_wrap,
 )
 from .weight import NodeGrid
@@ -305,13 +305,6 @@ class SchrodingerSolve:
 _MAX_ITER = 400  # most residual evaluations of one eigen solve
 
 
-def _check_tolerance(tol, what: str) -> None:
-    """InputError unless tol is one positive finite number."""
-    t = float_array(tol, what)
-    if t.ndim or not (np.isfinite(t) and t > 0):
-        raise InputError(f"{what} must be positive and finite, got {tol!r}")
-
-
 def _eigenpairs(geom: GridGeometry, V, x0, tol: float) -> list:
     """Lowest eigenpairs of Delta - V_j for the k potentials V_j (N,) in V,
     each from the start x0[j] (N,), by block-1 LOBPCG run in lockstep.
@@ -327,7 +320,7 @@ def _eigenpairs(geom: GridGeometry, V, x0, tol: float) -> list:
     misses tol or whose ground state is not positive raises its own
     NumericError.
     """
-    _check_tolerance(tol, "eigen tol")
+    tol = positive_scalar(tol, "eigen tol")
     k = len(V)
     v_mean = [float(v.mean()) for v in V]
     x = [row / np.linalg.norm(row) for row in x0]
@@ -437,7 +430,7 @@ def _shifts(geom: GridGeometry, q, masks, tol: float, eig_tol: float) -> list:
     bracket, warm start, NumericError and stop, so each result is bit for
     bit what the problem gives alone.  Returns one ``GsShiftResult`` per
     problem."""
-    _check_tolerance(tol, "shift tol")
+    tol = positive_scalar(tol, "shift tol")
     n = geom.dim
     vol_m = geom.manifold.volume
     c_lo, c_hi, comp = [], [], []

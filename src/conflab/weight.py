@@ -32,8 +32,10 @@ from .manifold import (
     cap_quadrature,
     check_ball,
     d0_many,
+    float_array,
     grid_axes,
     is_count,
+    positive_scalar,
     sample_ball,
     sample_manifold,
     torus_delta,
@@ -176,10 +178,12 @@ class LogCusp(WeightField):
     cap: Optional[float] = None
 
     def __post_init__(self):
-        if not 0 < self.r0 < np.inf:
-            raise InputError("LogCusp radius r0 must be positive and finite")
-        if self.cap is not None and not self.cap > 0:  # NaN too
-            raise InputError("LogCusp cap must be positive (or None)")
+        x0 = float_array(self.x0, "LogCusp centre x0")
+        if x0.ndim != 1:
+            raise InputError(f"LogCusp centre x0 must be a list of coordinates, got {self.x0!r}")
+        object.__setattr__(self, "r0", positive_scalar(self.r0, "LogCusp radius r0"))
+        if self.cap is not None:  # None is the uncapped cusp
+            object.__setattr__(self, "cap", positive_scalar(self.cap, "LogCusp cap"))
 
     def validate(self, m):
         if m.kind not in ("torus", "box"):
@@ -283,8 +287,9 @@ class SphereBubble(WeightField):
     pole: Optional[tuple] = None
 
     def __post_init__(self):
-        if not 0 < self.lam < np.inf:
-            raise InputError("SphereBubble dilation lam must be positive and finite")
+        object.__setattr__(self, "lam", positive_scalar(self.lam, "SphereBubble dilation lam"))
+        if self.pole is not None and float_array(self.pole, "SphereBubble pole").ndim != 1:
+            raise InputError(f"SphereBubble pole must be a list of coordinates, got {self.pole!r}")
 
     def validate(self, m):
         if m.kind != "sphere":
@@ -306,7 +311,7 @@ class SphereBubble(WeightField):
         return -pole
 
     def profile(self, theta):
-        lam = float(self.lam)
+        lam = self.lam
         half = np.asarray(theta, dtype=float) / 2.0
         s, c = np.sin(half), np.cos(half)
         a = (lam - 1.0) * (lam + 1.0)

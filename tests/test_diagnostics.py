@@ -185,6 +185,14 @@ def square_mats():
     return t2, pts, dm, d0m
 
 
+@pytest.mark.parametrize("sources", [[10**6], [-1], [1.5], [[0, 1]]], ids=["past-n", "negative", "float", "2-d"])
+def test_d0_matrix_checks_its_sources_as_shortest_paths_does(torus2, sources):
+    # an index past the nodes used to escape as an IndexError
+    pts = lattice(torus2, 0.3)
+    with pytest.raises(InputError, match="sources must"):
+        d0_matrix(torus2, pts, sources)
+
+
 def test_d0_matrix_with_no_sources_is_empty(torus2):
     pts = lattice(torus2, 0.3)
     d0m = d0_matrix(torus2, pts, [])

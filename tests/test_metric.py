@@ -446,8 +446,8 @@ def test_torus_indptr_counts_the_filled_slots(case):
 @pytest.mark.parametrize("case", sorted(LATTICE_GRAPHS))
 def test_lattice_csr_is_node_major(case):
     # row i lists node i's edges in _lattice_offsets order, then the same
-    # offsets negated, unsorted: _weight_per_d0 reads the weights as an
-    # (n, 2B) table whose first B columns are the half-space blocks
+    # offsets negated, unsorted: _lattice_entries writes the weights from
+    # an (n, 2B) table whose first B columns are the half-space blocks
     m, spacing = LATTICE_GRAPHS[case]
     pts = lattice(m, spacing)
     eps = 4.3 * pts.spacing
@@ -537,12 +537,13 @@ def _symmetric_cases():
 @pytest.mark.parametrize("case", ["torus-lattice", "box-lattice", "sphere-kdtree", "small-lattice-kdtree"])
 def test_csr_is_its_own_transpose(case, estimator):
     # every edge is stored both ways with one weight, bit for bit, so the
-    # directed solve on it is the undirected solve on its upper triangle
+    # directed solve on it is the undirected solve on its upper triangle;
+    # only RiemannLine takes the lattice layout, ChainBall always the kd-tree
     m, pts, on_lattice = _symmetric_cases()[case]
     center = tuple(pts.points[len(pts) // 2] + 0.013) if m.kind != "sphere" else (0.6, 0.0, 0.8)
     fields = (Constant(0.3), SphereBubble(3.0, pole=center) if m.kind == "sphere" else LogCusp(center, 0.3, 2.0))
     g = build_graph(m, pts, 3.3 * pts.spacing, fields[0], estimator)
-    assert (g.blocks is not None) == on_lattice
+    assert (g.blocks is not None) == (on_lattice and isinstance(estimator, RiemannLine))
     for w in (g, g.reweight(fields[1])):
         c = w.csgraph.copy()
         c.sort_indices()
@@ -585,7 +586,8 @@ def test_edge_weights_must_be_finite_and_nonnegative(torus2, monkeypatch, bad):
     # lattice graphs check their compact weight tables, in which a box keeps
     # zeros in its empty slots: the bad value still reaches a torus and a
     # box through their block weights, built or reweighted, from every Gauss
-    # weight or from the ChainBall edges of one node
+    # weight; a ChainBall graph on the same lattice nodes is a kd-tree graph,
+    # and the bad value reaches it from the forward edges of one node
     box = Manifold.box([[0.0, 2.0], [0.0, 2.0]])
     graphs = [build_graph(m, pts, 3 * pts.spacing, Constant(0.0))
               for m, pts in ((m, lattice(m, 0.25)) for m in (torus2, box))]

@@ -14,8 +14,7 @@ Hypothesis runs derandomized, so every run of the suite checks the same
 examples.
 """
 
-from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from unittest.mock import patch
 
@@ -39,6 +38,7 @@ from conflab.diagnostics import (
 from conflab.manifold import (
     BallSpec,
     Manifold,
+    PointSet,
     d0_many,
     _closed_form_volume,
     equal_slab_axes,
@@ -684,10 +684,7 @@ def test_orbit_solve_is_the_per_source_dijkstra(kind, field, src, tgt, widen):
     src = [int(u * g.n) for u in src] + [int(src[0] * g.n)]  # one duplicate source at least
     tgt = None if tgt is None else [int(u * g.n) for u in tgt]
     # a first limit far too short makes the bounded solve widen several times
-    real = mt._weight_per_d0
-    shrink = patch.object(mt, "_weight_per_d0", lambda gg: 1e-3 * real(gg)) if widen else nullcontext()
-    with shrink:
-        got = shortest_paths(g, src, tgt).values
+    got = shortest_paths(replace(g, rho=1e-3 * g.rho) if widen else g, src, tgt).values
     want = np.vstack([dijkstra(g.csgraph, directed=False, indices=s) for s in src])
     if tgt is not None:
         want = want[:, tgt]
@@ -768,40 +765,115 @@ def _expanded_invariant_axes(g):
 
 
 @cache
-def _invariant_graph(kind, name, chain):
-    # ChainBall weighs edge by edge, so it gets the torus2 of 11 x 7 nodes
-    m, spacing = (ORBIT_TORI[kind][0], 0.6) if chain else ORBIT_TORI[kind]
+def _invariant_graph(kind, name):
+    m, spacing = ORBIT_TORI[kind]
     pts = lattice(m, spacing)
-    estimator = ChainBall(budget=100, seed=3) if chain else RiemannLine()
-    g = build_graph(m, pts, 3 * pts.spacing, _invariant_fields(m)[name], estimator)
+    g = build_graph(m, pts, 3 * pts.spacing, _invariant_fields(m)[name])
     assert g.blocks is not None
     return g
 
 
-@pytest.mark.parametrize("kind, chain", [("torus2", False), ("torus3", False), ("torus2", True)],
-                         ids=["torus2", "torus3", "torus2-chain"])
+@pytest.mark.parametrize("kind", ["torus2", "torus3"])
 @settings(PROPS, max_examples=12)
 @given(
     name=st.sampled_from(["constant", "burago", "sum", "logcusp", "grid-x1", "grid"]),
     other=st.sampled_from(["constant", "burago", "sum", "logcusp", "grid-x1", "grid"]),
 )
-def test_invariant_axes_are_those_of_the_expanded_weights(kind, chain, name, other):
-    g = _invariant_graph(kind, name, chain)
+def test_invariant_axes_are_those_of_the_expanded_weights(kind, name, other):
+    g = _invariant_graph(kind, name)
     assert g.invariant_axes == _expanded_invariant_axes(g)
     h = g.reweight(_invariant_fields(g.manifold)[other])
     assert h.invariant_axes == _expanded_invariant_axes(h)
-    if not chain:  # every axis a field declares constant is invariant
-        assert set(_invariant_fields(g.manifold)[name].constant_axes(g.manifold)) <= set(g.invariant_axes)
+    # every axis a field declares constant is invariant
+    assert set(_invariant_fields(g.manifold)[name].constant_axes(g.manifold)) <= set(g.invariant_axes)
 
 
 def test_boxes_and_kd_tree_graphs_have_no_invariant_axis():
     box = Manifold.box([[0.0, 2.0], [0.0, 1.0]])
     small = lattice(TORUS2, 1.5)  # fewer nodes than the eps reach spans: a kd-tree graph
     sphere = Manifold.sphere(2)
-    for m, pts in ((box, lattice(box, 0.1)), (TORUS2, small), (sphere, lattice(sphere, 0.3))):
-        g = build_graph(m, pts, 3 * pts.spacing, Constant(0.3))
+    # a ChainBall graph on a torus lattice (11 x 7 nodes, on which a
+    # RiemannLine graph takes the lattice layout) is a kd-tree graph, even
+    # under a field constant along every axis
+    t2 = ORBIT_TORI["torus2"][0]
+    chain = (t2, lattice(t2, 0.6), ChainBall(budget=100, seed=3))
+    cases = ((box, lattice(box, 0.1), RiemannLine()), (TORUS2, small, RiemannLine()),
+             (sphere, lattice(sphere, 0.3), RiemannLine()), chain)
+    for m, pts, estimator in cases:
+        g = build_graph(m, pts, 3 * pts.spacing, Constant(0.3), estimator)
         assert (g.blocks is not None) == (m is box)
         assert g.invariant_axes == () and g.reweight(Constant(0.0)).invariant_axes == ()
+
+
+def _rho_by_definition(g):
+    """rho as first defined: the largest CSR weight per unit of d0 over the
+    entries with d0 > 0, 0 if there are none."""
+    d0 = g.edge_d0
+    pos = d0 > 0
+    return float(np.max(g.csgraph.data[pos] / d0[pos])) if np.any(pos) else 0.0
+
+
+RHO_BOX = Manifold.box([[0.0, 2.0], [0.0, 1.4]])
+SPHERE2 = Manifold.sphere(2)
+# torus and box lattices, a sphere layout, a torus lattice smaller than the
+# eps reach and a kd-tree graph with a duplicated node, whose d0 = 0 edge
+# rho skips
+RHO_GRAPHS = {
+    "torus-lattice": (TORUS2, lambda: lattice(TORUS2, 0.7)),
+    "box-lattice": (RHO_BOX, lambda: lattice(RHO_BOX, 0.2)),
+    "sphere": (SPHERE2, lambda: lattice(SPHERE2, 0.45)),
+    "small-lattice-kdtree": (TORUS2, lambda: lattice(TORUS2, 1.0)),
+    "duplicated-node": (TORUS2, lambda: PointSet(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.2], [0.4, 0.9]]), 0.4)),
+}
+
+
+def _rho_fields(m):
+    if m.kind == "sphere":
+        return [Constant(0.3), SphereBubble(3.0, pole=(0.6, 0.0, 0.8)), Sum((SphereBubble(2.0), Constant(-0.4)))]
+    return [Constant(0.3), LogCusp((1.013, 0.521), 0.3, 2.0), Sum((LogCusp((0.31, 0.27), 0.2, None), Constant(0.2)))]
+
+
+@cache
+def _rho_graph(case, chain):
+    m, points = RHO_GRAPHS[case]
+    pts = points()
+    return build_graph(m, pts, 3.3 * pts.spacing, _rho_fields(m)[1],
+                       ChainBall(budget=100, seed=3) if chain else RiemannLine())
+
+
+# a chain ball of radius 0 is an InputError, so the duplicated node is RiemannLine's only
+RHO_ESTIMATORS = [(case, chain) for case in sorted(RHO_GRAPHS) for chain in (False, True)
+                  if not (chain and case == "duplicated-node")]
+
+
+@pytest.mark.parametrize("case, chain", RHO_ESTIMATORS,
+                         ids=[f"{case}-{'chain' if chain else 'riemann'}" for case, chain in RHO_ESTIMATORS])
+@settings(PROPS, max_examples=4)
+@given(k=st.integers(0, 2), c=st.floats(-2.0, 2.0))
+def test_rho_is_the_largest_weight_per_unit_of_d0(case, chain, k, c):
+    # rho comes with the weights, from the forward entries or the compact
+    # table; it is the expanded definition's float, built and reweighted
+    g = _rho_graph(case, chain)
+    assert (g.blocks is not None) == (not chain and case in ("torus-lattice", "box-lattice"))
+    assert g.rho > 0 and g.rho == _rho_by_definition(g)
+    h = g.reweight(Sum((_rho_fields(g.manifold)[k], Constant(c))))
+    assert h.rho == _rho_by_definition(h)
+
+
+def test_a_graph_of_coincident_nodes_has_rho_zero_and_solves_unbounded(monkeypatch):
+    # every edge has d0 = 0, so rho is 0 and Dijkstra gets no limit
+    g = build_graph(TORUS2, PointSet(np.array([[1.0, 2.0], [1.0, 2.0]]), 0.4), 1.3, Constant(0.5))
+    assert g.blocks is None and g.rho == 0.0 == _rho_by_definition(g)
+    limits = []
+    real = mt.dijkstra
+
+    def recorded(*args, **kwargs):
+        limits.append(kwargs["limit"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mt, "dijkstra", recorded)
+    assert shortest_paths(g, [0], [1]).values.tolist() == [[0.0]]
+    assert limits == [np.inf]
 
 
 # tori of unequal periods and a box whose axes hold 11, 13 and 8 nodes, with

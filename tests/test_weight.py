@@ -54,6 +54,13 @@ def test_bubble_identity_at_lam_one(sphere3, rng):
     assert np.abs(SphereBubble(1.0).eval_many(sphere3, pts)).max() == 0.0
 
 
+def test_fields_store_their_checked_scalars_as_floats():
+    cusp = LogCusp((1.0, 1.0), np.float32(0.5), 2)
+    assert type(cusp.r0) is float and type(cusp.cap) is float and cusp.cap == 2.0
+    assert type(SphereBubble(np.int64(3)).lam) is float
+    assert LogCusp((1.0, 1.0), 0.5).cap is None
+
+
 @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf])
 def test_bubble_rejects_a_non_positive_or_non_finite_lam(lam):
     # nan <= 0 is False, so a nan lam used to construct a field of nan values
@@ -615,6 +622,15 @@ def _box_grid(shape):
          ">= 3 nodes per axis"),
         (lambda t2: LogCusp((1.0, 1.0), np.nan), "r0 must be positive and finite"),
         (lambda t2: LogCusp((1.0, 1.0), 0.5, np.nan), "cap must be positive"),
+        (lambda t2: LogCusp((1.0, 1.0), "a"), "LogCusp radius r0 must be numbers"),
+        (lambda t2: LogCusp((1.0, 1.0), 0.5, "a"), "LogCusp cap must be numbers"),
+        # None is the uncapped cusp, so an infinite cap is refused
+        (lambda t2: LogCusp((1.0, 1.0), 0.5, np.inf), "LogCusp cap must be positive and finite"),
+        (lambda t2: LogCusp(("a", 1.0), 0.5), "LogCusp centre x0 must be numbers"),
+        (lambda t2: LogCusp(1.0, 0.5), "LogCusp centre x0 must be a list of coordinates"),
+        (lambda t2: SphereBubble("a"), "SphereBubble dilation lam must be numbers"),
+        (lambda t2: SphereBubble(2.0, pole=("a", 0.0, 1.0)), "SphereBubble pole must be numbers"),
+        (lambda t2: SphereBubble(2.0, pole=1.0), "SphereBubble pole must be a list of coordinates"),
         (lambda t2: total_mass(t2, BuragoTorus(1), 1), "sample count of at least 2"),
         (lambda t2: total_mass(t2, BuragoTorus(1), np.nan), "integer sample count"),
         (lambda t2: total_mass(t2, BuragoTorus(1), 2.5), "integer sample count"),
@@ -625,7 +641,9 @@ def _box_grid(shape):
     ],
     ids=["burago-ell-0", "burago-ell-text", "ball-center-3-on-2-torus", "ball-center-3-on-3-sphere",
          "nan-grid", "grid-manifold-kind", "grid-order-2", "cubic-box-2-nodes",
-         "log-cusp-nan-r0", "log-cusp-nan-cap", "total-mass-one-sample", "total-mass-nan-budget",
+         "log-cusp-nan-r0", "log-cusp-nan-cap", "log-cusp-text-r0", "log-cusp-text-cap",
+         "log-cusp-inf-cap", "log-cusp-text-x0", "log-cusp-scalar-x0", "bubble-text-lam", "bubble-text-pole",
+         "bubble-scalar-pole", "total-mass-one-sample", "total-mass-nan-budget",
          "total-mass-fractional-budget", "ball-nan-budget", "ball-fractional-budget"],
 )
 def test_weights_reject_bad_inputs(torus2, call, words):

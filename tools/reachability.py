@@ -77,7 +77,6 @@ KEPT = {
     "metric.build_graph(estimator)": CHAIN,
     "metric.ChainBall": CHAIN,
     "metric._chain_weights": CHAIN,
-    "metric._block_edges": CHAIN,
     "schrodinger.SchrodingerSolve.iterations": TRACER,
     "schrodinger.GsShiftResult.evaluations": TRACER,
     "schrodinger.DecompositionResult.f": SPLIT,
