@@ -765,42 +765,41 @@ def _expanded_invariant_axes(g):
 
 
 @cache
-def _invariant_graph(kind, name):
-    m, spacing = ORBIT_TORI[kind]
+def _invariant_graph(kind, name, chain):
+    # ChainBall gets the torus2 of 11 x 7 nodes, on which a RiemannLine graph
+    # takes the lattice layout; a ChainBall graph is a kd-tree graph all the same
+    m, spacing = (ORBIT_TORI[kind][0], 0.6) if chain else ORBIT_TORI[kind]
     pts = lattice(m, spacing)
-    g = build_graph(m, pts, 3 * pts.spacing, _invariant_fields(m)[name])
-    assert g.blocks is not None
+    estimator = ChainBall(budget=100, seed=3) if chain else RiemannLine()
+    g = build_graph(m, pts, 3 * pts.spacing, _invariant_fields(m)[name], estimator)
+    assert (g.blocks is None) == chain
     return g
 
 
-@pytest.mark.parametrize("kind", ["torus2", "torus3"])
+@pytest.mark.parametrize("kind, chain", [("torus2", False), ("torus3", False), ("torus2", True)],
+                         ids=["torus2", "torus3", "torus2-chain"])
 @settings(PROPS, max_examples=12)
 @given(
     name=st.sampled_from(["constant", "burago", "sum", "logcusp", "grid-x1", "grid"]),
     other=st.sampled_from(["constant", "burago", "sum", "logcusp", "grid-x1", "grid"]),
 )
-def test_invariant_axes_are_those_of_the_expanded_weights(kind, name, other):
-    g = _invariant_graph(kind, name)
-    assert g.invariant_axes == _expanded_invariant_axes(g)
+def test_invariant_axes_are_those_of_the_expanded_weights(kind, chain, name, other):
+    # a kd-tree graph has no invariant axis, even under a field constant along every axis
+    expanded = (lambda _: ()) if chain else _expanded_invariant_axes
+    g = _invariant_graph(kind, name, chain)
+    assert g.invariant_axes == expanded(g)
     h = g.reweight(_invariant_fields(g.manifold)[other])
-    assert h.invariant_axes == _expanded_invariant_axes(h)
-    # every axis a field declares constant is invariant
-    assert set(_invariant_fields(g.manifold)[name].constant_axes(g.manifold)) <= set(g.invariant_axes)
+    assert h.invariant_axes == expanded(h)
+    if not chain:  # every axis a field declares constant is invariant
+        assert set(_invariant_fields(g.manifold)[name].constant_axes(g.manifold)) <= set(g.invariant_axes)
 
 
 def test_boxes_and_kd_tree_graphs_have_no_invariant_axis():
     box = Manifold.box([[0.0, 2.0], [0.0, 1.0]])
     small = lattice(TORUS2, 1.5)  # fewer nodes than the eps reach spans: a kd-tree graph
     sphere = Manifold.sphere(2)
-    # a ChainBall graph on a torus lattice (11 x 7 nodes, on which a
-    # RiemannLine graph takes the lattice layout) is a kd-tree graph, even
-    # under a field constant along every axis
-    t2 = ORBIT_TORI["torus2"][0]
-    chain = (t2, lattice(t2, 0.6), ChainBall(budget=100, seed=3))
-    cases = ((box, lattice(box, 0.1), RiemannLine()), (TORUS2, small, RiemannLine()),
-             (sphere, lattice(sphere, 0.3), RiemannLine()), chain)
-    for m, pts, estimator in cases:
-        g = build_graph(m, pts, 3 * pts.spacing, Constant(0.3), estimator)
+    for m, pts in ((box, lattice(box, 0.1)), (TORUS2, small), (sphere, lattice(sphere, 0.3))):
+        g = build_graph(m, pts, 3 * pts.spacing, Constant(0.3))
         assert (g.blocks is not None) == (m is box)
         assert g.invariant_axes == () and g.reweight(Constant(0.0)).invariant_axes == ()
 
