@@ -132,7 +132,8 @@ def lp_scal_norm(
 ) -> float:
     """(int_B |scal|^p dmu_f)^{1/p}, optionally with the positive part, by
     ball_integral: the colatitude rule for rotationally symmetric sphere
-    fields, else Monte Carlo on _BUDGET uniform ball samples.
+    fields, else Monte Carlo on _BUDGET uniform ball samples, whose
+    e^{nf} is the field's ``weight_many``.
     """
     if not 1 <= p < np.inf:
         raise InputError("lp_scal_norm requires a finite p >= 1")
@@ -142,7 +143,7 @@ def lp_scal_norm(
     def on_points(pts):
         s = scalar_curvature_many(m, field, pts)
         with np.errstate(invalid="ignore"):  # inf * 0 is nan, which _mc_integral rejects
-            return part(s) ** p * np.exp(n * field.eval_many(m, pts))
+            return part(s) ** p * field.weight_many(m, pts)
 
     def on_profile(theta, f, fp, fpp):
         return part(scal_radial(m, theta, f, fp, fpp)) ** p * np.exp(n * f)

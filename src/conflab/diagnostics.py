@@ -204,38 +204,44 @@ def strong_ratio(
     """sup over pairs of max(rho, 1/rho), rho = d_f(x,y)/mu_f(B)^{1/n}.
 
     Both ball conventions are computed: B(x, d0(x,y)) (reported as
-    theta_strong) and the midpoint ball B_xy of radius d0(x,y)/2.
+    theta_strong) and the midpoint ball B_xy of radius d0(x,y)/2.  The
+    pairs are (i, j) node indices in [0, len(points)), checked as
+    shortest_paths checks its sources, else InputError.  One d0_many call
+    gives every pair's d0 and one midpoint call the midpoints of the pairs
+    with 0 < d0 <= eta; then, pair by pair, the ball at x and the midpoint
+    ball take their masses, seeded by the pair's position k in ``pairs``.
     """
     field.validate(m)
     n = m.dim
+    try:
+        ij = np.asarray(pairs)
+    except ValueError:  # ragged
+        ij = None
+    if ij is None or ij.size and (ij.ndim != 2 or ij.shape[1] != 2):
+        raise InputError("pairs must be a sequence of (i, j) node index pairs")
+    i, j = _node_indices(ij.reshape(-1), len(points), "pair nodes").reshape(-1, 2).T
+    d0 = d0_many(m, points.points[i], points.points[j])
+    keep = np.flatnonzero((d0 > 0.0) & (d0 <= eta))
+    if keep.size == 0:
+        raise InputError("no pairs with 0 < d0 <= eta present in the distance matrix")
+    dfs = [dmat.get(int(i[k]), int(j[k])) for k in keep]
+    mids = midpoint(m, points.points[i[keep]], points.points[j[keep]])
     best_x, best_mid = 0.0, 0.0
-    used = 0
-    for k, (i, j) in enumerate(pairs):
-        x = points.points[int(i)]
-        y = points.points[int(j)]
-        d0_xy = float(d0_many(m, x, y))
-        if d0_xy <= 0 or d0_xy > eta:
-            continue
-        df = dmat.get(int(i), int(j))
+    for k, df, mid in zip(keep, dfs, mids):
+        d0_xy = float(d0[k])
         mass_x, _ = mu_f_ball(
-            m, field, BallSpec(center=x, radius=d0_xy), _STRONG_BUDGET, derive_seed(seed, "sr", k)
+            m, field, BallSpec(center=points.points[i[k]], radius=d0_xy), _STRONG_BUDGET,
+            derive_seed(seed, "sr", k),
         )
         rho = df / mass_x ** (1.0 / n)
         best_x = max(best_x, rho, 1.0 / rho)
-        mid = midpoint(m, x, y)
         mass_m, _ = mu_f_ball(
-            m,
-            field,
-            BallSpec(center=mid, radius=d0_xy / 2.0),
-            _STRONG_BUDGET,
+            m, field, BallSpec(center=mid, radius=d0_xy / 2.0), _STRONG_BUDGET,
             derive_seed(seed, "srm", k),
         )
         rho_m = df / mass_m ** (1.0 / n)
         best_mid = max(best_mid, rho_m, 1.0 / rho_m)
-        used += 1
-    if used == 0:
-        raise InputError("no pairs with 0 < d0 <= eta present in the distance matrix")
-    return StrongRatioResult(theta_strong=best_x, theta_strong_mid=best_mid, n_pairs=used)
+    return StrongRatioResult(theta_strong=best_x, theta_strong_mid=best_mid, n_pairs=int(keep.size))
 
 
 def d0_matrix(m: Manifold, points: PointSet, sources=None) -> DistanceMatrix:

@@ -299,7 +299,8 @@ def weak_star_test(m: Manifold, fields, testfns) -> list:
     Test functions come from the built-in dictionary: "1" and ("cos",
     k-vector), each checked before any evaluation.  Each integral is the
     periodic tensor rule: vol(M) times ``_mc_integral``'s mean (so its
-    non-finite policy) over the k^n and the (2k)^n lattice nodes, with
+    non-finite policy) of phi times the field's ``weight_many`` over the k^n
+    and the (2k)^n lattice nodes, with
     (2k)^n <= WEAK_STAR_NODES, exact for trigonometric polynomials of
     degree below k along each axis.  A row reports the finer value as
     ``value`` and the rule's ``error`` |I_2k - I_k| + 1e-12 int |g|.
@@ -314,7 +315,7 @@ def weak_star_test(m: Manifold, fields, testfns) -> list:
     tests = [[phi(pts) for pts in grids] for _, phi in phis]
     rows = []
     for flabel, field in fields:
-        dens = [np.exp(m.dim * field.eval_many(m, pts)) for pts in grids]
+        dens = [field.weight_many(m, pts) for pts in grids]
         for (tlabel, _), vals in zip(phis, tests):
             what = f"nodes of {tlabel} e^(nf) for {flabel}"
             g = [v * d for v, d in zip(vals, dens)]

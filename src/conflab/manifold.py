@@ -271,10 +271,13 @@ def torus_wrap(x: np.ndarray, periods: np.ndarray) -> np.ndarray:
     within [-p, 2p) is shifted by at most one period.  There x - p is exact
     for x in [p, 2p) (Sterbenz), which is the remainder np.mod computes, and
     for x in [-p, 0) np.mod's remainder is x + p with the same rounding.
-    Such an axis is skipped when it already lies inside (0, p), else wrapped
-    by three selects (products with 0/1 masks) on a contiguous copy of it
-    (the axis itself when it is contiguous) and written back once.  Any
-    other axis, non-finite entries included, goes through np.mod.
+    Such an axis is wrapped only on the side it leaves: p is subtracted
+    when its max is >= p, and p added (then entries that round up to p
+    cleared) when its min is < 0 or a zero, which may be -0.0; an axis
+    inside (0, p) is left alone.  Each side is an in-place select (a
+    product with a 0/1 mask) on a contiguous copy of the axis (the axis
+    itself when it is contiguous), written back once.  Any other axis,
+    non-finite entries included, goes through np.mod.
     """
     if x.size == 0:
         return x
@@ -291,9 +294,13 @@ def torus_wrap(x: np.ndarray, periods: np.ndarray) -> np.ndarray:
         # much on an axis of mixed signs.  v -/+ 0.0 is v, except that
         # -0.0 + 0.0 is +0.0, np.mod's zero; v * 0.0 is +0.0 for v >= p > 0
         v = np.ascontiguousarray(col)
-        v = v - p * (v >= p)
-        v = v + p * (v < 0.0)
-        col[...] = v * (v < p)
+        if hi >= p:
+            v -= p * (v >= p)
+        if lo <= 0.0:
+            v += p * (v < 0.0)
+            v *= v < p
+        if v is not col:
+            col[...] = v
     return x
 
 
@@ -331,14 +338,22 @@ def d0_many(m: Manifold, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def midpoint(m: Manifold, x, y) -> np.ndarray:
-    """Point at distance d0(x,y)/2 from both ends of a minimizing geodesic."""
-    x = m.check_points(x)[0]
-    y = m.check_points(y)[0]
-    if np.array_equal(x, y):
+    """Point at distance d0(x,y)/2 from both ends of a minimizing geodesic.
+
+    Over rows for (K, d) x and y: one geodesic_points call gives the (K, d)
+    midpoints, bit for bit those of the rows one by one, and any row whose
+    two points coincide, or are (nearly) antipodal on a sphere, is a
+    GeometryError.
+    """
+    rows = np.ndim(x) > 1 or np.ndim(y) > 1
+    x = m.check_points(x)
+    y = m.check_points(y)
+    if np.any(np.all(x == y, axis=-1)):
         raise GeometryError("midpoint requires two distinct points")
-    if m.kind == "sphere" and d0_many(m, x, y) >= pi * m.radius - 1e-9:
+    if m.kind == "sphere" and np.any(d0_many(m, x, y) >= pi * m.radius - 1e-9):
         raise GeometryError("midpoint of (nearly) antipodal sphere points is ambiguous")
-    return geodesic_points(m, x[None], y[None], [0.5])[0, 0]
+    mid = geodesic_points(m, x, y, [0.5])[0]
+    return mid if rows else mid[0]
 
 
 def geodesic_points(m: Manifold, x: np.ndarray, y: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -695,7 +710,9 @@ def sample_ball(m: Manifold, b: BallSpec, count: int, seed: int = 0):
     Caps are sampled by colatitude inversion and a rotation.  A flat ball of
     dimension n <= 4 is drawn by rejection from its bounding cube: c + r v
     for the columns v of an axis-major (n, k) block of uniforms on [-1, 1)^n
-    with |v|^2 < 1 (a unit cube, so no tiny r^2 underflows).  Each round's k
+    with |v|^2 < 1 (a unit cube, so no tiny r^2 underflows), each 2u - 1 in
+    place on a block u of rng.random: the floats of rng.uniform(-1, 1), which
+    reads the same stream and rounds -1 + 2u alike.  Each round's k
     expects the remaining count from the cube's ball fraction omega_n / 2^n,
     times the in-domain fraction seen so far, with a margin of
     3 sqrt(remaining) + 1, and is never larger than the first round's k.
@@ -703,7 +720,8 @@ def sample_ball(m: Manifold, b: BallSpec, count: int, seed: int = 0):
     round draws c + r U^{1/n} g/|g| (U uniform, g Gaussian) count times.
     Of the draws in the ball, those inside the box, or on a torus within half
     a period of c in every coordinate, are kept.  The (count, n) points
-    returned are a transposed axis-major block, so they may be F-ordered.
+    returned are a transposed axis-major block, so they may be F-ordered;
+    on a torus torus_wrap wraps each axis only on the side the ball leaves.
     Weights are uniform and sum to the exact volume where there is one (see
     _closed_form_volume), else to omega r^n a, a the kept fraction of the
     draws in the ball, with binomial volume_se omega r^n sqrt(a (1 - a) / drawn).
@@ -729,7 +747,9 @@ def sample_ball(m: Manifold, b: BallSpec, count: int, seed: int = 0):
             need = count - accepted
             share = cube * accepted / drawn if accepted else cube
             k = min(ceil((need + 3.0 * sqrt(need) + 1.0) / share), first)
-            v = rng.uniform(-1.0, 1.0, (n, k))
+            v = rng.random((n, k))
+            v *= 2.0
+            v -= 1.0
             sq = v[0] * v[0]
             for a in range(1, n):
                 sq += v[a] * v[a]

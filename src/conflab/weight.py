@@ -48,13 +48,19 @@ from .manifold import (
 
 
 class WeightField:
-    """Base class: the log factor f with optional exact derivatives."""
+    """Base class: the log factor f with optional exact derivatives, and
+    the volume weight e^{nf} at points (``weight_many``)."""
 
     def validate(self, m: Manifold) -> None:
         pass
 
     def eval_many(self, m: Manifold, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def weight_many(self, m: Manifold, x: np.ndarray) -> np.ndarray:
+        """e^{nf} at the points x: np.exp(n * eval_many) unless a field has
+        the weight in closed form."""
+        return np.exp(m.dim * self.eval_many(m, x))
 
     def grad_lap_many(self, m: Manifold, x: np.ndarray):
         """(gradient vectors, Laplacian of f), geometer's sign Laplacian;
@@ -109,7 +115,10 @@ class Constant(WeightField):
 
 @dataclass(frozen=True)
 class BuragoTorus(WeightField):
-    """Oscillating weight e^{nf} = 1 - cos(ell * x1)/2 on a flat torus."""
+    """Oscillating weight e^{nf} = 1 - cos(ell * x1)/2 on a flat torus.
+
+    ``weight_many`` returns that weight, computed in place as -0.5 cos + 1.0
+    (the same IEEE operation as 1.0 - 0.5 cos), and f is its log over n."""
 
     ell: int = 1
 
@@ -122,8 +131,15 @@ class BuragoTorus(WeightField):
         if abs(turns - round(turns)) > 1e-9 * turns:
             raise InputError(f"BuragoTorus needs ell * P1 / (2 pi) integer, got {turns:.6g}")
 
+    def weight_many(self, m, x):
+        w = self.ell * x[:, 0]
+        np.cos(w, out=w)
+        w *= -0.5
+        w += 1.0
+        return w
+
     def eval_many(self, m, x):
-        return np.log(1.0 - 0.5 * np.cos(self.ell * x[:, 0])) / m.dim
+        return np.log(self.weight_many(m, x)) / m.dim
 
     def grad_lap_many(self, m, x):
         n = m.dim
@@ -633,15 +649,29 @@ def radial_ball_integral(m: Manifold, integrand, axis: np.ndarray, ball: BallSpe
 def _mc_integral(vals: np.ndarray, volume: float, what: str, volume_se: float):
     """The one Monte Carlo estimate: (volume * mean, standard error) of the
     finite ``vals`` (at most 0.1% may be non-finite), whose error joins
-    mean * volume_se, that of a sampled volume, to the sample error."""
-    good = np.isfinite(vals)
-    bad = vals.size - int(good.sum())
-    if bad > 0.001 * vals.size:
-        raise IntegrationError(f"{bad} of {vals.size} {what} non-finite (limit 0.1%)")
-    if bad:
-        vals = vals[good]
-    se = volume * float(vals.std(ddof=1)) / np.sqrt(vals.size) if vals.size > 1 else 0.0
-    mean = float(vals.mean())
+    mean * volume_se, that of a sampled volume, to the sample error.
+
+    One pass of np.add.reduce gives the sum; a finite sum means every value
+    is finite, so only a sum that is not finite looks for non-finite values.
+    The mean is that sum over the size and the standard deviation sums the
+    squared deviations from it: the operations of vals.mean() and
+    vals.std(ddof=1), so the same floats."""
+    with np.errstate(invalid="ignore"):  # inf + -inf, dropped below
+        total = np.add.reduce(vals)
+    if not np.isfinite(total):
+        good = np.isfinite(vals)
+        bad = vals.size - int(np.count_nonzero(good))
+        if bad > 0.001 * vals.size:
+            raise IntegrationError(f"{bad} of {vals.size} {what} non-finite (limit 0.1%)")
+        if bad:
+            vals = vals[good]
+            total = np.add.reduce(vals)
+    mean = float(total / vals.size)
+    se = 0.0
+    if vals.size > 1:
+        dev = vals - mean
+        dev *= dev
+        se = volume * float(np.sqrt(np.add.reduce(dev) / (vals.size - 1))) / np.sqrt(vals.size)
     return volume * mean, float(np.hypot(mean * volume_se, se))
 
 
@@ -679,9 +709,10 @@ def ball_integral(m: Manifold, field: WeightField, ball: Optional[BallSpec], on_
 
 
 def _density(m: Manifold, field: WeightField):
-    """The integrand pair of mu_f: e^{nf} at points and along a profile."""
+    """The integrand pair of mu_f: e^{nf} at points (the field's
+    ``weight_many``) and along a profile."""
     n = m.dim
-    return (lambda pts: np.exp(n * field.eval_many(m, pts)),
+    return (lambda pts: field.weight_many(m, pts),
             lambda theta, f, fp, fpp: np.exp(n * f))
 
 

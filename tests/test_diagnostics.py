@@ -4,6 +4,7 @@ import pytest
 from conflab.diagnostics import (
     BallSampler,
     BoxDomain,
+    StrongRatioResult,
     ainfty_report,
     ap_product,
     biholder_fit,
@@ -16,9 +17,19 @@ from conflab.diagnostics import (
     subset_ratio_exponent,
 )
 from conflab.errors import InputError, SamplingError
-from conflab.manifold import BallSpec, Manifold, PointSet, cap_volume, lattice, whole_manifold_ball
+from conflab.manifold import (
+    BallSpec,
+    Manifold,
+    PointSet,
+    cap_volume,
+    d0_many,
+    lattice,
+    midpoint,
+    whole_manifold_ball,
+)
 from conflab.metric import DistanceMatrix, build_graph, shortest_paths
-from conflab.weight import BuragoTorus, Constant, GridField, GridWeight, Sum
+from conflab.rng import derive_seed
+from conflab.weight import BuragoTorus, Constant, GridField, GridWeight, Sum, mu_f_ball
 
 
 def full_torus_sampler(m, seed=3):
@@ -163,6 +174,52 @@ def test_strong_ratio_missing_pairs(flat_graph):
     missing = next(i for i in range(len(pts)) if i not in set(int(s) for s in dm.sources))
     with pytest.raises(InputError):
         strong_ratio(t2, Constant(0.0), pts, dm, [(missing, missing + 1)], eta=1.0)
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [[(0, 174)], [(0, 1.7)], [(-1, 3)], [(0, 1), (2, 169)], [(0, 1, 2)], [[(0, 1)]],
+     [(0, 1), (2,)]],
+    ids=["past-the-last-node", "fractional", "negative", "second-pair", "triple", "nested",
+         "ragged"],
+)
+def test_strong_ratio_rejects_bad_pairs(pairs):
+    # 169 nodes; d0_matrix holds every column, so only the pair check can act
+    t2 = Manifold.torus(2)
+    pts = lattice(t2, 0.5)
+    assert len(pts) == 169
+    with pytest.raises(InputError):
+        strong_ratio(t2, Constant(0.0), pts, d0_matrix(t2, pts), pairs, eta=1.0)
+
+
+def _strong_ratio_per_pair(m, field, points, dmat, pairs, eta, seed):
+    """strong_ratio as it was before its one-pass pair geometry: d0 and the
+    midpoint pair by pair."""
+    n, best_x, best_mid, used = m.dim, 0.0, 0.0, 0
+    for k, (i, j) in enumerate(pairs):
+        x, y = points.points[int(i)], points.points[int(j)]
+        d0_xy = float(d0_many(m, x, y))
+        if d0_xy <= 0 or d0_xy > eta:
+            continue
+        df = dmat.get(int(i), int(j))
+        mass_x, _ = mu_f_ball(m, field, BallSpec(x, d0_xy), 20_000, derive_seed(seed, "sr", k))
+        rho = df / mass_x ** (1.0 / n)
+        best_x = max(best_x, rho, 1.0 / rho)
+        mass_m, _ = mu_f_ball(m, field, BallSpec(midpoint(m, x, y), d0_xy / 2.0), 20_000,
+                              derive_seed(seed, "srm", k))
+        rho_m = df / mass_m ** (1.0 / n)
+        best_mid = max(best_mid, rho_m, 1.0 / rho_m)
+        used += 1
+    return StrongRatioResult(theta_strong=best_x, theta_strong_mid=best_mid, n_pairs=used)
+
+
+def test_strong_ratio_is_the_per_pair_loop(flat_graph):
+    t2, pts, g, dm, pairs = flat_graph
+    field = BuragoTorus(2)
+    dmf = shortest_paths(g.reweight(field), dm.sources)
+    want = _strong_ratio_per_pair(t2, field, pts, dmf, pairs, 1.0, 5)
+    assert 0 < want.n_pairs < len(pairs)  # some pairs lie beyond eta
+    assert strong_ratio(t2, field, pts, dmf, pairs, eta=1.0, seed=5) == want
 
 
 def test_lemma_comparison_bound(flat_graph):

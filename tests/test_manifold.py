@@ -379,6 +379,99 @@ def test_sample_ball_is_the_row_major_draw(n, kind, center, radius):
     assert w.tobytes() == want_w.tobytes() and se == want_se
 
 
+def _uniform_block_ball(m, b, count, seed):
+    """sample_ball's flat draws as they were before its cube was drawn by
+    rng.random: rounds of rng.uniform(-1, 1, (n, k)) blocks below n = 5,
+    the same axis-major loop, and the np.mod wrap.  The reference for its
+    2u - 1 cube and one-sided wrap."""
+    rng = derive_rng(seed, "ball")
+    volume = _closed_form_volume(m, b)
+    n, c, r = m.dim, np.asarray(b.center, dtype=float), b.radius
+    whole = volume is not None
+    lo, hi = (c - m.periods / 2.0, c + m.periods / 2.0) if m.kind == "torus" else m.extents.T
+    cube = unit_ball_volume(n) / 2.0**n
+    first = math.ceil((count + 3.0 * math.sqrt(count) + 1.0) / cube)
+    kept, accepted, drawn = [], 0, 0
+    while accepted < count:
+        if n <= 4:
+            need = count - accepted
+            share = cube * accepted / drawn if accepted else cube
+            k = min(math.ceil((need + 3.0 * math.sqrt(need) + 1.0) / share), first)
+            v = rng.uniform(-1.0, 1.0, (n, k))
+            sq = v[0] * v[0]
+            for a in range(1, n):
+                sq += v[a] * v[a]
+            cols = np.compress(sq < 1.0, v, axis=1)
+            cols *= r
+        else:
+            g = rng.standard_normal((count, n))
+            rad = r * rng.random(count) ** (1.0 / n) / np.sqrt(np.einsum("ij,ij->i", g, g))
+            cols = g.T.copy()
+            cols *= rad
+        drawn += cols.shape[1]
+        cols += c[:, None]
+        if not whole:
+            inside = ((cols >= lo[:, None]) & (cols < hi[:, None])).all(axis=0)
+            cols = np.compress(inside, cols, axis=1)
+        kept.append(cols)
+        accepted += cols.shape[1]
+    pts = np.concatenate(kept, axis=1)[:, :count].T
+    if m.kind == "torus":
+        y = np.mod(pts, m.periods)
+        pts = np.where(y < m.periods, y, 0.0)
+    if volume is None:
+        a, disc = accepted / drawn, unit_ball_volume(n) * b.radius**n
+        volume = disc * a, disc * float(np.sqrt(a * (1.0 - a) / drawn))
+    return pts, np.full(count, volume[0] / count), volume[1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "kind, center, radius",
+    [("torus", 3.0, 1.0), ("torus", 0.0, 1.0), ("torus", "below p", 1.0), ("torus", 0.0, 3.5),
+     ("box", 0.5, 0.3), ("box", 0.0, 0.5), ("box", "below p", 0.5)],
+    ids=["torus-whole", "torus-wraps-at-0", "torus-wraps-below-p", "torus-rejection",
+         "box-whole", "box-face-at-0", "box-face-below-hi"],
+)
+def test_sample_ball_is_the_uniform_block_draw(n, kind, center, radius):
+    """Bit for bit the rng.uniform cube and np.mod wrap it replaced, on
+    whole, wrapping and face-cut balls centered at 0 and one ulp below the
+    period (or the box's upper face)."""
+    m = Manifold.torus(n) if kind == "torus" else Manifold.box([[0.0, 1.0]] * n)
+    top = 2 * np.pi if kind == "torus" else 1.0
+    c = np.nextafter(top, 0.0) if center == "below p" else center
+    b = BallSpec(np.full(n, c), radius)
+    pts, w, se = sample_ball(m, b, 1237, seed=23)
+    want_pts, want_w, want_se = _uniform_block_ball(m, b, 1237, 23)
+    assert np.ascontiguousarray(pts).tobytes() == np.ascontiguousarray(want_pts).tobytes()
+    assert w.tobytes() == want_w.tobytes() and se == want_se
+
+
+def test_midpoint_over_rows_is_the_rows_one_by_one(torus2, sphere2, rng):
+    box = Manifold.box([[0.0, 1.0], [-0.5, 2.0], [1.0, 1.5]])
+    sphere3 = Manifold.sphere(3, 0.7)
+    for m in (torus2, Manifold.torus(3), box, sphere2, sphere3):
+        x, y = (rng.standard_normal((25, m.ambient_dim)) for _ in range(2))
+        if m.kind == "sphere":
+            x /= np.linalg.norm(x, axis=1, keepdims=True)
+            y /= np.linalg.norm(y, axis=1, keepdims=True)
+        else:
+            x, y = (m.canonicalize(v) if m.kind == "torus" else v for v in (x, y))
+        mids = midpoint(m, x, y)
+        assert mids.shape == x.shape
+        for xk, yk, mk in zip(x, y, mids):
+            assert midpoint(m, xk, yk).tobytes() == mk.tobytes()
+        for bad in (x[3], -x[3] if m.kind == "sphere" else None):
+            if bad is None:
+                continue
+            rows = y.copy()
+            rows[7] = bad  # row 7 coincides with, or on a sphere is antipodal to, x[3]
+            with pytest.raises(GeometryError):
+                midpoint(m, x[3], rows)
+            with pytest.raises(GeometryError):
+                midpoint(m, np.broadcast_to(x[3], x.shape), rows)
+
+
 def test_sample_ball_symmetric_mean(torus2):
     b = BallSpec(np.zeros(2), 0.5)
     n = 10**5

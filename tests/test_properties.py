@@ -1,5 +1,6 @@
 """Property tests: the flat-ball sampler and the law of its draws, the
-torus wraps, the torus/box node grid shared by lattices and grid fields,
+torus wraps, the one-pass Monte Carlo mean and standard error against
+numpy's mean and std, the torus/box node grid shared by lattices and grid fields,
 the d0 metric axioms, the e^{nc} scaling of ball masses, nearest-node
 snapping on lattices, grid distances to every node against d0, the eps-graph distances (metric axioms, e^c scaling,
 monotonicity in eps and in the LogCusp cap, the one-solve-per-orbit shortest
@@ -35,6 +36,7 @@ from conflab.diagnostics import (
     reverse_holder,
     subset_ratio_exponent,
 )
+from conflab.errors import IntegrationError
 from conflab.manifold import (
     BallSpec,
     Manifold,
@@ -62,6 +64,7 @@ from conflab.weight import (
     Sum,
     WeightField,
     _Lifted,
+    _mc_integral,
     mu_f_ball,
 )
 
@@ -245,6 +248,15 @@ WRAP_SPECIAL = {
          order="F")
 @example(periods=[2 * np.pi, 3.0], shape=(4, 3), entries=["below p"] + [0.5] * 23, stretch=1.0,
          order="C")
+# one-sided wraps (an even number of entries keeps each to one column): a
+# column with min -0.0 and max >= p, one with min < 0 and an entry that
+# rounds up to p, and one whose max is exactly p
+@example(periods=[2 * np.pi, 3.0], shape=(4, 3), entries=["-0", 0.25, 1.5, 0.5], stretch=1.0,
+         order="C")
+@example(periods=[2 * np.pi, 3.0], shape=(4, 3), entries=["-1e-17", 0.25, -0.5, 0.5], stretch=1.0,
+         order="F")
+@example(periods=[2 * np.pi, 3.0], shape=(4, 3), entries=[0.25, "p", 0.5, 0.75], stretch=1.0,
+         order="view")
 def test_torus_wrap_is_the_np_mod_wrap(periods, shape, entries, stretch, order):
     p = np.asarray(periods)
     size = int(np.prod(shape, dtype=int)) * p.size
@@ -266,6 +278,53 @@ def test_torus_wrap_is_the_np_mod_wrap(periods, shape, entries, stretch, order):
     if order == "view":
         assert np.all(wide[..., -1] == 7.5)
     assert Manifold.torus(p.size, p).canonicalize(x).tobytes() == want
+
+
+def _mc_integral_reference(vals, volume, what, volume_se):
+    """_mc_integral as it was before its one-pass form: the isfinite mask
+    first, then vals.mean() and vals.std(ddof=1)."""
+    good = np.isfinite(vals)
+    bad = vals.size - int(good.sum())
+    if bad > 0.001 * vals.size:
+        raise IntegrationError(f"{bad} of {vals.size} {what} non-finite (limit 0.1%)")
+    if bad:
+        vals = vals[good]
+    se = volume * float(vals.std(ddof=1)) / np.sqrt(vals.size) if vals.size > 1 else 0.0
+    mean = float(vals.mean())
+    return volume * mean, float(np.hypot(mean * volume_se, se))
+
+
+@PROPS
+@given(
+    size=st.sampled_from([1, 2, 3, 999, 1000, 2000, 3001]),
+    scale=st.sampled_from([1.0, -3.5, 1e-300, 1e300, 1.7e308]),
+    spread=st.floats(0.0, 4.0),
+    bad=st.sampled_from(["none", "at", "over"]),
+    kinds=st.lists(st.sampled_from(["nan", "inf", "-inf"]), min_size=1, max_size=3),
+    volume_se=st.sampled_from([0.0, 0.01]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(size=2000, scale=1.0, spread=1.0, bad="at", kinds=["inf", "-inf"], volume_se=0.0, seed=0)
+@example(size=1000, scale=1.7e308, spread=0.0, bad="none", kinds=["nan"], volume_se=0.01, seed=1)
+@example(size=999, scale=1.0, spread=1.0, bad="over", kinds=["nan"], volume_se=0.0, seed=2)
+def test_mc_integral_is_mean_and_std(size, scale, spread, bad, kinds, volume_se, seed):
+    """Bit for bit the former mask-mean-std form, on sizes 1 and 2, on
+    non-finite shares at and just over 0.1% (+inf and -inf together too),
+    and on finite values whose sum overflows; or the same IntegrationError."""
+    rng = np.random.default_rng(seed)
+    vals = rng.lognormal(sigma=spread, size=size)
+    vals *= scale / vals.max()  # finite, at most |scale|
+    nbad = {"none": 0, "at": size // 1000, "over": size // 1000 + 1}[bad]
+    at = rng.choice(size, nbad, replace=False)
+    vals[at] = [float(kinds[k % len(kinds)]) for k in range(nbad)]
+    outcome = []
+    for integral in (_mc_integral, _mc_integral_reference):
+        with np.errstate(all="ignore"):
+            try:
+                outcome.append(np.array(integral(vals, 2.5, "values", volume_se)).tobytes())
+            except IntegrationError as exc:
+                outcome.append(str(exc))
+    assert outcome[0] == outcome[1]
 
 
 def _np_mod_delta(p, x, y):

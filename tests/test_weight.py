@@ -28,6 +28,7 @@ from conflab.weight import (
     SphereBubble,
     Sum,
     WeightField,
+    _Lifted,
     _mc_integral,
     grid_from_field,
     mu_f_ball,
@@ -43,6 +44,38 @@ def test_burago_weight_value(torus2):
     # e^{nf} = 1 - cos(0)/2 = 1/2 on the ridge
     f = BuragoTorus(1).eval_many(torus2, np.array([[0.0, 1.7]]))[0]
     assert np.exp(2 * f) == pytest.approx(0.5, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("ell", [1, 3])
+def test_burago_weight_is_its_closed_form(n, ell):
+    """f is log(1 - cos(ell x1)/2) / n, the formula it had before
+    weight_many, bit for bit; weight_many, the closed form itself, is
+    within one ulp of exp(n f)."""
+    m = Manifold.torus(n)
+    pts, _ = sample_manifold(m, 20_000, seed=n)
+    field = BuragoTorus(ell)
+    f = field.eval_many(m, pts)
+    assert f.tobytes() == (np.log(1.0 - 0.5 * np.cos(ell * pts[:, 0])) / n).tobytes()
+    w, via_f = field.weight_many(m, pts), np.exp(n * f)
+    assert np.all(np.abs(w - via_f) <= np.spacing(via_f))
+
+
+def test_default_weight_is_exp_of_n_f(torus2, sphere2):
+    box = Manifold.box([[0.0, 1.0], [-0.5, 2.0]])
+    grid = GridField(torus2, np.random.default_rng(3).normal(size=(6, 5)))
+    for m, field in (
+        (torus2, Constant(0.3)),
+        (torus2, LogCusp((1.0, 2.0), 0.8, None)),
+        (sphere2, SphereBubble(3.0)),
+        (torus2, GridWeight(grid, 3)),
+        (torus2, Sum((BuragoTorus(2), Constant(0.1)))),
+        (box, _Lifted(torus2, BuragoTorus(1))),
+    ):
+        assert type(field).weight_many is WeightField.weight_many
+        pts = sample_manifold(m, 500, seed=4)[0]
+        want = np.exp(m.dim * field.eval_many(m, pts))
+        assert field.weight_many(m, pts).tobytes() == want.tobytes()
 
 
 def test_constant_field(torus2):
