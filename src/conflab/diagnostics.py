@@ -49,9 +49,10 @@ class BallSampler:
     seed: int = 0
 
     def __post_init__(self):
-        if len(self.radii) == 0 or len(self.centers) == 0:
-            raise InputError("a ball sampler needs at least one radius and one center")
         r = float_array(self.radii, "sampler radii")
+        if r.ndim != 1 or r.size == 0 or len(self.centers) == 0:
+            raise InputError(f"a ball sampler needs a list of at least one radius and one center, "
+                             f"got radii {self.radii!r}")
         if not np.all((r > 0) & (r < np.inf)):
             raise InputError(f"sampler radii must be positive and finite, got {self.radii!r}")
 
@@ -286,7 +287,7 @@ class BoxDomain:
     hi: tuple
 
     def __post_init__(self):
-        lo, hi = np.asarray(self.lo, dtype=float), np.asarray(self.hi, dtype=float)
+        lo, hi = float_array(self.lo, "box domain corner"), float_array(self.hi, "box domain corner")
         if lo.ndim != 1 or lo.shape != hi.shape or not np.all(np.isfinite(hi - lo) & (hi > lo)):
             raise InputError(f"box domain needs finite hi > lo on every axis: {self.lo}, {self.hi}")
 
@@ -356,8 +357,8 @@ def isoperimetric_ratio(
     """
     if m.kind not in ("torus", "box"):
         raise InputError(f"isoperimetric_ratio needs a torus or a box, got a {m.kind}")
-    if len(domains) == 0:
-        raise InputError("isoperimetric_ratio needs at least one domain")
+    if not isinstance(domains, Sequence) or len(domains) == 0:
+        raise InputError(f"isoperimetric_ratio needs a list of at least one domain, got {domains!r}")
     field.validate(m)
     n = m.dim
     mass_bound = 0.5 * total_mass(m, field, seed=derive_seed(seed, "tot"))[0]

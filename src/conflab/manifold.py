@@ -104,29 +104,33 @@ class Manifold:
         return self.dim + 1 if self.kind == "sphere" else self.dim
 
     @property
+    def chart(self) -> tuple:
+        """(lo, hi) of the flat chart: [0, periods) on a torus, the extents on a box."""
+        if self.kind == "sphere":
+            raise InputError("a sphere has no flat chart")
+        return (np.zeros(self.dim), self.periods) if self.kind == "torus" else tuple(self.extents.T)
+
+    @property
     def volume(self) -> float:
-        if self.kind == "torus":
-            return float(np.prod(self.periods))
-        if self.kind == "box":
-            return float(np.prod(self.extents[:, 1] - self.extents[:, 0]))
-        return sphere_volume(self.dim) * self.radius**self.dim
+        if self.kind == "sphere":
+            return sphere_volume(self.dim) * self.radius**self.dim
+        lo, hi = self.chart
+        return float(np.prod(hi - lo))
 
     @property
     def max_distance(self) -> float:
         """Diameter of the manifold for d0."""
-        if self.kind == "torus":
-            return float(np.linalg.norm(self.periods / 2.0))
-        if self.kind == "box":
-            return float(np.linalg.norm(self.extents[:, 1] - self.extents[:, 0]))
-        return pi * self.radius
+        if self.kind == "sphere":
+            return pi * self.radius
+        lo, hi = self.chart
+        return float(np.linalg.norm((hi - lo) / 2.0 if self.kind == "torus" else hi - lo))
 
     @property
     def min_period(self) -> float:
-        if self.kind == "torus":
-            return float(np.min(self.periods))
-        if self.kind == "box":
-            return float(np.min(self.extents[:, 1] - self.extents[:, 0]))
-        return pi * self.radius
+        if self.kind == "sphere":
+            return pi * self.radius
+        lo, hi = self.chart
+        return float(np.min(hi - lo))
 
     # -- point handling --------------------------------------------------
 
@@ -314,6 +318,13 @@ def torus_delta(m: Manifold, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return torus_wrap(y - x + half, m.periods) - half
 
 
+def chart_delta(m: Manifold, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """y - x in the flat chart: torus_delta on a torus, plain on a box."""
+    if m.kind == "torus":
+        return torus_delta(m, x, y)
+    return y - x
+
+
 def _sphere_angle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # 2*arcsin of half-chord; switch to the antipodal form for obtuse angles
     # so accuracy is ~1e-15 over the whole range (plain arccos loses digits).
@@ -330,11 +341,9 @@ def d0_many(m: Manifold, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Elementwise d0 between broadcast-compatible point arrays."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if m.kind == "torus":
-        return np.linalg.norm(torus_delta(m, x, y), axis=-1)
-    if m.kind == "box":
-        return np.linalg.norm(y - x, axis=-1)
-    return m.radius * _sphere_angle(x, y)
+    if m.kind == "sphere":
+        return m.radius * _sphere_angle(x, y)
+    return np.linalg.norm(chart_delta(m, x, y), axis=-1)
 
 
 def midpoint(m: Manifold, x, y) -> np.ndarray:
@@ -362,12 +371,10 @@ def geodesic_points(m: Manifold, x: np.ndarray, y: np.ndarray, ts: np.ndarray) -
     Vectorized over an (E, d) batch of segments; returns (T, E, d).
     """
     ts = np.asarray(ts, dtype=float)[:, None, None]
-    if m.kind == "torus":
-        g = ts * torus_delta(m, x, y)[None]
+    if m.kind != "sphere":
+        g = ts * chart_delta(m, x, y)[None]
         g += x
-        return torus_wrap(g, m.periods)
-    if m.kind == "box":
-        return x[None] + ts * (y - x)[None]
+        return torus_wrap(g, m.periods) if m.kind == "torus" else g
     ang = _sphere_angle(x, y)[None, :, None]
     s = np.sin(ang)
     safe = np.where(s < 1e-14, 1.0, s)
@@ -483,7 +490,8 @@ def lattice_steps(m: Manifold, spacing: float, cover: bool = False) -> tuple:
     (``cover`` rounds up, so the realized spacing never exceeds the
     request); the node steps are those of ``grid_axes``."""
     torus = m.kind == "torus"
-    steps = (m.periods if torus else m.extents[:, 1] - m.extents[:, 0]) / spacing
+    lo, hi = m.chart
+    steps = (hi - lo) / spacing
     if cover:
         steps = np.ceil(steps - 1e-9)
     else:
@@ -630,20 +638,16 @@ def lattice(m: Manifold, spacing: float, cover: bool = False) -> PointSet:
     nearest-neighbour spacing within [0.5, 2] of the request.
     """
     spacing = positive_scalar(spacing, "lattice spacing")
-    if m.kind in ("torus", "box"):
+    if m.kind == "sphere":
+        count = max(m.dim + 2, int(round(m.volume / (SPHERE_LAYOUT_CONSTANT[m.dim] * spacing**m.dim))))
+    else:
         shape, _ = lattice_steps(m, spacing, cover)
-        npts = int(np.prod([float(s) for s in shape]))
-        if npts > DEFAULT_LATTICE_BUDGET:
-            raise ResourceError(
-                f"lattice would need {npts} points, exceeding the budget of {DEFAULT_LATTICE_BUDGET}"
-            )
-        return PointSet.grid(*grid_axes(m, shape))
-    c = SPHERE_LAYOUT_CONSTANT[m.dim]
-    count = max(m.dim + 2, int(round(m.volume / (c * spacing**m.dim))))
+        count = int(np.prod([float(s) for s in shape]))
     if count > DEFAULT_LATTICE_BUDGET:
-        raise ResourceError(
-            f"lattice would need {count} points, exceeding the budget of {DEFAULT_LATTICE_BUDGET}"
-        )
+        raise ResourceError(f"lattice would need {count} points, exceeding the budget of "
+                            f"{DEFAULT_LATTICE_BUDGET}")
+    if m.kind != "sphere":
+        return PointSet.grid(*grid_axes(m, shape))
     pts = _quasi_uniform_sphere(m.dim, count)
     return PointSet(
         points=pts,
@@ -662,10 +666,8 @@ def sample_manifold(m: Manifold, count: int, seed: int = 0):
     if not is_count(count, 1):
         raise InputError(f"sample count must be >= 1 and an integer, got {count!r}")
     rng = derive_rng(seed, "manifold")
-    if m.kind == "torus":
-        pts = rng.random((count, m.dim)) * m.periods
-    elif m.kind == "box":
-        lo, hi = m.extents[:, 0], m.extents[:, 1]
+    if m.kind != "sphere":
+        lo, hi = m.chart
         pts = lo + rng.random((count, m.dim)) * (hi - lo)
     else:
         g = rng.standard_normal((count, m.dim + 1))

@@ -280,17 +280,13 @@ def _lattice_csr(m, points: PointSet, eps):
 def _edges_kdtree(m, points: PointSet, eps):
     """CSR indices, indptr and per-entry d0 of the d0 <= eps pairs, each
     pair i < j stored as (i, j) and (j, i), rows sorted by column."""
-    pts = points.points
-    if m.kind == "torus":
-        tree = cKDTree(m.canonicalize(pts), boxsize=m.periods)
-        pairs = tree.query_pairs(r=eps, output_type="ndarray")
-    elif m.kind == "box":
+    pts, r = points.points, eps
+    if m.kind == "sphere":  # the chord of an arc of length eps
         tree = cKDTree(pts)
-        pairs = tree.query_pairs(r=eps, output_type="ndarray")
+        r = 2.0 * np.sin(min(eps / m.radius, pi) / 2.0) * (1 + 1e-12)
     else:
-        chord = 2.0 * np.sin(min(eps / m.radius, pi) / 2.0)
-        tree = cKDTree(pts)
-        pairs = tree.query_pairs(r=chord * (1 + 1e-12), output_type="ndarray")
+        tree = cKDTree(m.canonicalize(pts), boxsize=m.periods if m.kind == "torus" else None)
+    pairs = tree.query_pairs(r=r, output_type="ndarray")
     if pairs.size == 0:
         raise InputError("eps-graph has no edges; increase eps")
     i, j = pairs[:, 0], pairs[:, 1]
@@ -623,7 +619,10 @@ def refine_distance(
     if eps_schedule.size < 2:
         raise InputError("eps schedule needs at least two decreasing entries")
     points = lattice(m, float(eps_schedule.min()) / 3.0, cover=True)
-    pair_arr = [(m.check_points(a)[0], m.check_points(b)[0]) for a, b in pairs]
+    pair_arr = float_array(pairs, "refine pairs")
+    if pair_arr.ndim != 3 or pair_arr.shape[1] != 2:
+        raise InputError(f"refine pairs must be a list of (a, b) point pairs, got {pairs!r}")
+    pair_arr = m.check_points(pair_arr)
     nodes = np.empty((len(pair_arr), 2), dtype=int)
     for k, (a, b) in enumerate(pair_arr):
         nodes[k] = points.nearest(m, a), points.nearest(m, b)

@@ -59,6 +59,7 @@ from .manifold import (
     Manifold,
     PointSet,
     equal_slab_axes,
+    float_array,
     is_count,
     lattice,
     lattice_orbits,
@@ -197,9 +198,13 @@ class GridGeometry(NodeGrid):
         coordinates alone (wrapped by ``torus_wrap`` on a torus as
         ``d0_many`` wraps it, plain on a box), and the squares are summed
         axis by axis over the broadcast grid, in ``d0_many``'s order, so no
-        (K, N, dim) array is held."""
+        (K, N, dim) array is held.  Centers that are not such rows are an
+        InputError."""
         m = self.manifold
-        centers = np.asarray(centers, dtype=float)
+        centers = float_array(centers, "grid distance centers")
+        if centers.ndim != 2 or centers.shape[1] != self.dim:
+            raise InputError(f"grid distance centers must be rows of {self.dim} coordinates, "
+                             f"got shape {centers.shape}")
         square = 0.0
         for a, axis in enumerate(self._axes[0]):
             delta = centers[:, a, None] - axis
@@ -212,7 +217,7 @@ class GridGeometry(NodeGrid):
         return np.sqrt(square, out=square).reshape(len(centers), -1)
 
     def ball_mask(self, center, radius: float) -> np.ndarray:
-        return self.distances(np.asarray(center, dtype=float)[None])[0] <= radius
+        return self.distances([center])[0] <= radius
 
     # -- empirical functional constants ------------------------------------
 
@@ -253,10 +258,8 @@ class GridGeometry(NodeGrid):
             raise InputError("the Sobolev constant needs dimension n >= 3")
         p_crit = 2.0 * n / (n - 2.0)
         m = self.manifold
-        center = (
-            m.periods / 2.0 if m.kind == "torus" else m.extents.mean(axis=1)
-        )
-        d = self.distances(center[None])[0]
+        lo, hi = m.chart
+        d = self.distances(((lo + hi) / 2.0)[None])[0]
 
         def quotient(phi):
             num = self.grad_lp_norm(phi, 2.0) ** 2 + self.lp_norm(phi, 2.0) ** 2
@@ -276,7 +279,7 @@ class GridOperator:
     V: np.ndarray
 
     def __post_init__(self):
-        self.V = np.asarray(self.V, dtype=float).reshape(-1)
+        self.V = float_array(self.V, "potential").reshape(-1)
         if self.V.size != int(np.prod(self.geom.shape)):
             raise InputError("potential size does not match the grid")
         if not np.all(np.isfinite(self.V)):

@@ -30,6 +30,7 @@ from .manifold import (
     Manifold,
     PointSet,
     cap_quadrature,
+    chart_delta,
     check_ball,
     d0_many,
     float_array,
@@ -38,8 +39,6 @@ from .manifold import (
     positive_scalar,
     sample_ball,
     sample_manifold,
-    torus_delta,
-    torus_wrap,
 )
 
 # ---------------------------------------------------------------------------
@@ -272,10 +271,7 @@ class LogCusp(WeightField):
         _, ds, dds = self._saturate(v)
         fp = ds * dv
         fpp = dds * dv * dv + ds * ddv
-        if m.kind == "torus":
-            delta = torus_delta(m, self._center(), x)
-        else:
-            delta = x - self._center()
+        delta = chart_delta(m, self._center(), x)
         safe = np.where(d > 0, d, 1.0)
         grad = fp[:, None] * delta / safe[:, None]
         grad[d == 0] = 0.0
@@ -522,12 +518,7 @@ class GridWeight(WeightField):
         return vals
 
     def _local(self, m, x):
-        g = self.grid
-        h = g.axis_spacing
-        if m.kind == "torus":
-            rel = torus_wrap(np.array(x, dtype=float), m.periods) / h
-        else:
-            rel = (x - m.extents[:, 0]) / h
+        rel = (m.canonicalize(x) - m.chart[0]) / self.grid.axis_spacing
         i0 = np.floor(rel).astype(int)
         frac = rel - i0
         return i0, frac

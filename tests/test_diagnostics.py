@@ -423,11 +423,15 @@ def test_default_eta(torus2, sphere2):
         (lambda t2, dm, d0m: isoperimetric_ratio(
             Manifold.sphere(2), Constant(0.0), [BoxDomain((0.1, 0.1), (0.5, 0.5))]),
          "needs a torus or a box"),
+        (lambda t2, dm, d0m: BallSampler(lattice(t2, 2.5), 0.5), "a list of at least one radius"),
+        (lambda t2, dm, d0m: BoxDomain(("a",), ("b",)), "box domain corner must be numbers"),
+        (lambda t2, dm, d0m: isoperimetric_ratio(t2, Constant(0.0), None), "list of at least one domain"),
     ],
     ids=["biholder-misaligned", "isoperimetric-non-domain", "isoperimetric-no-domain",
          "sampler-no-radius", "sampler-nan-radius", "sampler-inf-radius", "reverse-holder-nan-budget",
          "sampler-no-center", "reverse-holder-nan-q", "ap-inf-p",
-         "isoperimetric-sphere-ball", "isoperimetric-sphere-box"],
+         "isoperimetric-sphere-ball", "isoperimetric-sphere-box", "sampler-scalar-radius",
+         "box-domain-text", "isoperimetric-none"],
 )
 def test_diagnostics_rejects_bad_inputs(square_mats, call, words):
     t2, pts, dm, d0m = square_mats

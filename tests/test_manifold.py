@@ -275,10 +275,11 @@ def test_nearest_rejects_non_finite(torus2, x):
             pts.nearest(torus2, x)
 
 
-def test_lattice_budget_error(torus2):
-    with pytest.raises(ResourceError) as exc:
-        lattice(torus2, 1e-4)
-    assert "budget" in str(exc.value)
+def test_lattice_budget_error(torus2, sphere2):
+    for m in (torus2, sphere2):  # one budget check for grids and sphere layouts
+        with pytest.raises(ResourceError) as exc:
+            lattice(m, 1e-4)
+        assert "budget" in str(exc.value)
 
 
 def test_sphere_lattice_layout(sphere2):

@@ -781,10 +781,12 @@ def test_lattice_graph_memory_per_edge(m, spacing, field):
         (lambda t2: stable_norm(t2, Constant(0.0), ["a", 1.0], [1.0, 2.0]),
          "direction must be numbers"),
         (lambda t2: stable_norm(t2, Constant(0.0), [0.0, 1.0], ["a", 2.0]), "t_list must be numbers"),
+        (lambda t2: refine_distance(t2, Constant(0.0), [(1.0, 2.0, 3.0)], [1.5, 1.0]), "point pairs"),
     ],
     ids=["refine-one-eps", "refine-text-eps", "stable-norm-box", "stable-norm-zero-direction",
          "stable-norm-one-t", "stable-norm-nan-direction", "stable-norm-inf-direction",
-         "stable-norm-3-vector", "stable-norm-text-direction", "stable-norm-text-t"],
+         "stable-norm-3-vector", "stable-norm-text-direction", "stable-norm-text-t",
+         "refine-non-pair"],
 )
 def test_metric_rejects_bad_inputs(torus2, call, words):
     with pytest.raises(InputError, match=words):

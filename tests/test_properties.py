@@ -1,6 +1,7 @@
 """Property tests: the flat-ball sampler and the law of its draws, the
 torus wraps, the one-pass Monte Carlo mean and standard error against
 numpy's mean and std, the torus/box node grid shared by lattices and grid fields,
+the flat-chart paths (one formula for torus and box) against their former per-kind code,
 the d0 metric axioms, the e^{nc} scaling of ball masses, nearest-node
 snapping on lattices, grid distances to every node against d0, the eps-graph distances (metric axioms, e^c scaling,
 monotonicity in eps and in the LogCusp cap, the one-solve-per-orbit shortest
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
 from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.spatial import cKDTree
 
 import conflab.metric as mt
 
@@ -36,7 +38,7 @@ from conflab.diagnostics import (
     reverse_holder,
     subset_ratio_exponent,
 )
-from conflab.errors import IntegrationError
+from conflab.errors import InputError, IntegrationError
 from conflab.manifold import (
     BallSpec,
     Manifold,
@@ -44,15 +46,19 @@ from conflab.manifold import (
     d0_many,
     _closed_form_volume,
     equal_slab_axes,
+    geodesic_points,
     lattice,
     lattice_orbits,
     lattice_roll,
+    lattice_steps,
     sample_ball,
+    sample_manifold,
     torus_delta,
     torus_wrap,
     unit_ball_volume,
 )
 from conflab.metric import ChainBall, RiemannLine, build_graph, shortest_paths
+from conflab.rng import derive_rng
 from conflab.schrodinger import GridGeometry
 from conflab.weight import (
     BuragoTorus,
@@ -406,6 +412,174 @@ def test_grid_nodes_are_the_lattice_nodes(kind, lengths, lo, steps, cover):
     for g in grids:
         assert g.nodes().tobytes() == pts.points.tobytes()
         assert g.axis_spacing.tobytes() == pts.axis_spacing.tobytes()
+
+
+# the former per-kind code of each flat-chart path, the reference for its
+# one formula on Manifold.chart and chart_delta
+def _lattice_steps_per_kind(m, spacing, cover):
+    torus = m.kind == "torus"
+    steps = (m.periods if torus else m.extents[:, 1] - m.extents[:, 0]) / spacing
+    if cover:
+        steps = np.ceil(steps - 1e-9)
+    else:
+        steps = np.round(steps) if torus else np.floor(steps + 1e-9)
+    return tuple(int(k) + (not torus) for k in np.maximum(steps, 1))
+
+
+def _sample_manifold_per_kind(m, count, seed):
+    rng = derive_rng(seed, "manifold")
+    if m.kind == "torus":
+        return rng.random((count, m.dim)) * m.periods
+    lo, hi = m.extents[:, 0], m.extents[:, 1]
+    return lo + rng.random((count, m.dim)) * (hi - lo)
+
+
+def _geodesic_points_per_kind(m, x, y, ts):
+    ts = np.asarray(ts, dtype=float)[:, None, None]
+    if m.kind == "torus":
+        g = ts * torus_delta(m, x, y)[None]
+        g += x
+        return torus_wrap(g, m.periods)
+    return x[None] + ts * (y - x)[None]
+
+
+def _cusp_grad_lap_per_kind(cusp, m, x):
+    d = cusp._dist(m, x)
+    v, dv, ddv = cusp._raw(d)
+    _, ds, dds = cusp._saturate(v)
+    fp = ds * dv
+    fpp = dds * dv * dv + ds * ddv
+    if m.kind == "torus":
+        delta = torus_delta(m, cusp._center(), x)
+    else:
+        delta = x - cusp._center()
+    safe = np.where(d > 0, d, 1.0)
+    grad = fp[:, None] * delta / safe[:, None]
+    grad[d == 0] = 0.0
+    lap = -(fpp + (m.dim - 1) * np.where(d > 0, fp / safe, 0.0))
+    lap[d == 0] = np.inf
+    return grad, lap
+
+
+def _grid_local_per_kind(grid, m, x):
+    h = grid.axis_spacing
+    if m.kind == "torus":
+        rel = torus_wrap(np.array(x, dtype=float), m.periods) / h
+    else:
+        rel = (x - m.extents[:, 0]) / h
+    i0 = np.floor(rel).astype(int)
+    return i0, rel - i0
+
+
+def _edges_kdtree_per_kind(m, points, eps):
+    pts = points.points
+    if m.kind == "torus":
+        tree = cKDTree(m.canonicalize(pts), boxsize=m.periods)
+    else:
+        tree = cKDTree(pts)
+    pairs = tree.query_pairs(r=eps, output_type="ndarray")
+    if pairs.size == 0:
+        raise InputError("eps-graph has no edges; increase eps")
+    i, j = pairs[:, 0], pairs[:, 1]
+    d = d0_many(m, pts[i], pts[j])
+    keep = d <= eps
+    rows, cols = np.concatenate((i[keep], j[keep])), np.concatenate((j[keep], i[keep]))
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(pts)))))
+    return cols[order].astype(np.int32), indptr, np.concatenate((d[keep], d[keep]))[order]
+
+
+def _outcome(call):
+    """The bytes of each array call returns, or its InputError's message."""
+    try:
+        return [np.asarray(a).tobytes() for a in call()]
+    except InputError as exc:
+        return str(exc)
+
+
+# coordinates a float u stands for lo + u (hi - lo); the names for edge values
+CHART_SPECIAL = {
+    "lo": lambda lo, hi: lo,
+    "below lo": lambda lo, hi: np.nextafter(lo, -np.inf),
+    "below 0": lambda lo, hi: np.nextafter(0.0, -1.0),
+    "0": lambda lo, hi: 0.0,
+    "-0": lambda lo, hi: -0.0,
+    "hi": lambda lo, hi: hi,
+    "below hi": lambda lo, hi: np.nextafter(hi, -np.inf),
+}
+chart_entries = st.lists(
+    st.one_of(st.floats(-0.5, 1.5), st.sampled_from(sorted(CHART_SPECIAL))), min_size=1, max_size=12
+)
+
+
+@PROPS
+@given(
+    kind=st.sampled_from(["torus", "box"]),
+    lengths=st.lists(st.floats(0.5, 3.0), min_size=2, max_size=3),
+    lo=st.floats(-5.0, 5.0),
+    xs=chart_entries,
+    ys=chart_entries,
+    steps=st.floats(1.0, 14.0),
+    cover=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="torus", lengths=[2 * np.pi, 3.0], lo=0.0, xs=["below 0", "-0", "hi"],
+         ys=["hi", "0", "below hi"], steps=9.0, cover=False, seed=0)
+@example(kind="box", lengths=[1.6, 1.0, 0.5], lo=-0.0, xs=["-0", "below lo", "hi"],
+         ys=["below 0", "lo", "below hi"], steps=7.0, cover=True, seed=1)
+@example(kind="torus", lengths=[1.0, 2.0, 3.0], lo=0.0, xs=["hi", "-0"], ys=["below 0"],
+         steps=3.0, cover=True, seed=2)
+@example(kind="box", lengths=[2.88, 0.86, 2.87], lo=0.12, xs=[0.3, "below 0"], ys=["hi"],
+         steps=5.0, cover=False, seed=3)  # a centre (lo + hi) / 2 != lo + (hi - lo) / 2
+def test_flat_chart_paths_are_the_per_kind_code(kind, lengths, lo, xs, ys, steps, cover, seed):
+    lens = np.asarray(lengths)
+    n = lens.size
+    if kind == "torus":
+        m, lo_v, hi_v = Manifold.torus(n, lens), np.zeros(n), lens
+    else:
+        lo_v = np.array([lo, -lo / 2.0, 1.5 * lo][:n])  # -0.0 stays -0.0
+        m = Manifold.box(np.column_stack([lo_v, lo_v + lens]))
+        lo_v, hi_v = m.extents[:, 0], m.extents[:, 1]
+    torus = kind == "torus"
+
+    def coords(entries):
+        k = np.arange(4 * n)
+        e = [entries[i % len(entries)] for i in k]
+        a, b = lo_v[k % n], hi_v[k % n]
+        v = [CHART_SPECIAL[u](p, q) if isinstance(u, str) else p + u * (q - p)
+             for u, p, q in zip(e, a, b)]
+        return np.asarray(v).reshape(4, n)
+
+    x, y = coords(xs), coords(ys)
+    side = m.periods if torus else m.extents[:, 1] - m.extents[:, 0]
+    want = [float(np.prod(side)), float(np.min(side)), float(np.linalg.norm(side / 2.0 if torus else side))]
+    assert [m.volume, m.min_period, m.max_distance] == want
+    spacing = float(lens.min()) / steps
+    shape, _ = lattice_steps(m, spacing, cover)
+    assert shape == _lattice_steps_per_kind(m, spacing, cover)
+    pts, _ = sample_manifold(m, 7, seed)
+    assert pts.tobytes() == _sample_manifold_per_kind(m, 7, seed).tobytes()
+    want = np.linalg.norm(torus_delta(m, x, y) if torus else y - x, axis=-1)
+    assert d0_many(m, x, y).tobytes() == want.tobytes()
+    ts = [0.0, 0.25, 0.5, 1.0]
+    assert geodesic_points(m, x, y, ts).tobytes() == _geodesic_points_per_kind(m, x, y, ts).tobytes()
+    cusp = LogCusp(tuple(y[0]), r0=float(lens.min()) / 9.0, cap=3.0)
+    with np.errstate(all="ignore"):
+        got, ref = cusp.grad_lap_many(m, x), _cusp_grad_lap_per_kind(cusp, m, x)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
+    grid = GridField(m, np.zeros(tuple(range(5, 5 + n))))
+    got, ref = GridWeight(grid)._local(m, x), _grid_local_per_kind(grid, m, x)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
+    nodes = PointSet(np.vstack([x, y, lattice(m, spacing).points]), spacing)
+    eps = float(lens.min()) / 4.0
+    assert _outcome(lambda: mt._edges_kdtree(m, nodes, eps)) == _outcome(
+        lambda: _edges_kdtree_per_kind(m, nodes, eps))
+    if n == 3:  # the Sobolev probes centre on the chart's middle
+        seen, distances = [], GridGeometry.distances
+        with patch.object(GridGeometry, "distances", lambda g, c: seen.append(c) or distances(g, c)):
+            GridGeometry(m, (8, 8, 8)).sobolev_constant
+        centre = m.periods / 2.0 if torus else m.extents.mean(axis=1)
+        assert seen[0].tobytes() == centre[None].tobytes()
 
 
 

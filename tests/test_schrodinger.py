@@ -711,8 +711,11 @@ def _box_operator():
         (lambda g: GridOperator(g, np.zeros(10)), "does not match the grid"),
         (lambda g: GridOperator(g, np.full(12**3, np.nan)), "must be finite"),
         (lambda g: decompose_ground_state(_box_operator(), 0.8), "torus grids"),
+        (lambda g: GridOperator(g, ["a"] * 12**3), "potential must be numbers"),
+        (lambda g: gs_shift_c0(g, np.zeros(12**3), [1.0, 1.0], 0.5, 1e-8), "rows of 3 coordinates"),
     ],
-    ids=["sphere-grid", "potential-size", "nan-potential", "box-decomposition"],
+    ids=["sphere-grid", "potential-size", "nan-potential", "box-decomposition", "text-potential",
+         "shift-2-vector-center"],
 )
 def test_schrodinger_rejects_bad_inputs(geom, call, words):
     with pytest.raises(InputError, match=words):
