@@ -12,6 +12,7 @@ reductions independent of evaluation order.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +26,7 @@ from .manifold import (
     d0_many,
     float_array,
     midpoint,
+    positive_scalar,
     sample_ball,
     sphere_volume,
 )
@@ -88,9 +90,10 @@ _EXPONENTS = {"q": "reverse Hölder", "p": "A_p"}
 
 
 def check_exponent(name: str, value: float) -> None:
-    """InputError unless the reverse Hölder ("q") or A_p ("p") exponent exceeds 1."""
-    if not 1 < value < np.inf:
-        raise InputError(f"{_EXPONENTS[name]} exponent {name} must exceed 1 and be finite")
+    """InputError unless the reverse Hölder ("q") or A_p ("p") exponent is a
+    number that exceeds 1."""
+    if not isinstance(value, Real) or not 1 < value < np.inf:
+        raise InputError(f"{_EXPONENTS[name]} exponent {name} must exceed 1 and be finite, got {value!r}")
 
 
 def reverse_holder(
@@ -213,6 +216,7 @@ def strong_ratio(
     ball take their masses, seeded by the pair's position k in ``pairs``.
     """
     field.validate(m)
+    eta = positive_scalar(eta, "eta")
     n = m.dim
     try:
         ij = np.asarray(pairs)

@@ -7,9 +7,12 @@ order (parallel loops derive one child stream per work item).
 
 from __future__ import annotations
 
+import operator
 import zlib
 
 import numpy as np
+
+from .errors import InputError
 
 _MASK32 = 0xFFFFFFFF
 
@@ -21,9 +24,14 @@ def _key(part) -> int:
 
 
 def derive_rng(seed: int, *parts) -> np.random.Generator:
-    """Child generator for (seed, *parts); same inputs give the same stream."""
+    """Child generator for (seed, *parts); same inputs give the same stream.
+    A seed that is not an integer (Python or numpy) is an InputError."""
+    try:
+        root = operator.index(seed) & _MASK32
+    except TypeError as exc:
+        raise InputError(f"seed must be an integer, got {seed!r}") from exc
     spawn = tuple(_key(p) for p in parts)
-    return np.random.default_rng(np.random.SeedSequence(int(seed) & _MASK32, spawn_key=spawn))
+    return np.random.default_rng(np.random.SeedSequence(root, spawn_key=spawn))
 
 
 def derive_seed(seed: int, *parts) -> int:

@@ -116,8 +116,12 @@ class Constant(WeightField):
 class BuragoTorus(WeightField):
     """Oscillating weight e^{nf} = 1 - cos(ell * x1)/2 on a flat torus.
 
-    ``weight_many`` returns that weight, computed in place as -0.5 cos + 1.0
-    (the same IEEE operation as 1.0 - 0.5 cos), and f is its log over n."""
+    ``weight_many`` returns that weight by the half-angle identity
+    1 - cos(u)/2 = 1.5 - 1/(1 + tan^2(u/2)), u = ell * x1, computed in
+    place: numpy's float64 tangent is vectorised where its cosine may be
+    scalar libm.  It is within 1.5 ulp of the weight at the rounded u (the
+    cosine's 0.75), within 2 ulp of the cosine form, and exactly 0.5 at
+    x1 = 0 and 1.5 at x1 = pi/ell.  f is its log over n."""
 
     ell: int = 1
 
@@ -131,11 +135,12 @@ class BuragoTorus(WeightField):
             raise InputError(f"BuragoTorus needs ell * P1 / (2 pi) integer, got {turns:.6g}")
 
     def weight_many(self, m, x):
-        w = self.ell * x[:, 0]
-        np.cos(w, out=w)
-        w *= -0.5
-        w += 1.0
-        return w
+        t = (0.5 * self.ell) * x[:, 0]
+        np.tan(t, out=t)
+        t *= t
+        t += 1.0
+        np.reciprocal(t, out=t)
+        return np.subtract(1.5, t, out=t)
 
     def eval_many(self, m, x):
         return np.log(self.weight_many(m, x)) / m.dim

@@ -426,12 +426,25 @@ def test_default_eta(torus2, sphere2):
         (lambda t2, dm, d0m: BallSampler(lattice(t2, 2.5), 0.5), "a list of at least one radius"),
         (lambda t2, dm, d0m: BoxDomain(("a",), ("b",)), "box domain corner must be numbers"),
         (lambda t2, dm, d0m: isoperimetric_ratio(t2, Constant(0.0), None), "list of at least one domain"),
+        (lambda t2, dm, d0m: strong_ratio(t2, Constant(0.0), lattice(t2, 0.3), dm, [(0, 1)], eta=1.0,
+                                          seed="x"), "seed must be an integer"),
+        (lambda t2, dm, d0m: reverse_holder(t2, Constant(0.0), 2.0,
+                                            BallSampler(lattice(t2, 2.5), (0.4,), seed="x"), 200),
+         "seed must be an integer"),
+        (lambda t2, dm, d0m: strong_ratio(t2, Constant(0.0), lattice(t2, 0.3), dm, [(0, 1)], eta="x"),
+         "eta must be numbers"),
+        (lambda t2, dm, d0m: ap_product(t2, Constant(0.0), "2", BallSampler(lattice(t2, 2.5), (0.4,)), 200),
+         "p must exceed 1 and be finite, got '2'"),
+        (lambda t2, dm, d0m: reverse_holder(t2, Constant(0.0), None,
+                                            BallSampler(lattice(t2, 2.5), (0.4,)), 200),
+         "q must exceed 1 and be finite, got None"),
     ],
     ids=["biholder-misaligned", "isoperimetric-non-domain", "isoperimetric-no-domain",
          "sampler-no-radius", "sampler-nan-radius", "sampler-inf-radius", "reverse-holder-nan-budget",
          "sampler-no-center", "reverse-holder-nan-q", "ap-inf-p",
          "isoperimetric-sphere-ball", "isoperimetric-sphere-box", "sampler-scalar-radius",
-         "box-domain-text", "isoperimetric-none"],
+         "box-domain-text", "isoperimetric-none", "strong-ratio-text-seed", "sampler-text-seed",
+         "strong-ratio-text-eta", "ap-text-p", "reverse-holder-none-q"],
 )
 def test_diagnostics_rejects_bad_inputs(square_mats, call, words):
     t2, pts, dm, d0m = square_mats

@@ -517,6 +517,17 @@ def test_sample_manifold_needs_a_sample(torus2, count):
 
 
 @pytest.mark.parametrize(
+    "call",
+    [lambda m: sample_manifold(m, 100, "x"), lambda m: sample_ball(m, BallSpec(np.ones(2), 0.5), 100, seed=None)],
+    ids=["manifold-text-seed", "ball-none-seed"],
+)
+def test_sampling_rejects_a_seed_that_is_no_integer(torus2, call):
+    # text used to escape as a ValueError, and None as a TypeError
+    with pytest.raises(InputError, match="seed must be an integer"):
+        call(torus2)
+
+
+@pytest.mark.parametrize(
     "build, words",
     [
         (lambda: Manifold.torus(1), "dimension must be >= 2"),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import j1
 
 from conflab.curvature import lp_scal_norm
 from conflab.diagnostics import (
@@ -47,18 +48,40 @@ def test_burago_weight_value(torus2):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("ell", [1, 3])
+@pytest.mark.parametrize("ell", [1, 3, 16])
 def test_burago_weight_is_its_closed_form(n, ell):
-    """f is log(1 - cos(ell x1)/2) / n, the formula it had before
-    weight_many, bit for bit; weight_many, the closed form itself, is
-    within one ulp of exp(n f)."""
+    """weight_many, the half-angle form 1.5 - 1/(1 + tan^2(ell x1 / 2)), is
+    within 2 ulp of 1 - cos(ell x1)/2 at uniform samples, at x1 = 0, pi/ell
+    and one ulp below the period, and exactly 0.5 and 1.5 at the extremes;
+    f is log(weight_many) / n bit for bit, and weight_many is within one ulp
+    of exp(n f)."""
     m = Manifold.torus(n)
     pts, _ = sample_manifold(m, 20_000, seed=n)
+    edges = np.zeros((3, n))
+    edges[:, 0] = 0.0, np.pi / ell, np.nextafter(m.periods[0], 0.0)
+    pts = np.vstack([pts, edges])
     field = BuragoTorus(ell)
+    w = field.weight_many(m, pts)
+    cosine = 1.0 - 0.5 * np.cos(ell * pts[:, 0])
+    assert np.all(np.abs(w - cosine) <= 2 * np.spacing(cosine))
+    assert w[-3] == 0.5 and w[-2] == 1.5
     f = field.eval_many(m, pts)
-    assert f.tobytes() == (np.log(1.0 - 0.5 * np.cos(ell * pts[:, 0])) / n).tobytes()
-    w, via_f = field.weight_many(m, pts), np.exp(n * f)
+    assert f.tobytes() == (np.log(w) / n).tobytes()
+    via_f = np.exp(n * f)
     assert np.all(np.abs(w - via_f) <= np.spacing(via_f))
+
+
+@pytest.mark.parametrize("ell", [1, 4, 16])
+def test_burago_ball_masses_match_the_bessel_formula(ell):
+    """At n = 2, mu_f(B_r(c)) = pi r^2 - pi r cos(ell c1) J1(ell r) / ell for
+    r below half the period; each Monte Carlo mass is within 3 se of it."""
+    m = Manifold.torus(2)
+    field = BuragoTorus(ell)
+    for k, (r, c1) in enumerate(((2.4 / ell, 0.3), (3.0 / ell, 2.0), (3.0 / ell, np.pi / ell))):
+        ball = BallSpec(np.array([c1, 1.1]), r)
+        mass, se = mu_f_ball(m, field, ball, budget=20_000, seed=10 * ell + k)
+        exact = np.pi * r * r - np.pi * r * np.cos(ell * c1) * j1(ell * r) / ell
+        assert abs(mass - exact) <= 3 * se
 
 
 def test_default_weight_is_exp_of_n_f(torus2, sphere2):
@@ -671,13 +694,18 @@ def _box_grid(shape):
          "budget must be >= 100 and an integer"),
         (lambda t2: mu_f_ball(t2, BuragoTorus(1), whole_manifold_ball(t2), budget=2000.5),
          "budget must be >= 100 and an integer"),
+        (lambda t2: mu_f_ball(t2, BuragoTorus(1), BallSpec(np.ones(2), 0.5), 1000, seed="x"),
+         "seed must be an integer"),
+        # a fraction used to run as its integer part
+        (lambda t2: total_mass(t2, BuragoTorus(1), 1000, 1.5), "seed must be an integer"),
     ],
     ids=["burago-ell-0", "burago-ell-text", "ball-center-3-on-2-torus", "ball-center-3-on-3-sphere",
          "nan-grid", "grid-manifold-kind", "grid-order-2", "cubic-box-2-nodes",
          "log-cusp-nan-r0", "log-cusp-nan-cap", "log-cusp-text-r0", "log-cusp-text-cap",
          "log-cusp-inf-cap", "log-cusp-text-x0", "log-cusp-scalar-x0", "bubble-text-lam", "bubble-text-pole",
          "bubble-scalar-pole", "total-mass-one-sample", "total-mass-nan-budget",
-         "total-mass-fractional-budget", "ball-nan-budget", "ball-fractional-budget"],
+         "total-mass-fractional-budget", "ball-nan-budget", "ball-fractional-budget", "ball-text-seed",
+         "total-mass-fractional-seed"],
 )
 def test_weights_reject_bad_inputs(torus2, call, words):
     with pytest.raises(InputError, match=words):
