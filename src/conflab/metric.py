@@ -88,52 +88,73 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass
 class EpsGraph:
-    """Undirected eps-graph stored as one symmetric CSR adjacency: each
+    """Undirected eps-graph, solved as one symmetric CSR adjacency: each
     undirected edge {i, j} is the two entries (i, j) and (j, i), which hold
     the same weight, bit for bit, so Dijkstra runs on it as a directed graph
     and builds no transpose.
 
-    A RiemannLine graph on a torus or box lattice fills its CSR
-    node-major: row i lists the edges from node i, one per offset block in
-    block order, and ``blocks`` holds one ``LatticeBlock`` per column of
-    that (n, 2B) table, from which the base lengths d0 follow.  Its first B
-    blocks are the half-space offsets, the last B their mirrors: block
-    B + b joins the targets of block b back to its sources.  Graphs whose
-    edges come from a kd-tree (ChainBall graphs, sphere layouts, scattered
-    points, lattices smaller than the eps reach) share no displacement:
-    ``blocks`` is None, the CSR rows are sorted and ``d0`` holds each
-    entry's base length.  Either way the weights are computed once per
-    undirected edge, on the forward entries (the first B blocks, or i < j),
-    and copied to the reverse ones.
+    A RiemannLine graph on a torus or box lattice stores no CSR: it keeps
+    ``blocks``, one ``LatticeBlock`` per column of a node-major (n, 2B)
+    edge table, and ``table``, its compact weight table (``_lattice_table``:
+    extent 1 along the field's constant axes, one column per block).  Its
+    first B blocks are the half-space offsets, the last B their mirrors:
+    block B + b joins the targets of block b back to its sources.
+    ``_lattice_csr`` builds the CSR from the two, row i listing the edges
+    from node i in block order, only for a solve; ``csgraph`` is that
+    expansion, built per read.  Graphs whose edges come from a kd-tree
+    (ChainBall graphs, sphere layouts, scattered points, lattices smaller
+    than the eps reach) share no displacement: ``blocks`` is None, ``csr``
+    holds the CSR, with sorted rows, and ``d0`` each entry's base length.
+    Either way the weights are computed once per undirected edge, on the
+    forward entries (the first B blocks, or i < j), and copied to the
+    reverse ones.
 
-    ``invariant_axes`` and ``rho`` are found once per weighting, with the
-    weights.  The invariant axes are those along which each forward column
-    of a torus lattice graph's compact weight table is constant (exact ==),
-    so every translation along them maps the graph onto itself; they are ()
-    on boxes and kd-tree graphs.  rho is the largest edge weight per unit
-    of d0 over the edges with d0 > 0, 0 if there are none; it bounds
+    ``invariant_axes``, ``mirror_axes`` and ``rho`` are found once per
+    weighting, with the weights.  The invariant axes are those along which
+    each forward column of a torus lattice graph's weight table is constant
+    (exact ==), so every translation along them maps the graph onto itself;
+    the mirror axes are the invariant axes a along which the table equals
+    itself with its columns permuted by o -> o with o_a negated (exact ==),
+    so the reflection i_a -> -i_a maps it onto itself too.  Both are () on
+    boxes and kd-tree graphs.  rho is the largest edge weight per unit of
+    d0 over the edges with d0 > 0, 0 if there are none; it bounds
     ``shortest_paths``' first Dijkstra limit.
     """
 
     points: PointSet
     eps: float
     estimator: object
-    csgraph: csr_matrix
     manifold: Manifold  # the geometry of d0 and of the edge weights
-    blocks: Optional[list] = None
+    csr: Optional[csr_matrix] = None  # kd-tree graphs: the symmetric CSR
     d0: Optional[np.ndarray] = None  # kd-tree graphs: d0 per CSR entry
+    blocks: Optional[list] = None  # lattice graphs: the table's columns
+    table: Optional[np.ndarray] = None  # lattice graphs: the compact weight table
     invariant_axes: tuple = ()
+    mirror_axes: tuple = ()
     rho: float = 0.0
 
     @property
     def n(self) -> int:
         return len(self.points)
 
+    @property
+    def csgraph(self) -> csr_matrix:
+        """The symmetric CSR: a kd-tree graph's own, a lattice graph's
+        expansion of its blocks and table, built anew at each read."""
+        return self.csr if self.blocks is None else _lattice_csr(self, ())
+
     # read-only per-edge views, in CSR order
     @property
     def edge_i(self) -> np.ndarray:
-        c = self.csgraph
-        return _read_only(np.repeat(np.arange(self.n, dtype=c.indices.dtype), np.diff(c.indptr)))
+        """The source node of each entry, from the row counts alone: a
+        lattice graph expands no indices or weights for it."""
+        if self.blocks is None:
+            counts = np.diff(self.csr.indptr)
+        elif self.manifold.kind == "torus":
+            counts = len(self.blocks)  # every slot is filled
+        else:
+            counts = _filled_slots(self.points, self.blocks).sum(axis=-1).ravel()
+        return _read_only(np.repeat(np.arange(self.n, dtype=np.int32), counts))
 
     @property
     def edge_j(self) -> np.ndarray:
@@ -144,14 +165,14 @@ class EpsGraph:
         if self.blocks is None:
             return _read_only(self.d0)
         table = _lattice_table(self.points, self.blocks, lambda b: b.d0, range(self.manifold.dim))
-        return _read_only(_lattice_entries(self.manifold, self.points, self.blocks, table))
+        return _read_only(_lattice_csr(replace(self, table=table), ()).data)
 
     def reweight(self, field: WeightField) -> "EpsGraph":
-        """Same edges, blocks and estimator; weights, invariant axes and rho
-        for another field on the graph's manifold.  The CSR shares ``indices`` and ``indptr``."""
-        csg = copy(self.csgraph)
-        csg.data, axes, rho = _edge_weights(self, field)
-        return replace(self, csgraph=csg, invariant_axes=axes, rho=rho)
+        """Same edges, blocks and estimator; weights, invariant axes, mirror
+        axes and rho for another field on the graph's manifold.  A lattice
+        graph gets a new weight table and holds no expanded array; a
+        kd-tree graph's CSR shares ``indices`` and ``indptr``."""
+        return _weighted(self, field)
 
 
 @dataclass
@@ -207,7 +228,7 @@ def _lattice_table(points: PointSet, blocks, column, flat) -> np.ndarray:
     column(blk) is a scalar or an array shaped like the sub-box, but of
     extent 1 along the axes ``flat``, whose one value holds for every node
     along them; the table keeps extent 1 there (a roll along such an axis
-    moves nothing), and ``_lattice_entries`` broadcasts it.  A box block's
+    moves nothing), and ``_lattice_csr`` broadcasts it.  A box block's
     slots off its sub-box, and the mirror slots its roll brings in from
     there, keep zeros, which no entry reads.  Tests over every entry
     (finite, nonnegative, constant along an axis) can read this table."""
@@ -231,29 +252,15 @@ def _filled_slots(points: PointSet, blocks) -> np.ndarray:
     return filled
 
 
-def _lattice_entries(m, points: PointSet, blocks, table) -> np.ndarray:
-    """A ``_lattice_table``'s values at a lattice graph's CSR entries, in
-    CSR order: its filled slots, row by row.  On a torus every slot is
-    filled, so the table broadcast to (n, 2B) is the entry array; a box
-    reads its filled slots straight from the broadcast view, so no (n, 2B)
-    float table is held besides the entries."""
-    full = np.broadcast_to(table, tuple(points.lattice_shape) + (len(blocks),))
-    return full.ravel() if m.kind == "torus" else full[_filled_slots(points, blocks)]
-
-
-def _lattice_csr(m, points: PointSet, eps):
-    """Blocks, CSR indices (the int32 target node of each entry) and indptr
-    of a lattice graph.
+def _lattice_blocks(m, points: PointSet, eps) -> list:
+    """The ``LatticeBlock`` columns of a lattice graph.
 
     A block joins every node of a source sub-box to the node one offset
     away: on a torus the whole lattice, wrapped; on a box the nodes whose
     translate stays inside.  The B half-space offsets come first, then
     their negations: the mirror of block (o, d0, lo, hi) holds the same
     edges read from the other end, (-o, d0, lo + o, hi + o) on a box and
-    the whole lattice again on a torus.  The target table is one int32
-    (..., 2B) array, the sum of the per-axis (s_a, 2B) terms
-    stride_a * ((i_a + o_a) mod s_a), written by the first addition and
-    added to in place by the rest; a box compresses it by ``_filled_slots``.
+    the whole lattice again on a torus.
     """
     shape = tuple(points.lattice_shape)
     half = _lattice_offsets(points.axis_spacing, eps)
@@ -265,16 +272,65 @@ def _lattice_csr(m, points: PointSet, eps):
             lo = tuple(max(0, -o) for o in off)
             hi = tuple(s - max(0, o) for s, o in zip(shape, off))
         blocks.append(LatticeBlock(off, d, lo, hi))
-    offsets = np.array([b.offset for b in blocks])
-    terms = [((i[..., None] + offsets[:, a]) % shape[a] * int(np.prod(shape[a + 1:]))).astype(np.int32)
-             for a, i in enumerate(np.ix_(*map(np.arange, shape)))]
-    targets = np.add(terms[0], terms[1], out=np.empty(shape + (len(blocks),), dtype=np.int32))  # dim >= 2
+    return blocks
+
+
+def _folded_index(i, s: int, folded: bool):
+    """Lattice index i along an axis of s nodes, folded to its class under
+    i -> -i (mod s), min(i, s - i), if ``folded``."""
+    return np.minimum(i, s - i) if folded else i
+
+
+def _folded_shape(shape, fold) -> tuple:
+    """Lattice shape of the classes of nodes under the reflections
+    i_a -> -i_a along the axes ``fold``: s_a // 2 + 1 along each."""
+    return tuple(s // 2 + 1 if a in fold else s for a, s in enumerate(shape))
+
+
+def _node_classes(shape, fold) -> np.ndarray:
+    """Row-major index of each node's class, in the lattice of classes
+    ``_folded_shape(shape, fold)``."""
+    index = [_folded_index(i, s, a in fold) for a, (i, s) in enumerate(zip(np.indices(shape), shape))]
+    return np.ravel_multi_index(index, _folded_shape(shape, fold)).ravel()
+
+
+def _lattice_csr(g: EpsGraph, fold) -> csr_matrix:
+    """A lattice graph's CSR from its blocks and weight table, folded about
+    index 0 along the axes ``fold`` (mirror axes of a torus lattice graph).
+
+    Its rows are the nodes with index <= s_a // 2 along each axis a of
+    ``fold``, in row-major order, one per class of nodes under the
+    reflections i_a -> -i_a; row r lists, in block order, the class of
+    each node r + offset (wrapped on a torus), at the table's weight for r.
+    Unfolded, its rows are the n nodes, and this is the graph's symmetric
+    CSR.  The int32 target table is one (..., 2B) array, the sum of the
+    per-axis (r_a, 2B) terms stride_a * fold_a((i_a + o_a) mod s_a), with
+    the strides of the rows' shape, written by the first addition and
+    added to in place by the rest; a box compresses it and the broadcast
+    weight table by ``_filled_slots``.  Its index arrays are read-only.
+    """
+    shape = tuple(g.points.lattice_shape)
+    rows = _folded_shape(shape, fold)
+    offsets = np.array([b.offset for b in g.blocks])
+    terms = [(_folded_index((i[..., None] + offsets[:, a]) % shape[a], shape[a], a in fold)
+              * int(np.prod(rows[a + 1:]))).astype(np.int32)
+             for a, i in enumerate(np.ix_(*map(np.arange, rows)))]
+    targets = np.add(terms[0], terms[1], out=np.empty(rows + (len(g.blocks),), dtype=np.int32))  # dim >= 2
     for term in terms[2:]:
         targets += term
-    if m.kind == "torus":
-        return blocks, targets.ravel(), np.arange(len(points) + 1) * len(blocks)  # every slot is filled
-    filled = _filled_slots(points, blocks)
-    return blocks, targets[filled], np.concatenate(([0], np.cumsum(filled.sum(axis=-1).ravel())))
+    weights = np.broadcast_to(g.table[tuple(slice(0, r) for r in rows)], targets.shape)
+    nrows = int(np.prod(rows))
+    if g.manifold.kind == "torus":  # every slot is filled
+        indices, data, indptr = targets.ravel(), weights.ravel(), np.arange(nrows + 1) * len(g.blocks)
+    else:
+        filled = _filled_slots(g.points, g.blocks)
+        indices = targets[filled]
+        del targets  # not held beside the weights
+        data = weights[filled]
+        indptr = np.concatenate(([0], np.cumsum(filled.sum(axis=-1).ravel())))
+    csg = csr_matrix((data, indices, indptr), shape=(nrows, nrows))
+    csg.indices.flags.writeable = csg.indptr.flags.writeable = False
+    return csg
 
 
 def _edges_kdtree(m, points: PointSet, eps):
@@ -374,16 +430,33 @@ def _chain_weights(g: EpsGraph, field: WeightField, ei, ej, d0) -> np.ndarray:
     return out
 
 
-def _edge_weights(g: EpsGraph, field: WeightField):
-    """The graph's CSR data for ``field``, its invariant axes and rho, from
-    one weighting.  Each undirected edge is weighted once, on its forward
-    entry (a half-space block of a lattice graph, i < j on a kd-tree graph),
-    and copied to its reverse entry, so the weight check (finite and
-    nonnegative), the invariant axes and rho, the largest weight per unit of
-    d0 over the edges with d0 > 0 (0 if there are none), read the forward
-    entries alone.  A lattice graph reads the forward half of its compact
-    table, and its rho is each column's largest weight over the column's
-    one d0 (a box's empty slots hold zeros, below every weight)."""
+def _mirror_axes(blocks, table, axes) -> tuple:
+    """The axes a of ``axes`` (invariant axes of a torus lattice graph)
+    along which its (..., 2B) weight table equals itself with its columns
+    permuted by o -> o with o_a negated, compared column by column with
+    exact ==.  The reflection i_a -> -i_a about any node then maps each
+    edge onto one of the same weight."""
+    column = {blk.offset: c for c, blk in enumerate(blocks)}
+
+    def mirrored(a):
+        flip = (column[tuple(-v if e == a else v for e, v in enumerate(blk.offset))] for blk in blocks)
+        return all(np.array_equal(table[..., c], table[..., f]) for c, f in enumerate(flip))
+
+    return tuple(a for a in axes if mirrored(a))
+
+
+def _weighted(g: EpsGraph, field: WeightField) -> EpsGraph:
+    """g weighted for ``field``, with its invariant axes, mirror axes and
+    rho from the same weighting.  Each undirected edge is weighted once,
+    on its forward entry (a half-space block of a lattice graph, i < j on a
+    kd-tree graph), and copied to its reverse entry, so the weight check
+    (finite and nonnegative), the invariant axes and rho, the largest
+    weight per unit of d0 over the edges with d0 > 0 (0 if there are
+    none), read the forward entries alone.  A lattice graph reads the
+    forward half of its compact table, which it keeps as its weights, and
+    its rho is each column's largest weight over the column's one d0 (a
+    box's empty slots hold zeros, below every weight).  A kd-tree graph
+    gets a copy of its CSR that shares ``indices`` and ``indptr``."""
     field.validate(g.manifold)
     if g.blocks is not None:
         table = _riemann_lattice_table(g, field)
@@ -402,54 +475,48 @@ def _edge_weights(g: EpsGraph, field: WeightField):
         raise InputError("edge weights must be finite and nonnegative")
     if g.blocks is not None:
         rho = float(np.max(forward.max(axis=tuple(range(forward.ndim - 1))) / d0))
-        axes = equal_slab_axes(forward, g.manifold.dim) if g.manifold.kind == "torus" else ()
-        return _lattice_entries(g.manifold, g.points, g.blocks, table), tuple(axes), rho
+        axes = tuple(equal_slab_axes(forward, g.manifold.dim)) if g.manifold.kind == "torus" else ()
+        return replace(g, table=table, invariant_axes=axes, mirror_axes=_mirror_axes(g.blocks, table, axes),
+                       rho=rho)
     pos = d0 > 0
     rho = float(np.max(forward[pos] / d0[pos])) if np.any(pos) else 0.0
     # rows are sorted, so the (j, i) entries, i < j, come in the order of (j, i)
     w = np.empty(ei.size)
     w[up] = forward
     w[~up] = forward[np.lexsort((ei[up], ej[up]))]
-    return w, (), rho
+    csg = copy(g.csr)
+    csg.data = w
+    return replace(g, csr=csg, rho=rho)
 
 
 def _eps_graph(m, points: PointSet, eps, field, estimator):
-    """All d0 <= eps edges of ``points`` in one symmetric CSR, each edge in
-    both directions, weighted per estimator, with the graph's invariant
-    axes and rho from the same weighting (``_edge_weights``).
+    """All d0 <= eps edges of ``points``, each edge in both directions,
+    weighted per estimator, with the graph's invariant axes, mirror axes
+    and rho from the same weighting (``_weighted``).
 
     A RiemannLine graph on a torus or box lattice whose axes each hold more
     nodes than the eps reach spans takes the lattice layout: its edges are
     enumerated one integer offset at a time, as the ``LatticeBlock`` columns
     of a node-major table, through which its Gauss points are weighted axis
     by axis.  Every other graph, ChainBall graphs on lattices included,
-    gets its edges from a kd-tree and is weighted edge by edge.
+    gets its edges from a kd-tree, into one symmetric CSR, and is weighted
+    edge by edge.
     """
     small_lattice = points.lattice_shape is not None and any(
         2 * int(np.floor(eps / h)) + 1 > s
         for h, s in zip(points.axis_spacing, points.lattice_shape)
     )
-    blocks = d0 = None
+    g = EpsGraph(points=points, eps=eps, estimator=estimator, manifold=m)
     if (isinstance(estimator, RiemannLine) and points.lattice_shape is not None
             and m.kind in ("torus", "box") and not small_lattice):
-        blocks, indices, indptr = _lattice_csr(m, points, eps)
+        g.blocks = _lattice_blocks(m, points, eps)
     else:
         # wrap reach would alias the offset enumeration on tiny lattices
-        indices, indptr, d0 = _edges_kdtree(m, points, eps)
-    # every edge reads 0, without storage, until its weight is computed
-    csg = csr_matrix((np.broadcast_to(0.0, indices.shape), indices, indptr), shape=(len(points),) * 2)
-    csg.indices.flags.writeable = csg.indptr.flags.writeable = False  # shared by reweighted graphs
-    g = EpsGraph(
-        points=points,
-        eps=eps,
-        estimator=estimator,
-        csgraph=csg,
-        manifold=m,
-        blocks=blocks,
-        d0=d0,
-    )
-    csg.data, g.invariant_axes, g.rho = _edge_weights(g, field)
-    return g
+        indices, indptr, g.d0 = _edges_kdtree(m, points, eps)
+        # every edge reads 0, without storage, until its weight is computed
+        g.csr = csr_matrix((np.broadcast_to(0.0, indices.shape), indices, indptr), shape=(len(points),) * 2)
+        g.csr.indices.flags.writeable = g.csr.indptr.flags.writeable = False  # shared by reweighted graphs
+    return _weighted(g, field)
 
 
 def build_graph(
@@ -526,6 +593,17 @@ def shortest_paths(g: EpsGraph, sources=None, targets=None) -> DistanceMatrix:
     bit.  A kd-tree graph is a 1-D lattice of its n nodes; with no
     invariant axis (box lattices, kd-tree graphs, fields that vary along
     every axis) each distinct source is its own representative.
+
+    A lattice graph's CSR is built for the call by ``_lattice_csr``,
+    folded along its mirror axes: a representative has index 0 along
+    them, so the reflections i_a -> -i_a fix it, and the distance to a
+    node is the distance to its class.  Each path of the folded graph
+    lifts to a path of the full graph with the same edge weights in the
+    same order, and each full path folds to one, so the least float sum
+    over paths, which is what Dijkstra finds, is the same for every node
+    of a class.  Near a mirror plane two offsets can land on one class;
+    Dijkstra relaxes every stored entry, so the lighter one counts.  Each
+    row is unfolded through every node's class before it is moved.
     """
     n = g.n
     sources = np.arange(n) if sources is None else _node_indices(sources, n, "sources")
@@ -541,15 +619,16 @@ def shortest_paths(g: EpsGraph, sources=None, targets=None) -> DistanceMatrix:
     shape = g.points.lattice_shape if g.blocks is not None else (n,)
     rep, tau = lattice_orbits(shape, g.invariant_axes, sources)
     reps, orbit = np.unique(rep, return_inverse=True)
-    csg = g.csgraph
+    csg = g.csr if g.blocks is None else _lattice_csr(g, g.mirror_axes)
+    classes = _node_classes(shape, g.mirror_axes)  # each node's row of csg
     while True:
-        rows = np.atleast_2d(dijkstra(csg, directed=True, indices=reps, limit=limit))
+        rows = np.atleast_2d(dijkstra(csg, directed=True, indices=classes[reps], limit=limit))
         vals = np.empty((sources.size, targets.size))  # after the solve, not held through it
         for i, (o, t) in enumerate(zip(orbit, tau)):
-            vals[i] = lattice_roll(rows[o], shape, t)[targets]
+            vals[i] = lattice_roll(rows[o][classes], shape, t)[targets]
         if limit == np.inf or np.all(np.isfinite(vals)):
             break
-        # no finite distance exceeds the total edge weight
+        # no finite distance exceeds the total weight of the solved graph's entries
         limit = np.inf if limit >= np.sum(csg.data) else 2.0 * limit
     return DistanceMatrix(sources=sources, targets=targets, values=vals)
 

@@ -23,13 +23,19 @@ def _key(part) -> int:
     return int(part) & _MASK32
 
 
-def derive_rng(seed: int, *parts) -> np.random.Generator:
-    """Child generator for (seed, *parts); same inputs give the same stream.
-    A seed that is not an integer (Python or numpy) is an InputError."""
+def check_seed(seed) -> int:
+    """seed as an int; a seed that is not an integer (Python or numpy) is
+    an InputError."""
     try:
-        root = operator.index(seed) & _MASK32
+        return operator.index(seed)
     except TypeError as exc:
         raise InputError(f"seed must be an integer, got {seed!r}") from exc
+
+
+def derive_rng(seed: int, *parts) -> np.random.Generator:
+    """Child generator for (seed, *parts); same inputs give the same stream.
+    The seed must pass ``check_seed``."""
+    root = check_seed(seed) & _MASK32
     spawn = tuple(_key(p) for p in parts)
     return np.random.default_rng(np.random.SeedSequence(root, spawn_key=spawn))
 

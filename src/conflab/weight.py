@@ -40,6 +40,7 @@ from .manifold import (
     sample_ball,
     sample_manifold,
 )
+from .rng import check_seed
 
 # ---------------------------------------------------------------------------
 # field classes
@@ -681,8 +682,10 @@ def ball_integral(m: Manifold, field: WeightField, ball: Optional[BallSpec], on_
     sphere takes the colatitude rule of cap_quadrature, accurate under
     measure concentration, and reports an error of 1e-9 |value|.
     Everything else is Monte Carlo on on_points(pts), g at uniform samples
-    of the ball or of M.  A ball whose center is not a point of M's ambient
-    space is an InputError."""
+    of the ball or of M.  A seed that is not an integer (``check_seed``)
+    and a ball whose center is not a point of M's ambient space are
+    InputErrors, whichever path runs."""
+    check_seed(seed)
     field.validate(m)
     if ball is not None:
         check_ball(m, ball)

@@ -17,7 +17,6 @@ from conflab.metric import (
     _SPACING,
     _cover_distance,
     _filled_slots,
-    _lattice_csr,
     _lattice_offsets,
     build_graph,
     fit_rate,
@@ -433,20 +432,24 @@ def _lattice_edges_one_by_one(m, pts, eps):
 def test_torus_indptr_counts_the_filled_slots(case):
     # a torus fills every slot of the node-major (n, 2B) table, B half-space
     # blocks and their mirrors, so its indptr is a plain stride of 2B; it
-    # must equal the count of filled slots, dtype included
+    # must equal the count of filled slots, in the CSR's index dtype, and
+    # edge_i, read from the row counts without an expansion, must agree
     m, spacing = LATTICE_GRAPHS[case]
     pts = lattice(m, spacing)
     eps = 4.3 * pts.spacing
-    blocks, _, indptr = _lattice_csr(m, pts, eps)
-    assert len(blocks) == 2 * len(_lattice_offsets(pts.axis_spacing, eps))
-    counted = np.concatenate(([0], np.cumsum(_filled_slots(pts, blocks).reshape(len(pts), -1).sum(axis=1))))
-    assert indptr.dtype == counted.dtype and indptr.tobytes() == counted.tobytes()
+    g = build_graph(m, pts, eps, Constant(0.0))
+    assert len(g.blocks) == 2 * len(_lattice_offsets(pts.axis_spacing, eps))
+    counted = np.concatenate(([0], np.cumsum(_filled_slots(pts, g.blocks).reshape(len(pts), -1).sum(axis=1))))
+    csg = g.csgraph
+    assert csg.indptr.dtype == csg.indices.dtype == np.int32
+    assert csg.indptr.tobytes() == counted.astype(np.int32).tobytes()
+    assert np.array_equal(g.edge_i, np.repeat(np.arange(g.n), np.diff(counted)))
 
 
 @pytest.mark.parametrize("case", sorted(LATTICE_GRAPHS))
 def test_lattice_csr_is_node_major(case):
     # row i lists node i's edges in _lattice_offsets order, then the same
-    # offsets negated, unsorted: _lattice_entries writes the weights from
+    # offsets negated, unsorted: _lattice_csr broadcasts the weights from
     # an (n, 2B) table whose first B columns are the half-space blocks
     m, spacing = LATTICE_GRAPHS[case]
     pts = lattice(m, spacing)
@@ -497,13 +500,18 @@ def test_block_weights_match_edge_list(case, reach):
         assert a[order_got].tobytes() == b[order_want].astype(a.dtype).tobytes()
     # the per-edge geodesic_points path, on the same entries with sorted rows
     sorted_csg = csr_matrix((np.zeros(csg.nnz), got[1][order_got], csg.indptr), shape=csg.shape)
-    edge_list = replace(g, csgraph=sorted_csg, blocks=None, d0=got[2][order_got])
+    edge_list = replace(g, csr=sorted_csg, blocks=None, table=None, d0=got[2][order_got])
     for field in fields:
         blocked = g.reweight(field)
         assert blocked.blocks is g.blocks
-        assert blocked.csgraph.indices is csg.indices and blocked.csgraph.indptr is csg.indptr
+        # the reweighted graph stores its blocks and weight table, no CSR,
+        # and expands to the same edges
+        assert [k for k, v in vars(blocked).items() if isinstance(v, (np.ndarray, csr_matrix))] == ["table"]
+        expanded = blocked.csgraph
+        assert expanded.indices.tobytes() == csg.indices.tobytes()
+        assert expanded.indptr.tobytes() == csg.indptr.tobytes()
         want_w = edge_list.reweight(field).csgraph.data
-        np.testing.assert_allclose(blocked.csgraph.data[order_got], want_w, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(expanded.data[order_got], want_w, rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(g.csgraph.data[order_got], edge_list.reweight(fields[0]).csgraph.data,
                                rtol=1e-13, atol=0.0)
     # Dijkstra on the symmetric node-major CSR equals the undirected solve
@@ -761,6 +769,34 @@ def test_lattice_graph_memory_per_edge(m, spacing, field):
         tracemalloc.stop()
     assert g.csgraph.nnz > 800_000
     assert peak <= 16 * g.csgraph.nnz  # nnz counts each undirected edge twice
+
+
+def _traced_peak(call):
+    """call()'s result and the most memory it held at once, by tracemalloc."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_constant_torus_lattice_graph_holds_no_per_entry_array():
+    # a lattice graph keeps its blocks and compact weight table, which a
+    # Constant field leaves at extent 1 along every axis; its CSR is built
+    # only for a solve, so building or reweighting it peaks below one byte
+    # per entry of that CSR
+    m = Manifold.torus(2)
+    pts = lattice(m, 0.05)
+    g, built = _traced_peak(lambda: build_graph(m, pts, 0.3, Constant(0.2)))
+    _, reweighted = _traced_peak(lambda: g.reweight(Constant(0.5)))
+    nnz = g.csgraph.nnz
+    assert nnz > 800_000
+    assert max(built, reweighted) < nnz
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,9 @@ snapping on lattices, grid distances to every node against d0, the eps-graph dis
 monotonicity in eps and in the LogCusp cap, the one-solve-per-orbit shortest
 paths against per-source Dijkstra, the lattice orbit
 representatives and translations behind it, and the invariant axes they
-use, against the slab-by-slab test of the expanded weights), the connectivity of accepted
+use, against the slab-by-slab test of the expanded weights; the solve
+folded along the mirror axes against Dijkstra on the expanded CSR, and the
+mirror axes against their column-by-column definition), the connectivity of accepted
 lattice graphs, the invariance of the Muckenhoupt-type diagnostics
 under constant shifts of f, and the axes a field declares it is constant
 along (the field ignores them; lattice weights keep every bit).
@@ -26,6 +28,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.spatial import cKDTree
 
@@ -1027,6 +1030,119 @@ def test_invariant_axes_are_those_of_the_expanded_weights(kind, chain, name, oth
         assert set(_invariant_fields(g.manifold)[name].constant_axes(g.manifold)) <= set(g.invariant_axes)
 
 
+# torus lattices of odd and of even sizes, in 2-D and 3-D, and fields whose
+# graphs fold along every axis, along all but x1, and along none
+MIRROR_TORI = {
+    "torus2-odd": (Manifold.torus(2, [2 * np.pi, 4.0]), 0.3),  # 21 x 13 nodes
+    "torus2-even": (Manifold.torus(2, [2 * np.pi, 3.78]), 0.315),  # 20 x 12 nodes
+    "torus3": (Manifold.torus(3, [2 * np.pi, 3.2, 2.9]), 0.4),  # 16 x 8 x 7 nodes
+}
+MIRROR_FIELDS = ["constant", "scaled", "burago1", "burago2", "burago3", "logcusp", "grid"]
+
+
+def _mirror_fields(m):
+    rng = np.random.default_rng(5)
+    return {
+        "constant": Constant(0.3),
+        "scaled": Sum((Constant(0.0), Constant(0.7))),
+        "burago1": BuragoTorus(1),
+        "burago2": BuragoTorus(2),
+        "burago3": BuragoTorus(3),
+        "logcusp": LogCusp((1.3, 1.1, 0.9)[: m.dim], 0.5, None),
+        "grid": GridWeight(GridField(m, rng.uniform(-0.5, 0.5, (7,) + (5,) * (m.dim - 1)))),
+    }
+
+
+def _expected_mirror_axes(name, dim):
+    if name in ("constant", "scaled"):
+        return tuple(range(dim))
+    return tuple(range(1, dim)) if name.startswith("burago") else ()
+
+
+def _flip_axes(table, offsets, axes):
+    """The axes a of ``axes`` along which each column of a lattice-shaped
+    (..., 2B) table equals the column of its offset with o_a negated."""
+    found = []
+    for a in axes:
+        flip = [offsets.index(tuple(-v if e == a else v for e, v in enumerate(o))) for o in offsets]
+        if all(np.array_equal(table[..., c], table[..., f]) for c, f in enumerate(flip)):
+            found.append(a)
+    return tuple(found)
+
+
+def _expanded_mirror_axes(g):
+    """The mirror axes of a torus lattice graph by definition: the invariant
+    axes along which each column of the expanded (n, 2B) CSR data equals
+    the column of its offset with o_a negated."""
+    table = g.csgraph.data.reshape(tuple(g.points.lattice_shape) + (len(g.blocks),))
+    return _flip_axes(table, [blk.offset for blk in g.blocks], _expanded_invariant_axes(g))
+
+
+@cache
+def _mirror_graph(kind, name):
+    m, spacing = MIRROR_TORI[kind]
+    pts = lattice(m, spacing)
+    g = build_graph(m, pts, 3.3 * pts.spacing, _mirror_fields(m)[name])
+    assert g.blocks is not None
+    return g
+
+
+def _lattice_node(data, shape):
+    """A node drawn with its index along each axis often 0, s // 2 or on
+    either side of s / 2: on or next to a mirror plane."""
+    coords = [data.draw(st.sampled_from([0, s // 2, (s + 1) // 2, s - 1]) | st.integers(0, s - 1))
+              for s in shape]
+    return int(np.ravel_multi_index(coords, shape))
+
+
+@pytest.mark.parametrize("kind", sorted(MIRROR_TORI))
+@pytest.mark.parametrize("name", MIRROR_FIELDS)
+@settings(PROPS, max_examples=6)
+@given(data=st.data(), other=st.sampled_from(MIRROR_FIELDS), bounded=st.booleans(), widen=st.booleans())
+def test_folded_solve_is_the_full_dijkstra(kind, name, data, other, bounded, widen):
+    # the solve on the CSR folded along the mirror axes, unfolded, is scipy's
+    # Dijkstra on the expanded CSR bit for bit, built and reweighted,
+    # unbounded, with targets, and with a first limit far too short
+    g = _mirror_graph(kind, name)
+    shape = g.points.lattice_shape
+    for w, field in ((g, name), (g.reweight(_mirror_fields(g.manifold)[other]), other)):
+        assert w.mirror_axes == _expanded_mirror_axes(w) == _expected_mirror_axes(field, g.manifold.dim)
+        src = [_lattice_node(data, shape) for _ in range(data.draw(st.integers(1, 4)))]
+        tgt = [_lattice_node(data, shape) for _ in range(data.draw(st.integers(1, 6)))] if bounded else None
+        got = shortest_paths(replace(w, rho=1e-3 * w.rho) if widen else w, src, tgt).values
+        want = dijkstra(w.csgraph, directed=True, indices=src)
+        if tgt is not None:
+            want = want[:, tgt]
+        assert got.tobytes() == want.tobytes()
+
+
+@PROPS
+@given(data=st.data(), kind=st.sampled_from(sorted(MIRROR_TORI)))
+def test_mirror_axes_are_the_column_flips_of_the_table(data, kind):
+    # a constant table with a few columns nudged by one ulp: an axis stays a
+    # mirror axis only while every column still equals its flip along it
+    g = _mirror_graph(kind, "constant")
+    table = g.table.copy()
+    for c in data.draw(st.lists(st.integers(0, len(g.blocks) - 1), max_size=3)):
+        table[..., c] = np.nextafter(table[..., c], np.inf)
+    axes = tuple(range(g.manifold.dim))
+    assert mt._mirror_axes(g.blocks, table, axes) == _flip_axes(table, [blk.offset for blk in g.blocks], axes)
+
+
+def test_dijkstra_reads_a_repeated_entry_as_its_lighter_weight():
+    # a folded CSR can list one target twice in a row, at two weights (two
+    # offsets landing on one class near a mirror plane); scipy relaxes each
+    # stored entry and sums no duplicates, so the lighter weight counts
+    g = _mirror_graph("torus2-odd", "constant")
+    folded = mt._lattice_csr(g, g.mirror_axes)
+    assert any(np.unique(folded.indices[a:b]).size < b - a for a, b in zip(folded.indptr, folded.indptr[1:]))
+    for first, second in ((5.0, 2.0), (2.0, 5.0)):
+        csg = csr_matrix((np.array([first, second, 1.5]), np.array([1, 1, 2], dtype=np.int32), [0, 2, 3, 3]),
+                         shape=(3, 3))
+        assert not csg.has_canonical_format
+        assert dijkstra(csg, directed=True, indices=[0]).tolist() == [[0.0, 2.0, 3.5]]
+
+
 def test_boxes_and_kd_tree_graphs_have_no_invariant_axis():
     box = Manifold.box([[0.0, 2.0], [0.0, 1.0]])
     small = lattice(TORUS2, 1.5)  # fewer nodes than the eps reach spans: a kd-tree graph
@@ -1035,6 +1151,7 @@ def test_boxes_and_kd_tree_graphs_have_no_invariant_axis():
         g = build_graph(m, pts, 3 * pts.spacing, Constant(0.3))
         assert (g.blocks is not None) == (m is box)
         assert g.invariant_axes == () and g.reweight(Constant(0.0)).invariant_axes == ()
+        assert g.mirror_axes == () and g.reweight(Constant(0.0)).mirror_axes == ()
 
 
 def _rho_by_definition(g):

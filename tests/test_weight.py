@@ -698,6 +698,10 @@ def _box_grid(shape):
          "seed must be an integer"),
         # a fraction used to run as its integer part
         (lambda t2: total_mass(t2, BuragoTorus(1), 1000, 1.5), "seed must be an integer"),
+        # the colatitude rule draws nothing, so ball_integral checks the seed too
+        (lambda t2: mu_f_ball(Manifold.sphere(2), SphereBubble(2.0), BallSpec([0, 0, 1], 0.5), 1000, seed="x"),
+         "seed must be an integer"),
+        (lambda t2: total_mass(Manifold.sphere(2), SphereBubble(2.0), 1000, seed=None), "seed must be an integer"),
     ],
     ids=["burago-ell-0", "burago-ell-text", "ball-center-3-on-2-torus", "ball-center-3-on-3-sphere",
          "nan-grid", "grid-manifold-kind", "grid-order-2", "cubic-box-2-nodes",
@@ -705,7 +709,7 @@ def _box_grid(shape):
          "log-cusp-inf-cap", "log-cusp-text-x0", "log-cusp-scalar-x0", "bubble-text-lam", "bubble-text-pole",
          "bubble-scalar-pole", "total-mass-one-sample", "total-mass-nan-budget",
          "total-mass-fractional-budget", "ball-nan-budget", "ball-fractional-budget", "ball-text-seed",
-         "total-mass-fractional-seed"],
+         "total-mass-fractional-seed", "colatitude-ball-text-seed", "colatitude-total-mass-no-seed"],
 )
 def test_weights_reject_bad_inputs(torus2, call, words):
     with pytest.raises(InputError, match=words):
