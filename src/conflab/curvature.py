@@ -21,6 +21,7 @@ chart axes on tori and boxes, geodesic normal coordinates on the sphere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .manifold import (
     Manifold,
     PointSet,
     _householder_to,
+    positive_scalar,
     sample_ball,  # noqa: F401  perfbench's tracer checks it rebinds this copy
     sphere_volume,
 )
@@ -135,8 +137,8 @@ def lp_scal_norm(
     fields, else Monte Carlo on _BUDGET uniform ball samples, whose
     e^{nf} is the field's ``weight_many``.
     """
-    if not 1 <= p < np.inf:
-        raise InputError("lp_scal_norm requires a finite p >= 1")
+    if not (isinstance(p, Real) and 1 <= p < np.inf):
+        raise InputError(f"lp_scal_norm requires a finite p >= 1, got {p!r}")
     n = m.dim
     part = (lambda s: np.maximum(s, 0.0)) if positive_part else np.abs
 
@@ -162,8 +164,7 @@ def pinching_profile(
 ) -> PinchingReport:
     """Local curvature concentration: sup over centers of the two
     (int_{B(x,R0)} . dmu_f)^{2/n} functionals."""
-    if R0 <= 0:
-        raise InputError("pinching radius R0 must be positive")
+    R0 = positive_scalar(R0, "pinching radius R0")
     p = m.dim / 2.0
     pos_vals = np.empty(len(centers))
     abs_vals = np.empty(len(centers))

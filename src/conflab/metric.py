@@ -70,14 +70,13 @@ class ChainBall:
 
 
 class LatticeBlock(NamedTuple):
-    """Column of a lattice graph's node-major (n, 2B) edge table: each node of
-    the source sub-box lo <= index < hi joined to the node ``offset`` steps
-    away (wrapped on a torus), at base length d0."""
+    """Column of a lattice graph's node-major (n, 2B) edge table: each node
+    joined to the node ``offset`` steps away, at base length d0.  On a
+    torus the target wraps; on a box the column holds only the nodes whose
+    target lies inside (``_filled_slots``)."""
 
     offset: tuple
     d0: float
-    lo: tuple
-    hi: tuple
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -94,20 +93,20 @@ class EpsGraph:
     and builds no transpose.
 
     A RiemannLine graph on a torus or box lattice stores no CSR: it keeps
-    ``blocks``, one ``LatticeBlock`` per column of a node-major (n, 2B)
-    edge table, and ``table``, its compact weight table (``_lattice_table``:
-    extent 1 along the field's constant axes, one column per block).  Its
-    first B blocks are the half-space offsets, the last B their mirrors:
-    block B + b joins the targets of block b back to its sources.
-    ``_lattice_csr`` builds the CSR from the two, row i listing the edges
-    from node i in block order, only for a solve; ``csgraph`` is that
-    expansion, built per read.  Graphs whose edges come from a kd-tree
-    (ChainBall graphs, sphere layouts, scattered points, lattices smaller
-    than the eps reach) share no displacement: ``blocks`` is None, ``csr``
-    holds the CSR, with sorted rows, and ``d0`` each entry's base length.
-    Either way the weights are computed once per undirected edge, on the
-    forward entries (the first B blocks, or i < j), and copied to the
-    reverse ones.
+    ``blocks``, one ``LatticeBlock`` (offset and d0) per column of a
+    node-major (n, 2B) edge table, and ``table``, its compact weight table
+    (``_riemann_lattice_table``: extent 1 along the field's constant axes,
+    one column per block).  Its first B blocks are the half-space offsets,
+    the last B their mirrors: block B + b joins the targets of block b back
+    to its sources.  ``_lattice_csr`` builds the CSR from the two, row i
+    listing the edges from node i in block order, only for a solve;
+    ``csgraph`` is that expansion, built per read.  Graphs whose edges come
+    from a kd-tree (ChainBall graphs, sphere layouts, scattered points,
+    lattices smaller than the eps reach) share no displacement: ``blocks``
+    is None, ``csr`` holds the CSR, with sorted rows, and ``d0`` each
+    entry's base length.  Either way the weights are computed once per
+    undirected edge, on the forward entries (the first B blocks, or i < j),
+    and copied to the reverse ones.
 
     ``invariant_axes``, ``mirror_axes`` and ``rho`` are found once per
     weighting, with the weights.  The invariant axes are those along which
@@ -164,8 +163,8 @@ class EpsGraph:
     def edge_d0(self) -> np.ndarray:
         if self.blocks is None:
             return _read_only(self.d0)
-        table = _lattice_table(self.points, self.blocks, lambda b: b.d0, range(self.manifold.dim))
-        return _read_only(_lattice_csr(replace(self, table=table), ()).data)
+        d0 = np.array([b.d0 for b in self.blocks]).reshape((1,) * self.manifold.dim + (-1,))
+        return _read_only(_lattice_csr(replace(self, table=d0), ()).data)
 
     def reweight(self, field: WeightField) -> "EpsGraph":
         """Same edges, blocks and estimator; weights, invariant axes, mirror
@@ -221,58 +220,26 @@ def _lattice_offsets(axis_spacing, eps):
     return offsets
 
 
-def _lattice_table(points: PointSet, blocks, column, flat) -> np.ndarray:
-    """Lattice-shaped (..., 2B) float table whose column b < B holds
-    column(blocks[b]) on the block's source sub-box, and whose column B + b,
-    the mirror of block b, holds that column rolled by the block's offset.
-    column(blk) is a scalar or an array shaped like the sub-box, but of
-    extent 1 along the axes ``flat``, whose one value holds for every node
-    along them; the table keeps extent 1 there (a roll along such an axis
-    moves nothing), and ``_lattice_csr`` broadcasts it.  A box block's
-    slots off its sub-box, and the mirror slots its roll brings in from
-    there, keep zeros, which no entry reads.  Tests over every entry
-    (finite, nonnegative, constant along an axis) can read this table."""
-    shape, half = tuple(points.lattice_shape), len(blocks) // 2
-    table = np.zeros(tuple(1 if a in flat else s for a, s in enumerate(shape)) + (len(blocks),))
-    for b, blk in enumerate(blocks[:half]):
-        box = (slice(0, 1) if a in flat else slice(lo, hi) for a, (lo, hi) in enumerate(zip(blk.lo, blk.hi)))
-        table[tuple(box) + (b,)] = column(blk)
-        table[..., half + b] = np.roll(table[..., b], blk.offset, axis=tuple(range(len(shape))))
-    return table
-
-
 def _filled_slots(points: PointSet, blocks) -> np.ndarray:
-    """Which slots of the lattice-shaped (..., 2B) table hold an edge: the
-    AND over axes a of the (s_a, 2B) tests lo_a <= i_a < hi_a, taken in
-    place on one bool per slot."""
-    lo, hi = (np.array([getattr(b, k) for b in blocks]) for k in ("lo", "hi"))
-    filled = np.ones(tuple(points.lattice_shape) + (len(blocks),), dtype=bool)
-    for a, i in enumerate(np.ix_(*map(np.arange, points.lattice_shape))):
-        filled &= (lo[:, a] <= i[..., None]) & (i[..., None] < hi[:, a])
+    """Which slots of a box lattice graph's lattice-shaped table of
+    ``blocks`` hold an edge: those whose target i + o lies inside the lattice, the
+    sub-box max(0, -o_a) <= i_a < s_a - max(0, o_a) of the block's offset
+    o, the AND over axes a of the (s_a, 2B) tests, taken in place on one
+    bool per slot."""
+    offsets, shape = np.array([b.offset for b in blocks]), points.lattice_shape
+    filled = np.ones(tuple(shape) + (len(blocks),), dtype=bool)
+    for a, i in enumerate(np.ix_(*map(np.arange, shape))):
+        target = i[..., None] + offsets[:, a]
+        filled &= (0 <= target) & (target < shape[a])
     return filled
 
 
-def _lattice_blocks(m, points: PointSet, eps) -> list:
-    """The ``LatticeBlock`` columns of a lattice graph.
-
-    A block joins every node of a source sub-box to the node one offset
-    away: on a torus the whole lattice, wrapped; on a box the nodes whose
-    translate stays inside.  The B half-space offsets come first, then
-    their negations: the mirror of block (o, d0, lo, hi) holds the same
-    edges read from the other end, (-o, d0, lo + o, hi + o) on a box and
-    the whole lattice again on a torus.
-    """
-    shape = tuple(points.lattice_shape)
+def _lattice_blocks(points: PointSet, eps) -> list:
+    """The ``LatticeBlock`` columns of a lattice graph: the B half-space
+    offsets first, then their negations, the mirror of block (o, d0)
+    holding the same edges read from the other end as (-o, d0)."""
     half = _lattice_offsets(points.axis_spacing, eps)
-    blocks = []
-    for off, d in half + [(tuple(-o for o in off), d) for off, d in half]:
-        if m.kind == "torus":
-            lo, hi = (0,) * len(shape), shape
-        else:
-            lo = tuple(max(0, -o) for o in off)
-            hi = tuple(s - max(0, o) for s, o in zip(shape, off))
-        blocks.append(LatticeBlock(off, d, lo, hi))
-    return blocks
+    return [LatticeBlock(o, d) for o, d in half + [(tuple(-v for v in o), d) for o, d in half]]
 
 
 def _folded_index(i, s: int, folded: bool):
@@ -306,8 +273,10 @@ def _lattice_csr(g: EpsGraph, fold) -> csr_matrix:
     CSR.  The int32 target table is one (..., 2B) array, the sum of the
     per-axis (r_a, 2B) terms stride_a * fold_a((i_a + o_a) mod s_a), with
     the strides of the rows' shape, written by the first addition and
-    added to in place by the rest; a box compresses it and the broadcast
-    weight table by ``_filled_slots``.  Its index arrays are read-only.
+    added to in place by the rest.  The weight table (``g.table``, or the
+    blocks' d0 at extent 1 for ``edge_d0``) is broadcast to it; a box
+    compresses both by ``_filled_slots``, the slots whose target lies
+    inside.  Its index arrays are read-only.
     """
     shape = tuple(g.points.lattice_shape)
     rows = _folded_shape(shape, fold)
@@ -361,39 +330,59 @@ def _edges_kdtree(m, points: PointSet, eps):
 
 def _riemann_lattice_table(g: EpsGraph, field: WeightField) -> np.ndarray:
     """Gauss-rule line integrals of e^f over a lattice graph's edges, as
-    its ``_lattice_table``.
+    its compact lattice-shaped (..., 2B) weight table, filled in place.
 
     The k-th Gauss points of a block's edges form the tensor-product grid
-    of per-axis coordinate vectors, one entry per source index of the
-    sub-box.  geodesic_points works coordinate by coordinate, so running it
-    on the s_a source/target coordinates of axis a alone gives the same
-    bits as on every edge; nothing is gathered or wrapped per edge.  Along
-    the axes of ``field.constant_axes`` the grid keeps only the sub-box's
-    first index: the weights then have extent 1 there, and the table keeps
-    extent 1 along those axes, the same floats every edge would get.
+    of per-axis coordinate vectors, one entry per source index.
+    geodesic_points works coordinate by coordinate, so running it on the
+    source/target coordinates of axis a alone gives the same bits as on
+    every edge; nothing is gathered per edge.  Along the axes of
+    ``field.constant_axes`` the grid keeps only index 0, so the table has
+    extent 1 there, the same floats every edge would get.  The B forward
+    blocks go in chunks of as many blocks as keep a chunk within n Gauss
+    points per Gauss node (n nodes): per axis, one geodesic_points call on
+    the chunk's (extent x blocks) coordinates, and per Gauss node one
+    ``eval_many`` over the chunk.  A field constant along all but one axis
+    weights every block at once, one varying along every axis one block at
+    a time.  The forward columns are then scaled by d0; on a box, the slots
+    whose target lies outside (wrapped there, read by no entry) are zeroed,
+    along the constant axes only if no node has its target inside.  Each
+    mirror column B + b is forward column b rolled by the block's offset.
+    Tests over every entry (finite, nonnegative, constant along an axis)
+    can read this table; ``_lattice_csr`` broadcasts it.
     """
     m = g.manifold
     ts, ws = gauss_rule(_GAUSS_POINTS)
     n = m.dim
-    axes, shape = g.points.axes(), g.points.lattice_shape
-    constant = set(field.constant_axes(m))
-
-    def block_weights(blk):
-        cols = []  # (Gauss point, s_a) coordinates along each axis
-        for a, (lo, hi, o) in enumerate(zip(blk.lo, blk.hi, blk.offset)):
-            i = np.arange(lo, lo + 1 if a in constant else hi)
-            x, y = np.zeros((i.size, n)), np.zeros((i.size, n))
-            x[:, a], y[:, a] = axes[a][i], axes[a][(i + o) % shape[a]]
-            cols.append(geodesic_points(m, x, y, ts)[:, :, a])
-        gam = np.empty(tuple(c.shape[1] for c in cols) + (n,))
-        acc = np.zeros(gam.shape[:-1])
+    axes, shape = g.points.axes(), tuple(g.points.lattice_shape)
+    constant = tuple(field.constant_axes(m))
+    extent = tuple(1 if a in constant else s for a, s in enumerate(shape))
+    half = len(g.blocks) // 2
+    offsets = np.array([b.offset for b in g.blocks[:half]])
+    table = np.zeros(extent + (2 * half,))
+    chunk = max(1, int(np.prod(shape)) // int(np.prod(extent)))
+    for first in range(0, half, chunk):
+        o = offsets[first:first + chunk]
+        cols = []  # (Gauss point, extent_a, blocks) coordinates along each axis
+        for a, e in enumerate(extent):
+            i = np.arange(e)[:, None]
+            x, y = np.zeros((e, len(o), n)), np.zeros((e, len(o), n))
+            x[..., a], y[..., a] = axes[a][i], axes[a][(i + o[:, a]) % shape[a]]
+            path = geodesic_points(m, x.reshape(-1, n), y.reshape(-1, n), ts)
+            cols.append(path[:, :, a].reshape(len(ts), e, len(o)))
+        acc = table[..., first:first + len(o)]
+        gam = np.empty(acc.shape + (n,))
         for k, wk in enumerate(ws):
             for a, c in enumerate(cols):
-                gam[..., a] = c[k].reshape([-1 if e == a else 1 for e in range(n)])
+                gam[..., a] = c[k].reshape([-1 if e == a else 1 for e in range(n)] + [len(o)])
             acc += wk * np.exp(field.eval_many(m, gam.reshape(-1, n))).reshape(acc.shape)
-        return acc * blk.d0
-
-    return _lattice_table(g.points, g.blocks, block_weights, constant)
+    forward = table[..., :half]
+    forward *= np.array([b.d0 for b in g.blocks[:half]])
+    if m.kind == "box":
+        forward[~_filled_slots(g.points, g.blocks[:half]).any(axis=constant, keepdims=True)] = 0.0
+    for b, off in enumerate(offsets):
+        table[..., half + b] = np.roll(forward[..., b], off, axis=tuple(range(n)))
+    return table
 
 
 def _riemann_weights(g: EpsGraph, field: WeightField, ei, ej, d0) -> np.ndarray:
@@ -509,7 +498,7 @@ def _eps_graph(m, points: PointSet, eps, field, estimator):
     g = EpsGraph(points=points, eps=eps, estimator=estimator, manifold=m)
     if (isinstance(estimator, RiemannLine) and points.lattice_shape is not None
             and m.kind in ("torus", "box") and not small_lattice):
-        g.blocks = _lattice_blocks(m, points, eps)
+        g.blocks = _lattice_blocks(points, eps)
     else:
         # wrap reach would alias the offset enumeration on tiny lattices
         indices, indptr, g.d0 = _edges_kdtree(m, points, eps)
@@ -689,11 +678,14 @@ def refine_distance(
     The point set is the covering lattice matched to the finest schedule
     entry (spacing = min(eps)/3), so coarser entries see strictly richer
     chord sets and the per-pair distances decrease monotonically toward the
-    metric.  A pair whose ends snap to one node of it raises InputError.
+    metric.  A pair whose ends snap to one node of it, or a schedule entry
+    that is not a positive finite number, raises InputError.
     """
     eps_schedule = float_array(eps_schedule, "eps schedule")
     if eps_schedule.ndim != 1:
         raise InputError("eps schedule must be a list of numbers")
+    if not np.all((eps_schedule > 0) & (eps_schedule < np.inf)):  # NaN fails too
+        raise InputError(f"eps schedule entries must be positive and finite, got {eps_schedule.tolist()}")
     eps_schedule = np.asarray(sorted(set(eps_schedule.tolist()), reverse=True))
     if eps_schedule.size < 2:
         raise InputError("eps schedule needs at least two decreasing entries")

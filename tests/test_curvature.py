@@ -267,6 +267,13 @@ def test_cubic_grid_fd_curvature_at_a_box_face(x):
     assert scal_fd_many(box, grid, np.array([x]), 1e-3)[0] == pytest.approx(exact, rel=0.15)
 
 
+@pytest.mark.parametrize("R0", [0.0, -0.5, np.nan, np.inf, "a"])
+def test_pinching_radius_must_be_positive_and_finite(torus2, R0):
+    # "a" was a TypeError, and NaN an InputError naming the ball radius
+    with pytest.raises(InputError, match="pinching radius R0 must be"):
+        pinching_profile(torus2, Constant(0.0), R0, lattice(torus2, 2.5), seed=1)
+
+
 def test_pinching_flags(sphere3):
     cents = _bubble_centers(sphere3)
     rep = pinching_profile(sphere3, SphereBubble(2.0), 0.5, cents, seed=1)
@@ -275,6 +282,6 @@ def test_pinching_flags(sphere3):
 
 
 def test_lp_scal_norm_needs_p_at_least_one(torus2):
-    for p in (0.5, np.nan, np.inf):  # NaN returned nan
+    for p in (0.5, np.nan, np.inf, "2", None):  # NaN returned nan; "2" and None were TypeErrors
         with pytest.raises(InputError, match="finite p >= 1"):
             lp_scal_norm(torus2, Constant(0.0), BallSpec(np.array([1.0, 1.0]), 0.5), p)

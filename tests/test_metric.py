@@ -16,7 +16,6 @@ from conflab.metric import (
     _NODE_BUDGET,
     _SPACING,
     _cover_distance,
-    _filled_slots,
     _lattice_offsets,
     build_graph,
     fit_rate,
@@ -431,15 +430,15 @@ def _lattice_edges_one_by_one(m, pts, eps):
 @pytest.mark.parametrize("case", sorted(c for c in LATTICE_GRAPHS if c.startswith("T")))
 def test_torus_indptr_counts_the_filled_slots(case):
     # a torus fills every slot of the node-major (n, 2B) table, B half-space
-    # blocks and their mirrors, so its indptr is a plain stride of 2B; it
-    # must equal the count of filled slots, in the CSR's index dtype, and
-    # edge_i, read from the row counts without an expansion, must agree
+    # blocks and their mirrors, so its indptr is a plain stride of 2B, in
+    # the CSR's index dtype, and edge_i, read from the row counts without
+    # an expansion, must agree
     m, spacing = LATTICE_GRAPHS[case]
     pts = lattice(m, spacing)
     eps = 4.3 * pts.spacing
     g = build_graph(m, pts, eps, Constant(0.0))
     assert len(g.blocks) == 2 * len(_lattice_offsets(pts.axis_spacing, eps))
-    counted = np.concatenate(([0], np.cumsum(_filled_slots(pts, g.blocks).reshape(len(pts), -1).sum(axis=1))))
+    counted = np.arange(len(pts) + 1) * len(g.blocks)
     csg = g.csgraph
     assert csg.indptr.dtype == csg.indices.dtype == np.int32
     assert csg.indptr.tobytes() == counted.astype(np.int32).tobytes()
@@ -799,6 +798,18 @@ def test_constant_torus_lattice_graph_holds_no_per_entry_array():
     assert max(built, reweighted) < nnz
 
 
+def test_box_weighting_of_a_field_varying_along_every_axis_is_chunked():
+    # a cusp varies along every axis, so each chunk of the weighting holds
+    # one block and n Gauss points per Gauss node; the build peaks at the
+    # (n, 2B) weight table and a little more, 19.8 bytes per undirected
+    # edge here, where weighting all 158 blocks at once peaked at 87.9
+    m = Manifold.box([[0.0, 3.0], [0.0, 3.0]])
+    pts = lattice(m, 0.03)
+    g, peak = _traced_peak(lambda: build_graph(m, pts, 0.3, LogCusp((1.013, 1.021), 0.3, None)))
+    assert len(g.blocks) == 2 * 158
+    assert peak <= 24 * (g.csgraph.nnz // 2)
+
+
 @pytest.mark.parametrize(
     "call, words",
     [
@@ -818,11 +829,18 @@ def test_constant_torus_lattice_graph_holds_no_per_entry_array():
          "direction must be numbers"),
         (lambda t2: stable_norm(t2, Constant(0.0), [0.0, 1.0], ["a", 2.0]), "t_list must be numbers"),
         (lambda t2: refine_distance(t2, Constant(0.0), [(1.0, 2.0, 3.0)], [1.5, 1.0]), "point pairs"),
+        # each read "lattice spacing must be positive and finite"
+        (lambda t2: refine_distance(t2, Constant(0.0), [((1.0, 1.0), (2.0, 2.0))], [0.6, np.nan]),
+         r"eps schedule entries must be positive and finite, got \[0.6, nan\]"),
+        (lambda t2: refine_distance(t2, Constant(0.0), [((1.0, 1.0), (2.0, 2.0))], [0.6, 0.0]),
+         "eps schedule entries must be positive and finite"),
+        (lambda t2: refine_distance(t2, Constant(0.0), [((1.0, 1.0), (2.0, 2.0))], [0.6, -0.3]),
+         "eps schedule entries must be positive and finite"),
     ],
     ids=["refine-one-eps", "refine-text-eps", "stable-norm-box", "stable-norm-zero-direction",
          "stable-norm-one-t", "stable-norm-nan-direction", "stable-norm-inf-direction",
          "stable-norm-3-vector", "stable-norm-text-direction", "stable-norm-text-t",
-         "refine-non-pair"],
+         "refine-non-pair", "refine-nan-eps", "refine-zero-eps", "refine-negative-eps"],
 )
 def test_metric_rejects_bad_inputs(torus2, call, words):
     with pytest.raises(InputError, match=words):

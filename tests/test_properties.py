@@ -11,8 +11,9 @@ use, against the slab-by-slab test of the expanded weights; the solve
 folded along the mirror axes against Dijkstra on the expanded CSR, and the
 mirror axes against their column-by-column definition), the connectivity of accepted
 lattice graphs, the invariance of the Muckenhoupt-type diagnostics
-under constant shifts of f, and the axes a field declares it is constant
-along (the field ignores them; lattice weights keep every bit).
+under constant shifts of f, the axes a field declares it is constant
+along (the field ignores them; lattice weights keep every bit), and the
+chunked lattice weight table against its former per-block builder.
 
 Hypothesis runs derandomized, so every run of the suite checks the same
 examples.
@@ -1301,6 +1302,104 @@ def test_declared_axes_keep_lattice_weights_bit_for_bit(kind, name, other, eps_r
     assert g.csgraph.data.tobytes() == want.csgraph.data.tobytes()
     got = g.reweight(fields[other]).csgraph.data
     assert got.tobytes() == want.reweight(_Undeclared(fields[other])).csgraph.data.tobytes()
+
+
+# tori and boxes of unequal extents, in 2-D and 3-D.  A field constant
+# along all but x1 takes chunks of n / s_1 blocks: 12 and 11 in 2-D, fewer
+# than the B = 14 blocks at eps = 3 spacings, so the last chunk is partial;
+# 90 and 110 in 3-D, more than B = 61 there and fewer than B = 132 and
+# 128 at 4 spacings
+TABLE_LATTICES = {
+    kind: (m, lattice(m, spacing))
+    for kind, (m, spacing) in {
+        "torus2": (Manifold.torus(2, [2 * np.pi, 3.0]), 0.25),  # 25 x 12 nodes
+        "torus3": (Manifold.torus(3, [2 * np.pi, 4.5, 5.0]), 0.5),  # 13 x 9 x 10 nodes
+        "box2": (Manifold.box([[0.0, 2.0], [0.0, 1.0]]), 0.1),  # 21 x 11 nodes
+        "box3": (Manifold.box([[0.0, 1.0], [-0.5, 0.5], [0.0, 0.9]]), 0.1),  # 11 x 11 x 10 nodes
+    }.items()
+}
+TABLE_FIELDS = ["constant", "scaled", "x1", "cusp", "capped", "grid1", "grid3"]
+
+
+def _table_fields(m, pts):
+    """Fields constant along every axis, along all but x1 (BuragoTorus, read
+    periodically on a box), and along none: a cusp off the lattice, capped
+    and uncapped, and multilinear and cubic grid fields."""
+    rng = np.random.default_rng(6)
+    center = tuple(pts.points[len(pts) // 2] + 0.013)
+    grid = GridField(m, rng.uniform(-0.5, 0.5, (7,) + (5,) * (m.dim - 1)))
+    return {
+        "constant": Constant(0.3),
+        "scaled": Sum((Constant(0.1), Constant(0.2))),
+        "x1": BuragoTorus(2) if m.kind == "torus" else _Lifted(Manifold.torus(m.dim), BuragoTorus(2)),
+        "cusp": LogCusp(center, 0.3, None),
+        "capped": LogCusp(center, 0.3, 2.0),
+        "grid1": GridWeight(grid, 1),
+        "grid3": GridWeight(grid, 3),
+    }
+
+
+def _per_block_table(g, field):
+    """The lattice weight table as first built, one forward block at a time
+    on its source sub-box alone: the Gauss points of its edges per axis,
+    at the sub-box's first index along the field's constant axes, then the
+    block's mirror as its roll."""
+    m = g.manifold
+    ts, ws = mt.gauss_rule(mt._GAUSS_POINTS)
+    n = m.dim
+    axes, shape = g.points.axes(), tuple(g.points.lattice_shape)
+    constant = set(field.constant_axes(m))
+    half = len(g.blocks) // 2
+    table = np.zeros(tuple(1 if a in constant else s for a, s in enumerate(shape)) + (2 * half,))
+    for b, blk in enumerate(g.blocks[:half]):
+        o = blk.offset
+        if m.kind == "torus":
+            lo, hi = (0,) * n, shape
+        else:
+            lo = tuple(max(0, -v) for v in o)
+            hi = tuple(s - max(0, v) for s, v in zip(shape, o))
+        cols = []
+        for a in range(n):
+            i = np.arange(lo[a], lo[a] + 1 if a in constant else hi[a])
+            x, y = np.zeros((i.size, n)), np.zeros((i.size, n))
+            x[:, a], y[:, a] = axes[a][i], axes[a][(i + o[a]) % shape[a]]
+            cols.append(geodesic_points(m, x, y, ts)[:, :, a])
+        gam = np.empty(tuple(c.shape[1] for c in cols) + (n,))
+        acc = np.zeros(gam.shape[:-1])
+        for k, wk in enumerate(ws):
+            for a, c in enumerate(cols):
+                gam[..., a] = c[k].reshape([-1 if e == a else 1 for e in range(n)])
+            acc += wk * np.exp(field.eval_many(m, gam.reshape(-1, n))).reshape(acc.shape)
+        box = tuple(slice(0, 1) if a in constant else slice(lo[a], hi[a]) for a in range(n))
+        table[box + (b,)] = acc * blk.d0
+        table[..., half + b] = np.roll(table[..., b], o, axis=tuple(range(n)))
+    return table
+
+
+def _weighting(g):
+    return g.table.shape, g.table.tobytes(), g.invariant_axes, g.mirror_axes, np.float64(g.rho).tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(TABLE_LATTICES))
+@settings(PROPS, max_examples=8)
+@given(
+    name=st.sampled_from(TABLE_FIELDS),
+    other=st.sampled_from(TABLE_FIELDS),
+    eps_rel=st.floats(3.0, 4.0),  # within the reach every axis holds
+)
+@example(name="x1", other="cusp", eps_rel=3.0)
+@example(name="cusp", other="x1", eps_rel=4.0)
+def test_chunked_lattice_table_is_the_per_block_table(kind, name, other, eps_rel):
+    m, pts = TABLE_LATTICES[kind]
+    fields = _table_fields(m, pts)
+    eps = eps_rel * pts.spacing
+    g = build_graph(m, pts, eps, fields[name])
+    with patch.object(mt, "_riemann_lattice_table", _per_block_table):
+        want = build_graph(m, pts, eps, fields[name])
+        want_other = want.reweight(fields[other])
+    assert g.blocks is not None and [tuple(b) for b in g.blocks] == [tuple(b) for b in want.blocks]
+    assert _weighting(g) == _weighting(want)
+    assert _weighting(g.reweight(fields[other])) == _weighting(want_other)
 
 
 # stable_norm's endpoints t v lie on each torus's period lattice: t = 1, 2 times
