@@ -567,12 +567,9 @@ def run_log_cusp(spec: ExperimentSpec, outdir: Path):
 
     x0a = np.asarray(x0)
     _require_nodes(pts, 10, cfg["graph"]["spacing"])
-    idx = list(rng.choice(len(pts), 10, replace=False))
-    for dx in (0.6, 1.0, 1.6):
-        for sgn in (-1.0, 1.0):
-            p = m.canonicalize(x0a + np.array([sgn * dx, 0.02]))
-            idx.append(pts.nearest(m, p))
-    idx = np.unique(np.asarray(idx))
+    idx = rng.choice(len(pts), 10, replace=False)
+    near = [x0a + np.array([sgn * dx, 0.02]) for dx in (0.6, 1.0, 1.6) for sgn in (-1.0, 1.0)]
+    idx = np.unique(np.concatenate([idx, pts.nearest(m, m.canonicalize(near))]))
 
     labels = [*caps, "inf"]
     mats = _family_distances(m, pts, eps, cusps, idx)
@@ -703,17 +700,12 @@ def run_burago(spec: ExperimentSpec, outdir: Path):
         f = wt.BuragoTorus(ell)
         spts = lattice(m, 0.3 / ell)
         sg = mt.build_graph(m, spts, 3 * spts.spacing, f)
-        src, pairs = [], []
-        for a in anchors / ell:
-            i = spts.nearest(m, a)
-            src.append(i)
-            for rr in base_dists:
-                for ang in angles:
-                    target = m.canonicalize(
-                        spts.points[i] + rr / ell * np.array([np.cos(ang), np.sin(ang)])
-                    )
-                    pairs.append((i, spts.nearest(m, target)))
-        sdm = mt.shortest_paths(sg, np.unique(src), np.unique([j for _, j in pairs]))
+        src = spts.nearest(m, anchors / ell)
+        steps = np.array([rr / ell * np.array([np.cos(ang), np.sin(ang)])
+                          for rr in base_dists for ang in angles])
+        dst = spts.nearest(m, m.canonicalize(spts.points[src][:, None] + steps).reshape(-1, m.dim))
+        pairs = np.column_stack([np.repeat(src, len(steps)), dst])
+        sdm = mt.shortest_paths(sg, np.unique(src), np.unique(dst))
         sr = dg.strong_ratio(
             m, f, spts, sdm, pairs, eta=1.05 * max(base_dists) / ell,
             seed=derive_seed(seed, "sr", ell),

@@ -195,34 +195,41 @@ class PointSet:
         shape = self.lattice_shape
         return [self.points[:: int(np.prod(shape[a + 1 :]))][:s, a] for a, s in enumerate(shape)]
 
-    def nearest(self, m: "Manifold", x) -> int:
+    def nearest(self, m: "Manifold", x):
         """Index of the node nearest to x in d0, the lowest one on ties:
-        np.argmin(d0_many(m, points, x)).
+        np.argmin(d0_many(m, points, x)).  Over rows for (K, d) x: the K
+        indices, each that of its row on its own; a point (d,) gives an int.
 
         On a lattice only the nodes of x's cell and one more on each side
         along every axis (wrapped on a torus, clipped on a box) are compared;
         every other node is at least a spacing farther, far beyond rounding.
         """
         x = float_array(x, "nearest point")
-        if x.shape != (m.ambient_dim,):
+        if x.ndim not in (1, 2) or x.shape[-1] != m.ambient_dim:
             raise InputError(
                 f"nearest point of shape {x.shape} does not match manifold "
                 f"ambient dimension {m.ambient_dim}"
             )
         if not np.all(np.isfinite(x)):
             raise InputError("nearest needs a point with finite coordinates")
+        rows = np.atleast_2d(x)
         if self.lattice_shape is None:
-            return int(np.argmin(d0_many(m, self.points, x)))
-        shape = np.asarray(self.lattice_shape)
-        cell = np.floor((m.canonicalize(x) - self.points[0]) / self.axis_spacing)
-        cell = np.clip(cell, -2, shape + 1).astype(np.int64)  # x may lie far off a box
-        near = []
-        for c, s in zip(cell, shape):
-            i = c + np.arange(-1, 3)
-            near.append(np.unique(np.mod(i, s) if m.kind == "torus" else np.clip(i, 0, s - 1)))
-        # ascending, so argmin keeps the lowest index on ties
-        cand = np.ravel_multi_index(np.meshgrid(*near, indexing="ij"), shape).ravel()
-        return int(cand[np.argmin(d0_many(m, self.points[cand], x))])
+            idx = np.array([np.argmin(d0_many(m, self.points, p)) for p in rows], dtype=np.int64)
+        else:
+            shape = np.asarray(self.lattice_shape)
+            cell = np.floor((m.canonicalize(rows) - self.points[0]) / self.axis_spacing)
+            cell = np.clip(cell, -2, shape + 1).astype(np.int64)  # x may lie far off a box
+            near = cell[..., None] + np.arange(-1, 3)  # (K, d, 4) per-axis neighbours
+            near = np.mod(near, shape[:, None]) if m.kind == "torus" else np.clip(near, 0, shape[:, None] - 1)
+            # each row's product of its per-axis neighbours, sorted so that argmin
+            # keeps the lowest index on ties (a repeated index repeats its d0)
+            dim = shape.size
+            grids = [near[:, a].reshape((-1,) + (1,) * a + (4,) + (1,) * (dim - a - 1)) for a in range(dim)]
+            cand = np.ravel_multi_index(tuple(np.broadcast_arrays(*grids)), shape).reshape(len(rows), -1)
+            cand.sort(axis=1)
+            best = np.argmin(d0_many(m, self.points[cand], rows[:, None]), axis=1)
+            idx = cand[np.arange(len(rows)), best]
+        return int(idx[0]) if x.ndim == 1 else idx
 
 
 @dataclass(frozen=True)

@@ -193,9 +193,25 @@ class DistanceMatrix:
         return float(self.row(source_index)[pos[0]])
 
     def write_csv(self, path) -> None:
+        """The table as CSV: a ``source,<target>...`` header, then one row
+        per source of its index and its distances, each cell in ``%.18e``.
+
+        The bytes are ``np.savetxt``'s with ``delimiter=","`` and
+        ``comments=""``, but each distinct float is formatted once: the
+        cells are grouped by their 64-bit patterns (equal bits give equal
+        text, so ±0.0, NaNs, ±inf and subnormals need no case) and each row
+        is the comma-join of its cells' strings.  A lattice graph's rows
+        repeat under its translations and mirrors, so few floats are
+        distinct; only their strings and one row's are held at a time.
+        """
         header = ",".join(["source"] + [str(t) for t in self.targets])
         rows = np.column_stack([self.sources.astype(float), self.values])
-        np.savetxt(path, rows, delimiter=",", header=header, comments="")
+        bits, cells = np.unique(rows.view(np.int64), return_inverse=True)
+        text = np.array(["%.18e" % x for x in bits.view(np.float64).tolist()], dtype=object)
+        with open(path, "w") as fh:
+            fh.write(header + "\n")
+            for row in cells.reshape(rows.shape):
+                fh.write(",".join(text[row].tolist()) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -636,10 +652,21 @@ def fit_rate(eps_values: np.ndarray, d_values: np.ndarray):
 
     d_values is an (m, P) table, one series per column, giving arrays a, b,
     q of P fits: each q solves every column at once as the right-hand sides
-    of one lstsq, and each column keeps its own best q.
+    of one lstsq, and each column keeps its own best q.  A single series (m,)
+    is a one-column table.  eps needs at least two distinct positive finite
+    entries and the table m = len(eps) finite rows, else InputError.
     """
-    eps_values = np.asarray(eps_values, dtype=float)
-    d = np.asarray(d_values, dtype=float)
+    eps_values = float_array(eps_values, "fit_rate eps")
+    d = float_array(d_values, "fit_rate distances")
+    if d.ndim == 1:
+        d = d[:, None]
+    positive = np.all((eps_values > 0) & (eps_values < np.inf))  # NaN fails too
+    if eps_values.ndim != 1 or not positive or np.unique(eps_values).size < 2:
+        raise InputError(f"fit_rate needs two or more distinct positive finite eps, got {eps_values.tolist()}")
+    if d.ndim != 2 or d.shape[0] != eps_values.size:
+        raise InputError(f"fit_rate needs one table row per eps ({eps_values.size}), got shape {d.shape}")
+    if not np.all(np.isfinite(d)):
+        raise InputError("fit_rate needs finite distances")
     if eps_values.size == 2:
         # the exponent is not identifiable from 2 points; the fixed-point-set
         # distances converge as the neighbourhood grows, i.e. toward eps^-1 -> 0
@@ -694,9 +721,7 @@ def refine_distance(
     if pair_arr.ndim != 3 or pair_arr.shape[1] != 2:
         raise InputError(f"refine pairs must be a list of (a, b) point pairs, got {pairs!r}")
     pair_arr = m.check_points(pair_arr)
-    nodes = np.empty((len(pair_arr), 2), dtype=int)
-    for k, (a, b) in enumerate(pair_arr):
-        nodes[k] = points.nearest(m, a), points.nearest(m, b)
+    nodes = points.nearest(m, pair_arr.reshape(-1, m.ambient_dim)).reshape(-1, 2)
     same = np.nonzero(nodes[:, 0] == nodes[:, 1])[0]
     if same.size:
         raise InputError(f"pair {same[0]} has both ends on one node of the refinement lattice "
@@ -751,7 +776,7 @@ def _cover_distance(m, field, v, t, margin, node_budget) -> float:
     pts = PointSet.grid(axes, h)
     box = Manifold.box([[a[0], a[-1]] for a in axes])
     g = _eps_graph(box, pts, 3.0 * _SPACING, _Lifted(m, field), RiemannLine())
-    src, dst = pts.nearest(box, np.zeros(m.dim)), pts.nearest(box, target)
+    src, dst = pts.nearest(box, np.stack([np.zeros(m.dim), target]))
     if src == dst:
         raise InputError(f"t = {t} snaps to the origin; t |v| must exceed half a lattice step")
     dist = shortest_paths(g, [src]).values[0, dst]

@@ -255,11 +255,13 @@ def test_sample_ball_rejects_a_center_of_another_dimension(torus2, center):
         sample_ball(torus2, BallSpec(center, 1.0), 100)
 
 
-@pytest.mark.parametrize("x, words", [([1.0, 2.0, 3.0], "ambient dimension 2"), ([[1.0, 2.0]], "ambient dimension 2"),
+@pytest.mark.parametrize("x, words", [([1.0, 2.0, 3.0], "ambient dimension 2"), ([[[1.0, 2.0]]], "ambient dimension 2"),
+                                      ([[1.0, 2.0, 3.0]], "ambient dimension 2"),
                                       (["a", 2.0], "nearest point must be numbers")],
-                         ids=["3-on-2-torus", "2-d", "text"])
+                         ids=["3-on-2-torus", "3-d", "rows-of-3", "text"])
 def test_nearest_rejects_a_point_of_another_shape(torus2, x, words):
-    # a point of 3 coordinates used to fail broadcasting against the nodes
+    # a point of 3 coordinates used to fail broadcasting against the nodes;
+    # a point is (d,) and rows of points (K, d), nothing else
     grid = lattice(torus2, 0.5)
     for pts in (grid, PointSet(grid.points, grid.spacing)):
         with pytest.raises(InputError, match=words):

@@ -159,6 +159,8 @@ def test_fit_rate_exact_model():
     a, b, q = fit_rate(eps, (2.0 + 0.3 * eps**1.5)[:, None])
     assert a[0] == pytest.approx(2.0, abs=1e-6)
     assert q[0] == pytest.approx(1.5, abs=0.05)
+    # a single series is a one-column table
+    assert np.array_equal(fit_rate(list(eps), list(2.0 + 0.3 * eps**1.5)), (a, b, q))
 
 
 @pytest.mark.parametrize("eps", [[0.4, 0.2], [0.3, 0.15, 0.075], [0.5, 0.3, 0.2, 0.1]], ids=len)
@@ -285,8 +287,12 @@ def test_distance_matrix_export(tmp_path, torus2):
     dm = shortest_paths(g, [0, 3])
     csv_path = tmp_path / "dist.csv"
     dm.write_csv(csv_path)
-    loaded = np.loadtxt(csv_path, delimiter=",", skiprows=1)
-    assert np.allclose(loaded[:, 1:], dm.values)
+    rows = np.column_stack([dm.sources.astype(float), dm.values])
+    header = ",".join(["source"] + [str(t) for t in dm.targets])
+    np.savetxt(tmp_path / "savetxt.csv", rows, delimiter=",", header=header, comments="")
+    assert csv_path.read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+    # %.18e round-trips every float64
+    assert np.loadtxt(csv_path, delimiter=",", skiprows=1).tobytes() == rows.tobytes()
 
 
 def test_box_lattice_graph(torus2):
@@ -836,11 +842,21 @@ def test_box_weighting_of_a_field_varying_along_every_axis_is_chunked():
          "eps schedule entries must be positive and finite"),
         (lambda t2: refine_distance(t2, Constant(0.0), [((1.0, 1.0), (2.0, 2.0))], [0.6, -0.3]),
          "eps schedule entries must be positive and finite"),
+        (lambda t2: fit_rate([0.4, 0.2, 0.1], np.ones((2, 3))), r"one table row per eps \(3\)"),
+        (lambda t2: fit_rate([0.4], [1.0]), "two or more distinct"),
+        (lambda t2: fit_rate([0.4, 0.4, 0.4], np.ones((3, 2))), "two or more distinct"),
+        (lambda t2: fit_rate([0.4, 0.2, -0.1], np.ones(3)), "positive finite eps"),
+        (lambda t2: fit_rate([0.4, 0.2, 0.1], [[1.0, 2.0], [np.nan, 2.0], [1.0, 2.0]]),
+         "finite distances"),
+        (lambda t2: fit_rate([0.4, 0.2], ["a", 1.0]), "fit_rate distances must be numbers"),
+        (lambda t2: fit_rate(["a", 0.2], [1.0, 1.0]), "fit_rate eps must be numbers"),
     ],
     ids=["refine-one-eps", "refine-text-eps", "stable-norm-box", "stable-norm-zero-direction",
          "stable-norm-one-t", "stable-norm-nan-direction", "stable-norm-inf-direction",
          "stable-norm-3-vector", "stable-norm-text-direction", "stable-norm-text-t",
-         "refine-non-pair", "refine-nan-eps", "refine-zero-eps", "refine-negative-eps"],
+         "refine-non-pair", "refine-nan-eps", "refine-zero-eps", "refine-negative-eps",
+         "fit-rate-row-count", "fit-rate-one-eps", "fit-rate-equal-eps", "fit-rate-negative-eps",
+         "fit-rate-nan-table", "fit-rate-text-table", "fit-rate-text-eps"],
 )
 def test_metric_rejects_bad_inputs(torus2, call, words):
     with pytest.raises(InputError, match=words):

@@ -3,7 +3,7 @@ torus wraps, the one-pass Monte Carlo mean and standard error against
 numpy's mean and std, the torus/box node grid shared by lattices and grid fields,
 the flat-chart paths (one formula for torus and box) against their former per-kind code,
 the d0 metric axioms, the e^{nc} scaling of ball masses, nearest-node
-snapping on lattices, grid distances to every node against d0, the eps-graph distances (metric axioms, e^c scaling,
+snapping on lattices (one point or rows of points), grid distances to every node against d0, the eps-graph distances (metric axioms, e^c scaling,
 monotonicity in eps and in the LogCusp cap, the one-solve-per-orbit shortest
 paths against per-source Dijkstra, the lattice orbit
 representatives and translations behind it, and the invariant axes they
@@ -12,8 +12,9 @@ folded along the mirror axes against Dijkstra on the expanded CSR, and the
 mirror axes against their column-by-column definition), the connectivity of accepted
 lattice graphs, the invariance of the Muckenhoupt-type diagnostics
 under constant shifts of f, the axes a field declares it is constant
-along (the field ignores them; lattice weights keep every bit), and the
-chunked lattice weight table against its former per-block builder.
+along (the field ignores them; lattice weights keep every bit), the
+chunked lattice weight table against its former per-block builder, and the
+distance CSV writer against the bytes of np.savetxt.
 
 Hypothesis runs derandomized, so every run of the suite checks the same
 examples.
@@ -841,6 +842,25 @@ def test_nearest_node_breaks_ties_like_argmin(kind):
     assert ties >= 3  # the points above do meet exact ties
 
 
+@pytest.mark.parametrize("kind", sorted(SNAP))
+@settings(PROPS, max_examples=10)
+@given(us=st.lists(coords, min_size=1, max_size=12))
+def test_nearest_over_rows_is_each_row_alone(kind, us):
+    m, pts = SNAP[kind]
+    lo, hi = (np.zeros(m.dim), m.periods) if m.kind == "torus" else m.extents.T
+    # exact ties, points spread over five spans around the chart (far off
+    # a box, wrapped on a torus) and points a thousand spans away
+    rows = np.array(
+        _tie_points(m, pts)
+        + [lo + (0.5 + 2.5 * np.asarray(u[: m.dim])) * (hi - lo) for u in us]
+        + [lo + 1000.0 * np.asarray(u[: m.dim]) * (hi - lo) for u in us]
+    )
+    got = pts.nearest(m, rows)
+    assert got.dtype == np.int64 and got.shape == (len(rows),)
+    assert got.tolist() == [pts.nearest(m, x) for x in rows] == [_argmin_node(m, pts, x) for x in rows]
+    assert type(pts.nearest(m, rows[0])) is int
+
+
 @PROPS
 @given(
     u=coords,
@@ -1431,3 +1451,45 @@ def test_declared_axes_keep_stable_norm_patches_bit_for_bit(kind, name):
     got = _patch_weights(m, field, v)
     assert len(got) == 2 and all(lattice_graph for lattice_graph, _ in got)
     assert got == _patch_weights(m, _Undeclared(field), v)
+
+
+def _savetxt_csv(dm, path):
+    """The former DistanceMatrix.write_csv: np.savetxt formats every cell."""
+    header = ",".join(["source"] + [str(t) for t in dm.targets])
+    rows = np.column_stack([dm.sources.astype(float), dm.values])
+    np.savetxt(path, rows, delimiter=",", header=header, comments="")
+
+
+# signed zeros and infinities, NaNs with other signs and payloads, the
+# smallest subnormal and the largest finite float
+CSV_SPECIALS = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1.7976931348623157e308] + list(
+    np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0x7FF8DEADBEEF0001],
+             dtype=np.uint64).view(np.float64)
+)
+
+
+@settings(PROPS, max_examples=60)
+@given(
+    sources=st.lists(st.integers(0, 10**6), max_size=12),
+    targets=st.lists(st.integers(0, 10**6), min_size=1, max_size=60),
+    pool=st.lists(st.floats(width=64) | st.sampled_from(CSV_SPECIALS), min_size=1, max_size=8),
+    distinct=st.booleans(),
+    seed=seeds,
+)
+@example(sources=[], targets=[7, 2], pool=[1.0], distinct=False, seed=0)  # header only
+@example(sources=[4], targets=[9], pool=[5e-324], distinct=False, seed=0)  # 1 x 1
+@example(sources=[5, 0, 3], targets=list(range(40, 0, -1)), pool=CSV_SPECIALS, distinct=False, seed=1)
+@example(sources=[9, 1, 2, 8], targets=list(range(50, 0, -1)), pool=[1.0], distinct=True, seed=2)
+def test_write_csv_is_the_savetxt_bytes(tmp_path_factory, sources, targets, pool, distinct, seed):
+    rng = np.random.default_rng(seed)
+    shape = (len(sources), len(targets))
+    if distinct:  # (almost surely) every cell its own float, over the whole exponent range
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, shape)
+    else:  # every cell one of a few floats, as in a lattice graph's rows
+        values = rng.choice(np.array(pool), shape)
+    dm = mt.DistanceMatrix(sources=np.array(sources, dtype=np.int64),
+                           targets=np.array(targets, dtype=np.int64), values=values)
+    out = tmp_path_factory.mktemp("csv")
+    dm.write_csv(out / "new.csv")
+    _savetxt_csv(dm, out / "savetxt.csv")
+    assert (out / "new.csv").read_bytes() == (out / "savetxt.csv").read_bytes()
