@@ -114,9 +114,10 @@ def scal_fd_many(m: Manifold, field: WeightField, x: np.ndarray, h: float) -> np
 
 
 def scalar_curvature_many(m: Manifold, field: WeightField, x: np.ndarray) -> np.ndarray:
-    """Vectorized curvature from a field's closed-form derivatives."""
+    """Vectorized curvature from a field's closed-form derivatives at the
+    points x of m (``Manifold.check_points``)."""
     field.validate(m)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = m.check_points(x)
     grad, lap = field.grad_lap_many(m, x)  # InputError for a field without exact derivatives
     vals = _exact_scal(m, field.eval_many(m, x), lap, np.sum(grad * grad, axis=-1))
     if not np.all(np.isfinite(vals)):

@@ -23,6 +23,7 @@ from .manifold import (
     Manifold,
     PointSet,
     _quasi_uniform_sphere,
+    check_ball,
     d0_many,
     float_array,
     midpoint,
@@ -371,6 +372,7 @@ def isoperimetric_ratio(
     for k, dom in enumerate(domains):
         s = derive_seed(seed, "iso", k)
         if isinstance(dom, BallSpec):
+            check_ball(m, dom)
             perim = _ball_boundary_quadrature(m, field, dom)
             mass, _ = mu_f_ball(m, field, dom, _ISO_BUDGET, s)
             desc = f"ball(r={dom.radius:g})"

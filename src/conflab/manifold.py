@@ -135,7 +135,7 @@ class Manifold:
     # -- point handling --------------------------------------------------
 
     def check_points(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = np.atleast_2d(float_array(x, "points"))
         if x.shape[-1] != self.ambient_dim:
             raise InputError(
                 f"point dimension {x.shape[-1]} does not match manifold "

@@ -19,7 +19,6 @@ are box lattices on the same eps-graph path.
 
 from __future__ import annotations
 
-from copy import copy
 from dataclasses import dataclass, replace
 from math import pi
 from typing import NamedTuple, Optional, Sequence
@@ -79,34 +78,24 @@ class LatticeBlock(NamedTuple):
     d0: float
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    view = a.view()
-    view.flags.writeable = False
-    return view
-
-
 @dataclass
 class EpsGraph:
-    """Undirected eps-graph, solved as one symmetric CSR adjacency: each
-    undirected edge {i, j} is the two entries (i, j) and (j, i), which hold
-    the same weight, bit for bit, so Dijkstra runs on it as a directed graph
-    and builds no transpose.
+    """Undirected eps-graph that stores each edge once, with one weight, and
+    is solved as one symmetric CSR adjacency, which ``_csr`` builds only
+    for a solve (``csgraph`` builds it per read): each edge {i, j} is the
+    two entries (i, j) and (j, i), which hold the same weight, bit for bit,
+    so Dijkstra runs on it as a directed graph and builds no transpose.
 
-    A RiemannLine graph on a torus or box lattice stores no CSR: it keeps
-    ``blocks``, one ``LatticeBlock`` (offset and d0) per column of a
-    node-major (n, 2B) edge table, and ``table``, its compact weight table
+    A RiemannLine graph on a torus or box lattice keeps ``blocks``, one
+    ``LatticeBlock`` (offset and d0) per column of a node-major (n, 2B) edge
+    table, and ``table``, its compact weight table
     (``_riemann_lattice_table``: extent 1 along the field's constant axes,
     one column per block).  Its first B blocks are the half-space offsets,
     the last B their mirrors: block B + b joins the targets of block b back
-    to its sources.  ``_lattice_csr`` builds the CSR from the two, row i
-    listing the edges from node i in block order, only for a solve;
-    ``csgraph`` is that expansion, built per read.  Graphs whose edges come
-    from a kd-tree (ChainBall graphs, sphere layouts, scattered points,
-    lattices smaller than the eps reach) share no displacement: ``blocks``
-    is None, ``csr`` holds the CSR, with sorted rows, and ``d0`` each
-    entry's base length.  Either way the weights are computed once per
-    undirected edge, on the forward entries (the first B blocks, or i < j),
-    and copied to the reverse ones.
+    to its sources.  Graphs whose edges come from a kd-tree (ChainBall
+    graphs, sphere layouts, scattered points, lattices smaller than the eps
+    reach) share no displacement: ``pairs`` holds the (2, E) int32 node
+    pairs i < j, ``d0`` their base lengths and ``table`` their weights.
 
     ``invariant_axes``, ``mirror_axes`` and ``rho`` are found once per
     weighting, with the weights.  The invariant axes are those along which
@@ -124,10 +113,10 @@ class EpsGraph:
     eps: float
     estimator: object
     manifold: Manifold  # the geometry of d0 and of the edge weights
-    csr: Optional[csr_matrix] = None  # kd-tree graphs: the symmetric CSR
-    d0: Optional[np.ndarray] = None  # kd-tree graphs: d0 per CSR entry
+    pairs: Optional[np.ndarray] = None  # kd-tree graphs: (2, E) node pairs i < j
+    d0: Optional[np.ndarray] = None  # kd-tree graphs: d0 per pair
     blocks: Optional[list] = None  # lattice graphs: the table's columns
-    table: Optional[np.ndarray] = None  # lattice graphs: the compact weight table
+    table: Optional[np.ndarray] = None  # the compact weight table, or one weight per pair
     invariant_axes: tuple = ()
     mirror_axes: tuple = ()
     rho: float = 0.0
@@ -138,39 +127,26 @@ class EpsGraph:
 
     @property
     def csgraph(self) -> csr_matrix:
-        """The symmetric CSR: a kd-tree graph's own, a lattice graph's
-        expansion of its blocks and table, built anew at each read."""
-        return self.csr if self.blocks is None else _lattice_csr(self, ())
+        """The symmetric CSR, built anew at each read (``_csr``)."""
+        return _csr(self, ())
 
-    # read-only per-edge views, in CSR order
     @property
     def edge_i(self) -> np.ndarray:
-        """The source node of each entry, from the row counts alone: a
-        lattice graph expands no indices or weights for it."""
+        """The source node of each entry of ``csgraph``, from the row counts
+        alone: no indices or weights are expanded for it."""
         if self.blocks is None:
-            counts = np.diff(self.csr.indptr)
+            counts = np.bincount(self.pairs.ravel(), minlength=self.n)
         elif self.manifold.kind == "torus":
             counts = len(self.blocks)  # every slot is filled
         else:
             counts = _filled_slots(self.points, self.blocks).sum(axis=-1).ravel()
-        return _read_only(np.repeat(np.arange(self.n, dtype=np.int32), counts))
-
-    @property
-    def edge_j(self) -> np.ndarray:
-        return _read_only(self.csgraph.indices)
-
-    @property
-    def edge_d0(self) -> np.ndarray:
-        if self.blocks is None:
-            return _read_only(self.d0)
-        d0 = np.array([b.d0 for b in self.blocks]).reshape((1,) * self.manifold.dim + (-1,))
-        return _read_only(_lattice_csr(replace(self, table=d0), ()).data)
+        return np.repeat(np.arange(self.n, dtype=np.int32), counts)
 
     def reweight(self, field: WeightField) -> "EpsGraph":
-        """Same edges, blocks and estimator; weights, invariant axes, mirror
-        axes and rho for another field on the graph's manifold.  A lattice
-        graph gets a new weight table and holds no expanded array; a
-        kd-tree graph's CSR shares ``indices`` and ``indptr``."""
+        """Same edges, blocks and estimator; a new weight table, invariant
+        axes, mirror axes and rho for another field on the graph's
+        manifold.  The edges (``blocks``, or ``pairs`` and ``d0``) are
+        shared, and no expanded array is held."""
         return _weighted(self, field)
 
 
@@ -277,23 +253,30 @@ def _node_classes(shape, fold) -> np.ndarray:
     return np.ravel_multi_index(index, _folded_shape(shape, fold)).ravel()
 
 
-def _lattice_csr(g: EpsGraph, fold) -> csr_matrix:
-    """A lattice graph's CSR from its blocks and weight table, folded about
-    index 0 along the axes ``fold`` (mirror axes of a torus lattice graph).
+def _csr(g: EpsGraph, fold) -> csr_matrix:
+    """The graph's symmetric CSR from its edges and ``g.table``, folded
+    about index 0 along the axes ``fold`` (mirror axes of a torus lattice
+    graph, () on any other).  Its index arrays are read-only.
 
-    Its rows are the nodes with index <= s_a // 2 along each axis a of
-    ``fold``, in row-major order, one per class of nodes under the
-    reflections i_a -> -i_a; row r lists, in block order, the class of
-    each node r + offset (wrapped on a torus), at the table's weight for r.
-    Unfolded, its rows are the n nodes, and this is the graph's symmetric
-    CSR.  The int32 target table is one (..., 2B) array, the sum of the
-    per-axis (r_a, 2B) terms stride_a * fold_a((i_a + o_a) mod s_a), with
-    the strides of the rows' shape, written by the first addition and
-    added to in place by the rest.  The weight table (``g.table``, or the
-    blocks' d0 at extent 1 for ``edge_d0``) is broadcast to it; a box
-    compresses both by ``_filled_slots``, the slots whose target lies
-    inside.  Its index arrays are read-only.
+    A kd-tree graph's rows list its pairs read both ways, (i, j) and (j, i),
+    at the pair's weight, sorted by column.  A lattice graph's rows are the
+    nodes with index <= s_a // 2 along each axis a of ``fold``, in
+    row-major order, one per class of nodes under the reflections
+    i_a -> -i_a; row r lists, in block order, the class of each node
+    r + offset (wrapped on a torus), at the table's weight for r.  The
+    int32 target table is one (..., 2B) array, the sum of the per-axis
+    (r_a, 2B) terms stride_a * fold_a((i_a + o_a) mod s_a), with the
+    strides of the rows' shape, written by the first addition and added to
+    in place by the rest.  The weight table (or any of its layout, such as
+    the blocks' d0 at extent 1) is broadcast to it; a box compresses both
+    by ``_filled_slots``, the slots whose target lies inside.
     """
+    if g.blocks is None:
+        i, j = g.pairs
+        entries = (np.concatenate((g.table, g.table)), (np.concatenate((i, j)), np.concatenate((j, i))))
+        csg = csr_matrix(entries, shape=(g.n, g.n))  # distinct pairs: scipy sums none, sorts each row
+        csg.indices.flags.writeable = csg.indptr.flags.writeable = False
+        return csg
     shape = tuple(g.points.lattice_shape)
     rows = _folded_shape(shape, fold)
     offsets = np.array([b.offset for b in g.blocks])
@@ -319,8 +302,7 @@ def _lattice_csr(g: EpsGraph, fold) -> csr_matrix:
 
 
 def _edges_kdtree(m, points: PointSet, eps):
-    """CSR indices, indptr and per-entry d0 of the d0 <= eps pairs, each
-    pair i < j stored as (i, j) and (j, i), rows sorted by column."""
+    """The (2, E) int32 node pairs i < j with d0 <= eps, and their d0."""
     pts, r = points.points, eps
     if m.kind == "sphere":  # the chord of an arc of length eps
         tree = cKDTree(pts)
@@ -333,10 +315,7 @@ def _edges_kdtree(m, points: PointSet, eps):
     i, j = pairs[:, 0], pairs[:, 1]
     d = d0_many(m, pts[i], pts[j])
     keep = d <= eps
-    rows, cols = np.concatenate((i[keep], j[keep])), np.concatenate((j[keep], i[keep]))
-    order = np.lexsort((cols, rows))
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(pts)))))
-    return cols[order].astype(np.int32), indptr, np.concatenate((d[keep], d[keep]))[order]
+    return pairs[keep].T.astype(np.int32), d[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +344,7 @@ def _riemann_lattice_table(g: EpsGraph, field: WeightField) -> np.ndarray:
     along the constant axes only if no node has its target inside.  Each
     mirror column B + b is forward column b rolled by the block's offset.
     Tests over every entry (finite, nonnegative, constant along an axis)
-    can read this table; ``_lattice_csr`` broadcasts it.
+    can read this table; ``_csr`` broadcasts it.
     """
     m = g.manifold
     ts, ws = gauss_rule(_GAUSS_POINTS)
@@ -451,17 +430,16 @@ def _mirror_axes(blocks, table, axes) -> tuple:
 
 
 def _weighted(g: EpsGraph, field: WeightField) -> EpsGraph:
-    """g weighted for ``field``, with its invariant axes, mirror axes and
-    rho from the same weighting.  Each undirected edge is weighted once,
-    on its forward entry (a half-space block of a lattice graph, i < j on a
-    kd-tree graph), and copied to its reverse entry, so the weight check
-    (finite and nonnegative), the invariant axes and rho, the largest
-    weight per unit of d0 over the edges with d0 > 0 (0 if there are
-    none), read the forward entries alone.  A lattice graph reads the
-    forward half of its compact table, which it keeps as its weights, and
-    its rho is each column's largest weight over the column's one d0 (a
-    box's empty slots hold zeros, below every weight).  A kd-tree graph
-    gets a copy of its CSR that shares ``indices`` and ``indptr``."""
+    """g with a new weight table for ``field``, and its invariant axes,
+    mirror axes and rho from the same weighting.  Each undirected edge is
+    weighted once, on its forward entry (a half-space block of a lattice
+    graph, a pair i < j of a kd-tree graph), so the weight check (finite
+    and nonnegative), the invariant axes and rho, the largest weight per
+    unit of d0 over the edges with d0 > 0 (0 if there are none), read the
+    forward entries alone.  A lattice graph reads the forward half of its
+    compact table, and its rho is each column's largest weight over the
+    column's one d0 (a box's empty slots hold zeros, below every weight).
+    A kd-tree graph's table is its pairs' weights."""
     field.validate(g.manifold)
     if g.blocks is not None:
         table = _riemann_lattice_table(g, field)
@@ -469,10 +447,8 @@ def _weighted(g: EpsGraph, field: WeightField) -> EpsGraph:
         forward, d0 = table[..., :half], np.array([blk.d0 for blk in g.blocks[:half]])
     elif isinstance(g.estimator, (RiemannLine, ChainBall)):
         per_edge = _riemann_weights if isinstance(g.estimator, RiemannLine) else _chain_weights
-        ei, ej = g.edge_i, g.edge_j
-        up = ei < ej
-        d0 = g.edge_d0[up]
-        forward = per_edge(g, field, ei[up], ej[up], d0)
+        table = forward = per_edge(g, field, *g.pairs, g.d0)
+        d0 = g.d0
     else:
         raise InputError(f"unknown estimator {g.estimator!r}")
     # min and max allocate no per-entry temporary; a NaN fails the first test
@@ -485,27 +461,21 @@ def _weighted(g: EpsGraph, field: WeightField) -> EpsGraph:
                        rho=rho)
     pos = d0 > 0
     rho = float(np.max(forward[pos] / d0[pos])) if np.any(pos) else 0.0
-    # rows are sorted, so the (j, i) entries, i < j, come in the order of (j, i)
-    w = np.empty(ei.size)
-    w[up] = forward
-    w[~up] = forward[np.lexsort((ei[up], ej[up]))]
-    csg = copy(g.csr)
-    csg.data = w
-    return replace(g, csr=csg, rho=rho)
+    return replace(g, table=table, rho=rho)
 
 
 def _eps_graph(m, points: PointSet, eps, field, estimator):
-    """All d0 <= eps edges of ``points``, each edge in both directions,
-    weighted per estimator, with the graph's invariant axes, mirror axes
-    and rho from the same weighting (``_weighted``).
+    """All d0 <= eps edges of ``points``, each stored once, weighted per
+    estimator, with the graph's invariant axes, mirror axes and rho from
+    the same weighting (``_weighted``).
 
     A RiemannLine graph on a torus or box lattice whose axes each hold more
     nodes than the eps reach spans takes the lattice layout: its edges are
     enumerated one integer offset at a time, as the ``LatticeBlock`` columns
     of a node-major table, through which its Gauss points are weighted axis
     by axis.  Every other graph, ChainBall graphs on lattices included,
-    gets its edges from a kd-tree, into one symmetric CSR, and is weighted
-    edge by edge.
+    gets its edges from a kd-tree, as node pairs, and is weighted edge by
+    edge.
     """
     small_lattice = points.lattice_shape is not None and any(
         2 * int(np.floor(eps / h)) + 1 > s
@@ -517,10 +487,7 @@ def _eps_graph(m, points: PointSet, eps, field, estimator):
         g.blocks = _lattice_blocks(points, eps)
     else:
         # wrap reach would alias the offset enumeration on tiny lattices
-        indices, indptr, g.d0 = _edges_kdtree(m, points, eps)
-        # every edge reads 0, without storage, until its weight is computed
-        g.csr = csr_matrix((np.broadcast_to(0.0, indices.shape), indices, indptr), shape=(len(points),) * 2)
-        g.csr.indices.flags.writeable = g.csr.indptr.flags.writeable = False  # shared by reweighted graphs
+        g.pairs, g.d0 = _edges_kdtree(m, points, eps)
     return _weighted(g, field)
 
 
@@ -599,8 +566,8 @@ def shortest_paths(g: EpsGraph, sources=None, targets=None) -> DistanceMatrix:
     invariant axis (box lattices, kd-tree graphs, fields that vary along
     every axis) each distinct source is its own representative.
 
-    A lattice graph's CSR is built for the call by ``_lattice_csr``,
-    folded along its mirror axes: a representative has index 0 along
+    The graph's CSR is built for the call by ``_csr``, folded along its
+    mirror axes: a representative has index 0 along
     them, so the reflections i_a -> -i_a fix it, and the distance to a
     node is the distance to its class.  Each path of the folded graph
     lifts to a path of the full graph with the same edge weights in the
@@ -624,7 +591,7 @@ def shortest_paths(g: EpsGraph, sources=None, targets=None) -> DistanceMatrix:
     shape = g.points.lattice_shape if g.blocks is not None else (n,)
     rep, tau = lattice_orbits(shape, g.invariant_axes, sources)
     reps, orbit = np.unique(rep, return_inverse=True)
-    csg = g.csr if g.blocks is None else _lattice_csr(g, g.mirror_axes)
+    csg = _csr(g, g.mirror_axes)
     classes = _node_classes(shape, g.mirror_axes)  # each node's row of csg
     while True:
         rows = np.atleast_2d(dijkstra(csg, directed=True, indices=classes[reps], limit=limit))

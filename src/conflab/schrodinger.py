@@ -217,7 +217,7 @@ class GridGeometry(NodeGrid):
         return np.sqrt(square, out=square).reshape(len(centers), -1)
 
     def ball_mask(self, center, radius: float) -> np.ndarray:
-        return self.distances([center])[0] <= radius
+        return self.distances([center])[0] <= positive_scalar(radius, "ball radius")
 
     # -- empirical functional constants ------------------------------------
 
@@ -486,9 +486,10 @@ def _shifts(geom: GridGeometry, q, masks, tol: float, eig_tol: float) -> list:
 def gs_shift_c0(geom: GridGeometry, q: np.ndarray, x0, r0: float, tol: float) -> GsShiftResult:
     """Constant c0 with lowest eigenvalue of Delta + q + c0*1_{complement} zero.
 
-    q must be supported in the ball B(x0, r0) whose volume satisfies
-    vol <= (beta/2)^{n/2}, beta the grid's ``sobolev_constant``; the
-    bracket is [c_lo, c_hi] = [-(2/vol(M)) int |q|, (2/beta) ||q||_{n/2}].
+    q must be supported in the ball B(x0, r0), r0 a positive finite number
+    (else InputError), whose volume satisfies vol <= (beta/2)^{n/2}, beta
+    the grid's ``sobolev_constant``; the bracket is
+    [c_lo, c_hi] = [-(2/vol(M)) int |q|, (2/beta) ||q||_{n/2}].
     Newton's method runs from c_lo, each eigen solve (at tol 1e-11)
     warm-started from the last ground state phi, until |lambda0| <= tol, a
     positive finite number (else InputError, before any solve).  Its slope
@@ -502,7 +503,8 @@ def gs_shift_c0(geom: GridGeometry, q: np.ndarray, x0, r0: float, tol: float) ->
     run on one problem.
     """
     q = np.asarray(q, dtype=float).reshape(-1)
-    return _shifts(geom, [q], [geom.ball_mask(x0, r0)], tol, _SHIFT_EIG_TOL)[0]
+    mask = geom.ball_mask(x0, positive_scalar(r0, "shift ball radius r0"))
+    return _shifts(geom, [q], [mask], tol, _SHIFT_EIG_TOL)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -652,11 +654,12 @@ def decompose_ground_state(
     """Split log(phi) = f + w, phi = ``lowest_eigenpair(op).phi``, through
     localized ground states.
 
-    Finite cover by balls B(x_i, rho/2) with disjoint quarter-balls; each
-    center gets a shifted local potential (eigenvalue-zeroed), a local
-    ground state from the fixed point, and the pieces are glued with a
-    C^2 partition of unity.  The reconstruction e^{f + w} = phi holds to
-    round-off by construction; the report carries ||df||_{L^n},
+    Finite cover by balls B(x_i, rho/2), rho positive and finite (else
+    InputError), with disjoint quarter-balls; each center gets a shifted
+    local potential (eigenvalue-zeroed), a local ground state from the
+    fixed point, and the pieces are glued with a C^2 partition of unity.
+    The reconstruction e^{f + w} = phi holds to round-off by
+    construction; the report carries ||df||_{L^n},
     ||Delta f||_{n/2}, the 1/2-Hölder seminorm of w over every node pair and
     all thresholds.  phi is solved here at ``lowest_eigenpair``'s default tol,
     and every threshold reads the grid's ``sobolev_constant`` and
@@ -683,6 +686,7 @@ def decompose_ground_state(
     """
     geom = op.geom
     n = geom.dim
+    rho = positive_scalar(rho, "decomposition radius rho")
     cover = _cover_centers(geom, rho)
     beta = geom.sobolev_constant
     centers = cover.points

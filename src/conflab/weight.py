@@ -448,9 +448,21 @@ class NodeGrid:
         return self._grid.points.view()
 
 
+def _grid_shape(m: Manifold, shape) -> tuple:
+    """shape as a grid's node counts on m, one per axis, each an integer
+    >= 1, or >= 2 on a box (its step divides by count - 1); else InputError."""
+    least = 2 if m.kind == "box" else 1
+    counts = tuple(shape) if np.iterable(shape) else ()
+    if len(counts) != m.dim or not all(is_count(k, least) for k in counts):
+        raise InputError(f"grid shape {shape!r} on a {m.dim}-D {m.kind} needs {m.dim} node counts, "
+                         f"each an integer >= {least}")
+    return tuple(map(int, counts))
+
+
 @dataclass(frozen=True)
 class GridField(NodeGrid):
-    """Sampled log factor on a torus/box node grid (row-major values of f)."""
+    """Sampled log factor on a torus/box node grid (finite row-major values
+    of f, of a ``_grid_shape``), else InputError."""
 
     manifold: Manifold
     values: np.ndarray
@@ -458,8 +470,11 @@ class GridField(NodeGrid):
     def __post_init__(self):
         if self.manifold.kind not in ("torus", "box"):
             raise InputError("grid fields live on tori and boxes only")
-        if not np.all(np.isfinite(self.values)):
+        values = float_array(self.values, "grid values")
+        _grid_shape(self.manifold, values.shape)
+        if not np.all(np.isfinite(values)):
             raise InputError("grid values must be finite")
+        object.__setattr__(self, "values", values)
 
     @property
     def shape(self) -> tuple:
@@ -555,8 +570,8 @@ class GridWeight(WeightField):
 
 
 def grid_from_field(m: Manifold, field: WeightField, shape) -> GridField:
-    """Sample an analytic field onto a node grid (torus/box)."""
-    shape = tuple(int(s) for s in shape)
+    """Sample an analytic field onto a node grid (torus/box, ``_grid_shape``)."""
+    shape = _grid_shape(m, shape)
     nodes = PointSet.grid(*grid_axes(m, shape)).points
     field.validate(m)
     return GridField(manifold=m, values=field.eval_many(m, nodes).reshape(shape))
@@ -610,7 +625,7 @@ def read_grid(path) -> GridField:
             m = Manifold.box(mdesc["extents"])
         else:
             raise FormatError(f"grid manifold kind {kind!r} not supported")
-        shape = tuple(int(s) for s in manifest["shape"])
+        shape = manifest["shape"]
         raw = (path.parent / manifest["payload"]).read_bytes()
     except KeyError as exc:
         raise FormatError(f"grid manifest missing key {exc}") from exc
@@ -618,6 +633,10 @@ def read_grid(path) -> GridField:
         raise FormatError(f"malformed grid manifest or unreadable payload: {exc}") from exc
     if manifest["dtype"] != "f64le" or manifest["order"] != "row-major":
         raise FormatError("grid payload must be f64le row-major")
+    try:
+        shape = _grid_shape(m, shape)
+    except InputError as exc:
+        raise FormatError(f"malformed grid manifest: {exc}") from exc
     expect = int(np.prod(shape)) * 8
     if len(raw) != expect:
         raise FormatError(f"payload holds {len(raw)} bytes, expected {expect}")

@@ -548,8 +548,11 @@ def _grid_spec(tmp_path, edit_manifest=None, payload=True):
         lambda tmp: _grid_spec(tmp, lambda doc: dict(doc, manifold={"kind": "torus", "dim": 2})),
         lambda tmp: _grid_spec(tmp, lambda doc: dict(doc, manifold={"kind": "box", "dim": 2})),
         lambda tmp: _grid_spec(tmp, lambda doc: dict(doc, manifold={"kind": "torus", "periods": [6.0, 6.0]})),
+        # the payload's 64 values fit the shape, which no grid on the 2-torus has
+        lambda tmp: _grid_spec(tmp, lambda doc: dict(doc, shape=[4, 4, 4])),
     ],
-    ids=["no-manifest", "no-payload", "not-an-object", "no-kind", "no-periods", "no-extents", "no-dim"],
+    ids=["no-manifest", "no-payload", "not-an-object", "no-kind", "no-periods", "no-extents", "no-dim",
+         "rank-3-shape"],
 )
 def test_unreadable_grid_payload_is_a_format_error(tmp_path, capsys, spec):
     doc = spec(tmp_path)

@@ -267,6 +267,25 @@ def test_cubic_grid_fd_curvature_at_a_box_face(x):
     assert scal_fd_many(box, grid, np.array([x]), 1e-3)[0] == pytest.approx(exact, rel=0.15)
 
 
+@pytest.mark.parametrize(
+    "m, x, words",
+    [
+        (Manifold.sphere(2), np.zeros((3, 2)), "point dimension 2 does not match manifold ambient dimension 3"),
+        (Manifold.torus(2), np.zeros((3, 3)), "point dimension 3 does not match manifold ambient dimension 2"),
+        (Manifold.torus(2), [1.0, np.nan], "finite coordinates"),
+        (Manifold.sphere(2), [0.0, 0.0, 2.0], "unit vectors"),
+        (Manifold.torus(2), "abc", "points must be numbers"),
+        (Manifold.torus(2), [[1.0, 2.0], [3.0]], "points must be numbers"),
+    ],
+    ids=["sphere2-2-vectors", "torus2-3-vectors", "torus2-nan", "sphere2-off-sphere", "torus2-text",
+         "torus2-ragged"],
+)
+def test_scalar_curvature_rejects_points_off_the_manifold(m, x, words):
+    field = SphereBubble(2.0) if m.kind == "sphere" else BuragoTorus(1)
+    with pytest.raises(InputError, match=words):
+        scalar_curvature_many(m, field, x)
+
+
 @pytest.mark.parametrize("R0", [0.0, -0.5, np.nan, np.inf, "a"])
 def test_pinching_radius_must_be_positive_and_finite(torus2, R0):
     # "a" was a TypeError, and NaN an InputError naming the ball radius

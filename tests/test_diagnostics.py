@@ -426,6 +426,9 @@ def test_default_eta(torus2, sphere2):
         (lambda t2, dm, d0m: BallSampler(lattice(t2, 2.5), 0.5), "a list of at least one radius"),
         (lambda t2, dm, d0m: BoxDomain(("a",), ("b",)), "box domain corner must be numbers"),
         (lambda t2, dm, d0m: isoperimetric_ratio(t2, Constant(0.0), None), "list of at least one domain"),
+        # the ball is checked before its perimeter is taken
+        (lambda t2, dm, d0m: isoperimetric_ratio(t2, Constant(0.0), [BallSpec(np.zeros(3), 0.5)]),
+         "ambient dimension 2"),
         (lambda t2, dm, d0m: strong_ratio(t2, Constant(0.0), lattice(t2, 0.3), dm, [(0, 1)], eta=1.0,
                                           seed="x"), "seed must be an integer"),
         (lambda t2, dm, d0m: reverse_holder(t2, Constant(0.0), 2.0,
@@ -443,7 +446,7 @@ def test_default_eta(torus2, sphere2):
          "sampler-no-radius", "sampler-nan-radius", "sampler-inf-radius", "reverse-holder-nan-budget",
          "sampler-no-center", "reverse-holder-nan-q", "ap-inf-p",
          "isoperimetric-sphere-ball", "isoperimetric-sphere-box", "sampler-scalar-radius",
-         "box-domain-text", "isoperimetric-none", "strong-ratio-text-seed", "sampler-text-seed",
+         "box-domain-text", "isoperimetric-none", "isoperimetric-ball-center-3-on-2-torus", "strong-ratio-text-seed", "sampler-text-seed",
          "strong-ratio-text-eta", "ap-text-p", "reverse-holder-none-q"],
 )
 def test_diagnostics_rejects_bad_inputs(square_mats, call, words):

@@ -476,7 +476,14 @@ def test_lattice_csr_is_node_major(case):
     csg = g.csgraph
     assert np.array_equal(csg.indices, np.concatenate(indices))
     assert np.array_equal(csg.indptr, indptr)
-    assert g.edge_d0.tobytes() == np.concatenate(edge_d0).tobytes()
+    assert _entry_d0(g).tobytes() == np.concatenate(edge_d0).tobytes()
+
+
+def _entry_d0(g):
+    """d0 of each entry of ``g.csgraph``: the CSR of the graph with its
+    d0 in place of its weights (a lattice graph's blocks' d0 at extent 1)."""
+    d0 = g.d0 if g.blocks is None else np.array([b.d0 for b in g.blocks]).reshape((1,) * g.manifold.dim + (-1,))
+    return replace(g, table=d0).csgraph.data
 
 
 @pytest.mark.parametrize("reach", [3, 4, 5])
@@ -496,16 +503,20 @@ def test_block_weights_match_edge_list(case, reach):
     csg = g.csgraph
     assert csg.indices.dtype == np.int32
     assert not (csg.indices.flags.writeable or csg.indptr.flags.writeable)
-    got = (g.edge_i, g.edge_j, g.edge_d0)
+    got = (g.edge_i, csg.indices, _entry_d0(g))
     ei, ej, ed = _lattice_edges_one_by_one(m, pts, eps)
     want = (np.concatenate((ei, ej)), np.concatenate((ej, ei)), np.concatenate((ed, ed)))
     assert np.array_equal(got[0], np.repeat(np.arange(g.n), np.diff(csg.indptr)))
     order_got, order_want = np.lexsort(got[1::-1]), np.lexsort(want[1::-1])
     for a, b in zip(got, want):
         assert a[order_got].tobytes() == b[order_want].astype(a.dtype).tobytes()
-    # the per-edge geodesic_points path, on the same entries with sorted rows
-    sorted_csg = csr_matrix((np.zeros(csg.nnz), got[1][order_got], csg.indptr), shape=csg.shape)
-    edge_list = replace(g, csr=sorted_csg, blocks=None, table=None, d0=got[2][order_got])
+    # the per-edge geodesic_points path, on the one-by-one edges stored as
+    # kd-tree pairs i < j, whose CSR has sorted rows (here with d0 as weights)
+    pairs = np.sort(np.stack((ei, ej)), axis=0).astype(np.int32)
+    edge_list = replace(g, pairs=pairs, d0=ed, blocks=None, table=ed)
+    sorted_csg = edge_list.csgraph
+    assert sorted_csg.indices.tobytes() == got[1][order_got].tobytes()
+    assert sorted_csg.data.tobytes() == got[2][order_got].tobytes()
     for field in fields:
         blocked = g.reweight(field)
         assert blocked.blocks is g.blocks
@@ -532,8 +543,10 @@ def test_block_weights_match_edge_list(case, reach):
 def _upper_triangle(g):
     """The entries i < j of a graph's CSR, as a sorted CSR of their
     weights: the half-stored undirected graph."""
-    up = g.edge_i < g.edge_j
-    return csr_matrix((g.csgraph.data[up], (g.edge_i[up], g.edge_j[up])), shape=(g.n, g.n))
+    csg = g.csgraph
+    ei, ej = g.edge_i, csg.indices
+    up = ei < ej
+    return csr_matrix((csg.data[up], (ei[up], ej[up])), shape=(g.n, g.n))
 
 
 def _symmetric_cases():
@@ -673,7 +686,7 @@ def test_bounded_solve_is_the_full_solve(case):
     assert bounded.values.tobytes() == full.values[:, tgt].tobytes()
     if case == "u-shape-kdtree":
         # even twice the first limit rho (R + eps) falls short, so the solve widens
-        rho = np.max(g.csgraph.data / g.edge_d0)
+        rho = np.max(g.csgraph.data / _entry_d0(g))
         reach = d0_many(m, pts.points[src][:, None], pts.points[tgt][None]).max()
         assert full.get(src[0], tgt[0]) > 2 * rho * (reach + eps)
 

@@ -488,10 +488,7 @@ def _edges_kdtree_per_kind(m, points, eps):
     i, j = pairs[:, 0], pairs[:, 1]
     d = d0_many(m, pts[i], pts[j])
     keep = d <= eps
-    rows, cols = np.concatenate((i[keep], j[keep])), np.concatenate((j[keep], i[keep]))
-    order = np.lexsort((cols, rows))
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(pts)))))
-    return cols[order].astype(np.int32), indptr, np.concatenate((d[keep], d[keep]))[order]
+    return np.stack((i[keep], j[keep])).astype(np.int32), d[keep]
 
 
 def _outcome(call):
@@ -1155,7 +1152,7 @@ def test_dijkstra_reads_a_repeated_entry_as_its_lighter_weight():
     # offsets landing on one class near a mirror plane); scipy relaxes each
     # stored entry and sums no duplicates, so the lighter weight counts
     g = _mirror_graph("torus2-odd", "constant")
-    folded = mt._lattice_csr(g, g.mirror_axes)
+    folded = mt._csr(g, g.mirror_axes)
     assert any(np.unique(folded.indices[a:b]).size < b - a for a, b in zip(folded.indptr, folded.indptr[1:]))
     for first, second in ((5.0, 2.0), (2.0, 5.0)):
         csg = csr_matrix((np.array([first, second, 1.5]), np.array([1, 1, 2], dtype=np.int32), [0, 2, 3, 3]),
@@ -1177,8 +1174,10 @@ def test_boxes_and_kd_tree_graphs_have_no_invariant_axis():
 
 def _rho_by_definition(g):
     """rho as first defined: the largest CSR weight per unit of d0 over the
-    entries with d0 > 0, 0 if there are none."""
-    d0 = g.edge_d0
+    entries with d0 > 0, 0 if there are none; each entry's d0 is read from
+    the CSR of the graph with its d0 in place of its weights."""
+    d0 = g.d0 if g.blocks is None else np.array([b.d0 for b in g.blocks]).reshape((1,) * g.manifold.dim + (-1,))
+    d0 = replace(g, table=d0).csgraph.data
     pos = d0 > 0
     return float(np.max(g.csgraph.data[pos] / d0[pos])) if np.any(pos) else 0.0
 
@@ -1228,6 +1227,73 @@ def test_rho_is_the_largest_weight_per_unit_of_d0(case, chain, k, c):
     assert g.rho > 0 and g.rho == _rho_by_definition(g)
     h = g.reweight(Sum((_rho_fields(g.manifold)[k], Constant(c))))
     assert h.rho == _rho_by_definition(h)
+
+
+def _former_symmetric_csr(g, field):
+    """A kd-tree graph's CSR for ``field`` as it was stored before each edge
+    was kept once: every pair i < j with d0 <= eps (found here over all
+    pairs) as the entries (i, j) and (j, i), rows sorted by column, the
+    weights computed on the entries i < j and scattered to their reverse
+    entries."""
+    pts = g.points.points
+    i, j = np.triu_indices(g.n, 1)
+    d = d0_many(g.manifold, pts[i], pts[j])
+    keep = d <= g.eps
+    rows, cols = np.concatenate((i[keep], j[keep])), np.concatenate((j[keep], i[keep]))
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=g.n))))
+    ei, ej, d0 = rows[order], cols[order], np.concatenate((d[keep], d[keep]))[order]
+    up = ei < ej
+    per_edge = mt._riemann_weights if isinstance(g.estimator, RiemannLine) else mt._chain_weights
+    forward = per_edge(g, field, ei[up], ej[up], d0[up])
+    w = np.empty(ei.size)
+    w[up] = forward
+    w[~up] = forward[np.lexsort((ei[up], ej[up]))]  # rows sorted: the (j, i) in the order of (j, i)
+    return csr_matrix((w, ej.astype(np.int32), indptr), shape=(g.n, g.n))
+
+
+KDTREE_BOX = Manifold.box([[0.0, 2.0], [0.0, 1.0]])
+SPHERE3 = Manifold.sphere(3)
+# a 2- and a 3-sphere layout, scattered points, a torus and a box lattice
+# smaller than the eps reach, and a ChainBall graph on a torus lattice:
+# (manifold, points, eps per spacing, estimator)
+KDTREE_GRAPHS = {
+    "sphere2": (SPHERE2, lambda: lattice(SPHERE2, 0.3), 3.3, RiemannLine()),
+    "sphere3": (SPHERE3, lambda: lattice(SPHERE3, 0.6), 3.1, RiemannLine()),
+    "scattered": (TORUS2, lambda: PointSet(sample_manifold(TORUS2, 200, 11)[0], 0.45), 3.3, RiemannLine()),
+    "small-torus-lattice": (TORUS2, lambda: lattice(TORUS2, 1.0), 3.3, RiemannLine()),
+    "small-box-lattice": (KDTREE_BOX, lambda: lattice(KDTREE_BOX, 0.4), 3.1, RiemannLine()),
+    "chain-torus-lattice": (TORUS2, lambda: lattice(TORUS2, 0.8), 3.3, ChainBall(budget=100, seed=5)),
+}
+
+
+@cache
+def _kdtree_graph(case):
+    m, points, eps_rel, estimator = KDTREE_GRAPHS[case]
+    pts = points()
+    return build_graph(m, pts, eps_rel * pts.spacing, Constant(0.3), estimator)
+
+
+@pytest.mark.parametrize("case", sorted(KDTREE_GRAPHS))
+@settings(PROPS, max_examples=4)
+@given(u=st.lists(st.floats(-1.0, 1.0, exclude_max=True), min_size=5, max_size=5), c=st.floats(-2.0, 2.0))
+def test_kd_tree_graphs_expand_each_stored_edge_both_ways(case, u, c):
+    # a kd-tree graph stores each edge once, as a pair i < j with one
+    # weight, and its CSR is the former symmetric one, bit for bit, built
+    # and reweighted; Dijkstra on it reads the reference's distances
+    g = _kdtree_graph(case)
+    m = g.manifold
+    x = _point(m, u)
+    assume(x is not None)
+    other = SphereBubble(3.0, pole=tuple(x)) if m.kind == "sphere" else LogCusp(tuple(x), 0.3, 2.0)
+    assert g.blocks is None and g.pairs.dtype == np.int32 and np.all(g.pairs[0] < g.pairs[1])
+    src = [0, g.n // 2, g.n - 1]
+    for field, w in ((Constant(0.3), g), (Sum((other, Constant(c))), g.reweight(Sum((other, Constant(c)))))):
+        got, want = w.csgraph, _former_symmetric_csr(w, field)
+        for a, b in ((got.data, want.data), (got.indices, want.indices), (got.indptr, want.indptr)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert 2 * w.table.size == got.nnz
+        assert shortest_paths(w, src).values.tobytes() == dijkstra(want, directed=True, indices=src).tobytes()
 
 
 def test_a_graph_of_coincident_nodes_has_rho_zero_and_solves_unbounded(monkeypatch):

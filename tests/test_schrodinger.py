@@ -713,9 +713,16 @@ def _box_operator():
         (lambda g: decompose_ground_state(_box_operator(), 0.8), "torus grids"),
         (lambda g: GridOperator(g, ["a"] * 12**3), "potential must be numbers"),
         (lambda g: gs_shift_c0(g, np.zeros(12**3), [1.0, 1.0], 0.5, 1e-8), "rows of 3 coordinates"),
+        (lambda g: decompose_ground_state(GridOperator(g, np.zeros(12**3)), "a"), "decomposition radius rho"),
+        (lambda g: decompose_ground_state(GridOperator(g, np.zeros(12**3)), np.nan), "decomposition radius rho"),
+        (lambda g: decompose_ground_state(GridOperator(g, np.zeros(12**3)), -0.8), "decomposition radius rho"),
+        (lambda g: gs_shift_c0(g, np.zeros(12**3), [1.0, 1.0, 1.0], "a", 1e-8), "shift ball radius r0"),
+        (lambda g: gs_shift_c0(g, np.zeros(12**3), [1.0, 1.0, 1.0], -0.5, 1e-8), "shift ball radius r0"),
+        (lambda g: g.ball_mask([1.0, 1.0, 1.0], "a"), "ball radius"),
     ],
     ids=["sphere-grid", "potential-size", "nan-potential", "box-decomposition", "text-potential",
-         "shift-2-vector-center"],
+         "shift-2-vector-center", "text-rho", "nan-rho", "negative-rho", "text-shift-radius",
+         "negative-shift-radius", "text-mask-radius"],
 )
 def test_schrodinger_rejects_bad_inputs(geom, call, words):
     with pytest.raises(InputError, match=words):

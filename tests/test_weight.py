@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -477,9 +479,14 @@ def test_grid_io_roundtrip(tmp_path, torus2):
          None),
         (lambda path: path.write_text(path.read_text().replace('"torus"', '"sphere"')),
          "kind 'sphere' not supported"),
+        # the 64 values of an 8 x 8 grid fill a 4 x 4 x 4 one, which a 2-torus cannot hold
+        (lambda path: path.write_text(json.dumps(dict(json.loads(path.read_text()), shape=[4, 4, 4]))),
+         r"malformed grid manifest: grid shape \[4, 4, 4\] on a 2-D torus"),
+        (lambda path: path.write_text(json.dumps(dict(json.loads(path.read_text()), shape=[-8, -8]))),
+         "integer >= 1"),
     ],
     ids=["f32be", "column-major", "truncated-manifest", "missing-payload", "truncated-payload",
-         "sphere-kind"],
+         "sphere-kind", "rank-3-shape", "negative-shape"],
 )
 def test_grid_io_rejects_other_layouts(tmp_path, torus2, edit, words):
     path = tmp_path / "grid.json"
@@ -671,6 +678,12 @@ def _box_grid(shape):
         (lambda t2: mu_f_ball(Manifold.sphere(3), SphereBubble(2.0), BallSpec(np.zeros(3), 1.0), 1000),
          "ambient dimension 4"),
         (lambda t2: GridField(t2, np.full((8, 8), np.nan)), "must be finite"),
+        (lambda t2: GridField(t2, np.zeros(8)), r"grid shape \(8,\) on a 2-D torus needs 2 node counts"),
+        (lambda t2: GridField(t2, np.zeros((4, 4, 4))), r"grid shape \(4, 4, 4\)"),
+        (lambda t2: GridField(t2, "abc"), "grid values must be numbers"),
+        (lambda t2: GridField(_box_grid((8, 8)).manifold, np.zeros((1, 8))), "each an integer >= 2"),
+        (lambda t2: grid_from_field(t2, Constant(0.0), (0, 3)), "each an integer >= 1"),
+        (lambda t2: grid_from_field(t2, Constant(0.0), ("a", 3)), "each an integer >= 1"),
         (lambda t2: GridWeight(_box_grid((8, 8))).validate(t2), "does not match"),
         (lambda t2: GridWeight(GridField(t2, np.zeros((8, 8))), order=2).validate(t2),
          "order must be 1 or 3"),
@@ -704,7 +717,8 @@ def _box_grid(shape):
         (lambda t2: total_mass(Manifold.sphere(2), SphereBubble(2.0), 1000, seed=None), "seed must be an integer"),
     ],
     ids=["burago-ell-0", "burago-ell-text", "ball-center-3-on-2-torus", "ball-center-3-on-3-sphere",
-         "nan-grid", "grid-manifold-kind", "grid-order-2", "cubic-box-2-nodes",
+         "nan-grid", "grid-rank-1", "grid-rank-3", "grid-text", "box-grid-1-node", "grid-0-nodes",
+         "grid-text-count", "grid-manifold-kind", "grid-order-2", "cubic-box-2-nodes",
          "log-cusp-nan-r0", "log-cusp-nan-cap", "log-cusp-text-r0", "log-cusp-text-cap",
          "log-cusp-inf-cap", "log-cusp-text-x0", "log-cusp-scalar-x0", "bubble-text-lam", "bubble-text-pole",
          "bubble-scalar-pole", "total-mass-one-sample", "total-mass-nan-budget",

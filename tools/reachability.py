@@ -77,6 +77,7 @@ KEPT = {
     "metric.build_graph(estimator)": CHAIN,
     "metric.ChainBall": CHAIN,
     "metric._chain_weights": CHAIN,
+    "metric.EpsGraph.edge_i": TRACER,
     "schrodinger.SchrodingerSolve.iterations": TRACER,
     "schrodinger.GsShiftResult.evaluations": TRACER,
     "schrodinger.DecompositionResult.f": SPLIT,
